@@ -159,8 +159,13 @@ def _implicit_level(
     dt: float,
     tree: ScenarioTree,
     level: int,
-) -> tuple[np.ndarray, int]:
-    """Solve ``v = mean + g(t, v, z) * dt`` nodewise across a level."""
+) -> tuple[np.ndarray, np.ndarray | int]:
+    """Solve ``v = mean + g(t, v, z) * dt`` nodewise across a level.
+
+    Leading axes of ``mean`` are batch members.  Each member stops iterating
+    at its own first step within tolerance, so it gets the value and the
+    iteration count it would get alone; the counts come back per member.
+    """
     parts = generator.y_affine(t, zco, level=level, tree=tree)
     if parts is not None:
         h, a = parts
@@ -171,12 +176,15 @@ def _implicit_level(
             )
         return np.asarray((mean + np.asarray(h) * dt) / denom), 1
     v = mean.copy()
+    iterations = np.zeros(mean.shape[:-1], dtype=np.int64)
     for iteration in range(1, FIXED_POINT_MAX_ITER + 1):
         v_next = mean + np.asarray(generator.evaluate(t, v, zco, level=level, tree=tree)) * dt
-        delta = float(np.max(np.abs(v_next - v))) if v_next.size else 0.0
-        v = v_next
-        if delta <= FIXED_POINT_TOL:
-            return v, iteration
+        pending = iterations == 0
+        delta = np.max(np.abs(v_next - v), axis=-1)
+        v = np.where(pending[..., None], v_next, v)
+        iterations[pending & (delta <= FIXED_POINT_TOL)] = iteration
+        if iterations.all():
+            return v, iterations
     raise NonConvergence(
         f"implicit step at t={t:.6g} did not reach {FIXED_POINT_TOL} in "
         f"{FIXED_POINT_MAX_ITER} iterations"
@@ -210,7 +218,7 @@ def solve_bsde(
         active = ~stopped[i]
         if active.any():
             v, iters = _implicit_level(generator, t, mean, zco, dt, tree, i)
-            max_iter = max(max_iter, iters)
+            max_iter = max(max_iter, int(iters))
         else:
             v = mean
         y_i = np.where(stopped[i], ext[i], v)

@@ -22,9 +22,9 @@ from .bsde import TerminalCondition
 from .errors import ConfigError, LatticeLabError
 from .generators import DriverClaims, EvalContext, GeneratorSpec, parse_prefix
 from .lattice import AdaptedProcess, ScenarioTree, TimeGrid, TreeMode, build_tree
-from .market import MarketModel, PayoffKind, price_american_rbsde, recover_theta
+from .market import MarketModel, PayoffKind, quote_strike_family, recover_theta
 from .rbsde import ObstacleSpec, solve_rbsde
-from .suites import CheckResult, SUITES, run_suite
+from .suites import SUITES, run_suite
 
 _STATE_VARS = frozenset({"t", "b"})
 
@@ -41,7 +41,7 @@ def _require(mapping: dict, key: str, kind, where: str):
     value = mapping[key]
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigError(f"field {key!r} in {where} must be {kind.__name__}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"field {key!r} in {where} must be finite")
@@ -393,13 +393,8 @@ def cmd_solve(config: RunConfig, out_dir: Path) -> None:
         "obstacle_modulus": obstacle.modulus_estimate,
     }
     (out_dir / "diagnostics.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     )
-
-
-def _result_dict(result: CheckResult) -> dict:
-    out = asdict(result)
-    return out
 
 
 def cmd_verify(
@@ -418,7 +413,7 @@ def cmd_verify(
         "suite": name,
         "seed": effective_seed,
         "all_passed": all_passed,
-        "checks": [_result_dict(r) for r in results],
+        "checks": [asdict(r) for r in results],
     }
     (out_dir / "report.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2, default=float) + "\n"
@@ -429,21 +424,16 @@ def cmd_verify(
 def cmd_price(config: RunConfig, out_dir: Path) -> None:
     _need(config, "tree", "market")
     tree = config.tree.build()
+    market = config.market
+    quotes = quote_strike_family(tree, market.model(market.strikes[0]), market.strikes)
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "prices.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["strike", "price", "exercise_boundary_t0"])
-        for strike in config.market.strikes:
-            priced = price_american_rbsde(tree, config.market.model(strike))
-            first_contact = next(
-                (
-                    tree.grid.time(i)
-                    for i in range(tree.steps + 1)
-                    if bool(priced.exercise.flags(i).any())
-                ),
-                tree.grid.horizon,
+        for quote in quotes:
+            writer.writerow(
+                [_fmt(quote.strike), _fmt(quote.price), _fmt(tree.grid.time(quote.contact_level))]
             )
-            writer.writerow([_fmt(strike), _fmt(priced.value), _fmt(first_contact)])
 
 
 def cmd_recover(config: RunConfig, out_dir: Path, config_dir: Path) -> None:
@@ -484,7 +474,7 @@ def cmd_recover(config: RunConfig, out_dir: Path, config_dir: Path) -> None:
         "iterations": recovery.iterations,
     }
     (out_dir / "theta.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     )
 
 

@@ -29,6 +29,10 @@ class NonConvergence(LatticeLabError):
     """Fixed-point iteration failed to meet its residual within the cap."""
 
 
+class NumericalBreakdown(LatticeLabError):
+    """A backward sweep produced a non-finite value at some level."""
+
+
 class TerminalBelowObstacle(LatticeLabError):
     """Terminal values dip below the obstacle at a stopping node."""
 

@@ -49,7 +49,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.steps, int) or self.steps < 1:
+        if not isinstance(self.steps, int) or isinstance(self.steps, bool) or self.steps < 1:
             raise InvalidGrid(f"steps must be a positive integer, got {self.steps!r}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise InvalidGrid(f"horizon must be finite and positive, got {self.horizon!r}")
@@ -144,11 +144,15 @@ class ScenarioTree:
         return np.array([float(p) for p in self.exact_level_probabilities(level)])
 
     def child_values(self, next_level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split level ``i + 1`` values into (up, down) arrays aligned with level ``i``."""
+        """Split level ``i + 1`` values into (up, down) arrays aligned with level ``i``.
+
+        Only the last axis is split, so a batch of levels with shape
+        ``(..., level_size(i + 1))`` splits member by member.
+        """
         v = np.asarray(next_level)
         if self.mode is TreeMode.FULL_BINARY:
-            return v[1::2], v[0::2]
-        return v[1:], v[:-1]
+            return v[..., 1::2], v[..., 0::2]
+        return v[..., 1:], v[..., :-1]
 
     def spread_to_children(self, level_values: np.ndarray) -> np.ndarray:
         """Copy each parent value onto both of its children (path semantics).

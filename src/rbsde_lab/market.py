@@ -17,18 +17,24 @@ average are algebraically the same number, which the pricing tests pin to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .bsde import TerminalCondition
 from .errors import NoBracket, PositivityViolated, ProbabilityOutOfRange
 from .generators import Add, GeneratorSpec, Scale, YVar, ZVar
 from .lattice import AdaptedProcess, ScenarioTree, StoppingRule
-from .rbsde import ObstacleSpec, RbsdeSolution, exercise_rule, solve_rbsde
+from .rbsde import (
+    LevelData,
+    ObstacleSpec,
+    RbsdeSolution,
+    exercise_rule,
+    reflected_roots,
+    solve_rbsde,
+)
 
 
 class PayoffKind(Enum):
@@ -63,13 +69,17 @@ class MarketModel:
         return (self.drift - self.rate) / self.volatility
 
     def payoff(self, x):
-        if self.kind is PayoffKind.CALL:
-            return np.maximum(np.asarray(x, dtype=float) - self.strike, 0.0)
-        return np.maximum(self.strike - np.asarray(x, dtype=float), 0.0)
+        return _payoff(self.kind, self.strike, x)
 
 
-def simulate_stock(tree: ScenarioTree, model: MarketModel) -> AdaptedProcess:
-    """Multiplicative Euler stock on the tree; rejects non-positive factors."""
+def _payoff(kind: PayoffKind, strike, x):
+    """Payoff at stock values ``x``; a strike column gives one row per strike."""
+    if kind is PayoffKind.CALL:
+        return np.maximum(np.asarray(x, dtype=float) - strike, 0.0)
+    return np.maximum(strike - np.asarray(x, dtype=float), 0.0)
+
+
+def _step_factors(tree: ScenarioTree, model: MarketModel) -> tuple[float, float]:
     dt = tree.grid.dt
     up = 1.0 + model.drift * dt + model.volatility * tree.sqrt_dt
     down = 1.0 + model.drift * dt - model.volatility * tree.sqrt_dt
@@ -78,11 +88,22 @@ def simulate_stock(tree: ScenarioTree, model: MarketModel) -> AdaptedProcess:
             f"step factors ({up:.6g}, {down:.6g}) must stay positive; "
             "refine the grid or lower the volatility"
         )
-    levels = []
-    for i in range(tree.steps + 1):
-        ups = tree.up_counts(i)
-        levels.append(model.spot * up**ups * down ** (i - ups))
-    return AdaptedProcess(tree, levels)
+    return up, down
+
+
+def _stock_level(
+    tree: ScenarioTree, model: MarketModel, up: float, down: float, i: int
+) -> np.ndarray:
+    ups = tree.up_counts(i)
+    return model.spot * up**ups * down ** (i - ups)
+
+
+def simulate_stock(tree: ScenarioTree, model: MarketModel) -> AdaptedProcess:
+    """Multiplicative Euler stock on the tree; rejects non-positive factors."""
+    up, down = _step_factors(tree, model)
+    return AdaptedProcess(
+        tree, [_stock_level(tree, model, up, down, i) for i in range(tree.steps + 1)]
+    )
 
 
 def pricing_driver(model: MarketModel) -> GeneratorSpec:
@@ -163,20 +184,54 @@ def price_european_dp(tree: ScenarioTree, model: MarketModel) -> float:
 def price_strike_family(
     tree: ScenarioTree, model: MarketModel, strikes: Sequence[float]
 ) -> list[tuple[float, float]]:
-    """Price the contract across strikes, everything else held fixed."""
+    """Price the contract across strikes, one full solve per strike."""
     stock = simulate_stock(tree, model)
     out = []
     for strike in strikes:
-        altered = MarketModel(
-            spot=model.spot,
-            drift=model.drift,
-            volatility=model.volatility,
-            rate=model.rate,
-            strike=float(strike),
-            kind=model.kind,
-        )
+        altered = replace(model, strike=float(strike))
         out.append((float(strike), price_american_rbsde(tree, altered, stock=stock).value))
     return out
+
+
+class StrikeQuote(NamedTuple):
+    """One member of a strike family: its price and first exercise contact.
+
+    ``contact_level`` is the first level at which the value sits within
+    ``DEFAULT_CONTACT_TOL`` of the payoff at some node, the level at which
+    :func:`exercise_rule` first flags a node (``tree.steps`` at the latest).
+    """
+
+    strike: float
+    price: float
+    contact_level: int
+
+
+def quote_strike_family(
+    tree: ScenarioTree, model: MarketModel, strikes: Sequence[float]
+) -> list[StrikeQuote]:
+    """Price a strike family in one root-only reflected sweep.
+
+    Each level's stock and payoffs are built when the sweep reaches it, so
+    memory stays O(N) per strike instead of the O(N^2) lattices of
+    :func:`price_strike_family`.  Every price and contact level equals, bit
+    for bit, what :func:`price_american_rbsde` and :func:`exercise_rule`
+    give for that strike alone.
+    """
+    up, down = _step_factors(tree, model)
+    models = [replace(model, strike=float(strike)) for strike in strikes]
+    if not models:
+        return []
+    column = np.array([[m.strike] for m in models])
+
+    def payoff_level(i: int) -> np.ndarray:
+        return _payoff(model.kind, column, _stock_level(tree, model, up, down, i))
+
+    payoff = LevelData(tree, payoff_level)
+    roots = reflected_roots(tree, pricing_driver(model), payoff, payoff)
+    return [
+        StrikeQuote(m.strike, float(value), int(level))
+        for m, value, level in zip(models, roots.root, roots.first_contact)
+    ]
 
 
 @dataclass(frozen=True)
@@ -215,6 +270,8 @@ def recover_theta(
     point seen, and finishes with a bounded minimiser, keeping the best
     evaluation overall.
     """
+    from scipy.optimize import minimize_scalar  # scipy loads only for recovery
+
     if not observed:
         raise NoBracket("need at least one observed price")
     strikes = [k for k, _ in observed]
@@ -234,7 +291,7 @@ def recover_theta(
             strike=strikes[0],
             kind=kind,
         )
-        prices = np.array([p for _, p in price_strike_family(tree, model, strikes)])
+        prices = np.array([q.price for q in quote_strike_family(tree, model, strikes)])
         value = float(np.sum((prices - targets) ** 2))
         if value < best_value:
             best_value = value

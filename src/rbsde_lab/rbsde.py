@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .bsde import (
 )
 from .errors import (
     DepthExceeded,
+    NumericalBreakdown,
     RuleOrderViolated,
     TerminalBelowObstacle,
     TreeMismatch,
@@ -128,86 +130,170 @@ def _accumulate_increments(
     return levels
 
 
+@dataclass(frozen=True)
+class LevelData:
+    """Values on a tree read one level at a time.
+
+    ``level(i)`` returns an array whose last axis runs over the nodes of
+    level ``i``; leading axes, if any, are batch members.  An
+    :class:`AdaptedProcess` fits the same shape, and so does data computed
+    on demand, which is how root-only sweeps avoid storing a lattice.
+    """
+
+    tree: ScenarioTree
+    level: Callable[[int], np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
+class SweepSummary:
+    """Root and running diagnostics of a reflected sweep, one entry per member.
+
+    ``first_contact`` is the first level at which the value sits within
+    ``DEFAULT_CONTACT_TOL`` of the obstacle at some node (the last level
+    when it never does), the level at which :func:`exercise_rule` first
+    flags a node.  The other fields are the reductions behind
+    :class:`ReflectionDiagnostics`.
+    """
+
+    root: np.ndarray
+    first_contact: np.ndarray
+    skorokhod_residual: np.ndarray
+    min_gap: np.ndarray
+    max_increment: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+
+
+def _terminal_masks(tree: ScenarioTree, rule: StoppingRule | None):
+    """Per-level (stopped, first-stop) mask readers; ``None`` is the level-N rule."""
+    if rule is None:
+        def at_end(i: int) -> np.ndarray:
+            return np.full(tree.level_size(i), i == tree.steps)
+
+        return at_end, at_end
+    return rule.stopped_by_level.__getitem__, rule.stop_node_masks.__getitem__
+
+
+def _sweep(
+    tree: ScenarioTree,
+    generator: GeneratorSpec,
+    rule: StoppingRule | None,
+    terminal: LevelData,
+    obstacle: LevelData,
+    *,
+    keep_levels: bool,
+) -> tuple[SweepSummary, tuple[list, list, list] | None]:
+    """The backward reflected recursion, shared by every reflected solve.
+
+    Walks from the last level to the root holding one level at a time; with
+    ``keep_levels`` it also returns every level of y, z and the push
+    increments.  Batch members only meet in elementwise operations, so each
+    one is bit-identical to a solve of its own data.
+    """
+    if terminal.tree != tree or obstacle.tree != tree or (rule is not None and rule.tree != tree):
+        raise TreeMismatch("terminal condition and obstacle must share the tree")
+    _check_contraction(generator, tree)
+    dt = tree.grid.dt
+    n = tree.steps
+    stopped, stop_nodes = _terminal_masks(tree, rule)
+
+    for i in range(n + 1):
+        mask = stop_nodes(i)
+        if mask.any() and bool(
+            np.any(terminal.level(i)[..., mask] < obstacle.level(i)[..., mask])
+        ):
+            raise TerminalBelowObstacle(
+                f"terminal values fall below the obstacle at level {i}"
+            )
+
+    y = np.array(terminal.level(n), dtype=float)
+    z = dk = np.zeros_like(y)
+    batch = y.shape[:-1]
+    first_contact = np.full(batch, n)
+    skorokhod = np.zeros(batch)
+    min_gap = np.full(batch, np.inf)
+    max_increment = np.full(batch, -np.inf)
+    iterations = np.zeros(batch, dtype=np.int64)
+    residual = np.zeros(batch)
+    kept = ([None] * (n + 1), [None] * (n + 1), [None] * (n + 1)) if keep_levels else None
+
+    for i in range(n, -1, -1):
+        barrier = obstacle.level(i)
+        stopped_i = stopped(i)
+        active = ~stopped_i
+        if i < n:
+            up, down = tree.child_values(y)
+            mean = conditional_expectation(up, down)
+            z = martingale_coefficient(up, down, dt)
+            t = tree.grid.time(i)
+            unreflected = mean
+            if active.any():
+                unreflected, iters = _implicit_level(generator, t, mean, z, dt, tree, i)
+                iterations = np.maximum(iterations, iters)
+                # the step identity is y = mean + g(t, pre-clamp value, z) dt + dk,
+                # so the replayed defect lives on the pre-clamp value
+                g_final = np.asarray(
+                    generator.evaluate(t, unreflected, z, level=i, tree=tree), dtype=float
+                )
+                defect = np.abs(unreflected - (mean + g_final * dt))
+                residual = np.maximum(residual, np.max(defect[..., active], axis=-1))
+            y = np.maximum(unreflected, barrier)
+            dk = y - unreflected
+            if stopped_i.any():
+                y = np.where(stopped_i, terminal.level(i), y)
+                z = np.where(stopped_i, 0.0, z)
+                dk = np.where(stopped_i, 0.0, dk)
+        for name, values in (("obstacle", barrier), ("value", y), ("coefficient", z)):
+            if not np.isfinite(values).all():
+                raise NumericalBreakdown(f"non-finite {name} at level {i}")
+        gap = y - barrier
+        for mask in (active, stop_nodes(i)):
+            if mask.any():
+                min_gap = np.minimum(min_gap, np.min(gap[..., mask], axis=-1))
+        skorokhod = np.maximum(skorokhod, np.max(np.abs(gap * dk), axis=-1))
+        max_increment = np.maximum(max_increment, np.max(dk, axis=-1))
+        touching = np.any(y <= barrier + DEFAULT_CONTACT_TOL, axis=-1)
+        first_contact = np.where(touching, i, first_contact)
+        if kept is not None:
+            kept[0][i], kept[1][i], kept[2][i] = y, z, dk
+
+    summary = SweepSummary(
+        root=y[..., 0],
+        first_contact=first_contact,
+        skorokhod_residual=skorokhod,
+        min_gap=min_gap,
+        max_increment=max_increment,
+        iterations=iterations,
+        residual=residual,
+    )
+    return summary, kept
+
+
 def solve_rbsde(
     tree: ScenarioTree,
     generator: GeneratorSpec,
     terminal: TerminalCondition,
     obstacle: ObstacleSpec,
 ) -> RbsdeSolution:
-    """Backward reflected recursion from the terminal rule to the root."""
-    if terminal.tree != tree or obstacle.tree != tree:
-        raise TreeMismatch("terminal condition and obstacle must share the tree")
-    _check_contraction(generator, tree)
-    dt = tree.grid.dt
-    stopped = terminal.rule.stopped_by_level
-    stop_nodes = terminal.rule.stop_node_masks
-    ext = terminal.extended
-    barrier = obstacle.process
+    """Backward reflected recursion from the terminal rule to the root.
 
-    for i, mask in enumerate(stop_nodes):
-        if mask.any() and bool(np.any(ext[i][mask] < barrier.level(i)[mask])):
-            raise TerminalBelowObstacle(
-                f"terminal values fall below the obstacle at level {i}"
-            )
-
-    n = tree.steps
-    y_levels: list[np.ndarray] = [None] * (n + 1)  # type: ignore[list-item]
-    z_levels: list[np.ndarray] = [None] * (n + 1)  # type: ignore[list-item]
-    dk_levels: list[np.ndarray] = [None] * (n + 1)  # type: ignore[list-item]
-    y_levels[n] = np.array(ext[n])
-    z_levels[n] = np.zeros(tree.level_size(n))
-    dk_levels[n] = np.zeros(tree.level_size(n))
-
-    max_iter = 0
-    max_resid = 0.0
-    min_gap = float(np.min((ext[n] - barrier.level(n))[stop_nodes[n]])) if stop_nodes[n].any() else np.inf
-    for i in range(n - 1, -1, -1):
-        up, down = tree.child_values(y_levels[i + 1])
-        mean = conditional_expectation(up, down)
-        zco = martingale_coefficient(up, down, dt)
-        t = tree.grid.time(i)
-        active = ~stopped[i]
-        if active.any():
-            unreflected, iters = _implicit_level(generator, t, mean, zco, dt, tree, i)
-            max_iter = max(max_iter, iters)
-        else:
-            unreflected = mean
-        clamped = np.maximum(unreflected, barrier.level(i))
-        y_i = np.where(stopped[i], ext[i], clamped)
-        z_i = np.where(stopped[i], 0.0, zco)
-        dk_i = np.where(stopped[i], 0.0, clamped - unreflected)
-        if active.any():
-            # the step identity is y = mean + g(t, pre-clamp value, z) dt + dk,
-            # so the replayed defect lives on the pre-clamp value
-            g_final = np.broadcast_to(
-                np.asarray(
-                    generator.evaluate(t, unreflected, zco, level=i, tree=tree),
-                    dtype=float,
-                ),
-                y_i.shape,
-            )
-            defect = np.abs(unreflected - (mean + g_final * dt))
-            max_resid = max(max_resid, float(np.max(defect[active])))
-            gaps = (y_i - barrier.level(i))[active]
-            min_gap = min(min_gap, float(np.min(gaps)))
-        if stop_nodes[i].any():
-            gaps = (y_i - barrier.level(i))[stop_nodes[i]]
-            min_gap = min(min_gap, float(np.min(gaps)))
-        y_levels[i] = y_i
-        z_levels[i] = z_i
-        dk_levels[i] = dk_i
-
-    skorokhod = max(
-        float(np.max(np.abs((y_levels[i] - barrier.level(i)) * dk_levels[i])))
-        for i in range(n + 1)
+    This is the shared sweep with no batch axis, keeping every level.
+    """
+    summary, (y_levels, z_levels, dk_levels) = _sweep(
+        tree,
+        generator,
+        terminal.rule,
+        LevelData(terminal.tree, lambda i: terminal.extended[i]),
+        obstacle.process,
+        keep_levels=True,
     )
     cumulative = _accumulate_increments(tree, dk_levels)
     diagnostics = ReflectionDiagnostics(
-        skorokhod_residual=skorokhod,
-        min_gap=min_gap,
-        max_increment=max(float(np.max(lvl)) for lvl in dk_levels),
-        iterations=max_iter,
-        residual=max_resid,
+        skorokhod_residual=float(summary.skorokhod_residual),
+        min_gap=float(summary.min_gap),
+        max_increment=float(summary.max_increment),
+        iterations=int(summary.iterations),
+        residual=float(summary.residual),
         cumulative_available=cumulative is not None,
     )
     return RbsdeSolution(
@@ -217,6 +303,26 @@ def solve_rbsde(
         k=AdaptedProcess(tree, cumulative) if cumulative is not None else None,
         diagnostics=diagnostics,
     )
+
+
+def reflected_roots(
+    tree: ScenarioTree,
+    generator: GeneratorSpec,
+    terminal: LevelData,
+    obstacle: LevelData,
+    rule: StoppingRule | None = None,
+) -> SweepSummary:
+    """Root-only reflected sweep over a batch of data sharing one tree.
+
+    ``terminal`` and ``obstacle`` give each level as an array with the
+    batch axes in front of the node axis; terminal values are read only on
+    the stopping nodes of ``rule`` (``None``: the last level) and carried to
+    their descendants.  Only the running level is held, so memory is
+    O(batch * N) on a recombining tree, and each member's root and
+    diagnostics equal those of its own :func:`solve_rbsde` bit for bit.
+    """
+    summary, _ = _sweep(tree, generator, rule, terminal, obstacle, keep_levels=False)
+    return summary
 
 
 def reflected_value(

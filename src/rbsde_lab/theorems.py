@@ -149,11 +149,26 @@ def check_comparison(
     sampling; when any of them fails the report is produced anyway but
     marked vacuous.
     """
+    return _compare_values(low, high, *_solve_pair(low, high), tolerance)
+
+
+def _solve_pair(low: RbsdeProblem, high: RbsdeProblem) -> tuple[RbsdeSolution, RbsdeSolution]:
     if low.tree != high.tree:
         raise TreeMismatch("comparison needs a common tree")
-    sol_low = solve_rbsde(low.tree, low.generator, low.terminal, low.obstacle)
-    sol_high = solve_rbsde(high.tree, high.generator, high.terminal, high.obstacle)
+    return (
+        solve_rbsde(low.tree, low.generator, low.terminal, low.obstacle),
+        solve_rbsde(high.tree, high.generator, high.terminal, high.obstacle),
+    )
 
+
+def _compare_values(
+    low: RbsdeProblem,
+    high: RbsdeProblem,
+    sol_low: RbsdeSolution,
+    sol_high: RbsdeSolution,
+    tolerance: float,
+) -> ComparisonReport:
+    """Certify the input orderings and measure the value ordering of two solutions."""
     # The leaf extension is constant along post-stop paths, so ordering at
     # the last level is ordering of the terminal data themselves.
     last = low.tree.steps
@@ -207,10 +222,8 @@ def check_k_comparison(
     )
     if not same_obstacle:
         raise TreeMismatch("push comparison needs a common obstacle")
-    base = check_comparison(low, high, tolerance=tolerance)
-
-    sol_low = solve_rbsde(low.tree, low.generator, low.terminal, low.obstacle)
-    sol_high = solve_rbsde(high.tree, high.generator, high.terminal, high.obstacle)
+    sol_low, sol_high = _solve_pair(low, high)
+    base = _compare_values(low, high, sol_low, sol_high, tolerance)
     if sol_low.k is None or sol_high.k is None:
         raise UnsupportedTreeMode("cumulative pushes are not representable on this tree")
     push_violation = max(

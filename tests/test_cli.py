@@ -1,8 +1,15 @@
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import rbsde_lab
 from rbsde_lab.cli import RunConfig, main
 
 COUNTEREXAMPLE_CONFIG = {
@@ -62,6 +69,23 @@ class TestSolveCommand:
         payload["tree"] = {"horizon": 1.0, "steps": 0, "mode": "recombining"}
         config = write_config(tmp_path, payload)
         assert main(["solve", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+
+    def test_boolean_steps_is_a_config_error(self, tmp_path):
+        payload = dict(COUNTEREXAMPLE_CONFIG)
+        payload["tree"] = {"horizon": 1.0, "steps": True, "mode": "recombining"}
+        config = write_config(tmp_path, payload)
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+
+    def test_overflowing_driver_exits_three_without_output(self, tmp_path):
+        payload = dict(COUNTEREXAMPLE_CONFIG)
+        payload["tree"] = {"horizon": 1.0, "steps": 10, "mode": "recombining"}
+        payload["generator"] = {"expr": "(* 1e308 (* 1e308 (abs z)))", "lipschitz": 0}
+        payload["terminal"] = {"kind": "state", "expr": "(abs b)"}
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            assert main(["solve", "--config", str(config), "--out", str(out)]) == 3
+        assert not (out / "diagnostics.json").exists()
 
     def test_solver_failures_exit_three(self, tmp_path):
         payload = dict(COUNTEREXAMPLE_CONFIG)
@@ -148,6 +172,16 @@ class TestPriceCommand:
         prices = [float(r["price"]) for r in rows]
         assert [float(r["strike"]) for r in rows] == [80.0, 90.0, 100.0, 110.0, 120.0]
         assert all(a > b for a, b in zip(prices, prices[1:]))
+
+    def test_put_family_prices_are_pinned(self, tmp_path):
+        payload = self.market_config()
+        payload["tree"]["steps"] = 500
+        payload["market"]["kind"] = "put"
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["price", "--config", str(config), "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "prices.csv").read_bytes()).hexdigest()
+        assert digest == "1ce15e5632693ff174ba1ebce1f33652d3513b0be8c3df0c393275584832e23c"
 
     def test_missing_market_block_exits_two(self, tmp_path):
         payload = self.market_config()
@@ -267,3 +301,14 @@ class TestConfigRoundTrip:
         payload["terminal"] = {"kind": "constant", "value": float("inf")}
         with pytest.raises(Exception):
             RunConfig.parse(json.dumps(payload))
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(rbsde_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", "import rbsde_lab.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env,
+        check=True,
+    )

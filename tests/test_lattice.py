@@ -55,6 +55,8 @@ class TestBuildTree:
             TimeGrid(-1.0, 4)
         with pytest.raises(InvalidGrid):
             TimeGrid(0.0, 4)
+        with pytest.raises(InvalidGrid):
+            TimeGrid(1.0, True)
 
     @pytest.mark.parametrize("mode", list(TreeMode))
     def test_level_probabilities_sum_to_one(self, mode):
@@ -75,6 +77,16 @@ class TestBuildTree:
 
 
 class TestStepFunctions:
+    @pytest.mark.parametrize("mode", list(TreeMode))
+    def test_child_values_split_a_batch_member_by_member(self, mode):
+        tree = build_tree(TimeGrid(1.0, 3), mode)
+        batch = np.arange(3 * tree.level_size(3), dtype=float).reshape(3, -1)
+        up, down = tree.child_values(batch)
+        for row, (u, d) in enumerate(zip(up, down)):
+            single_up, single_down = tree.child_values(batch[row])
+            np.testing.assert_array_equal(u, single_up)
+            np.testing.assert_array_equal(d, single_down)
+
     def test_conditional_expectation_values(self):
         assert conditional_expectation(2.0, 0.0) == 1.0
         assert conditional_expectation(5.5, 5.5) == 5.5

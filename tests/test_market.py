@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbsde_lab import (
     MarketModel,
@@ -14,6 +17,7 @@ from rbsde_lab import (
     price_american_riskneutral_dp,
     price_european_dp,
     price_strike_family,
+    quote_strike_family,
     recover_theta,
     simulate_stock,
 )
@@ -171,6 +175,35 @@ class TestStrikeFamily:
         dp = price_american_riskneutral_dp(tree, model)
         assert priced.value == pytest.approx(dp, abs=1e-10)
         assert priced.value >= model.spot - 1e-9  # the claim is worth the stock
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.tuples(st.just(TreeMode.RECOMBINING), st.integers(8, 64)),
+            st.tuples(st.just(TreeMode.FULL_BINARY), st.integers(8, 12)),
+        ),
+        kind=st.sampled_from(list(PayoffKind)),
+        drift=st.floats(-0.2, 0.3),
+        volatility=st.floats(0.1, 0.6),
+        rate=st.floats(0.0, 0.1),
+        strikes=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=6),
+    )
+    def test_batched_quotes_match_single_solves_bit_for_bit(
+        self, shape, kind, drift, volatility, rate, strikes
+    ):
+        mode, steps = shape
+        tree = build_tree(TimeGrid(1.0, steps), mode)
+        model = MarketModel(
+            spot=100.0, drift=drift, volatility=volatility, rate=rate,
+            strike=strikes[0], kind=kind,
+        )
+        quotes = quote_strike_family(tree, model, strikes)
+        assert [q.strike for q in quotes] == strikes
+        for strike, quote in zip(strikes, quotes):
+            single = price_american_rbsde(tree, replace(model, strike=strike))
+            contact = next(i for i in range(steps + 1) if single.exercise.flags(i).any())
+            assert quote.price.hex() == single.value.hex()
+            assert quote.contact_level == contact
 
 
 class TestRecovery:

@@ -6,6 +6,8 @@ from rbsde_lab import (
     ClosedFormCase,
     DepthExceeded,
     GeneratorSpec,
+    LevelData,
+    NumericalBreakdown,
     ObstacleSpec,
     StoppingRule,
     TerminalBelowObstacle,
@@ -20,13 +22,14 @@ from rbsde_lab import (
     freeze_after,
     lift_deterministic,
     reflected_conditional,
+    reflected_roots,
     reflected_value,
     restrict_generator,
     snell_oracle,
     solve_bsde,
     solve_rbsde,
 )
-from rbsde_lab.generators import Add, Const, Scale, YVar, ZVar
+from rbsde_lab.generators import Add, Const, Scale, YVar, ZVar, parse_prefix
 
 
 def full_tree(steps, horizon=1.0):
@@ -162,6 +165,61 @@ class TestSolutionStructure:
                 TerminalCondition.constant(tree, 0.5),
                 obstacle,
             )
+
+
+    def test_nan_obstacle_is_a_numerical_breakdown(self):
+        tree = recomb_tree(4)
+        levels = [np.full(tree.level_size(i), -1.0) for i in range(tree.steps + 1)]
+        levels[2][1] = np.nan
+        with pytest.raises(NumericalBreakdown, match="level 2"):
+            solve_rbsde(
+                tree,
+                GeneratorSpec.constant(0.0),
+                TerminalCondition.constant(tree, 0.0),
+                ObstacleSpec(AdaptedProcess(tree, levels)),
+            )
+
+
+class TestBatchedSweep:
+    def test_members_match_their_own_solves_bit_for_bit(self):
+        tree = full_tree(6)
+        rng = np.random.default_rng(5)
+        rule = StoppingRule(
+            tree, [rng.random(tree.level_size(i)) < 0.2 for i in range(tree.steps + 1)]
+        )
+        # not affine in y, so every level runs the fixed-point iteration
+        generator = GeneratorSpec(parse_prefix("(+ (min y z) (* 0.5 (abs y)))"), 2.0)
+        shifts = (0.0, 0.4, -0.3)
+        terminals = [
+            TerminalCondition.at_rule(tree, rule, lambda i, b, c=c: c + np.abs(b))
+            for c in shifts
+        ]
+        obstacles = [
+            AdaptedProcess.from_state_function(tree, lambda t, b, c=c: c - 0.5 + 0.3 * b - t)
+            for c in shifts
+        ]
+        batch = reflected_roots(
+            tree,
+            generator,
+            LevelData(tree, lambda i: np.stack([tc.extended[i] for tc in terminals])),
+            LevelData(tree, lambda i: np.stack([s.level(i) for s in obstacles])),
+            rule=rule,
+        )
+        for k, (terminal, process) in enumerate(zip(terminals, obstacles)):
+            obstacle = ObstacleSpec(process)
+            sol = solve_rbsde(tree, generator, terminal, obstacle)
+            diag = sol.diagnostics
+            contact = exercise_rule(sol, obstacle)
+            assert float(batch.root[k]).hex() == sol.y.root().hex()
+            assert batch.first_contact[k] == next(
+                i for i in range(tree.steps + 1) if contact.flags(i).any()
+            )
+            assert batch.iterations[k] == diag.iterations
+            assert batch.residual[k] == diag.residual
+            assert batch.min_gap[k] == diag.min_gap
+            assert batch.max_increment[k] == diag.max_increment
+            assert batch.skorokhod_residual[k] == diag.skorokhod_residual == 0.0
+        assert len(set(batch.iterations.tolist())) > 1
 
 
 class TestOracles:

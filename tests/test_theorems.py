@@ -28,6 +28,7 @@ from rbsde_lab import (
     solve_bsde,
     solve_rbsde,
 )
+from rbsde_lab import theorems
 from rbsde_lab.generators import Abs, Add, Scale, YVar, ZVar
 from rbsde_lab.theorems import plateau_ramp_driver, ramp_plateau_driver
 
@@ -116,6 +117,23 @@ class TestComparison:
         np.testing.assert_allclose(diff[shared], 0.0, atol=1e-12)
         assert diff[-1] == pytest.approx(1 / 6, abs=2e-3)
         assert np.all(np.diff(diff) >= -1e-12)
+
+    def test_push_comparison_solves_each_problem_once(self, monkeypatch):
+        tree = recomb_tree(50)
+        low, high = counterexample_pair(tree)
+        expected = check_comparison(low, high)
+        calls = []
+
+        def counting_solve(*args):
+            calls.append(args)
+            return solve_rbsde(*args)
+
+        monkeypatch.setattr(theorems, "solve_rbsde", counting_solve)
+        report = check_k_comparison(low, high)
+        assert len(calls) == 2
+        assert report.certificate == expected.certificate
+        assert report.max_value_violation == expected.max_value_violation
+        assert report.vacuous == expected.vacuous
 
     def test_zero_driver_pair_plateau_difference(self):
         tree = recomb_tree(200)
