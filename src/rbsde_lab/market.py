@@ -184,7 +184,13 @@ def price_european_dp(tree: ScenarioTree, model: MarketModel) -> float:
 def price_strike_family(
     tree: ScenarioTree, model: MarketModel, strikes: Sequence[float]
 ) -> list[tuple[float, float]]:
-    """Price the contract across strikes, one full solve per strike."""
+    """Price the contract across strikes, one full solve per strike.
+
+    This is the per-strike reference path: the pricing and recovery suites
+    use it for observations independent of :func:`quote_strike_family`, and
+    the benchmark's tracer test counts its ``price_american_rbsde`` calls.
+    Batched pricing goes through :func:`quote_strike_family`.
+    """
     stock = simulate_stock(tree, model)
     out = []
     for strike in strikes:

@@ -310,18 +310,16 @@ def reflected_roots(
     generator: GeneratorSpec,
     terminal: LevelData,
     obstacle: LevelData,
-    rule: StoppingRule | None = None,
 ) -> SweepSummary:
     """Root-only reflected sweep over a batch of data sharing one tree.
 
     ``terminal`` and ``obstacle`` give each level as an array with the
-    batch axes in front of the node axis; terminal values are read only on
-    the stopping nodes of ``rule`` (``None``: the last level) and carried to
-    their descendants.  Only the running level is held, so memory is
+    batch axes in front of the node axis; terminal values are read only at
+    the last level.  Only the running level is held, so memory is
     O(batch * N) on a recombining tree, and each member's root and
     diagnostics equal those of its own :func:`solve_rbsde` bit for bit.
     """
-    summary, _ = _sweep(tree, generator, rule, terminal, obstacle, keep_levels=False)
+    summary, _ = _sweep(tree, generator, None, terminal, obstacle, keep_levels=False)
     return summary
 
 

@@ -6,7 +6,6 @@ from rbsde_lab import (
     ClosedFormCase,
     DepthExceeded,
     GeneratorSpec,
-    LevelData,
     NumericalBreakdown,
     ObstacleSpec,
     StoppingRule,
@@ -22,7 +21,6 @@ from rbsde_lab import (
     freeze_after,
     lift_deterministic,
     reflected_conditional,
-    reflected_roots,
     reflected_value,
     restrict_generator,
     snell_oracle,
@@ -30,6 +28,7 @@ from rbsde_lab import (
     solve_rbsde,
 )
 from rbsde_lab.generators import Add, Const, Scale, YVar, ZVar, parse_prefix
+from rbsde_lab.rbsde import LevelData, reflected_roots
 
 
 def full_tree(steps, horizon=1.0):
@@ -183,15 +182,11 @@ class TestSolutionStructure:
 class TestBatchedSweep:
     def test_members_match_their_own_solves_bit_for_bit(self):
         tree = full_tree(6)
-        rng = np.random.default_rng(5)
-        rule = StoppingRule(
-            tree, [rng.random(tree.level_size(i)) < 0.2 for i in range(tree.steps + 1)]
-        )
         # not affine in y, so every level runs the fixed-point iteration
         generator = GeneratorSpec(parse_prefix("(+ (min y z) (* 0.5 (abs y)))"), 2.0)
         shifts = (0.0, 0.4, -0.3)
         terminals = [
-            TerminalCondition.at_rule(tree, rule, lambda i, b, c=c: c + np.abs(b))
+            TerminalCondition.from_leaf_function(tree, lambda b, c=c: c + np.abs(b))
             for c in shifts
         ]
         obstacles = [
@@ -203,7 +198,6 @@ class TestBatchedSweep:
             generator,
             LevelData(tree, lambda i: np.stack([tc.extended[i] for tc in terminals])),
             LevelData(tree, lambda i: np.stack([s.level(i) for s in obstacles])),
-            rule=rule,
         )
         for k, (terminal, process) in enumerate(zip(terminals, obstacles)):
             obstacle = ObstacleSpec(process)
