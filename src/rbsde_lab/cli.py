@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bsde import TerminalCondition
-from .errors import ConfigError, LatticeLabError
+from .errors import ConfigError, LatticeLabError, NumericalBreakdown
 from .generators import DriverClaims, EvalContext, GeneratorSpec, parse_prefix
 from .lattice import AdaptedProcess, ScenarioTree, TimeGrid, TreeMode, build_tree
 from .market import MarketModel, PayoffKind, quote_strike_family, recover_theta
@@ -231,13 +231,17 @@ class MarketConfig:
             raise ConfigError("market needs a nonempty 'strikes' list")
         parsed = []
         for s in strikes:
-            if not isinstance(s, (int, float)) or isinstance(s, bool) or not math.isfinite(s):
-                raise ConfigError("market strikes must be finite numbers")
+            if not isinstance(s, (int, float)) or isinstance(s, bool) or not math.isfinite(s) or s < 0:
+                raise ConfigError("market strikes must be finite nonnegative numbers")
             parsed.append(float(s))
+        spot = _require(raw, "spot", float, "market")
+        volatility = _require(raw, "volatility", float, "market")
+        if spot <= 0.0 or volatility <= 0.0:
+            raise ConfigError("market needs spot > 0 and volatility > 0")
         return cls(
-            spot=_require(raw, "spot", float, "market"),
+            spot=spot,
             drift=_require(raw, "drift", float, "market"),
-            volatility=_require(raw, "volatility", float, "market"),
+            volatility=volatility,
             rate=_require(raw, "rate", float, "market"),
             kind=kind,
             strikes=tuple(parsed),
@@ -351,6 +355,15 @@ def _need(config: RunConfig, *fields: str) -> None:
             raise ConfigError(f"this command needs a {name!r} block in the config")
 
 
+def _finite_json(payload: dict, name: str) -> str:
+    """Byte-stable JSON text; a NaN or infinity is a numerical error, not a token."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, default=float, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalBreakdown(f"{name} would hold a non-finite value") from exc
+    return text + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -360,6 +373,19 @@ def cmd_solve(config: RunConfig, out_dir: Path) -> None:
     obstacle = config.obstacle.build(tree)
     solution = solve_rbsde(
         tree, config.generator.build(), config.terminal.build(tree), obstacle
+    )
+    diag = solution.diagnostics
+    diagnostics = _finite_json(
+        {
+            "skorokhod_residual": diag.skorokhod_residual,
+            "min_y_minus_s": diag.min_gap,
+            "max_k_increment": diag.max_increment,
+            "iterations": diag.iterations,
+            "residual": diag.residual,
+            "k_cumulative_available": diag.cumulative_available,
+            "obstacle_modulus": obstacle.modulus_estimate,
+        },
+        "diagnostics.json",
     )
     barrier = obstacle.process
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -382,19 +408,7 @@ def cmd_solve(config: RunConfig, out_dir: Path) -> None:
                         _fmt(barrier.value(i, node)),
                     ]
                 )
-    diag = solution.diagnostics
-    payload = {
-        "skorokhod_residual": diag.skorokhod_residual,
-        "min_y_minus_s": diag.min_gap,
-        "max_k_increment": diag.max_increment,
-        "iterations": diag.iterations,
-        "residual": diag.residual,
-        "k_cumulative_available": diag.cumulative_available,
-        "obstacle_modulus": obstacle.modulus_estimate,
-    }
-    (out_dir / "diagnostics.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    )
+    (out_dir / "diagnostics.json").write_text(diagnostics)
 
 
 def cmd_verify(
@@ -408,16 +422,15 @@ def cmd_verify(
     effective_seed = seed if seed is not None else config.seed
     results = run_suite(name, seed=effective_seed, instances=config.instances)
     all_passed = all(r.passed for r in results)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "suite": name,
         "seed": effective_seed,
         "all_passed": all_passed,
         "checks": [asdict(r) for r in results],
     }
-    (out_dir / "report.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2, default=float) + "\n"
-    )
+    report = _finite_json(payload, "report.json")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "report.json").write_text(report)
     return all_passed
 
 
@@ -467,15 +480,16 @@ def cmd_recover(config: RunConfig, out_dir: Path, config_dir: Path) -> None:
         rate=market.rate,
         kind=PayoffKind(market.kind),
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "theta_hat": recovery.theta_hat,
-        "objective": recovery.objective,
-        "iterations": recovery.iterations,
-    }
-    (out_dir / "theta.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    theta = _finite_json(
+        {
+            "theta_hat": recovery.theta_hat,
+            "objective": recovery.objective,
+            "iterations": recovery.iterations,
+        },
+        "theta.json",
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "theta.json").write_text(theta)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -336,6 +336,11 @@ class StoppingRule:
                 return None
         return self.tree.steps
 
+    @cached_property
+    def first_stop_level(self) -> int:
+        """Lowest level holding a stopping node; below it no path has stopped."""
+        return next(i for i, f in enumerate(self._flags) if f.any())
+
     @property
     def is_terminal(self) -> bool:
         """True when every path runs to the last level before stopping."""

@@ -164,16 +164,7 @@ class SweepSummary:
     residual: np.ndarray
 
 
-def _terminal_masks(tree: ScenarioTree, rule: StoppingRule | None):
-    """Per-level (stopped, first-stop) mask readers; ``None`` is the level-N rule."""
-    if rule is None:
-        def at_end(i: int) -> np.ndarray:
-            return np.full(tree.level_size(i), i == tree.steps)
-
-        return at_end, at_end
-    return rule.stopped_by_level.__getitem__, rule.stop_node_masks.__getitem__
-
-
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _sweep(
     tree: ScenarioTree,
     generator: GeneratorSpec,
@@ -188,17 +179,28 @@ def _sweep(
     Walks from the last level to the root holding one level at a time; with
     ``keep_levels`` it also returns every level of y, z and the push
     increments.  Batch members only meet in elementwise operations, so each
-    one is bit-identical to a solve of its own data.
+    one is bit-identical to a solve of its own data.  ``rule=None`` is the
+    level-N rule; levels below the rule's first stopping level skip all mask
+    work.  Each level tests ``(y - S) + z`` for finiteness once and checks
+    obstacle, value and coefficient apart only when that fails, so finite
+    data whose sum overflows pass.  With warnings silenced, non-finite data
+    surface only as :class:`NumericalBreakdown`.
     """
     if terminal.tree != tree or obstacle.tree != tree or (rule is not None and rule.tree != tree):
         raise TreeMismatch("terminal condition and obstacle must share the tree")
     _check_contraction(generator, tree)
     dt = tree.grid.dt
     n = tree.steps
-    stopped, stop_nodes = _terminal_masks(tree, rule)
+    if rule is None:
+        # masks are read only from the first stopping level on, here just level N
+        stopped = stop_nodes = {n: np.ones(tree.level_size(n), dtype=bool)}
+        first_stop = n
+    else:
+        stopped, stop_nodes = rule.stopped_by_level, rule.stop_node_masks
+        first_stop = rule.first_stop_level
 
-    for i in range(n + 1):
-        mask = stop_nodes(i)
+    for i in range(first_stop, n + 1):
+        mask = stop_nodes[i]
         if mask.any() and bool(
             np.any(terminal.level(i)[..., mask] < obstacle.level(i)[..., mask])
         ):
@@ -219,15 +221,16 @@ def _sweep(
 
     for i in range(n, -1, -1):
         barrier = obstacle.level(i)
-        stopped_i = stopped(i)
-        active = ~stopped_i
+        masked = i >= first_stop
+        if masked:
+            active = ~stopped[i]
         if i < n:
             up, down = tree.child_values(y)
             mean = conditional_expectation(up, down)
             z = martingale_coefficient(up, down, dt)
             t = tree.grid.time(i)
             unreflected = mean
-            if active.any():
+            if not masked or active.any():
                 unreflected, iters = _implicit_level(generator, t, mean, z, dt, tree, i)
                 iterations = np.maximum(iterations, iters)
                 # the step identity is y = mean + g(t, pre-clamp value, z) dt + dk,
@@ -236,20 +239,26 @@ def _sweep(
                     generator.evaluate(t, unreflected, z, level=i, tree=tree), dtype=float
                 )
                 defect = np.abs(unreflected - (mean + g_final * dt))
-                residual = np.maximum(residual, np.max(defect[..., active], axis=-1))
+                if masked:
+                    defect = defect[..., active]
+                residual = np.maximum(residual, np.max(defect, axis=-1))
             y = np.maximum(unreflected, barrier)
             dk = y - unreflected
-            if stopped_i.any():
-                y = np.where(stopped_i, terminal.level(i), y)
-                z = np.where(stopped_i, 0.0, z)
-                dk = np.where(stopped_i, 0.0, dk)
-        for name, values in (("obstacle", barrier), ("value", y), ("coefficient", z)):
-            if not np.isfinite(values).all():
-                raise NumericalBreakdown(f"non-finite {name} at level {i}")
+            if masked and stopped[i].any():
+                y = np.where(stopped[i], terminal.level(i), y)
+                z = np.where(stopped[i], 0.0, z)
+                dk = np.where(stopped[i], 0.0, dk)
         gap = y - barrier
-        for mask in (active, stop_nodes(i)):
-            if mask.any():
-                min_gap = np.minimum(min_gap, np.min(gap[..., mask], axis=-1))
+        if not np.isfinite(gap + z).all():
+            for name, values in (("obstacle", barrier), ("value", y), ("coefficient", z)):
+                if not np.isfinite(values).all():
+                    raise NumericalBreakdown(f"non-finite {name} at level {i}")
+        if masked:
+            for mask in (active, stop_nodes[i]):
+                if mask.any():
+                    min_gap = np.minimum(min_gap, np.min(gap[..., mask], axis=-1))
+        else:
+            min_gap = np.minimum(min_gap, np.min(gap, axis=-1))
         skorokhod = np.maximum(skorokhod, np.max(np.abs(gap * dk), axis=-1))
         max_increment = np.maximum(max_increment, np.max(dk, axis=-1))
         touching = np.any(y <= barrier + DEFAULT_CONTACT_TOL, axis=-1)

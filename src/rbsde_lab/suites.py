@@ -2,15 +2,11 @@
 
 Each suite runs a batch of instances, measures worst-case violations of one
 statement, and returns :class:`CheckResult` rows.  Instances are enumerated
-deterministically from ``(seed, index)`` so reruns are byte-identical;
-independent instances may fan out across a thread pool capped by the
-``RBSDE_LAB_THREADS`` environment variable.
+deterministically from ``(seed, index)`` so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -82,25 +78,6 @@ class CheckResult:
     max_violation: float
     tolerance: float
     details: dict = field(default_factory=dict)
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get("RBSDE_LAB_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        cap = min(4, os.cpu_count() or 1)
-    return cap
-
-
-def _map_instances(fn: Callable[[int], object], count: int) -> list:
-    cap = _worker_cap()
-    if cap <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def _rng(seed: int, index: int) -> np.random.Generator:
@@ -197,14 +174,6 @@ def _random_rule(rng, tree: ScenarioTree) -> StoppingRule:
 # ---------------------------------------------------------------------------
 # Counterexample reproduction and convergence order
 
-_CASE_LABEL = {
-    ClosedFormCase.CONST_DRIVER_LOW_TERMINAL: "const-driver-low",
-    ClosedFormCase.CONST_DRIVER_HIGH_TERMINAL: "const-driver-high",
-    ClosedFormCase.ZERO_DRIVER_LOW_TERMINAL: "zero-driver-low",
-    ClosedFormCase.ZERO_DRIVER_HIGH_TERMINAL: "zero-driver-high",
-}
-
-
 def _solve_case(case: ClosedFormCase, steps: int):
     tree = build_tree(TimeGrid(1.0, steps), TreeMode.RECOMBINING)
     problem = counterexample_problem(tree, case)
@@ -212,7 +181,8 @@ def _solve_case(case: ClosedFormCase, steps: int):
     return tree, problem, solution
 
 
-def _case_errors(case: ClosedFormCase, steps: int) -> dict:
+def _case_errors(case: ClosedFormCase, steps: int) -> tuple[dict, float]:
+    """Errors against the closed form, and the numerical root value."""
     form = closed_form_example(case)
     tree, problem, sol = _solve_case(case, steps)
     times = tree.grid.times()
@@ -237,17 +207,18 @@ def _case_errors(case: ClosedFormCase, steps: int) -> dict:
         "k_plateau": float(k_num[-1]),
         "k_plateau_expected": form.push_plateau,
         "dt": tree.grid.dt,
-    }
+    }, sol.y.root()
 
 
 def counterexample_suite(steps: int = 2000) -> list[CheckResult]:
     """Reproduce the four closed forms and the equal-at-origin failure."""
     results = []
-    for case, label in _CASE_LABEL.items():
-        err = _case_errors(case, steps)
+    roots = {}
+    for case in ClosedFormCase:
+        err, roots[case] = _case_errors(case, steps)
         results.append(
             CheckResult(
-                name=f"counterexample/{label}/values",
+                name=f"counterexample/{case.value}/values",
                 passed=err["y_error"] <= 2e-3 and err["k_error"] <= 2e-3,
                 max_violation=max(err["y_error"], err["k_error"]),
                 tolerance=2e-3,
@@ -256,7 +227,7 @@ def counterexample_suite(steps: int = 2000) -> list[CheckResult]:
         )
         results.append(
             CheckResult(
-                name=f"counterexample/{label}/contact",
+                name=f"counterexample/{case.value}/contact",
                 passed=err["contact_gap"] <= err["dt"] + 1e-12,
                 max_violation=err["contact_gap"],
                 tolerance=err["dt"],
@@ -265,23 +236,23 @@ def counterexample_suite(steps: int = 2000) -> list[CheckResult]:
         )
         results.append(
             CheckResult(
-                name=f"counterexample/{label}/plateau",
+                name=f"counterexample/{case.value}/plateau",
                 passed=abs(err["k_plateau"] - err["k_plateau_expected"]) <= 2e-3,
                 max_violation=abs(err["k_plateau"] - err["k_plateau_expected"]),
                 tolerance=2e-3,
                 details={},
             )
         )
-    _, _, sol_low = _solve_case(ClosedFormCase.CONST_DRIVER_LOW_TERMINAL, steps)
-    _, _, sol_high = _solve_case(ClosedFormCase.CONST_DRIVER_HIGH_TERMINAL, steps)
-    root_gap = abs(sol_low.y.root() - sol_high.y.root())
+    root_low = roots[ClosedFormCase.CONST_DRIVER_LOW_TERMINAL]
+    root_high = roots[ClosedFormCase.CONST_DRIVER_HIGH_TERMINAL]
+    root_gap = abs(root_low - root_high)
     results.append(
         CheckResult(
             name="counterexample/strict-comparison-fails-at-root",
-            passed=root_gap <= 1e-12 and sol_low.y.root() == 1.0,
+            passed=root_gap <= 1e-12 and root_low == 1.0,
             max_violation=root_gap,
             tolerance=1e-12,
-            details={"root_low": sol_low.y.root(), "root_high": sol_high.y.root()},
+            details={"root_low": root_low, "root_high": root_high},
         )
     )
     return results
@@ -367,7 +338,7 @@ def _comparison_instance(seed: int, index: int) -> tuple[float, bool]:
 
 def comparison_suite(seed: int = 7, instances: int = 200) -> list[CheckResult]:
     """Ordered data must give ordered reflected values, nodewise."""
-    rows = _map_instances(lambda i: _comparison_instance(seed, i), instances)
+    rows = [_comparison_instance(seed, i) for i in range(instances)]
     worst = max(v for v, _ in rows)
     vacuous = sum(1 for _, v in rows if v)
     return [
@@ -401,7 +372,7 @@ def _k_comparison_instance(seed: int, index: int) -> tuple[float, float, bool, b
 
 def k_comparison_suite(seed: int = 11, instances: int = 100) -> list[CheckResult]:
     """Shared obstacle: the lower data pushes harder, monotonically so."""
-    rows = _map_instances(lambda i: _k_comparison_instance(seed, i), instances)
+    rows = [_k_comparison_instance(seed, i) for i in range(instances)]
     worst_value = max(r[0] for r in rows)
     worst_push = max(r[1] for r in rows)
     all_monotone = all(r[2] for r in rows)
@@ -468,7 +439,7 @@ def _witness_instance(seed: int, index: int) -> float:
 def witness_suite(seed: int = 13, instances: int = 50) -> list[CheckResult]:
     """The separating rule exists before the horizon with positive probability."""
     results = [_witness_closed_form_check()]
-    probabilities = _map_instances(lambda i: _witness_instance(seed, i), instances)
+    probabilities = [_witness_instance(seed, i) for i in range(instances)]
     worst = min(probabilities)
     results.append(
         CheckResult(
@@ -530,7 +501,7 @@ def restriction_suite(seed: int = 17, instances: int = 25) -> list[CheckResult]:
     The reflected variant also freezes the obstacle at the rule; both
     identities are checked as dual code paths over the whole value process.
     """
-    rows = _map_instances(lambda i: _restriction_instance(seed, i), instances)
+    rows = [_restriction_instance(seed, i) for i in range(instances)]
     worst_bsde = max(r[0] for r in rows)
     worst_rbsde = max(r[1] for r in rows)
     return [
@@ -577,7 +548,7 @@ def _oracle_instance(seed: int, index: int) -> float:
 
 def oracle_suite(seed: int = 19, instances: int = 25) -> list[CheckResult]:
     """Reflected value, dynamic program, and brute-force enumeration agree."""
-    gaps = _map_instances(lambda i: _oracle_instance(seed, i), instances)
+    gaps = [_oracle_instance(seed, i) for i in range(instances)]
     worst = max(gaps)
     return [
         CheckResult(
@@ -613,7 +584,7 @@ def dominating_obstacle_suite(
     """The constructed obstacle never triggers a push, and its deterministic
     special case matches the exponential decay profile."""
     lipschitz = 1.5
-    pushes = _map_instances(lambda i: _dominating_instance(seed, i, lipschitz), instances)
+    pushes = [_dominating_instance(seed, i, lipschitz) for i in range(instances)]
     worst = max(pushes)
     results = [
         CheckResult(

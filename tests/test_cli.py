@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import rbsde_lab
+from rbsde_lab import cli
 from rbsde_lab.cli import RunConfig, main
+from rbsde_lab.suites import CheckResult
 
 COUNTEREXAMPLE_CONFIG = {
     "tree": {"horizon": 1.0, "steps": 100, "mode": "recombining"},
@@ -83,9 +85,23 @@ class TestSolveCommand:
         payload["terminal"] = {"kind": "state", "expr": "(abs b)"}
         config = write_config(tmp_path, payload)
         out = tmp_path / "o"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["solve", "--config", str(config), "--out", str(out)]) == 3
+        assert caught == []
         assert not (out / "diagnostics.json").exists()
+
+    def test_non_finite_diagnostics_exit_three_without_output(self, tmp_path):
+        # every value is finite, but y - S overflows, so the Skorokhod residual is nan
+        payload = dict(COUNTEREXAMPLE_CONFIG)
+        payload["tree"] = {"horizon": 1.0, "steps": 4, "mode": "recombining"}
+        payload["generator"] = {"expr": "0.0", "lipschitz": 0.0}
+        payload["terminal"] = {"kind": "constant", "value": 8e307}
+        payload["obstacle"] = {"kind": "constant", "value": -1.7e308}
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_solver_failures_exit_three(self, tmp_path):
         payload = dict(COUNTEREXAMPLE_CONFIG)
@@ -149,6 +165,17 @@ class TestVerifyCommand:
         )
         assert code == 2
 
+    def test_non_finite_report_exits_three_without_output(self, tmp_path, monkeypatch):
+        def nan_suite(name, seed, instances):
+            return [CheckResult("broken", True, float("nan"), 1.0)]
+
+        monkeypatch.setattr(cli, "run_suite", nan_suite)
+        config = write_config(tmp_path, {"seed": 3})
+        out = tmp_path / "o"
+        code = main(["verify", "--config", str(config), "--out", str(out), "--suite", "comparison"])
+        assert code == 3
+        assert not (out / "report.json").exists()
+
 
 class TestPriceCommand:
     def market_config(self):
@@ -182,6 +209,19 @@ class TestPriceCommand:
         assert main(["price", "--config", str(config), "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "prices.csv").read_bytes()).hexdigest()
         assert digest == "1ce15e5632693ff174ba1ebce1f33652d3513b0be8c3df0c393275584832e23c"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("strikes", [100.0, -5.0]), ("spot", 0.0), ("volatility", -0.2)],
+    )
+    def test_invalid_market_is_a_config_error(self, tmp_path, field, value, capsys):
+        payload = self.market_config()
+        payload["market"][field] = value
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["price", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_missing_market_block_exits_two(self, tmp_path):
         payload = self.market_config()

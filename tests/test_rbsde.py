@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,111 @@ class TestSolutionStructure:
                 TerminalCondition.constant(tree, 0.0),
                 ObstacleSpec(AdaptedProcess(tree, levels)),
             )
+
+
+    @pytest.mark.parametrize(
+        "generator, leaves, floor, level_two, match",
+        [
+            ("0.0", None, -10.0, -np.inf, "non-finite obstacle at level 2"),
+            ("(* 1e308 (* 1e308 (abs z)))", None, -10.0, -10.0, "non-finite value at level 3"),
+            ("(* 0.0 (* 1e308 (* 1e308 (abs z))))", None, -10.0, -10.0, "non-finite value at level 3"),
+            # children of +-1.7e308 overflow the difference quotient
+            ("0.0", [1.7e308, -1.7e308] * 2 + [1.7e308], -1.79e308, -1.79e308,
+             "non-finite coefficient at level 3"),
+        ],
+    )
+    def test_each_non_finite_kind_is_named_with_its_level(
+        self, generator, leaves, floor, level_two, match
+    ):
+        tree = recomb_tree(4)
+        levels = [
+            np.full(tree.level_size(i), level_two if i == 2 else floor)
+            for i in range(tree.steps + 1)
+        ]
+        terminal = (
+            TerminalCondition.from_leaf_function(tree, np.abs)
+            if leaves is None
+            else TerminalCondition.from_leaf_values(tree, leaves)
+        )
+        with pytest.raises(NumericalBreakdown, match=match):
+            solve_rbsde(
+                tree,
+                GeneratorSpec(parse_prefix(generator), 0.0),
+                terminal,
+                ObstacleSpec(AdaptedProcess(tree, levels)),
+            )
+
+    def test_finite_data_whose_gap_plus_coefficient_overflows_solves(self):
+        # at the root y - S = 1.3e308 and z = 0.8e308: each finite, their sum not
+        tree = build_tree(TimeGrid(1.0, 1), TreeMode.RECOMBINING)
+        obstacle = AdaptedProcess(tree, [np.array([-0.5e308]), np.zeros(2)])
+        sol = solve_rbsde(
+            tree,
+            GeneratorSpec.constant(0.0),
+            TerminalCondition.from_leaf_values(tree, [0.0, 1.6e308]),
+            ObstacleSpec(obstacle),
+        )
+        assert sol.y.root() == 0.8e308
+        assert sol.z.level(0)[0] == 0.8e308
+        diag = sol.diagnostics
+        assert diag.min_gap == 0.0 and diag.skorokhod_residual == 0.0
+
+
+def _solution_sha256(sol):
+    digest = hashlib.sha256()
+    for process in (sol.y, sol.z, sol.k_increments):
+        for i in range(process.tree.steps + 1):
+            digest.update(process.level(i).tobytes())
+    digest.update(repr(sol.diagnostics).encode())
+    return digest.hexdigest()
+
+
+def _partial_rule_full_binary_problem():
+    tree = full_tree(8)
+    rng = np.random.default_rng(11)
+    rule = StoppingRule(
+        tree,
+        [rng.random(tree.level_size(i)) < (0.15 if i >= 3 else 0.0) for i in range(tree.steps + 1)],
+    )
+    generator = GeneratorSpec(parse_prefix("(+ (min y z) (* -1.5 (abs y)))"), 2.5)
+    terminal = TerminalCondition.at_rule(tree, rule, lambda i, b: 1.2 + np.abs(b) - 0.1 * i)
+    obstacle = AdaptedProcess.from_state_function(tree, lambda t, b: 0.9 + 0.3 * b - t)
+    return tree, generator, terminal, ObstacleSpec(obstacle)
+
+
+def _level_rule_recombining_problem():
+    tree = recomb_tree(60)
+    rule = StoppingRule.at_level(tree, 45)
+    generator = GeneratorSpec(parse_prefix("(+ (min y z) (* -1.5 (abs y)))"), 2.5)
+    terminal = TerminalCondition.at_rule(tree, rule, lambda i, b: 1.0)
+    obstacle = AdaptedProcess.from_state_function(
+        tree, lambda t, b: 1.2 - 0.5 * np.abs(b) - 0.3 * t
+    )
+    return tree, generator, terminal, ObstacleSpec(obstacle)
+
+
+class TestPinnedSolutions:
+    """SHA-256 of every level of y, z and the push increments plus the
+    diagnostics, for stopping rules that leave levels with and without
+    stopped nodes; any change to the sweep's arithmetic moves the digest."""
+
+    @pytest.mark.parametrize(
+        "problem, expected",
+        [
+            (
+                _partial_rule_full_binary_problem,
+                "53c08af0b9b04895a7a37688e0cbb90ad45b29f1a7c1ad14bb295448e3699a24",
+            ),
+            (
+                _level_rule_recombining_problem,
+                "6d35566883ccb97e9c1a652fe8b898d3510b4ba8bd398ee91a918291c23c5d4d",
+            ),
+        ],
+    )
+    def test_solution_digest_is_pinned(self, problem, expected):
+        sol = solve_rbsde(*problem())
+        assert sol.diagnostics.max_increment > 0.0 and sol.diagnostics.iterations > 1
+        assert _solution_sha256(sol) == expected
 
 
 class TestBatchedSweep:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from rbsde_lab import suites
 from rbsde_lab.cli import main
+from rbsde_lab.rbsde import solve_rbsde
 from rbsde_lab.suites import run_suite
 
 
@@ -16,14 +18,19 @@ class TestRunSuite:
         b = run_suite("oracle-equivalence", seed=2, instances=5)
         assert all(r.passed for r in a + b)
 
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        monkeypatch.setenv("RBSDE_LAB_THREADS", "1")
-        serial = run_suite("restriction-identity", seed=3, instances=6)
-        monkeypatch.setenv("RBSDE_LAB_THREADS", "4")
-        threaded = run_suite("restriction-identity", seed=3, instances=6)
-        assert [(r.name, r.passed, r.max_violation) for r in serial] == [
-            (r.name, r.passed, r.max_violation) for r in threaded
-        ]
+    def test_counterexample_suite_solves_each_case_once(self, monkeypatch):
+        calls = []
+
+        def counting_solve(*args):
+            calls.append(args)
+            return solve_rbsde(*args)
+
+        monkeypatch.setattr(suites, "solve_rbsde", counting_solve)
+        results = suites.counterexample_suite(steps=40)
+        assert len(calls) == 4
+        root = results[-1]
+        assert root.name == "counterexample/strict-comparison-fails-at-root"
+        assert root.passed and root.details["root_low"] == 1.0
 
 
 class TestReportStability:
