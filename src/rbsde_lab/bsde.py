@@ -31,6 +31,8 @@ from .lattice import (
     StoppingRule,
     TreeMode,
     conditional_expectation,
+    constant_levels,
+    level_constant,
     martingale_coefficient,
 )
 
@@ -62,16 +64,12 @@ class TerminalCondition:
         cls, tree: ScenarioTree, value: float, rule: StoppingRule | None = None
     ) -> TerminalCondition:
         rule = rule or StoppingRule.terminal(tree)
-        levels = tuple(
-            np.full(tree.level_size(i), float(value)) for i in range(tree.steps + 1)
-        )
-        return cls(tree, rule, levels)
+        return cls(tree, rule, tuple(constant_levels(tree, float(value))))
 
     @classmethod
     def from_leaf_values(cls, tree: ScenarioTree, leaf_values) -> TerminalCondition:
         vals = np.asarray(leaf_values, dtype=float)
-        levels = [np.zeros(tree.level_size(i)) for i in range(tree.steps)]
-        levels.append(vals)
+        levels = constant_levels(tree, 0.0)[:-1] + [vals]
         return cls(tree, StoppingRule.terminal(tree), tuple(levels))
 
     @classmethod
@@ -111,6 +109,9 @@ class TerminalCondition:
         out = [np.where(stop[0], self.values[0], np.nan)]
         for i in range(1, tree.steps + 1):
             if not bool(stopped[i - 1].any()):
+                if not stop[i].any():
+                    out.append(level_constant(np.nan, tree.level_size(i)))
+                    continue
                 carried = np.full(tree.level_size(i), np.nan)
             elif tree.mode is TreeMode.FULL_BINARY:
                 carried = tree.spread_to_children(out[i - 1])
@@ -233,6 +234,8 @@ def solve_bsde(
         y_levels[i] = y_i
         z_levels[i] = z_i
 
+    for fresh in y_levels + z_levels:
+        fresh.flags.writeable = False
     return BsdeSolution(
         y=AdaptedProcess(tree, y_levels),
         z=AdaptedProcess(tree, z_levels),

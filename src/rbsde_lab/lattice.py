@@ -203,8 +203,42 @@ def martingale_coefficient(child_up, child_down, dt: float):
     return (child_up - child_down) / (2.0 * math.sqrt(dt))
 
 
+def level_constant(value, size: int, dtype=float) -> np.ndarray:
+    """Read-only level of ``size`` equal values stored in one frozen cell."""
+    cell = np.array([value], dtype=dtype)
+    cell.flags.writeable = False
+    return np.ndarray((size,), cell.dtype, cell, 0, (0,))
+
+
+def constant_levels(tree: ScenarioTree, value, dtype=float) -> list[np.ndarray]:
+    """Every level of ``tree`` holding ``value``, as slices of one constant row."""
+    row = level_constant(value, tree.level_size(tree.steps), dtype)
+    return [row[: tree.level_size(i)] for i in range(tree.steps + 1)]
+
+
+def _level_rule_masks(tree: ScenarioTree, start: int, stop: int) -> tuple[np.ndarray, ...]:
+    """Masks true on every node of the levels ``start <= i < stop`` only."""
+    off, on = constant_levels(tree, False, bool), constant_levels(tree, True, bool)
+    return tuple(off[:start] + on[start:stop] + off[stop:])
+
+
+def _adopt(level, dtype) -> np.ndarray:
+    """``level`` itself when no writeable array can reach its data, else a copy."""
+    owner = level
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    if owner is None and level.dtype == dtype:
+        return level
+    return np.array(level, dtype=dtype, copy=True)
+
+
 class AdaptedProcess:
-    """One real value per tree node; immutable after construction."""
+    """One real value per tree node; immutable after construction.
+
+    Levels that are read-only down to their owning array are stored as
+    given (level-constant data as one-cell views, solver output as made);
+    anything else is copied, so no caller can alias a process.
+    """
 
     __slots__ = ("tree", "_levels")
 
@@ -215,7 +249,7 @@ class AdaptedProcess:
             )
         stored = []
         for i, level in enumerate(levels):
-            arr = np.array(level, dtype=float, copy=True)
+            arr = _adopt(level, np.float64)
             if arr.shape != (tree.level_size(i),):
                 raise TreeMismatch(
                     f"level {i} must hold {tree.level_size(i)} values, got shape {arr.shape}"
@@ -239,7 +273,7 @@ class AdaptedProcess:
 
     @classmethod
     def constant(cls, tree: ScenarioTree, value: float) -> AdaptedProcess:
-        return cls(tree, [np.full(tree.level_size(i), float(value)) for i in range(tree.steps + 1)])
+        return cls(tree, constant_levels(tree, float(value)))
 
     @classmethod
     def from_time_function(cls, tree: ScenarioTree, f: Callable[[float], float]) -> AdaptedProcess:
@@ -247,7 +281,7 @@ class AdaptedProcess:
         return cls(
             tree,
             [
-                np.full(tree.level_size(i), float(f(tree.grid.time(i))))
+                level_constant(float(f(tree.grid.time(i))), tree.level_size(i))
                 for i in range(tree.steps + 1)
             ],
         )
@@ -297,13 +331,12 @@ class StoppingRule:
             raise TreeMismatch(f"rule needs {tree.steps + 1} flag levels")
         stored = []
         for i, level in enumerate(flags):
-            arr = np.array(level, dtype=bool, copy=True)
+            arr = _adopt(level, np.bool_)
             if arr.shape != (tree.level_size(i),):
                 raise TreeMismatch(f"flag level {i} has wrong shape {arr.shape}")
-            stored.append(arr)
-        stored[tree.steps] = np.ones(tree.level_size(tree.steps), dtype=bool)
-        for arr in stored:
             arr.flags.writeable = False
+            stored.append(arr)
+        stored[tree.steps] = level_constant(True, tree.level_size(tree.steps), bool)
         self.tree = tree
         self._flags = tuple(stored)
 
@@ -320,11 +353,7 @@ class StoppingRule:
 
     @classmethod
     def at_level(cls, tree: ScenarioTree, level: int) -> StoppingRule:
-        flags = [
-            np.full(tree.level_size(i), i >= level, dtype=bool)
-            for i in range(tree.steps + 1)
-        ]
-        return cls(tree, flags)
+        return cls(tree, _level_rule_masks(tree, level, tree.steps + 1))
 
     @cached_property
     def _deterministic_level(self) -> int | None:
@@ -367,27 +396,20 @@ class StoppingRule:
             raise UnsupportedTreeMode(
                 "partially flagged stopping rules need a full-binary tree"
             )
-        return tuple(
-            np.full(tree.level_size(i), i >= level, dtype=bool)
-            for i in range(tree.steps + 1)
-        )
+        return _level_rule_masks(tree, level, tree.steps + 1)
 
     @cached_property
     def stop_node_masks(self) -> tuple[np.ndarray, ...]:
         """Mask per level: nodes where some path stops for the first time."""
         tree = self.tree
         stopped = self.stopped_by_level
+        if tree.mode is not TreeMode.FULL_BINARY:
+            # stopped_by_level resolved, so this is a level rule
+            level = self._deterministic_level
+            return _level_rule_masks(tree, level, level + 1)
         masks = [stopped[0].copy()]
         for i in range(1, tree.steps + 1):
-            if tree.mode is TreeMode.FULL_BINARY:
-                before = np.repeat(stopped[i - 1], 2)
-            else:
-                before = (
-                    np.full(tree.level_size(i), True)
-                    if stopped[i - 1].all()
-                    else np.full(tree.level_size(i), False)
-                )
-            masks.append(stopped[i] & ~before)
+            masks.append(stopped[i] & ~np.repeat(stopped[i - 1], 2))
         for m in masks:
             m.flags.writeable = False
         return tuple(masks)

@@ -44,6 +44,7 @@ from .lattice import (
     TreeMode,
     conditional_expectation,
     hitting_rule,
+    level_constant,
     martingale_coefficient,
 )
 
@@ -123,10 +124,7 @@ def _accumulate_increments(
         else:
             if i >= 1 and not np.array_equal(total[:-1], total[1:]):
                 return None
-            nxt = np.empty(i + 2)
-            nxt[0] = total[0]
-            nxt[1:] = total
-            levels.append(nxt)
+            levels.append(level_constant(total[0], i + 2))
     return levels
 
 
@@ -249,18 +247,24 @@ def _sweep(
                 z = np.where(stopped[i], 0.0, z)
                 dk = np.where(stopped[i], 0.0, dk)
         gap = y - barrier
+        product = gap * dk
         if not np.isfinite(gap + z).all():
             for name, values in (("obstacle", barrier), ("value", y), ("coefficient", z)):
                 if not np.isfinite(values).all():
                     raise NumericalBreakdown(f"non-finite {name} at level {i}")
+            # finite data whose gap overflows: an unpushed node adds nothing
+            product = np.where(dk == 0.0, 0.0, product)
+        level_increment = np.max(dk, axis=-1)
+        if not np.isfinite(level_increment).all():
+            raise NumericalBreakdown(f"non-finite push increment at level {i}")
         if masked:
             for mask in (active, stop_nodes[i]):
                 if mask.any():
                     min_gap = np.minimum(min_gap, np.min(gap[..., mask], axis=-1))
         else:
             min_gap = np.minimum(min_gap, np.min(gap, axis=-1))
-        skorokhod = np.maximum(skorokhod, np.max(np.abs(gap * dk), axis=-1))
-        max_increment = np.maximum(max_increment, np.max(dk, axis=-1))
+        skorokhod = np.maximum(skorokhod, np.max(np.abs(product), axis=-1))
+        max_increment = np.maximum(max_increment, level_increment)
         touching = np.any(y <= barrier + DEFAULT_CONTACT_TOL, axis=-1)
         first_contact = np.where(touching, i, first_contact)
         if kept is not None:
@@ -297,6 +301,8 @@ def solve_rbsde(
         keep_levels=True,
     )
     cumulative = _accumulate_increments(tree, dk_levels)
+    for fresh in y_levels + z_levels + dk_levels + (cumulative or []):
+        fresh.flags.writeable = False
     diagnostics = ReflectionDiagnostics(
         skorokhod_residual=float(summary.skorokhod_residual),
         min_gap=float(summary.min_gap),

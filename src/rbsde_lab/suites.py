@@ -258,6 +258,32 @@ def counterexample_suite(steps: int = 2000) -> list[CheckResult]:
     return results
 
 
+def _embedded_errors(steps: int) -> tuple[float, float]:
+    """Embedded and grid-time errors of the low-terminal case at ``steps``.
+
+    The solution is dropped on return, so a sweep over step counts holds
+    one solution at a time.
+    """
+    case = ClosedFormCase.CONST_DRIVER_LOW_TERMINAL
+    form = closed_form_example(case)
+    tree, _, sol = _solve_case(case, steps)
+    times = tree.grid.times()
+    y_num = np.array([sol.y.level(i)[0] for i in range(steps + 1)])
+    k_num = np.array([sol.k.level(i)[0] for i in range(steps + 1)])
+    at_grid = max(
+        float(np.max(np.abs(y_num - form.value(times)))),
+        float(np.max(np.abs(k_num - form.push(times)))),
+    )
+    # sup over [t_i, t_{i+1}) of |embedded - closed| attained at interval
+    # ends because the closed form is piecewise linear
+    left_y = np.abs(y_num[:-1] - form.value(times[:-1]))
+    right_y = np.abs(y_num[:-1] - form.value(times[1:]))
+    left_k = np.abs(k_num[:-1] - form.push(times[:-1]))
+    right_k = np.abs(k_num[:-1] - form.push(times[1:]))
+    embedded = float(max(left_y.max(), right_y.max(), left_k.max(), right_k.max()))
+    return embedded, at_grid
+
+
 def convergence_suite(steps_list: Sequence[int] = (250, 500, 1000, 2000)) -> list[CheckResult]:
     """First-order convergence of the time-embedded solution.
 
@@ -268,30 +294,12 @@ def convergence_suite(steps_list: Sequence[int] = (250, 500, 1000, 2000)) -> lis
     continuous closed form over the whole horizon, which halves with the
     step.  Grid exactness is asserted separately.
     """
-    case = ClosedFormCase.CONST_DRIVER_LOW_TERMINAL
-    form = closed_form_example(case)
     results = []
     errors = {}
     grid_exact = 0.0
     for steps in steps_list:
-        tree, _, sol = _solve_case(case, steps)
-        times = tree.grid.times()
-        y_num = np.array([sol.y.level(i)[0] for i in range(steps + 1)])
-        k_num = np.array([sol.k.level(i)[0] for i in range(steps + 1)])
-        grid_exact = max(
-            grid_exact,
-            float(np.max(np.abs(y_num - form.value(times)))),
-            float(np.max(np.abs(k_num - form.push(times)))),
-        )
-        # sup over [t_i, t_{i+1}) of |embedded - closed| attained at interval
-        # ends because the closed form is piecewise linear
-        left_y = np.abs(y_num[:-1] - form.value(times[:-1]))
-        right_y = np.abs(y_num[:-1] - form.value(times[1:]))
-        left_k = np.abs(k_num[:-1] - form.push(times[:-1]))
-        right_k = np.abs(k_num[:-1] - form.push(times[1:]))
-        errors[steps] = float(
-            max(left_y.max(), right_y.max(), left_k.max(), right_k.max())
-        )
+        errors[steps], at_grid = _embedded_errors(steps)
+        grid_exact = max(grid_exact, at_grid)
     ratios = {}
     ok = True
     for coarse, fine in zip(steps_list[:-1], steps_list[1:]):

@@ -91,6 +91,30 @@ class TestSolveBsde:
             solve_bsde(tree, g, TerminalCondition.constant(tree, 1.0))
 
 
+class TestLevelStorage:
+    def test_constant_terminal_levels_share_one_read_only_cell(self):
+        tree = full_tree(4)
+        values = TerminalCondition.constant(tree, 3.0).values
+        for i, level in enumerate(values):
+            assert level.shape == (tree.level_size(i),) and np.all(level == 3.0)
+            assert not level.flags.writeable and level.strides == (0,)
+            assert np.shares_memory(level, values[0])
+
+    def test_unstopped_extended_levels_are_nan_views(self):
+        tree = full_tree(4)
+        extended = TerminalCondition.from_leaf_values(tree, np.arange(16.0)).extended
+        for level in extended[1:-1]:
+            assert np.all(np.isnan(level)) and level.strides == (0,)
+        np.testing.assert_array_equal(extended[-1], np.arange(16.0))
+
+    def test_solution_levels_are_read_only(self):
+        tree = full_tree(4)
+        xi = TerminalCondition.from_leaf_values(tree, np.linspace(-1.0, 1.0, 16))
+        sol = solve_bsde(tree, GeneratorSpec(Abs(ZVar()), 1.0), xi)
+        for level in sol.y.levels() + sol.z.levels():
+            assert not level.flags.writeable
+
+
 class TestGExpectation:
     def test_constant_preserving_driver_returns_the_constant(self):
         tree = full_tree(6)

@@ -103,6 +103,18 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(config), "--out", str(out)]) == 3
         assert not out.exists()
 
+    def test_non_finite_push_increment_exits_three_without_output(self, tmp_path, capsys):
+        payload = dict(COUNTEREXAMPLE_CONFIG)
+        payload["tree"] = {"horizon": 10.0, "steps": 2, "mode": "recombining"}
+        payload["generator"] = {"expr": "-1.7e308", "lipschitz": 0.0}
+        payload["terminal"] = {"kind": "constant", "value": 1.0}
+        payload["obstacle"] = {"kind": "constant", "value": 0.0}
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 3
+        assert "non-finite push increment at level 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_failures_exit_three(self, tmp_path):
         payload = dict(COUNTEREXAMPLE_CONFIG)
         payload["tree"] = {"horizon": 4.0, "steps": 2, "mode": "recombining"}

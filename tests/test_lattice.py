@@ -20,6 +20,7 @@ from rbsde_lab import (
     lift_deterministic,
     martingale_coefficient,
 )
+from rbsde_lab.lattice import constant_levels
 
 
 def full_tree(steps, horizon=1.0):
@@ -159,6 +160,59 @@ class TestAdaptedProcess:
         for i in range(8):
             nested = tree.expectation(proc.level(i), i, exact=True)
             assert abs(nested - total) <= 1e-12
+
+
+class TestLevelStorage:
+    """Level-constant data live in one frozen cell; frozen levels are stored
+    as given; anything a caller can still write to is copied."""
+
+    @pytest.mark.parametrize("mode", list(TreeMode))
+    def test_constant_process_levels_share_one_read_only_cell(self, mode):
+        tree = build_tree(TimeGrid(1.0, 5), mode)
+        levels = AdaptedProcess.constant(tree, -0.75).levels()
+        timed = AdaptedProcess.from_time_function(tree, lambda t: 1.0 - 2.0 * t).levels()
+        for i, (level, lifted) in enumerate(zip(levels, timed)):
+            assert level.shape == (tree.level_size(i),) and np.all(level == -0.75)
+            assert np.all(lifted == 1.0 - 2.0 * tree.grid.time(i))
+            for view in (level, lifted):
+                assert not view.flags.writeable and view.strides == (0,)
+            assert np.shares_memory(level, levels[0])
+
+    @pytest.mark.parametrize("mode", list(TreeMode))
+    def test_level_rule_masks_are_one_cell_views(self, mode):
+        tree = build_tree(TimeGrid(1.0, 5), mode)
+        rule = StoppingRule.at_level(tree, 2)
+        for masks in ((rule.flags(i) for i in range(6)), rule.stopped_by_level):
+            assert [bool(m.all()) for m in masks] == [False, False, True, True, True, True]
+        assert [bool(m.any()) for m in rule.stop_node_masks] == [i == 2 for i in range(6)]
+        if mode is TreeMode.RECOMBINING:
+            for m in rule.stopped_by_level + rule.stop_node_masks:
+                assert m.strides == (0,) and not m.flags.writeable
+
+    @pytest.mark.parametrize("mode", list(TreeMode))
+    def test_writeable_inputs_are_copied(self, mode):
+        tree = build_tree(TimeGrid(1.0, 3), mode)
+        owners = [np.arange(tree.level_size(i), dtype=float) for i in range(4)]
+        flags = [np.zeros(tree.level_size(i), dtype=bool) for i in range(4)]
+        values = list(owners)
+        # read-only itself, but a view of a writeable array
+        values[2] = owners[2].view()
+        values[2].flags.writeable = False
+        proc = AdaptedProcess(tree, values)
+        rule = StoppingRule(tree, flags)
+        for owner, flag in zip(owners, flags):
+            owner[:] = -1.0
+            flag[:] = True
+        for i in range(4):
+            np.testing.assert_array_equal(proc.level(i), np.arange(tree.level_size(i)))
+        assert [bool(rule.flags(i).any()) for i in range(4)] == [False, False, False, True]
+
+    def test_frozen_input_is_adopted_without_a_copy(self):
+        tree = recomb_tree(3)
+        levels = constant_levels(tree, 1.0)[:-1] + [np.array([0.0, 1.0, 2.0, 3.0])]
+        levels[-1].flags.writeable = False
+        proc = AdaptedProcess(tree, levels)
+        assert all(stored is given for stored, given in zip(proc.levels(), levels))
 
 
 class TestStoppingRules:

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,56 @@ class TestSolutionStructure:
         assert sol.z.level(0)[0] == 0.8e308
         diag = sol.diagnostics
         assert diag.min_gap == 0.0 and diag.skorokhod_residual == 0.0
+
+    def test_non_finite_push_increment_is_a_numerical_breakdown(self):
+        # the driver step sends the value to -inf; the clamped y stays finite
+        tree = build_tree(TimeGrid(10.0, 2), TreeMode.RECOMBINING)
+        with pytest.raises(NumericalBreakdown, match="non-finite push increment at level 1"):
+            solve_rbsde(
+                tree,
+                GeneratorSpec.constant(-1.7e308),
+                TerminalCondition.constant(tree, 1.0),
+                ObstacleSpec(AdaptedProcess.constant(tree, 0.0)),
+            )
+
+    def test_overflowing_gap_leaves_a_zero_skorokhod_residual(self):
+        # y - S = 8e307 + 1.7e308 overflows, but no node is pushed
+        tree = recomb_tree(4)
+        sol = solve_rbsde(
+            tree,
+            GeneratorSpec.constant(0.0),
+            TerminalCondition.constant(tree, 8e307),
+            ObstacleSpec(AdaptedProcess.constant(tree, -1.7e308)),
+        )
+        assert sol.diagnostics.skorokhod_residual == 0.0
+        assert sol.diagnostics.min_gap == np.inf
+
+
+class TestSolutionStorage:
+    @pytest.mark.parametrize("mode", list(TreeMode))
+    def test_solution_levels_are_read_only(self, mode):
+        tree = build_tree(TimeGrid(1.0, 6), mode)
+        problem = counterexample_problem(tree, ClosedFormCase.CONST_DRIVER_LOW_TERMINAL)
+        sol = solve_rbsde(tree, problem.generator, problem.terminal, problem.obstacle)
+        for process in (sol.y, sol.z, sol.k_increments, sol.k):
+            for level in process.levels():
+                assert not level.flags.writeable
+
+    def test_counterexample_memory_peak_is_three_kept_processes(self):
+        # y, z and the push increments are the only lattices a solve has to
+        # hold; constant data, masks and the recombining cumulative push are
+        # one-cell views, and solver levels are not copied into processes
+        steps = 1000
+        tree = recomb_tree(steps)
+        kept_bytes = 3 * 8 * (steps + 1) * (steps + 2) // 2
+        tracemalloc.start()
+        try:
+            problem = counterexample_problem(tree, ClosedFormCase.CONST_DRIVER_LOW_TERMINAL)
+            solve_rbsde(tree, problem.generator, problem.terminal, problem.obstacle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * kept_bytes
 
 
 def _solution_sha256(sol):
