@@ -7,6 +7,11 @@ in closed form when the driver is affine in the value variable, by
 fixed-point iteration otherwise.  Past the terminal rule the pair is
 extended by ``(terminal value, 0)``, the device that also underlies the
 driver-restriction identity.
+
+The level loop (``_sweep``) is the one backward kernel of the package: a
+plain solve runs it without an obstacle, and the reflected solver of
+:mod:`rbsde_lab.rbsde` runs it with one, so a reflected equation whose
+obstacle never binds is the plain equation by construction.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ import numpy as np
 from .errors import (
     ContractionViolated,
     NonConvergence,
+    NumericalBreakdown,
     RuleOrderViolated,
+    TerminalBelowObstacle,
     TreeMismatch,
     UnsupportedTreeMode,
 )
@@ -30,6 +37,7 @@ from .lattice import (
     ScenarioTree,
     StoppingRule,
     TreeMode,
+    _adopt,
     conditional_expectation,
     constant_levels,
     level_constant,
@@ -38,11 +46,16 @@ from .lattice import (
 
 FIXED_POINT_TOL = 1e-12
 FIXED_POINT_MAX_ITER = 200
+DEFAULT_CONTACT_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class TerminalCondition:
-    """Terminal data attached to a stopping rule (level N by default)."""
+    """Terminal data attached to a stopping rule (level N by default).
+
+    Levels are adopted as :class:`AdaptedProcess` adopts them: frozen input
+    is kept as given, anything a caller can still write to is copied.
+    """
 
     tree: ScenarioTree
     rule: StoppingRule
@@ -53,6 +66,10 @@ class TerminalCondition:
             raise TreeMismatch("terminal rule lives on a different tree")
         if len(self.values) != self.tree.steps + 1:
             raise TreeMismatch("terminal values must cover every level")
+        levels = tuple(_adopt(vals, np.float64) for vals in self.values)
+        for vals in levels:
+            vals.flags.writeable = False
+        object.__setattr__(self, "values", levels)
         for i, (vals, mask) in enumerate(zip(self.values, self.rule.stop_node_masks)):
             if vals.shape != (self.tree.level_size(i),):
                 raise TreeMismatch(f"terminal level {i} has wrong shape")
@@ -68,8 +85,7 @@ class TerminalCondition:
 
     @classmethod
     def from_leaf_values(cls, tree: ScenarioTree, leaf_values) -> TerminalCondition:
-        vals = np.asarray(leaf_values, dtype=float)
-        levels = constant_levels(tree, 0.0)[:-1] + [vals]
+        levels = constant_levels(tree, 0.0)[:-1] + [leaf_values]
         return cls(tree, StoppingRule.terminal(tree), tuple(levels))
 
     @classmethod
@@ -88,17 +104,16 @@ class TerminalCondition:
         f: Callable[[int, np.ndarray], np.ndarray] | Sequence[np.ndarray],
     ) -> TerminalCondition:
         """Values on the stopping nodes of ``rule``; off-stop entries are ignored."""
+        levels = f
         if callable(f):
-            levels = tuple(
+            levels = [
                 np.broadcast_to(
                     np.asarray(f(i, tree.brownian_level(i)), dtype=float),
                     (tree.level_size(i),),
-                ).copy()
+                )
                 for i in range(tree.steps + 1)
-            )
-        else:
-            levels = tuple(np.asarray(v, dtype=float) for v in f)
-        return cls(tree, rule, levels)
+            ]
+        return cls(tree, rule, tuple(levels))
 
     @cached_property
     def extended(self) -> tuple[np.ndarray, ...]:
@@ -125,6 +140,10 @@ class TerminalCondition:
             out.append(np.where(stop[i], self.values[i], carried))
         return tuple(out)
 
+    def level(self, i: int) -> np.ndarray:
+        """Extended values of level ``i``: the data read as :class:`LevelData`."""
+        return self.extended[i]
+
     def as_full_horizon(self) -> TerminalCondition:
         """Same data re-expressed as plain level-N terminal values."""
         return TerminalCondition.from_leaf_values(self.tree, self.extended[self.tree.steps])
@@ -143,13 +162,6 @@ class BsdeSolution:
     z: AdaptedProcess
     iterations: int
     residual: float
-
-
-def _check_contraction(generator: GeneratorSpec, tree: ScenarioTree) -> None:
-    if generator.lipschitz * tree.grid.dt >= 1.0:
-        raise ContractionViolated(
-            f"lipschitz * dt = {generator.lipschitz * tree.grid.dt:.6g} >= 1; refine the grid"
-        )
 
 
 def _implicit_level(
@@ -192,63 +204,200 @@ def _implicit_level(
     )
 
 
+@dataclass(frozen=True)
+class LevelData:
+    """Values on a tree read one level at a time.
+
+    ``level(i)`` returns an array whose last axis runs over the nodes of
+    level ``i``; leading axes, if any, are batch members.  An
+    :class:`AdaptedProcess` fits the same shape, so does a
+    :class:`TerminalCondition` (its extended values), and so does data
+    computed on demand, which is how root-only sweeps avoid storing a lattice.
+    """
+
+    tree: ScenarioTree
+    level: Callable[[int], np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
+class SweepSummary:
+    """Root and running diagnostics of a sweep, one entry per member.
+
+    ``first_contact`` is the first level at which the value sits within
+    ``DEFAULT_CONTACT_TOL`` of the obstacle at some node (the last level
+    when it never does), the level at which ``rbsde.exercise_rule`` first
+    flags a node.  The other fields are the reductions behind
+    ``rbsde.ReflectionDiagnostics``.  A sweep without an obstacle leaves
+    the contact, Skorokhod, gap and push fields at their start values.
+    """
+
+    root: np.ndarray
+    first_contact: np.ndarray
+    skorokhod_residual: np.ndarray
+    min_gap: np.ndarray
+    max_increment: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _sweep(
+    tree: ScenarioTree,
+    generator: GeneratorSpec,
+    rule: StoppingRule | None,
+    terminal: LevelData,
+    obstacle: LevelData | None,
+    *,
+    keep_levels: bool,
+) -> tuple[SweepSummary, list[list[np.ndarray]] | None]:
+    """The backward recursion shared by every solve, plain or reflected.
+
+    Walks from the last level to the root holding one level at a time; with
+    ``keep_levels`` it also returns every level of y, z and, given an
+    obstacle, the push increments, each frozen.  With ``obstacle=None`` the
+    step is the plain implicit one: no clamp, no push, no gap or contact
+    reductions.  Batch members only meet in elementwise operations, so each
+    one is bit-identical to a solve of its own data.  ``rule=None`` is the
+    level-N rule; levels below the rule's first stopping level skip all mask
+    work.  Each level tests ``(y - S) + z`` (``y + z`` without an obstacle)
+    for finiteness once and checks obstacle, value and coefficient apart
+    only when that fails, so finite data whose sum overflows pass.  With
+    warnings silenced, non-finite data surface only as
+    :class:`NumericalBreakdown`.
+    """
+    if any(data is not None and data.tree != tree for data in (terminal, rule, obstacle)):
+        raise TreeMismatch("terminal condition and obstacle must share the tree")
+    if generator.lipschitz * tree.grid.dt >= 1.0:
+        raise ContractionViolated(
+            f"lipschitz * dt = {generator.lipschitz * tree.grid.dt:.6g} >= 1; refine the grid"
+        )
+    dt = tree.grid.dt
+    n = tree.steps
+    if rule is None:
+        # masks are read only from the first stopping level on, here just level N
+        stopped = stop_nodes = {n: np.ones(tree.level_size(n), dtype=bool)}
+        first_stop = n
+    else:
+        stopped, stop_nodes = rule.stopped_by_level, rule.stop_node_masks
+        first_stop = rule.first_stop_level
+
+    for i in range(first_stop, n + 1):
+        mask = stop_nodes[i]
+        if obstacle is not None and mask.any() and bool(
+            np.any(terminal.level(i)[..., mask] < obstacle.level(i)[..., mask])
+        ):
+            raise TerminalBelowObstacle(
+                f"terminal values fall below the obstacle at level {i}"
+            )
+
+    y = np.array(terminal.level(n), dtype=float)
+    z = dk = np.zeros_like(y)
+    batch = y.shape[:-1]
+    first_contact = np.full(batch, n)
+    skorokhod = np.zeros(batch)
+    min_gap = np.full(batch, np.inf)
+    max_increment = np.full(batch, -np.inf)
+    iterations = np.zeros(batch, dtype=np.int64)
+    residual = np.zeros(batch)
+    kept = [[None] * (n + 1) for _ in range(2 if obstacle is None else 3)] if keep_levels else None
+
+    for i in range(n, -1, -1):
+        barrier = None if obstacle is None else obstacle.level(i)
+        masked = i >= first_stop
+        if masked:
+            active = ~stopped[i]
+        if i < n:
+            up, down = tree.child_values(y)
+            mean = conditional_expectation(up, down)
+            z = martingale_coefficient(up, down, dt)
+            t = tree.grid.time(i)
+            y = mean
+            if not masked or active.any():
+                y, iters = _implicit_level(generator, t, mean, z, dt, tree, i)
+                iterations = np.maximum(iterations, iters)
+                # the step identity is y = mean + g(t, pre-clamp value, z) dt + dk,
+                # so the replayed defect lives on the pre-clamp value
+                g_final = np.asarray(generator.evaluate(t, y, z, level=i, tree=tree), dtype=float)
+                defect = np.abs(y - (mean + g_final * dt))
+                if masked:
+                    defect = defect[..., active]
+                residual = np.maximum(residual, np.max(defect, axis=-1))
+            if barrier is not None:
+                unreflected, y = y, np.maximum(y, barrier)
+                dk = y - unreflected
+            if masked and stopped[i].any():
+                y = np.where(stopped[i], terminal.level(i), y)
+                z = np.where(stopped[i], 0.0, z)
+                if barrier is not None:
+                    dk = np.where(stopped[i], 0.0, dk)
+        gap = y if barrier is None else y - barrier
+        overflowed = not np.isfinite(gap + z).all()
+        if overflowed:
+            for name, values in (("obstacle", barrier), ("value", y), ("coefficient", z)):
+                if values is not None and not np.isfinite(values).all():
+                    raise NumericalBreakdown(f"non-finite {name} at level {i}")
+        if barrier is not None:
+            product = gap * dk
+            if overflowed:
+                # finite data whose gap overflows: an unpushed node adds nothing
+                product = np.where(dk == 0.0, 0.0, product)
+            level_increment = np.max(dk, axis=-1)
+            if not np.isfinite(level_increment).all():
+                raise NumericalBreakdown(f"non-finite push increment at level {i}")
+            if masked:
+                for mask in (active, stop_nodes[i]):
+                    if mask.any():
+                        min_gap = np.minimum(min_gap, np.min(gap[..., mask], axis=-1))
+            else:
+                min_gap = np.minimum(min_gap, np.min(gap, axis=-1))
+            skorokhod = np.maximum(skorokhod, np.max(np.abs(product), axis=-1))
+            max_increment = np.maximum(max_increment, level_increment)
+            touching = np.any(y <= barrier + DEFAULT_CONTACT_TOL, axis=-1)
+            first_contact = np.where(touching, i, first_contact)
+        if kept is not None:
+            for levels, fresh in zip(kept, (y, z, dk)):
+                fresh.flags.writeable = False
+                levels[i] = fresh
+
+    summary = SweepSummary(
+        root=y[..., 0],
+        first_contact=first_contact,
+        skorokhod_residual=skorokhod,
+        min_gap=min_gap,
+        max_increment=max_increment,
+        iterations=iterations,
+        residual=residual,
+    )
+    return summary, kept
+
+
 def solve_bsde(
     tree: ScenarioTree, generator: GeneratorSpec, terminal: TerminalCondition
 ) -> BsdeSolution:
-    """Backward recursion from the terminal rule to the root."""
-    if terminal.tree != tree:
-        raise TreeMismatch("terminal condition lives on a different tree")
-    _check_contraction(generator, tree)
-    dt = tree.grid.dt
-    stopped = terminal.rule.stopped_by_level
-    ext = terminal.extended
+    """Backward recursion from the terminal rule to the root.
 
-    n = tree.steps
-    y_levels: list[np.ndarray] = [None] * (n + 1)  # type: ignore[list-item]
-    z_levels: list[np.ndarray] = [None] * (n + 1)  # type: ignore[list-item]
-    y_levels[n] = np.array(ext[n])
-    z_levels[n] = np.zeros(tree.level_size(n))
-
-    max_iter = 0
-    max_resid = 0.0
-    for i in range(n - 1, -1, -1):
-        up, down = tree.child_values(y_levels[i + 1])
-        mean = conditional_expectation(up, down)
-        zco = martingale_coefficient(up, down, dt)
-        t = tree.grid.time(i)
-        active = ~stopped[i]
-        if active.any():
-            v, iters = _implicit_level(generator, t, mean, zco, dt, tree, i)
-            max_iter = max(max_iter, int(iters))
-        else:
-            v = mean
-        y_i = np.where(stopped[i], ext[i], v)
-        z_i = np.where(stopped[i], 0.0, zco)
-        if active.any():
-            g_final = np.broadcast_to(
-                np.asarray(generator.evaluate(t, y_i, z_i, level=i, tree=tree), dtype=float),
-                y_i.shape,
-            )
-            defect = np.abs(y_i - (mean + g_final * dt))
-            max_resid = max(max_resid, float(np.max(defect[active])))
-        y_levels[i] = y_i
-        z_levels[i] = z_i
-
-    for fresh in y_levels + z_levels:
-        fresh.flags.writeable = False
+    This is the shared sweep with no obstacle, keeping every level of y and z.
+    """
+    summary, (y_levels, z_levels) = _sweep(
+        tree, generator, terminal.rule, terminal, None, keep_levels=True
+    )
     return BsdeSolution(
         y=AdaptedProcess(tree, y_levels),
         z=AdaptedProcess(tree, z_levels),
-        iterations=max_iter,
-        residual=max_resid,
+        iterations=int(summary.iterations),
+        residual=float(summary.residual),
     )
 
 
 def g_expectation(
     tree: ScenarioTree, generator: GeneratorSpec, terminal: TerminalCondition
 ) -> float:
-    """Initial value of the solution: the nonlinear expectation of the data."""
-    return solve_bsde(tree, generator, terminal).y.root()
+    """Initial value of the solution: the nonlinear expectation of the data.
+
+    A root-only sweep, equal to ``solve_bsde(...).y.root()`` bit for bit.
+    """
+    summary, _ = _sweep(tree, generator, terminal.rule, terminal, None, keep_levels=False)
+    return float(summary.root)
 
 
 def conditional_g_expectation(

@@ -24,7 +24,7 @@ from .generators import DriverClaims, EvalContext, GeneratorSpec, parse_prefix
 from .lattice import AdaptedProcess, ScenarioTree, TimeGrid, TreeMode, build_tree
 from .market import MarketModel, PayoffKind, quote_strike_family, recover_theta
 from .rbsde import ObstacleSpec, solve_rbsde
-from .suites import SUITES, run_suite
+from .suites import SUITES, run_suite, suite_takes
 
 _STATE_VARS = frozenset({"t", "b"})
 
@@ -419,6 +419,9 @@ def cmd_verify(
         raise ConfigError("verify needs a suite name (config suite block or --suite)")
     if name != "all" and name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    for parameter, value in (("seed", seed), ("instances", config.instances)):
+        if value is not None and not suite_takes(name, parameter):
+            raise ConfigError(f"suite {name!r} takes no {parameter}")
     effective_seed = seed if seed is not None else config.seed
     results = run_suite(name, seed=effective_seed, instances=config.instances)
     all_passed = all(r.passed for r in results)
@@ -484,7 +487,7 @@ def cmd_recover(config: RunConfig, out_dir: Path, config_dir: Path) -> None:
         {
             "theta_hat": recovery.theta_hat,
             "objective": recovery.objective,
-            "iterations": recovery.iterations,
+            "iterations": recovery.evaluations,
         },
         "theta.json",
     )

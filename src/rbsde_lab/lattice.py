@@ -301,11 +301,6 @@ class AdaptedProcess:
         return cls(tree, levels)
 
 
-def lift_deterministic(f: Callable[[float], float], tree: ScenarioTree) -> AdaptedProcess:
-    """Encode a deterministic time function as an adapted process."""
-    return AdaptedProcess.from_time_function(tree, f)
-
-
 def backward_expectation(tree: ScenarioTree, leaf_values: np.ndarray) -> AdaptedProcess:
     """Martingale closed by the given terminal values (driverless recursion)."""
     values = np.asarray(leaf_values, dtype=float)

@@ -144,8 +144,12 @@ def price_american_rbsde(
     )
 
 
-def price_american_riskneutral_dp(tree: ScenarioTree, model: MarketModel) -> float:
-    """Classical binomial dynamic program under the reweighted step measure."""
+def _riskneutral_dp(tree: ScenarioTree, model: MarketModel, *, early_exercise: bool) -> float:
+    """Binomial dynamic program under the reweighted step measure.
+
+    Kept apart from the backward kernel, as a check on it; each stock level
+    is built when the recursion reaches it.
+    """
     theta_step = model.premium * tree.sqrt_dt
     if not -1.0 < theta_step < 1.0:
         raise ProbabilityOutOfRange(
@@ -154,31 +158,24 @@ def price_american_riskneutral_dp(tree: ScenarioTree, model: MarketModel) -> flo
     q_up = (1.0 - theta_step) / 2.0
     q_down = (1.0 + theta_step) / 2.0
     discount = 1.0 + model.rate * tree.grid.dt
-    stock = simulate_stock(tree, model)
-    values = model.payoff(stock.level(tree.steps))
+    factors = _step_factors(tree, model)
+    values = model.payoff(_stock_level(tree, model, *factors, tree.steps))
     for i in range(tree.steps - 1, -1, -1):
         up, down = tree.child_values(values)
-        continuation = (q_up * up + q_down * down) / discount
-        values = np.maximum(model.payoff(stock.level(i)), continuation)
+        values = (q_up * up + q_down * down) / discount
+        if early_exercise:
+            values = np.maximum(model.payoff(_stock_level(tree, model, *factors, i)), values)
     return float(values[0])
+
+
+def price_american_riskneutral_dp(tree: ScenarioTree, model: MarketModel) -> float:
+    """Classical binomial dynamic program under the reweighted step measure."""
+    return _riskneutral_dp(tree, model, early_exercise=True)
 
 
 def price_european_dp(tree: ScenarioTree, model: MarketModel) -> float:
     """Same dynamic program without early exercise; used as a floor check."""
-    theta_step = model.premium * tree.sqrt_dt
-    if not -1.0 < theta_step < 1.0:
-        raise ProbabilityOutOfRange(
-            f"premium * sqrt(dt) = {theta_step:.6g} leaves (-1, 1); refine the grid"
-        )
-    q_up = (1.0 - theta_step) / 2.0
-    q_down = (1.0 + theta_step) / 2.0
-    discount = 1.0 + model.rate * tree.grid.dt
-    stock = simulate_stock(tree, model)
-    values = model.payoff(stock.level(tree.steps))
-    for _ in range(tree.steps):
-        up, down = tree.child_values(values)
-        values = (q_up * up + q_down * down) / discount
-    return float(values[0])
+    return _riskneutral_dp(tree, model, early_exercise=False)
 
 
 def price_strike_family(
@@ -244,7 +241,6 @@ def quote_strike_family(
 class ThetaRecovery:
     theta_hat: float
     objective: float
-    iterations: int
     evaluations: int
 
 
@@ -332,6 +328,5 @@ def recover_theta(
     return ThetaRecovery(
         theta_hat=best_theta,
         objective=best_value,
-        iterations=evaluations,
         evaluations=evaluations,
     )

@@ -17,20 +17,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from .bsde import (
-    BsdeSolution,
+    DEFAULT_CONTACT_TOL,
+    LevelData,
+    SweepSummary,
     TerminalCondition,
-    _check_contraction,
-    _implicit_level,
+    _sweep,
     read_at_rule,
 )
 from .errors import (
     DepthExceeded,
-    NumericalBreakdown,
     RuleOrderViolated,
     TerminalBelowObstacle,
     TreeMismatch,
@@ -45,10 +44,7 @@ from .lattice import (
     conditional_expectation,
     hitting_rule,
     level_constant,
-    martingale_coefficient,
 )
-
-DEFAULT_CONTACT_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,160 +124,6 @@ def _accumulate_increments(
     return levels
 
 
-@dataclass(frozen=True)
-class LevelData:
-    """Values on a tree read one level at a time.
-
-    ``level(i)`` returns an array whose last axis runs over the nodes of
-    level ``i``; leading axes, if any, are batch members.  An
-    :class:`AdaptedProcess` fits the same shape, and so does data computed
-    on demand, which is how root-only sweeps avoid storing a lattice.
-    """
-
-    tree: ScenarioTree
-    level: Callable[[int], np.ndarray]
-
-
-@dataclass(frozen=True, eq=False)
-class SweepSummary:
-    """Root and running diagnostics of a reflected sweep, one entry per member.
-
-    ``first_contact`` is the first level at which the value sits within
-    ``DEFAULT_CONTACT_TOL`` of the obstacle at some node (the last level
-    when it never does), the level at which :func:`exercise_rule` first
-    flags a node.  The other fields are the reductions behind
-    :class:`ReflectionDiagnostics`.
-    """
-
-    root: np.ndarray
-    first_contact: np.ndarray
-    skorokhod_residual: np.ndarray
-    min_gap: np.ndarray
-    max_increment: np.ndarray
-    iterations: np.ndarray
-    residual: np.ndarray
-
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _sweep(
-    tree: ScenarioTree,
-    generator: GeneratorSpec,
-    rule: StoppingRule | None,
-    terminal: LevelData,
-    obstacle: LevelData,
-    *,
-    keep_levels: bool,
-) -> tuple[SweepSummary, tuple[list, list, list] | None]:
-    """The backward reflected recursion, shared by every reflected solve.
-
-    Walks from the last level to the root holding one level at a time; with
-    ``keep_levels`` it also returns every level of y, z and the push
-    increments.  Batch members only meet in elementwise operations, so each
-    one is bit-identical to a solve of its own data.  ``rule=None`` is the
-    level-N rule; levels below the rule's first stopping level skip all mask
-    work.  Each level tests ``(y - S) + z`` for finiteness once and checks
-    obstacle, value and coefficient apart only when that fails, so finite
-    data whose sum overflows pass.  With warnings silenced, non-finite data
-    surface only as :class:`NumericalBreakdown`.
-    """
-    if terminal.tree != tree or obstacle.tree != tree or (rule is not None and rule.tree != tree):
-        raise TreeMismatch("terminal condition and obstacle must share the tree")
-    _check_contraction(generator, tree)
-    dt = tree.grid.dt
-    n = tree.steps
-    if rule is None:
-        # masks are read only from the first stopping level on, here just level N
-        stopped = stop_nodes = {n: np.ones(tree.level_size(n), dtype=bool)}
-        first_stop = n
-    else:
-        stopped, stop_nodes = rule.stopped_by_level, rule.stop_node_masks
-        first_stop = rule.first_stop_level
-
-    for i in range(first_stop, n + 1):
-        mask = stop_nodes[i]
-        if mask.any() and bool(
-            np.any(terminal.level(i)[..., mask] < obstacle.level(i)[..., mask])
-        ):
-            raise TerminalBelowObstacle(
-                f"terminal values fall below the obstacle at level {i}"
-            )
-
-    y = np.array(terminal.level(n), dtype=float)
-    z = dk = np.zeros_like(y)
-    batch = y.shape[:-1]
-    first_contact = np.full(batch, n)
-    skorokhod = np.zeros(batch)
-    min_gap = np.full(batch, np.inf)
-    max_increment = np.full(batch, -np.inf)
-    iterations = np.zeros(batch, dtype=np.int64)
-    residual = np.zeros(batch)
-    kept = ([None] * (n + 1), [None] * (n + 1), [None] * (n + 1)) if keep_levels else None
-
-    for i in range(n, -1, -1):
-        barrier = obstacle.level(i)
-        masked = i >= first_stop
-        if masked:
-            active = ~stopped[i]
-        if i < n:
-            up, down = tree.child_values(y)
-            mean = conditional_expectation(up, down)
-            z = martingale_coefficient(up, down, dt)
-            t = tree.grid.time(i)
-            unreflected = mean
-            if not masked or active.any():
-                unreflected, iters = _implicit_level(generator, t, mean, z, dt, tree, i)
-                iterations = np.maximum(iterations, iters)
-                # the step identity is y = mean + g(t, pre-clamp value, z) dt + dk,
-                # so the replayed defect lives on the pre-clamp value
-                g_final = np.asarray(
-                    generator.evaluate(t, unreflected, z, level=i, tree=tree), dtype=float
-                )
-                defect = np.abs(unreflected - (mean + g_final * dt))
-                if masked:
-                    defect = defect[..., active]
-                residual = np.maximum(residual, np.max(defect, axis=-1))
-            y = np.maximum(unreflected, barrier)
-            dk = y - unreflected
-            if masked and stopped[i].any():
-                y = np.where(stopped[i], terminal.level(i), y)
-                z = np.where(stopped[i], 0.0, z)
-                dk = np.where(stopped[i], 0.0, dk)
-        gap = y - barrier
-        product = gap * dk
-        if not np.isfinite(gap + z).all():
-            for name, values in (("obstacle", barrier), ("value", y), ("coefficient", z)):
-                if not np.isfinite(values).all():
-                    raise NumericalBreakdown(f"non-finite {name} at level {i}")
-            # finite data whose gap overflows: an unpushed node adds nothing
-            product = np.where(dk == 0.0, 0.0, product)
-        level_increment = np.max(dk, axis=-1)
-        if not np.isfinite(level_increment).all():
-            raise NumericalBreakdown(f"non-finite push increment at level {i}")
-        if masked:
-            for mask in (active, stop_nodes[i]):
-                if mask.any():
-                    min_gap = np.minimum(min_gap, np.min(gap[..., mask], axis=-1))
-        else:
-            min_gap = np.minimum(min_gap, np.min(gap, axis=-1))
-        skorokhod = np.maximum(skorokhod, np.max(np.abs(product), axis=-1))
-        max_increment = np.maximum(max_increment, level_increment)
-        touching = np.any(y <= barrier + DEFAULT_CONTACT_TOL, axis=-1)
-        first_contact = np.where(touching, i, first_contact)
-        if kept is not None:
-            kept[0][i], kept[1][i], kept[2][i] = y, z, dk
-
-    summary = SweepSummary(
-        root=y[..., 0],
-        first_contact=first_contact,
-        skorokhod_residual=skorokhod,
-        min_gap=min_gap,
-        max_increment=max_increment,
-        iterations=iterations,
-        residual=residual,
-    )
-    return summary, kept
-
-
 def solve_rbsde(
     tree: ScenarioTree,
     generator: GeneratorSpec,
@@ -293,15 +135,10 @@ def solve_rbsde(
     This is the shared sweep with no batch axis, keeping every level.
     """
     summary, (y_levels, z_levels, dk_levels) = _sweep(
-        tree,
-        generator,
-        terminal.rule,
-        LevelData(terminal.tree, lambda i: terminal.extended[i]),
-        obstacle.process,
-        keep_levels=True,
+        tree, generator, terminal.rule, terminal, obstacle.process, keep_levels=True
     )
     cumulative = _accumulate_increments(tree, dk_levels)
-    for fresh in y_levels + z_levels + dk_levels + (cumulative or []):
+    for fresh in cumulative or []:
         fresh.flags.writeable = False
     diagnostics = ReflectionDiagnostics(
         skorokhod_residual=float(summary.skorokhod_residual),
@@ -344,8 +181,14 @@ def reflected_value(
     terminal: TerminalCondition,
     obstacle: ObstacleSpec,
 ) -> float:
-    """Root value of the reflected solution."""
-    return solve_rbsde(tree, generator, terminal, obstacle).y.root()
+    """Root value of the reflected solution.
+
+    A root-only sweep, equal to ``solve_rbsde(...).y.root()`` bit for bit.
+    """
+    summary, _ = _sweep(
+        tree, generator, terminal.rule, terminal, obstacle.process, keep_levels=False
+    )
+    return float(summary.root)
 
 
 def reflected_conditional(

@@ -7,6 +7,7 @@ deterministically from ``(seed, index)`` so reruns are byte-identical.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -945,40 +946,24 @@ SUITES: dict[str, Callable[..., list[CheckResult]]] = {
     "recovery": recovery_suite,
 }
 
-_SEEDED = {
-    "comparison",
-    "push-comparison",
-    "witness",
-    "restriction-identity",
-    "oracle-equivalence",
-    "dominating-obstacle",
-    "masked-drivers",
-    "converse",
-}
+
+def suite_takes(name: str, parameter: str) -> bool:
+    """Whether the named suite (some suite, for ``all``) has ``parameter``."""
+    suites = SUITES.values() if name == "all" else [SUITES[name]]
+    return any(parameter in inspect.signature(suite).parameters for suite in suites)
 
 
 def run_suite(
     name: str, *, seed: int | None = None, instances: int | None = None
 ) -> list[CheckResult]:
-    """Run one named suite (or ``all``) with optional seed/instance overrides."""
+    """Run one named suite (or ``all``) with optional seed/instance overrides.
+
+    Each override goes only to suites whose signature has that parameter.
+    """
     if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(run_suite(key, seed=seed, instances=instances))
-        return out
+        return [r for key in SUITES for r in run_suite(key, seed=seed, instances=instances)]
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    kwargs = {}
-    if seed is not None and name in _SEEDED:
-        kwargs["seed"] = seed
-    if instances is not None and name in {
-        "comparison",
-        "push-comparison",
-        "witness",
-        "restriction-identity",
-        "oracle-equivalence",
-        "dominating-obstacle",
-        "masked-drivers",
-    }:
-        kwargs["instances"] = instances
+    overrides = {"seed": seed, "instances": instances}
+    kwargs = {k: v for k, v in overrides.items() if v is not None and suite_takes(name, k)}
     return SUITES[name](**kwargs)

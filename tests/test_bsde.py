@@ -1,11 +1,16 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rbsde_lab
 from rbsde_lab import (
     AdaptedProcess,
     ContractionViolated,
     GeneratorSpec,
     NonConvergence,
+    NumericalBreakdown,
     RuleOrderViolated,
     StoppingRule,
     TerminalCondition,
@@ -18,7 +23,7 @@ from rbsde_lab import (
     restrict_generator,
     solve_bsde,
 )
-from rbsde_lab.generators import Abs, Add, Const, Min, NegPart, Scale, YVar, ZVar
+from rbsde_lab.generators import Abs, Add, Const, Min, NegPart, Scale, YVar, ZVar, parse_prefix
 
 
 def full_tree(steps, horizon=1.0):
@@ -90,6 +95,13 @@ class TestSolveBsde:
         with pytest.raises(NonConvergence):
             solve_bsde(tree, g, TerminalCondition.constant(tree, 1.0))
 
+    def test_overflowing_driver_is_a_numerical_breakdown(self):
+        tree = build_tree(TimeGrid(1.0, 4), TreeMode.RECOMBINING)
+        g = GeneratorSpec(parse_prefix("(* 1e308 (* 1e308 (abs z)))"), 0.0)
+        xi = TerminalCondition.from_leaf_function(tree, lambda b: b)
+        with pytest.raises(NumericalBreakdown, match="non-finite value at level 3"):
+            solve_bsde(tree, g, xi)
+
 
 class TestLevelStorage:
     def test_constant_terminal_levels_share_one_read_only_cell(self):
@@ -113,6 +125,21 @@ class TestLevelStorage:
         sol = solve_bsde(tree, GeneratorSpec(Abs(ZVar()), 1.0), xi)
         for level in sol.y.levels() + sol.z.levels():
             assert not level.flags.writeable
+
+    @pytest.mark.parametrize("at_rule", [False, True])
+    def test_terminal_values_do_not_follow_their_input(self, at_rule):
+        tree = build_tree(TimeGrid(1.0, 2), TreeMode.RECOMBINING)
+        leaves = np.array([1.0, 2.0, 3.0])
+        if at_rule:
+            levels = [np.zeros(1), np.zeros(2), leaves]
+            xi = TerminalCondition.at_rule(tree, StoppingRule.terminal(tree), levels)
+        else:
+            xi = TerminalCondition.from_leaf_values(tree, leaves)
+        assert g_expectation(tree, zero_driver(), xi) == 2.0
+        leaves[:] = 100.0
+        np.testing.assert_array_equal(xi.values[2], [1.0, 2.0, 3.0])
+        assert not any(level.flags.writeable for level in xi.values)
+        assert g_expectation(tree, zero_driver(), xi) == 2.0
 
 
 class TestGExpectation:
@@ -261,3 +288,36 @@ class TestRestrictionIdentity:
         xi = TerminalCondition.constant(tree, 0.4, rule=StoppingRule.root(tree))
         value = g_expectation(tree, GeneratorSpec.constant(5.0), xi)
         assert value == 0.4
+
+
+def _child_values_users() -> set[str]:
+    """Qualified names of the ``src/`` functions that read ``child_values``."""
+    users = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "child_values":
+                users.add(".".join((module, *scope)))
+            visit(child, module, scope)
+
+    for path in sorted(Path(rbsde_lab.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, ())
+    return users
+
+
+class TestOneBackwardKernel:
+    def test_only_the_kernel_and_its_references_step_down_the_tree(self):
+        # a second backward loop would read children somewhere else
+        kernel = {"bsde._sweep"}
+        references = {
+            "rbsde.snell_oracle",
+            "market._riskneutral_dp",
+            "lattice.backward_expectation",
+            "rbsde.ObstacleSpec.modulus_estimate",
+        }
+        users = _child_values_users()
+        assert kernel <= users
+        assert users <= kernel | references

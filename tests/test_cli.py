@@ -12,6 +12,7 @@ import pytest
 import rbsde_lab
 from rbsde_lab import cli
 from rbsde_lab.cli import RunConfig, main
+from rbsde_lab import suites
 from rbsde_lab.suites import CheckResult
 
 COUNTEREXAMPLE_CONFIG = {
@@ -176,6 +177,34 @@ class TestVerifyCommand:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "payload, flags",
+        [
+            ({}, ["--suite", "counterexamples", "--seed", "3"]),
+            ({"suite": {"name": "pricing", "instances": 2}}, []),
+        ],
+    )
+    def test_override_a_suite_cannot_take_is_a_config_error(self, tmp_path, payload, flags):
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(config), "--out", str(out), *flags]) == 2
+        assert not (out / "report.json").exists()
+
+    def test_config_seed_is_a_default_only_where_a_suite_takes_one(self, tmp_path, monkeypatch):
+        calls = []
+
+        def seedless():
+            calls.append("seedless")
+            return [CheckResult("seedless", True, 0.0, 0.0)]
+
+        monkeypatch.setitem(suites.SUITES, "counterexamples", seedless)
+        config = write_config(tmp_path, {"seed": 9})
+        out = tmp_path / "o"
+        args = ["verify", "--config", str(config), "--out", str(out), "--suite", "counterexamples"]
+        assert main(args) == 0
+        assert calls == ["seedless"]
+        assert json.loads((out / "report.json").read_text())["seed"] == 9
 
     def test_non_finite_report_exits_three_without_output(self, tmp_path, monkeypatch):
         def nan_suite(name, seed, instances):

@@ -17,7 +17,6 @@ from rbsde_lab import (
     event_probability,
     freeze_after,
     hitting_rule,
-    lift_deterministic,
     martingale_coefficient,
 )
 from rbsde_lab.lattice import constant_levels
@@ -115,18 +114,18 @@ class TestStepFunctions:
 class TestAdaptedProcess:
     def test_lift_affine(self):
         tree = recomb_tree(2)
-        proc = lift_deterministic(lambda t: 1.0 - 2.0 * t, tree)
+        proc = AdaptedProcess.from_time_function(tree, lambda t: 1.0 - 2.0 * t)
         assert [proc.level(i)[0] for i in range(3)] == [1.0, 0.0, -1.0]
         assert np.all(proc.level(2) == -1.0)
 
     def test_lift_zero(self):
         tree = full_tree(3)
-        proc = lift_deterministic(lambda t: 0.0, tree)
+        proc = AdaptedProcess.from_time_function(tree, lambda t: 0.0)
         assert all(np.all(proc.level(i) == 0.0) for i in range(4))
 
     def test_lift_identity_times(self):
         tree = recomb_tree(4)
-        proc = lift_deterministic(lambda t: t, tree)
+        proc = AdaptedProcess.from_time_function(tree, lambda t: t)
         np.testing.assert_allclose(
             [proc.level(i)[0] for i in range(5)], [0.0, 0.25, 0.5, 0.75, 1.0]
         )

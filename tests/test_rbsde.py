@@ -22,7 +22,7 @@ from rbsde_lab import (
     enumerate_stopping_oracle,
     exercise_rule,
     freeze_after,
-    lift_deterministic,
+    g_expectation,
     reflected_conditional,
     reflected_value,
     restrict_generator,
@@ -144,7 +144,7 @@ class TestSolutionStructure:
     def test_cumulative_push_is_path_consistent(self):
         tree = full_tree(6)
         rng = np.random.default_rng(23)
-        obstacle = ObstacleSpec(lift_deterministic(lambda t: 0.5 - 2.0 * t, tree))
+        obstacle = ObstacleSpec(AdaptedProcess.from_time_function(tree, lambda t: 0.5 - 2.0 * t))
         xi = TerminalCondition.from_leaf_values(
             tree, np.maximum(rng.uniform(-1, 1, size=64), obstacle.process.level(6))
         )
@@ -302,6 +302,22 @@ def _partial_rule_full_binary_problem():
     return tree, generator, terminal, ObstacleSpec(obstacle)
 
 
+def _plain_solution_sha256(sol):
+    digest = hashlib.sha256()
+    for process in (sol.y, sol.z):
+        for i in range(process.tree.steps + 1):
+            digest.update(process.level(i).tobytes())
+    digest.update(repr((sol.iterations, sol.residual)).encode())
+    return digest.hexdigest()
+
+
+def _affine_recombining_problem():
+    tree = recomb_tree(60)
+    generator = GeneratorSpec(parse_prefix("(+ 0.1 (* 0.3 y) (* -0.5 z))"), 0.8)
+    terminal = TerminalCondition.from_leaf_function(tree, lambda b: 1.0 + np.abs(b))
+    return tree, generator, terminal
+
+
 def _level_rule_recombining_problem():
     tree = recomb_tree(60)
     rule = StoppingRule.at_level(tree, 45)
@@ -335,6 +351,32 @@ class TestPinnedSolutions:
         sol = solve_rbsde(*problem())
         assert sol.diagnostics.max_increment > 0.0 and sol.diagnostics.iterations > 1
         assert _solution_sha256(sol) == expected
+
+    @pytest.mark.parametrize(
+        "problem, expected",
+        [
+            (
+                lambda: _partial_rule_full_binary_problem()[:3],
+                "1f7200161b7b4716c545a2e748627d7106ac50bf97e3ddb32ccbb353b8770920",
+            ),
+            (
+                _affine_recombining_problem,
+                "eb0941890af09b4d4c323d137f6e8e0e8bed4c49f6208c33992b64b3861f8d2b",
+            ),
+        ],
+    )
+    def test_plain_solution_digest_is_pinned(self, problem, expected):
+        sol = solve_bsde(*problem())
+        assert sol.residual > 0.0
+        assert _plain_solution_sha256(sol) == expected
+
+    def test_root_only_values_match_full_solves_bit_for_bit(self):
+        problem = _partial_rule_full_binary_problem()
+        reflected = solve_rbsde(*problem).y.root()
+        assert reflected_value(*problem).hex() == reflected.hex()
+        plain = solve_bsde(*problem[:3]).y.root()
+        assert g_expectation(*problem[:3]).hex() == plain.hex()
+        assert plain != reflected
 
 
 class TestBatchedSweep:
@@ -438,7 +480,7 @@ class TestConditionalAndRestriction:
     def test_conditional_at_root_and_terminal(self):
         tree = full_tree(6)
         rng = np.random.default_rng(51)
-        obstacle = ObstacleSpec(lift_deterministic(lambda t: -1.0 - t, tree))
+        obstacle = ObstacleSpec(AdaptedProcess.from_time_function(tree, lambda t: -1.0 - t))
         leaves = rng.uniform(-0.5, 0.5, size=64)
         xi = TerminalCondition.from_leaf_values(tree, leaves)
         g = GeneratorSpec(Scale(0.4, ZVar()), 0.4)

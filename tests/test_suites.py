@@ -1,3 +1,5 @@
+import functools
+import inspect
 import json
 
 import pytest
@@ -17,6 +19,30 @@ class TestRunSuite:
         a = run_suite("oracle-equivalence", seed=1, instances=5)
         b = run_suite("oracle-equivalence", seed=2, instances=5)
         assert all(r.passed for r in a + b)
+
+    def test_overrides_reach_exactly_the_suites_whose_signature_takes_them(self, monkeypatch):
+        seen = {}
+        for name, suite in list(suites.SUITES.items()):
+
+            @functools.wraps(suite)
+            def spy(*args, name=name, **kwargs):
+                seen[name] = kwargs
+                return []
+
+            monkeypatch.setitem(suites.SUITES, name, spy)
+        run_suite("all", seed=5, instances=3)
+        assert seen.keys() == suites.SUITES.keys()
+        for name, suite in suites.SUITES.items():
+            params = inspect.signature(suite).parameters
+            expected = {k: v for k, v in {"seed": 5, "instances": 3}.items() if k in params}
+            assert seen[name] == expected
+        assert seen["incomparable-drivers"] == {"seed": 5}
+        assert seen["counterexamples"] == {}
+
+    @pytest.mark.parametrize("seed", [1, 101, 555, 9999])
+    def test_incomparable_drivers_pass_at_any_seed(self, seed):
+        results = run_suite("incomparable-drivers", seed=seed)
+        assert len(results) == 2 and all(r.passed for r in results)
 
     def test_counterexample_suite_solves_each_case_once(self, monkeypatch):
         calls = []
