@@ -11,7 +11,9 @@ driver-restriction identity.
 The level loop (``_sweep``) is the one backward kernel of the package: a
 plain solve runs it without an obstacle, and the reflected solver of
 :mod:`rbsde_lab.rbsde` runs it with one, so a reflected equation whose
-obstacle never binds is the plain equation by construction.
+obstacle never binds is the plain equation by construction.  What a caller
+reads besides the root it reads from an observer that sees each level pass;
+the full solvers are the observer that keeps every level.
 """
 
 from __future__ import annotations
@@ -219,6 +221,9 @@ class LevelData:
     level: Callable[[int], np.ndarray]
 
 
+LevelObserver = Callable[[int, np.ndarray, np.ndarray, np.ndarray | None], None]
+
+
 @dataclass(frozen=True, eq=False)
 class SweepSummary:
     """Root and running diagnostics of a sweep, one entry per member.
@@ -247,14 +252,15 @@ def _sweep(
     rule: StoppingRule | None,
     terminal: LevelData,
     obstacle: LevelData | None,
-    *,
-    keep_levels: bool,
-) -> tuple[SweepSummary, list[list[np.ndarray]] | None]:
+    observe: LevelObserver | None = None,
+) -> SweepSummary:
     """The backward recursion shared by every solve, plain or reflected.
 
-    Walks from the last level to the root holding one level at a time; with
-    ``keep_levels`` it also returns every level of y, z and, given an
-    obstacle, the push increments, each frozen.  With ``obstacle=None`` the
+    Walks from the last level to the root holding one level at a time.
+    ``observe``, if given, sees every level once it is final: it is called
+    with ``(i, y, z, dk)``, the arrays frozen, ``dk`` the push increments
+    (``None`` without an obstacle).  It only reads; nothing it does feeds
+    back into the sweep.  With ``obstacle=None`` the
     step is the plain implicit one: no clamp, no push, no gap or contact
     reductions.  Batch members only meet in elementwise operations, so each
     one is bit-identical to a solve of its own data.  ``rule=None`` is the
@@ -291,7 +297,8 @@ def _sweep(
             )
 
     y = np.array(terminal.level(n), dtype=float)
-    z = dk = np.zeros_like(y)
+    z = np.zeros_like(y)
+    dk = None if obstacle is None else z
     batch = y.shape[:-1]
     first_contact = np.full(batch, n)
     skorokhod = np.zeros(batch)
@@ -299,7 +306,6 @@ def _sweep(
     max_increment = np.full(batch, -np.inf)
     iterations = np.zeros(batch, dtype=np.int64)
     residual = np.zeros(batch)
-    kept = [[None] * (n + 1) for _ in range(2 if obstacle is None else 3)] if keep_levels else None
 
     for i in range(n, -1, -1):
         barrier = None if obstacle is None else obstacle.level(i)
@@ -354,12 +360,13 @@ def _sweep(
             max_increment = np.maximum(max_increment, level_increment)
             touching = np.any(y <= barrier + DEFAULT_CONTACT_TOL, axis=-1)
             first_contact = np.where(touching, i, first_contact)
-        if kept is not None:
-            for levels, fresh in zip(kept, (y, z, dk)):
-                fresh.flags.writeable = False
-                levels[i] = fresh
+        if observe is not None:
+            for fresh in (y, z, dk):
+                if fresh is not None:
+                    fresh.flags.writeable = False
+            observe(i, y, z, dk)
 
-    summary = SweepSummary(
+    return SweepSummary(
         root=y[..., 0],
         first_contact=first_contact,
         skorokhod_residual=skorokhod,
@@ -368,7 +375,29 @@ def _sweep(
         iterations=iterations,
         residual=residual,
     )
-    return summary, kept
+
+
+def _kept_levels(tree: ScenarioTree) -> tuple[LevelObserver, list[list[np.ndarray | None]]]:
+    """Observer storing every level it sees, and its y, z and push lists."""
+    kept = [[None] * (tree.steps + 1) for _ in range(3)]
+
+    def observe(i, *fresh):
+        for levels, level in zip(kept, fresh):
+            levels[i] = level
+
+    return observe, kept
+
+
+def _stop_node_values(rule: StoppingRule) -> tuple[LevelObserver, dict[tuple[int, int], float]]:
+    """Observer gathering y on the rule's stopping nodes, and the dict it fills."""
+    masks = rule.stop_node_masks
+    picked: dict[tuple[int, int], float] = {}
+
+    def observe(i, y, z, dk):
+        for node in np.nonzero(masks[i])[0]:
+            picked[(i, int(node))] = float(y[node])
+
+    return observe, picked
 
 
 def solve_bsde(
@@ -378,9 +407,8 @@ def solve_bsde(
 
     This is the shared sweep with no obstacle, keeping every level of y and z.
     """
-    summary, (y_levels, z_levels) = _sweep(
-        tree, generator, terminal.rule, terminal, None, keep_levels=True
-    )
+    observe, (y_levels, z_levels, _) = _kept_levels(tree)
+    summary = _sweep(tree, generator, terminal.rule, terminal, None, observe)
     return BsdeSolution(
         y=AdaptedProcess(tree, y_levels),
         z=AdaptedProcess(tree, z_levels),
@@ -390,14 +418,18 @@ def solve_bsde(
 
 
 def g_expectation(
-    tree: ScenarioTree, generator: GeneratorSpec, terminal: TerminalCondition
+    tree: ScenarioTree,
+    generator: GeneratorSpec,
+    terminal: TerminalCondition,
+    *,
+    observe: LevelObserver | None = None,
 ) -> float:
     """Initial value of the solution: the nonlinear expectation of the data.
 
-    A root-only sweep, equal to ``solve_bsde(...).y.root()`` bit for bit.
+    A root-only sweep, equal to ``solve_bsde(...).y.root()`` bit for bit;
+    ``observe`` sees each level on the way down (see ``_sweep``).
     """
-    summary, _ = _sweep(tree, generator, terminal.rule, terminal, None, keep_levels=False)
-    return float(summary.root)
+    return float(_sweep(tree, generator, terminal.rule, terminal, None, observe).root)
 
 
 def conditional_g_expectation(
@@ -412,8 +444,9 @@ def conditional_g_expectation(
     """
     if not at.precedes(terminal.rule):
         raise RuleOrderViolated("evaluation rule must precede the terminal rule")
-    sol = solve_bsde(tree, generator, terminal)
-    return read_at_rule(sol.y, at)
+    observe, picked = _stop_node_values(at)
+    g_expectation(tree, generator, terminal, observe=observe)
+    return dict(sorted(picked.items()))
 
 
 def read_at_rule(process: AdaptedProcess, rule: StoppingRule) -> dict[tuple[int, int], float]:

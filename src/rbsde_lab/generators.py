@@ -400,9 +400,12 @@ def parse_prefix(text: str, *, variables: frozenset[str] = frozenset({"t", "y", 
 
     def number(tok: str) -> float:
         try:
-            return float(tok)
+            value = float(tok)
         except ValueError:
             raise ExpressionError(f"expected a number, got {tok!r}") from None
+        if not math.isfinite(value):
+            raise ExpressionError(f"non-finite number {tok!r}")
+        return value
 
     def expr() -> Expr:
         tok = take()

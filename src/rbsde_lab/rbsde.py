@@ -23,10 +23,12 @@ import numpy as np
 from .bsde import (
     DEFAULT_CONTACT_TOL,
     LevelData,
+    LevelObserver,
     SweepSummary,
     TerminalCondition,
+    _kept_levels,
+    _stop_node_values,
     _sweep,
-    read_at_rule,
 )
 from .errors import (
     DepthExceeded,
@@ -134,9 +136,8 @@ def solve_rbsde(
 
     This is the shared sweep with no batch axis, keeping every level.
     """
-    summary, (y_levels, z_levels, dk_levels) = _sweep(
-        tree, generator, terminal.rule, terminal, obstacle.process, keep_levels=True
-    )
+    observe, (y_levels, z_levels, dk_levels) = _kept_levels(tree)
+    summary = _sweep(tree, generator, terminal.rule, terminal, obstacle.process, observe)
     cumulative = _accumulate_increments(tree, dk_levels)
     for fresh in cumulative or []:
         fresh.flags.writeable = False
@@ -171,8 +172,7 @@ def reflected_roots(
     O(batch * N) on a recombining tree, and each member's root and
     diagnostics equal those of its own :func:`solve_rbsde` bit for bit.
     """
-    summary, _ = _sweep(tree, generator, None, terminal, obstacle, keep_levels=False)
-    return summary
+    return _sweep(tree, generator, None, terminal, obstacle)
 
 
 def reflected_value(
@@ -180,15 +180,17 @@ def reflected_value(
     generator: GeneratorSpec,
     terminal: TerminalCondition,
     obstacle: ObstacleSpec,
+    *,
+    observe: LevelObserver | None = None,
 ) -> float:
     """Root value of the reflected solution.
 
-    A root-only sweep, equal to ``solve_rbsde(...).y.root()`` bit for bit.
+    A root-only sweep, equal to ``solve_rbsde(...).y.root()`` bit for bit;
+    ``observe`` sees each level on the way down (see ``bsde._sweep``).
     """
-    summary, _ = _sweep(
-        tree, generator, terminal.rule, terminal, obstacle.process, keep_levels=False
+    return float(
+        _sweep(tree, generator, terminal.rule, terminal, obstacle.process, observe).root
     )
-    return float(summary.root)
 
 
 def reflected_conditional(
@@ -201,8 +203,9 @@ def reflected_conditional(
     """Reflected solution values on the stopping nodes of ``at``."""
     if not at.precedes(terminal.rule):
         raise RuleOrderViolated("evaluation rule must precede the terminal rule")
-    sol = solve_rbsde(tree, generator, terminal, obstacle)
-    return read_at_rule(sol.y, at)
+    observe, picked = _stop_node_values(at)
+    reflected_value(tree, generator, terminal, obstacle, observe=observe)
+    return dict(sorted(picked.items()))
 
 
 def snell_oracle(

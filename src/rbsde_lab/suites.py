@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bsde import TerminalCondition, solve_bsde
+from .bsde import TerminalCondition, g_expectation, solve_bsde
 from .generators import (
     Abs,
     Add,
@@ -48,6 +48,7 @@ from .market import (
 from .rbsde import (
     ObstacleSpec,
     enumerate_stopping_oracle,
+    reflected_value,
     snell_oracle,
     solve_rbsde,
 )
@@ -61,6 +62,7 @@ from .theorems import (
     closed_form_example,
     converse_probe,
     counterexample_problem,
+    dominating_driver,
     incomparable_driver_probe,
     local_strict_witness,
     masked_driver,
@@ -175,40 +177,64 @@ def _random_rule(rng, tree: ScenarioTree) -> StoppingRule:
 # ---------------------------------------------------------------------------
 # Counterexample reproduction and convergence order
 
-def _solve_case(case: ClosedFormCase, steps: int):
+class _RootTrace:
+    """Sweep observer keeping, per level, ``y[0]``, ``dk[0]`` and ``max|z|``.
+
+    That is all the closed-form checks read, so they run root-only sweeps
+    and never hold a lattice.
+    """
+
+    def __init__(self, steps: int):
+        self.y = np.empty(steps + 1)
+        self.dk = np.empty(steps + 1)
+        self.z_max = np.empty(steps + 1)
+
+    def __call__(self, i, y, z, dk):
+        self.y[i] = y[0]
+        self.dk[i] = dk[0]
+        self.z_max[i] = np.max(np.abs(z))
+
+    def push(self) -> np.ndarray:
+        """Cumulative push at the root node of each level, summed forward
+        from zero as ``rbsde._accumulate_increments`` sums it."""
+        return np.cumsum(np.concatenate(([0.0], self.dk[:-1])))
+
+
+def _trace_case(
+    case: ClosedFormCase, steps: int
+) -> tuple[ScenarioTree, RbsdeProblem, _RootTrace, float]:
+    """Root-only sweep of one closed-form case: tree, data, trace and root value."""
     tree = build_tree(TimeGrid(1.0, steps), TreeMode.RECOMBINING)
     problem = counterexample_problem(tree, case)
-    solution = solve_rbsde(tree, problem.generator, problem.terminal, problem.obstacle)
-    return tree, problem, solution
+    trace = _RootTrace(steps)
+    root = reflected_value(
+        tree, problem.generator, problem.terminal, problem.obstacle, observe=trace
+    )
+    return tree, problem, trace, root
 
 
 def _case_errors(case: ClosedFormCase, steps: int) -> tuple[dict, float]:
     """Errors against the closed form, and the numerical root value."""
     form = closed_form_example(case)
-    tree, problem, sol = _solve_case(case, steps)
+    tree, problem, trace, root = _trace_case(case, steps)
     times = tree.grid.times()
     y_closed = form.value(times)
     k_closed = form.push(times)
-    y_num = np.array([sol.y.level(i)[0] for i in range(steps + 1)])
-    k_num = np.array([sol.k.level(i)[0] for i in range(steps + 1)])
-    z_max = max(float(np.max(np.abs(sol.z.level(i)))) for i in range(steps + 1))
-    contact_levels = [
-        i
-        for i in range(steps + 1)
-        if sol.y.level(i)[0] - problem.obstacle.process.level(i)[0] <= CONTACT_TOL
-    ]
-    detected = tree.grid.time(max(contact_levels))
+    y_num, k_num = trace.y, trace.push()
+    barrier = np.array([problem.obstacle.process.level(i)[0] for i in range(steps + 1)])
+    contact_levels = np.nonzero(y_num - barrier <= CONTACT_TOL)[0]
+    detected = tree.grid.time(int(contact_levels.max()))
     return {
         "y_error": float(np.max(np.abs(y_num - y_closed))),
         "k_error": float(np.max(np.abs(k_num - k_closed))),
-        "z_max": z_max,
+        "z_max": float(np.max(trace.z_max)),
         "contact_detected": detected,
         "contact_expected": form.contact_time,
         "contact_gap": abs(detected - form.contact_time),
         "k_plateau": float(k_num[-1]),
         "k_plateau_expected": form.push_plateau,
         "dt": tree.grid.dt,
-    }, sol.y.root()
+    }, root
 
 
 def counterexample_suite(steps: int = 2000) -> list[CheckResult]:
@@ -260,17 +286,12 @@ def counterexample_suite(steps: int = 2000) -> list[CheckResult]:
 
 
 def _embedded_errors(steps: int) -> tuple[float, float]:
-    """Embedded and grid-time errors of the low-terminal case at ``steps``.
-
-    The solution is dropped on return, so a sweep over step counts holds
-    one solution at a time.
-    """
+    """Embedded and grid-time errors of the low-terminal case at ``steps``."""
     case = ClosedFormCase.CONST_DRIVER_LOW_TERMINAL
     form = closed_form_example(case)
-    tree, _, sol = _solve_case(case, steps)
+    tree, _, trace, _ = _trace_case(case, steps)
     times = tree.grid.times()
-    y_num = np.array([sol.y.level(i)[0] for i in range(steps + 1)])
-    k_num = np.array([sol.k.level(i)[0] for i in range(steps + 1)])
+    y_num, k_num = trace.y, trace.push()
     at_grid = max(
         float(np.max(np.abs(y_num - form.value(times)))),
         float(np.max(np.abs(k_num - form.push(times)))),
@@ -587,6 +608,37 @@ def _dominating_instance(seed: int, index: int, lipschitz: float) -> float:
     )
 
 
+def _dominating_profile(
+    tree: ScenarioTree, terminal: TerminalCondition, decay: float
+) -> np.ndarray:
+    """Root node of every level of ``build_dominating_obstacle``'s process,
+    read from a root-only sweep of the same plain equation."""
+    profile = np.empty(tree.steps + 1)
+
+    def observe(i, y, z, dk):
+        profile[i] = y[0]
+
+    g_expectation(tree, dominating_driver(decay), terminal, observe=observe)
+    return profile
+
+
+def _exponential_profile_check(steps: int) -> CheckResult:
+    """Constant terminal data: the dominating obstacle decays exponentially."""
+    tree = build_tree(TimeGrid(1.0, steps), TreeMode.RECOMBINING)
+    level = 1.0
+    decay = 1.0
+    profile = _dominating_profile(tree, TerminalCondition.constant(tree, level), decay)
+    expected = level * np.exp(-decay * (1.0 - tree.grid.times()))
+    det_err = float(np.max(np.abs(profile - expected)))
+    return CheckResult(
+        name="dominating-obstacle/exponential-profile",
+        passed=det_err <= 2e-3,
+        max_violation=det_err,
+        tolerance=2e-3,
+        details={"steps": steps},
+    )
+
+
 def dominating_obstacle_suite(
     seed: int = 23, instances: int = 20, det_steps: int = 2000
 ) -> list[CheckResult]:
@@ -602,27 +654,9 @@ def dominating_obstacle_suite(
             max_violation=worst,
             tolerance=1e-10,
             details={"instances": instances, "lipschitz": lipschitz},
-        )
+        ),
+        _exponential_profile_check(det_steps),
     ]
-
-    tree = build_tree(TimeGrid(1.0, det_steps), TreeMode.RECOMBINING)
-    level = 1.0
-    decay = 1.0
-    xi = TerminalCondition.constant(tree, level)
-    obstacle = build_dominating_obstacle(tree, xi, decay)
-    times = tree.grid.times()
-    profile = np.array([obstacle.process.level(i)[0] for i in range(det_steps + 1)])
-    expected = level * np.exp(-decay * (1.0 - times))
-    det_err = float(np.max(np.abs(profile - expected)))
-    results.append(
-        CheckResult(
-            name="dominating-obstacle/exponential-profile",
-            passed=det_err <= 2e-3,
-            max_violation=det_err,
-            tolerance=2e-3,
-            details={"steps": det_steps},
-        )
-    )
 
     # floor variant: two integrable drivers, zero terminal, horizon rule
     tree8 = build_tree(TimeGrid(1.0, 8), TreeMode.FULL_BINARY)

@@ -48,7 +48,7 @@ from .lattice import (
     TreeMode,
     event_probability,
 )
-from .rbsde import ObstacleSpec, RbsdeSolution, solve_rbsde
+from .rbsde import ObstacleSpec, RbsdeSolution, reflected_value, solve_rbsde
 
 COMPARISON_TOL = 1e-10
 EQUALITY_TOL = 1e-9
@@ -569,8 +569,8 @@ def incomparable_driver_probe(
     """
     g_low = ramp_plateau_driver(tree.grid.horizon)
     g_high = plateau_ramp_driver(tree.grid.horizon)
-    root_low = solve_rbsde(tree, g_low, terminal, obstacle).y.root()
-    root_high = solve_rbsde(tree, g_high, terminal, obstacle).y.root()
+    root_low = reflected_value(tree, g_low, terminal, obstacle)
+    root_high = reflected_value(tree, g_high, terminal, obstacle)
 
     horizon = tree.grid.horizon
     sites_low: list[DriverOrderingSite] = []

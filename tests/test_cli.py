@@ -125,6 +125,15 @@ class TestSolveCommand:
         config = write_config(tmp_path, payload)
         assert main(["solve", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
 
+    def test_non_finite_driver_literal_exits_two_without_output(self, tmp_path, capsys):
+        payload = dict(COUNTEREXAMPLE_CONFIG)
+        payload["generator"] = {"expr": "nan", "lipschitz": 0.0}
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 2
+        assert "non-finite number 'nan'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_json_exits_two(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

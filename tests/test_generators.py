@@ -174,6 +174,13 @@ class TestPrefixForm:
         with pytest.raises(ExpressionError):
             parse_prefix(bad)
 
+    @pytest.mark.parametrize(
+        "bad", ["nan", "inf", "-inf", "1e309", "(* inf y)", "(+ y NaN)", "(pw t -1e400 1.0)"]
+    )
+    def test_rejects_non_finite_literals(self, bad):
+        with pytest.raises(ExpressionError, match="non-finite"):
+            parse_prefix(bad)
+
     def test_rule_gated_expressions_have_no_text_form(self):
         tree = build_tree(TimeGrid(1.0, 3), TreeMode.FULL_BINARY)
         gated = restrict_generator(

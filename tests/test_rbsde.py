@@ -379,6 +379,46 @@ class TestPinnedSolutions:
         assert plain != reflected
 
 
+class TestLevelObserver:
+    """An observer sees each final level once, frozen, and changes nothing."""
+
+    @staticmethod
+    def _recording(seen):
+        def observe(i, y, z, dk):
+            for level in (y, z) if dk is None else (y, z, dk):
+                assert not level.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    level[0] = 0.0
+            seen.append((i, y, z, dk))
+
+        return observe
+
+    def test_reflected_sweep_hands_over_the_full_solution(self):
+        problem = _partial_rule_full_binary_problem()
+        sol = solve_rbsde(*problem)
+        seen = []
+        root = reflected_value(*problem, observe=self._recording(seen))
+        assert [i for i, *_ in seen] == list(range(8, -1, -1))
+        for i, y, z, dk in seen:
+            np.testing.assert_array_equal(y, sol.y.level(i))
+            np.testing.assert_array_equal(z, sol.z.level(i))
+            np.testing.assert_array_equal(dk, sol.k_increments.level(i))
+        assert root.hex() == sol.y.root().hex()
+        assert any(dk.any() for *_, dk in seen)
+
+    def test_plain_sweep_has_no_push(self):
+        tree, generator, terminal = _affine_recombining_problem()
+        sol = solve_bsde(tree, generator, terminal)
+        seen = []
+        root = g_expectation(tree, generator, terminal, observe=self._recording(seen))
+        assert [i for i, *_ in seen] == list(range(60, -1, -1))
+        for i, y, z, dk in seen:
+            assert dk is None
+            np.testing.assert_array_equal(y, sol.y.level(i))
+            np.testing.assert_array_equal(z, sol.z.level(i))
+        assert root.hex() == sol.y.root().hex()
+
+
 class TestBatchedSweep:
     def test_members_match_their_own_solves_bit_for_bit(self):
         tree = full_tree(6)

@@ -1,13 +1,19 @@
 import functools
+import hashlib
 import inspect
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from rbsde_lab import suites
+from rbsde_lab.bsde import TerminalCondition
 from rbsde_lab.cli import main
-from rbsde_lab.rbsde import solve_rbsde
+from rbsde_lab.lattice import TimeGrid, TreeMode, build_tree
+from rbsde_lab.rbsde import reflected_value
 from rbsde_lab.suites import run_suite
+from rbsde_lab.theorems import build_dominating_obstacle
 
 
 class TestRunSuite:
@@ -45,13 +51,15 @@ class TestRunSuite:
         assert len(results) == 2 and all(r.passed for r in results)
 
     def test_counterexample_suite_solves_each_case_once(self, monkeypatch):
+        # one root-only sweep per case, its levels read by an observer
         calls = []
 
-        def counting_solve(*args):
+        def counting_sweep(*args, observe):
             calls.append(args)
-            return solve_rbsde(*args)
+            return reflected_value(*args, observe=observe)
 
-        monkeypatch.setattr(suites, "solve_rbsde", counting_solve)
+        monkeypatch.setattr(suites, "reflected_value", counting_sweep)
+        monkeypatch.setattr(suites, "solve_rbsde", None)
         results = suites.counterexample_suite(steps=40)
         assert len(calls) == 4
         root = results[-1]
@@ -59,7 +67,71 @@ class TestRunSuite:
         assert root.passed and root.details["root_low"] == 1.0
 
 
+class TestRootOnlyChecks:
+    """The closed-form checks read one node per level and hold no lattice."""
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda: suites.counterexample_suite(steps=1000),
+            lambda: suites.convergence_suite((250, 500, 1000)),
+            lambda: [suites._exponential_profile_check(1000)],
+        ],
+        ids=["counterexamples", "convergence", "exponential-profile"],
+    )
+    def test_peak_memory_at_n1000_is_below_one_lattice(self, check):
+        # the y levels of one full solve at N=1000 take 8 * 1001 * 1002 / 2 bytes, 4.0 MB
+        tracemalloc.start()
+        try:
+            results = check()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in results)
+        assert peak <= 2_000_000
+
+    @pytest.mark.parametrize("leaf", [lambda b: 1.0 + 0.0 * b, lambda b: 0.5 + np.abs(b)])
+    def test_profile_is_the_dominating_obstacle_at_the_root_node(self, leaf):
+        tree = build_tree(TimeGrid(1.0, 40), TreeMode.RECOMBINING)
+        xi = TerminalCondition.from_leaf_function(tree, leaf)
+        obstacle = build_dominating_obstacle(tree, xi, 1.0)
+        expected = np.array([obstacle.process.level(i)[0] for i in range(41)])
+        assert suites._dominating_profile(tree, xi, 1.0).tobytes() == expected.tobytes()
+
+
+# SHA-256 of report.json as ``verify`` writes it, with the suites' step
+# counts cut down; taken before their checks became root-only sweeps.
+PINNED_REPORTS = {
+    "counterexamples": (
+        {"steps": 200},
+        "03e6ce0092231626e0b89f52e627e1533c0099d60e44d8e0369e6ed9f692e489",
+    ),
+    "convergence": (
+        {"steps_list": (50, 100, 200)},
+        "5281da8f1c521f313d42b51aad59c56fa53cb0341bbb9f628eba1af9b2aaa09f",
+    ),
+    "dominating-obstacle": (
+        {"det_steps": 200},
+        "6c28d17b1a156268d2d1c7f3f9f3bf0376654fa19c8ffafd84c9f2b51932418a",
+    ),
+    "incomparable-drivers": (
+        {"steps": 100},
+        "146fd55afa015c8a8619f3b6ff2153529bc6aaa8642ba59c8ee30decdc98ff76",
+    ),
+}
+
+
 class TestReportStability:
+    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+    def test_report_digest_is_pinned(self, name, tmp_path, monkeypatch):
+        kwargs, expected = PINNED_REPORTS[name]
+        monkeypatch.setitem(suites.SUITES, name, functools.partial(suites.SUITES[name], **kwargs))
+        config = tmp_path / "config.json"
+        config.write_text("{}")
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(config), "--suite", name, "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == expected
+
     def test_verify_report_is_byte_stable(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"seed": 5}))
