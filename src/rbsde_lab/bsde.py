@@ -72,10 +72,12 @@ class TerminalCondition:
         for vals in levels:
             vals.flags.writeable = False
         object.__setattr__(self, "values", levels)
-        for i, (vals, mask) in enumerate(zip(self.values, self.rule.stop_node_masks)):
+        masks, first_stop = self.rule.stop_node_masks, self.rule.first_stop_level
+        for i, vals in enumerate(levels):
             if vals.shape != (self.tree.level_size(i),):
                 raise TreeMismatch(f"terminal level {i} has wrong shape")
-            if not np.all(np.isfinite(vals[mask])):
+            # below the rule's first stopping level no node stops, so nothing to test
+            if i >= first_stop and not np.isfinite(vals[masks[i]]).all():
                 raise ValueError("terminal values must be finite on stopping nodes")
 
     @classmethod
@@ -184,18 +186,21 @@ def _implicit_level(
     parts = generator.y_affine(t, zco, level=level, tree=tree)
     if parts is not None:
         h, a = parts
-        denom = 1.0 - np.asarray(a) * dt
-        if np.any(denom <= 0.0):
+        denom = 1.0 - a * dt
+        singular = denom <= 0.0
+        if not isinstance(a, float):  # a slope gated per node
+            singular = np.logical_or.reduce(singular, axis=None)
+        if singular:
             raise ContractionViolated(
                 "driver slope in the value variable makes the implicit step singular"
             )
-        return np.asarray((mean + np.asarray(h) * dt) / denom), 1
+        return (mean + h * dt) / denom, 1
     v = mean.copy()
     iterations = np.zeros(mean.shape[:-1], dtype=np.int64)
     for iteration in range(1, FIXED_POINT_MAX_ITER + 1):
         v_next = mean + np.asarray(generator.evaluate(t, v, zco, level=level, tree=tree)) * dt
         pending = iterations == 0
-        delta = np.max(np.abs(v_next - v), axis=-1)
+        delta = np.maximum.reduce(np.abs(v_next - v), axis=-1)
         v = np.where(pending[..., None], v_next, v)
         iterations[pending & (delta <= FIXED_POINT_TOL)] = iteration
         if iterations.all():
@@ -289,8 +294,8 @@ def _sweep(
 
     for i in range(first_stop, n + 1):
         mask = stop_nodes[i]
-        if obstacle is not None and mask.any() and bool(
-            np.any(terminal.level(i)[..., mask] < obstacle.level(i)[..., mask])
+        if obstacle is not None and mask.any() and np.logical_or.reduce(
+            terminal.level(i)[..., mask] < obstacle.level(i)[..., mask], axis=None
         ):
             raise TerminalBelowObstacle(
                 f"terminal values fall below the obstacle at level {i}"
@@ -327,7 +332,7 @@ def _sweep(
                 defect = np.abs(y - (mean + g_final * dt))
                 if masked:
                     defect = defect[..., active]
-                residual = np.maximum(residual, np.max(defect, axis=-1))
+                residual = np.maximum(residual, np.maximum.reduce(defect, axis=-1))
             if barrier is not None:
                 unreflected, y = y, np.maximum(y, barrier)
                 dk = y - unreflected
@@ -347,18 +352,18 @@ def _sweep(
             if overflowed:
                 # finite data whose gap overflows: an unpushed node adds nothing
                 product = np.where(dk == 0.0, 0.0, product)
-            level_increment = np.max(dk, axis=-1)
+            level_increment = np.maximum.reduce(dk, axis=-1)
             if not np.isfinite(level_increment).all():
                 raise NumericalBreakdown(f"non-finite push increment at level {i}")
             if masked:
                 for mask in (active, stop_nodes[i]):
                     if mask.any():
-                        min_gap = np.minimum(min_gap, np.min(gap[..., mask], axis=-1))
+                        min_gap = np.minimum(min_gap, np.minimum.reduce(gap[..., mask], axis=-1))
             else:
-                min_gap = np.minimum(min_gap, np.min(gap, axis=-1))
-            skorokhod = np.maximum(skorokhod, np.max(np.abs(product), axis=-1))
+                min_gap = np.minimum(min_gap, np.minimum.reduce(gap, axis=-1))
+            skorokhod = np.maximum(skorokhod, np.maximum.reduce(np.abs(product), axis=-1))
             max_increment = np.maximum(max_increment, level_increment)
-            touching = np.any(y <= barrier + DEFAULT_CONTACT_TOL, axis=-1)
+            touching = np.logical_or.reduce(y <= barrier + DEFAULT_CONTACT_TOL, axis=-1)
             first_contact = np.where(touching, i, first_contact)
         if observe is not None:
             for fresh in (y, z, dk):
@@ -388,14 +393,17 @@ def _kept_levels(tree: ScenarioTree) -> tuple[LevelObserver, list[list[np.ndarra
     return observe, kept
 
 
-def _stop_node_values(rule: StoppingRule) -> tuple[LevelObserver, dict[tuple[int, int], float]]:
-    """Observer gathering y on the rule's stopping nodes, and the dict it fills."""
-    masks = rule.stop_node_masks
+def _stop_node_values(
+    *rules: StoppingRule,
+) -> tuple[LevelObserver, dict[tuple[int, int], float]]:
+    """Observer gathering y on the stopping nodes of the rules, and the dict it fills."""
+    masks = [rule.stop_node_masks for rule in rules]
     picked: dict[tuple[int, int], float] = {}
 
     def observe(i, y, z, dk):
-        for node in np.nonzero(masks[i])[0]:
-            picked[(i, int(node))] = float(y[node])
+        for rule_masks in masks:
+            for node in np.nonzero(rule_masks[i])[0]:
+                picked[(i, int(node))] = float(y[node])
 
     return observe, picked
 
@@ -447,14 +455,3 @@ def conditional_g_expectation(
     observe, picked = _stop_node_values(at)
     g_expectation(tree, generator, terminal, observe=observe)
     return dict(sorted(picked.items()))
-
-
-def read_at_rule(process: AdaptedProcess, rule: StoppingRule) -> dict[tuple[int, int], float]:
-    """Process values keyed by (level, node) over the rule's stopping nodes."""
-    if process.tree != rule.tree:
-        raise TreeMismatch("process and rule live on different trees")
-    out: dict[tuple[int, int], float] = {}
-    for i, mask in enumerate(rule.stop_node_masks):
-        for node in np.nonzero(mask)[0]:
-            out[(i, int(node))] = process.value(i, int(node))
-    return out

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,11 @@ def _fmt(x: float) -> str:
     if isinstance(x, float) and math.isnan(x):
         return "nan"
     return f"{x:.17g}"
+
+
+def _fmt_level(level: np.ndarray) -> list[str]:
+    """``_fmt`` of every value of a level, formatted in one pass."""
+    return [f"{x:.17g}" for x in level.tolist()]
 
 
 def _require(mapping: dict, key: str, kind, where: str):
@@ -393,21 +399,18 @@ def cmd_solve(config: RunConfig, out_dir: Path) -> None:
         writer = csv.writer(handle)
         writer.writerow(["level", "node", "t", "Y", "Z", "K", "S"])
         for i in range(tree.steps + 1):
-            t = tree.grid.time(i)
-            k_level = solution.k.level(i) if solution.k is not None else None
-            for node in range(tree.level_size(i)):
-                k_val = float(k_level[node]) if k_level is not None else float("nan")
-                writer.writerow(
-                    [
-                        i,
-                        node,
-                        _fmt(t),
-                        _fmt(solution.y.value(i, node)),
-                        _fmt(solution.z.value(i, node)),
-                        _fmt(k_val),
-                        _fmt(barrier.value(i, node)),
-                    ]
+            k = repeat("nan") if solution.k is None else _fmt_level(solution.k.level(i))
+            writer.writerows(
+                zip(
+                    repeat(i),
+                    range(tree.level_size(i)),
+                    repeat(_fmt(tree.grid.time(i))),
+                    _fmt_level(solution.y.level(i)),
+                    _fmt_level(solution.z.level(i)),
+                    k,
+                    _fmt_level(barrier.level(i)),
                 )
+            )
     (out_dir / "diagnostics.json").write_text(diagnostics)
 
 

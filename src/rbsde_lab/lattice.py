@@ -18,9 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -30,6 +29,9 @@ from .errors import (
     TreeMismatch,
     UnsupportedTreeMode,
 )
+
+if TYPE_CHECKING:  # fractions loads where exact probabilities are asked for
+    from fractions import Fraction
 
 # Full-binary trees keep every path in memory; 2**25 leaves is the desk-scale
 # bound beyond which builds are refused.
@@ -135,6 +137,8 @@ class ScenarioTree:
 
     def exact_level_probabilities(self, level: int) -> list[Fraction]:
         """Node probabilities of ``level`` as exact dyadic rationals."""
+        from fractions import Fraction
+
         denom = 1 << level
         if self.mode is TreeMode.FULL_BINARY:
             return [Fraction(1, denom)] * self.level_size(level)
@@ -174,6 +178,8 @@ class ScenarioTree:
         if values.shape != (self.level_size(level),):
             raise TreeMismatch(f"expected {self.level_size(level)} values at level {level}")
         if exact:
+            from fractions import Fraction
+
             total = sum(
                 p * Fraction(v)
                 for p, v in zip(self.exact_level_probabilities(level), values.tolist())
@@ -466,6 +472,8 @@ def event_probability(
             raise TreeMismatch(f"predicate level {i} has wrong shape {pred.shape}")
         good = ~stopped[i] | pred
         good_path = good if good_path is None else np.repeat(good_path, 2) & good
+    from fractions import Fraction
+
     count = int(good_path.sum())
     return float(Fraction(count, 1 << tree.steps))
 

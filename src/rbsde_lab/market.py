@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,19 +91,29 @@ def _step_factors(tree: ScenarioTree, model: MarketModel) -> tuple[float, float]
     return up, down
 
 
-def _stock_level(
-    tree: ScenarioTree, model: MarketModel, up: float, down: float, i: int
-) -> np.ndarray:
-    ups = tree.up_counts(i)
-    return model.spot * up**ups * down ** (i - ups)
+def _stock_levels(tree: ScenarioTree, model: MarketModel) -> Callable[[int], np.ndarray]:
+    """Stock level ``i`` on demand, ``spot * up**ups * down**(i - ups)`` per node.
+
+    The powers come from two tables built once, ``spot * up**k`` and
+    ``down**k`` for ``k = 0..N``, indexed by the up counts, so a level costs
+    two gathers and one product instead of two ``pow`` passes; each entry is
+    the power the direct formula takes, bit for bit.
+    """
+    up, down = _step_factors(tree, model)
+    k = np.arange(tree.steps + 1)
+    spot_up, down_pow = model.spot * up**k, down**k
+
+    def level(i: int) -> np.ndarray:
+        ups = tree.up_counts(i)
+        return spot_up[ups] * down_pow[i - ups]
+
+    return level
 
 
 def simulate_stock(tree: ScenarioTree, model: MarketModel) -> AdaptedProcess:
     """Multiplicative Euler stock on the tree; rejects non-positive factors."""
-    up, down = _step_factors(tree, model)
-    return AdaptedProcess(
-        tree, [_stock_level(tree, model, up, down, i) for i in range(tree.steps + 1)]
-    )
+    stock_level = _stock_levels(tree, model)
+    return AdaptedProcess(tree, [stock_level(i) for i in range(tree.steps + 1)])
 
 
 def pricing_driver(model: MarketModel) -> GeneratorSpec:
@@ -158,13 +168,13 @@ def _riskneutral_dp(tree: ScenarioTree, model: MarketModel, *, early_exercise: b
     q_up = (1.0 - theta_step) / 2.0
     q_down = (1.0 + theta_step) / 2.0
     discount = 1.0 + model.rate * tree.grid.dt
-    factors = _step_factors(tree, model)
-    values = model.payoff(_stock_level(tree, model, *factors, tree.steps))
+    stock_level = _stock_levels(tree, model)
+    values = model.payoff(stock_level(tree.steps))
     for i in range(tree.steps - 1, -1, -1):
         up, down = tree.child_values(values)
         values = (q_up * up + q_down * down) / discount
         if early_exercise:
-            values = np.maximum(model.payoff(_stock_level(tree, model, *factors, i)), values)
+            values = np.maximum(model.payoff(stock_level(i)), values)
     return float(values[0])
 
 
@@ -220,14 +230,14 @@ def quote_strike_family(
     for bit, what :func:`price_american_rbsde` and :func:`exercise_rule`
     give for that strike alone.
     """
-    up, down = _step_factors(tree, model)
+    stock_level = _stock_levels(tree, model)
     models = [replace(model, strike=float(strike)) for strike in strikes]
     if not models:
         return []
     column = np.array([[m.strike] for m in models])
 
     def payoff_level(i: int) -> np.ndarray:
-        return _payoff(model.kind, column, _stock_level(tree, model, up, down, i))
+        return _payoff(model.kind, column, stock_level(i))
 
     payoff = LevelData(tree, payoff_level)
     roots = reflected_roots(tree, pricing_driver(model), payoff, payoff)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bsde import TerminalCondition, solve_bsde, read_at_rule
+from .bsde import TerminalCondition, _stop_node_values, solve_bsde
 from .errors import (
     ExpressionError,
     NoStrictGap,
@@ -777,15 +777,16 @@ def converse_probe(
     for builder in family.terminal_builders:
         for sigma in family.rules:
             terminal = builder(sigma)
-            sol_upper = solve_rbsde(tree, g_upper, terminal, obstacle)
-            sol_lower = solve_rbsde(tree, g_lower, terminal, obstacle)
-            for tau in family.rules:
-                if not tau.precedes(sigma):
-                    continue
-                upper = read_at_rule(sol_upper.y, tau)
-                lower = read_at_rule(sol_lower.y, tau)
-                for key, hi in upper.items():
-                    value_violation = max(value_violation, lower[key] - hi)
+            taus = [tau for tau in family.rules if tau.precedes(sigma)]
+            # one root-only sweep per driver, gathering y wherever one of the taus stops
+            gathered = []
+            for generator in (g_upper, g_lower):
+                observe, picked = _stop_node_values(*taus)
+                reflected_value(tree, generator, terminal, obstacle, observe=observe)
+                gathered.append(picked)
+            upper, lower = gathered
+            for key, hi in upper.items():
+                value_violation = max(value_violation, lower[key] - hi)
 
     y_free = g_upper.is_y_free and g_lower.is_y_free
     ys = (

@@ -142,6 +142,62 @@ class TestLevelStorage:
         assert g_expectation(tree, zero_driver(), xi) == 2.0
 
 
+def _terminal_with_nan(tree, rule, level, node):
+    levels = [np.zeros(tree.level_size(i)) for i in range(tree.steps + 1)]
+    levels[level][node] = np.nan
+    return TerminalCondition.at_rule(tree, rule, levels)
+
+
+def _partial_rule_cases():
+    """(tree, rule, NaN sites that must raise, NaN sites that must pass)."""
+    full = full_tree(4)
+    # paths 00 and 11 stop at level 2; every other path runs to level 4
+    flags = [np.zeros(full.level_size(i), dtype=bool) for i in range(5)]
+    flags[2][[0, 3]] = True
+    partial = StoppingRule(full, flags)
+    recombining = build_tree(TimeGrid(1.0, 4), TreeMode.RECOMBINING)
+    return {
+        "full-binary": (
+            full,
+            partial,
+            [(2, 0), (2, 3), (4, 4), (4, 11)],
+            # below the first stop, not yet stopped, and after the path stopped
+            [(0, 0), (1, 1), (2, 1), (3, 0), (4, 0), (4, 15)],
+        ),
+        "recombining-level-2": (
+            recombining,
+            StoppingRule.at_level(recombining, 2),
+            [(2, 0), (2, 2)],
+            [(0, 0), (1, 1), (3, 1), (4, 4)],
+        ),
+        "recombining-terminal": (
+            recombining,
+            StoppingRule.terminal(recombining),
+            [(4, 0), (4, 4)],
+            [(0, 0), (2, 1), (3, 3)],
+        ),
+    }
+
+
+class TestTerminalFiniteness:
+    @pytest.mark.parametrize("case", sorted(_partial_rule_cases()))
+    def test_nan_on_a_stopping_node_raises(self, case):
+        tree, rule, bad, _ = _partial_rule_cases()[case]
+        assert rule.first_stop_level in {level for level, _ in bad}
+        for level, node in bad:
+            assert rule.stop_node_masks[level][node]
+            with pytest.raises(ValueError, match="finite on stopping nodes"):
+                _terminal_with_nan(tree, rule, level, node)
+
+    @pytest.mark.parametrize("case", sorted(_partial_rule_cases()))
+    def test_nan_off_the_stopping_nodes_is_accepted(self, case):
+        tree, rule, _, good = _partial_rule_cases()[case]
+        for level, node in good:
+            assert not rule.stop_node_masks[level][node]
+            xi = _terminal_with_nan(tree, rule, level, node)
+            assert np.isnan(xi.values[level][node])
+
+
 class TestGExpectation:
     def test_constant_preserving_driver_returns_the_constant(self):
         tree = full_tree(6)
@@ -321,3 +377,25 @@ class TestOneBackwardKernel:
         users = _child_values_users()
         assert kernel <= users
         assert users <= kernel | references
+
+    def test_level_step_reduces_with_ufunc_methods(self):
+        # np.max and friends add a Python wrapper per call; the level step
+        # reduces with np.maximum.reduce, np.minimum.reduce and np.logical_or.reduce
+        wrappers = {"max", "min", "any", "all", "amax", "amin"}
+        tree = ast.parse(Path(rbsde_lab.bsde.__file__).read_text())
+        kernels = {
+            node.name: node
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in {"_sweep", "_implicit_level"}
+        }
+        assert set(kernels) == {"_sweep", "_implicit_level"}
+        for name, function in kernels.items():
+            called = {
+                node.func.attr
+                for node in ast.walk(function)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in {"np", "numpy"}
+            }
+            assert not called & wrappers, (name, called & wrappers)

@@ -67,6 +67,45 @@ class TestSolveCommand:
         assert (out_a / "solution.csv").read_bytes() == (out_b / "solution.csv").read_bytes()
         assert (out_a / "diagnostics.json").read_bytes() == (out_b / "diagnostics.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "mode, steps, expr, digest",
+        [
+            # the counterexample: level-constant data, cumulative push per level
+            (
+                "recombining",
+                100,
+                None,
+                "4432165fd6455b0c12d30997d7567d0bcb0b5b2fdcd81417018c254762a5d85d",
+            ),
+            # state data with a binding obstacle: push stored per path
+            (
+                "full-binary",
+                8,
+                "(+ (* -2 y) (abs z))",
+                "d774081de153a205f1f50f75dc771a7ea4069142ddca3c31c467980781743f1d",
+            ),
+            # the same data recombining: the cumulative push is unavailable, K is nan
+            (
+                "recombining",
+                8,
+                "(+ (* -2 y) (abs z))",
+                "584f12dfd5da76aedfb688984f28336f97661104574b61a51f1a569a823050c9",
+            ),
+        ],
+    )
+    def test_solution_csv_digest_is_pinned(self, tmp_path, mode, steps, expr, digest):
+        payload = dict(COUNTEREXAMPLE_CONFIG)
+        payload["tree"] = {"horizon": 1.0, "steps": steps, "mode": mode}
+        if expr is not None:
+            payload["generator"] = {"expr": expr, "lipschitz": 3.0}
+            payload["terminal"] = {"kind": "state", "expr": "(+ 2 (abs b))"}
+            payload["obstacle"] = {"kind": "state", "expr": "(+ 2 (neg (abs b)))"}
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+        data = (out / "solution.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_zero_steps_is_a_config_error(self, tmp_path):
         payload = dict(COUNTEREXAMPLE_CONFIG)
         payload["tree"] = {"horizon": 1.0, "steps": 0, "mode": "recombining"}
@@ -394,11 +433,17 @@ class TestConfigRoundTrip:
 
 
 def test_cli_import_does_not_load_scipy():
+    # scipy loads only for recovery, fractions only for exact probabilities
     src = str(Path(rbsde_lab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     subprocess.run(
-        [sys.executable, "-c", "import rbsde_lab.cli, sys; assert 'scipy' not in sys.modules"],
+        [
+            sys.executable,
+            "-c",
+            "import rbsde_lab.cli, sys; "
+            "assert 'scipy' not in sys.modules; assert 'fractions' not in sys.modules",
+        ],
         env=env,
         check=True,
     )

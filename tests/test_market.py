@@ -63,6 +63,21 @@ class TestStock:
             mean = tree.expectation(stock.level(i), i, exact=True)
             assert mean == pytest.approx(100.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "mode, steps", [(TreeMode.RECOMBINING, 2000), (TreeMode.FULL_BINARY, 12)]
+    )
+    def test_tabled_powers_equal_the_direct_formula_bit_for_bit(self, mode, steps):
+        tree = build_tree(TimeGrid(1.0, steps), mode)
+        model = MarketModel(**{**BASE, "drift": -0.3, "volatility": 0.45, "spot": 37.5})
+        dt = tree.grid.dt
+        up = 1.0 + model.drift * dt + model.volatility * tree.sqrt_dt
+        down = 1.0 + model.drift * dt - model.volatility * tree.sqrt_dt
+        stock = simulate_stock(tree, model)
+        for i in range(steps + 1):
+            ups = tree.up_counts(i)
+            direct = model.spot * up**ups * down ** (i - ups)
+            assert stock.level(i).tobytes() == direct.tobytes()
+
     def test_positivity_guard(self):
         tree = recomb_tree(2)  # sqrt(dt) ~ 0.7
         model = MarketModel(**{**BASE, "volatility": 1.5})

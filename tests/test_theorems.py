@@ -383,3 +383,35 @@ class TestConverseProbe:
             hi = float(np.asarray(g_upper.evaluate(site.t, site.y, site.z)))
             lo = float(np.asarray(g_lower.evaluate(site.t, site.y, site.z)))
             assert lo - hi == pytest.approx(site.gap, abs=1e-12)
+
+    def test_value_violation_matches_full_solves_without_one(self, monkeypatch):
+        # the probe reads its conditional values from root-only sweeps; the
+        # reference here solves in full and reads every stopping node itself
+        tree = full_tree(6)
+        g_upper = GeneratorSpec(ZVar(), 1.0)
+        g_lower = GeneratorSpec(Scale(-1.0, ZVar()), 1.0)
+        obstacle = ObstacleSpec(AdaptedProcess.constant(tree, 0.0), bound=0.0)
+        family = ProbeFamily.default(tree, 0.0)
+        expected = 0.0
+        for builder in family.terminal_builders:
+            for sigma in family.rules:
+                terminal = builder(sigma)
+                upper = solve_rbsde(tree, g_upper, terminal, obstacle).y
+                lower = solve_rbsde(tree, g_lower, terminal, obstacle).y
+                for tau in family.rules:
+                    if tau.precedes(sigma):
+                        for i, mask in enumerate(tau.stop_node_masks):
+                            gap = lower.level(i)[mask] - upper.level(i)[mask]
+                            expected = max([expected, *gap.tolist()])
+        sweeps = []
+        real_value = theorems.reflected_value
+        monkeypatch.setattr(theorems, "solve_rbsde", None)
+        monkeypatch.setattr(
+            theorems,
+            "reflected_value",
+            lambda *args, **kwargs: sweeps.append(args) or real_value(*args, **kwargs),
+        )
+        report = converse_probe(tree, g_upper, g_lower, obstacle, family)
+        assert expected > 0.0
+        assert report.max_value_violation == expected
+        assert len(sweeps) == 2 * len(family.terminal_builders) * len(family.rules)
