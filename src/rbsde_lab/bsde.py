@@ -31,18 +31,16 @@ from .errors import (
     RuleOrderViolated,
     TerminalBelowObstacle,
     TreeMismatch,
-    UnsupportedTreeMode,
 )
 from .generators import GeneratorSpec
 from .lattice import (
     AdaptedProcess,
     ScenarioTree,
     StoppingRule,
-    TreeMode,
-    _adopt,
+    _frozen_levels,
+    _held_after,
     conditional_expectation,
     constant_levels,
-    level_constant,
     martingale_coefficient,
 )
 
@@ -66,18 +64,12 @@ class TerminalCondition:
     def __post_init__(self):
         if self.rule.tree != self.tree:
             raise TreeMismatch("terminal rule lives on a different tree")
-        if len(self.values) != self.tree.steps + 1:
-            raise TreeMismatch("terminal values must cover every level")
-        levels = tuple(_adopt(vals, np.float64) for vals in self.values)
-        for vals in levels:
-            vals.flags.writeable = False
+        levels = tuple(_frozen_levels(self.tree, self.values, np.float64, "terminal"))
         object.__setattr__(self, "values", levels)
         masks, first_stop = self.rule.stop_node_masks, self.rule.first_stop_level
-        for i, vals in enumerate(levels):
-            if vals.shape != (self.tree.level_size(i),):
-                raise TreeMismatch(f"terminal level {i} has wrong shape")
-            # below the rule's first stopping level no node stops, so nothing to test
-            if i >= first_stop and not np.isfinite(vals[masks[i]]).all():
+        # below the rule's first stopping level no node stops, so nothing to test
+        for i in range(first_stop, self.tree.steps + 1):
+            if not np.isfinite(levels[i][masks[i]]).all():
                 raise ValueError("terminal values must be finite on stopping nodes")
 
     @classmethod
@@ -121,28 +113,17 @@ class TerminalCondition:
 
     @cached_property
     def extended(self) -> tuple[np.ndarray, ...]:
-        """Values forward-filled from each stopping node to its descendants."""
-        tree = self.tree
-        stop = self.rule.stop_node_masks
-        stopped = self.rule.stopped_by_level
-        out = [np.where(stop[0], self.values[0], np.nan)]
-        for i in range(1, tree.steps + 1):
-            if not bool(stopped[i - 1].any()):
-                if not stop[i].any():
-                    out.append(level_constant(np.nan, tree.level_size(i)))
-                    continue
-                carried = np.full(tree.level_size(i), np.nan)
-            elif tree.mode is TreeMode.FULL_BINARY:
-                carried = tree.spread_to_children(out[i - 1])
-            else:
-                prev = out[i - 1]
-                if not np.all(prev == prev[0]):
-                    raise UnsupportedTreeMode(
-                        "extending level-varying terminal data needs a full-binary tree"
-                    )
-                carried = np.full(tree.level_size(i), prev[0])
-            out.append(np.where(stop[i], self.values[i], carried))
-        return tuple(out)
+        """Values held from each stopping node on, NaN before a path stops.
+
+        This is the stopped data ``xi`` read at ``min(t, tau)``: the obstacle
+        freeze of :func:`lattice.freeze_after` run on the stop-node values.
+        """
+        stop, nan = self.rule.stop_node_masks, constant_levels(self.tree, np.nan)
+        levels = [
+            np.where(mask, values, np.nan) if mask.any() else empty
+            for mask, values, empty in zip(stop, self.values, nan)
+        ]
+        return tuple(_held_after(levels, self.rule))
 
     def level(self, i: int) -> np.ndarray:
         """Extended values of level ``i``: the data read as :class:`LevelData`."""
@@ -270,11 +251,13 @@ def _sweep(
     reductions.  Batch members only meet in elementwise operations, so each
     one is bit-identical to a solve of its own data.  ``rule=None`` is the
     level-N rule; levels below the rule's first stopping level skip all mask
-    work.  Each level tests ``(y - S) + z`` (``y + z`` without an obstacle)
-    for finiteness once and checks obstacle, value and coefficient apart
-    only when that fails, so finite data whose sum overflows pass.  With
-    warnings silenced, non-finite data surface only as
-    :class:`NumericalBreakdown`.
+    work.  Terminal data below the obstacle are caught by the stopping-node
+    part of the gap reduction (there ``y`` is the terminal value), so the
+    error names the first such level met going down.  Each level tests
+    ``(y - S) + z`` (``y + z`` without an obstacle) for finiteness once and
+    checks obstacle, value and coefficient apart only when that fails, so
+    finite data whose sum overflows pass.  With warnings silenced,
+    non-finite data surface only as :class:`NumericalBreakdown`.
     """
     if any(data is not None and data.tree != tree for data in (terminal, rule, obstacle)):
         raise TreeMismatch("terminal condition and obstacle must share the tree")
@@ -291,15 +274,6 @@ def _sweep(
     else:
         stopped, stop_nodes = rule.stopped_by_level, rule.stop_node_masks
         first_stop = rule.first_stop_level
-
-    for i in range(first_stop, n + 1):
-        mask = stop_nodes[i]
-        if obstacle is not None and mask.any() and np.logical_or.reduce(
-            terminal.level(i)[..., mask] < obstacle.level(i)[..., mask], axis=None
-        ):
-            raise TerminalBelowObstacle(
-                f"terminal values fall below the obstacle at level {i}"
-            )
 
     y = np.array(terminal.level(n), dtype=float)
     z = np.zeros_like(y)
@@ -356,9 +330,17 @@ def _sweep(
             if not np.isfinite(level_increment).all():
                 raise NumericalBreakdown(f"non-finite push increment at level {i}")
             if masked:
-                for mask in (active, stop_nodes[i]):
-                    if mask.any():
-                        min_gap = np.minimum(min_gap, np.minimum.reduce(gap[..., mask], axis=-1))
+                stop = stop_nodes[i]
+                if active.any():
+                    min_gap = np.minimum(min_gap, np.minimum.reduce(gap[..., active], axis=-1))
+                if stop.any():
+                    # on stopping nodes y is the terminal value
+                    stop_gap = np.minimum.reduce(gap[..., stop], axis=-1)
+                    if np.logical_or.reduce(stop_gap < 0.0, axis=None):
+                        raise TerminalBelowObstacle(
+                            f"terminal values fall below the obstacle at level {i}"
+                        )
+                    min_gap = np.minimum(min_gap, stop_gap)
             else:
                 min_gap = np.minimum(min_gap, np.minimum.reduce(gap, axis=-1))
             skorokhod = np.maximum(skorokhod, np.maximum.reduce(np.abs(product), axis=-1))

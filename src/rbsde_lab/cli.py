@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from pathlib import Path
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .bsde import TerminalCondition
 from .errors import ConfigError, LatticeLabError, NumericalBreakdown
-from .generators import DriverClaims, EvalContext, GeneratorSpec, parse_prefix
+from .generators import EvalContext, GeneratorSpec, parse_prefix
 from .lattice import AdaptedProcess, ScenarioTree, TimeGrid, TreeMode, build_tree
 from .market import MarketModel, PayoffKind, quote_strike_family, recover_theta
 from .rbsde import ObstacleSpec, solve_rbsde
@@ -54,6 +54,13 @@ def _require(mapping: dict, key: str, kind, where: str):
     return value
 
 
+def _reject_unknown(raw: dict, where: str, *fields: str) -> None:
+    """Config error for any field of ``raw`` outside ``fields``: none is ignored."""
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown fields {sorted(unknown)} in {where}")
+
+
 @dataclass(frozen=True)
 class TreeConfig:
     horizon: float
@@ -62,6 +69,7 @@ class TreeConfig:
 
     @classmethod
     def parse(cls, raw: dict) -> "TreeConfig":
+        _reject_unknown(raw, "tree", "horizon", "steps", "mode")
         horizon = _require(raw, "horizon", float, "tree")
         steps = _require(raw, "steps", int, "tree")
         mode = _require(raw, "mode", str, "tree")
@@ -82,22 +90,15 @@ class TreeConfig:
 class GeneratorConfig:
     expr: str
     lipschitz: float
-    claims: dict = field(default_factory=dict)
 
     @classmethod
     def parse(cls, raw: dict) -> "GeneratorConfig":
+        _reject_unknown(raw, "generator", "expr", "lipschitz")
         expr = _require(raw, "expr", str, "generator")
         lipschitz = _require(raw, "lipschitz", float, "generator")
         if lipschitz < 0.0:
             raise ConfigError("generator lipschitz constant must be >= 0")
-        claims = raw.get("claims", {})
-        if not isinstance(claims, dict):
-            raise ConfigError("generator claims must be an object")
-        known = {"lipschitz", "integrable", "constant_preserving", "time_continuous"}
-        bad = set(claims) - known
-        if bad:
-            raise ConfigError(f"unknown generator claims {sorted(bad)}")
-        spec = cls(expr, lipschitz, {k: bool(v) for k, v in sorted(claims.items())})
+        spec = cls(expr, lipschitz)
         spec.build()  # fail fast on syntax errors
         return spec
 
@@ -107,13 +108,10 @@ class GeneratorConfig:
         except LatticeLabError as exc:
             raise ConfigError(f"generator expression: {exc}") from exc
         # canonical text round-trips through the parser
-        return GeneratorSpec(parsed, self.lipschitz, DriverClaims(**self.claims))
+        return GeneratorSpec(parsed, self.lipschitz)
 
     def to_dict(self) -> dict:
-        out = {"expr": self.build().to_prefix(), "lipschitz": self.lipschitz}
-        if self.claims:
-            out["claims"] = dict(self.claims)
-        return out
+        return {"expr": self.build().to_prefix(), "lipschitz": self.lipschitz}
 
 
 def _parse_state_expr(text: str, where: str):
@@ -132,13 +130,15 @@ class TerminalConfig:
     @classmethod
     def parse(cls, raw: dict) -> "TerminalConfig":
         kind = _require(raw, "kind", str, "terminal")
+        fields = {"constant": "value", "state": "expr"}
+        if kind not in fields:
+            raise ConfigError("terminal kind must be 'constant' or 'state'")
+        _reject_unknown(raw, "terminal", "kind", fields[kind])
         if kind == "constant":
             return cls(kind, value=_require(raw, "value", float, "terminal"))
-        if kind == "state":
-            expr = _require(raw, "expr", str, "terminal")
-            _parse_state_expr(expr, "terminal")
-            return cls(kind, expr=expr)
-        raise ConfigError("terminal kind must be 'constant' or 'state'")
+        expr = _require(raw, "expr", str, "terminal")
+        _parse_state_expr(expr, "terminal")
+        return cls(kind, expr=expr)
 
     def build(self, tree: ScenarioTree) -> TerminalCondition:
         if self.kind == "constant":
@@ -169,6 +169,10 @@ class ObstacleConfig:
     @classmethod
     def parse(cls, raw: dict) -> "ObstacleConfig":
         kind = _require(raw, "kind", str, "obstacle")
+        fields = {"constant": ("value",), "affine": ("slope", "intercept"), "state": ("expr",)}
+        if kind not in fields:
+            raise ConfigError("obstacle kind must be 'constant', 'affine', or 'state'")
+        _reject_unknown(raw, "obstacle", "kind", "bound", *fields[kind])
         bound = raw.get("bound")
         if bound is not None:
             bound = _require(raw, "bound", float, "obstacle")
@@ -181,11 +185,9 @@ class ObstacleConfig:
                 intercept=_require(raw, "intercept", float, "obstacle"),
                 bound=bound,
             )
-        if kind == "state":
-            expr = _require(raw, "expr", str, "obstacle")
-            _parse_state_expr(expr, "obstacle")
-            return cls(kind, expr=expr, bound=bound)
-        raise ConfigError("obstacle kind must be 'constant', 'affine', or 'state'")
+        expr = _require(raw, "expr", str, "obstacle")
+        _parse_state_expr(expr, "obstacle")
+        return cls(kind, expr=expr, bound=bound)
 
     def build(self, tree: ScenarioTree) -> ObstacleSpec:
         if self.kind == "constant":
@@ -229,8 +231,9 @@ class MarketConfig:
 
     @classmethod
     def parse(cls, raw: dict) -> "MarketConfig":
+        _reject_unknown(raw, "market", "spot", "drift", "volatility", "rate", "kind", "strikes")
         kind = raw.get("kind", "call")
-        if kind not in {k.value for k in PayoffKind}:
+        if kind not in [k.value for k in PayoffKind]:  # a list: kind may be unhashable
             raise ConfigError("market kind must be 'call' or 'put'")
         strikes = raw.get("strikes")
         if not isinstance(strikes, list) or not strikes:
@@ -294,13 +297,11 @@ class RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        known = {
-            "tree", "generator", "terminal", "obstacle", "market",
-            "recover", "suite", "seed",
-        }
-        bad = set(raw) - known
-        if bad:
-            raise ConfigError(f"unknown config fields {sorted(bad)}")
+        blocks = ("tree", "generator", "terminal", "obstacle", "market", "recover", "suite")
+        _reject_unknown(raw, "config", "seed", *blocks)
+        for name in blocks:
+            if name in raw and not isinstance(raw[name], dict):
+                raise ConfigError(f"{name} block must be an object")
         seed = raw.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
@@ -308,8 +309,7 @@ class RunConfig:
         instances = None
         if "suite" in raw:
             block = raw["suite"]
-            if not isinstance(block, dict):
-                raise ConfigError("suite block must be an object")
+            _reject_unknown(block, "suite", "name", "instances")
             suite = _require(block, "name", str, "suite")
             if "instances" in block:
                 instances = _require(block, "instances", int, "suite")
@@ -318,8 +318,7 @@ class RunConfig:
         observed = None
         if "recover" in raw:
             block = raw["recover"]
-            if not isinstance(block, dict):
-                raise ConfigError("recover block must be an object")
+            _reject_unknown(block, "recover", "observed")
             observed = _require(block, "observed", str, "recover")
         return cls(
             tree=TreeConfig.parse(raw["tree"]) if "tree" in raw else None,

@@ -53,7 +53,13 @@ class Expr:
         return ()
 
     def y_affine(self, ctx: EvalContext):
-        """Return ``(h, a)`` with value ``h + a * y``, or None if not affine."""
+        """Return ``(h, a)`` with value ``h + a * y``, or None if not affine.
+
+        A node that does not read ``y`` (``at00`` pins it to 0) is its own
+        value with slope 0; nodes that pass ``y`` on affinely override this.
+        """
+        if isinstance(self, AtZeroState) or not self.uses(YVar):
+            return self.eval(ctx), 0.0
         return None
 
     def to_prefix(self) -> str:
@@ -76,9 +82,6 @@ class Const(Expr):
     def eval(self, ctx):
         return self.value
 
-    def y_affine(self, ctx):
-        return self.value, 0.0
-
     def to_prefix(self):
         return _fmt(self.value)
 
@@ -87,9 +90,6 @@ class Const(Expr):
 class TimeVar(Expr):
     def eval(self, ctx):
         return ctx.t
-
-    def y_affine(self, ctx):
-        return ctx.t, 0.0
 
     def to_prefix(self):
         return "t"
@@ -111,9 +111,6 @@ class YVar(Expr):
 class ZVar(Expr):
     def eval(self, ctx):
         return ctx.z
-
-    def y_affine(self, ctx):
-        return ctx.z, 0.0
 
     def to_prefix(self):
         return "z"
@@ -163,11 +160,6 @@ class Abs(Expr):
     def children(self):
         return (self.inner,)
 
-    def y_affine(self, ctx):
-        if self.inner.uses(YVar):
-            return None
-        return np.abs(self.inner.eval(ctx)), 0.0
-
     def to_prefix(self):
         return f"(abs {self.inner.to_prefix()})"
 
@@ -183,11 +175,6 @@ class NegPart(Expr):
 
     def children(self):
         return (self.inner,)
-
-    def y_affine(self, ctx):
-        if self.inner.uses(YVar):
-            return None
-        return np.maximum(-np.asarray(self.inner.eval(ctx)), 0.0), 0.0
 
     def to_prefix(self):
         return f"(npart {self.inner.to_prefix()})"
@@ -253,11 +240,6 @@ class Min(Expr):
     def children(self):
         return (self.left, self.right)
 
-    def y_affine(self, ctx):
-        if self.left.uses(YVar) or self.right.uses(YVar):
-            return None
-        return np.minimum(self.left.eval(ctx), self.right.eval(ctx)), 0.0
-
     def to_prefix(self):
         return f"(min {self.left.to_prefix()} {self.right.to_prefix()})"
 
@@ -306,9 +288,6 @@ class AtZeroState(Expr):
 
     def children(self):
         return (self.inner,)
-
-    def y_affine(self, ctx):
-        return self.eval(ctx), 0.0
 
     def to_prefix(self):
         return f"(at00 {self.inner.to_prefix()})"

@@ -158,15 +158,19 @@ class ScenarioTree:
             return v[..., 1::2], v[..., 0::2]
         return v[..., 1:], v[..., :-1]
 
-    def spread_to_children(self, level_values: np.ndarray) -> np.ndarray:
-        """Copy each parent value onto both of its children (path semantics).
+    def carry(self, level: np.ndarray) -> np.ndarray | None:
+        """Level ``i`` values handed to both children of each node, as level ``i + 1``.
 
-        Only full-binary trees keep distinct storage per path, so this is
-        undefined for recombining trees.
+        This is how path-carried data move forward.  A full-binary node has
+        one path, so each value is repeated; a recombining node joins two
+        paths, so only a constant level carries (as a one-cell view), and
+        for any other level this returns None.
         """
-        if self.mode is not TreeMode.FULL_BINARY:
-            raise UnsupportedTreeMode("per-path value propagation needs a full-binary tree")
-        return np.repeat(np.asarray(level_values), 2)
+        if self.mode is TreeMode.FULL_BINARY:
+            return np.repeat(level, 2)
+        if level.strides == (0,) or (level == level[0]).all():  # one-cell views are constant
+            return level_constant(level[0], level.size + 1, level.dtype)
+        return None
 
     def expectation(self, level_values: np.ndarray, level: int, *, exact: bool = False) -> float:
         """Probability-weighted mean of values at ``level``.
@@ -228,42 +232,42 @@ def _level_rule_masks(tree: ScenarioTree, start: int, stop: int) -> tuple[np.nda
     return tuple(off[:start] + on[start:stop] + off[stop:])
 
 
-def _adopt(level, dtype) -> np.ndarray:
-    """``level`` itself when no writeable array can reach its data, else a copy."""
-    owner = level
-    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
-        owner = owner.base
-    if owner is None and level.dtype == dtype:
-        return level
-    return np.array(level, dtype=dtype, copy=True)
+def _frozen_levels(tree: ScenarioTree, levels: Sequence, dtype, what: str) -> list[np.ndarray]:
+    """One array per level of ``tree``, checked against its size and read-only.
+
+    A level that is read-only down to the array owning its memory and
+    already has ``dtype`` is kept as given (level-constant data as one-cell
+    views, solver output as made); anything else is copied.
+    """
+    if len(levels) != tree.steps + 1:
+        raise TreeMismatch(f"{what} needs {tree.steps + 1} levels, got {len(levels)}")
+    stored = []
+    for i, level in enumerate(levels):
+        owner = level
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            owner = owner.base
+        arr = level if owner is None and level.dtype == dtype else np.array(level, dtype=dtype)
+        if arr.shape != (tree.level_size(i),):
+            raise TreeMismatch(
+                f"{what} level {i} must hold {tree.level_size(i)} values, got shape {arr.shape}"
+            )
+        arr.flags.writeable = False
+        stored.append(arr)
+    return stored
 
 
 class AdaptedProcess:
     """One real value per tree node; immutable after construction.
 
-    Levels that are read-only down to their owning array are stored as
-    given (level-constant data as one-cell views, solver output as made);
-    anything else is copied, so no caller can alias a process.
+    Levels are stored as :func:`_frozen_levels` adopts them, so no caller
+    can alias a process.
     """
 
     __slots__ = ("tree", "_levels")
 
     def __init__(self, tree: ScenarioTree, levels: Sequence[np.ndarray]):
-        if len(levels) != tree.steps + 1:
-            raise TreeMismatch(
-                f"process needs {tree.steps + 1} levels, got {len(levels)}"
-            )
-        stored = []
-        for i, level in enumerate(levels):
-            arr = _adopt(level, np.float64)
-            if arr.shape != (tree.level_size(i),):
-                raise TreeMismatch(
-                    f"level {i} must hold {tree.level_size(i)} values, got shape {arr.shape}"
-                )
-            arr.flags.writeable = False
-            stored.append(arr)
         self.tree = tree
-        self._levels = tuple(stored)
+        self._levels = tuple(_frozen_levels(tree, levels, np.float64, "process"))
 
     def level(self, i: int) -> np.ndarray:
         return self._levels[i]
@@ -328,15 +332,7 @@ class StoppingRule:
     """
 
     def __init__(self, tree: ScenarioTree, flags: Sequence[np.ndarray]):
-        if len(flags) != tree.steps + 1:
-            raise TreeMismatch(f"rule needs {tree.steps + 1} flag levels")
-        stored = []
-        for i, level in enumerate(flags):
-            arr = _adopt(level, np.bool_)
-            if arr.shape != (tree.level_size(i),):
-                raise TreeMismatch(f"flag level {i} has wrong shape {arr.shape}")
-            arr.flags.writeable = False
-            stored.append(arr)
+        stored = _frozen_levels(tree, flags, np.bool_, "rule")
         stored[tree.steps] = level_constant(True, tree.level_size(tree.steps), bool)
         self.tree = tree
         self._flags = tuple(stored)
@@ -478,27 +474,29 @@ def event_probability(
     return float(Fraction(count, 1 << tree.steps))
 
 
+def _held_after(levels: Sequence[np.ndarray], rule: StoppingRule) -> list[np.ndarray]:
+    """``levels`` held from each path's stop on: level ``i`` reads ``x(min(t_i, tau))``.
+
+    Levels up to the rule's first stopping level pass through as given;
+    from there on, nodes whose path stopped before the level take the
+    value their parent carries (:meth:`ScenarioTree.carry`).
+    """
+    tree = rule.tree
+    stopped = rule.stopped_by_level
+    out = list(levels)
+    for i in range(rule.first_stop_level + 1, tree.steps + 1):
+        carried = tree.carry(out[i - 1])
+        if carried is None:
+            raise UnsupportedTreeMode(
+                "holding level-varying data after a stop needs a full-binary tree"
+            )
+        already = tree.carry(stopped[i - 1])
+        out[i] = carried if already.all() else np.where(already, carried, levels[i])
+    return out
+
+
 def freeze_after(process: AdaptedProcess, rule: StoppingRule) -> AdaptedProcess:
     """Process held constant once the rule has stopped: ``s(min(t, tau))``."""
     if process.tree != rule.tree:
         raise TreeMismatch("process and rule live on different trees")
-    tree = process.tree
-    stopped = rule.stopped_by_level
-    levels = [np.array(process.level(0))]
-    for i in range(1, tree.steps + 1):
-        if tree.mode is TreeMode.FULL_BINARY:
-            already = np.repeat(stopped[i - 1], 2)
-            carried = np.repeat(levels[i - 1], 2)
-        elif stopped[i - 1].all():
-            prev = levels[i - 1]
-            if not np.all(prev == prev[0]):
-                raise UnsupportedTreeMode(
-                    "freezing a level-varying process needs a full-binary tree"
-                )
-            already = np.full(tree.level_size(i), True)
-            carried = np.full(tree.level_size(i), prev[0])
-        else:
-            already = np.full(tree.level_size(i), False)
-            carried = process.level(i)
-        levels.append(np.where(already, carried, process.level(i)))
-    return AdaptedProcess(tree, levels)
+    return AdaptedProcess(process.tree, _held_after(process.levels(), rule))

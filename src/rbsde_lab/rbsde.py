@@ -45,7 +45,6 @@ from .lattice import (
     TreeMode,
     conditional_expectation,
     hitting_rule,
-    level_constant,
 )
 
 
@@ -114,15 +113,13 @@ class RbsdeSolution:
 def _accumulate_increments(
     tree: ScenarioTree, increments: list[np.ndarray]
 ) -> list[np.ndarray] | None:
+    """Pushes summed along each path from 0 at the root; None if the tree cannot carry them."""
     levels = [np.zeros(1)]
     for i in range(tree.steps):
-        total = levels[i] + increments[i]
-        if tree.mode is TreeMode.FULL_BINARY:
-            levels.append(np.repeat(total, 2))
-        else:
-            if i >= 1 and not np.array_equal(total[:-1], total[1:]):
-                return None
-            levels.append(level_constant(total[0], i + 2))
+        carried = tree.carry(levels[i] + increments[i])
+        if carried is None:
+            return None
+        levels.append(carried)
     return levels
 
 

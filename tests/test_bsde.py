@@ -1,4 +1,5 @@
 import ast
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from rbsde_lab import (
     TerminalCondition,
     TimeGrid,
     TreeMode,
+    UnsupportedTreeMode,
     backward_expectation,
     build_tree,
     conditional_g_expectation,
@@ -141,6 +143,46 @@ class TestLevelStorage:
         assert not any(level.flags.writeable for level in xi.values)
         assert g_expectation(tree, zero_driver(), xi) == 2.0
 
+
+
+def _level_digest(levels) -> str:
+    digest = hashlib.sha256()
+    for level in levels:
+        digest.update(np.ascontiguousarray(level, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+class TestExtension:
+    """``extended`` is the stop-node data held along each path; the digests
+    were taken from the per-layout implementation it replaced."""
+
+    def test_full_binary_partial_rule_digest(self):
+        tree = full_tree(6)
+        rule = StoppingRule(tree, [tree.brownian_level(i) >= 0.5 for i in range(7)])
+        xi = TerminalCondition.at_rule(tree, rule, lambda i, b: np.sin(b) + i)
+        assert rule.first_stop_level == 2 and not rule.is_terminal
+        assert _level_digest(xi.extended) == (
+            "77c8ff728a4b18a41467343fddbee70823c3e466908c042486ad148f089b9ce4"
+        )
+
+    def test_recombining_level_rule_digest(self):
+        tree = build_tree(TimeGrid(1.0, 9), TreeMode.RECOMBINING)
+        rule = StoppingRule.at_level(tree, 4)
+        xi = TerminalCondition.at_rule(
+            tree, rule, lambda i, b: np.where(i == 4, 0.25 * i, np.cos(b) + i)
+        )
+        extended = xi.extended
+        assert all(np.isnan(level).all() for level in extended[:4])
+        assert all(np.all(level == 1.0) for level in extended[4:])
+        assert _level_digest(extended) == (
+            "308fb27b7959f7f8182c447703bb3738436ca5d66c062fdd1856608146047568"
+        )
+
+    def test_recombining_level_varying_stop_values_are_refused(self):
+        tree = build_tree(TimeGrid(1.0, 4), TreeMode.RECOMBINING)
+        xi = TerminalCondition.at_rule(tree, StoppingRule.at_level(tree, 2), lambda i, b: b)
+        with pytest.raises(UnsupportedTreeMode):
+            xi.extended
 
 def _terminal_with_nan(tree, rule, level, node):
     levels = [np.zeros(tree.level_size(i)) for i in range(tree.steps + 1)]
@@ -346,8 +388,8 @@ class TestRestrictionIdentity:
         assert value == 0.4
 
 
-def _child_values_users() -> set[str]:
-    """Qualified names of the ``src/`` functions that read ``child_values``."""
+def _users(matches) -> set[str]:
+    """Qualified names of the ``src/`` scopes holding an AST node that ``matches``."""
     users = set()
 
     def visit(node, module, scope):
@@ -355,13 +397,17 @@ def _child_values_users() -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, module, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "child_values":
+            if matches(child):
                 users.add(".".join((module, *scope)))
             visit(child, module, scope)
 
     for path in sorted(Path(rbsde_lab.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, ())
     return users
+
+
+def _child_values_users() -> set[str]:
+    return _users(lambda node: isinstance(node, ast.Attribute) and node.attr == "child_values")
 
 
 class TestOneBackwardKernel:
@@ -377,6 +423,24 @@ class TestOneBackwardKernel:
         users = _child_values_users()
         assert kernel <= users
         assert users <= kernel | references
+
+    def test_path_layout_is_decided_in_lattice(self):
+        # path-carried data move forward through ScenarioTree.carry; only the
+        # witness, which walks whole paths, repeats values itself
+        repeats = _users(
+            lambda node: isinstance(node, ast.Attribute)
+            and node.attr == "repeat"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in {"np", "numpy"}
+        )
+        assert {user for user in repeats if not user.startswith("lattice")} <= {
+            "theorems.local_strict_witness"
+        }
+        layout = _users(
+            lambda node: (isinstance(node, ast.Name) and node.id == "TreeMode")
+            or (isinstance(node, ast.alias) and node.name == "TreeMode")
+        )
+        assert not {user for user in layout if user.split(".")[0] == "bsde"}
 
     def test_level_step_reduces_with_ufunc_methods(self):
         # np.max and friends add a Python wrapper per call; the level step

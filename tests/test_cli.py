@@ -301,7 +301,12 @@ class TestPriceCommand:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("strikes", [100.0, -5.0]), ("spot", 0.0), ("volatility", -0.2)],
+        [
+            ("strikes", [100.0, -5.0]),
+            ("spot", 0.0),
+            ("volatility", -0.2),
+            ("kind", ["put"]),
+        ],
     )
     def test_invalid_market_is_a_config_error(self, tmp_path, field, value, capsys):
         payload = self.market_config()
@@ -396,7 +401,6 @@ class TestConfigRoundTrip:
                 "generator": {
                     "expr": "(min (* 2.0 (npart (+ y -1.0))) (abs z))",
                     "lipschitz": 2.0,
-                    "claims": {"constant_preserving": True},
                 },
                 "terminal": {"kind": "state", "expr": "(abs b)"},
                 "obstacle": {"kind": "state", "expr": "(+ (npart b) -3.0)", "bound": 5.0},
@@ -424,6 +428,40 @@ class TestConfigRoundTrip:
     def test_unknown_fields_rejected(self):
         with pytest.raises(Exception):
             RunConfig.parse(json.dumps({"tre": {}}))
+
+    @pytest.mark.parametrize(
+        "command, block, fields",
+        [
+            # a misspelled kind would price a call instead of the put asked for
+            ("price", "market", {"knd": "put"}),
+            # a misspelled bound would be dropped
+            ("solve", "obstacle", {"bnd": 5.0}),
+            # kind-specific blocks take only their kind's fields
+            ("solve", "obstacle", {"expr": "(abs b)"}),
+            ("solve", "terminal", {"expr": "(abs b)"}),
+            ("solve", "generator", {"claims": {"constant_preserving": True}}),
+            ("solve", "tree", {"step": 10}),
+        ],
+    )
+    def test_fields_no_block_reads_exit_two(self, tmp_path, capsys, command, block, fields):
+        payload = json.loads(json.dumps(COUNTEREXAMPLE_CONFIG))
+        payload["market"] = {
+            "spot": 100.0, "drift": 0.08, "volatility": 0.2, "rate": 0.02,
+            "strikes": [100.0],
+        }
+        payload[block].update(fields)
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown fields")
+        assert f"in {block}" in err and not out.exists()
+
+    @pytest.mark.parametrize("block", ["tree", "generator", "market", "suite", "recover"])
+    def test_a_block_that_is_not_an_object_exits_two(self, tmp_path, capsys, block):
+        config = write_config(tmp_path, {block: 5})
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {block} block must be an object\n"
 
     def test_nonfinite_numbers_rejected(self):
         payload = dict(COUNTEREXAMPLE_CONFIG)

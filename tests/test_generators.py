@@ -98,6 +98,37 @@ class TestAffineDetection:
         assert float(np.asarray(a)) == 0.0
 
 
+# every node type that answers y_affine through the base rule, built around
+# an inner expression
+_Y_FREE_NODES = {
+    "Const": lambda inner: Const(-1.25),
+    "TimeVar": lambda inner: TimeVar(),
+    "ZVar": lambda inner: ZVar(),
+    "Abs": Abs,
+    "NegPart": NegPart,
+    "Min": lambda inner: Min(inner, Scale(0.5, ZVar())),
+    "AtZeroState": AtZeroState,
+}
+
+
+class TestYFreeRule:
+    @pytest.mark.parametrize("name", sorted(_Y_FREE_NODES))
+    def test_y_free_node_is_its_value_with_slope_zero(self, name):
+        expr = _Y_FREE_NODES[name](Add((TimeVar(), Scale(-2.0, ZVar()))))
+        ctx = EvalContext(t=0.3, y=0.0, z=np.array([-1.5, 0.0, 2.0 / 3.0]))
+        h, a = expr.y_affine(ctx)
+        value = expr.eval(ctx)
+        assert a == 0.0 and isinstance(a, float)
+        assert np.asarray(h).dtype == np.asarray(value).dtype
+        assert np.asarray(h).tobytes() == np.asarray(value).tobytes()
+
+    @pytest.mark.parametrize("name", ["Abs", "NegPart", "Min"])
+    def test_wrapping_y_is_not_affine(self, name):
+        assert _Y_FREE_NODES[name](YVar()).y_affine(EvalContext(t=0.3, z=1.0)) is None
+
+    def test_at00_pins_a_wrapped_y(self):
+        assert AtZeroState(YVar()).y_affine(EvalContext(t=0.3, y=4.0, z=1.0)) == (0.0, 0.0)
+
 class TestLipschitzBound:
     def test_structural_bounds(self):
         assert lipschitz_bound(Const(5.0)) == 0.0

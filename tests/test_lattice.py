@@ -11,6 +11,7 @@ from rbsde_lab import (
     TimeGrid,
     TreeMismatch,
     TreeMode,
+    UnsupportedTreeMode,
     backward_expectation,
     build_tree,
     conditional_expectation,
@@ -301,3 +302,33 @@ class TestFreezing:
         for leaf in range(16):
             stop_node = leaf >> 2
             assert frozen.value(4, leaf) == walk.value(2, stop_node)
+
+    def test_freeze_keeps_the_levels_before_the_first_stop(self):
+        tree = full_tree(5)
+        walk = tree.brownian()
+        rule = StoppingRule(tree, [tree.brownian_level(i) >= 0.5 for i in range(6)])
+        frozen = freeze_after(walk, rule)
+        first = rule.first_stop_level
+        assert 0 < first < 5
+        assert all(frozen.level(i) is walk.level(i) for i in range(first + 1))
+
+    def test_recombining_freeze_of_a_varying_level_is_refused(self):
+        tree = recomb_tree(4)
+        with pytest.raises(UnsupportedTreeMode):
+            freeze_after(tree.brownian(), StoppingRule.at_level(tree, 2))
+
+
+class TestCarry:
+    def test_full_binary_repeats_each_value(self):
+        level = np.array([1.5, -2.0, 0.25, 4.0])
+        np.testing.assert_array_equal(full_tree(3).carry(level), np.repeat(level, 2))
+
+    @pytest.mark.parametrize("dtype", [float, bool])
+    def test_recombining_constant_level_is_a_one_cell_view(self, dtype):
+        carried = recomb_tree(4).carry(np.full(3, 1, dtype=dtype))
+        assert carried.shape == (4,) and carried.dtype == dtype
+        assert carried.strides == (0,) and not carried.flags.writeable
+        assert np.all(carried == 1)
+
+    def test_recombining_varying_level_does_not_carry(self):
+        assert recomb_tree(4).carry(np.array([0.0, 0.0, 1e-300])) is None

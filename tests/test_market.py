@@ -21,6 +21,8 @@ from rbsde_lab import (
     recover_theta,
     simulate_stock,
 )
+from rbsde_lab import market
+from rbsde_lab.bsde import LevelData
 
 BASE = dict(spot=100.0, drift=0.08, volatility=0.2, rate=0.02, strike=100.0)
 
@@ -219,6 +221,29 @@ class TestStrikeFamily:
             contact = next(i for i in range(steps + 1) if single.exercise.flags(i).any())
             assert quote.price.hex() == single.value.hex()
             assert quote.contact_level == contact
+
+    def test_quote_sweep_builds_the_last_payoff_level_twice(self, monkeypatch):
+        # once as the terminal value, once as the obstacle; every other level once
+        tree = recomb_tree(40)
+        reads = []
+        sweep = market.reflected_roots
+
+        def counting_sweep(tree, generator, terminal, obstacle):
+            assert terminal is obstacle
+
+            def level(i):
+                reads.append(i)
+                return terminal.level(i)
+
+            data = LevelData(tree, level)
+            return sweep(tree, generator, data, data)
+
+        monkeypatch.setattr(market, "reflected_roots", counting_sweep)
+        quotes = quote_strike_family(tree, MarketModel(**BASE), [90.0, 110.0])
+        assert len(quotes) == 2
+        assert reads.count(tree.steps) == 2
+        assert sorted(set(reads)) == list(range(tree.steps + 1))
+        assert len(reads) == tree.steps + 2
 
 
 class TestRecovery:

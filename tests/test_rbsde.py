@@ -168,6 +168,22 @@ class TestSolutionStructure:
                 obstacle,
             )
 
+    def test_terminal_below_obstacle_at_an_interior_stop_is_rejected(self):
+        # paths 00 and 11 stop at level 2; node 3 stops below the obstacle there
+        tree = full_tree(4)
+        flags = [np.zeros(tree.level_size(i), dtype=bool) for i in range(5)]
+        flags[2][[0, 3]] = True
+        levels = [np.full(tree.level_size(i), 2.0) for i in range(5)]
+        levels[2][3] = 0.5
+        xi = TerminalCondition.at_rule(tree, StoppingRule(tree, flags), levels)
+        with pytest.raises(TerminalBelowObstacle, match="at level 2"):
+            solve_rbsde(
+                tree,
+                GeneratorSpec.constant(0.0),
+                xi,
+                ObstacleSpec(AdaptedProcess.constant(tree, 1.0)),
+            )
+
 
     def test_nan_obstacle_is_a_numerical_breakdown(self):
         tree = recomb_tree(4)
