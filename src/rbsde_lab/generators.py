@@ -467,10 +467,6 @@ class GeneratorSpec:
     def constant(cls, value: float, **kwargs) -> GeneratorSpec:
         return cls(Const(float(value)), 0.0, **kwargs)
 
-    @classmethod
-    def from_prefix(cls, text: str, lipschitz: float, claims: DriverClaims | None = None) -> GeneratorSpec:
-        return cls(parse_prefix(text), lipschitz, claims or DriverClaims())
-
     def to_prefix(self) -> str:
         return self.expr.to_prefix()
 
@@ -496,7 +492,10 @@ def restrict_generator(generator: GeneratorSpec, rule: StoppingRule) -> Generato
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Sampling grid for driver checks: times on [0, t_max], box in (y, z)."""
+    """Sampling grid for driver checks: times on [0, t_max], box in (y, z).
+
+    Every sampled driver check reads ``g`` through :meth:`values`.
+    """
 
     t_max: float
     t_count: int = 21
@@ -515,6 +514,21 @@ class SampleSpec:
 
     def z_points(self) -> np.ndarray:
         return np.linspace(self.z_low, self.z_high, self.z_count)
+
+    def _box(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.meshgrid(self.y_points(), self.z_points(), indexing="ij")
+
+    def values(self, generator: GeneratorSpec) -> np.ndarray:
+        """``g`` on the sample box as a ``(t_count, y_count, z_count)`` array.
+
+        Each time is evaluated on its own, so a time-piecewise driver picks
+        its piece per time.
+        """
+        yy, zz = self._box()
+        out = np.empty((self.t_count, *yy.shape))
+        for row, t in zip(out, self.t_points()):
+            row[...] = generator.evaluate(float(t), yy, zz)
+        return out
 
 
 @dataclass(frozen=True)
@@ -558,33 +572,20 @@ def check_assumptions(generator: GeneratorSpec, sample: SampleSpec) -> Assumptio
     jump of ``t -> g`` across adjacent sample times.  A bound counts as
     exceeded beyond 1e-9.
     """
-    ts = sample.t_points()
-    ys, zs = np.meshgrid(sample.y_points(), sample.z_points(), indexing="ij")
-    ys, zs = ys.ravel(), zs.ravel()
+    zero_z = replace(sample, z_low=0.0, z_high=0.0, z_count=1)
+    origin = replace(zero_z, y_low=0.0, y_high=0.0, y_count=1)
+    values = sample.values(generator)
 
-    quot_max = 0.0
-    zero_z_max = 0.0
-    origin_max = 0.0
-    dy = np.abs(ys[:, None] - ys[None, :])
-    dz = np.abs(zs[:, None] - zs[None, :])
-    den = dy + dz
+    ys, zs = (axis.ravel() for axis in sample._box())
+    den = np.abs(ys[:, None] - ys[None, :]) + np.abs(zs[:, None] - zs[None, :])
     off_diag = den > 0.0
-    values_by_t = []
-    for t in ts:
-        g = np.broadcast_to(np.asarray(generator.evaluate(float(t), ys, zs), dtype=float), ys.shape)
-        values_by_t.append(g)
+    quot_max = 0.0
+    for g in values.reshape(sample.t_count, sample.y_count * sample.z_count):
         num = np.abs(g[:, None] - g[None, :])
         quot_max = max(quot_max, float(np.max(num[off_diag] / den[off_diag])))
-        g_zero = np.broadcast_to(
-            np.asarray(generator.evaluate(float(t), sample.y_points(), 0.0), dtype=float),
-            (sample.y_count,),
-        )
-        zero_z_max = max(zero_z_max, float(np.max(np.abs(g_zero))))
-        origin_max = max(origin_max, abs(float(np.asarray(generator.evaluate(float(t), 0.0, 0.0)))))
-
-    jump_max = 0.0
-    for g_prev, g_next in zip(values_by_t, values_by_t[1:]):
-        jump_max = max(jump_max, float(np.max(np.abs(g_next - g_prev))))
+    zero_z_max = float(np.max(np.abs(zero_z.values(generator)), initial=0.0))
+    origin_max = float(np.max(np.abs(origin.values(generator)), initial=0.0))
+    jump_max = float(np.max(np.abs(np.diff(values, axis=0)), initial=0.0))
 
     thr = AssumptionReport._THRESHOLD
     return AssumptionReport(

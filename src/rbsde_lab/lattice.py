@@ -479,7 +479,9 @@ def _held_after(levels: Sequence[np.ndarray], rule: StoppingRule) -> list[np.nda
 
     Levels up to the rule's first stopping level pass through as given;
     from there on, nodes whose path stopped before the level take the
-    value their parent carries (:meth:`ScenarioTree.carry`).
+    value their parent carries (:meth:`ScenarioTree.carry`).  Every level
+    returned is read-only, so :func:`_frozen_levels` adopts the ones built
+    here without a copy.
     """
     tree = rule.tree
     stopped = rule.stopped_by_level
@@ -492,6 +494,8 @@ def _held_after(levels: Sequence[np.ndarray], rule: StoppingRule) -> list[np.nda
             )
         already = tree.carry(stopped[i - 1])
         out[i] = carried if already.all() else np.where(already, carried, levels[i])
+    for level in out:
+        level.flags.writeable = False
     return out
 
 

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bsde import TerminalCondition, g_expectation, solve_bsde
+from .bsde import DEFAULT_CONTACT_TOL, TerminalCondition, g_expectation, solve_bsde
 from .generators import (
     Abs,
     Add,
@@ -53,6 +53,7 @@ from .rbsde import (
     solve_rbsde,
 )
 from .theorems import (
+    EXACT_TOL,
     ClosedFormCase,
     RbsdeProblem,
     build_dominating_obstacle,
@@ -67,9 +68,8 @@ from .theorems import (
     local_strict_witness,
     masked_driver,
     masked_driver_probe,
+    _max_level_gap,
 )
-
-CONTACT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ def _case_errors(case: ClosedFormCase, steps: int) -> tuple[dict, float]:
     k_closed = form.push(times)
     y_num, k_num = trace.y, trace.push()
     barrier = np.array([problem.obstacle.process.level(i)[0] for i in range(steps + 1)])
-    contact_levels = np.nonzero(y_num - barrier <= CONTACT_TOL)[0]
+    contact_levels = np.nonzero(y_num - barrier <= DEFAULT_CONTACT_TOL)[0]
     detected = tree.grid.time(int(contact_levels.max()))
     return {
         "y_error": float(np.max(np.abs(y_num - y_closed))),
@@ -501,10 +501,7 @@ def _restriction_instance(seed: int, index: int) -> tuple[float, float]:
     xi_rule = TerminalCondition.at_rule(tree, rule, raw)
     direct = solve_bsde(tree, generator, xi_rule)
     gated = solve_bsde(tree, restrict_generator(generator, rule), xi_rule.as_full_horizon())
-    bsde_gap = max(
-        float(np.max(np.abs(direct.y.level(i) - gated.y.level(i))))
-        for i in range(tree.steps + 1)
-    )
+    bsde_gap = max(_max_level_gap(direct.y, gated.y), _max_level_gap(gated.y, direct.y))
 
     # reflected variant with the obstacle frozen at the rule
     obstacle = _random_obstacle(rng, tree)
@@ -518,10 +515,7 @@ def _restriction_instance(seed: int, index: int) -> tuple[float, float]:
     gated_r = solve_rbsde(
         tree, restrict_generator(generator, rule), xi_refl.as_full_horizon(), frozen
     )
-    rbsde_gap = max(
-        float(np.max(np.abs(direct_r.y.level(i) - gated_r.y.level(i))))
-        for i in range(tree.steps + 1)
-    )
+    rbsde_gap = max(_max_level_gap(direct_r.y, gated_r.y), _max_level_gap(gated_r.y, direct_r.y))
     return bsde_gap, rbsde_gap
 
 
@@ -702,15 +696,15 @@ def masked_driver_suite(seed: int = 29, instances: int = 20) -> list[CheckResult
             name="masked-drivers/values-agree-everywhere",
             passed=report.values_agree,
             max_violation=report.max_value_gap,
-            tolerance=report.tolerance,
+            tolerance=EXACT_TOL,
             details={"instances": instances},
         ),
         CheckResult(
             name="masked-drivers/disagreement-below-cut-certified",
             passed=report.drivers_disagree_below
-            and report.equal_above_threshold_gap <= report.tolerance,
+            and report.equal_above_threshold_gap <= EXACT_TOL,
             max_violation=report.equal_above_threshold_gap,
-            tolerance=report.tolerance,
+            tolerance=EXACT_TOL,
             details={"sites": len(report.disagreement_sites)},
         ),
     ]

@@ -12,7 +12,7 @@ solution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -36,6 +36,7 @@ from .generators import (
     Min,
     NegPart,
     PiecewiseTime,
+    SampleSpec,
     Scale,
     TimeVar,
     YVar,
@@ -50,8 +51,9 @@ from .lattice import (
 )
 from .rbsde import ObstacleSpec, RbsdeSolution, reflected_value, solve_rbsde
 
-COMPARISON_TOL = 1e-10
-EQUALITY_TOL = 1e-9
+COMPARISON_TOL = 1e-10  # solution orderings: values, pushes, conditional values, drivers
+EQUALITY_TOL = 1e-9  # two solutions count as equal at a node (strict witness)
+EXACT_TOL = 1e-12  # orderings that hold exactly on the lattice, up to rounding
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,15 +80,14 @@ class OrderingCertificate:
     obstacle_gap: float
     driver_gap_on_solutions: float
     driver_gap_on_grid: float
-    tolerance: float = 1e-12
 
     @property
     def established(self) -> bool:
         return (
-            self.terminal_gap <= self.tolerance
-            and self.obstacle_gap <= self.tolerance
-            and self.driver_gap_on_solutions <= self.tolerance
-            and self.driver_gap_on_grid <= self.tolerance
+            self.terminal_gap <= EXACT_TOL
+            and self.obstacle_gap <= EXACT_TOL
+            and self.driver_gap_on_solutions <= EXACT_TOL
+            and self.driver_gap_on_grid <= EXACT_TOL
         )
 
 
@@ -96,33 +97,22 @@ class ComparisonReport:
     max_value_violation: float
     max_push_violation: float | None
     push_difference_monotone: bool | None
-    tolerance: float
     vacuous: bool
 
     @property
     def passed(self) -> bool:
         if self.vacuous:
             return False
-        ok = self.max_value_violation <= self.tolerance
+        ok = self.max_value_violation <= COMPARISON_TOL
         if self.max_push_violation is not None:
-            ok = ok and self.max_push_violation <= self.tolerance
+            ok = ok and self.max_push_violation <= COMPARISON_TOL
             ok = ok and bool(self.push_difference_monotone)
         return ok
 
 
-def _driver_gap_on_grid(
-    g_low: GeneratorSpec, g_high: GeneratorSpec, tree: ScenarioTree, points: int = 11
-) -> float:
-    ts = np.linspace(0.0, tree.grid.horizon, points)
-    ys = np.linspace(-5.0, 5.0, points)
-    zs = np.linspace(-5.0, 5.0, points)
-    yy, zz = np.meshgrid(ys, zs, indexing="ij")
-    worst = 0.0
-    for t in ts:
-        low = np.asarray(g_low.evaluate(float(t), yy, zz), dtype=float)
-        high = np.asarray(g_high.evaluate(float(t), yy, zz), dtype=float)
-        worst = max(worst, float(np.max(low - high)))
-    return worst
+def _max_level_gap(a: AdaptedProcess, b: AdaptedProcess) -> float:
+    """Largest ``a - b`` over every node of every level."""
+    return max(float(np.max(a.level(i) - b.level(i))) for i in range(a.tree.steps + 1))
 
 
 def _driver_gap_on_solution(
@@ -140,16 +130,14 @@ def _driver_gap_on_solution(
     return worst
 
 
-def check_comparison(
-    low: RbsdeProblem, high: RbsdeProblem, *, tolerance: float = COMPARISON_TOL
-) -> ComparisonReport:
+def check_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonReport:
     """Solve both problems and measure the ordering of their values.
 
     The input orderings (terminal, driver, obstacle) are certified by
     sampling; when any of them fails the report is produced anyway but
     marked vacuous.
     """
-    return _compare_values(low, high, *_solve_pair(low, high), tolerance)
+    return _compare_values(low, high, *_solve_pair(low, high))
 
 
 def _solve_pair(low: RbsdeProblem, high: RbsdeProblem) -> tuple[RbsdeSolution, RbsdeSolution]:
@@ -166,23 +154,20 @@ def _compare_values(
     high: RbsdeProblem,
     sol_low: RbsdeSolution,
     sol_high: RbsdeSolution,
-    tolerance: float,
 ) -> ComparisonReport:
     """Certify the input orderings and measure the value ordering of two solutions."""
     # The leaf extension is constant along post-stop paths, so ordering at
     # the last level is ordering of the terminal data themselves.
     last = low.tree.steps
     xi_gap = float(np.max(low.terminal.extended[last] - high.terminal.extended[last]))
-    s_gap = max(
-        float(np.max(low.obstacle.process.level(i) - high.obstacle.process.level(i)))
-        for i in range(low.tree.steps + 1)
-    )
+    s_gap = _max_level_gap(low.obstacle.process, high.obstacle.process)
     g_sol_gap = max(
         _driver_gap_on_solution(low.generator, high.generator, sol_low),
         _driver_gap_on_solution(low.generator, high.generator, sol_high),
     )
+    sample = SampleSpec(low.tree.grid.horizon, t_count=11, y_count=11, z_count=11)
     try:
-        g_grid_gap = _driver_gap_on_grid(low.generator, high.generator, low.tree)
+        g_grid_gap = float(np.max(sample.values(low.generator) - sample.values(high.generator)))
     except ExpressionError:
         g_grid_gap = g_sol_gap  # rule-gated drivers cannot be grid-sampled
     certificate = OrderingCertificate(
@@ -192,23 +177,16 @@ def _compare_values(
         driver_gap_on_grid=max(g_grid_gap, 0.0),
     )
 
-    violation = max(
-        float(np.max(sol_low.y.level(i) - sol_high.y.level(i)))
-        for i in range(low.tree.steps + 1)
-    )
     return ComparisonReport(
         certificate=certificate,
-        max_value_violation=max(violation, 0.0),
+        max_value_violation=max(_max_level_gap(sol_low.y, sol_high.y), 0.0),
         max_push_violation=None,
         push_difference_monotone=None,
-        tolerance=tolerance,
         vacuous=not certificate.established,
     )
 
 
-def check_k_comparison(
-    low: RbsdeProblem, high: RbsdeProblem, *, tolerance: float = COMPARISON_TOL
-) -> ComparisonReport:
+def check_k_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonReport:
     """Comparison of reflection pushes for a shared obstacle.
 
     Under ordered terminals and drivers the lower data pushes harder:
@@ -223,23 +201,15 @@ def check_k_comparison(
     if not same_obstacle:
         raise TreeMismatch("push comparison needs a common obstacle")
     sol_low, sol_high = _solve_pair(low, high)
-    base = _compare_values(low, high, sol_low, sol_high, tolerance)
+    base = _compare_values(low, high, sol_low, sol_high)
     if sol_low.k is None or sol_high.k is None:
         raise UnsupportedTreeMode("cumulative pushes are not representable on this tree")
-    push_violation = max(
-        float(np.max(sol_high.k.level(i) - sol_low.k.level(i)))
-        for i in range(low.tree.steps + 1)
-    )
-    increment_drop = max(
-        float(np.max(sol_high.k_increments.level(i) - sol_low.k_increments.level(i)))
-        for i in range(low.tree.steps + 1)
-    )
+    increment_drop = _max_level_gap(sol_high.k_increments, sol_low.k_increments)
     return ComparisonReport(
         certificate=base.certificate,
         max_value_violation=base.max_value_violation,
-        max_push_violation=max(push_violation, 0.0),
-        push_difference_monotone=increment_drop <= tolerance,
-        tolerance=tolerance,
+        max_push_violation=max(_max_level_gap(sol_high.k, sol_low.k), 0.0),
+        push_difference_monotone=increment_drop <= COMPARISON_TOL,
         vacuous=base.vacuous,
     )
 
@@ -265,9 +235,7 @@ class StrictWitness:
     stop_levels: np.ndarray
 
 
-def local_strict_witness(
-    low: RbsdeProblem, high: RbsdeProblem, *, tol: float = EQUALITY_TOL
-) -> StrictWitness:
+def local_strict_witness(low: RbsdeProblem, high: RbsdeProblem) -> StrictWitness:
     """Build the separating rule from the iterated equality search.
 
     Starting from zero, each iterate jumps half of the remaining time
@@ -292,7 +260,7 @@ def local_strict_witness(
     xi_high = high.terminal.extended[n]
     if bool(np.any(xi_low > xi_high + 1e-12)):
         raise ValueError("terminal values are not ordered")
-    if not bool(np.any(xi_high - xi_low > tol)):
+    if not bool(np.any(xi_high - xi_low > EQUALITY_TOL)):
         raise NoStrictGap("terminal values agree everywhere; no strict gap to separate")
 
     sol_low = solve_rbsde(tree, low.generator, low.terminal, low.obstacle)
@@ -301,7 +269,7 @@ def local_strict_witness(
     # per-leaf equality table, leaves x levels
     equal = np.empty((1 << n, n + 1), dtype=bool)
     for i in range(n + 1):
-        equal[:, i] = np.repeat(gap_levels[i] <= tol, 1 << (n - i))
+        equal[:, i] = np.repeat(gap_levels[i] <= EQUALITY_TOL, 1 << (n - i))
 
     traces: list[tuple[int, ...]] = []
     for leaf in range(1 << n):
@@ -339,7 +307,7 @@ def local_strict_witness(
     if not np.array_equal(rule.leaf_stop_levels, stop_levels):
         raise WitnessConstructionFailed("separating rule is not first-hit consistent")
 
-    strict = [gap > tol for gap in gap_levels]
+    strict = [gap > EQUALITY_TOL for gap in gap_levels]
     probability = event_probability(rule, strict)
     if probability <= 0.0:
         raise WitnessConstructionFailed("separation event has zero probability")
@@ -557,8 +525,6 @@ def incomparable_driver_probe(
     tree: ScenarioTree,
     terminal: TerminalCondition,
     obstacle: ObstacleSpec,
-    *,
-    tolerance: float = 1e-12,
 ) -> IncomparableDriverReport:
     """Reflected values stay ordered for the ramp/plateau driver pair even
     though neither driver dominates the other pointwise.
@@ -572,20 +538,19 @@ def incomparable_driver_probe(
     root_low = reflected_value(tree, g_low, terminal, obstacle)
     root_high = reflected_value(tree, g_high, terminal, obstacle)
 
-    horizon = tree.grid.horizon
+    origin = SampleSpec(tree.grid.horizon, 41, 0.0, 0.0, 1, 0.0, 0.0, 1)  # 41 times at y = z = 0
+    lows, highs = origin.values(g_low).ravel().tolist(), origin.values(g_high).ravel().tolist()
     sites_low: list[DriverOrderingSite] = []
     sites_high: list[DriverOrderingSite] = []
-    for t in np.linspace(0.0, horizon, 41):
-        lo = float(np.asarray(g_low.evaluate(float(t), 0.0, 0.0)))
-        hi = float(np.asarray(g_high.evaluate(float(t), 0.0, 0.0)))
-        if lo > hi + tolerance:
-            sites_low.append(DriverOrderingSite(float(t), 0.0, 0.0, lo - hi))
-        elif hi > lo + tolerance:
-            sites_high.append(DriverOrderingSite(float(t), 0.0, 0.0, hi - lo))
+    for t, lo, hi in zip(origin.t_points().tolist(), lows, highs):
+        if lo > hi + EXACT_TOL:
+            sites_low.append(DriverOrderingSite(t, 0.0, 0.0, lo - hi))
+        elif hi > lo + EXACT_TOL:
+            sites_high.append(DriverOrderingSite(t, 0.0, 0.0, hi - lo))
     return IncomparableDriverReport(
         root_low=root_low,
         root_high=root_high,
-        ordering_holds=root_low <= root_high + tolerance,
+        ordering_holds=root_low <= root_high + EXACT_TOL,
         sites_low_above_high=tuple(sites_low),
         sites_high_above_low=tuple(sites_high),
     )
@@ -612,11 +577,10 @@ class MaskedDriverReport:
     max_value_gap: float
     equal_above_threshold_gap: float
     disagreement_sites: tuple[DriverOrderingSite, ...]
-    tolerance: float
 
     @property
     def values_agree(self) -> bool:
-        return self.max_value_gap <= self.tolerance
+        return self.max_value_gap <= EXACT_TOL
 
     @property
     def drivers_disagree_below(self) -> bool:
@@ -630,8 +594,6 @@ def masked_driver_probe(
     slope_high_cut: float,
     cut_high: float,
     terminal_family: Sequence[TerminalCondition],
-    *,
-    tolerance: float = 1e-12,
 ) -> MaskedDriverReport:
     """With the obstacle pinned at the higher cut, both masked drivers
     vanish along their solutions, so every reflected solution pair agrees at
@@ -649,33 +611,26 @@ def masked_driver_probe(
     for terminal in terminal_family:
         sol_a = solve_rbsde(tree, g_low_cut, terminal, obstacle)
         sol_b = solve_rbsde(tree, g_high_cut, terminal, obstacle)
-        for i in range(tree.steps + 1):
-            worst = max(worst, float(np.max(np.abs(sol_a.y.level(i) - sol_b.y.level(i)))))
+        worst = max(worst, _max_level_gap(sol_a.y, sol_b.y), _max_level_gap(sol_b.y, sol_a.y))
 
-    above_gap = 0.0
-    sites: list[DriverOrderingSite] = []
-    ts = np.linspace(0.0, tree.grid.horizon, 5)
-    ys = np.linspace(cut_high, cut_high + 4.0, 9)
-    ys_below = np.linspace(cut_high - 3.0, cut_high - 1e-3, 9)
-    zs = np.linspace(-3.0, 3.0, 9)
-    for t in ts:
-        for z in zs:
-            a = np.asarray(g_low_cut.evaluate(float(t), ys, float(z)), dtype=float)
-            b = np.asarray(g_high_cut.evaluate(float(t), ys, float(z)), dtype=float)
-            above_gap = max(above_gap, float(np.max(np.abs(a - b))))
-            a_b = np.asarray(g_low_cut.evaluate(float(t), ys_below, float(z)), dtype=float)
-            b_b = np.asarray(g_high_cut.evaluate(float(t), ys_below, float(z)), dtype=float)
-            diff = np.abs(a_b - b_b)
-            idx = int(np.argmax(diff))
-            if diff[idx] > tolerance:
-                sites.append(
-                    DriverOrderingSite(float(t), float(ys_below[idx]), float(z), float(diff[idx]))
-                )
+    def driver_gap(sample: SampleSpec) -> np.ndarray:
+        return np.abs(sample.values(g_low_cut) - sample.values(g_high_cut))
+
+    above = SampleSpec(tree.grid.horizon, 5, cut_high, cut_high + 4.0, 9, -3.0, 3.0, 9)
+    below = replace(above, y_low=cut_high - 3.0, y_high=cut_high - 1e-3)
+    # per (t, z), the value below the cut where the drivers differ most
+    below_gap = driver_gap(below)
+    worst_y = np.argmax(below_gap, axis=1)
+    ts, ys, zs = below.t_points(), below.y_points(), below.z_points()
+    sites = [
+        DriverOrderingSite(float(ts[i]), float(ys[worst_y[i, k]]), float(zs[k]), float(gap))
+        for (i, k), gap in np.ndenumerate(np.max(below_gap, axis=1))
+        if gap > EXACT_TOL
+    ]
     return MaskedDriverReport(
         max_value_gap=worst,
-        equal_above_threshold_gap=above_gap,
+        equal_above_threshold_gap=float(np.max(driver_gap(above))),
         disagreement_sites=tuple(sites),
-        tolerance=tolerance,
     )
 
 
@@ -684,15 +639,11 @@ def masked_driver_probe(
 
 @dataclass(frozen=True, eq=False)
 class ProbeFamily:
-    """Stopping rules, terminal builders, and the sampling region."""
+    """Stopping rules, terminal builders, and the driver sample box."""
 
     rules: tuple[StoppingRule, ...]
     terminal_builders: tuple[Callable[[StoppingRule], TerminalCondition], ...]
-    y_low: float
-    y_high: float
-    z_low: float = -5.0
-    z_high: float = 5.0
-    samples: int = 11
+    sample: SampleSpec
 
     @classmethod
     def default(cls, tree: ScenarioTree, bound: float) -> ProbeFamily:
@@ -724,12 +675,10 @@ class ProbeFamily:
                 tree, rule, lambda i, b: bound + np.maximum(-b, 0.0)
             )
         )
-        return cls(
-            rules=rules,
-            terminal_builders=tuple(builders),
-            y_low=bound,
-            y_high=bound + 5.0,
+        sample = SampleSpec(
+            tree.grid.horizon, t_count=11, y_low=bound, y_high=bound + 5.0, y_count=11, z_count=11
         )
+        return cls(rules=rules, terminal_builders=tuple(builders), sample=sample)
 
 
 @dataclass(frozen=True)
@@ -757,8 +706,6 @@ def converse_probe(
     g_lower: GeneratorSpec,
     obstacle: ObstacleSpec,
     family: ProbeFamily | None = None,
-    *,
-    tolerance: float = COMPARISON_TOL,
 ) -> ConverseProbeReport:
     """Check that ordered conditional reflected values imply ordered drivers.
 
@@ -788,34 +735,24 @@ def converse_probe(
             for key, hi in upper.items():
                 value_violation = max(value_violation, lower[key] - hi)
 
-    y_free = g_upper.is_y_free and g_lower.is_y_free
-    ys = (
-        np.linspace(-5.0, 5.0, family.samples)
-        if y_free
-        else np.linspace(family.y_low, family.y_high, family.samples)
-    )
-    zs = np.linspace(family.z_low, family.z_high, family.samples)
-    ts = np.linspace(0.0, tree.grid.horizon, family.samples)
-    yy, zz = np.meshgrid(ys, zs, indexing="ij")
+    sample = family.sample
+    if g_upper.is_y_free and g_lower.is_y_free:
+        sample = replace(sample, y_low=-5.0, y_high=5.0)
+    gaps = sample.values(g_lower) - sample.values(g_upper)
+    ys, zs = sample.y_points(), sample.z_points()
+    # a site per sample time that raises the running largest gap
     driver_gap = 0.0
     sites: list[DriverOrderingSite] = []
-    for t in ts:
-        hi = np.asarray(g_upper.evaluate(float(t), yy, zz), dtype=float)
-        lo = np.asarray(g_lower.evaluate(float(t), yy, zz), dtype=float)
-        gap = np.broadcast_to(lo - hi, yy.shape)
-        idx = np.unravel_index(int(np.argmax(gap)), yy.shape)
-        if float(gap[idx]) > driver_gap:
-            driver_gap = float(gap[idx])
-            if driver_gap > tolerance:
-                sites.append(
-                    DriverOrderingSite(
-                        float(t), float(yy[idx]), float(zz[idx]), driver_gap
-                    )
-                )
+    for t, gap in zip(sample.t_points(), gaps):
+        j, k = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        if float(gap[j, k]) > driver_gap:
+            driver_gap = float(gap[j, k])
+            if driver_gap > COMPARISON_TOL:
+                sites.append(DriverOrderingSite(float(t), float(ys[j]), float(zs[k]), driver_gap))
 
     allowance = 10.0 * tree.grid.dt * max(g_upper.lipschitz, g_lower.lipschitz)
-    a_holds = value_violation <= tolerance
-    b_holds = driver_gap <= tolerance
+    a_holds = value_violation <= COMPARISON_TOL
+    b_holds = driver_gap <= COMPARISON_TOL
     return ConverseProbeReport(
         value_ordering_holds=a_holds,
         max_value_violation=value_violation,

@@ -178,6 +178,24 @@ class TestExtension:
             "308fb27b7959f7f8182c447703bb3738436ca5d66c062fdd1856608146047568"
         )
 
+    @pytest.mark.parametrize("mode", list(TreeMode))
+    def test_extended_levels_are_read_only(self, mode):
+        # the sweep reads the terminal through these levels, so a write into
+        # one would change every later solve of the same data
+        tree = build_tree(TimeGrid(1.0, 3), mode)
+        leaves = TerminalCondition.from_leaf_values(tree, np.arange(float(tree.level_size(3))))
+        cases = [leaves, TerminalCondition.constant(tree, 0.5, rule=StoppingRule.at_level(tree, 2))]
+        if mode is TreeMode.FULL_BINARY:
+            rule = StoppingRule(tree, [tree.brownian_level(i) >= 0.5 for i in range(4)])
+            cases.append(TerminalCondition.at_rule(tree, rule, lambda i, b: b + i))
+        root = g_expectation(tree, GeneratorSpec.constant(0.0), leaves)
+        for xi in cases:
+            for level in xi.extended:
+                assert not level.flags.writeable
+                with pytest.raises(ValueError):
+                    level[:] = 100.0
+        assert g_expectation(tree, GeneratorSpec.constant(0.0), leaves) == root
+
     def test_recombining_level_varying_stop_values_are_refused(self):
         tree = build_tree(TimeGrid(1.0, 4), TreeMode.RECOMBINING)
         xi = TerminalCondition.at_rule(tree, StoppingRule.at_level(tree, 2), lambda i, b: b)
@@ -441,6 +459,12 @@ class TestOneBackwardKernel:
             or (isinstance(node, ast.alias) and node.name == "TreeMode")
         )
         assert not {user for user in layout if user.split(".")[0] == "bsde"}
+
+    def test_driver_sampling_is_decided_in_generators(self):
+        # a sampled driver check reads its (t, y, z) box through
+        # generators.SampleSpec.values instead of building a grid itself
+        grids = _users(lambda node: isinstance(node, ast.Attribute) and node.attr == "meshgrid")
+        assert grids and {user.split(".")[0] for user in grids} == {"generators"}
 
     def test_level_step_reduces_with_ufunc_methods(self):
         # np.max and friends add a Python wrapper per call; the level step

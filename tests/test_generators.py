@@ -260,6 +260,18 @@ class TestCheckAssumptions:
     def sample(self):
         return SampleSpec(t_max=1.0, t_count=7, y_count=9, z_count=9)
 
+    def test_values_evaluate_each_time_on_the_box(self):
+        sample = SampleSpec(t_max=1.0, t_count=5, y_low=-1.0, y_high=2.0, y_count=4, z_count=3)
+        g = GeneratorSpec(PiecewiseTime((Add((YVar(), ZVar())), TimeVar()), (0.5,)), 1.0)
+        values = sample.values(g)
+        assert values.shape == (5, 4, 3)
+        for i, t in enumerate(sample.t_points()):
+            for j, y in enumerate(sample.y_points()):
+                for k, z in enumerate(sample.z_points()):
+                    assert values[i, j, k] == float(np.asarray(g.evaluate(float(t), y, z)))
+        # the piece is chosen per time: y + z before 0.5, t from there on
+        assert np.all(values[3] == 0.75) and np.ptp(values[1]) > 0.0
+
     def test_constant_driver_violates_zero_coefficient_claim(self):
         g = GeneratorSpec.constant(
             1 / 3, claims=DriverClaims(constant_preserving=True)

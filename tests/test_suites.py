@@ -99,8 +99,10 @@ class TestRootOnlyChecks:
         assert suites._dominating_profile(tree, xi, 1.0).tobytes() == expected.tobytes()
 
 
-# SHA-256 of report.json as ``verify`` writes it, with the suites' step
-# counts cut down; taken before their checks became root-only sweeps.
+# SHA-256 of report.json as ``verify`` writes it, with the suites' step or
+# instance counts cut down; the first four were taken before their checks
+# became root-only sweeps, the last four before the ordering checks read
+# their driver samples through SampleSpec.values.
 PINNED_REPORTS = {
     "counterexamples": (
         {"steps": 200},
@@ -117,6 +119,22 @@ PINNED_REPORTS = {
     "incomparable-drivers": (
         {"steps": 100},
         "146fd55afa015c8a8619f3b6ff2153529bc6aaa8642ba59c8ee30decdc98ff76",
+    ),
+    "comparison": (
+        {"instances": 20},
+        "066624219329a273bed52c9853d660600e4485eb42cfdddb7b1beab4975ccbe1",
+    ),
+    "push-comparison": (
+        {"instances": 10},
+        "1c5b444107478d46debc3c55e3339074e15932e25bd5b1af83d24e87fcfbd3ae",
+    ),
+    "masked-drivers": (
+        {"instances": 5},
+        "638c3742068ca33f6e8b3a2271aed1ff0e606cbcf2aaa7ee9be3c7fbfa1f1534",
+    ),
+    "converse": (
+        {},
+        "db808b585b5638581814c539b03a15159766e7f10c92c0784f0a21e0a88bddc6",
     ),
 }
 
