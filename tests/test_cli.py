@@ -391,39 +391,55 @@ class TestRecoverCommand:
         assert main(["recover", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
 
 
+# Configs whose canonical text is checked for idempotence and pinned.
+ROUND_TRIP_PAYLOADS = [
+    COUNTEREXAMPLE_CONFIG,
+    {
+        "tree": {"horizon": 2.0, "steps": 8, "mode": "full-binary"},
+        "generator": {
+            "expr": "(min (* 2.0 (npart (+ y -1.0))) (abs z))",
+            "lipschitz": 2.0,
+        },
+        "terminal": {"kind": "state", "expr": "(abs b)"},
+        "obstacle": {"kind": "state", "expr": "(+ (npart b) -3.0)", "bound": 5.0},
+        "seed": 42,
+    },
+    {
+        "market": {
+            "spot": 100.0,
+            "drift": 0.08,
+            "volatility": 0.2,
+            "rate": 0.02,
+            "kind": "put",
+            "strikes": [90.0, 100.0],
+        },
+        "suite": {"name": "comparison", "instances": 10},
+        "seed": 7,
+    },
+]
+
+
 class TestConfigRoundTrip:
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            COUNTEREXAMPLE_CONFIG,
-            {
-                "tree": {"horizon": 2.0, "steps": 8, "mode": "full-binary"},
-                "generator": {
-                    "expr": "(min (* 2.0 (npart (+ y -1.0))) (abs z))",
-                    "lipschitz": 2.0,
-                },
-                "terminal": {"kind": "state", "expr": "(abs b)"},
-                "obstacle": {"kind": "state", "expr": "(+ (npart b) -3.0)", "bound": 5.0},
-                "seed": 42,
-            },
-            {
-                "market": {
-                    "spot": 100.0,
-                    "drift": 0.08,
-                    "volatility": 0.2,
-                    "rate": 0.02,
-                    "kind": "put",
-                    "strikes": [90.0, 100.0],
-                },
-                "suite": {"name": "comparison", "instances": 10},
-                "seed": 7,
-            },
-        ],
-    )
+    @pytest.mark.parametrize("payload", ROUND_TRIP_PAYLOADS)
     def test_emit_parse_is_idempotent(self, payload):
         first = RunConfig.parse(json.dumps(payload)).to_canonical()
         second = RunConfig.parse(first).to_canonical()
         assert first == second
+
+    @pytest.mark.parametrize(
+        "payload, digest",
+        zip(
+            ROUND_TRIP_PAYLOADS,
+            [
+                "6e10ac17a8a5a812ff2a2bfd52ab6f1c3cd092cfa0f20ebc86ac45634e753dcd",
+                "2cf728f41ea7cd4a8f41fcfeb88cbda67fd269d1ae5b3edfb56e8e522a2e2faf",
+                "a4af694d7bb8f003ce9dc102da533a3245083c6629a2e13d5347887b7df0dfdb",
+            ],
+        ),
+    )
+    def test_canonical_digest_is_pinned(self, payload, digest):
+        text = RunConfig.parse(json.dumps(payload)).to_canonical()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(Exception):

@@ -101,8 +101,9 @@ class TestRootOnlyChecks:
 
 # SHA-256 of report.json as ``verify`` writes it, with the suites' step or
 # instance counts cut down; the first four were taken before their checks
-# became root-only sweeps, the last four before the ordering checks read
-# their driver samples through SampleSpec.values.
+# became root-only sweeps, the next four before the ordering checks read
+# their driver samples through SampleSpec.values, the last four before the
+# CLI config blocks were read through one field table.
 PINNED_REPORTS = {
     "counterexamples": (
         {"steps": 200},
@@ -135,6 +136,22 @@ PINNED_REPORTS = {
     "converse": (
         {},
         "db808b585b5638581814c539b03a15159766e7f10c92c0784f0a21e0a88bddc6",
+    ),
+    "witness": (
+        {"instances": 10},
+        "a2c5103506f155964800783bd563b8bce6583097278c6937d2b480db378b1dd5",
+    ),
+    "restriction-identity": (
+        {"instances": 5},
+        "049b5eb95b8c8fc5a4183388ea113a7e5b1c9b1ab779cae8a883843006945f00",
+    ),
+    "oracle-equivalence": (
+        {"instances": 5},
+        "867057599ae371dffca34bf47f6547df932fc7b6fab2d06035907eeaa8b2f9ae",
+    ),
+    "pricing": (
+        {},
+        "d73876e9ce726217d6309c30bdeebbb917bc4f2d8aa896697daefe8249e94f58",
     ),
 }
 
