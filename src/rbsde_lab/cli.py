@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from enum import Enum
 from itertools import repeat
 from pathlib import Path
 
@@ -26,8 +27,6 @@ from .lattice import AdaptedProcess, ScenarioTree, TimeGrid, TreeMode, build_tre
 from .market import MarketModel, PayoffKind, quote_strike_family, recover_theta
 from .rbsde import ObstacleSpec, solve_rbsde
 from .suites import SUITES, run_suite, suite_takes
-
-_STATE_VARS = frozenset({"t", "b"})
 
 
 def _fmt(x: float) -> str:
@@ -61,232 +60,135 @@ def _reject_unknown(raw: dict, where: str, *fields: str) -> None:
         raise ConfigError(f"unknown fields {sorted(unknown)} in {where}")
 
 
-@dataclass(frozen=True)
-class TreeConfig:
-    horizon: float
-    steps: int
-    mode: str
+def _one_of(names) -> str:
+    quoted = [repr(name) for name in names]
+    return " or ".join(quoted) if len(quoted) < 3 else ", ".join(quoted[:-1]) + ", or " + quoted[-1]
 
-    @classmethod
-    def parse(cls, raw: dict) -> "TreeConfig":
-        _reject_unknown(raw, "tree", "horizon", "steps", "mode")
-        horizon = _require(raw, "horizon", float, "tree")
-        steps = _require(raw, "steps", int, "tree")
-        mode = _require(raw, "mode", str, "tree")
-        if mode not in {m.value for m in TreeMode}:
-            raise ConfigError(f"tree mode must be one of {[m.value for m in TreeMode]}")
-        if steps < 1 or horizon <= 0.0:
-            raise ConfigError("tree needs steps >= 1 and horizon > 0")
-        return cls(horizon, steps, mode)
 
-    def build(self) -> ScenarioTree:
-        return build_tree(TimeGrid(self.horizon, self.steps), TreeMode(self.mode))
+def _is_strike(value) -> bool:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and math.isfinite(value) and value >= 0
 
-    def to_dict(self) -> dict:
-        return {"horizon": self.horizon, "steps": self.steps, "mode": self.mode}
+
+def _check_seed(seed) -> int:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
+    return seed
 
 
 @dataclass(frozen=True)
-class GeneratorConfig:
-    expr: str
-    lipschitz: float
+class _Optional:
+    """A field that may be absent; it then reads as ``default``, and None leaves it out."""
 
-    @classmethod
-    def parse(cls, raw: dict) -> "GeneratorConfig":
-        _reject_unknown(raw, "generator", "expr", "lipschitz")
-        expr = _require(raw, "expr", str, "generator")
-        lipschitz = _require(raw, "lipschitz", float, "generator")
-        if lipschitz < 0.0:
-            raise ConfigError("generator lipschitz constant must be >= 0")
-        spec = cls(expr, lipschitz)
-        spec.build()  # fail fast on syntax errors
-        return spec
-
-    def build(self) -> GeneratorSpec:
-        try:
-            parsed = parse_prefix(self.expr)
-        except LatticeLabError as exc:
-            raise ConfigError(f"generator expression: {exc}") from exc
-        # canonical text round-trips through the parser
-        return GeneratorSpec(parsed, self.lipschitz)
-
-    def to_dict(self) -> dict:
-        return {"expr": self.build().to_prefix(), "lipschitz": self.lipschitz}
-
-
-def _parse_state_expr(text: str, where: str):
-    try:
-        return parse_prefix(text, variables=_STATE_VARS)
-    except LatticeLabError as exc:
-        raise ConfigError(f"{where} expression: {exc}") from exc
+    kind: object
+    default: object = None
+    null_is_absent: bool = False
 
 
 @dataclass(frozen=True)
-class TerminalConfig:
-    kind: str
-    value: float | None = None
-    expr: str | None = None
+class _Expr:
+    """A prefix expression over ``variables``, kept as its canonical text."""
 
-    @classmethod
-    def parse(cls, raw: dict) -> "TerminalConfig":
-        kind = _require(raw, "kind", str, "terminal")
-        fields = {"constant": "value", "state": "expr"}
-        if kind not in fields:
-            raise ConfigError("terminal kind must be 'constant' or 'state'")
-        _reject_unknown(raw, "terminal", "kind", fields[kind])
-        if kind == "constant":
-            return cls(kind, value=_require(raw, "value", float, "terminal"))
-        expr = _require(raw, "expr", str, "terminal")
-        _parse_state_expr(expr, "terminal")
-        return cls(kind, expr=expr)
-
-    def build(self, tree: ScenarioTree) -> TerminalCondition:
-        if self.kind == "constant":
-            return TerminalCondition.constant(tree, self.value)
-        node = _parse_state_expr(self.expr, "terminal")
-        horizon = tree.grid.horizon
-
-        def leaf(b: np.ndarray) -> np.ndarray:
-            return np.asarray(node.eval(EvalContext(t=horizon, b=b)), dtype=float)
-
-        return TerminalCondition.from_leaf_function(tree, leaf)
-
-    def to_dict(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": self.kind, "value": self.value}
-        return {"kind": self.kind, "expr": _parse_state_expr(self.expr, "terminal").to_prefix()}
+    variables: frozenset
 
 
-@dataclass(frozen=True)
-class ObstacleConfig:
-    kind: str
-    value: float | None = None
-    slope: float | None = None
-    intercept: float | None = None
-    expr: str | None = None
-    bound: float | None = None
+_STATE = _Expr(frozenset({"t", "b"}))
 
-    @classmethod
-    def parse(cls, raw: dict) -> "ObstacleConfig":
-        kind = _require(raw, "kind", str, "obstacle")
-        fields = {"constant": ("value",), "affine": ("slope", "intercept"), "state": ("expr",)}
-        if kind not in fields:
-            raise ConfigError("obstacle kind must be 'constant', 'affine', or 'state'")
-        _reject_unknown(raw, "obstacle", "kind", "bound", *fields[kind])
-        bound = raw.get("bound")
-        if bound is not None:
-            bound = _require(raw, "bound", float, "obstacle")
-        if kind == "constant":
-            return cls(kind, value=_require(raw, "value", float, "obstacle"), bound=bound)
-        if kind == "affine":
-            return cls(
-                kind,
-                slope=_require(raw, "slope", float, "obstacle"),
-                intercept=_require(raw, "intercept", float, "obstacle"),
-                bound=bound,
-            )
-        expr = _require(raw, "expr", str, "obstacle")
-        _parse_state_expr(expr, "obstacle")
-        return cls(kind, expr=expr, bound=bound)
-
-    def build(self, tree: ScenarioTree) -> ObstacleSpec:
-        if self.kind == "constant":
-            process = AdaptedProcess.constant(tree, self.value)
-        elif self.kind == "affine":
-            process = AdaptedProcess.from_time_function(
-                tree, lambda t: self.intercept + self.slope * t
-            )
-        else:
-            node = _parse_state_expr(self.expr, "obstacle")
-            process = AdaptedProcess.from_state_function(
-                tree, lambda t, b: np.asarray(node.eval(EvalContext(t=t, b=b)), dtype=float)
-            )
-        try:
-            return ObstacleSpec(process, bound=self.bound)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == "constant":
-            out["value"] = self.value
-        elif self.kind == "affine":
-            out["slope"] = self.slope
-            out["intercept"] = self.intercept
-        else:
-            out["expr"] = _parse_state_expr(self.expr, "obstacle").to_prefix()
-        if self.bound is not None:
-            out["bound"] = self.bound
-        return out
+# Each block's fields and their types.  A ``kind`` given as a dict picks
+# the rest of the block's fields by the block's kind.
+_BLOCKS = {
+    "tree": {"horizon": float, "steps": int, "mode": str},
+    "generator": {"expr": _Expr(frozenset({"t", "y", "z"})), "lipschitz": float},
+    "terminal": {"kind": {"constant": {"value": float}, "state": {"expr": _STATE}}},
+    "obstacle": {
+        "kind": {
+            "constant": {"value": float},
+            "affine": {"slope": float, "intercept": float},
+            "state": {"expr": _STATE},
+        },
+        "bound": _Optional(float, null_is_absent=True),
+    },
+    "market": {
+        "kind": _Optional(PayoffKind, "call"),
+        "strikes": list[float],
+        "spot": float,
+        "volatility": float,
+        "drift": float,
+        "rate": float,
+    },
+    "recover": {"observed": str},
+    "suite": {"name": str, "instances": _Optional(int)},
+}
 
 
-@dataclass(frozen=True)
-class MarketConfig:
-    spot: float
-    drift: float
-    volatility: float
-    rate: float
-    kind: str
-    strikes: tuple[float, ...]
-
-    @classmethod
-    def parse(cls, raw: dict) -> "MarketConfig":
-        _reject_unknown(raw, "market", "spot", "drift", "volatility", "rate", "kind", "strikes")
-        kind = raw.get("kind", "call")
-        if kind not in [k.value for k in PayoffKind]:  # a list: kind may be unhashable
-            raise ConfigError("market kind must be 'call' or 'put'")
-        strikes = raw.get("strikes")
+def _field(raw: dict, key: str, kind, where: str):
+    """``raw[key]`` checked against its table type; None leaves the field out."""
+    if isinstance(kind, _Optional):
+        if key not in raw or (kind.null_is_absent and raw[key] is None):
+            return kind.default
+        kind = kind.kind
+    if kind == list[float]:  # the strikes
+        strikes = raw.get(key)
         if not isinstance(strikes, list) or not strikes:
-            raise ConfigError("market needs a nonempty 'strikes' list")
-        parsed = []
-        for s in strikes:
-            if not isinstance(s, (int, float)) or isinstance(s, bool) or not math.isfinite(s) or s < 0:
-                raise ConfigError("market strikes must be finite nonnegative numbers")
-            parsed.append(float(s))
-        spot = _require(raw, "spot", float, "market")
-        volatility = _require(raw, "volatility", float, "market")
-        if spot <= 0.0 or volatility <= 0.0:
-            raise ConfigError("market needs spot > 0 and volatility > 0")
-        return cls(
-            spot=spot,
-            drift=_require(raw, "drift", float, "market"),
-            volatility=volatility,
-            rate=_require(raw, "rate", float, "market"),
-            kind=kind,
-            strikes=tuple(parsed),
-        )
+            raise ConfigError(f"{where} needs a nonempty {key!r} list")
+        if not all(map(_is_strike, strikes)):
+            raise ConfigError(f"{where} {key} must be finite nonnegative numbers")
+        return [float(s) for s in strikes]
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        if raw[key] not in [m.value for m in kind]:  # a list: the value may be unhashable
+            raise ConfigError(f"{where} {key} must be {_one_of(m.value for m in kind)}")
+        return raw[key]
+    if isinstance(kind, _Expr):
+        text = _require(raw, key, str, where)
+        try:
+            return parse_prefix(text, variables=kind.variables).to_prefix()
+        except LatticeLabError as exc:
+            raise ConfigError(f"{where} expression: {exc}") from exc
+    return _require(raw, key, kind, where)
 
-    def model(self, strike: float) -> MarketModel:
-        return MarketModel(
-            spot=self.spot,
-            drift=self.drift,
-            volatility=self.volatility,
-            rate=self.rate,
-            strike=strike,
-            kind=PayoffKind(self.kind),
-        )
 
-    def to_dict(self) -> dict:
-        return {
-            "spot": self.spot,
-            "drift": self.drift,
-            "volatility": self.volatility,
-            "rate": self.rate,
-            "kind": self.kind,
-            "strikes": list(self.strikes),
-        }
+def _check(name: str, block: dict) -> None:
+    """The checks of a read block that go beyond its field types."""
+    if name == "tree":
+        if block["mode"] not in {m.value for m in TreeMode}:
+            raise ConfigError(f"tree mode must be one of {[m.value for m in TreeMode]}")
+        if block["steps"] < 1 or block["horizon"] <= 0.0:
+            raise ConfigError("tree needs steps >= 1 and horizon > 0")
+    elif name == "generator" and block["lipschitz"] < 0.0:
+        raise ConfigError("generator lipschitz constant must be >= 0")
+    elif name == "market" and (block["spot"] <= 0.0 or block["volatility"] <= 0.0):
+        raise ConfigError("market needs spot > 0 and volatility > 0")
+    elif name == "suite" and block.get("instances", 1) < 1:
+        raise ConfigError("suite instances must be >= 1")
+
+
+def _read(raw, where: str) -> dict:
+    """The checked block: unknown fields rejected, each table field read by its type."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} block must be an object")
+    fields = _BLOCKS[where]
+    kinds = fields.get("kind")
+    if isinstance(kinds, dict):
+        chosen = _require(raw, "kind", str, where)
+        if chosen not in kinds:
+            raise ConfigError(f"{where} kind must be {_one_of(kinds)}")
+        fields = {**fields, "kind": str, **kinds[chosen]}
+    _reject_unknown(raw, where, *fields)
+    values = ((key, _field(raw, key, kind, where)) for key, kind in fields.items())
+    block = {key: value for key, value in values if value is not None}
+    _check(where, block)
+    return block
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    tree: TreeConfig | None = None
-    generator: GeneratorConfig | None = None
-    terminal: TerminalConfig | None = None
-    obstacle: ObstacleConfig | None = None
-    market: MarketConfig | None = None
-    observed: str | None = None
-    suite: str | None = None
-    instances: int | None = None
+    """A checked config: each block as read against ``_BLOCKS``, and the seed.
+
+    The checked blocks are the canonical form: numbers are floats where the
+    table says so and expressions are in canonical prefix text.
+    """
+
+    blocks: dict
     seed: int = 0
 
     @classmethod
@@ -297,67 +199,56 @@ class RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        blocks = ("tree", "generator", "terminal", "obstacle", "market", "recover", "suite")
-        _reject_unknown(raw, "config", "seed", *blocks)
-        for name in blocks:
-            if name in raw and not isinstance(raw[name], dict):
-                raise ConfigError(f"{name} block must be an object")
-        seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
-        suite = None
-        instances = None
-        if "suite" in raw:
-            block = raw["suite"]
-            _reject_unknown(block, "suite", "name", "instances")
-            suite = _require(block, "name", str, "suite")
-            if "instances" in block:
-                instances = _require(block, "instances", int, "suite")
-                if instances < 1:
-                    raise ConfigError("suite instances must be >= 1")
-        observed = None
-        if "recover" in raw:
-            block = raw["recover"]
-            _reject_unknown(block, "recover", "observed")
-            observed = _require(block, "observed", str, "recover")
-        return cls(
-            tree=TreeConfig.parse(raw["tree"]) if "tree" in raw else None,
-            generator=GeneratorConfig.parse(raw["generator"]) if "generator" in raw else None,
-            terminal=TerminalConfig.parse(raw["terminal"]) if "terminal" in raw else None,
-            obstacle=ObstacleConfig.parse(raw["obstacle"]) if "obstacle" in raw else None,
-            market=MarketConfig.parse(raw["market"]) if "market" in raw else None,
-            observed=observed,
-            suite=suite,
-            instances=instances,
-            seed=seed,
-        )
+        _reject_unknown(raw, "config", "seed", *_BLOCKS)
+        seed = _check_seed(raw.get("seed", 0))
+        return cls({name: _read(raw[name], name) for name in _BLOCKS if name in raw}, seed)
+
+    def block(self, name: str) -> dict:
+        """The checked block a command needs; a config error if it is missing."""
+        if name not in self.blocks:
+            raise ConfigError(f"this command needs a {name!r} block in the config")
+        return self.blocks[name]
 
     def to_canonical(self) -> str:
-        out: dict = {"seed": self.seed}
-        if self.tree:
-            out["tree"] = self.tree.to_dict()
-        if self.generator:
-            out["generator"] = self.generator.to_dict()
-        if self.terminal:
-            out["terminal"] = self.terminal.to_dict()
-        if self.obstacle:
-            out["obstacle"] = self.obstacle.to_dict()
-        if self.market:
-            out["market"] = self.market.to_dict()
-        if self.observed is not None:
-            out["recover"] = {"observed": self.observed}
-        if self.suite is not None:
-            block: dict = {"name": self.suite}
-            if self.instances is not None:
-                block["instances"] = self.instances
-            out["suite"] = block
-        return json.dumps(out, sort_keys=True, indent=2) + "\n"
+        return json.dumps({"seed": self.seed, **self.blocks}, sort_keys=True, indent=2) + "\n"
 
 
-def _need(config: RunConfig, *fields: str) -> None:
-    for name in fields:
-        if getattr(config, name) is None:
-            raise ConfigError(f"this command needs a {name!r} block in the config")
+def _tree(block: dict) -> ScenarioTree:
+    return build_tree(TimeGrid(block["horizon"], block["steps"]), TreeMode(block["mode"]))
+
+
+def _state_function(text: str):
+    node = parse_prefix(text, variables=_STATE.variables)
+    return lambda t, b: np.asarray(node.eval(EvalContext(t=t, b=b)), dtype=float)
+
+
+def _terminal(block: dict, tree: ScenarioTree) -> TerminalCondition:
+    if block["kind"] == "constant":
+        return TerminalCondition.constant(tree, block["value"])
+    leaf = _state_function(block["expr"])
+    horizon = tree.grid.horizon
+    return TerminalCondition.from_leaf_function(tree, lambda b: leaf(horizon, b))
+
+
+def _obstacle(block: dict, tree: ScenarioTree) -> ObstacleSpec:
+    if block["kind"] == "constant":
+        process = AdaptedProcess.constant(tree, block["value"])
+    elif block["kind"] == "affine":
+        slope, intercept = block["slope"], block["intercept"]
+        process = AdaptedProcess.from_time_function(tree, lambda t: intercept + slope * t)
+    else:
+        process = AdaptedProcess.from_state_function(tree, _state_function(block["expr"]))
+    try:
+        return ObstacleSpec(process, bound=block.get("bound"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _model(market: dict) -> MarketModel:
+    """The market block's model, at its first strike."""
+    params = {**market, "kind": PayoffKind(market["kind"]), "strike": market["strikes"][0]}
+    del params["strikes"]
+    return MarketModel(**params)
 
 
 def _finite_json(payload: dict, name: str) -> str:
@@ -373,12 +264,12 @@ def _finite_json(payload: dict, name: str) -> str:
 # Commands
 
 def cmd_solve(config: RunConfig, out_dir: Path) -> None:
-    _need(config, "tree", "generator", "terminal", "obstacle")
-    tree = config.tree.build()
-    obstacle = config.obstacle.build(tree)
-    solution = solve_rbsde(
-        tree, config.generator.build(), config.terminal.build(tree), obstacle
-    )
+    tree = _tree(config.block("tree"))
+    driver = config.block("generator")
+    generator = GeneratorSpec(parse_prefix(driver["expr"]), driver["lipschitz"])
+    terminal = _terminal(config.block("terminal"), tree)
+    obstacle = _obstacle(config.block("obstacle"), tree)
+    solution = solve_rbsde(tree, generator, terminal, obstacle)
     diag = solution.diagnostics
     diagnostics = _finite_json(
         {
@@ -416,16 +307,18 @@ def cmd_solve(config: RunConfig, out_dir: Path) -> None:
 def cmd_verify(
     config: RunConfig, out_dir: Path, suite: str | None = None, seed: int | None = None
 ) -> bool:
-    name = suite or config.suite
+    block = config.blocks.get("suite", {})
+    name = suite or block.get("name")
     if name is None:
         raise ConfigError("verify needs a suite name (config suite block or --suite)")
     if name != "all" and name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    for parameter, value in (("seed", seed), ("instances", config.instances)):
+    instances = block.get("instances")
+    for parameter, value in (("seed", seed), ("instances", instances)):
         if value is not None and not suite_takes(name, parameter):
             raise ConfigError(f"suite {name!r} takes no {parameter}")
-    effective_seed = seed if seed is not None else config.seed
-    results = run_suite(name, seed=effective_seed, instances=config.instances)
+    effective_seed = config.seed if seed is None else _check_seed(seed)
+    results = run_suite(name, seed=effective_seed, instances=instances)
     all_passed = all(r.passed for r in results)
     payload = {
         "suite": name,
@@ -440,10 +333,9 @@ def cmd_verify(
 
 
 def cmd_price(config: RunConfig, out_dir: Path) -> None:
-    _need(config, "tree", "market")
-    tree = config.tree.build()
-    market = config.market
-    quotes = quote_strike_family(tree, market.model(market.strikes[0]), market.strikes)
+    tree = _tree(config.block("tree"))
+    market = config.block("market")
+    quotes = quote_strike_family(tree, _model(market), market["strikes"])
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "prices.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
@@ -454,36 +346,43 @@ def cmd_price(config: RunConfig, out_dir: Path) -> None:
             )
 
 
-def cmd_recover(config: RunConfig, out_dir: Path, config_dir: Path) -> None:
-    _need(config, "tree", "market")
-    if config.observed is None:
-        raise ConfigError("recover needs a 'recover' block with an observed CSV path")
-    observed_path = Path(config.observed)
-    if not observed_path.is_absolute():
-        observed_path = config_dir / observed_path
-    if not observed_path.exists():
-        raise ConfigError(f"observed prices file not found: {observed_path}")
+def _observed_prices(path: Path) -> list[tuple[float, float]]:
+    """Checked (strike, price) rows of an observed-prices CSV; any fault is a config error."""
     observed = []
-    with observed_path.open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["strike", "price"]:
-            raise ConfigError("observed prices need the header 'strike,price'")
-        for row in reader:
-            try:
-                observed.append((float(row["strike"]), float(row["price"])))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad observed price row {row!r}") from exc
+    try:
+        with path.open(newline="") as handle:
+            reader = csv.DictReader(handle)
+            if reader.fieldnames != ["strike", "price"]:
+                raise ConfigError("observed prices need the header 'strike,price'")
+            for row in reader:
+                try:
+                    strike, price = float(row["strike"]), float(row["price"])
+                except (TypeError, ValueError):
+                    strike = price = math.nan
+                if not (_is_strike(strike) and math.isfinite(price)):
+                    raise ConfigError(f"bad observed price row {row!r}")
+                observed.append((strike, price))
+    except FileNotFoundError as exc:
+        raise ConfigError(f"observed prices file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read observed prices file: {exc}") from exc
     if not observed:
         raise ConfigError("observed prices file is empty")
-    tree = config.tree.build()
-    market = config.market
+    return observed
+
+
+def cmd_recover(config: RunConfig, out_dir: Path, config_dir: Path) -> None:
+    tree = _tree(config.block("tree"))
+    market = config.block("market")
+    if "recover" not in config.blocks:
+        raise ConfigError("recover needs a 'recover' block with an observed CSV path")
     recovery = recover_theta(
         tree,
-        observed,
-        spot=market.spot,
-        volatility=market.volatility,
-        rate=market.rate,
-        kind=PayoffKind(market.kind),
+        _observed_prices(config_dir / config.blocks["recover"]["observed"]),
+        spot=market["spot"],
+        volatility=market["volatility"],
+        rate=market["rate"],
+        kind=PayoffKind(market["kind"]),
     )
     theta = _finite_json(
         {
@@ -514,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         text = args.config.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:

@@ -9,6 +9,10 @@ class InvalidGrid(LatticeLabError):
     """Time grid has a non-positive horizon or fewer than one step."""
 
 
+class InvalidSample(LatticeLabError):
+    """Driver sample box is empty, unordered or non-finite, or too small for its check."""
+
+
 class DepthExceeded(LatticeLabError):
     """Requested tree depth is beyond the supported bound."""
 

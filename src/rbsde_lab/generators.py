@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ExpressionError
+from .errors import ExpressionError, InvalidSample
 from .lattice import ScenarioTree, StoppingRule
 
 
@@ -506,6 +506,13 @@ class SampleSpec:
     z_high: float = 5.0
     z_count: int = 21
 
+    def __post_init__(self):
+        if min(self.t_count, self.y_count, self.z_count) < 1:
+            raise InvalidSample("sample counts must be >= 1")
+        bounds = ((0.0, self.t_max), (self.y_low, self.y_high), (self.z_low, self.z_high))
+        if not all(math.isfinite(lo) and math.isfinite(hi) and lo <= hi for lo, hi in bounds):
+            raise InvalidSample("sample bounds must be finite, with 0 <= t_max and low <= high")
+
     def t_points(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.t_count)
 
@@ -570,7 +577,8 @@ def check_assumptions(generator: GeneratorSpec, sample: SampleSpec) -> Assumptio
     Reports (a) the largest difference quotient against the declared
     Lipschitz constant, (b) the largest ``|g(t, y, 0)|``, and (c) the largest
     jump of ``t -> g`` across adjacent sample times.  A bound counts as
-    exceeded beyond 1e-9.
+    exceeded beyond 1e-9.  A box without two distinct (y, z) points has no
+    difference quotient and raises :class:`InvalidSample`.
     """
     zero_z = replace(sample, z_low=0.0, z_high=0.0, z_count=1)
     origin = replace(zero_z, y_low=0.0, y_high=0.0, y_count=1)
@@ -579,6 +587,8 @@ def check_assumptions(generator: GeneratorSpec, sample: SampleSpec) -> Assumptio
     ys, zs = (axis.ravel() for axis in sample._box())
     den = np.abs(ys[:, None] - ys[None, :]) + np.abs(zs[:, None] - zs[None, :])
     off_diag = den > 0.0
+    if not off_diag.any():
+        raise InvalidSample("a difference quotient needs two distinct (y, z) points")
     quot_max = 0.0
     for g in values.reshape(sample.t_count, sample.y_count * sample.z_count):
         num = np.abs(g[:, None] - g[None, :])

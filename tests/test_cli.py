@@ -178,6 +178,11 @@ class TestSolveCommand:
         path.write_text("{not json")
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    def test_config_that_is_not_text_exits_two(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
 
 class TestVerifyCommand:
     def test_oracle_suite_passes(self, tmp_path):
@@ -210,6 +215,14 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["all_passed"]
+
+    def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, {})
+        out = tmp_path / "o"
+        args = ["verify", "--config", str(config), "--out", str(out), "--suite", "witness"]
+        assert main([*args, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "config error: seed must be a nonnegative integer\n"
+        assert not out.exists()
 
     def test_unknown_suite_is_a_config_error(self, tmp_path):
         config = write_config(tmp_path, {"seed": 3})
@@ -390,6 +403,39 @@ class TestRecoverCommand:
         config = write_config(tmp_path, payload)
         assert main(["recover", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "strike, price\n100,5\n",  # the header is 'strike,price', spaces are not stripped
+            "strike,price\n-100,5\n",  # a strike that the market block would reject
+            "strike,price\n100,nan\n",
+            "strike,price\n100,inf\n",
+            None,  # the observed path names a directory
+        ],
+    )
+    def test_bad_observed_file_exits_two_without_output(self, tmp_path, capsys, text):
+        payload = {
+            "tree": {"horizon": 1.0, "steps": 8, "mode": "recombining"},
+            "market": {
+                "spot": 100.0,
+                "drift": 0.08,
+                "volatility": 0.2,
+                "rate": 0.02,
+                "kind": "call",
+                "strikes": [100.0],
+            },
+            "recover": {"observed": "obs.csv"},
+        }
+        if text is None:
+            (tmp_path / "obs.csv").mkdir()
+        else:
+            (tmp_path / "obs.csv").write_text(text)
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["recover", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
 
 # Configs whose canonical text is checked for idempotence and pinned.
 ROUND_TRIP_PAYLOADS = [
@@ -440,6 +486,22 @@ class TestConfigRoundTrip:
     def test_canonical_digest_is_pinned(self, payload, digest):
         text = RunConfig.parse(json.dumps(payload)).to_canonical()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_checked_config_is_its_own_canonical_form(self):
+        # integers in float fields, spaced expressions, a null bound, a defaulted kind
+        payload = {
+            "tree": {"horizon": 1, "steps": 4, "mode": "recombining"},
+            "generator": {"expr": "(+   y (abs  z))", "lipschitz": 2},
+            "terminal": {"kind": "state", "expr": " (abs b) "},
+            "obstacle": {"kind": "affine", "slope": -2, "intercept": 1, "bound": None},
+            "market": {"spot": 100, "drift": 0, "volatility": 1, "rate": 0, "strikes": [90]},
+        }
+        config = RunConfig.parse(json.dumps(payload))
+        assert RunConfig.parse(config.to_canonical()) == config
+        assert json.loads(config.to_canonical()) == {"seed": 0, **config.blocks}
+        assert config.blocks["generator"] == {"expr": "(+ y (abs z))", "lipschitz": 2.0}
+        assert "bound" not in config.blocks["obstacle"]
+        assert config.blocks["market"]["kind"] == "call"
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(Exception):

@@ -6,6 +6,7 @@ from rbsde_lab import (
     DriverClaims,
     ExpressionError,
     GeneratorSpec,
+    InvalidSample,
     SampleSpec,
     StoppingRule,
     TimeGrid,
@@ -312,3 +313,29 @@ class TestCheckAssumptions:
         assert not still.time_jump_exceeded
         moving = check_assumptions(GeneratorSpec(TimeVar(), 0.0), self.sample())
         assert moving.time_jump_exceeded  # change detector, not continuity
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"t_count": 0},
+            {"y_count": 0},
+            {"z_count": -1},
+            {"y_low": 1.0, "y_high": 0.0},
+            {"z_high": float("inf")},
+            {"y_low": float("nan")},
+            {"t_max": -1.0},
+            {"t_max": float("inf")},
+        ],
+    )
+    def test_degenerate_sample_is_rejected_when_built(self, fields):
+        with pytest.raises(InvalidSample):
+            SampleSpec(**{"t_max": 1.0, **fields})
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"y_count": 1, "z_count": 1}, {"y_low": 2.0, "y_high": 2.0, "z_count": 1}],
+    )
+    def test_box_without_two_distinct_points_is_a_typed_error(self, fields):
+        # no difference quotient exists, so no Lipschitz evidence can be reported
+        with pytest.raises(InvalidSample):
+            check_assumptions(GeneratorSpec(Scale(2.0, YVar()), 1.0), SampleSpec(1.0, **fields))
