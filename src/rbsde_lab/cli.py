@@ -248,13 +248,20 @@ def _model(market: dict) -> MarketModel:
     """The market block's model, at its first strike."""
     params = {**market, "kind": PayoffKind(market["kind"]), "strike": market["strikes"][0]}
     del params["strikes"]
-    return MarketModel(**params)
+    try:
+        return MarketModel(**params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _finite_json(payload: dict, name: str) -> str:
-    """Byte-stable JSON text; a NaN or infinity is a numerical error, not a token."""
+    """Byte-stable JSON text; a NaN or infinity is a numerical error, not a token.
+
+    Only JSON's own types are written: anything else, such as a numpy bool,
+    raises ``TypeError`` rather than being coerced to a number.
+    """
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, default=float, allow_nan=False)
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NumericalBreakdown(f"{name} would hold a non-finite value") from exc
     return text + "\n"

@@ -62,11 +62,21 @@ class MarketModel:
             )
         if self.strike < 0.0:
             raise ValueError(f"strike must be nonnegative, got {self.strike!r}")
+        if not math.isfinite(self.lipschitz):
+            raise ValueError(
+                f"premium {self.premium!r} and pricing constant |rate| + |premium| "
+                f"= {self.lipschitz!r} must be finite"
+            )
 
     @property
     def premium(self) -> float:
         """Market price of risk: excess drift per unit of volatility."""
         return (self.drift - self.rate) / self.volatility
+
+    @property
+    def lipschitz(self) -> float:
+        """Lipschitz constant of the pricing driver ``-(rate * y + premium * z)``."""
+        return abs(self.rate) + abs(self.premium)
 
     def payoff(self, x):
         return _payoff(self.kind, self.strike, x)
@@ -119,7 +129,7 @@ def simulate_stock(tree: ScenarioTree, model: MarketModel) -> AdaptedProcess:
 def pricing_driver(model: MarketModel) -> GeneratorSpec:
     """Affine driver ``-(rate * y + premium * z)`` with its natural constant."""
     expr = Add((Scale(-model.rate, YVar()), Scale(-model.premium, ZVar())))
-    return GeneratorSpec(expr, abs(model.rate) + abs(model.premium))
+    return GeneratorSpec(expr, model.lipschitz)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,6 +3,11 @@
 Each suite runs a batch of instances, measures worst-case violations of one
 statement, and returns :class:`CheckResult` rows.  Instances are enumerated
 deterministically from ``(seed, index)`` so reruns are byte-identical.
+
+Every row is built by :func:`_check`: it passes when its verdict holds and
+its violation is within its tolerance.  Verdicts come from the theorem
+reports that compute them; tolerances are the ``theorems`` constants
+``COMPARISON_TOL`` and ``EXACT_TOL`` or this module's ``CLOSED_FORM_TOL``.
 """
 
 from __future__ import annotations
@@ -53,8 +58,10 @@ from .rbsde import (
     solve_rbsde,
 )
 from .theorems import (
+    COMPARISON_TOL,
     EXACT_TOL,
     ClosedFormCase,
+    ComparisonReport,
     RbsdeProblem,
     build_dominating_obstacle,
     build_floor_obstacle,
@@ -81,6 +88,19 @@ class CheckResult:
     max_violation: float
     tolerance: float
     details: dict = field(default_factory=dict)
+
+
+# distance of a closed-form check's lattice solution from its continuous
+# closed form: values, pushes, plateaus and the dominating-obstacle profile
+CLOSED_FORM_TOL = 2e-3
+
+
+def _check(
+    name: str, violation: float, tolerance: float, details: dict | None = None, *, holds=True
+) -> CheckResult:
+    """The row ``name``: passes when ``holds`` and ``violation <= tolerance``."""
+    passed = bool(holds) and bool(violation <= tolerance)
+    return CheckResult(name, passed, violation, tolerance, {} if details is None else details)
 
 
 def _rng(seed: int, index: int) -> np.random.Generator:
@@ -243,46 +263,24 @@ def counterexample_suite(steps: int = 2000) -> list[CheckResult]:
     roots = {}
     for case in ClosedFormCase:
         err, roots[case] = _case_errors(case, steps)
-        results.append(
-            CheckResult(
-                name=f"counterexample/{case.value}/values",
-                passed=err["y_error"] <= 2e-3 and err["k_error"] <= 2e-3,
-                max_violation=max(err["y_error"], err["k_error"]),
-                tolerance=2e-3,
-                details=err,
-            )
+        name = f"counterexample/{case.value}"
+        contact = {"detected": err["contact_detected"], "expected": err["contact_expected"]}
+        gap, dt = err["contact_gap"], err["dt"]
+        plateau_gap = abs(err["k_plateau"] - err["k_plateau_expected"])
+        results += [
+            _check(f"{name}/values", max(err["y_error"], err["k_error"]), CLOSED_FORM_TOL, err),
+            # explicit verdict: passes within dt + EXACT_TOL but reports dt, which the rule cannot
+            CheckResult(f"{name}/contact", bool(gap <= dt + EXACT_TOL), gap, dt, contact),
+            _check(f"{name}/plateau", plateau_gap, CLOSED_FORM_TOL),
+        ]
+    low = roots[ClosedFormCase.CONST_DRIVER_LOW_TERMINAL]
+    high = roots[ClosedFormCase.CONST_DRIVER_HIGH_TERMINAL]
+    return results + [
+        _check(
+            "counterexample/strict-comparison-fails-at-root", abs(low - high), EXACT_TOL,
+            {"root_low": low, "root_high": high}, holds=low == 1.0,
         )
-        results.append(
-            CheckResult(
-                name=f"counterexample/{case.value}/contact",
-                passed=err["contact_gap"] <= err["dt"] + 1e-12,
-                max_violation=err["contact_gap"],
-                tolerance=err["dt"],
-                details={"detected": err["contact_detected"], "expected": err["contact_expected"]},
-            )
-        )
-        results.append(
-            CheckResult(
-                name=f"counterexample/{case.value}/plateau",
-                passed=abs(err["k_plateau"] - err["k_plateau_expected"]) <= 2e-3,
-                max_violation=abs(err["k_plateau"] - err["k_plateau_expected"]),
-                tolerance=2e-3,
-                details={},
-            )
-        )
-    root_low = roots[ClosedFormCase.CONST_DRIVER_LOW_TERMINAL]
-    root_high = roots[ClosedFormCase.CONST_DRIVER_HIGH_TERMINAL]
-    root_gap = abs(root_low - root_high)
-    results.append(
-        CheckResult(
-            name="counterexample/strict-comparison-fails-at-root",
-            passed=root_gap <= 1e-12 and root_low == 1.0,
-            max_violation=root_gap,
-            tolerance=1e-12,
-            details={"root_low": root_low, "root_high": root_high},
-        )
-    )
-    return results
+    ]
 
 
 def _embedded_errors(steps: int) -> tuple[float, float]:
@@ -316,43 +314,46 @@ def convergence_suite(steps_list: Sequence[int] = (250, 500, 1000, 2000)) -> lis
     continuous closed form over the whole horizon, which halves with the
     step.  Grid exactness is asserted separately.
     """
-    results = []
     errors = {}
     grid_exact = 0.0
     for steps in steps_list:
         errors[steps], at_grid = _embedded_errors(steps)
         grid_exact = max(grid_exact, at_grid)
-    ratios = {}
-    ok = True
-    for coarse, fine in zip(steps_list[:-1], steps_list[1:]):
-        ratio = errors[coarse] / errors[fine]
-        ratios[f"{coarse}->{fine}"] = ratio
-        ok = ok and 1.7 <= ratio <= 2.3
-    results.append(
+    ratios = {
+        f"{coarse}->{fine}": errors[coarse] / errors[fine]
+        for coarse, fine in zip(steps_list[:-1], steps_list[1:])
+    }
+    return [
+        # explicit verdict: the band [1.7, 2.3] as written; |r - 2| <= 0.3 differs at its edges
         CheckResult(
-            name="convergence/embedded-error-halves",
-            passed=ok,
-            max_violation=max(abs(r - 2.0) for r in ratios.values()),
-            tolerance=0.3,
-            details={"errors": errors, "ratios": ratios},
-        )
-    )
-    results.append(
-        CheckResult(
-            name="convergence/grid-values-exact",
-            passed=grid_exact <= 1e-10,
-            max_violation=grid_exact,
-            tolerance=1e-10,
-            details={},
-        )
-    )
-    return results
+            "convergence/embedded-error-halves",
+            all(1.7 <= r <= 2.3 for r in ratios.values()),
+            max(abs(r - 2.0) for r in ratios.values()),
+            0.3,
+            {"errors": errors, "ratios": ratios},
+        ),
+        _check("convergence/grid-values-exact", grid_exact, COMPARISON_TOL),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Comparison suites
 
-def _comparison_instance(seed: int, index: int) -> tuple[float, bool]:
+def _comparison_row(name: str, reports: list[ComparisonReport], **details) -> CheckResult:
+    """Worst value (and push) violation, vacuous count and every report's verdict."""
+    violations = [r.max_value_violation for r in reports] + [
+        r.max_push_violation for r in reports if r.max_push_violation is not None
+    ]
+    return _check(
+        name,
+        max(violations),
+        COMPARISON_TOL,
+        {"instances": len(reports), "vacuous": sum(r.vacuous for r in reports), **details},
+        holds=all(r.passed for r in reports),
+    )
+
+
+def _comparison_instance(seed: int, index: int) -> ComparisonReport:
     rng = _rng(seed, index)
     tree = build_tree(TimeGrid(1.0, 8), TreeMode.FULL_BINARY)
     g_low, g_high = _ordered_generator_pair(rng)
@@ -362,27 +363,16 @@ def _comparison_instance(seed: int, index: int) -> tuple[float, bool]:
     xi_high = _bumped(rng, xi_low, floor=obstacle_high.process.level(tree.steps))
     low = RbsdeProblem(g_low, TerminalCondition.from_leaf_values(tree, xi_low), obstacle_low)
     high = RbsdeProblem(g_high, TerminalCondition.from_leaf_values(tree, xi_high), obstacle_high)
-    report = check_comparison(low, high)
-    return report.max_value_violation, report.vacuous
+    return check_comparison(low, high)
 
 
 def comparison_suite(seed: int = 7, instances: int = 200) -> list[CheckResult]:
     """Ordered data must give ordered reflected values, nodewise."""
-    rows = [_comparison_instance(seed, i) for i in range(instances)]
-    worst = max(v for v, _ in rows)
-    vacuous = sum(1 for _, v in rows if v)
-    return [
-        CheckResult(
-            name="comparison/value-ordering",
-            passed=worst <= 1e-10 and vacuous == 0,
-            max_violation=worst,
-            tolerance=1e-10,
-            details={"instances": instances, "vacuous": vacuous},
-        )
-    ]
+    reports = [_comparison_instance(seed, i) for i in range(instances)]
+    return [_comparison_row("comparison/value-ordering", reports)]
 
 
-def _k_comparison_instance(seed: int, index: int) -> tuple[float, float, bool, bool]:
+def _k_comparison_instance(seed: int, index: int) -> ComparisonReport:
     rng = _rng(seed, index)
     tree = build_tree(TimeGrid(1.0, 8), TreeMode.FULL_BINARY)
     g_low, g_high = _ordered_generator_pair(rng)
@@ -391,37 +381,15 @@ def _k_comparison_instance(seed: int, index: int) -> tuple[float, float, bool, b
     xi_high = _bumped(rng, xi_low)
     low = RbsdeProblem(g_low, TerminalCondition.from_leaf_values(tree, xi_low), obstacle)
     high = RbsdeProblem(g_high, TerminalCondition.from_leaf_values(tree, xi_high), obstacle)
-    report = check_k_comparison(low, high)
-    return (
-        report.max_value_violation,
-        report.max_push_violation,
-        bool(report.push_difference_monotone),
-        report.vacuous,
-    )
+    return check_k_comparison(low, high)
 
 
 def k_comparison_suite(seed: int = 11, instances: int = 100) -> list[CheckResult]:
     """Shared obstacle: the lower data pushes harder, monotonically so."""
-    rows = [_k_comparison_instance(seed, i) for i in range(instances)]
-    worst_value = max(r[0] for r in rows)
-    worst_push = max(r[1] for r in rows)
-    all_monotone = all(r[2] for r in rows)
-    vacuous = sum(1 for r in rows if r[3])
+    reports = [_k_comparison_instance(seed, i) for i in range(instances)]
+    monotone = all(r.push_difference_monotone for r in reports)
     return [
-        CheckResult(
-            name="push-comparison/ordering-and-monotonicity",
-            passed=worst_value <= 1e-10
-            and worst_push <= 1e-10
-            and all_monotone
-            and vacuous == 0,
-            max_violation=max(worst_value, worst_push),
-            tolerance=1e-10,
-            details={
-                "instances": instances,
-                "vacuous": vacuous,
-                "monotone": all_monotone,
-            },
-        )
+        _comparison_row("push-comparison/ordering-and-monotonicity", reports, monotone=monotone)
     ]
 
 
@@ -440,17 +408,12 @@ def _witness_closed_form_check(steps: int = 10) -> CheckResult:
         and witness.k_index == 2
         and bool(np.all(witness.stop_levels < steps))
     )
-    return CheckResult(
-        name="witness/closed-form-pair",
-        passed=ok,
-        max_violation=0.0 if ok else 1.0,
-        tolerance=0.0,
-        details={
-            "stop_times": sorted(tree.grid.time(l) for l in levels),
-            "probability": witness.probability,
-            "k_index": witness.k_index,
-        },
-    )
+    details = {
+        "stop_times": sorted(tree.grid.time(l) for l in levels),
+        "probability": witness.probability,
+        "k_index": witness.k_index,
+    }
+    return _check("witness/closed-form-pair", float(not ok), 0.0, details)
 
 
 def _witness_instance(seed: int, index: int) -> float:
@@ -468,19 +431,15 @@ def _witness_instance(seed: int, index: int) -> float:
 
 def witness_suite(seed: int = 13, instances: int = 50) -> list[CheckResult]:
     """The separating rule exists before the horizon with positive probability."""
-    results = [_witness_closed_form_check()]
-    probabilities = [_witness_instance(seed, i) for i in range(instances)]
-    worst = min(probabilities)
-    results.append(
-        CheckResult(
-            name="witness/random-instances-positive-probability",
-            passed=worst > 0.0,
-            max_violation=0.0 if worst > 0.0 else 1.0,
-            tolerance=0.0,
-            details={"instances": instances, "min_probability": worst},
-        )
-    )
-    return results
+    closed_form = _witness_closed_form_check()
+    worst = min(_witness_instance(seed, i) for i in range(instances))
+    return [
+        closed_form,
+        _check(
+            "witness/random-instances-positive-probability", float(not worst > 0.0), 0.0,
+            {"instances": instances, "min_probability": worst},
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -525,24 +484,12 @@ def restriction_suite(seed: int = 17, instances: int = 25) -> list[CheckResult]:
     The reflected variant also freezes the obstacle at the rule; both
     identities are checked as dual code paths over the whole value process.
     """
-    rows = [_restriction_instance(seed, i) for i in range(instances)]
-    worst_bsde = max(r[0] for r in rows)
-    worst_rbsde = max(r[1] for r in rows)
+    gaps = [_restriction_instance(seed, i) for i in range(instances)]
     return [
-        CheckResult(
-            name="restriction/gated-driver-identity",
-            passed=worst_bsde <= 1e-12,
-            max_violation=worst_bsde,
-            tolerance=1e-12,
-            details={"instances": instances},
-        ),
-        CheckResult(
-            name="restriction/frozen-obstacle-identity",
-            passed=worst_rbsde <= 1e-12,
-            max_violation=worst_rbsde,
-            tolerance=1e-12,
-            details={"instances": instances},
-        ),
+        _check(
+            f"restriction/{label}", max(g[k] for g in gaps), EXACT_TOL, {"instances": instances}
+        )
+        for k, label in enumerate(("gated-driver-identity", "frozen-obstacle-identity"))
     ]
 
 
@@ -572,16 +519,9 @@ def _oracle_instance(seed: int, index: int) -> float:
 
 def oracle_suite(seed: int = 19, instances: int = 25) -> list[CheckResult]:
     """Reflected value, dynamic program, and brute-force enumeration agree."""
-    gaps = [_oracle_instance(seed, i) for i in range(instances)]
-    worst = max(gaps)
+    worst = max(_oracle_instance(seed, i) for i in range(instances))
     return [
-        CheckResult(
-            name="oracle/reflected-snell-enumeration",
-            passed=worst <= 1e-12,
-            max_violation=worst,
-            tolerance=1e-12,
-            details={"instances": instances},
-        )
+        _check("oracle/reflected-snell-enumeration", worst, EXACT_TOL, {"instances": instances})
     ]
 
 
@@ -624,13 +564,8 @@ def _exponential_profile_check(steps: int) -> CheckResult:
     profile = _dominating_profile(tree, TerminalCondition.constant(tree, level), decay)
     expected = level * np.exp(-decay * (1.0 - tree.grid.times()))
     det_err = float(np.max(np.abs(profile - expected)))
-    return CheckResult(
-        name="dominating-obstacle/exponential-profile",
-        passed=det_err <= 2e-3,
-        max_violation=det_err,
-        tolerance=2e-3,
-        details={"steps": steps},
-    )
+    name = "dominating-obstacle/exponential-profile"
+    return _check(name, det_err, CLOSED_FORM_TOL, {"steps": steps})
 
 
 def dominating_obstacle_suite(
@@ -639,15 +574,11 @@ def dominating_obstacle_suite(
     """The constructed obstacle never triggers a push, and its deterministic
     special case matches the exponential decay profile."""
     lipschitz = 1.5
-    pushes = [_dominating_instance(seed, i, lipschitz) for i in range(instances)]
-    worst = max(pushes)
+    worst = max(_dominating_instance(seed, i, lipschitz) for i in range(instances))
     results = [
-        CheckResult(
-            name="dominating-obstacle/push-free",
-            passed=worst <= 1e-10,
-            max_violation=worst,
-            tolerance=1e-10,
-            details={"instances": instances, "lipschitz": lipschitz},
+        _check(
+            "dominating-obstacle/push-free", worst, COMPARISON_TOL,
+            {"instances": instances, "lipschitz": lipschitz},
         ),
         _exponential_profile_check(det_steps),
     ]
@@ -666,16 +597,13 @@ def dominating_obstacle_suite(
         max(float(np.max(push_one.k.level(i))) for i in range(9)),
         max(float(np.max(push_two.k.level(i))) for i in range(9)),
     )
-    results.append(
-        CheckResult(
-            name="floor-obstacle/push-free-and-positive-root",
-            passed=floor_push <= 1e-10 and floor.process.root() > 0.0,
-            max_violation=floor_push,
-            tolerance=1e-10,
-            details={"root": floor.process.root()},
+    root = floor.process.root()
+    return results + [
+        _check(
+            "floor-obstacle/push-free-and-positive-root", floor_push, COMPARISON_TOL,
+            {"root": root}, holds=root > 0.0,
         )
-    )
-    return results
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -692,27 +620,20 @@ def masked_driver_suite(seed: int = 29, instances: int = 20) -> list[CheckResult
         family.append(TerminalCondition.from_leaf_values(tree, leaves))
     report = masked_driver_probe(tree, 2.0, 0.0, 1.0, cut_high, family)
     return [
-        CheckResult(
-            name="masked-drivers/values-agree-everywhere",
-            passed=report.values_agree,
-            max_violation=report.max_value_gap,
-            tolerance=EXACT_TOL,
-            details={"instances": instances},
+        _check(
+            "masked-drivers/values-agree-everywhere", report.max_value_gap, EXACT_TOL,
+            {"instances": instances}, holds=report.values_agree,
         ),
-        CheckResult(
-            name="masked-drivers/disagreement-below-cut-certified",
-            passed=report.drivers_disagree_below
-            and report.equal_above_threshold_gap <= EXACT_TOL,
-            max_violation=report.equal_above_threshold_gap,
-            tolerance=EXACT_TOL,
-            details={"sites": len(report.disagreement_sites)},
+        _check(
+            "masked-drivers/disagreement-below-cut-certified",
+            report.equal_above_threshold_gap, EXACT_TOL,
+            {"sites": len(report.disagreement_sites)}, holds=report.drivers_disagree_below,
         ),
     ]
 
 
 def incomparable_driver_suite(steps: int = 400, seed: int = 31) -> list[CheckResult]:
     """Incomparable time-only drivers still order the reflected root values."""
-    results = []
     # deterministic data: both roots equal the common driver integral 3/8
     tree = build_tree(TimeGrid(1.0, steps), TreeMode.RECOMBINING)
     terminal = TerminalCondition.constant(tree, 0.0)
@@ -720,14 +641,10 @@ def incomparable_driver_suite(steps: int = 400, seed: int = 31) -> list[CheckRes
     report = incomparable_driver_probe(tree, terminal, obstacle)
     integral = 3.0 / 8.0
     near = max(abs(report.root_low - integral), abs(report.root_high - integral))
-    results.append(
-        CheckResult(
-            name="incomparable-drivers/deterministic-integrals",
-            passed=report.ordering_holds and report.incomparable and near <= 2.0 / steps,
-            max_violation=near,
-            tolerance=2.0 / steps,
-            details={"root_low": report.root_low, "root_high": report.root_high},
-        )
+    deterministic = _check(
+        "incomparable-drivers/deterministic-integrals", near, 2.0 / steps,
+        {"root_low": report.root_low, "root_high": report.root_high},
+        holds=report.ordering_holds and report.incomparable,
     )
     # random terminal data, including a binding obstacle
     rng = _rng(seed, 0)
@@ -746,16 +663,13 @@ def incomparable_driver_suite(steps: int = 400, seed: int = 31) -> list[CheckRes
         )
         ordering = ordering and rep.ordering_holds
         worst = max(worst, rep.root_low - rep.root_high)
-    results.append(
-        CheckResult(
-            name="incomparable-drivers/random-data-root-ordering",
-            passed=ordering,
-            max_violation=max(worst, 0.0),
-            tolerance=1e-12,
-            details={"instances": 10},
-        )
-    )
-    return results
+    return [
+        deterministic,
+        _check(
+            "incomparable-drivers/random-data-root-ordering", worst, EXACT_TOL,
+            {"instances": 10}, holds=ordering,
+        ),
+    ]
 
 
 def converse_suite(seed: int = 37) -> list[CheckResult]:
@@ -790,19 +704,18 @@ def converse_suite(seed: int = 37) -> list[CheckResult]:
     for label, (g_upper, g_lower, obs) in pairs.items():
         report = converse_probe(tree, g_upper, g_lower, obs)
         expected_a = label in {"identical", "y-free-ordered", "masked-equal"}
+        details = {
+            "value_ordering": report.value_ordering_holds,
+            "driver_ordering": report.driver_ordering_holds,
+            "max_driver_gap": report.max_driver_gap,
+            "flag": report.falsification_flag,
+        }
         consistent = report.value_ordering_holds == expected_a
+        violation = report.max_value_violation if expected_a else 0.0
         results.append(
-            CheckResult(
-                name=f"converse/{label}",
-                passed=not report.falsification_flag and consistent,
-                max_violation=report.max_value_violation if expected_a else 0.0,
-                tolerance=1e-10,
-                details={
-                    "value_ordering": report.value_ordering_holds,
-                    "driver_ordering": report.driver_ordering_holds,
-                    "max_driver_gap": report.max_driver_gap,
-                    "flag": report.falsification_flag,
-                },
+            _check(
+                f"converse/{label}", violation, COMPARISON_TOL, details,
+                holds=consistent and not report.falsification_flag,
             )
         )
     return results
@@ -813,7 +726,6 @@ def converse_suite(seed: int = 37) -> list[CheckResult]:
 
 def pricing_suite() -> list[CheckResult]:
     """Solver-versus-dynamic-program identity plus the calibration loop."""
-    results = []
     grid = TimeGrid(1.0, 256)
     tree = build_tree(grid, TreeMode.RECOMBINING)
     worst = 0.0
@@ -831,31 +743,12 @@ def pricing_suite() -> list[CheckResult]:
                 lhs = price_american_rbsde(tree, model).value
                 rhs = price_american_riskneutral_dp(tree, model)
                 worst = max(worst, abs(lhs - rhs))
-    results.append(
-        CheckResult(
-            name="pricing/solver-matches-dynamic-program",
-            passed=worst <= 1e-10,
-            max_violation=worst,
-            tolerance=1e-10,
-            details={"grid": "3 vols x 3 strikes x call/put", "steps": 256},
-        )
-    )
 
     deep_model = MarketModel(
         spot=100.0, drift=0.08, volatility=0.2, rate=0.02, strike=30000.0,
         kind=PayoffKind.PUT,
     )
     deep = price_american_rbsde(tree, deep_model)
-    exact = deep.value == deep_model.strike - deep_model.spot
-    results.append(
-        CheckResult(
-            name="pricing/deep-in-the-money-put-immediate",
-            passed=exact and bool(deep.exercise.flags(0)[0]),
-            max_violation=abs(deep.value - (deep_model.strike - deep_model.spot)),
-            tolerance=0.0,
-            details={"price": deep.value},
-        )
-    )
 
     # strike below the lowest stock value on the tree keeps the payoff
     # strictly in the money, so the empty early-exercise region is testable
@@ -867,15 +760,6 @@ def pricing_suite() -> list[CheckResult]:
     itm = price_american_rbsde(tree, itm_model)
     never_early = not any(itm.exercise.flags(i).any() for i in range(tree.steps))
     dp_gap = abs(itm.value - price_american_riskneutral_dp(tree, itm_model))
-    results.append(
-        CheckResult(
-            name="pricing/no-early-exercise-for-covered-call",
-            passed=never_early and dp_gap <= 1e-10,
-            max_violation=dp_gap,
-            tolerance=1e-10,
-            details={"price": itm.value},
-        )
-    )
 
     euro_model = MarketModel(
         spot=100.0, drift=0.0, volatility=0.2, rate=0.0, strike=100.0,
@@ -888,17 +772,6 @@ def pricing_suite() -> list[CheckResult]:
         euro_model.payoff(stock.level(euro_tree.steps)), euro_tree.steps, exact=True
     )
     euro_dp = price_european_dp(euro_tree, euro_model)
-    results.append(
-        CheckResult(
-            name="pricing/zero-premium-call-collapses-to-plain-expectation",
-            passed=abs(euro_price - plain) <= 1e-10
-            and abs(euro_price - euro_dp) <= 1e-10
-            and euro_price >= euro_model.payoff(100.0) - 1e-12,
-            max_violation=max(abs(euro_price - plain), abs(euro_price - euro_dp)),
-            tolerance=1e-10,
-            details={"price": euro_price, "expectation": plain},
-        )
-    )
 
     family_model = MarketModel(
         spot=100.0, drift=0.08, volatility=0.2, rate=0.02, strike=100.0,
@@ -907,16 +780,31 @@ def pricing_suite() -> list[CheckResult]:
     family = price_strike_family(tree, family_model, [80.0, 90.0, 100.0, 110.0, 120.0])
     prices = [p for _, p in family]
     decreasing = all(a > b for a, b in zip(prices, prices[1:]))
-    results.append(
-        CheckResult(
-            name="pricing/call-prices-strictly-decreasing-in-strike",
-            passed=decreasing,
-            max_violation=0.0 if decreasing else 1.0,
-            tolerance=0.0,
-            details={"prices": prices},
-        )
-    )
-    return results
+    return [
+        _check(
+            "pricing/solver-matches-dynamic-program", worst, COMPARISON_TOL,
+            {"grid": "3 vols x 3 strikes x call/put", "steps": 256},
+        ),
+        _check(
+            "pricing/deep-in-the-money-put-immediate",
+            abs(deep.value - (deep_model.strike - deep_model.spot)), 0.0,
+            {"price": deep.value}, holds=deep.exercise.flags(0)[0],
+        ),
+        _check(
+            "pricing/no-early-exercise-for-covered-call", dp_gap, COMPARISON_TOL,
+            {"price": itm.value}, holds=never_early,
+        ),
+        _check(
+            "pricing/zero-premium-call-collapses-to-plain-expectation",
+            max(abs(euro_price - plain), abs(euro_price - euro_dp)), COMPARISON_TOL,
+            {"price": euro_price, "expectation": plain},
+            holds=euro_price >= euro_model.payoff(100.0) - EXACT_TOL,
+        ),
+        _check(
+            "pricing/call-prices-strictly-decreasing-in-strike", float(not decreasing), 0.0,
+            {"prices": prices},
+        ),
+    ]
 
 
 def recovery_suite() -> list[CheckResult]:
@@ -942,18 +830,9 @@ def recovery_suite() -> list[CheckResult]:
         recovery = recover_theta(
             tree, observed, spot=100.0, volatility=volatility, rate=rate
         )
-        err = abs(recovery.theta_hat - true_theta)
+        details = {"theta_hat": recovery.theta_hat, "objective": recovery.objective}
         results.append(
-            CheckResult(
-                name=f"recovery/{label}",
-                passed=err <= tol,
-                max_violation=err,
-                tolerance=tol,
-                details={
-                    "theta_hat": recovery.theta_hat,
-                    "objective": recovery.objective,
-                },
-            )
+            _check(f"recovery/{label}", abs(recovery.theta_hat - true_theta), tol, details)
         )
     return results
 

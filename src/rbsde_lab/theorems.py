@@ -258,7 +258,7 @@ def local_strict_witness(low: RbsdeProblem, high: RbsdeProblem) -> StrictWitness
     n = tree.steps
     xi_low = low.terminal.extended[n]
     xi_high = high.terminal.extended[n]
-    if bool(np.any(xi_low > xi_high + 1e-12)):
+    if bool(np.any(xi_low > xi_high + EXACT_TOL)):
         raise ValueError("terminal values are not ordered")
     if not bool(np.any(xi_high - xi_low > EQUALITY_TOL)):
         raise NoStrictGap("terminal values agree everywhere; no strict gap to separate")

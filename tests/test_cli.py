@@ -330,6 +330,20 @@ class TestPriceCommand:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"drift": 1e308}, {"rate": -1e308}, {"drift": 1.3e308, "rate": 1.5e308}],
+        ids=["premium-overflows", "premium-overflows-negative", "pricing-constant-overflows"],
+    )
+    def test_overflowing_premium_is_a_config_error(self, tmp_path, fields, capsys):
+        payload = self.market_config()
+        payload["market"].update(fields)
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["price", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
     def test_missing_market_block_exits_two(self, tmp_path):
         payload = self.market_config()
         del payload["market"]

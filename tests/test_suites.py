@@ -13,7 +13,7 @@ from rbsde_lab.cli import main
 from rbsde_lab.lattice import TimeGrid, TreeMode, build_tree
 from rbsde_lab.rbsde import reflected_value
 from rbsde_lab.suites import run_suite
-from rbsde_lab.theorems import build_dominating_obstacle
+from rbsde_lab.theorems import EXACT_TOL, build_dominating_obstacle
 
 
 class TestRunSuite:
@@ -67,6 +67,24 @@ class TestRunSuite:
         assert root.passed and root.details["root_low"] == 1.0
 
 
+class TestCheckRow:
+    @pytest.mark.parametrize(
+        "violation, tolerance, holds, passed",
+        [
+            (np.float64(0.5), 1.0, np.bool_(True), True),
+            (np.float64(1.5), 1.0, np.bool_(True), False),
+            (0.0, 0.0, np.bool_(False), False),
+            (1.0, 0.0, True, False),
+        ],
+    )
+    def test_passed_is_a_python_bool_of_holds_and_the_tolerance(
+        self, violation, tolerance, holds, passed
+    ):
+        row = suites._check("row", violation, tolerance, holds=holds)
+        assert row.passed is passed
+        assert (row.max_violation, row.tolerance, row.details) == (violation, tolerance, {})
+
+
 class TestRootOnlyChecks:
     """The closed-form checks read one node per level and hold no lattice."""
 
@@ -103,7 +121,11 @@ class TestRootOnlyChecks:
 # instance counts cut down; the first four were taken before their checks
 # became root-only sweeps, the next four before the ordering checks read
 # their driver samples through SampleSpec.values, the last four before the
-# CLI config blocks were read through one field table.
+# CLI config blocks were read through one field table.  The pricing digest
+# was re-pinned when every row went through suites._check: its
+# zero-premium row had ended in a numpy bool that report.json wrote as
+# ``"passed": 1.0`` and now writes as ``"passed": true``, the only line
+# that moved.
 PINNED_REPORTS = {
     "counterexamples": (
         {"steps": 200},
@@ -151,7 +173,7 @@ PINNED_REPORTS = {
     ),
     "pricing": (
         {},
-        "d73876e9ce726217d6309c30bdeebbb917bc4f2d8aa896697daefe8249e94f58",
+        "7466dff778dac36a89b3ec1aedffea6d4dbb6150737d34f9298a8866704c6a0c",
     ),
 }
 
@@ -166,6 +188,27 @@ class TestReportStability:
         out = tmp_path / "out"
         assert main(["verify", "--config", str(config), "--suite", name, "--out", str(out)]) == 0
         assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == expected
+
+    def test_every_row_of_the_all_report_follows_the_row_rule(self, tmp_path, monkeypatch):
+        for name, (kwargs, _) in PINNED_REPORTS.items():
+            monkeypatch.setitem(
+                suites.SUITES, name, functools.partial(suites.SUITES[name], **kwargs)
+            )
+        # recovery has one size only, several seconds long; its rows are
+        # built by the same _check, which TestCheckRow covers for numpy inputs
+        monkeypatch.delitem(suites.SUITES, "recovery")
+        config = tmp_path / "config.json"
+        config.write_text("{}")
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(config), "--suite", "all", "--out", str(out)]) == 0
+        checks = json.loads((out / "report.json").read_text())["checks"]
+        assert len(checks) == 38  # every suite but recovery
+        for check in checks:
+            assert isinstance(check["passed"], bool), check["name"]
+            # the contact rows allow one grid step plus rounding, reported as dt
+            slack = EXACT_TOL if check["name"].endswith("/contact") else 0.0
+            if check["passed"]:
+                assert check["max_violation"] <= check["tolerance"] + slack, check["name"]
 
     def test_verify_report_is_byte_stable(self, tmp_path):
         config = tmp_path / "config.json"
