@@ -34,6 +34,7 @@ from .errors import (
 )
 from .generators import GeneratorSpec
 from .lattice import (
+    DEFAULT_CONTACT_TOL,
     AdaptedProcess,
     ScenarioTree,
     StoppingRule,
@@ -46,7 +47,6 @@ from .lattice import (
 
 FIXED_POINT_TOL = 1e-12
 FIXED_POINT_MAX_ITER = 200
-DEFAULT_CONTACT_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)

@@ -380,16 +380,16 @@ def _observed_prices(path: Path) -> list[tuple[float, float]]:
 
 def cmd_recover(config: RunConfig, out_dir: Path, config_dir: Path) -> None:
     tree = _tree(config.block("tree"))
-    market = config.block("market")
+    model = _model(config.block("market"))  # checks the market block as price does
     if "recover" not in config.blocks:
         raise ConfigError("recover needs a 'recover' block with an observed CSV path")
     recovery = recover_theta(
         tree,
         _observed_prices(config_dir / config.blocks["recover"]["observed"]),
-        spot=market["spot"],
-        volatility=market["volatility"],
-        rate=market["rate"],
-        kind=PayoffKind(market["kind"]),
+        spot=model.spot,
+        volatility=model.volatility,
+        rate=model.rate,
+        kind=model.kind,
     )
     theta = _finite_json(
         {

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -441,31 +441,20 @@ def parse_prefix(text: str, *, variables: frozenset[str] = frozenset({"t", "y", 
 # ---------------------------------------------------------------------------
 # Generator specification
 
-@dataclass(frozen=True)
-class DriverClaims:
-    """Properties the author of a driver claims it satisfies."""
-
-    lipschitz: bool = False
-    integrable: bool = False
-    constant_preserving: bool = False  # g(t, y, 0) = 0
-    time_continuous: bool = False
-
-
 @dataclass(frozen=True, eq=False)
 class GeneratorSpec:
-    """Evaluable driver with its declared Lipschitz constant and claims."""
+    """Evaluable driver with its declared Lipschitz constant."""
 
     expr: Expr
     lipschitz: float
-    claims: DriverClaims = field(default_factory=DriverClaims)
 
     def __post_init__(self):
         if not (self.lipschitz >= 0.0 and math.isfinite(self.lipschitz)):
             raise ValueError(f"lipschitz constant must be finite and >= 0, got {self.lipschitz!r}")
 
     @classmethod
-    def constant(cls, value: float, **kwargs) -> GeneratorSpec:
-        return cls(Const(float(value)), 0.0, **kwargs)
+    def constant(cls, value: float) -> GeneratorSpec:
+        return cls(Const(float(value)), 0.0)
 
     def to_prefix(self) -> str:
         return self.expr.to_prefix()
@@ -484,7 +473,7 @@ class GeneratorSpec:
 
 def restrict_generator(generator: GeneratorSpec, rule: StoppingRule) -> GeneratorSpec:
     """Gate the driver to vanish once the rule has stopped; keeps the constant."""
-    return GeneratorSpec(ActiveBefore(rule, generator.expr), generator.lipschitz, generator.claims)
+    return GeneratorSpec(ActiveBefore(rule, generator.expr), generator.lipschitz)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +529,7 @@ class SampleSpec:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Sampled evidence for or against the claimed driver properties.
+    """Sampled evidence for or against the declared driver properties.
 
     ``max_time_jump`` is a change detector across adjacent sample times: a
     driver that genuinely varies in t will exceed the threshold even though
@@ -548,7 +537,6 @@ class AssumptionReport:
     """
 
     declared_lipschitz: float
-    claims: DriverClaims
     max_lipschitz_quotient: float
     max_abs_at_zero_z: float
     max_time_jump: float
@@ -558,17 +546,6 @@ class AssumptionReport:
     time_jump_exceeded: bool
 
     _THRESHOLD = 1e-9
-
-    @property
-    def claim_violations(self) -> tuple[str, ...]:
-        out = []
-        if self.claims.lipschitz and self.lipschitz_exceeded:
-            out.append("lipschitz")
-        if self.claims.constant_preserving and self.zero_z_exceeded:
-            out.append("constant_preserving")
-        if self.claims.time_continuous and self.time_jump_exceeded:
-            out.append("time_continuous")
-        return tuple(out)
 
 
 def check_assumptions(generator: GeneratorSpec, sample: SampleSpec) -> AssumptionReport:
@@ -600,7 +577,6 @@ def check_assumptions(generator: GeneratorSpec, sample: SampleSpec) -> Assumptio
     thr = AssumptionReport._THRESHOLD
     return AssumptionReport(
         declared_lipschitz=generator.lipschitz,
-        claims=generator.claims,
         max_lipschitz_quotient=quot_max,
         max_abs_at_zero_z=zero_z_max,
         max_time_jump=jump_max,

@@ -37,6 +37,10 @@ if TYPE_CHECKING:  # fractions loads where exact probabilities are asked for
 # bound beyond which builds are refused.
 FULL_BINARY_MAX_STEPS = 25
 
+# A value within this distance above an obstacle is in contact with it: the
+# hitting rules and the sweep's first-contact level both read it.
+DEFAULT_CONTACT_TOL = 1e-9
+
 
 class TreeMode(Enum):
     FULL_BINARY = "full-binary"
@@ -144,9 +148,6 @@ class ScenarioTree:
             return [Fraction(1, denom)] * self.level_size(level)
         return [Fraction(math.comb(level, j), denom) for j in range(level + 1)]
 
-    def level_probabilities(self, level: int) -> np.ndarray:
-        return np.array([float(p) for p in self.exact_level_probabilities(level)])
-
     def child_values(self, next_level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Split level ``i + 1`` values into (up, down) arrays aligned with level ``i``.
 
@@ -172,24 +173,20 @@ class ScenarioTree:
             return level_constant(level[0], level.size + 1, level.dtype)
         return None
 
-    def expectation(self, level_values: np.ndarray, level: int, *, exact: bool = False) -> float:
+    def expectation(self, level_values: np.ndarray, level: int) -> float:
         """Probability-weighted mean of values at ``level``.
 
-        With ``exact=True`` the accumulation runs in rational arithmetic and
-        rounds once at the end.
+        The accumulation runs in rational arithmetic and rounds once at the end.
         """
+        from fractions import Fraction
+
         values = np.asarray(level_values, dtype=float)
         if values.shape != (self.level_size(level),):
             raise TreeMismatch(f"expected {self.level_size(level)} values at level {level}")
-        if exact:
-            from fractions import Fraction
-
-            total = sum(
-                p * Fraction(v)
-                for p, v in zip(self.exact_level_probabilities(level), values.tolist())
-            )
-            return float(total)
-        return float(np.dot(self.level_probabilities(level), values))
+        total = sum(
+            p * Fraction(v) for p, v in zip(self.exact_level_probabilities(level), values.tolist())
+        )
+        return float(total)
 
 
 def build_tree(grid: TimeGrid, mode: TreeMode) -> ScenarioTree:
@@ -434,15 +431,11 @@ class StoppingRule:
         return bool(np.all(self.leaf_stop_levels <= other.leaf_stop_levels))
 
 
-def hitting_rule(
-    a: AdaptedProcess, b: AdaptedProcess, tol: float = 1e-9
-) -> StoppingRule:
-    """First hit of the event ``a_t <= b_t + tol``; stops at N when never hit."""
+def hitting_rule(a: AdaptedProcess, b: AdaptedProcess) -> StoppingRule:
+    """First hit of ``a_t <= b_t + DEFAULT_CONTACT_TOL``; stops at N when never hit."""
     if a.tree != b.tree:
         raise TreeMismatch("processes live on different trees")
-    if tol < 0.0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
-    flags = [a.level(i) <= b.level(i) + tol for i in range(a.tree.steps + 1)]
+    flags = [a.level(i) <= b.level(i) + DEFAULT_CONTACT_TOL for i in range(a.tree.steps + 1)]
     return StoppingRule(a.tree, flags)
 
 

@@ -107,11 +107,14 @@ def _stock_levels(tree: ScenarioTree, model: MarketModel) -> Callable[[int], np.
     The powers come from two tables built once, ``spot * up**k`` and
     ``down**k`` for ``k = 0..N``, indexed by the up counts, so a level costs
     two gathers and one product instead of two ``pow`` passes; each entry is
-    the power the direct formula takes, bit for bit.
+    the power the direct formula takes, bit for bit.  The tables are built
+    with warnings silenced, as the sweep runs, so a power that overflows
+    surfaces only through the sweep's typed errors.
     """
     up, down = _step_factors(tree, model)
     k = np.arange(tree.steps + 1)
-    spot_up, down_pow = model.spot * up**k, down**k
+    with np.errstate(over="ignore", invalid="ignore"):
+        spot_up, down_pow = model.spot * up**k, down**k
 
     def level(i: int) -> np.ndarray:
         ups = tree.up_counts(i)
@@ -264,7 +267,7 @@ class ThetaRecovery:
     evaluations: int
 
 
-DEFAULT_THETA_BRACKET = (-3.0, 3.0)
+_THETA_BRACKET = (-3.0, 3.0)
 _SCAN_SPACING = 0.01
 _ZOOM_FACTOR = 10.0
 _TARGET_WIDTH = 1e-11
@@ -278,7 +281,6 @@ def recover_theta(
     volatility: float,
     rate: float,
     kind: PayoffKind = PayoffKind.CALL,
-    bracket: tuple[float, float] = DEFAULT_THETA_BRACKET,
 ) -> ThetaRecovery:
     """Recover the market-risk premium from observed (strike, price) pairs.
 
@@ -288,9 +290,9 @@ def recover_theta(
     invariant under the premium (the step reweighting undoes the drift up to
     O(dt)), so the objective is small and rippled by payoff kinks crossing
     nodes; a single coarse bracketing would stall in a ripple.  The search
-    therefore scans the bracket finely, zooms deterministically on the best
-    point seen, and finishes with a bounded minimiser, keeping the best
-    evaluation overall.
+    therefore scans the premium bracket ``_THETA_BRACKET`` finely, zooms
+    deterministically on the best point seen, and finishes with a bounded
+    minimiser, keeping the best evaluation overall.
     """
     from scipy.optimize import minimize_scalar  # scipy loads only for recovery
 
@@ -320,7 +322,7 @@ def recover_theta(
             best_theta = float(theta)
         return value
 
-    lo, hi = bracket
+    lo, hi = _THETA_BRACKET
     count = max(int(round((hi - lo) / _SCAN_SPACING)) + 1, 3)
     grid = np.linspace(lo, hi, count)
     values = [objective(float(theta)) for theta in grid]

@@ -21,7 +21,6 @@ from functools import cached_property
 import numpy as np
 
 from .bsde import (
-    DEFAULT_CONTACT_TOL,
     LevelData,
     LevelObserver,
     SweepSummary,
@@ -269,10 +268,8 @@ def enumerate_stopping_oracle(
     return float(np.max(values[:, 0]))
 
 
-def exercise_rule(
-    solution: RbsdeSolution, obstacle: ObstacleSpec, tol: float = DEFAULT_CONTACT_TOL
-) -> StoppingRule:
-    """First time the reflected value sits on the obstacle."""
+def exercise_rule(solution: RbsdeSolution, obstacle: ObstacleSpec) -> StoppingRule:
+    """First time the reflected value sits on the obstacle (within ``DEFAULT_CONTACT_TOL``)."""
     if solution.y.tree != obstacle.tree:
         raise TreeMismatch("solution and obstacle live on different trees")
-    return hitting_rule(solution.y, obstacle.process, tol)
+    return hitting_rule(solution.y, obstacle.process)

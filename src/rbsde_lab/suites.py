@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bsde import DEFAULT_CONTACT_TOL, TerminalCondition, g_expectation, solve_bsde
+from .bsde import TerminalCondition, g_expectation, solve_bsde
 from .generators import (
     Abs,
     Add,
@@ -32,6 +32,7 @@ from .generators import (
     restrict_generator,
 )
 from .lattice import (
+    DEFAULT_CONTACT_TOL,
     AdaptedProcess,
     ScenarioTree,
     StoppingRule,
@@ -768,9 +769,7 @@ def pricing_suite() -> list[CheckResult]:
     euro_tree = build_tree(TimeGrid(1.0, 128), TreeMode.RECOMBINING)
     euro_price = price_american_rbsde(euro_tree, euro_model).value
     stock = simulate_stock(euro_tree, euro_model)
-    plain = euro_tree.expectation(
-        euro_model.payoff(stock.level(euro_tree.steps)), euro_tree.steps, exact=True
-    )
+    plain = euro_tree.expectation(euro_model.payoff(stock.level(euro_tree.steps)), euro_tree.steps)
     euro_dp = price_european_dp(euro_tree, euro_model)
 
     family_model = MarketModel(

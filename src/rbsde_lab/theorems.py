@@ -20,7 +20,6 @@ import numpy as np
 
 from .bsde import TerminalCondition, _stop_node_values, solve_bsde
 from .errors import (
-    ExpressionError,
     NoStrictGap,
     RuleOrderViolated,
     TreeMismatch,
@@ -135,7 +134,8 @@ def check_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonReport:
 
     The input orderings (terminal, driver, obstacle) are certified by
     sampling; when any of them fails the report is produced anyway but
-    marked vacuous.
+    marked vacuous.  Drivers are also sampled off the tree, so a
+    rule-gated driver raises :class:`ExpressionError`.
     """
     return _compare_values(low, high, *_solve_pair(low, high))
 
@@ -166,10 +166,7 @@ def _compare_values(
         _driver_gap_on_solution(low.generator, high.generator, sol_high),
     )
     sample = SampleSpec(low.tree.grid.horizon, t_count=11, y_count=11, z_count=11)
-    try:
-        g_grid_gap = float(np.max(sample.values(low.generator) - sample.values(high.generator)))
-    except ExpressionError:
-        g_grid_gap = g_sol_gap  # rule-gated drivers cannot be grid-sampled
+    g_grid_gap = float(np.max(sample.values(low.generator) - sample.values(high.generator)))
     certificate = OrderingCertificate(
         terminal_gap=max(xi_gap, 0.0),
         obstacle_gap=max(s_gap, 0.0),
@@ -336,7 +333,7 @@ class ClosedFormCase(Enum):
 
 @dataclass(frozen=True)
 class ClosedFormSolution:
-    """Piecewise closed form on [0, 1]: value, coefficient, push, contact."""
+    """Piecewise closed form on [0, 1]: value, push, contact (the coefficient is 0)."""
 
     driver_value: float
     terminal_value: float
@@ -353,15 +350,9 @@ class ClosedFormSolution:
             self.value_intercept_after + self.value_slope_after * t,
         )
 
-    def coefficient(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
     def push(self, t):
         t = np.asarray(t, dtype=float)
         return self.push_rate * np.minimum(t, self.contact_time)
-
-    def obstacle(self, t):
-        return 1.0 - 2.0 * np.asarray(t, dtype=float)
 
     @property
     def push_plateau(self) -> float:
@@ -705,20 +696,19 @@ def converse_probe(
     g_upper: GeneratorSpec,
     g_lower: GeneratorSpec,
     obstacle: ObstacleSpec,
-    family: ProbeFamily | None = None,
 ) -> ConverseProbeReport:
     """Check that ordered conditional reflected values imply ordered drivers.
 
-    Verdict A holds when the first driver's conditional values dominate the
-    second's for every family member and every ordered rule pair.  Verdict B
-    holds when the first driver dominates the second on the sample region:
-    values above the obstacle bound, or every value when both drivers
-    ignore the value variable.
+    The data are ``ProbeFamily.default`` at the obstacle's bound.  Verdict A
+    holds when the first driver's conditional values dominate the second's
+    for every family member and every ordered rule pair.  Verdict B holds
+    when the first driver dominates the second on the sample region: values
+    above the obstacle bound, or every value when both drivers ignore the
+    value variable.
     """
-    if family is None:
-        if obstacle.bound is None:
-            raise ValueError("default probe family needs an obstacle bound")
-        family = ProbeFamily.default(tree, obstacle.bound)
+    if obstacle.bound is None:
+        raise ValueError("default probe family needs an obstacle bound")
+    family = ProbeFamily.default(tree, obstacle.bound)
 
     value_violation = 0.0
     for builder in family.terminal_builders:

@@ -450,6 +450,63 @@ class TestRecoverCommand:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("rate", [1e308, -1e308])
+    def test_overflowing_market_is_a_config_error(self, tmp_path, capsys, rate):
+        # the premium (drift - rate) / volatility overflows, as price rejects it
+        payload = {
+            "tree": {"horizon": 1.0, "steps": 8, "mode": "recombining"},
+            "market": {
+                "spot": 100.0,
+                "drift": 0.08,
+                "volatility": 0.2,
+                "rate": rate,
+                "kind": "call",
+                "strikes": [100.0],
+            },
+            "recover": {"observed": "obs.csv"},
+        }
+        (tmp_path / "obs.csv").write_text("strike,price\n100,5\n")
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["recover", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (out / "theta.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, market, steps, code, err",
+    [
+        # the stock tables overflow before the sweep's contraction guard rejects the driver
+        ("recover", {"kind": "call", "rate": 1e200}, 48, 3, "solver error: lipschitz * dt"),
+        # the tables overflow at the top of the tree, where every put is worthless
+        ("price", {"kind": "put", "volatility": 20.0}, 2000, 0, ""),
+    ],
+    ids=["recover-rate-1e200", "price-put-volatility-20"],
+)
+def test_overflowing_stock_table_prints_no_warning(
+    tmp_path, capsys, command, market, steps, code, err
+):
+    payload = {
+        "tree": {"horizon": 1.0, "steps": steps, "mode": "recombining"},
+        "market": {
+            "spot": 100.0,
+            "drift": 0.08,
+            "volatility": 0.2,
+            "rate": 0.02,
+            "strikes": [90.0, 100.0, 110.0],
+            **market,
+        },
+        "recover": {"observed": "obs.csv"},
+    }
+    (tmp_path / "obs.csv").write_text("strike,price\n100,5\n")
+    config = write_config(tmp_path, payload)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == code
+    assert [str(w.message) for w in caught] == []
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(err) and stderr.count("\n") == (1 if err else 0)
+
 
 # Configs whose canonical text is checked for idempotence and pinned.
 ROUND_TRIP_PAYLOADS = [

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rbsde_lab import (
-    DriverClaims,
     ExpressionError,
     GeneratorSpec,
     InvalidSample,
@@ -274,36 +273,29 @@ class TestCheckAssumptions:
         assert np.all(values[3] == 0.75) and np.ptp(values[1]) > 0.0
 
     def test_constant_driver_violates_zero_coefficient_claim(self):
-        g = GeneratorSpec.constant(
-            1 / 3, claims=DriverClaims(constant_preserving=True)
-        )
+        g = GeneratorSpec.constant(1 / 3)
         report = check_assumptions(g, self.sample())
         assert report.zero_z_exceeded
         assert report.max_abs_at_zero_z == pytest.approx(1 / 3)
-        assert "constant_preserving" in report.claim_violations
 
     def test_masked_driver_vanishes_at_zero_coefficient(self):
         g = GeneratorSpec(
             Min(Scale(1.5, NegPart(Add((YVar(), Const(-1.0))))), Abs(ZVar())),
             1.5,
-            claims=DriverClaims(constant_preserving=True),
         )
         report = check_assumptions(g, self.sample())
         assert not report.zero_z_exceeded
-        assert report.claim_violations == ()
 
     def test_underdeclared_slope_is_flagged(self):
-        g = GeneratorSpec(Scale(2.0, YVar()), 1.0, claims=DriverClaims(lipschitz=True))
+        g = GeneratorSpec(Scale(2.0, YVar()), 1.0)
         report = check_assumptions(g, self.sample())
         assert report.lipschitz_exceeded
         assert report.max_lipschitz_quotient == pytest.approx(2.0)
-        assert "lipschitz" in report.claim_violations
 
     def test_honest_declaration_passes(self):
         g = GeneratorSpec(
             Add((Scale(0.5, YVar()), Scale(0.25, ZVar()))),
             0.75,
-            claims=DriverClaims(lipschitz=True),
         )
         report = check_assumptions(g, self.sample())
         assert not report.lipschitz_exceeded

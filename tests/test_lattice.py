@@ -35,7 +35,7 @@ class TestBuildTree:
     def test_one_step_walk(self):
         tree = full_tree(1)
         np.testing.assert_allclose(tree.brownian_level(1), [-1.0, 1.0])
-        np.testing.assert_allclose(tree.level_probabilities(1), [0.5, 0.5])
+        assert tree.exact_level_probabilities(1) == [0.5, 0.5]
 
     def test_two_step_recombining(self):
         tree = recomb_tree(2)
@@ -43,7 +43,7 @@ class TestBuildTree:
         np.testing.assert_allclose(
             tree.brownian_level(2), [-2 * root_half, 0.0, 2 * root_half]
         )
-        np.testing.assert_allclose(tree.level_probabilities(2), [0.25, 0.5, 0.25])
+        assert tree.exact_level_probabilities(2) == [0.25, 0.5, 0.25]
 
     def test_full_binary_depth_guard(self):
         with pytest.raises(DepthExceeded):
@@ -71,8 +71,8 @@ class TestBuildTree:
         tree = build_tree(TimeGrid(1.0, 10), mode)
         for i in range(11):
             b = tree.brownian_level(i)
-            mean = tree.expectation(b, i, exact=True)
-            var = tree.expectation(b * b, i, exact=True)
+            mean = tree.expectation(b, i)
+            var = tree.expectation(b * b, i)
             assert abs(mean) <= 1e-15
             assert abs(var - tree.grid.time(i)) <= 1e-12
 
@@ -156,9 +156,9 @@ class TestAdaptedProcess:
         tree = full_tree(8)
         rng = np.random.default_rng(4)
         proc = backward_expectation(tree, rng.uniform(-2, 2, size=256))
-        total = tree.expectation(proc.level(8), 8, exact=True)
+        total = tree.expectation(proc.level(8), 8)
         for i in range(8):
-            nested = tree.expectation(proc.level(i), i, exact=True)
+            nested = tree.expectation(proc.level(i), i)
             assert abs(nested - total) <= 1e-12
 
 
@@ -220,10 +220,10 @@ class TestStoppingRules:
         tree = full_tree(3)
         a = AdaptedProcess.constant(tree, 1.0)
         b = AdaptedProcess.constant(tree, 0.0)
-        rule = hitting_rule(a, b, tol=0.0)
+        rule = hitting_rule(a, b)
         assert np.all(rule.leaf_stop_levels == 3)
 
-        rule_eq = hitting_rule(a, AdaptedProcess.constant(tree, 1.0), tol=0.0)
+        rule_eq = hitting_rule(a, AdaptedProcess.constant(tree, 1.0))
         assert np.all(rule_eq.leaf_stop_levels == 0)
 
     def test_hitting_rule_tree_mismatch(self):

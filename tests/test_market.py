@@ -62,7 +62,7 @@ class TestStock:
         model = MarketModel(**{**BASE, "drift": 0.0})
         stock = simulate_stock(tree, model)
         for i in (1, 16, 64):
-            mean = tree.expectation(stock.level(i), i, exact=True)
+            mean = tree.expectation(stock.level(i), i)
             assert mean == pytest.approx(100.0, abs=1e-10)
 
     @pytest.mark.parametrize(
@@ -135,7 +135,7 @@ class TestPricingIdentity:
         )
         priced = price_american_rbsde(tree, model)
         stock = simulate_stock(tree, model)
-        plain = tree.expectation(model.payoff(stock.level(128)), 128, exact=True)
+        plain = tree.expectation(model.payoff(stock.level(128)), 128)
         assert priced.value == pytest.approx(plain, abs=1e-10)
         assert priced.value == pytest.approx(price_european_dp(tree, model), abs=1e-10)
 

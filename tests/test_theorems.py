@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbsde_lab import (
     AdaptedProcess,
@@ -9,6 +10,7 @@ from rbsde_lab import (
     ObstacleSpec,
     ProbeFamily,
     RbsdeProblem,
+    SampleSpec,
     StoppingRule,
     TerminalCondition,
     TimeGrid,
@@ -16,12 +18,14 @@ from rbsde_lab import (
     build_dominating_obstacle,
     build_floor_obstacle,
     build_tree,
+    check_assumptions,
     check_comparison,
     check_k_comparison,
     closed_form_example,
     converse_probe,
     counterexample_problem,
     incomparable_driver_probe,
+    lipschitz_bound,
     local_strict_witness,
     masked_driver,
     masked_driver_probe,
@@ -29,8 +33,14 @@ from rbsde_lab import (
     solve_rbsde,
 )
 from rbsde_lab import theorems
-from rbsde_lab.generators import Abs, Add, Scale, YVar, ZVar
-from rbsde_lab.theorems import plateau_ramp_driver, ramp_plateau_driver
+from rbsde_lab.generators import Abs, Add, Const, NegPart, Scale, YVar, ZVar
+from rbsde_lab.theorems import (
+    dominating_driver,
+    floor_driver,
+    plateau_ramp_driver,
+    ramp_plateau_driver,
+)
+from test_generators import exprs
 
 
 def full_tree(steps, horizon=1.0):
@@ -147,6 +157,67 @@ class TestComparison:
         assert gap == pytest.approx(2 / 3 - 1 / 2, abs=2e-3)
 
 
+def nonnegative_exprs():
+    """Expressions that are >= 0 everywhere: ``abs``, ``npart``, ``c >= 0``, ``(* c (abs e))``."""
+    factors = st.floats(0.0, 3.0).map(float)
+    return st.one_of(
+        st.builds(Abs, exprs()),
+        st.builds(NegPart, exprs()),
+        st.builds(Const, factors),
+        st.builds(lambda c, e: Scale(c, Abs(e)), factors, exprs()),
+    )
+
+
+class TestComparisonOverTheGrammar:
+    """Comparison for drivers drawn from the whole grammar.
+
+    ``g_high = g_low + q`` with ``q >= 0``, so drivers not affine in y take
+    the fixed-point branch of the implicit step.  The lattice scheme is
+    monotone when ``lipschitz * sqrt(dt) <= 1``; the contraction guard's
+    ``lipschitz * dt < 1`` is not enough (``g = 3z`` on 8 steps, where
+    ``3 * sqrt(dt)`` is 1.06, breaks comparison by about 0.1 on such data),
+    so each pair is scaled down to meet it.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        g_low=exprs(),
+        q=nonnegative_exprs(),
+        mode=st.sampled_from(TreeMode),
+        steps=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        shared=st.booleans(),
+    )
+    def test_ordered_data_give_ordered_solutions(self, g_low, q, mode, steps, seed, shared):
+        tree = build_tree(TimeGrid(1.0, steps), mode)
+        bound = lipschitz_bound(Add((g_low, q))) * tree.sqrt_dt
+        factor = 1.0 if bound <= 1.0 else 1.0 / bound
+        low_expr, high_expr = Scale(factor, g_low), Scale(factor, Add((g_low, q)))
+        g_lo = GeneratorSpec(low_expr, lipschitz_bound(low_expr))
+        g_hi = GeneratorSpec(high_expr, lipschitz_bound(high_expr))
+
+        rng = np.random.default_rng(seed)
+        sizes = [tree.level_size(i) for i in range(steps + 1)]
+        s_hi = [rng.uniform(-2.0, 1.0, k) for k in sizes]
+        s_lo = s_hi if shared else [
+            s - rng.uniform(0.0, 1.0, k) * (rng.random(k) < 0.5) for s, k in zip(s_hi, sizes)
+        ]
+        leaves = sizes[-1]
+        xi_lo = s_lo[-1] + rng.uniform(0.0, 1.0, leaves) * (rng.random(leaves) < 0.7)
+        raised = xi_lo + rng.uniform(0.0, 1.0, leaves) * (rng.random(leaves) < 0.5)
+        xi_hi = np.maximum(raised, s_hi[-1])
+        obstacle_hi = ObstacleSpec(AdaptedProcess(tree, s_hi))
+        obstacle_lo = obstacle_hi if shared else ObstacleSpec(AdaptedProcess(tree, s_lo))
+        low = RbsdeProblem(g_lo, TerminalCondition.from_leaf_values(tree, xi_lo), obstacle_lo)
+        high = RbsdeProblem(g_hi, TerminalCondition.from_leaf_values(tree, xi_hi), obstacle_hi)
+
+        report = check_comparison(low, high)
+        assert report.passed, report  # a vacuous report never passes
+        if shared and mode is TreeMode.FULL_BINARY:
+            pushes = check_k_comparison(low, high)
+            assert pushes.passed, pushes
+
+
 class TestStrictWitness:
     def test_closed_form_pair_witness(self):
         tree = full_tree(10)
@@ -250,6 +321,20 @@ class TestDominatingObstacle:
         plain = solve_bsde(tree, g, xi)
         for i in range(9):
             np.testing.assert_array_equal(plain.y.level(i), sol.y.level(i))
+
+    def test_structural_bound_is_not_a_floor_for_the_declared_constant(self):
+        # lipschitz_bound sums the bounds of an Add's terms, so it overstates
+        # drivers whose terms read different variables; rejecting a declared
+        # constant below it would reject these honest declarations
+        g = dominating_driver(1.5)
+        report = check_assumptions(g, SampleSpec(1.0))
+        assert lipschitz_bound(g.expr) == 3.0
+        assert report.max_lipschitz_quotient == pytest.approx(1.5)
+        assert not report.lipschitz_exceeded
+        zero = GeneratorSpec.constant(0.0)
+        floor = floor_driver(zero, zero, 1.5)
+        assert lipschitz_bound(floor.expr) == 3.0 > floor.lipschitz
+        assert not check_assumptions(floor, SampleSpec(1.0)).lipschitz_exceeded
 
 
 class TestFloorObstacle:
@@ -411,7 +496,7 @@ class TestConverseProbe:
             "reflected_value",
             lambda *args, **kwargs: sweeps.append(args) or real_value(*args, **kwargs),
         )
-        report = converse_probe(tree, g_upper, g_lower, obstacle, family)
+        report = converse_probe(tree, g_upper, g_lower, obstacle)
         assert expected > 0.0
         assert report.max_value_violation == expected
         assert len(sweeps) == 2 * len(family.terminal_builders) * len(family.rules)
