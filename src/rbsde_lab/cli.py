@@ -30,8 +30,6 @@ from .suites import SUITES, run_suite, suite_takes
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return f"{x:.17g}"
 
 

@@ -439,15 +439,12 @@ def hitting_rule(a: AdaptedProcess, b: AdaptedProcess) -> StoppingRule:
     return StoppingRule(a.tree, flags)
 
 
-def event_probability(
-    rule: StoppingRule,
-    predicate: Sequence[np.ndarray] | Callable[[int], np.ndarray],
-) -> float:
+def event_probability(rule: StoppingRule, predicate: Sequence[np.ndarray]) -> float:
     """Exact probability that the predicate holds at and after stopping.
 
-    A path counts when the node predicate is true at its stopping node and
-    at every later node along the path.  Computed as an exact dyadic count
-    over paths, so it needs the full-binary layout.
+    A path counts when the level mask ``predicate[i]`` is true at its
+    stopping node and at every later node along the path.  Computed as an
+    exact dyadic count over paths, so it needs the full-binary layout.
     """
     tree = rule.tree
     if tree.mode is not TreeMode.FULL_BINARY:
@@ -455,8 +452,7 @@ def event_probability(
     stopped = rule.stopped_by_level
     good_path: np.ndarray | None = None
     for i in range(tree.steps + 1):
-        pred = predicate(i) if callable(predicate) else predicate[i]
-        pred = np.asarray(pred, dtype=bool)
+        pred = np.asarray(predicate[i], dtype=bool)
         if pred.shape != (tree.level_size(i),):
             raise TreeMismatch(f"predicate level {i} has wrong shape {pred.shape}")
         good = ~stopped[i] | pred

@@ -149,6 +149,14 @@ def _solve_pair(low: RbsdeProblem, high: RbsdeProblem) -> tuple[RbsdeSolution, R
     )
 
 
+def _require_shared_obstacle(low: RbsdeProblem, high: RbsdeProblem, what: str) -> None:
+    """Raise unless both problems live on one tree and share their obstacle values."""
+    if low.tree != high.tree:
+        raise TreeMismatch(f"{what} needs a common tree")
+    if not all(map(np.array_equal, low.obstacle.process.levels(), high.obstacle.process.levels())):
+        raise ValueError(f"{what} needs a common obstacle")
+
+
 def _compare_values(
     low: RbsdeProblem,
     high: RbsdeProblem,
@@ -191,12 +199,7 @@ def check_k_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonRepor
     every path.  The per-node increments certify path monotonicity, since a
     path difference is the running sum of increment differences.
     """
-    same_obstacle = all(
-        np.array_equal(low.obstacle.process.level(i), high.obstacle.process.level(i))
-        for i in range(low.tree.steps + 1)
-    )
-    if not same_obstacle:
-        raise TreeMismatch("push comparison needs a common obstacle")
+    _require_shared_obstacle(low, high, "push comparison")
     sol_low, sol_high = _solve_pair(low, high)
     base = _compare_values(low, high, sol_low, sol_high)
     if sol_low.k is None or sol_high.k is None:
@@ -218,16 +221,17 @@ def check_k_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonRepor
 class StrictWitness:
     """Stopping rule before the horizon separating the two solutions.
 
-    ``traces`` records, per terminal path, the iterated equality-search
-    levels; ``k_index`` is the first iterate that reaches the horizon with
-    positive probability; ``stop_levels`` are the per-path levels of the
-    returned rule; ``probability`` is the exact probability that the lower
-    solution stays strictly below the higher one from the rule onward.
+    ``iterates`` holds, per terminal path (row), the iterated equality-search
+    levels, padded with the horizon once the path reaches it; ``k_index`` is
+    the first iterate that reaches the horizon with positive probability;
+    ``stop_levels`` are the per-path levels of the returned rule;
+    ``probability`` is the exact probability that the lower solution stays
+    strictly below the higher one from the rule onward.
     """
 
     rule: StoppingRule
     probability: float
-    traces: tuple[tuple[int, ...], ...]
+    iterates: np.ndarray
     k_index: int
     stop_levels: np.ndarray
 
@@ -239,18 +243,15 @@ def local_strict_witness(low: RbsdeProblem, high: RbsdeProblem) -> StrictWitness
     forward (rounded up to the grid so it strictly advances) and looks for
     the next equality of the two solutions; reaching the horizon with
     positive probability pins the iterate whose predecessor midpoint
-    (rounded down to the grid) is the witness.
+    (rounded down to the grid) is the witness.  Every path is searched at
+    once, on level arrays.
     """
+    _require_shared_obstacle(low, high, "witness construction")
     tree = low.tree
-    if tree != high.tree:
-        raise TreeMismatch("witness construction needs a common tree")
     if tree.mode is not TreeMode.FULL_BINARY:
         raise UnsupportedTreeMode("witness construction walks paths; use a full-binary tree")
     if low.generator.expr != high.generator.expr:
         raise ValueError("witness construction assumes a shared driver")
-    for i in range(tree.steps + 1):
-        if not np.array_equal(low.obstacle.process.level(i), high.obstacle.process.level(i)):
-            raise ValueError("witness construction assumes a shared obstacle")
 
     n = tree.steps
     xi_low = low.terminal.extended[n]
@@ -262,49 +263,37 @@ def local_strict_witness(low: RbsdeProblem, high: RbsdeProblem) -> StrictWitness
 
     sol_low = solve_rbsde(tree, low.generator, low.terminal, low.obstacle)
     sol_high = solve_rbsde(tree, high.generator, high.terminal, high.obstacle)
-    gap_levels = [sol_high.y.level(i) - sol_low.y.level(i) for i in range(n + 1)]
-    # per-leaf equality table, leaves x levels
-    equal = np.empty((1 << n, n + 1), dtype=bool)
-    for i in range(n + 1):
-        equal[:, i] = np.repeat(gap_levels[i] <= EQUALITY_TOL, 1 << (n - i))
+    strict = [sol_high.y.level(i) - sol_low.y.level(i) > EQUALITY_TOL for i in range(n + 1)]
+    # next_equal[leaf, j]: first level >= j where the solutions agree on the
+    # leaf's path, n when none; int8 holds every level (n <= 25 on full-binary trees)
+    next_equal = np.empty((1 << n, n + 1), dtype=np.int8)
+    for i, mask in enumerate(strict):
+        next_equal[:, i] = np.repeat(np.where(mask, n, i).astype(np.int8), 1 << (n - i))
+    next_equal = np.minimum.accumulate(next_equal[:, ::-1], axis=1)[:, ::-1]
 
-    traces: list[tuple[int, ...]] = []
-    for leaf in range(1 << n):
-        trace = [0]
-        current = 0
-        while current < n:
-            threshold = current + math.ceil((n - current) / 2)
-            hits = np.nonzero(equal[leaf, threshold:])[0]
-            nxt = threshold + int(hits[0]) if hits.size else n
-            trace.append(nxt)
-            current = nxt
-        traces.append(tuple(trace))
+    leaves = np.arange(1 << n)
+    current = np.zeros(1 << n, dtype=np.int8)
+    rounds = [current]
+    while not bool(np.all(current == n)):
+        current = next_equal[leaves, current + (n - current + 1) // 2]
+        rounds.append(current)
+    iterates = np.stack(rounds, axis=1)
 
-    def iterate_level(trace: tuple[int, ...], k: int) -> int:
-        return trace[min(k - 1, len(trace) - 1)]
-
-    k_index = None
-    max_len = max(len(t) for t in traces)
-    for k in range(1, max_len + 1):
-        if any(iterate_level(t, k) == n for t in traces):
-            k_index = k
-            break
-    if k_index is None or k_index < 2:
+    k_index = int(np.argmax(np.any(iterates == n, axis=0))) + 1
+    if k_index < 2:
         raise WitnessConstructionFailed("equality iteration never reached the horizon")
-
-    base_levels = np.array([iterate_level(t, k_index - 1) for t in traces])
+    base_levels = iterates[:, k_index - 2]
     if bool(np.any(base_levels >= n)):
         raise WitnessConstructionFailed("predecessor iterate already sits at the horizon")
     stop_levels = base_levels + (n - base_levels) // 2
 
     flags = [np.zeros(tree.level_size(i), dtype=bool) for i in range(n + 1)]
-    for leaf, level in enumerate(stop_levels):
-        flags[level][leaf >> (n - level)] = True
+    for i in range(n + 1):
+        flags[i][(leaves >> (n - i))[stop_levels == i]] = True
     rule = StoppingRule(tree, flags)
     if not np.array_equal(rule.leaf_stop_levels, stop_levels):
         raise WitnessConstructionFailed("separating rule is not first-hit consistent")
 
-    strict = [gap > EQUALITY_TOL for gap in gap_levels]
     probability = event_probability(rule, strict)
     if probability <= 0.0:
         raise WitnessConstructionFailed("separation event has zero probability")
@@ -313,7 +302,7 @@ def local_strict_witness(low: RbsdeProblem, high: RbsdeProblem) -> StrictWitness
     return StrictWitness(
         rule=rule,
         probability=probability,
-        traces=tuple(traces),
+        iterates=iterates,
         k_index=k_index,
         stop_levels=stop_levels,
     )

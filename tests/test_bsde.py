@@ -460,6 +460,23 @@ class TestOneBackwardKernel:
         )
         assert not {user for user in layout if user.split(".")[0] == "bsde"}
 
+    def test_no_python_loop_over_leaves(self):
+        # per-path work runs on level arrays; a Python for over range(1 << n)
+        # walks every leaf of a full-binary tree
+        def over_leaves(node):
+            loop = node.iter if isinstance(node, (ast.For, ast.comprehension)) else None
+            return (
+                isinstance(loop, ast.Call)
+                and isinstance(loop.func, ast.Name)
+                and loop.func.id == "range"
+                and any(
+                    isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.LShift)
+                    for arg in loop.args
+                )
+            )
+
+        assert _users(over_leaves) == set()
+
     def test_driver_sampling_is_decided_in_generators(self):
         # a sampled driver check reads its (t, y, z) box through
         # generators.SampleSpec.values instead of building a grid itself

@@ -1,3 +1,7 @@
+import itertools
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +18,10 @@ from rbsde_lab import (
     StoppingRule,
     TerminalCondition,
     TimeGrid,
+    TreeMismatch,
     TreeMode,
+    UnsupportedTreeMode,
+    WitnessConstructionFailed,
     build_dominating_obstacle,
     build_floor_obstacle,
     build_tree,
@@ -24,6 +31,7 @@ from rbsde_lab import (
     closed_form_example,
     converse_probe,
     counterexample_problem,
+    event_probability,
     incomparable_driver_probe,
     lipschitz_bound,
     local_strict_witness,
@@ -32,7 +40,7 @@ from rbsde_lab import (
     solve_bsde,
     solve_rbsde,
 )
-from rbsde_lab import theorems
+from rbsde_lab import suites, theorems
 from rbsde_lab.generators import Abs, Add, Const, NegPart, Scale, YVar, ZVar
 from rbsde_lab.theorems import (
     dominating_driver,
@@ -145,6 +153,13 @@ class TestComparison:
         assert report.max_value_violation == expected.max_value_violation
         assert report.vacuous == expected.vacuous
 
+    def test_push_comparison_rejects_two_obstacles_on_one_tree(self):
+        tree = recomb_tree(20)
+        low, high = counterexample_pair(tree)
+        lowered = replace(low, obstacle=ObstacleSpec(AdaptedProcess.constant(tree, -1.0)))
+        with pytest.raises(ValueError, match="common obstacle"):
+            check_k_comparison(lowered, high)
+
     def test_zero_driver_pair_plateau_difference(self):
         tree = recomb_tree(200)
         low = counterexample_problem(tree, ClosedFormCase.ZERO_DRIVER_LOW_TERMINAL)
@@ -218,6 +233,77 @@ class TestComparisonOverTheGrammar:
             assert pushes.passed, pushes
 
 
+def per_leaf_witness(low, high):
+    """The equality search walked one leaf at a time: the reference for the level arrays."""
+    tree, n = low.tree, low.tree.steps
+    y_low, y_high = (solve_rbsde(tree, p.generator, p.terminal, p.obstacle).y for p in (low, high))
+    strict = [y_high.level(i) - y_low.level(i) > theorems.EQUALITY_TOL for i in range(n + 1)]
+    traces = []
+    for leaf in range(1 << n):
+        trace = [0]
+        while trace[-1] < n:
+            start = trace[-1] + math.ceil((n - trace[-1]) / 2)
+            equal = (i for i in range(start, n + 1) if not strict[i][leaf >> (n - i)])
+            trace.append(next(equal, n))
+        traces.append(tuple(trace))
+    k_index = next(
+        k for k in itertools.count(1) if any(t[min(k - 1, len(t) - 1)] == n for t in traces)
+    )
+    stops = np.array([t[k_index - 2] + (n - t[k_index - 2]) // 2 for t in traces])
+    flags = [np.zeros(tree.level_size(i), dtype=bool) for i in range(n + 1)]
+    for leaf, level in enumerate(stops):
+        flags[level][leaf >> (n - level)] = True
+    rule = StoppingRule(tree, flags)
+    return traces, k_index, stops, rule, event_probability(rule, strict)
+
+
+def shared_pair(tree, generator, obstacle, xi_low, xi_high):
+    return (
+        RbsdeProblem(generator, TerminalCondition.from_leaf_values(tree, xi_low), obstacle),
+        RbsdeProblem(generator, TerminalCondition.from_leaf_values(tree, xi_high), obstacle),
+    )
+
+
+def suite_style_pair(steps, seed):
+    # the witness suite's instance, on any depth
+    rng = suites._rng(seed, steps)
+    tree = full_tree(steps)
+    generator = suites._random_affine_generator(rng, max_coeff=0.5)
+    obstacle = suites._random_obstacle(rng, tree)
+    xi_low = suites._terminal_above(rng, tree, obstacle)
+    return shared_pair(tree, generator, obstacle, xi_low, suites._bumped(rng, xi_low))
+
+
+def spike_pair(level, seed, steps=8):
+    # obstacle -5 but 10 on every node of one level: both solutions agree up to it
+    tree = full_tree(steps)
+    rng = np.random.default_rng(seed)
+    levels = [np.full(tree.level_size(i), 10.0 if i == level else -5.0) for i in range(steps + 1)]
+    xi_low = rng.uniform(0.0, 1.0, tree.level_size(steps))
+    obstacle = ObstacleSpec(AdaptedProcess(tree, levels))
+    xi_high = suites._bumped(rng, xi_low)
+    return shared_pair(tree, GeneratorSpec.constant(0.0), obstacle, xi_low, xi_high)
+
+
+def assert_matches_per_leaf_search(low, high):
+    """Compare the witness with the reference; None when its event has zero probability."""
+    traces, k_index, stops, rule, probability = per_leaf_witness(low, high)
+    if probability == 0.0:
+        with pytest.raises(WitnessConstructionFailed, match="zero probability"):
+            local_strict_witness(low, high)
+        return None
+    witness = local_strict_witness(low, high)
+    n = low.tree.steps
+    assert witness.k_index == k_index
+    rows = witness.iterates.tolist()
+    assert [tuple(row[: row.index(n) + 1]) for row in rows] == traces
+    np.testing.assert_array_equal(witness.stop_levels, stops)
+    for i in range(n + 1):
+        np.testing.assert_array_equal(witness.rule.flags(i), rule.flags(i))
+    assert witness.probability == probability
+    return witness
+
+
 class TestStrictWitness:
     def test_closed_form_pair_witness(self):
         tree = full_tree(10)
@@ -226,7 +312,7 @@ class TestStrictWitness:
         assert witness.k_index == 2
         assert set(witness.stop_levels.tolist()) == {5}
         assert witness.probability == 1.0
-        assert all(trace == (0, 10) for trace in witness.traces)
+        np.testing.assert_array_equal(witness.iterates, np.broadcast_to([0, 10], (1 << 10, 2)))
 
     def test_uniform_gap_witness(self):
         tree = full_tree(8)
@@ -267,6 +353,38 @@ class TestStrictWitness:
         witness = local_strict_witness(low, high)
         assert witness.probability > 0.0
         assert np.all(witness.stop_levels < 8)
+
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 5, 8, 10])
+    def test_level_arrays_match_the_per_leaf_search(self, steps):
+        pairs = [suite_style_pair(steps, seed) for seed in range(4)]
+        witnesses = [assert_matches_per_leaf_search(*pair) for pair in pairs]
+        assert any(witness is not None for witness in witnesses)
+
+    def test_obstacle_spike_pins_a_later_iterate(self):
+        witness = assert_matches_per_leaf_search(*spike_pair(5, seed=1))
+        assert witness.k_index == 3
+        assert set(witness.stop_levels.tolist()) == {6}
+        assert witness.probability == 0.44921875
+
+    def test_spike_before_the_horizon_has_zero_probability(self):
+        # the reference finds the stop at level 7, where the spike makes the solutions agree
+        assert assert_matches_per_leaf_search(*spike_pair(7, seed=1)) is None
+
+    def test_preconditions(self):
+        tree = full_tree(6)
+        low, high = counterexample_pair(tree)
+        with pytest.raises(UnsupportedTreeMode):
+            local_strict_witness(*counterexample_pair(recomb_tree(6)))
+        with pytest.raises(TreeMismatch):
+            local_strict_witness(low, counterexample_pair(full_tree(7))[1])
+        with pytest.raises(ValueError, match="shared driver"):
+            local_strict_witness(low, replace(high, generator=GeneratorSpec.constant(0.0)))
+        lowered = ObstacleSpec(AdaptedProcess.constant(tree, -1.0))
+        with pytest.raises(ValueError, match="common obstacle"):
+            local_strict_witness(low, replace(high, obstacle=lowered))
+        with pytest.raises(ValueError, match="not ordered"):
+            local_strict_witness(high, low)
 
 
 class TestStrictComparisonRevives:
