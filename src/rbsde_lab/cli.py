@@ -364,7 +364,8 @@ def _observed_prices(path: Path) -> list[tuple[float, float]]:
                     strike, price = float(row["strike"]), float(row["price"])
                 except (TypeError, ValueError):
                     strike = price = math.nan
-                if not (_is_strike(strike) and math.isfinite(price)):
+                # csv.DictReader keeps fields past the header under the key None
+                if None in row or not (_is_strike(strike) and math.isfinite(price)):
                     raise ConfigError(f"bad observed price row {row!r}")
                 observed.append((strike, price))
     except FileNotFoundError as exc:

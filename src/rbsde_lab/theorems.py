@@ -279,12 +279,9 @@ def local_strict_witness(low: RbsdeProblem, high: RbsdeProblem) -> StrictWitness
         rounds.append(current)
     iterates = np.stack(rounds, axis=1)
 
+    # column 0 holds no n, so k_index >= 2, column k_index - 2 holds no n, and every stop is < n
     k_index = int(np.argmax(np.any(iterates == n, axis=0))) + 1
-    if k_index < 2:
-        raise WitnessConstructionFailed("equality iteration never reached the horizon")
     base_levels = iterates[:, k_index - 2]
-    if bool(np.any(base_levels >= n)):
-        raise WitnessConstructionFailed("predecessor iterate already sits at the horizon")
     stop_levels = base_levels + (n - base_levels) // 2
 
     flags = [np.zeros(tree.level_size(i), dtype=bool) for i in range(n + 1)]
@@ -297,8 +294,6 @@ def local_strict_witness(low: RbsdeProblem, high: RbsdeProblem) -> StrictWitness
     probability = event_probability(rule, strict)
     if probability <= 0.0:
         raise WitnessConstructionFailed("separation event has zero probability")
-    if bool(np.any(stop_levels >= n)):
-        raise WitnessConstructionFailed("witness rule must stop strictly before the horizon")
     return StrictWitness(
         rule=rule,
         probability=probability,

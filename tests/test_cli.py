@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -352,7 +353,10 @@ class TestPriceCommand:
 
 
 class TestRecoverCommand:
-    def test_round_trip_recovery(self, tmp_path):
+    def test_round_trip_recovery(self, tmp_path, monkeypatch):
+        # recovery runs without scipy
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
         market = {
             "tree": {"horizon": 1.0, "steps": 32, "mode": "recombining"},
             "market": {
@@ -424,6 +428,7 @@ class TestRecoverCommand:
             "strike,price\n-100,5\n",  # a strike that the market block would reject
             "strike,price\n100,nan\n",
             "strike,price\n100,inf\n",
+            "strike,price\n80,21.5,junk\n",  # a field past the header
             None,  # the observed path names a directory
         ],
     )
@@ -620,7 +625,7 @@ class TestConfigRoundTrip:
 
 
 def test_cli_import_does_not_load_scipy():
-    # scipy loads only for recovery, fractions only for exact probabilities
+    # scipy is not a dependency, and fractions loads only for exact probabilities
     src = str(Path(rbsde_lab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -634,3 +639,19 @@ def test_cli_import_does_not_load_scipy():
         env=env,
         check=True,
     )
+
+
+def test_source_imports_only_the_standard_library_and_numpy():
+    package = Path(rbsde_lab.__file__).resolve().parent
+    allowed = set(sys.stdlib_module_names) | {"numpy", "rbsde_lab"}
+    outside = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports stay inside the package
+            outside += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed]
+    assert outside == []

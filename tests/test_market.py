@@ -311,6 +311,11 @@ def _rounded(c, digits):
     return lambda x: round((x - c) ** 2, digits)
 
 
+def _stepped(c, scale):
+    """A vee floored to flat steps, so new points tie the second-best one."""
+    return lambda x: float(math.floor(scale * abs(x - c)))
+
+
 def _constant(value):
     return lambda x: value
 
@@ -349,11 +354,11 @@ def _recovery_error(seed):
 
 
 # Outcomes of recover_theta's bounded polish (xatol 1e-12, at most 200
-# evaluations), as scipy 1.17.1's minimize_scalar(method="bounded") gives
-# them: (case, objective, lo, hi, x, fun, every evaluated point in order).
-# The cases reach every branch: parabolic steps taken and rejected, the step
-# of tol1 away from a bracket edge, ties (flat and constant objectives) and
-# the evaluation cap.
+# evaluations) as scipy 1.17.1's minimize_scalar(method="bounded") gave them,
+# as (case, objective, lo, hi, x, fun, every evaluated point in order);
+# market._bounded_brent must repeat each bit for bit.  The cases reach every
+# branch: parabolic steps taken and rejected, the step of tol1 away from a
+# bracket edge, ties (flat, stepped and constant objectives) and the evaluation cap.
 POLISH_TABLE = (
     ("quadratic-narrow", _quadratic(0.3), 0.3 - 1e-8, 0.3 + 1e-8,
      "0x1.3333335bc1945p-2", "0x1.9b33627916510p-58", (
@@ -472,6 +477,20 @@ POLISH_TABLE = (
         "0x1.0e443ab7e0b43p-1", "0x1.0e4437773f3bap-1", "0x1.0e443574a724ap-1",
         "0x1.0e4434369dc31p-1", "0x1.0e4433720f0d9p-1", "0x1.0e4432f894617p-1",
         "0x1.0e4432ad80582p-1",
+    )),
+    ("stepped-vee", _stepped(0.1, 1000.0), -1.0, 2.0,
+     "0x1.999e02f878c32p-4", "0x0.0p+0", (
+        "0x1.2acc969c11040p-3", "0x1.b54cda58fbbedp-1", "-0x1.2acc969c11047p-2",
+        "0x1.7054739420cb9p-3", "0x1.fd3dc20d13524p-6", "0x1.a1f6dc700f882p-4",
+        "0x1.831bd06b73681p-4", "0x1.b0efacae2c780p-4", "0x1.9a05be8ccff00p-4",
+        "0x1.9145288b5fae7p-4", "0x1.999e027db79b4p-4", "0x1.99d1e08543c5ap-4",
+        "0x1.99be10c3bd435p-4", "0x1.99b1d23f3e1d9p-4", "0x1.99aa410236c11p-4",
+        "0x1.99a593babef7dp-4", "0x1.99a2afc52f648p-4", "0x1.99a0e673472e8p-4",
+        "0x1.999fcbcf9fd13p-4", "0x1.999f1d215ef88p-4", "0x1.999eb12bf873fp-4",
+        "0x1.999e6e731e1fep-4", "0x1.999e453691ef6p-4", "0x1.999e2bba43cbdp-4",
+        "0x1.999e1bfa05bedp-4", "0x1.999e123df5a83p-4", "0x1.999e0c39c7b1dp-4",
+        "0x1.999e0881e5919p-4", "0x1.999e063599bb8p-4", "0x1.999e04ca03716p-4",
+        "0x1.999e03e94de57p-4", "0x1.999e035e6d273p-4", "0x1.999e02f878c32p-4",
     )),
     ("constant-width-1", _constant(1.0), 0.0, 1.0,
      "0x1.ffffff7e1d791p-1", "0x1.0000000000000p+0", (
@@ -617,15 +636,6 @@ POLISH_TABLE = (
 )
 
 
-def POLISH(func, lo, hi):
-    from scipy.optimize import minimize_scalar
-
-    result = minimize_scalar(
-        func, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12, "maxiter": 200}
-    )
-    return result.x, result.fun
-
-
 class TestBoundedPolish:
     @pytest.mark.parametrize("case", POLISH_TABLE, ids=lambda case: case[0])
     def test_polish_reproduces_the_pinned_outcome(self, case):
@@ -636,5 +646,5 @@ class TestBoundedPolish:
             seen.append(float(x).hex())
             return objective(float(x))
 
-        x, fun = POLISH(traced, lo, hi)
+        x, fun = market._bounded_brent(traced, lo, hi)
         assert (float(x).hex(), float(fun).hex(), tuple(seen)) == (x_hex, fun_hex, points)

@@ -16,6 +16,7 @@ from rbsde_lab import (
     TerminalCondition,
     TimeGrid,
     TreeMode,
+    UnsupportedTreeMode,
     build_tree,
     closed_form_example,
     counterexample_problem,
@@ -514,6 +515,22 @@ class TestOracles:
         xi = TerminalCondition.constant(tree, 1.0)
         with pytest.raises(DepthExceeded):
             enumerate_stopping_oracle(tree, xi, low_obstacle(tree))
+
+    def test_snell_rejects_a_terminal_below_the_obstacle(self):
+        tree = full_tree(3)
+        obstacle = ObstacleSpec(AdaptedProcess.constant(tree, 1.0))
+        with pytest.raises(TerminalBelowObstacle):
+            snell_oracle(tree, TerminalCondition.constant(tree, 0.0), obstacle)
+
+    def test_enumeration_needs_a_full_binary_tree_and_plain_terminal_data(self):
+        tree = recomb_tree(3)
+        plain = TerminalCondition.constant(tree, 1.0)
+        with pytest.raises(UnsupportedTreeMode, match="full-binary"):
+            enumerate_stopping_oracle(tree, plain, low_obstacle(tree))
+        tree = full_tree(3)
+        stopped = TerminalCondition.constant(tree, 1.0, StoppingRule.at_level(tree, 2))
+        with pytest.raises(UnsupportedTreeMode, match="plain terminal data"):
+            enumerate_stopping_oracle(tree, stopped, low_obstacle(tree))
 
 
 class TestExerciseRule:

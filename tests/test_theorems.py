@@ -160,6 +160,24 @@ class TestComparison:
         with pytest.raises(ValueError, match="common obstacle"):
             check_k_comparison(lowered, high)
 
+    def test_comparison_across_two_trees_is_a_tree_mismatch(self):
+        low, _ = counterexample_pair(recomb_tree(6))
+        _, high = counterexample_pair(recomb_tree(7))
+        with pytest.raises(TreeMismatch, match="comparison needs a common tree"):
+            check_comparison(low, high)
+
+    def test_push_comparison_needs_representable_pushes(self):
+        # the pushes summed along two paths into one node differ, so the tree cannot carry them
+        tree = recomb_tree(4)
+        obstacle = ObstacleSpec(AdaptedProcess.from_state_function(tree, lambda t, b: 1 + b - t))
+
+        def problem(bump):
+            terminal = TerminalCondition.from_leaf_function(tree, lambda b: np.maximum(b, 0.0) + bump)
+            return RbsdeProblem(GeneratorSpec.constant(0.0), terminal, obstacle)
+
+        with pytest.raises(UnsupportedTreeMode, match="cumulative pushes"):
+            check_k_comparison(problem(0.0), problem(0.1))
+
     def test_zero_driver_pair_plateau_difference(self):
         tree = recomb_tree(200)
         low = counterexample_problem(tree, ClosedFormCase.ZERO_DRIVER_LOW_TERMINAL)
@@ -294,6 +312,10 @@ def assert_matches_per_leaf_search(low, high):
         return None
     witness = local_strict_witness(low, high)
     n = low.tree.steps
+    # the invariants of the search that make the rule stop before the horizon
+    assert witness.k_index >= 2
+    assert not np.any(witness.iterates[:, witness.k_index - 2] == n)
+    assert np.all(witness.stop_levels < n)
     assert witness.k_index == k_index
     rows = witness.iterates.tolist()
     assert [tuple(row[: row.index(n) + 1]) for row in rows] == traces
