@@ -40,6 +40,7 @@ from .lattice import (
     StoppingRule,
     _frozen_levels,
     _held_after,
+    _per_member,
     conditional_expectation,
     constant_levels,
     martingale_coefficient,
@@ -54,7 +55,8 @@ class TerminalCondition:
     """Terminal data attached to a stopping rule (level N by default).
 
     Levels are adopted as :class:`AdaptedProcess` adopts them: frozen input
-    is kept as given, anything a caller can still write to is copied.
+    is kept as given, anything a caller can still write to is copied, and
+    leading axes are batch members.  The rule is shared by every member.
     """
 
     tree: ScenarioTree
@@ -64,20 +66,23 @@ class TerminalCondition:
     def __post_init__(self):
         if self.rule.tree != self.tree:
             raise TreeMismatch("terminal rule lives on a different tree")
-        levels = tuple(_frozen_levels(self.tree, self.values, np.float64, "terminal"))
+        levels = tuple(
+            _frozen_levels(self.tree, self.values, np.float64, "terminal", batched=True)
+        )
         object.__setattr__(self, "values", levels)
         masks, first_stop = self.rule.stop_node_masks, self.rule.first_stop_level
         # below the rule's first stopping level no node stops, so nothing to test
         for i in range(first_stop, self.tree.steps + 1):
-            if not np.isfinite(levels[i][masks[i]]).all():
+            if not np.isfinite(levels[i][..., masks[i]]).all():
                 raise ValueError("terminal values must be finite on stopping nodes")
 
     @classmethod
     def constant(
-        cls, tree: ScenarioTree, value: float, rule: StoppingRule | None = None
+        cls, tree: ScenarioTree, value, rule: StoppingRule | None = None
     ) -> TerminalCondition:
+        """``value`` everywhere; a column of shape ``batch + (1,)`` gives one per member."""
         rule = rule or StoppingRule.terminal(tree)
-        return cls(tree, rule, tuple(constant_levels(tree, float(value))))
+        return cls(tree, rule, tuple(constant_levels(tree, value)))
 
     @classmethod
     def from_leaf_values(cls, tree: ScenarioTree, leaf_values) -> TerminalCondition:
@@ -140,13 +145,14 @@ class BsdeSolution:
 
     ``residual`` is the largest replayed defect of the one-step identity
     ``v = mean + g(t, v, z) * dt`` over active nodes; ``iterations`` is the
-    largest fixed-point iteration count any node needed.
+    largest fixed-point iteration count any node needed.  Both hold one
+    entry per batch member.
     """
 
     y: AdaptedProcess
     z: AdaptedProcess
-    iterations: int
-    residual: float
+    iterations: int | np.ndarray
+    residual: float | np.ndarray
 
 
 def _implicit_level(
@@ -160,9 +166,10 @@ def _implicit_level(
 ) -> tuple[np.ndarray, np.ndarray | int]:
     """Solve ``v = mean + g(t, v, z) * dt`` nodewise across a level.
 
-    Leading axes of ``mean`` are batch members.  Each member stops iterating
-    at its own first step within tolerance, so it gets the value and the
-    iteration count it would get alone; the counts come back per member.
+    Leading axes of ``mean`` are batch members, and cover those of the
+    driver's coefficient columns.  Each member stops iterating at its own
+    first step within tolerance, so it gets the value and the iteration
+    count it would get alone; the counts come back per member.
     """
     parts = generator.y_affine(t, zco, level=level, tree=tree)
     if parts is not None:
@@ -248,8 +255,10 @@ def _sweep(
     (``None`` without an obstacle).  It only reads; nothing it does feeds
     back into the sweep.  With ``obstacle=None`` the
     step is the plain implicit one: no clamp, no push, no gap or contact
-    reductions.  Batch members only meet in elementwise operations, so each
-    one is bit-identical to a solve of its own data.  ``rule=None`` is the
+    reductions.  The batch axes are those of the terminal data and the
+    driver's coefficient columns, and the obstacle broadcasts against them.
+    Batch members only meet in elementwise operations, so each one is
+    bit-identical to a solve of its own data.  ``rule=None`` is the
     level-N rule; levels below the rule's first stopping level skip all mask
     work.  Terminal data below the obstacle are caught by the stopping-node
     part of the gap reduction (there ``y`` is the terminal value), so the
@@ -275,10 +284,11 @@ def _sweep(
         stopped, stop_nodes = rule.stopped_by_level, rule.stop_node_masks
         first_stop = rule.first_stop_level
 
-    y = np.array(terminal.level(n), dtype=float)
+    leaves = np.asarray(terminal.level(n), dtype=float)
+    batch = np.broadcast_shapes(leaves.shape[:-1], generator.batch_shape)
+    y = np.array(np.broadcast_to(leaves, batch + leaves.shape[-1:]))
     z = np.zeros_like(y)
     dk = None if obstacle is None else z
-    batch = y.shape[:-1]
     first_contact = np.full(batch, n)
     skorokhod = np.zeros(batch)
     min_gap = np.full(batch, np.inf)
@@ -396,14 +406,17 @@ def solve_bsde(
     """Backward recursion from the terminal rule to the root.
 
     This is the shared sweep with no obstacle, keeping every level of y and z.
+    Batch axes of the data and the driver's coefficient columns carry
+    through: the levels keep them in front of the node axis and the
+    diagnostics hold one entry per member (Python scalars without a batch).
     """
     observe, (y_levels, z_levels, _) = _kept_levels(tree)
     summary = _sweep(tree, generator, terminal.rule, terminal, None, observe)
     return BsdeSolution(
         y=AdaptedProcess(tree, y_levels),
         z=AdaptedProcess(tree, z_levels),
-        iterations=int(summary.iterations),
-        residual=float(summary.residual),
+        iterations=_per_member(summary.iterations),
+        residual=_per_member(summary.residual),
     )
 
 
@@ -413,13 +426,13 @@ def g_expectation(
     terminal: TerminalCondition,
     *,
     observe: LevelObserver | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Initial value of the solution: the nonlinear expectation of the data.
 
     A root-only sweep, equal to ``solve_bsde(...).y.root()`` bit for bit;
     ``observe`` sees each level on the way down (see ``_sweep``).
     """
-    return float(_sweep(tree, generator, terminal.rule, terminal, None, observe).root)
+    return _per_member(_sweep(tree, generator, terminal.rule, terminal, None, observe).root)
 
 
 def conditional_g_expectation(

@@ -10,6 +10,12 @@ wrappers are built programmatically only.
 Evaluation broadcasts over numpy arrays, which is what the level-vectorised
 solvers feed in.  Expressions affine in ``y`` expose their decomposition so
 the implicit solver step can be closed in one division instead of iterating.
+
+A constant or a scale factor may be a coefficient column of shape
+``batch + (1,)`` instead of a number: one coefficient per batch member,
+broadcast against values whose node axis comes last.
+:meth:`GeneratorSpec.stack` builds such drivers from members of one
+structure.  A column has no prefix text.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, replace
-from typing import Iterable
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -72,12 +79,22 @@ class Expr:
 
 
 def _fmt(value: float) -> str:
+    if np.ndim(value):
+        raise ExpressionError("coefficient columns have no text form")
     return repr(float(value))
+
+
+def _check_coefficient(value) -> None:
+    if np.ndim(value) and np.shape(value)[-1] != 1:
+        raise ExpressionError("a coefficient column needs shape batch + (1,)")
 
 
 @dataclass(frozen=True)
 class Const(Expr):
-    value: float
+    value: float | np.ndarray
+
+    def __post_init__(self):
+        _check_coefficient(self.value)
 
     def eval(self, ctx):
         return self.value
@@ -209,8 +226,11 @@ class Add(Expr):
 
 @dataclass(frozen=True)
 class Scale(Expr):
-    factor: float
+    factor: float | np.ndarray
     inner: Expr
+
+    def __post_init__(self):
+        _check_coefficient(self.factor)
 
     def eval(self, ctx):
         return self.factor * self.inner.eval(ctx)
@@ -331,7 +351,10 @@ class ActiveBefore(Expr):
 
 
 def lipschitz_bound(expr: Expr) -> float:
-    """Structural upper bound for the Lipschitz constant in ``(y, z)``."""
+    """Structural upper bound for the Lipschitz constant in ``(y, z)``.
+
+    A column of scale factors counts with its largest ``|c|``.
+    """
     if isinstance(expr, (Const, TimeVar, BrownianVar)):
         return 0.0
     if isinstance(expr, (YVar, ZVar)):
@@ -339,7 +362,7 @@ def lipschitz_bound(expr: Expr) -> float:
     if isinstance(expr, (Neg, Abs, NegPart)):
         return lipschitz_bound(expr.inner)
     if isinstance(expr, Scale):
-        return abs(expr.factor) * lipschitz_bound(expr.inner)
+        return float(np.max(np.abs(expr.factor))) * lipschitz_bound(expr.inner)
     if isinstance(expr, Add):
         return sum(lipschitz_bound(t) for t in expr.terms)
     if isinstance(expr, Min):
@@ -456,8 +479,24 @@ class GeneratorSpec:
     def constant(cls, value: float) -> GeneratorSpec:
         return cls(Const(float(value)), 0.0)
 
+    @classmethod
+    def stack(cls, members: Sequence[GeneratorSpec]) -> GeneratorSpec:
+        """One driver whose batch axis runs over ``members``.
+
+        The members' expressions must share one structure; their constants
+        and scale factors become columns of shape ``(len(members), 1)``, and
+        the declared constant is the largest member's, so the contraction
+        guard refuses the batch exactly when it refuses some member.
+        """
+        return cls(_stacked_expr([m.expr for m in members]), max(m.lipschitz for m in members))
+
     def to_prefix(self) -> str:
         return self.expr.to_prefix()
+
+    @cached_property
+    def batch_shape(self) -> tuple[int, ...]:
+        """Batch shape of the coefficient columns; ``()`` for a driver of numbers."""
+        return _batch_shape(self.expr)
 
     @property
     def is_y_free(self) -> bool:
@@ -469,6 +508,34 @@ class GeneratorSpec:
     def y_affine(self, t: float, z, *, level: int | None = None, tree: ScenarioTree | None = None):
         """Decomposition ``g = h + a * y`` at fixed ``(t, z)``, or None."""
         return self.expr.y_affine(EvalContext(t=t, y=0.0, z=z, level=level, tree=tree))
+
+
+def _batch_shape(expr: Expr) -> tuple[int, ...]:
+    own = expr.value if isinstance(expr, Const) else expr.factor if isinstance(expr, Scale) else 0.0
+    return np.broadcast_shapes(np.shape(own)[:-1], *map(_batch_shape, expr.children()))
+
+
+def _stacked_expr(members: Sequence[Expr]) -> Expr:
+    """The members' common structure with their coefficients as columns."""
+    first = members[0]
+    if any(type(m) is not type(first) for m in members):
+        raise ExpressionError("stacked expressions must share one structure")
+    parts = {}
+    for field in fields(first):
+        values = [getattr(m, field.name) for m in members]
+        if field.name in ("value", "factor"):  # Const and Scale
+            column = np.array(values, dtype=float)[:, None]
+            column.flags.writeable = False
+            parts[field.name] = column
+        elif isinstance(values[0], Expr):
+            parts[field.name] = _stacked_expr(values)
+        elif field.name in ("terms", "pieces") and len({len(v) for v in values}) == 1:
+            parts[field.name] = tuple(map(_stacked_expr, zip(*values)))
+        elif all(v is values[0] or v == values[0] for v in values):
+            parts[field.name] = values[0]
+        else:
+            raise ExpressionError("stacked expressions must share one structure")
+    return type(first)(**parts)
 
 
 def restrict_generator(generator: GeneratorSpec, rule: StoppingRule) -> GeneratorSpec:
@@ -515,16 +582,19 @@ class SampleSpec:
         return np.meshgrid(self.y_points(), self.z_points(), indexing="ij")
 
     def values(self, generator: GeneratorSpec) -> np.ndarray:
-        """``g`` on the sample box as a ``(t_count, y_count, z_count)`` array.
+        """``g`` on the sample box as a ``batch + (t_count, y_count, z_count)`` array.
 
         Each time is evaluated on its own, so a time-piecewise driver picks
-        its piece per time.
+        its piece per time.  The box is evaluated as one flat point axis, so
+        a driver's coefficient columns (``batch + (1,)``) broadcast against
+        the points and never against the box's own axes.
         """
-        yy, zz = self._box()
-        out = np.empty((self.t_count, *yy.shape))
-        for row, t in zip(out, self.t_points()):
-            row[...] = generator.evaluate(float(t), yy, zz)
-        return out
+        ys, zs = (axis.ravel() for axis in self._box())
+        batch = generator.batch_shape
+        out = np.empty(batch + (self.t_count, ys.size))
+        for k, t in enumerate(self.t_points()):
+            out[..., k, :] = generator.evaluate(float(t), ys, zs)
+        return out.reshape(batch + (self.t_count, self.y_count, self.z_count))
 
 
 @dataclass(frozen=True)

@@ -165,12 +165,14 @@ class ScenarioTree:
         This is how path-carried data move forward.  A full-binary node has
         one path, so each value is repeated; a recombining node joins two
         paths, so only a constant level carries (as a one-cell view), and
-        for any other level this returns None.
+        for any other level this returns None.  Leading axes are batch
+        members.
         """
         if self.mode is TreeMode.FULL_BINARY:
-            return np.repeat(level, 2)
-        if level.strides == (0,) or (level == level[0]).all():  # one-cell views are constant
-            return level_constant(level[0], level.size + 1, level.dtype)
+            return np.repeat(level, 2, axis=-1)
+        # one-cell views are constant; a batch carries only when every member's level does
+        if level.strides[-1] == 0 or (level == level[..., :1]).all():
+            return level_constant(level[..., :1], level.shape[-1] + 1, level.dtype)
         return None
 
     def expectation(self, level_values: np.ndarray, level: int) -> float:
@@ -211,16 +213,25 @@ def martingale_coefficient(child_up, child_down, dt: float):
 
 
 def level_constant(value, size: int, dtype=float) -> np.ndarray:
-    """Read-only level of ``size`` equal values stored in one frozen cell."""
-    cell = np.array([value], dtype=dtype)
+    """Read-only level of ``size`` equal values stored in one frozen cell.
+
+    A column ``value`` of shape ``batch + (1,)`` gives one cell per member.
+    """
+    cell = np.array(value if isinstance(value, np.ndarray) else [value], dtype=dtype)
     cell.flags.writeable = False
-    return np.ndarray((size,), cell.dtype, cell, 0, (0,))
+    return np.ndarray(cell.shape[:-1] + (size,), cell.dtype, cell, 0, cell.strides[:-1] + (0,))
 
 
 def constant_levels(tree: ScenarioTree, value, dtype=float) -> list[np.ndarray]:
     """Every level of ``tree`` holding ``value``, as slices of one constant row."""
     row = level_constant(value, tree.level_size(tree.steps), dtype)
-    return [row[: tree.level_size(i)] for i in range(tree.steps + 1)]
+    return [row[..., : tree.level_size(i)] for i in range(tree.steps + 1)]
+
+
+def _per_member(values):
+    """Values with one entry per batch member, or the Python scalar without a batch."""
+    values = np.asarray(values)
+    return values.item() if values.ndim == 0 else values
 
 
 def _level_rule_masks(tree: ScenarioTree, start: int, stop: int) -> tuple[np.ndarray, ...]:
@@ -229,12 +240,16 @@ def _level_rule_masks(tree: ScenarioTree, start: int, stop: int) -> tuple[np.nda
     return tuple(off[:start] + on[start:stop] + off[stop:])
 
 
-def _frozen_levels(tree: ScenarioTree, levels: Sequence, dtype, what: str) -> list[np.ndarray]:
+def _frozen_levels(
+    tree: ScenarioTree, levels: Sequence, dtype, what: str, *, batched: bool = False
+) -> list[np.ndarray]:
     """One array per level of ``tree``, checked against its size and read-only.
 
     A level that is read-only down to the array owning its memory and
     already has ``dtype`` is kept as given (level-constant data as one-cell
-    views, solver output as made); anything else is copied.
+    views, solver output as made); anything else is copied.  With
+    ``batched``, leading axes are batch members: the node axis comes last,
+    and the levels' batch shapes must broadcast together.
     """
     if len(levels) != tree.steps + 1:
         raise TreeMismatch(f"{what} needs {tree.steps + 1} levels, got {len(levels)}")
@@ -244,12 +259,16 @@ def _frozen_levels(tree: ScenarioTree, levels: Sequence, dtype, what: str) -> li
         while isinstance(owner, np.ndarray) and not owner.flags.writeable:
             owner = owner.base
         arr = level if owner is None and level.dtype == dtype else np.array(level, dtype=dtype)
-        if arr.shape != (tree.level_size(i),):
+        if arr.shape[-1:] != (tree.level_size(i),) or (arr.ndim > 1 and not batched):
             raise TreeMismatch(
                 f"{what} level {i} must hold {tree.level_size(i)} values, got shape {arr.shape}"
             )
         arr.flags.writeable = False
         stored.append(arr)
+    try:
+        np.broadcast_shapes(*{arr.shape[:-1] for arr in stored})
+    except ValueError:
+        raise TreeMismatch(f"{what} levels have batch shapes that do not broadcast") from None
     return stored
 
 
@@ -257,23 +276,25 @@ class AdaptedProcess:
     """One real value per tree node; immutable after construction.
 
     Levels are stored as :func:`_frozen_levels` adopts them, so no caller
-    can alias a process.
+    can alias a process.  Leading axes of a level are batch members, the
+    node axis last; :meth:`value` and :meth:`root` then give one entry per
+    member, and a Python float without a batch.
     """
 
     __slots__ = ("tree", "_levels")
 
     def __init__(self, tree: ScenarioTree, levels: Sequence[np.ndarray]):
         self.tree = tree
-        self._levels = tuple(_frozen_levels(tree, levels, np.float64, "process"))
+        self._levels = tuple(_frozen_levels(tree, levels, np.float64, "process", batched=True))
 
     def level(self, i: int) -> np.ndarray:
         return self._levels[i]
 
-    def value(self, level: int, node: int) -> float:
-        return float(self._levels[level][node])
+    def value(self, level: int, node: int) -> float | np.ndarray:
+        return _per_member(self._levels[level][..., node])
 
-    def root(self) -> float:
-        return float(self._levels[0][0])
+    def root(self) -> float | np.ndarray:
+        return _per_member(self._levels[0][..., 0])
 
     def levels(self) -> tuple[np.ndarray, ...]:
         return self._levels

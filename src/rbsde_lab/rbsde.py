@@ -42,6 +42,7 @@ from .lattice import (
     ScenarioTree,
     StoppingRule,
     TreeMode,
+    _per_member,
     conditional_expectation,
     hitting_rule,
 )
@@ -84,12 +85,14 @@ class ObstacleSpec:
 
 @dataclass(frozen=True)
 class ReflectionDiagnostics:
-    skorokhod_residual: float
-    min_gap: float
-    max_increment: float
-    iterations: int
-    residual: float
-    cumulative_available: bool
+    """Sweep reductions of a reflected solve, one entry per batch member."""
+
+    skorokhod_residual: float | np.ndarray
+    min_gap: float | np.ndarray
+    max_increment: float | np.ndarray
+    iterations: int | np.ndarray
+    residual: float | np.ndarray
+    cumulative_available: bool | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,20 +133,38 @@ def solve_rbsde(
 ) -> RbsdeSolution:
     """Backward reflected recursion from the terminal rule to the root.
 
-    This is the shared sweep with no batch axis, keeping every level.
+    This is the shared sweep keeping every level.  Batch axes of the data
+    and the driver's coefficient columns carry through as in
+    :func:`bsde.solve_bsde`: every member is its own solve bit for bit, and
+    the diagnostics hold one entry per member.  On a recombining tree a
+    batch carries its cumulative push only when every member's can be
+    carried.
     """
+    return _reflected_solution(tree, generator, terminal, obstacle)
+
+
+def _reflected_solution(
+    tree: ScenarioTree,
+    generator: GeneratorSpec,
+    terminal: TerminalCondition,
+    obstacle: ObstacleSpec,
+) -> RbsdeSolution:
+    """The body of :func:`solve_rbsde`, which the batched checks of
+    :mod:`theorems` call by this name: the benchmark tracer
+    (``perfbench/bench_trace.py``) hooks ``solve_rbsde`` and reads its
+    diagnostics as single numbers, which a batch does not have."""
     observe, (y_levels, z_levels, dk_levels) = _kept_levels(tree)
     summary = _sweep(tree, generator, terminal.rule, terminal, obstacle.process, observe)
     cumulative = _accumulate_increments(tree, dk_levels)
     for fresh in cumulative or []:
         fresh.flags.writeable = False
     diagnostics = ReflectionDiagnostics(
-        skorokhod_residual=float(summary.skorokhod_residual),
-        min_gap=float(summary.min_gap),
-        max_increment=float(summary.max_increment),
-        iterations=int(summary.iterations),
-        residual=float(summary.residual),
-        cumulative_available=cumulative is not None,
+        skorokhod_residual=_per_member(summary.skorokhod_residual),
+        min_gap=_per_member(summary.min_gap),
+        max_increment=_per_member(summary.max_increment),
+        iterations=_per_member(summary.iterations),
+        residual=_per_member(summary.residual),
+        cumulative_available=_per_member(np.full(summary.root.shape, cumulative is not None)),
     )
     return RbsdeSolution(
         y=AdaptedProcess(tree, y_levels),
@@ -178,13 +199,14 @@ def reflected_value(
     obstacle: ObstacleSpec,
     *,
     observe: LevelObserver | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Root value of the reflected solution.
 
-    A root-only sweep, equal to ``solve_rbsde(...).y.root()`` bit for bit;
-    ``observe`` sees each level on the way down (see ``bsde._sweep``).
+    A root-only sweep, equal to ``solve_rbsde(...).y.root()`` bit for bit,
+    one per batch member; ``observe`` sees each level on the way down (see
+    ``bsde._sweep``).
     """
-    return float(
+    return _per_member(
         _sweep(tree, generator, terminal.rule, terminal, obstacle.process, observe).root
     )
 

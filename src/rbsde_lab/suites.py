@@ -70,6 +70,7 @@ from .theorems import (
     check_k_comparison,
     closed_form_example,
     converse_probe,
+    counterexample_batch,
     counterexample_problem,
     dominating_driver,
     incomparable_driver_probe,
@@ -94,6 +95,12 @@ class CheckResult:
 # distance of a closed-form check's lattice solution from its continuous
 # closed form: values, pushes, plateaus and the dominating-obstacle profile
 CLOSED_FORM_TOL = 2e-3
+
+# instances a comparison suite checks in one batch.  Each member holds about
+# 90 kB of solutions and driver samples while its batch is checked; at 10 the
+# `comparison` process peaks below the other suites', while 25 raised its
+# peak from 37.3 to 39.1 MB for no time saved beyond process-start noise
+CHECK_CHUNK = 10
 
 
 def _check(
@@ -150,30 +157,30 @@ def _random_vanishing_generator(rng, budget: float = 1.5) -> GeneratorSpec:
     return GeneratorSpec(expr, budget)
 
 
-def _random_obstacle(rng, tree: ScenarioTree, *, slope: float = 3.0) -> ObstacleSpec:
+def _random_obstacle_levels(rng, tree: ScenarioTree, *, slope: float = 3.0) -> list[np.ndarray]:
+    """Levels of ``start - slope * t + wobble * b`` for a drawn start and wobble."""
     start = float(rng.uniform(0.0, 0.4))
     wobble = float(rng.uniform(0.0, 0.15))
-    proc = AdaptedProcess.from_state_function(
-        tree, lambda t, b: start - slope * t + wobble * b
-    )
-    return ObstacleSpec(proc)
-
-
-def _lifted_obstacle(base: ObstacleSpec, rng) -> ObstacleSpec:
-    """Obstacle dominating ``base`` nodewise by a deterministic lift."""
-    tree = base.tree
-    lift0 = float(rng.uniform(0.0, 0.3))
-    lift1 = float(rng.uniform(0.0, 0.3))
-    levels = [
-        base.process.level(i) + lift0 + lift1 * tree.grid.time(i)
+    return [
+        start - slope * tree.grid.time(i) + wobble * tree.brownian_level(i)
         for i in range(tree.steps + 1)
     ]
-    return ObstacleSpec(AdaptedProcess(tree, levels))
 
 
-def _terminal_above(rng, tree: ScenarioTree, obstacle: ObstacleSpec) -> np.ndarray:
-    leaves = rng.uniform(0.0, 1.0, size=tree.level_size(tree.steps))
-    return np.maximum(leaves, obstacle.process.level(tree.steps))
+def _random_obstacle(rng, tree: ScenarioTree, *, slope: float = 3.0) -> ObstacleSpec:
+    return ObstacleSpec(AdaptedProcess(tree, _random_obstacle_levels(rng, tree, slope=slope)))
+
+
+def _lifted_levels(tree: ScenarioTree, levels: list[np.ndarray], rng) -> list[np.ndarray]:
+    """Levels dominating ``levels`` nodewise by a deterministic lift."""
+    lift0 = float(rng.uniform(0.0, 0.3))
+    lift1 = float(rng.uniform(0.0, 0.3))
+    return [level + lift0 + lift1 * tree.grid.time(i) for i, level in enumerate(levels)]
+
+
+def _terminal_above(rng, floor: np.ndarray) -> np.ndarray:
+    """Uniform leaves on [0, 1], raised to ``floor`` (the obstacle's last level)."""
+    return np.maximum(rng.uniform(0.0, 1.0, size=floor.size), floor)
 
 
 def _bumped(rng, leaves: np.ndarray, floor: np.ndarray | None = None) -> np.ndarray:
@@ -199,71 +206,82 @@ def _random_rule(rng, tree: ScenarioTree) -> StoppingRule:
 # Counterexample reproduction and convergence order
 
 class _RootTrace:
-    """Sweep observer keeping, per level, ``y[0]``, ``dk[0]`` and ``max|z|``.
+    """Sweep observer keeping, per level, ``y`` and ``dk`` at the root node and ``max|z|``.
 
-    That is all the closed-form checks read, so they run root-only sweeps
-    and never hold a lattice.
+    Levels run along the last axis, behind the sweep's batch axes.  That is
+    all the closed-form checks read, so they run root-only sweeps and never
+    hold a lattice.
     """
 
     def __init__(self, steps: int):
-        self.y = np.empty(steps + 1)
-        self.dk = np.empty(steps + 1)
-        self.z_max = np.empty(steps + 1)
+        self.steps = steps
 
     def __call__(self, i, y, z, dk):
-        self.y[i] = y[0]
-        self.dk[i] = dk[0]
-        self.z_max[i] = np.max(np.abs(z))
+        if i == self.steps:  # the sweep starts at the last level, which fixes the batch shape
+            self.y, self.dk, self.z_max = (np.empty(y.shape[:-1] + (i + 1,)) for _ in range(3))
+        self.y[..., i] = y[..., 0]
+        self.dk[..., i] = dk[..., 0]
+        self.z_max[..., i] = np.max(np.abs(z), axis=-1)
 
     def push(self) -> np.ndarray:
         """Cumulative push at the root node of each level, summed forward
         from zero as ``rbsde._accumulate_increments`` sums it."""
-        return np.cumsum(np.concatenate(([0.0], self.dk[:-1])))
+        start = np.zeros(self.dk.shape[:-1] + (1,))
+        return np.cumsum(np.concatenate((start, self.dk[..., :-1]), axis=-1), axis=-1)
 
 
-def _trace_case(
-    case: ClosedFormCase, steps: int
-) -> tuple[ScenarioTree, RbsdeProblem, _RootTrace, float]:
-    """Root-only sweep of one closed-form case: tree, data, trace and root value."""
-    tree = build_tree(TimeGrid(1.0, steps), TreeMode.RECOMBINING)
-    problem = counterexample_problem(tree, case)
-    trace = _RootTrace(steps)
+def _unit_tree(steps: int) -> ScenarioTree:
+    return build_tree(TimeGrid(1.0, steps), TreeMode.RECOMBINING)
+
+
+def _traced(problem: RbsdeProblem) -> tuple[_RootTrace, float | np.ndarray]:
+    """Root-only sweep of closed-form data: the trace and the root value(s)."""
+    trace = _RootTrace(problem.tree.steps)
     root = reflected_value(
-        tree, problem.generator, problem.terminal, problem.obstacle, observe=trace
+        problem.tree, problem.generator, problem.terminal, problem.obstacle, observe=trace
     )
-    return tree, problem, trace, root
+    return trace, root
 
 
-def _case_errors(case: ClosedFormCase, steps: int) -> tuple[dict, float]:
-    """Errors against the closed form, and the numerical root value."""
+def _case_errors(
+    case: ClosedFormCase, tree: ScenarioTree, y_num, k_num, z_max, barrier
+) -> dict:
+    """Errors of one case's root-node trace against its closed form."""
     form = closed_form_example(case)
-    tree, problem, trace, root = _trace_case(case, steps)
     times = tree.grid.times()
     y_closed = form.value(times)
     k_closed = form.push(times)
-    y_num, k_num = trace.y, trace.push()
-    barrier = np.array([problem.obstacle.process.level(i)[0] for i in range(steps + 1)])
     contact_levels = np.nonzero(y_num - barrier <= DEFAULT_CONTACT_TOL)[0]
     detected = tree.grid.time(int(contact_levels.max()))
     return {
         "y_error": float(np.max(np.abs(y_num - y_closed))),
         "k_error": float(np.max(np.abs(k_num - k_closed))),
-        "z_max": float(np.max(trace.z_max)),
+        "z_max": float(np.max(z_max)),
         "contact_detected": detected,
         "contact_expected": form.contact_time,
         "contact_gap": abs(detected - form.contact_time),
         "k_plateau": float(k_num[-1]),
         "k_plateau_expected": form.push_plateau,
         "dt": tree.grid.dt,
-    }, root
+    }
 
 
 def counterexample_suite(steps: int = 2000) -> list[CheckResult]:
-    """Reproduce the four closed forms and the equal-at-origin failure."""
+    """Reproduce the four closed forms and the equal-at-origin failure.
+
+    The four cases run as one batched root-only sweep over their shared
+    obstacle.
+    """
+    tree = _unit_tree(steps)
+    cases = list(ClosedFormCase)
+    problem = counterexample_batch(tree, cases)
+    trace, root_values = _traced(problem)
+    pushes = trace.push()
+    barrier = np.array([problem.obstacle.process.level(i)[0] for i in range(steps + 1)])
     results = []
-    roots = {}
-    for case in ClosedFormCase:
-        err, roots[case] = _case_errors(case, steps)
+    roots = dict(zip(cases, root_values.tolist()))
+    for k, case in enumerate(cases):
+        err = _case_errors(case, tree, trace.y[k], pushes[k], trace.z_max[k], barrier)
         name = f"counterexample/{case.value}"
         contact = {"detected": err["contact_detected"], "expected": err["contact_expected"]}
         gap, dt = err["contact_gap"], err["dt"]
@@ -288,7 +306,8 @@ def _embedded_errors(steps: int) -> tuple[float, float]:
     """Embedded and grid-time errors of the low-terminal case at ``steps``."""
     case = ClosedFormCase.CONST_DRIVER_LOW_TERMINAL
     form = closed_form_example(case)
-    tree, _, trace, _ = _trace_case(case, steps)
+    tree = _unit_tree(steps)
+    trace, _ = _traced(counterexample_problem(tree, case))
     times = tree.grid.times()
     y_num, k_num = trace.y, trace.push()
     at_grid = max(
@@ -354,40 +373,64 @@ def _comparison_row(name: str, reports: list[ComparisonReport], **details) -> Ch
     )
 
 
-def _comparison_instance(seed: int, index: int) -> ComparisonReport:
-    rng = _rng(seed, index)
+# one side of a comparison instance: driver, obstacle levels and terminal leaves
+_Side = tuple[GeneratorSpec, list[np.ndarray], np.ndarray]
+
+
+def _batched(tree: ScenarioTree, sides: Sequence[_Side]) -> RbsdeProblem:
+    """One problem whose batch axis runs over the instances' sides."""
+    generators, obstacles, leaves = zip(*sides)
+    return RbsdeProblem(
+        GeneratorSpec.stack(generators),
+        TerminalCondition.from_leaf_values(tree, np.stack(leaves)),
+        ObstacleSpec(AdaptedProcess(tree, [np.stack(level) for level in zip(*obstacles)])),
+    )
+
+
+def _checked_in_chunks(
+    check: Callable[[RbsdeProblem, RbsdeProblem], ComparisonReport],
+    instance: Callable[[int, int, ScenarioTree], tuple[_Side, _Side]],
+    seed: int,
+    instances: int,
+) -> list[ComparisonReport]:
+    """Each instance's report, checked ``CHECK_CHUNK`` instances to a batch."""
     tree = build_tree(TimeGrid(1.0, 8), TreeMode.FULL_BINARY)
+    reports = []
+    for start in range(0, instances, CHECK_CHUNK):
+        chunk = range(start, min(start + CHECK_CHUNK, instances))
+        lows, highs = zip(*(instance(seed, i, tree) for i in chunk))
+        reports += check(_batched(tree, lows), _batched(tree, highs)).members()
+    return reports
+
+
+def _comparison_instance(seed: int, index: int, tree: ScenarioTree) -> tuple[_Side, _Side]:
+    rng = _rng(seed, index)
     g_low, g_high = _ordered_generator_pair(rng)
-    obstacle_low = _random_obstacle(rng, tree)
-    obstacle_high = _lifted_obstacle(obstacle_low, rng)
-    xi_low = _terminal_above(rng, tree, obstacle_low)
-    xi_high = _bumped(rng, xi_low, floor=obstacle_high.process.level(tree.steps))
-    low = RbsdeProblem(g_low, TerminalCondition.from_leaf_values(tree, xi_low), obstacle_low)
-    high = RbsdeProblem(g_high, TerminalCondition.from_leaf_values(tree, xi_high), obstacle_high)
-    return check_comparison(low, high)
+    obstacle_low = _random_obstacle_levels(rng, tree)
+    obstacle_high = _lifted_levels(tree, obstacle_low, rng)
+    xi_low = _terminal_above(rng, obstacle_low[-1])
+    xi_high = _bumped(rng, xi_low, floor=obstacle_high[-1])
+    return (g_low, obstacle_low, xi_low), (g_high, obstacle_high, xi_high)
 
 
 def comparison_suite(seed: int = 7, instances: int = 200) -> list[CheckResult]:
     """Ordered data must give ordered reflected values, nodewise."""
-    reports = [_comparison_instance(seed, i) for i in range(instances)]
+    reports = _checked_in_chunks(check_comparison, _comparison_instance, seed, instances)
     return [_comparison_row("comparison/value-ordering", reports)]
 
 
-def _k_comparison_instance(seed: int, index: int) -> ComparisonReport:
+def _k_comparison_instance(seed: int, index: int, tree: ScenarioTree) -> tuple[_Side, _Side]:
     rng = _rng(seed, index)
-    tree = build_tree(TimeGrid(1.0, 8), TreeMode.FULL_BINARY)
     g_low, g_high = _ordered_generator_pair(rng)
-    obstacle = _random_obstacle(rng, tree, slope=float(rng.uniform(1.5, 3.0)))
-    xi_low = _terminal_above(rng, tree, obstacle)
+    obstacle = _random_obstacle_levels(rng, tree, slope=float(rng.uniform(1.5, 3.0)))
+    xi_low = _terminal_above(rng, obstacle[-1])
     xi_high = _bumped(rng, xi_low)
-    low = RbsdeProblem(g_low, TerminalCondition.from_leaf_values(tree, xi_low), obstacle)
-    high = RbsdeProblem(g_high, TerminalCondition.from_leaf_values(tree, xi_high), obstacle)
-    return check_k_comparison(low, high)
+    return (g_low, obstacle, xi_low), (g_high, obstacle, xi_high)
 
 
 def k_comparison_suite(seed: int = 11, instances: int = 100) -> list[CheckResult]:
     """Shared obstacle: the lower data pushes harder, monotonically so."""
-    reports = [_k_comparison_instance(seed, i) for i in range(instances)]
+    reports = _checked_in_chunks(check_k_comparison, _k_comparison_instance, seed, instances)
     monotone = all(r.push_difference_monotone for r in reports)
     return [
         _comparison_row("push-comparison/ordering-and-monotonicity", reports, monotone=monotone)
@@ -422,7 +465,7 @@ def _witness_instance(seed: int, index: int) -> float:
     tree = build_tree(TimeGrid(1.0, 8), TreeMode.FULL_BINARY)
     generator = _random_affine_generator(rng, max_coeff=0.5)
     obstacle = _random_obstacle(rng, tree)
-    xi_low = _terminal_above(rng, tree, obstacle)
+    xi_low = _terminal_above(rng, obstacle.process.level(tree.steps))
     xi_high = _bumped(rng, xi_low)
     low = RbsdeProblem(generator, TerminalCondition.from_leaf_values(tree, xi_low), obstacle)
     high = RbsdeProblem(generator, TerminalCondition.from_leaf_values(tree, xi_high), obstacle)
@@ -506,7 +549,7 @@ def _oracle_instance(seed: int, index: int) -> float:
             tree, lambda t, b: base + 0.5 * np.abs(b) - t
         )
     )
-    xi = _terminal_above(rng, tree, obstacle)
+    xi = _terminal_above(rng, obstacle.process.level(tree.steps))
     terminal = TerminalCondition.from_leaf_values(tree, xi)
     reflected = solve_rbsde(tree, GeneratorSpec.constant(0.0), terminal, obstacle)
     snell = snell_oracle(tree, terminal, obstacle)
@@ -658,7 +701,7 @@ def incomparable_driver_suite(steps: int = 400, seed: int = 31) -> list[CheckRes
             if case % 2 == 0
             else ObstacleSpec(AdaptedProcess.constant(tree8, -10.0))
         )
-        xi = _terminal_above(rng, tree8, obstacle8)
+        xi = _terminal_above(rng, obstacle8.process.level(tree8.steps))
         rep = incomparable_driver_probe(
             tree8, TerminalCondition.from_leaf_values(tree8, xi), obstacle8
         )

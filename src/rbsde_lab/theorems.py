@@ -12,9 +12,9 @@ solution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -46,9 +46,16 @@ from .lattice import (
     ScenarioTree,
     StoppingRule,
     TreeMode,
+    _per_member,
     event_probability,
 )
-from .rbsde import ObstacleSpec, RbsdeSolution, reflected_value, solve_rbsde
+from .rbsde import (
+    ObstacleSpec,
+    RbsdeSolution,
+    _reflected_solution,
+    reflected_value,
+    solve_rbsde,
+)
 
 COMPARISON_TOL = 1e-10  # solution orderings: values, pushes, conditional values, drivers
 EQUALITY_TOL = 1e-9  # two solutions count as equal at a node (strict witness)
@@ -57,7 +64,11 @@ EXACT_TOL = 1e-12  # orderings that hold exactly on the lattice, up to rounding
 
 @dataclass(frozen=True, eq=False)
 class RbsdeProblem:
-    """One reflected data set: driver, terminal condition, obstacle."""
+    """One reflected data set: driver, terminal condition, obstacle.
+
+    Data with leading batch axes, and a driver with coefficient columns,
+    make a batch of problems; the comparison checks take such a batch.
+    """
 
     generator: GeneratorSpec
     terminal: TerminalCondition
@@ -71,62 +82,97 @@ class RbsdeProblem:
 # ---------------------------------------------------------------------------
 # Comparison of values and reflection pushes under ordered data
 
+def _running_max(values: Iterable) -> np.ndarray:
+    """Per member, what Python's ``max`` gives: the first value no later one exceeds."""
+    values = iter(values)
+    worst = np.asarray(next(values))
+    for value in values:
+        worst = np.where(value > worst, value, worst)
+    return worst
+
+
+def _nonnegative(values):
+    """Per member, Python's ``max(value, 0.0)``."""
+    return _per_member(_running_max((values, 0.0)))
+
+
 @dataclass(frozen=True)
 class OrderingCertificate:
     """How each input ordering was verified, with its worst violation."""
 
-    terminal_gap: float
-    obstacle_gap: float
-    driver_gap_on_solutions: float
-    driver_gap_on_grid: float
+    terminal_gap: float | np.ndarray
+    obstacle_gap: float | np.ndarray
+    driver_gap_on_solutions: float | np.ndarray
+    driver_gap_on_grid: float | np.ndarray
 
     @property
-    def established(self) -> bool:
-        return (
-            self.terminal_gap <= EXACT_TOL
-            and self.obstacle_gap <= EXACT_TOL
-            and self.driver_gap_on_solutions <= EXACT_TOL
-            and self.driver_gap_on_grid <= EXACT_TOL
-        )
+    def established(self) -> bool | np.ndarray:
+        ok = True
+        for gap in vars(self).values():
+            ok = ok & (np.asarray(gap) <= EXACT_TOL)
+        return _per_member(ok)
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """Ordering measurements of a problem pair, one entry per batch member.
+
+    Without a batch every field is a Python scalar; :meth:`members` splits
+    a batched report into the reports each member gets on its own.
+    """
+
     certificate: OrderingCertificate
-    max_value_violation: float
-    max_push_violation: float | None
-    push_difference_monotone: bool | None
-    vacuous: bool
+    max_value_violation: float | np.ndarray
+    max_push_violation: float | np.ndarray | None
+    push_difference_monotone: bool | np.ndarray | None
+    vacuous: bool | np.ndarray
 
     @property
-    def passed(self) -> bool:
-        if self.vacuous:
-            return False
-        ok = self.max_value_violation <= COMPARISON_TOL
+    def passed(self) -> bool | np.ndarray:
+        ok = np.logical_and(
+            np.logical_not(self.vacuous), np.asarray(self.max_value_violation) <= COMPARISON_TOL
+        )
         if self.max_push_violation is not None:
-            ok = ok and self.max_push_violation <= COMPARISON_TOL
-            ok = ok and bool(self.push_difference_monotone)
-        return ok
+            ok = ok & (np.asarray(self.max_push_violation) <= COMPARISON_TOL)
+            ok = ok & self.push_difference_monotone
+        return _per_member(ok)
+
+    def members(self) -> list[ComparisonReport]:
+        return [_member(self, k) for k in range(np.size(self.vacuous))]
 
 
-def _max_level_gap(a: AdaptedProcess, b: AdaptedProcess) -> float:
-    """Largest ``a - b`` over every node of every level."""
-    return max(float(np.max(a.level(i) - b.level(i))) for i in range(a.tree.steps + 1))
+def _member(report, k: int):
+    """Member ``k`` of a batched report; nested reports are split alike."""
+
+    def pick(value):
+        if is_dataclass(value):
+            return _member(value, k)
+        if isinstance(value, np.ndarray):
+            return (value[k] if value.ndim else value).item()
+        return value
+
+    return replace(report, **{f.name: pick(getattr(report, f.name)) for f in fields(report)})
+
+
+def _max_level_gap(a: AdaptedProcess, b: AdaptedProcess) -> float | np.ndarray:
+    """Largest ``a - b`` over every node of every level, one entry per member."""
+    gaps = (np.max(a.level(i) - b.level(i), axis=-1) for i in range(a.tree.steps + 1))
+    return _per_member(_running_max(gaps))
 
 
 def _driver_gap_on_solution(
     g_low: GeneratorSpec, g_high: GeneratorSpec, sol: RbsdeSolution
-) -> float:
+) -> np.ndarray:
+    """Largest ``g_low - g_high`` along the solution, and at least 0, per member."""
     tree = sol.y.tree
-    worst = 0.0
+    gaps = [0.0]
     for i in range(tree.steps + 1):
         t = tree.grid.time(i)
         y, z = sol.y.level(i), sol.z.level(i)
         low = np.asarray(g_low.evaluate(t, y, z, level=i, tree=tree), dtype=float)
         high = np.asarray(g_high.evaluate(t, y, z, level=i, tree=tree), dtype=float)
-        gap = float(np.max(low - high)) if low.size else 0.0
-        worst = max(worst, gap)
-    return worst
+        gaps.append(np.max(np.broadcast_to(low - high, y.shape), axis=-1))
+    return _running_max(gaps)
 
 
 def check_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonReport:
@@ -135,7 +181,8 @@ def check_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonReport:
     The input orderings (terminal, driver, obstacle) are certified by
     sampling; when any of them fails the report is produced anyway but
     marked vacuous.  Drivers are also sampled off the tree, so a
-    rule-gated driver raises :class:`ExpressionError`.
+    rule-gated driver raises :class:`ExpressionError`.  Batched problems
+    are checked member by member in one pair of solves.
     """
     return _compare_values(low, high, *_solve_pair(low, high))
 
@@ -144,8 +191,8 @@ def _solve_pair(low: RbsdeProblem, high: RbsdeProblem) -> tuple[RbsdeSolution, R
     if low.tree != high.tree:
         raise TreeMismatch("comparison needs a common tree")
     return (
-        solve_rbsde(low.tree, low.generator, low.terminal, low.obstacle),
-        solve_rbsde(high.tree, high.generator, high.terminal, high.obstacle),
+        _reflected_solution(low.tree, low.generator, low.terminal, low.obstacle),
+        _reflected_solution(high.tree, high.generator, high.terminal, high.obstacle),
     )
 
 
@@ -167,27 +214,29 @@ def _compare_values(
     # The leaf extension is constant along post-stop paths, so ordering at
     # the last level is ordering of the terminal data themselves.
     last = low.tree.steps
-    xi_gap = float(np.max(low.terminal.extended[last] - high.terminal.extended[last]))
+    xi_gap = np.max(low.terminal.extended[last] - high.terminal.extended[last], axis=-1)
     s_gap = _max_level_gap(low.obstacle.process, high.obstacle.process)
-    g_sol_gap = max(
-        _driver_gap_on_solution(low.generator, high.generator, sol_low),
-        _driver_gap_on_solution(low.generator, high.generator, sol_high),
+    g_sol_gap = _running_max(
+        _driver_gap_on_solution(low.generator, high.generator, sol)
+        for sol in (sol_low, sol_high)
     )
     sample = SampleSpec(low.tree.grid.horizon, t_count=11, y_count=11, z_count=11)
-    g_grid_gap = float(np.max(sample.values(low.generator) - sample.values(high.generator)))
+    g_grid_gap = np.max(
+        sample.values(low.generator) - sample.values(high.generator), axis=(-3, -2, -1)
+    )
     certificate = OrderingCertificate(
-        terminal_gap=max(xi_gap, 0.0),
-        obstacle_gap=max(s_gap, 0.0),
-        driver_gap_on_solutions=max(g_sol_gap, 0.0),
-        driver_gap_on_grid=max(g_grid_gap, 0.0),
+        terminal_gap=_nonnegative(xi_gap),
+        obstacle_gap=_nonnegative(s_gap),
+        driver_gap_on_solutions=_nonnegative(g_sol_gap),
+        driver_gap_on_grid=_nonnegative(g_grid_gap),
     )
 
     return ComparisonReport(
         certificate=certificate,
-        max_value_violation=max(_max_level_gap(sol_low.y, sol_high.y), 0.0),
+        max_value_violation=_nonnegative(_max_level_gap(sol_low.y, sol_high.y)),
         max_push_violation=None,
         push_difference_monotone=None,
-        vacuous=not certificate.established,
+        vacuous=_per_member(np.logical_not(certificate.established)),
     )
 
 
@@ -208,8 +257,8 @@ def check_k_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonRepor
     return ComparisonReport(
         certificate=base.certificate,
         max_value_violation=base.max_value_violation,
-        max_push_violation=max(_max_level_gap(sol_high.k, sol_low.k), 0.0),
-        push_difference_monotone=increment_drop <= COMPARISON_TOL,
+        max_push_violation=_nonnegative(_max_level_gap(sol_high.k, sol_low.k)),
+        push_difference_monotone=_per_member(np.asarray(increment_drop) <= COMPARISON_TOL),
         vacuous=base.vacuous,
     )
 
@@ -384,15 +433,29 @@ def closed_form_example(case: ClosedFormCase) -> ClosedFormSolution:
     return _CLOSED_FORMS[case]
 
 
-def counterexample_problem(tree: ScenarioTree, case: ClosedFormCase) -> RbsdeProblem:
-    """Lattice data matching one closed-form case on the unit horizon."""
+def _closed_form_data(tree: ScenarioTree, driver, terminal) -> RbsdeProblem:
+    """Constant driver and terminal value (numbers or columns) over the obstacle ``1 - 2t``."""
     if not math.isclose(tree.grid.horizon, 1.0):
         raise ValueError("counterexample data lives on the unit horizon")
-    form = _CLOSED_FORMS[case]
-    generator = GeneratorSpec.constant(form.driver_value)
-    terminal = TerminalCondition.constant(tree, form.terminal_value)
     obstacle = ObstacleSpec(AdaptedProcess.from_time_function(tree, lambda t: 1.0 - 2.0 * t))
-    return RbsdeProblem(generator, terminal, obstacle)
+    return RbsdeProblem(
+        GeneratorSpec(Const(driver), 0.0), TerminalCondition.constant(tree, terminal), obstacle
+    )
+
+
+def counterexample_problem(tree: ScenarioTree, case: ClosedFormCase) -> RbsdeProblem:
+    """Lattice data matching one closed-form case on the unit horizon."""
+    form = _CLOSED_FORMS[case]
+    return _closed_form_data(tree, form.driver_value, form.terminal_value)
+
+
+def counterexample_batch(tree: ScenarioTree, cases: Sequence[ClosedFormCase]) -> RbsdeProblem:
+    """The cases' data as one batch: driver and terminal value become
+    columns over the cases, and the obstacle ``1 - 2t`` is shared."""
+    forms = [_CLOSED_FORMS[case] for case in cases]
+    driver = np.array([[form.driver_value] for form in forms])
+    terminal = np.array([[form.terminal_value] for form in forms])
+    return _closed_form_data(tree, driver, terminal)
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,23 @@ import csv
 import hashlib
 import json
 import os
+import math
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rbsde_lab
 from rbsde_lab import cli
 from rbsde_lab.cli import RunConfig, main
 from rbsde_lab import suites
+from rbsde_lab.generators import lipschitz_bound
 from rbsde_lab.suites import CheckResult
+from test_generators import exprs
 
 COUNTEREXAMPLE_CONFIG = {
     "tree": {"horizon": 1.0, "steps": 100, "mode": "recombining"},
@@ -655,3 +660,68 @@ def test_source_imports_only_the_standard_library_and_numpy():
                 continue  # relative imports stay inside the package
             outside += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed]
     assert outside == []
+
+
+_NUMBERS = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _solve_configs(draw):
+    """A `solve` config: a grammar driver declared at its structural bound,
+    constant or state data on either tree mode.  Some terminals are built
+    to sit on or above the obstacle at the horizon, so most runs solve."""
+    mode = draw(st.sampled_from(["full-binary", "recombining"]))
+    steps = draw(st.integers(1, 8 if mode == "full-binary" else 40))
+    driver = draw(exprs())
+    kind = draw(st.sampled_from(["constant", "affine", "state"]))
+    if kind == "constant":
+        obstacle = {"kind": "constant", "value": draw(_NUMBERS)}
+        floor = repr(obstacle["value"])
+    elif kind == "affine":
+        obstacle = {"kind": "affine", "slope": draw(_NUMBERS), "intercept": draw(_NUMBERS)}
+        floor = f"(+ {obstacle['intercept']!r} (* {obstacle['slope']!r} t))"
+    else:
+        obstacle = {"kind": "state", "expr": draw(exprs(("t", "b"))).to_prefix()}
+        floor = obstacle["expr"]
+    terminal = draw(
+        st.one_of(
+            st.builds(lambda v: {"kind": "constant", "value": v}, _NUMBERS),
+            st.builds(lambda e: {"kind": "state", "expr": e.to_prefix()}, exprs(("t", "b"))),
+            st.builds(
+                lambda e: {"kind": "state", "expr": f"(+ {floor} (abs {e.to_prefix()}))"},
+                exprs(("t", "b")),
+            ),
+        )
+    )
+    return {
+        "tree": {"horizon": draw(st.floats(0.05, 2.0)), "steps": steps, "mode": mode},
+        "generator": {"expr": driver.to_prefix(), "lipschitz": lipschitz_bound(driver)},
+        "terminal": terminal,
+        "obstacle": obstacle,
+    }
+
+
+class TestSolveContract:
+    """Every config `solve` accepts ends in finite output with exit 0, or in a
+    typed error with exit 2 (config) or 3 (solver); never in NaN with exit 0
+    or an uncaught exception."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(payload=_solve_configs())
+    def test_solve_gives_finite_output_or_a_typed_exit(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = write_config(Path(tmp), payload)
+            out = Path(tmp) / "out"
+            code = main(["solve", "--config", str(config), "--out", str(out)])
+            assert code in (0, 2, 3)
+            if code != 0:
+                return
+            rows = read_rows(out / "solution.csv")
+            assert all(math.isfinite(float(row[c])) for row in rows for c in ("Y", "Z", "S"))
+            k = [row["K"] for row in rows]
+            # K is the documented nan column when the tree cannot carry the push
+            assert all(v == "nan" for v in k) or all(math.isfinite(float(v)) for v in k)
+            diagnostics = json.loads((out / "diagnostics.json").read_text())
+            assert all(
+                math.isfinite(v) for v in diagnostics.values() if not isinstance(v, bool)
+            )

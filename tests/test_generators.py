@@ -20,6 +20,7 @@ from rbsde_lab.generators import (
     Abs,
     Add,
     AtZeroState,
+    BrownianVar,
     Const,
     EvalContext,
     Min,
@@ -139,12 +140,11 @@ class TestLipschitzBound:
 
 
 def exprs(variables=("t", "y", "z")):
-    atoms = [st.just(TimeVar()) if "t" in variables else st.nothing()]
+    """Grammar expressions over ``variables`` (``b`` is the walk value of state data)."""
+    nodes = {"t": TimeVar(), "y": YVar(), "z": ZVar(), "b": BrownianVar()}
     atoms = [
         st.builds(Const, st.floats(-5, 5, allow_nan=False, allow_infinity=False).map(float)),
-        st.just(TimeVar()),
-        st.just(YVar()),
-        st.just(ZVar()),
+        *(st.just(nodes[name]) for name in variables),
     ]
     base = st.one_of(*atoms)
 
@@ -331,3 +331,64 @@ class TestCheckAssumptions:
         # no difference quotient exists, so no Lipschitz evidence can be reported
         with pytest.raises(InvalidSample):
             check_assumptions(GeneratorSpec(Scale(2.0, YVar()), 1.0), SampleSpec(1.0, **fields))
+
+
+def _affine_members():
+    # one structure, five coefficient sets
+    coefficients = [(0.5, -1.0, 0.25), (-0.75, 2.0, 0.0), (0.0, 0.5, -1.5), (1.25, -0.25, 3.0),
+                    (-2.0, 0.0, -0.5)]
+    return [
+        GeneratorSpec(Add((Scale(a, YVar()), Scale(b, Abs(ZVar())), Const(c))), abs(a) + abs(b))
+        for a, b, c in coefficients
+    ]
+
+
+class TestCoefficientColumns:
+    def test_stacked_driver_evaluates_as_each_member(self):
+        members = _affine_members()
+        stacked = GeneratorSpec.stack(members)
+        assert stacked.expr.terms[0].factor.shape == (5, 1)
+        assert stacked.lipschitz == max(m.lipschitz for m in members)
+        rng = np.random.default_rng(3)
+        y, z = rng.normal(size=(2, 5, 7))
+        values = stacked.evaluate(0.3, y, z)
+        h, a = stacked.y_affine(0.3, z)
+        for k, member in enumerate(members):
+            assert values[k].tobytes() == np.asarray(member.evaluate(0.3, y[k], z[k])).tobytes()
+            h_k, a_k = member.y_affine(0.3, z[k])
+            assert np.broadcast_to(h, (5, 7))[k].tobytes() == np.broadcast_to(h_k, (7,)).tobytes()
+            assert float(a[k, 0]).hex() == float(a_k).hex()
+
+    def test_sampled_values_keep_the_batch_apart_from_the_box(self):
+        # 11 members on an 11 x 11 box: a column broadcast against the box's
+        # own axes would give the right shape and the wrong numbers
+        members = [
+            GeneratorSpec(Add((Scale(0.1 * k, YVar()), Scale(-0.05 * k, ZVar()), Const(k))), 1.0)
+            for k in range(11)
+        ]
+        sample = SampleSpec(t_max=1.0, t_count=3, y_count=11, z_count=11)
+        values = sample.values(GeneratorSpec.stack(members))
+        assert values.shape == (11, 3, 11, 11)
+        for k, member in enumerate(members):
+            assert values[k].tobytes() == sample.values(member).tobytes()
+
+    def test_columns_have_no_text_and_bound_with_their_largest_factor(self):
+        stacked = GeneratorSpec.stack(_affine_members())
+        with pytest.raises(ExpressionError, match="no text form"):
+            stacked.to_prefix()
+        assert lipschitz_bound(stacked.expr) == 2.0 + 2.0
+        assert isinstance(lipschitz_bound(stacked.expr), float)
+
+    def test_a_column_needs_a_trailing_axis_of_one(self):
+        with pytest.raises(ExpressionError, match="batch"):
+            Const(np.zeros(3))
+        with pytest.raises(ExpressionError, match="batch"):
+            Scale(np.ones((2, 3)), YVar())
+
+    def test_stacking_needs_one_structure(self):
+        with pytest.raises(ExpressionError, match="one structure"):
+            GeneratorSpec.stack([GeneratorSpec(YVar(), 1.0), GeneratorSpec(ZVar(), 1.0)])
+        with pytest.raises(ExpressionError, match="one structure"):
+            GeneratorSpec.stack(
+                [GeneratorSpec(PiecewiseTime((YVar(), ZVar()), (cut,)), 1.0) for cut in (0.2, 0.5)]
+            )

@@ -332,3 +332,23 @@ class TestCarry:
 
     def test_recombining_varying_level_does_not_carry(self):
         assert recomb_tree(4).carry(np.array([0.0, 0.0, 1e-300])) is None
+
+
+class TestBatchAxes:
+    def test_levels_may_share_or_carry_a_batch(self):
+        tree = recomb_tree(2)
+        levels = constant_levels(tree, 0.0)[:-1] + [np.arange(6.0).reshape(2, 3)]
+        process = AdaptedProcess(tree, levels)
+        assert process.root() == 0.0 and process.value(2, 1).tolist() == [1.0, 4.0]
+        carried = tree.carry(np.array([[1.0, 1.0], [2.0, 2.0]]))
+        assert carried.shape == (2, 3) and carried.strides[-1] == 0
+        assert carried[:, 0].tolist() == [1.0, 2.0]
+        assert tree.carry(np.array([[1.0, 1.0], [2.0, 3.0]])) is None  # one member varies
+        np.testing.assert_array_equal(full_tree(1).carry(np.eye(2)), np.repeat(np.eye(2), 2, axis=1))
+
+    def test_batch_shapes_must_broadcast_and_rules_take_none(self):
+        tree = recomb_tree(1)
+        with pytest.raises(TreeMismatch, match="do not broadcast"):
+            AdaptedProcess(tree, [np.zeros((2, 1)), np.zeros((3, 2))])
+        with pytest.raises(TreeMismatch, match="must hold"):
+            StoppingRule(tree, [np.zeros((2, 1), dtype=bool), np.ones(2, dtype=bool)])

@@ -51,7 +51,7 @@ class TestRunSuite:
         assert len(results) == 2 and all(r.passed for r in results)
 
     def test_counterexample_suite_solves_each_case_once(self, monkeypatch):
-        # one root-only sweep per case, its levels read by an observer
+        # one root-only sweep over the four cases, its levels read by an observer
         calls = []
 
         def counting_sweep(*args, observe):
@@ -61,7 +61,11 @@ class TestRunSuite:
         monkeypatch.setattr(suites, "reflected_value", counting_sweep)
         monkeypatch.setattr(suites, "solve_rbsde", None)
         results = suites.counterexample_suite(steps=40)
-        assert len(calls) == 4
+        assert len(calls) == 1
+        tree, generator, terminal, obstacle = calls[0]
+        assert generator.expr.value.ravel().tolist() == [1 / 3, 1 / 3, 0.0, 0.0]
+        assert terminal.level(40).shape == (4, 41)
+        assert obstacle.process.level(40).shape == (41,)  # shared, not stacked
         root = results[-1]
         assert root.name == "counterexample/strict-comparison-fails-at-root"
         assert root.passed and root.details["root_low"] == 1.0

@@ -146,7 +146,8 @@ class TestComparison:
             calls.append(args)
             return solve_rbsde(*args)
 
-        monkeypatch.setattr(theorems, "solve_rbsde", counting_solve)
+        # the checks solve through the body of solve_rbsde (see rbsde._reflected_solution)
+        monkeypatch.setattr(theorems, "_reflected_solution", counting_solve)
         report = check_k_comparison(low, high)
         assert len(calls) == 2
         assert report.certificate == expected.certificate
@@ -288,7 +289,7 @@ def suite_style_pair(steps, seed):
     tree = full_tree(steps)
     generator = suites._random_affine_generator(rng, max_coeff=0.5)
     obstacle = suites._random_obstacle(rng, tree)
-    xi_low = suites._terminal_above(rng, tree, obstacle)
+    xi_low = suites._terminal_above(rng, obstacle.process.level(steps))
     return shared_pair(tree, generator, obstacle, xi_low, suites._bumped(rng, xi_low))
 
 
@@ -640,3 +641,145 @@ class TestConverseProbe:
         assert expected > 0.0
         assert report.max_value_violation == expected
         assert len(sweeps) == 2 * len(family.terminal_builders) * len(family.rules)
+
+
+def report_bits(report):
+    """Every field of a comparison report, floats as hex: equal bits, not just equal values."""
+    out = {}
+    for name, value in vars(report).items():
+        if isinstance(value, theorems.OrderingCertificate):
+            out.update({f"certificate.{k}": v.hex() for k, v in vars(value).items()})
+        else:
+            out[name] = value.hex() if isinstance(value, float) else value
+    return out
+
+
+def assert_batch_matches_solo(check, lows, highs, tree):
+    """A batched check equals the per-pair solo checks member by member."""
+    batched = check(suites._batched(tree, lows), suites._batched(tree, highs)).members()
+    solo = [check(side_problem(tree, lo), side_problem(tree, hi)) for lo, hi in zip(lows, highs)]
+    assert len(batched) == len(solo) == len(lows)
+    for member, alone in zip(batched, solo):
+        assert type(alone.max_value_violation) is float and type(alone.vacuous) is bool
+        assert report_bits(member) == report_bits(alone)
+        assert member.passed is alone.passed
+    return solo
+
+
+def side_problem(tree, side):
+    generator, obstacle, leaves = side
+    terminal = TerminalCondition.from_leaf_values(tree, leaves)
+    return RbsdeProblem(generator, terminal, ObstacleSpec(AdaptedProcess(tree, obstacle)))
+
+
+def sabotaged(pairs, misordered=3, vacuous=7):
+    """Lift one pair's lower terminal above the upper one and reverse another's
+    driver gap, keeping one driver structure."""
+    pairs = list(pairs)
+    (g_lo, s_lo, _), high = pairs[misordered]
+    pairs[misordered] = (g_lo, s_lo, high[2] + 0.25), high
+    (g_lo, s_lo, xi_lo), (g_hi, s_hi, xi_hi) = pairs[vacuous]
+    reversed_gap = GeneratorSpec(Add((g_lo.expr, Const(-0.5))), g_lo.lipschitz)
+    pairs[vacuous] = (g_lo, s_lo, xi_lo), (reversed_gap, s_hi, xi_hi)
+    return pairs
+
+
+class TestBatchedComparison:
+    """The batch contract: a batched check is the solo checks, member by member, bit for bit.
+
+    Eleven members run against the 11 x 11 x 11 driver sample of the
+    certificate, and one misordered and one vacuous pair keep the compared
+    numbers away from all zeros.
+    """
+
+    @pytest.mark.parametrize("mode", list(TreeMode))
+    def test_value_comparison(self, mode):
+        tree = build_tree(TimeGrid(1.0, 6), mode)
+        pairs = sabotaged(suites._comparison_instance(5, i, tree) for i in range(11))
+        solo = assert_batch_matches_solo(check_comparison, *zip(*pairs), tree)
+        assert solo[3].max_value_violation > 0.0 and solo[3].vacuous
+        assert solo[7].vacuous and solo[7].certificate.driver_gap_on_grid == pytest.approx(0.5)
+        assert sum(r.passed for r in solo) == 9
+
+    def test_push_comparison_on_a_full_binary_tree(self):
+        tree = full_tree(6)
+        pairs = sabotaged(suites._k_comparison_instance(5, i, tree) for i in range(11))
+        solo = assert_batch_matches_solo(check_k_comparison, *zip(*pairs), tree)
+        assert solo[3].max_push_violation > 0.0 or solo[3].max_value_violation > 0.0
+        assert sum(r.passed for r in solo) == 9
+
+    def test_push_comparison_on_a_recombining_tree(self):
+        # time-only data, so every member's pushes can be carried on the recombining tree
+        tree = recomb_tree(12)
+        rng = np.random.default_rng(2)
+        pairs = []
+        for _ in range(11):
+            g_low, g_high = suites._ordered_generator_pair(rng)
+            start, slope = rng.uniform(0.0, 0.5), rng.uniform(1.0, 3.0)
+            obstacle = [np.full(i + 1, start - slope * tree.grid.time(i)) for i in range(13)]
+            low = rng.uniform(0.0, 0.5)
+            high = low + rng.uniform(0.0, 0.5)
+            pairs.append(((g_low, obstacle, np.full(13, low)), (g_high, obstacle, np.full(13, high))))
+        solo = assert_batch_matches_solo(check_k_comparison, *zip(*sabotaged(pairs)), tree)
+        assert solo[3].max_value_violation > 0.0
+        assert sum(r.passed for r in solo) == 9
+
+    def test_one_member_without_carried_pushes_refuses_the_batch(self):
+        # the first member's obstacle never binds; the second's pushes differ
+        # along the two paths into a node, as in the unbatched refusal above
+        tree = recomb_tree(4)
+        zero = GeneratorSpec.constant(0.0)
+        leaves = np.maximum(tree.brownian_level(4), 0.0)
+        never = [np.full(i + 1, -10.0) for i in range(5)]
+        binding = [1.0 + tree.brownian_level(i) - tree.grid.time(i) for i in range(5)]
+        lows = [(zero, never, leaves), (zero, binding, leaves)]
+        highs = [(zero, never, leaves + 0.1), (zero, binding, leaves + 0.1)]
+        check_k_comparison(side_problem(tree, lows[0]), side_problem(tree, highs[0]))
+        with pytest.raises(UnsupportedTreeMode, match="cumulative pushes"):
+            check_k_comparison(suites._batched(tree, lows), suites._batched(tree, highs))
+
+    def test_unbatched_reports_are_their_own_only_member(self):
+        low, high = counterexample_pair(recomb_tree(20))
+        report = check_k_comparison(low, high)
+        assert report.members() == [report]
+        assert type(report.passed) is bool and type(report.push_difference_monotone) is bool
+
+
+class TestBatchedSolve:
+    def test_non_affine_members_keep_their_own_fixed_point_counts(self):
+        # one unbatched terminal; the batch comes from the driver's column only
+        tree = full_tree(5)
+        slopes = (0.0, 0.5, 1.5)
+        members = [
+            GeneratorSpec(Add((Scale(c, Abs(YVar())), Scale(0.5, Abs(ZVar())), Const(1.0))), c + 0.5)
+            for c in slopes
+        ]
+        terminal = TerminalCondition.from_leaf_function(tree, lambda b: 1.5 + np.sin(3.0 * b))
+        obstacle = ObstacleSpec(
+            AdaptedProcess.from_state_function(tree, lambda t, b: 0.5 + 0.5 * b - t)
+        )
+        batch = solve_rbsde(tree, GeneratorSpec.stack(members), terminal, obstacle)
+        counts = []
+        for k, member in enumerate(members):
+            alone = solve_rbsde(tree, member, terminal, obstacle)
+            for field in ("y", "z", "k_increments", "k"):
+                for i in range(tree.steps + 1):
+                    level = getattr(batch, field).level(i)
+                    expected = getattr(alone, field).level(i)
+                    assert np.broadcast_to(level, (3, expected.size))[k].tobytes() == expected.tobytes()
+            for name, value in vars(alone.diagnostics).items():
+                assert getattr(batch.diagnostics, name)[k].item() == value, name
+            counts.append(alone.diagnostics.iterations)
+        assert len(set(counts)) == len(slopes)
+        assert isinstance(batch.y.root(), np.ndarray) and type(alone.y.root()) is float
+
+    def test_a_batch_from_the_driver_alone_reports_every_member(self):
+        tree = recomb_tree(6)
+        members = [GeneratorSpec(Add((Scale(a, YVar()), Const(1.0 - a))), abs(a)) for a in (0.5, -1.0)]
+        terminal = TerminalCondition.from_leaf_function(tree, np.cos)
+        batch = solve_bsde(tree, GeneratorSpec.stack(members), terminal)
+        assert batch.iterations.tolist() == [1, 1] and batch.residual.shape == (2,)
+        for k, member in enumerate(members):
+            alone = solve_bsde(tree, member, terminal)
+            assert batch.y.root()[k].item() == alone.y.root()
+            assert batch.residual[k].item() == alone.residual
