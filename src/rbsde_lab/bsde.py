@@ -11,9 +11,11 @@ driver-restriction identity.
 The level loop (``_sweep``) is the one backward kernel of the package: a
 plain solve runs it without an obstacle, and the reflected solver of
 :mod:`rbsde_lab.rbsde` runs it with one, so a reflected equation whose
-obstacle never binds is the plain equation by construction.  What a caller
+obstacle never binds is the plain equation by construction.  The loop does
+the step, the clamp and the safety checks and nothing else.  What a caller
 reads besides the root it reads from an observer that sees each level pass;
-the full solvers are the observer that keeps every level.
+the full solvers install two, one keeping every level and one replaying the
+step identity and the Skorokhod condition for their diagnostics.
 """
 
 from __future__ import annotations
@@ -214,28 +216,27 @@ class LevelData:
     level: Callable[[int], np.ndarray]
 
 
-LevelObserver = Callable[[int, np.ndarray, np.ndarray, np.ndarray | None], None]
+LevelObserver = Callable[
+    [int, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None], None
+]
 
 
 @dataclass(frozen=True, eq=False)
 class SweepSummary:
-    """Root and running diagnostics of a sweep, one entry per member.
+    """What every sweep keeps for its caller, one entry per member.
 
-    ``first_contact`` is the first level at which the value sits within
-    ``DEFAULT_CONTACT_TOL`` of the obstacle at some node (the last level
-    when it never does), the level at which ``rbsde.exercise_rule`` first
-    flags a node.  The other fields are the reductions behind
-    ``rbsde.ReflectionDiagnostics``.  A sweep without an obstacle leaves
-    the contact, Skorokhod, gap and push fields at their start values.
+    ``root`` is the value at the root node, ``iterations`` the largest
+    fixed-point count of any level.  ``first_contact`` is the first level at
+    which the value sits within ``DEFAULT_CONTACT_TOL`` of the obstacle at
+    some node (the last level when it never does, and always without an
+    obstacle), the level at which ``rbsde.exercise_rule`` first flags a node.
+    The residual, Skorokhod, gap and push reductions are not here: the full
+    solvers replay them through the observer of :func:`_diagnostics`.
     """
 
     root: np.ndarray
     first_contact: np.ndarray
-    skorokhod_residual: np.ndarray
-    min_gap: np.ndarray
-    max_increment: np.ndarray
     iterations: np.ndarray
-    residual: np.ndarray
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -249,23 +250,27 @@ def _sweep(
 ) -> SweepSummary:
     """The backward recursion shared by every solve, plain or reflected.
 
-    Walks from the last level to the root holding one level at a time.
+    Walks from the last level to the root holding one level at a time, and
+    per level does only the step, the clamp and the safety checks.
     ``observe``, if given, sees every level once it is final: it is called
-    with ``(i, y, z, dk)``, the arrays frozen, ``dk`` the push increments
-    (``None`` without an obstacle).  It only reads; nothing it does feeds
-    back into the sweep.  With ``obstacle=None`` the
-    step is the plain implicit one: no clamp, no push, no gap or contact
-    reductions.  The batch axes are those of the terminal data and the
+    with ``(i, y, z, dk, mean, step)``, the arrays frozen.  ``dk`` is the
+    push increments (``None`` without an obstacle), ``mean`` the conditional
+    mean of the children and ``step`` the implicit step's value before the
+    clamp and the stop override; both are ``None`` at the last level, and
+    ``step`` also at a level where every node has stopped.  The observer
+    only reads; nothing it does feeds back into the sweep.  With
+    ``obstacle=None`` the step is the plain implicit one: no clamp, no push,
+    no contact.  The batch axes are those of the terminal data and the
     driver's coefficient columns, and the obstacle broadcasts against them.
     Batch members only meet in elementwise operations, so each one is
-    bit-identical to a solve of its own data.  ``rule=None`` is the
-    level-N rule; levels below the rule's first stopping level skip all mask
-    work.  Terminal data below the obstacle are caught by the stopping-node
-    part of the gap reduction (there ``y`` is the terminal value), so the
-    error names the first such level met going down.  Each level tests
-    ``(y - S) + z`` (``y + z`` without an obstacle) for finiteness once and
-    checks obstacle, value and coefficient apart only when that fails, so
-    finite data whose sum overflows pass.  With warnings silenced,
+    bit-identical to a solve of its own data.  ``rule=None`` is the level-N
+    rule; levels below the rule's first stopping level skip all mask work.
+    On stopping nodes ``y`` is the terminal value, so terminal data below
+    the obstacle are caught there, and the error names the first such level
+    met going down.  Each level tests ``(y - S) + z`` (``y + z`` without an
+    obstacle) for finiteness once and checks obstacle, value and coefficient
+    apart only when that fails, so finite data whose sum overflows pass; the
+    largest push of a level must be finite too.  With warnings silenced,
     non-finite data surface only as :class:`NumericalBreakdown`.
     """
     if any(data is not None and data.tree != tree for data in (terminal, rule, obstacle)):
@@ -290,33 +295,21 @@ def _sweep(
     z = np.zeros_like(y)
     dk = None if obstacle is None else z
     first_contact = np.full(batch, n)
-    skorokhod = np.zeros(batch)
-    min_gap = np.full(batch, np.inf)
-    max_increment = np.full(batch, -np.inf)
     iterations = np.zeros(batch, dtype=np.int64)
-    residual = np.zeros(batch)
 
     for i in range(n, -1, -1):
         barrier = None if obstacle is None else obstacle.level(i)
         masked = i >= first_stop
-        if masked:
-            active = ~stopped[i]
+        mean = step = None
         if i < n:
             up, down = tree.child_values(y)
             mean = conditional_expectation(up, down)
             z = martingale_coefficient(up, down, dt)
-            t = tree.grid.time(i)
             y = mean
-            if not masked or active.any():
-                y, iters = _implicit_level(generator, t, mean, z, dt, tree, i)
+            if not masked or not stopped[i].all():
+                y, iters = _implicit_level(generator, tree.grid.time(i), mean, z, dt, tree, i)
                 iterations = np.maximum(iterations, iters)
-                # the step identity is y = mean + g(t, pre-clamp value, z) dt + dk,
-                # so the replayed defect lives on the pre-clamp value
-                g_final = np.asarray(generator.evaluate(t, y, z, level=i, tree=tree), dtype=float)
-                defect = np.abs(y - (mean + g_final * dt))
-                if masked:
-                    defect = defect[..., active]
-                residual = np.maximum(residual, np.maximum.reduce(defect, axis=-1))
+                step = y
             if barrier is not None:
                 unreflected, y = y, np.maximum(y, barrier)
                 dk = y - unreflected
@@ -326,52 +319,28 @@ def _sweep(
                 if barrier is not None:
                     dk = np.where(stopped[i], 0.0, dk)
         gap = y if barrier is None else y - barrier
-        overflowed = not np.isfinite(gap + z).all()
-        if overflowed:
+        if not np.isfinite(gap + z).all():
             for name, values in (("obstacle", barrier), ("value", y), ("coefficient", z)):
                 if values is not None and not np.isfinite(values).all():
                     raise NumericalBreakdown(f"non-finite {name} at level {i}")
         if barrier is not None:
-            product = gap * dk
-            if overflowed:
-                # finite data whose gap overflows: an unpushed node adds nothing
-                product = np.where(dk == 0.0, 0.0, product)
-            level_increment = np.maximum.reduce(dk, axis=-1)
-            if not np.isfinite(level_increment).all():
+            if not np.isfinite(np.maximum.reduce(dk, axis=-1)).all():
                 raise NumericalBreakdown(f"non-finite push increment at level {i}")
-            if masked:
-                stop = stop_nodes[i]
-                if active.any():
-                    min_gap = np.minimum(min_gap, np.minimum.reduce(gap[..., active], axis=-1))
-                if stop.any():
-                    # on stopping nodes y is the terminal value
-                    stop_gap = np.minimum.reduce(gap[..., stop], axis=-1)
-                    if np.logical_or.reduce(stop_gap < 0.0, axis=None):
-                        raise TerminalBelowObstacle(
-                            f"terminal values fall below the obstacle at level {i}"
-                        )
-                    min_gap = np.minimum(min_gap, stop_gap)
-            else:
-                min_gap = np.minimum(min_gap, np.minimum.reduce(gap, axis=-1))
-            skorokhod = np.maximum(skorokhod, np.maximum.reduce(np.abs(product), axis=-1))
-            max_increment = np.maximum(max_increment, level_increment)
+            # on stopping nodes y is the terminal value
+            if masked and stop_nodes[i].any():
+                if np.logical_or.reduce(gap[..., stop_nodes[i]] < 0.0, axis=None):
+                    raise TerminalBelowObstacle(
+                        f"terminal values fall below the obstacle at level {i}"
+                    )
             touching = np.logical_or.reduce(y <= barrier + DEFAULT_CONTACT_TOL, axis=-1)
             first_contact = np.where(touching, i, first_contact)
         if observe is not None:
-            for fresh in (y, z, dk):
+            for fresh in (y, z, dk, mean, step):
                 if fresh is not None:
                     fresh.flags.writeable = False
-            observe(i, y, z, dk)
+            observe(i, y, z, dk, mean, step)
 
-    return SweepSummary(
-        root=y[..., 0],
-        first_contact=first_contact,
-        skorokhod_residual=skorokhod,
-        min_gap=min_gap,
-        max_increment=max_increment,
-        iterations=iterations,
-        residual=residual,
-    )
+    return SweepSummary(root=y[..., 0], first_contact=first_contact, iterations=iterations)
 
 
 def _kept_levels(tree: ScenarioTree) -> tuple[LevelObserver, list[list[np.ndarray | None]]]:
@@ -385,6 +354,89 @@ def _kept_levels(tree: ScenarioTree) -> tuple[LevelObserver, list[list[np.ndarra
     return observe, kept
 
 
+def _diagnostics(
+    tree: ScenarioTree,
+    generator: GeneratorSpec,
+    rule: StoppingRule,
+    obstacle: LevelData | None,
+) -> tuple[LevelObserver, dict[str, np.ndarray]]:
+    """Observer replaying the sweep's identities, and the dict of reductions it fills.
+
+    ``residual`` is the largest defect of the step identity
+    ``step = mean + g(t, step, z) * dt`` over the active nodes of the levels
+    that took a step; the identity lives on the pre-clamp value, which is why
+    the sweep hands it over.  With an obstacle the observer also keeps the
+    Skorokhod residual ``max |(y - S) * dk|``, ``min_gap``, the smallest
+    ``y - S`` over active and stopping nodes, and ``max_increment``, the
+    largest push.  Each holds one entry per batch member.
+    """
+    dt = tree.grid.dt
+    stopped, stop_nodes = rule.stopped_by_level, rule.stop_node_masks
+    first_stop = rule.first_stop_level
+    found: dict[str, np.ndarray] = {}
+
+    def observe(i, y, z, dk, mean, step):
+        if i == tree.steps:  # the sweep starts at the last level, which fixes the batch shape
+            batch = y.shape[:-1]
+            found["residual"] = np.zeros(batch)
+            if obstacle is not None:
+                found["skorokhod_residual"] = np.zeros(batch)
+                found["min_gap"] = np.full(batch, np.inf)
+                found["max_increment"] = np.full(batch, -np.inf)
+        masked = i >= first_stop
+        if masked:
+            active, stop = ~stopped[i], stop_nodes[i]
+        if step is not None:
+            t = tree.grid.time(i)
+            g = np.asarray(generator.evaluate(t, step, z, level=i, tree=tree), dtype=float)
+            defect = np.abs(step - (mean + g * dt))
+            if masked:
+                defect = defect[..., active]
+            found["residual"] = np.maximum(found["residual"], np.maximum.reduce(defect, axis=-1))
+        if obstacle is None:
+            return
+        gap = y - obstacle.level(i)
+        if masked:
+            for nodes in (active, stop):
+                if nodes.any():
+                    found["min_gap"] = np.minimum(
+                        found["min_gap"], np.minimum.reduce(gap[..., nodes], axis=-1)
+                    )
+        else:
+            found["min_gap"] = np.minimum(found["min_gap"], np.minimum.reduce(gap, axis=-1))
+        product = gap * dk
+        worst = np.maximum.reduce(np.abs(product), axis=-1)
+        if not np.isfinite(worst).all():
+            # finite data whose gap overflows: an unpushed node adds nothing
+            worst = np.maximum.reduce(np.abs(np.where(dk == 0.0, 0.0, product)), axis=-1)
+        found["skorokhod_residual"] = np.maximum(found["skorokhod_residual"], worst)
+        found["max_increment"] = np.maximum(found["max_increment"], np.maximum.reduce(dk, axis=-1))
+
+    return observe, found
+
+
+def _full_sweep(
+    tree: ScenarioTree,
+    generator: GeneratorSpec,
+    terminal: TerminalCondition,
+    obstacle: LevelData | None,
+) -> tuple[SweepSummary, list[list[np.ndarray]], dict[str, float | np.ndarray]]:
+    """The sweep of the full solvers: every level kept and the diagnostics replayed.
+
+    Returns the summary, the y, z and push level lists, and the reductions
+    of :func:`_diagnostics` per member (Python scalars without a batch).
+    """
+    keep, kept = _kept_levels(tree)
+    diagnose, found = _diagnostics(tree, generator, terminal.rule, obstacle)
+
+    def observe(*level):
+        keep(*level)
+        diagnose(*level)
+
+    summary = _sweep(tree, generator, terminal.rule, terminal, obstacle, observe)
+    return summary, kept, {name: _per_member(value) for name, value in found.items()}
+
+
 def _stop_node_values(
     *rules: StoppingRule,
 ) -> tuple[LevelObserver, dict[tuple[int, int], float]]:
@@ -392,7 +444,7 @@ def _stop_node_values(
     masks = [rule.stop_node_masks for rule in rules]
     picked: dict[tuple[int, int], float] = {}
 
-    def observe(i, y, z, dk):
+    def observe(i, y, *_):
         for rule_masks in masks:
             for node in np.nonzero(rule_masks[i])[0]:
                 picked[(i, int(node))] = float(y[node])
@@ -410,13 +462,12 @@ def solve_bsde(
     through: the levels keep them in front of the node axis and the
     diagnostics hold one entry per member (Python scalars without a batch).
     """
-    observe, (y_levels, z_levels, _) = _kept_levels(tree)
-    summary = _sweep(tree, generator, terminal.rule, terminal, None, observe)
+    summary, (y_levels, z_levels, _), diagnostics = _full_sweep(tree, generator, terminal, None)
     return BsdeSolution(
         y=AdaptedProcess(tree, y_levels),
         z=AdaptedProcess(tree, z_levels),
         iterations=_per_member(summary.iterations),
-        residual=_per_member(summary.residual),
+        **diagnostics,
     )
 
 

@@ -89,12 +89,29 @@ def _check_coefficient(value) -> None:
         raise ExpressionError("a coefficient column needs shape batch + (1,)")
 
 
+def _coefficient_key(value):
+    """A coefficient as compared and hashed: a number as itself, a column as
+    its shape and entries.  Two columns are thus equal when ``np.array_equal``
+    says so, a column never equals a number, and the hash agrees."""
+    if np.ndim(value):
+        return np.shape(value), tuple(np.ravel(value).tolist())
+    return value
+
+
 @dataclass(frozen=True)
 class Const(Expr):
     value: float | np.ndarray
 
     def __post_init__(self):
         _check_coefficient(self.value)
+
+    def __eq__(self, other):
+        return type(other) is Const and (_coefficient_key(self.value),) == (
+            _coefficient_key(other.value),
+        )
+
+    def __hash__(self):
+        return hash((_coefficient_key(self.value),))
 
     def eval(self, ctx):
         return self.value
@@ -231,6 +248,15 @@ class Scale(Expr):
 
     def __post_init__(self):
         _check_coefficient(self.factor)
+
+    def __eq__(self, other):
+        return type(other) is Scale and (_coefficient_key(self.factor), self.inner) == (
+            _coefficient_key(other.factor),
+            other.inner,
+        )
+
+    def __hash__(self):
+        return hash((_coefficient_key(self.factor), self.inner))
 
     def eval(self, ctx):
         return self.factor * self.inner.eval(ctx)

@@ -25,7 +25,7 @@ from .bsde import (
     LevelObserver,
     SweepSummary,
     TerminalCondition,
-    _kept_levels,
+    _full_sweep,
     _stop_node_values,
     _sweep,
 )
@@ -153,17 +153,15 @@ def _reflected_solution(
     :mod:`theorems` call by this name: the benchmark tracer
     (``perfbench/bench_trace.py``) hooks ``solve_rbsde`` and reads its
     diagnostics as single numbers, which a batch does not have."""
-    observe, (y_levels, z_levels, dk_levels) = _kept_levels(tree)
-    summary = _sweep(tree, generator, terminal.rule, terminal, obstacle.process, observe)
+    summary, (y_levels, z_levels, dk_levels), found = _full_sweep(
+        tree, generator, terminal, obstacle.process
+    )
     cumulative = _accumulate_increments(tree, dk_levels)
     for fresh in cumulative or []:
         fresh.flags.writeable = False
     diagnostics = ReflectionDiagnostics(
-        skorokhod_residual=_per_member(summary.skorokhod_residual),
-        min_gap=_per_member(summary.min_gap),
-        max_increment=_per_member(summary.max_increment),
+        **found,
         iterations=_per_member(summary.iterations),
-        residual=_per_member(summary.residual),
         cumulative_available=_per_member(np.full(summary.root.shape, cumulative is not None)),
     )
     return RbsdeSolution(
@@ -186,8 +184,11 @@ def reflected_roots(
     ``terminal`` and ``obstacle`` give each level as an array with the
     batch axes in front of the node axis; terminal values are read only at
     the last level.  Only the running level is held, so memory is
-    O(batch * N) on a recombining tree, and each member's root and
-    diagnostics equal those of its own :func:`solve_rbsde` bit for bit.
+    O(batch * N) on a recombining tree.  Each member's root, first contact
+    level and iteration count equal those of its own :func:`solve_rbsde`
+    bit for bit.  The sweep pays only for the step, the clamp and the safety
+    checks: the residual, Skorokhod, gap and push diagnostics come from a
+    full solve, batched the same way.
     """
     return _sweep(tree, generator, None, terminal, obstacle)
 

@@ -216,7 +216,7 @@ class _RootTrace:
     def __init__(self, steps: int):
         self.steps = steps
 
-    def __call__(self, i, y, z, dk):
+    def __call__(self, i, y, z, dk, *_):
         if i == self.steps:  # the sweep starts at the last level, which fixes the batch shape
             self.y, self.dk, self.z_max = (np.empty(y.shape[:-1] + (i + 1,)) for _ in range(3))
         self.y[..., i] = y[..., 0]
@@ -593,7 +593,7 @@ def _dominating_profile(
     read from a root-only sweep of the same plain equation."""
     profile = np.empty(tree.steps + 1)
 
-    def observe(i, y, z, dk):
+    def observe(i, y, *_):
         profile[i] = y[0]
 
     g_expectation(tree, dominating_driver(decay), terminal, observe=observe)

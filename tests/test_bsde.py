@@ -484,16 +484,20 @@ class TestOneBackwardKernel:
         assert grids and {user.split(".")[0] for user in grids} == {"generators"}
 
     def test_level_step_reduces_with_ufunc_methods(self):
-        # np.max and friends add a Python wrapper per call; the level step
-        # reduces with np.maximum.reduce, np.minimum.reduce and np.logical_or.reduce
+        # np.max and friends add a Python wrapper per call; the level step and
+        # the diagnostics observer, which runs once per level of a full solve,
+        # reduce with np.maximum.reduce, np.minimum.reduce and np.logical_or.reduce
         wrappers = {"max", "min", "any", "all", "amax", "amin"}
         tree = ast.parse(Path(rbsde_lab.bsde.__file__).read_text())
+        names = {"_sweep", "_implicit_level", "_diagnostics"}
         kernels = {
             node.name: node
             for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name in {"_sweep", "_implicit_level"}
+            if isinstance(node, ast.FunctionDef) and node.name in names
         }
-        assert set(kernels) == {"_sweep", "_implicit_level"}
+        assert set(kernels) == names
+        # the observer reads the levels it is handed, never the tree's children
+        assert not {user for user in _child_values_users() if user.startswith("bsde._diagnostics")}
         for name, function in kernels.items():
             called = {
                 node.func.attr

@@ -725,3 +725,58 @@ class TestSolveContract:
             assert all(
                 math.isfinite(v) for v in diagnostics.values() if not isinstance(v, bool)
             )
+
+
+# any finite double, so a block may overflow the stock tables, the premium or
+# the pricing driver's constant; market values also take the invalid corners
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _price_configs(draw):
+    """A `price` config: a market block with extreme but finite spot, drift,
+    rate and volatility and a list of strikes, on a small tree of either mode."""
+    mode = draw(st.sampled_from(["full-binary", "recombining"]))
+    steps = draw(st.integers(1, 8 if mode == "full-binary" else 40))
+    positive = st.one_of(st.floats(0.05, 5.0), _FINITE.filter(lambda v: v > 0.0))
+    market = {
+        "spot": draw(st.one_of(st.floats(50.0, 150.0), positive, _FINITE)),
+        "drift": draw(st.one_of(st.floats(-1.0, 1.0), _FINITE)),
+        "rate": draw(st.one_of(st.floats(-0.1, 0.2), _FINITE)),
+        "volatility": draw(st.one_of(st.floats(0.05, 1.0), positive, _FINITE)),
+        "kind": draw(st.sampled_from(["call", "put"])),
+        "strikes": draw(
+            st.lists(
+                st.one_of(st.floats(0.0, 200.0), _FINITE.filter(lambda v: v >= 0.0)),
+                min_size=1,
+                max_size=5,
+            )
+        ),
+    }
+    horizon = draw(st.one_of(st.floats(0.05, 2.0), _FINITE.filter(lambda v: v > 0.0)))
+    return {"tree": {"horizon": horizon, "steps": steps, "mode": mode}, "market": market}
+
+
+class TestPriceContract:
+    """Every market block `price` accepts ends in a finite prices.csv with
+    exit 0, or in a typed error with exit 2 (config) or 3 (solver) and no
+    output; never in NaN with exit 0 or an uncaught exception."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(payload=_price_configs())
+    def test_price_gives_finite_output_or_a_typed_exit(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = write_config(Path(tmp), payload)
+            out = Path(tmp) / "out"
+            code = main(["price", "--config", str(config), "--out", str(out)])
+            assert code in (0, 2, 3)
+            if code != 0:
+                assert not (out / "prices.csv").exists()
+                return
+            rows = read_rows(out / "prices.csv")
+            assert [float(row["strike"]) for row in rows] == payload["market"]["strikes"]
+            assert all(
+                math.isfinite(float(row[c]))
+                for row in rows
+                for c in ("price", "exercise_boundary_t0")
+            )

@@ -392,3 +392,32 @@ class TestCoefficientColumns:
             GeneratorSpec.stack(
                 [GeneratorSpec(PiecewiseTime((YVar(), ZVar()), (cut,)), 1.0) for cut in (0.2, 0.5)]
             )
+
+    def test_equal_columns_compare_equal_and_hash_alike(self):
+        column = np.array([[0.5], [-1.0]])
+        for make in (Const, lambda c: Scale(c, YVar())):
+            assert make(column) == make(column.copy())
+            assert hash(make(column)) == hash(make(column.copy()))
+        # -0.0 == 0.0, as np.array_equal has it, so the hash must agree too
+        zero, negative_zero = Const(np.array([[0.0]])), Const(np.array([[-0.0]]))
+        assert zero == negative_zero and hash(zero) == hash(negative_zero)
+        stacked = GeneratorSpec.stack(_affine_members()).expr
+        again = GeneratorSpec.stack(_affine_members()).expr
+        assert stacked == again and hash(stacked) == hash(again)
+
+    def test_unequal_columns_compare_unequal(self):
+        column = np.array([[0.5], [-1.0]])
+        assert Const(column) != Const(np.array([[0.5], [2.0]]))
+        assert Const(column) != Const(np.array([[0.5], [-1.0], [0.0]]))  # shape
+        assert Scale(column, YVar()) != Scale(column, ZVar())
+        stacked = GeneratorSpec.stack(_affine_members()).expr
+        assert stacked != GeneratorSpec.stack(_affine_members()[::-1]).expr
+        assert len({stacked, GeneratorSpec.stack(_affine_members()[::-1]).expr}) == 2
+
+    def test_a_column_never_equals_a_number(self):
+        assert Const(np.array([[1.0]])) != Const(1.0)
+        assert Const(1.0) != Const(np.array([[1.0]]))
+        assert Scale(np.array([[2.0]]), YVar()) != Scale(2.0, YVar())
+        # numbers compare and hash as before
+        assert Const(1.0) == Const(1.0) and hash(Const(1.0)) == hash(Const(1.0))
+        assert Scale(2.0, YVar()) == Scale(2.0, YVar()) != Scale(3.0, YVar())

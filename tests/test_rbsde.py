@@ -32,6 +32,7 @@ from rbsde_lab import (
     solve_rbsde,
 )
 from rbsde_lab.generators import Add, Const, Scale, YVar, ZVar, parse_prefix
+from rbsde_lab.market import MarketModel, quote_strike_family
 from rbsde_lab.rbsde import LevelData, reflected_roots
 
 
@@ -401,12 +402,14 @@ class TestLevelObserver:
 
     @staticmethod
     def _recording(seen):
-        def observe(i, y, z, dk):
-            for level in (y, z) if dk is None else (y, z, dk):
+        def observe(i, y, z, dk, mean, step):
+            for level in (y, z, dk, mean, step):
+                if level is None:
+                    continue
                 assert not level.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     level[0] = 0.0
-            seen.append((i, y, z, dk))
+            seen.append((i, y, z, dk, mean, step))
 
         return observe
 
@@ -416,12 +419,27 @@ class TestLevelObserver:
         seen = []
         root = reflected_value(*problem, observe=self._recording(seen))
         assert [i for i, *_ in seen] == list(range(8, -1, -1))
-        for i, y, z, dk in seen:
+        for i, y, z, dk, _, _ in seen:
             np.testing.assert_array_equal(y, sol.y.level(i))
             np.testing.assert_array_equal(z, sol.z.level(i))
             np.testing.assert_array_equal(dk, sol.k_increments.level(i))
         assert root.hex() == sol.y.root().hex()
-        assert any(dk.any() for *_, dk in seen)
+        assert any(dk.any() for _, _, _, dk, _, _ in seen)
+
+    def test_reflected_sweep_hands_over_the_step_before_the_clamp(self):
+        tree, generator, terminal, obstacle = _partial_rule_full_binary_problem()
+        seen = []
+        reflected_value(tree, generator, terminal, obstacle, observe=self._recording(seen))
+        assert seen[0][4:] == (None, None)  # the last level takes no step
+        for i, y, _, dk, mean, step in seen[1:]:
+            active = ~terminal.rule.stopped_by_level[i]
+            assert mean.shape == y.shape
+            if step is None:
+                assert not active.any()
+                continue
+            clamped = np.maximum(step, obstacle.process.level(i))
+            np.testing.assert_array_equal(y[active], clamped[active])
+            np.testing.assert_array_equal(dk[active], (clamped - step)[active])
 
     def test_plain_sweep_has_no_push(self):
         tree, generator, terminal = _affine_recombining_problem()
@@ -429,10 +447,12 @@ class TestLevelObserver:
         seen = []
         root = g_expectation(tree, generator, terminal, observe=self._recording(seen))
         assert [i for i, *_ in seen] == list(range(60, -1, -1))
-        for i, y, z, dk in seen:
+        for i, y, z, dk, _, step in seen:
             assert dk is None
             np.testing.assert_array_equal(y, sol.y.level(i))
             np.testing.assert_array_equal(z, sol.z.level(i))
+            if i < tree.steps:  # no clamp and no stop: the step is the value
+                np.testing.assert_array_equal(step, y)
         assert root.hex() == sol.y.root().hex()
 
 
@@ -450,12 +470,22 @@ class TestBatchedSweep:
             AdaptedProcess.from_state_function(tree, lambda t, b, c=c: c - 0.5 + 0.3 * b - t)
             for c in shifts
         ]
+        levels = range(tree.steps + 1)
+        stacked_terminal = [np.stack([tc.extended[i] for tc in terminals]) for i in levels]
+        stacked_obstacle = [np.stack([s.level(i) for s in obstacles]) for i in levels]
         batch = reflected_roots(
             tree,
             generator,
-            LevelData(tree, lambda i: np.stack([tc.extended[i] for tc in terminals])),
-            LevelData(tree, lambda i: np.stack([s.level(i) for s in obstacles])),
+            LevelData(tree, stacked_terminal.__getitem__),
+            LevelData(tree, stacked_obstacle.__getitem__),
         )
+        # the root-only sweep keeps no diagnostics; a batched full solve has them
+        batch_diag = solve_rbsde(
+            tree,
+            generator,
+            TerminalCondition.from_leaf_values(tree, stacked_terminal[-1]),
+            ObstacleSpec(AdaptedProcess(tree, stacked_obstacle)),
+        ).diagnostics
         for k, (terminal, process) in enumerate(zip(terminals, obstacles)):
             obstacle = ObstacleSpec(process)
             sol = solve_rbsde(tree, generator, terminal, obstacle)
@@ -465,12 +495,53 @@ class TestBatchedSweep:
             assert batch.first_contact[k] == next(
                 i for i in range(tree.steps + 1) if contact.flags(i).any()
             )
-            assert batch.iterations[k] == diag.iterations
-            assert batch.residual[k] == diag.residual
-            assert batch.min_gap[k] == diag.min_gap
-            assert batch.max_increment[k] == diag.max_increment
-            assert batch.skorokhod_residual[k] == diag.skorokhod_residual == 0.0
+            assert batch.iterations[k] == diag.iterations == batch_diag.iterations[k]
+            for name in ("residual", "min_gap", "max_increment", "skorokhod_residual"):
+                assert float(getattr(batch_diag, name)[k]).hex() == getattr(diag, name).hex(), name
+            assert diag.skorokhod_residual == 0.0
         assert len(set(batch.iterations.tolist())) > 1
+
+
+class TestDiagnosticsCost:
+    """Root-only sweeps of an affine driver never evaluate it: the step is
+    closed through ``y_affine``, and the residual replay, the one evaluation
+    per level, runs only in the full solvers."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        evaluate = GeneratorSpec.evaluate
+
+        def counted(self, t, y, z, **node):
+            calls.append(node["level"])
+            return evaluate(self, t, y, z, **node)
+
+        monkeypatch.setattr(GeneratorSpec, "evaluate", counted)
+        return calls
+
+    def test_root_only_sweeps_make_no_driver_evaluation(self, monkeypatch):
+        tree, generator, terminal = _affine_recombining_problem()
+        obstacle = low_obstacle(tree, 1.0)
+        model = MarketModel(spot=100.0, drift=0.08, volatility=0.2, rate=0.02, strike=100.0)
+        calls = self._counting(monkeypatch)
+        quote_strike_family(tree, model, [90.0, 100.0, 110.0])
+        reflected_value(tree, generator, terminal, obstacle)
+        g_expectation(tree, generator, terminal)
+        assert calls == []
+
+    def test_full_solves_replay_one_evaluation_per_active_level(self, monkeypatch):
+        tree, generator, terminal = _affine_recombining_problem()
+        calls = self._counting(monkeypatch)
+        solve_rbsde(tree, generator, terminal, low_obstacle(tree, 1.0))
+        assert calls == list(range(tree.steps - 1, -1, -1))
+        calls.clear()
+        solve_bsde(tree, generator, terminal)
+        assert calls == list(range(tree.steps - 1, -1, -1))
+        # from level 45 on every node has stopped: no step, so no replay
+        stopped = TerminalCondition.at_rule(tree, StoppingRule.at_level(tree, 45), lambda i, b: 1.0)
+        calls.clear()
+        solve_rbsde(tree, generator, stopped, low_obstacle(tree, 1.0))
+        assert calls == list(range(44, -1, -1))
 
 
 class TestOracles:

@@ -403,6 +403,14 @@ class TestStrictWitness:
             local_strict_witness(low, counterexample_pair(full_tree(7))[1])
         with pytest.raises(ValueError, match="shared driver"):
             local_strict_witness(low, replace(high, generator=GeneratorSpec.constant(0.0)))
+        columns = [
+            GeneratorSpec.stack([GeneratorSpec.constant(c) for c in constants])
+            for constants in ((0.0, 1.0), (0.0, 2.0))
+        ]
+        with pytest.raises(ValueError, match="assumes a shared driver"):
+            local_strict_witness(
+                replace(low, generator=columns[0]), replace(high, generator=columns[1])
+            )
         lowered = ObstacleSpec(AdaptedProcess.constant(tree, -1.0))
         with pytest.raises(ValueError, match="common obstacle"):
             local_strict_witness(low, replace(high, obstacle=lowered))
