@@ -129,7 +129,9 @@ class TestRootOnlyChecks:
 # was re-pinned when every row went through suites._check: its
 # zero-premium row had ended in a numpy bool that report.json wrote as
 # ``"passed": 1.0`` and now writes as ``"passed": true``, the only line
-# that moved.
+# that moved.  The recovery digest was taken while the suite still priced
+# its observations one full solve per strike; it has one size only, so its
+# pin adds about 10 s to the test run.
 PINNED_REPORTS = {
     "counterexamples": (
         {"steps": 200},
@@ -178,6 +180,10 @@ PINNED_REPORTS = {
     "pricing": (
         {},
         "7466dff778dac36a89b3ec1aedffea6d4dbb6150737d34f9298a8866704c6a0c",
+    ),
+    "recovery": (
+        {},
+        "f718bf46fc6c8a693c9eecef0c784f8b6a0917ad0622f62a70b799376278caae",
     ),
 }
 
