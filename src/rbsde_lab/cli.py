@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bsde import TerminalCondition
-from .errors import ConfigError, LatticeLabError, NumericalBreakdown
+from .errors import ConfigError, InvalidGrid, LatticeLabError, NumericalBreakdown
 from .generators import EvalContext, GeneratorSpec, parse_prefix
 from .lattice import AdaptedProcess, ScenarioTree, TimeGrid, TreeMode, build_tree
 from .market import MarketModel, PayoffKind, quote_strike_family, recover_theta
@@ -150,8 +150,10 @@ def _check(name: str, block: dict) -> None:
     if name == "tree":
         if block["mode"] not in {m.value for m in TreeMode}:
             raise ConfigError(f"tree mode must be one of {[m.value for m in TreeMode]}")
-        if block["steps"] < 1 or block["horizon"] <= 0.0:
-            raise ConfigError("tree needs steps >= 1 and horizon > 0")
+        try:
+            TimeGrid(block["horizon"], block["steps"])
+        except InvalidGrid as exc:
+            raise ConfigError(f"tree: {exc}") from exc
     elif name == "generator" and block["lipschitz"] < 0.0:
         raise ConfigError("generator lipschitz constant must be >= 0")
     elif name == "market" and (block["spot"] <= 0.0 or block["volatility"] <= 0.0):

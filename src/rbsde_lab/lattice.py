@@ -59,6 +59,8 @@ class TimeGrid:
             raise InvalidGrid(f"steps must be a positive integer, got {self.steps!r}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise InvalidGrid(f"horizon must be finite and positive, got {self.horizon!r}")
+        if not self.dt > 0.0:
+            raise InvalidGrid(f"horizon / steps underflows to 0 at {self.horizon!r} / {self.steps}")
 
     @property
     def dt(self) -> float:

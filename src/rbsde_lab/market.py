@@ -26,15 +26,8 @@ import numpy as np
 from .bsde import TerminalCondition
 from .errors import NoBracket, PositivityViolated, ProbabilityOutOfRange
 from .generators import Add, GeneratorSpec, Scale, YVar, ZVar
-from .lattice import AdaptedProcess, ScenarioTree, StoppingRule
-from .rbsde import (
-    LevelData,
-    ObstacleSpec,
-    RbsdeSolution,
-    exercise_rule,
-    reflected_roots,
-    solve_rbsde,
-)
+from .lattice import AdaptedProcess, ScenarioTree
+from .rbsde import LevelData, ObstacleSpec, reflected_roots, solve_rbsde
 
 
 class PayoffKind(Enum):
@@ -123,48 +116,25 @@ def _stock_levels(tree: ScenarioTree, model: MarketModel) -> Callable[[int], np.
     return level
 
 
-def simulate_stock(tree: ScenarioTree, model: MarketModel) -> AdaptedProcess:
-    """Multiplicative Euler stock on the tree; rejects non-positive factors."""
-    stock_level = _stock_levels(tree, model)
-    return AdaptedProcess(tree, [stock_level(i) for i in range(tree.steps + 1)])
-
-
 def pricing_driver(model: MarketModel) -> GeneratorSpec:
     """Affine driver ``-(rate * y + premium * z)`` with its natural constant."""
     expr = Add((Scale(-model.rate, YVar()), Scale(-model.premium, ZVar())))
     return GeneratorSpec(expr, model.lipschitz)
 
 
-@dataclass(frozen=True, eq=False)
-class AmericanPrice:
-    value: float
-    solution: RbsdeSolution
-    exercise: StoppingRule
-    stock: AdaptedProcess
+def price_american_rbsde(tree: ScenarioTree, model: MarketModel) -> float:
+    """Reflected-solver price of one American contract, from a full solve.
 
-
-def price_american_rbsde(
-    tree: ScenarioTree, model: MarketModel, stock: AdaptedProcess | None = None
-) -> AmericanPrice:
-    """Reflected-solver price of the American contract on this tree.
-
-    ``stock`` may carry a pre-simulated path process for exactly this tree
-    and model (strike aside); strike families reuse one simulation that way.
+    The per-strike reference of :func:`quote_strike_family`, which gives
+    the same price bit for bit: one :func:`solve_rbsde` over the payoff
+    lattice, O(N^2) memory.  No pricing path calls it.
     """
-    if stock is None:
-        stock = simulate_stock(tree, model)
+    stock_level = _stock_levels(tree, model)
     payoff = AdaptedProcess(
-        tree, [model.payoff(stock.level(i)) for i in range(tree.steps + 1)]
+        tree, [model.payoff(stock_level(i)) for i in range(tree.steps + 1)]
     )
-    obstacle = ObstacleSpec(payoff)
     terminal = TerminalCondition.from_leaf_values(tree, payoff.level(tree.steps))
-    solution = solve_rbsde(tree, pricing_driver(model), terminal, obstacle)
-    return AmericanPrice(
-        value=solution.y.root(),
-        solution=solution,
-        exercise=exercise_rule(solution, obstacle),
-        stock=stock,
-    )
+    return solve_rbsde(tree, pricing_driver(model), terminal, ObstacleSpec(payoff)).y.root()
 
 
 def _riskneutral_dp(tree: ScenarioTree, model: MarketModel, *, early_exercise: bool) -> float:
@@ -204,19 +174,12 @@ def price_european_dp(tree: ScenarioTree, model: MarketModel) -> float:
 def price_strike_family(
     tree: ScenarioTree, model: MarketModel, strikes: Sequence[float]
 ) -> list[tuple[float, float]]:
-    """Price the contract across strikes, one full solve per strike.
+    """(strike, price) pairs from one :func:`price_american_rbsde` per strike.
 
-    This is the per-strike reference path: the pricing and recovery suites
-    use it for observations independent of :func:`quote_strike_family`, and
-    the benchmark's tracer test counts its ``price_american_rbsde`` calls.
-    Batched pricing goes through :func:`quote_strike_family`.
+    It stays only for the benchmark's tracer test, which counts those
+    calls; strike families are priced by :func:`quote_strike_family`.
     """
-    stock = simulate_stock(tree, model)
-    out = []
-    for strike in strikes:
-        altered = replace(model, strike=float(strike))
-        out.append((float(strike), price_american_rbsde(tree, altered, stock=stock).value))
-    return out
+    return [(float(k), price_american_rbsde(tree, replace(model, strike=float(k)))) for k in strikes]
 
 
 class StrikeQuote(NamedTuple):
@@ -237,11 +200,13 @@ def quote_strike_family(
 ) -> list[StrikeQuote]:
     """Price a strike family in one root-only reflected sweep.
 
-    Each level's stock and payoffs are built when the sweep reaches it, so
-    memory stays O(N) per strike instead of the O(N^2) lattices of
-    :func:`price_strike_family`.  Every price and contact level equals, bit
-    for bit, what :func:`price_american_rbsde` and :func:`exercise_rule`
-    give for that strike alone.
+    This is the one pricing path: the ``price`` command, premium recovery
+    and the ``pricing`` and ``recovery`` suites call it.  Each level's stock
+    and payoffs are built when the sweep reaches it, so memory stays O(N)
+    per strike instead of a full solve's O(N^2) lattices.  Every price
+    equals :func:`price_american_rbsde` for that strike alone bit for bit,
+    and every contact level is the first level at which
+    :func:`rbsde.exercise_rule` flags a node of that full solve.
     """
     stock_level = _stock_levels(tree, model)
     models = [replace(model, strike=float(strike)) for strike in strikes]

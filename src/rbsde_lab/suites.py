@@ -13,7 +13,7 @@ reports that compute them; tolerances are the ``theorems`` constants
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,12 +44,11 @@ from .lattice import (
 from .market import (
     MarketModel,
     PayoffKind,
-    price_american_rbsde,
+    _stock_levels,
     price_american_riskneutral_dp,
     price_european_dp,
-    price_strike_family,
+    quote_strike_family,
     recover_theta,
-    simulate_stock,
 )
 from .rbsde import (
     ObstacleSpec,
@@ -769,30 +768,24 @@ def converse_suite(seed: int = 37) -> list[CheckResult]:
 # Pricing
 
 def pricing_suite() -> list[CheckResult]:
-    """Solver-versus-dynamic-program identity plus the calibration loop."""
+    """Quoted prices against the dynamic program, plus the calibration loop."""
     grid = TimeGrid(1.0, 256)
     tree = build_tree(grid, TreeMode.RECOMBINING)
     worst = 0.0
     for volatility in (0.15, 0.2, 0.3):
-        for strike in (90.0, 100.0, 110.0):
-            for kind in (PayoffKind.CALL, PayoffKind.PUT):
-                model = MarketModel(
-                    spot=100.0,
-                    drift=0.08,
-                    volatility=volatility,
-                    rate=0.02,
-                    strike=strike,
-                    kind=kind,
-                )
-                lhs = price_american_rbsde(tree, model).value
-                rhs = price_american_riskneutral_dp(tree, model)
-                worst = max(worst, abs(lhs - rhs))
+        for kind in (PayoffKind.CALL, PayoffKind.PUT):
+            model = MarketModel(
+                spot=100.0, drift=0.08, volatility=volatility, rate=0.02, strike=100.0, kind=kind
+            )
+            for quote in quote_strike_family(tree, model, (90.0, 100.0, 110.0)):
+                rhs = price_american_riskneutral_dp(tree, replace(model, strike=quote.strike))
+                worst = max(worst, abs(quote.price - rhs))
 
     deep_model = MarketModel(
         spot=100.0, drift=0.08, volatility=0.2, rate=0.02, strike=30000.0,
         kind=PayoffKind.PUT,
     )
-    deep = price_american_rbsde(tree, deep_model)
+    (deep,) = quote_strike_family(tree, deep_model, [deep_model.strike])
 
     # strike below the lowest stock value on the tree keeps the payoff
     # strictly in the money, so the empty early-exercise region is testable
@@ -801,26 +794,25 @@ def pricing_suite() -> list[CheckResult]:
         spot=100.0, drift=0.02, volatility=0.2, rate=0.02, strike=3.0,
         kind=PayoffKind.CALL,
     )
-    itm = price_american_rbsde(tree, itm_model)
-    never_early = not any(itm.exercise.flags(i).any() for i in range(tree.steps))
-    dp_gap = abs(itm.value - price_american_riskneutral_dp(tree, itm_model))
+    (itm,) = quote_strike_family(tree, itm_model, [itm_model.strike])
+    dp_gap = abs(itm.price - price_american_riskneutral_dp(tree, itm_model))
 
     euro_model = MarketModel(
         spot=100.0, drift=0.0, volatility=0.2, rate=0.0, strike=100.0,
         kind=PayoffKind.CALL,
     )
     euro_tree = build_tree(TimeGrid(1.0, 128), TreeMode.RECOMBINING)
-    euro_price = price_american_rbsde(euro_tree, euro_model).value
-    stock = simulate_stock(euro_tree, euro_model)
-    plain = euro_tree.expectation(euro_model.payoff(stock.level(euro_tree.steps)), euro_tree.steps)
+    euro_price = quote_strike_family(euro_tree, euro_model, [euro_model.strike])[0].price
+    last_stock = _stock_levels(euro_tree, euro_model)(euro_tree.steps)
+    plain = euro_tree.expectation(euro_model.payoff(last_stock), euro_tree.steps)
     euro_dp = price_european_dp(euro_tree, euro_model)
 
     family_model = MarketModel(
         spot=100.0, drift=0.08, volatility=0.2, rate=0.02, strike=100.0,
         kind=PayoffKind.CALL,
     )
-    family = price_strike_family(tree, family_model, [80.0, 90.0, 100.0, 110.0, 120.0])
-    prices = [p for _, p in family]
+    family = quote_strike_family(tree, family_model, [80.0, 90.0, 100.0, 110.0, 120.0])
+    prices = [q.price for q in family]
     decreasing = all(a > b for a, b in zip(prices, prices[1:]))
     return [
         _check(
@@ -829,12 +821,12 @@ def pricing_suite() -> list[CheckResult]:
         ),
         _check(
             "pricing/deep-in-the-money-put-immediate",
-            abs(deep.value - (deep_model.strike - deep_model.spot)), 0.0,
-            {"price": deep.value}, holds=deep.exercise.flags(0)[0],
+            abs(deep.price - (deep_model.strike - deep_model.spot)), 0.0,
+            {"price": deep.price}, holds=deep.contact_level == 0,
         ),
         _check(
             "pricing/no-early-exercise-for-covered-call", dp_gap, COMPARISON_TOL,
-            {"price": itm.value}, holds=never_early,
+            {"price": itm.price}, holds=itm.contact_level == tree.steps,
         ),
         _check(
             "pricing/zero-premium-call-collapses-to-plain-expectation",
@@ -868,7 +860,7 @@ def recovery_suite() -> list[CheckResult]:
             strike=family_strikes[0],
             kind=PayoffKind.CALL,
         )
-        observed = price_strike_family(tree, model, family_strikes)
+        observed = [(q.strike, q.price) for q in quote_strike_family(tree, model, family_strikes)]
         recovery = recover_theta(
             tree, observed, spot=100.0, volatility=volatility, rate=rate
         )

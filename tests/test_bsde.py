@@ -442,6 +442,18 @@ class TestOneBackwardKernel:
         assert kernel <= users
         assert users <= kernel | references
 
+    def test_full_solve_prices_have_no_pricing_caller(self):
+        # price_american_rbsde and price_strike_family are the per-strike
+        # reference of market.quote_strike_family; every pricing path quotes
+        names = {"price_american_rbsde", "price_strike_family"}
+        users = _users(
+            lambda node: (isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.Attribute) and node.attr in names)
+            or (isinstance(node, ast.alias) and node.name in names)
+        )
+        assert "market.price_strike_family" in users
+        assert {user.split(".")[0] for user in users} == {"market", "__init__"}
+
     def test_path_layout_is_decided_in_lattice(self):
         # path-carried data move forward through ScenarioTree.carry; only the
         # witness, which walks whole paths, repeats values itself

@@ -483,6 +483,26 @@ class TestRecoverCommand:
         assert not (out / "theta.json").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "price", "recover"])
+def test_a_step_that_underflows_to_zero_is_a_config_error(tmp_path, capsys, command):
+    # horizon > 0 holds, but horizon / steps rounds to 0.0
+    payload = {
+        **COUNTEREXAMPLE_CONFIG,
+        "tree": {"horizon": 5e-324, "steps": 40, "mode": "recombining"},
+        "market": {
+            "spot": 100.0, "drift": 0.08, "volatility": 0.2, "rate": 0.02,
+            "kind": "put", "strikes": [100.0],
+        },
+        "recover": {"observed": "obs.csv"},
+    }
+    (tmp_path / "obs.csv").write_text("strike,price\n100,5\n")
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: tree: horizon / steps underflows")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, market, steps, code, err",
     [

@@ -58,6 +58,9 @@ class TestBuildTree:
             TimeGrid(0.0, 4)
         with pytest.raises(InvalidGrid):
             TimeGrid(1.0, True)
+        with pytest.raises(InvalidGrid, match="underflows"):
+            TimeGrid(5e-324, 40)  # a positive horizon whose step rounds to 0.0
+        assert TimeGrid(5e-324, 1).dt == 5e-324
 
     @pytest.mark.parametrize("mode", list(TreeMode))
     def test_level_probabilities_sum_to_one(self, mode):

@@ -18,19 +18,29 @@ from rbsde_lab import (
     price_american_rbsde,
     price_american_riskneutral_dp,
     price_european_dp,
-    price_strike_family,
     quote_strike_family,
     recover_theta,
-    simulate_stock,
 )
 from rbsde_lab import market
-from rbsde_lab.bsde import LevelData
+from rbsde_lab.bsde import LevelData, TerminalCondition
+from rbsde_lab.lattice import AdaptedProcess
+from rbsde_lab.rbsde import ObstacleSpec, exercise_rule, solve_rbsde
 
 BASE = dict(spot=100.0, drift=0.08, volatility=0.2, rate=0.02, strike=100.0)
 
 
 def recomb_tree(steps, horizon=1.0):
     return build_tree(TimeGrid(horizon, steps), TreeMode.RECOMBINING)
+
+
+def full_solve(tree, model):
+    """The contract's full reflected solve and its exercise rule: a quote's references."""
+    stock = market._stock_levels(tree, model)
+    payoff = AdaptedProcess(tree, [model.payoff(stock(i)) for i in range(tree.steps + 1)])
+    obstacle = ObstacleSpec(payoff)
+    terminal = TerminalCondition.from_leaf_values(tree, payoff.level(tree.steps))
+    solution = solve_rbsde(tree, market.pricing_driver(model), terminal, obstacle)
+    return solution, exercise_rule(solution, obstacle)
 
 
 class TestModel:
@@ -55,16 +65,16 @@ class TestStock:
     def test_single_step_up_factor(self):
         tree = recomb_tree(100)  # dt = 0.01
         model = MarketModel(**BASE)
-        stock = simulate_stock(tree, model)
-        assert stock.value(1, 1) == pytest.approx(100.0 * (1 + 0.0008 + 0.02))
-        assert stock.value(1, 1) == pytest.approx(102.08)
+        stock = market._stock_levels(tree, model)
+        assert stock(1)[1] == pytest.approx(100.0 * (1 + 0.0008 + 0.02))
+        assert stock(1)[1] == pytest.approx(102.08)
 
     def test_driftless_stock_is_a_martingale(self):
         tree = recomb_tree(64)
         model = MarketModel(**{**BASE, "drift": 0.0})
-        stock = simulate_stock(tree, model)
+        stock = market._stock_levels(tree, model)
         for i in (1, 16, 64):
-            mean = tree.expectation(stock.level(i), i)
+            mean = tree.expectation(stock(i), i)
             assert mean == pytest.approx(100.0, abs=1e-10)
 
     @pytest.mark.parametrize(
@@ -76,17 +86,17 @@ class TestStock:
         dt = tree.grid.dt
         up = 1.0 + model.drift * dt + model.volatility * tree.sqrt_dt
         down = 1.0 + model.drift * dt - model.volatility * tree.sqrt_dt
-        stock = simulate_stock(tree, model)
+        stock = market._stock_levels(tree, model)
         for i in range(steps + 1):
             ups = tree.up_counts(i)
             direct = model.spot * up**ups * down ** (i - ups)
-            assert stock.level(i).tobytes() == direct.tobytes()
+            assert stock(i).tobytes() == direct.tobytes()
 
     def test_positivity_guard(self):
         tree = recomb_tree(2)  # sqrt(dt) ~ 0.7
         model = MarketModel(**{**BASE, "volatility": 1.5})
         with pytest.raises(PositivityViolated):
-            simulate_stock(tree, model)
+            market._stock_levels(tree, model)
 
 
 class TestPricingIdentity:
@@ -98,16 +108,16 @@ class TestPricingIdentity:
         model = MarketModel(
             **{**BASE, "volatility": volatility, "strike": strike, "kind": kind}
         )
-        lhs = price_american_rbsde(tree, model).value
+        lhs = price_american_rbsde(tree, model)
         rhs = price_american_riskneutral_dp(tree, model)
         assert abs(lhs - rhs) <= 1e-10
 
     def test_deep_in_the_money_put_exercises_immediately(self):
         tree = recomb_tree(128)
         model = MarketModel(**{**BASE, "strike": 30000.0, "kind": PayoffKind.PUT})
-        priced = price_american_rbsde(tree, model)
-        assert priced.value == model.strike - model.spot
-        assert bool(priced.exercise.flags(0)[0])
+        (quote,) = quote_strike_family(tree, model, [model.strike])
+        assert quote.price == model.strike - model.spot
+        assert quote.contact_level == 0
 
     def test_boundary_step_probability_is_valid(self):
         # premium * sqrt(dt) = 0.5 gives step weights 0.25 / 0.75
@@ -136,10 +146,10 @@ class TestPricingIdentity:
             spot=100.0, drift=0.0, volatility=0.2, rate=0.0, strike=100.0
         )
         priced = price_american_rbsde(tree, model)
-        stock = simulate_stock(tree, model)
-        plain = tree.expectation(model.payoff(stock.level(128)), 128)
-        assert priced.value == pytest.approx(plain, abs=1e-10)
-        assert priced.value == pytest.approx(price_european_dp(tree, model), abs=1e-10)
+        stock = market._stock_levels(tree, model)
+        plain = tree.expectation(model.payoff(stock(128)), 128)
+        assert priced == pytest.approx(plain, abs=1e-10)
+        assert priced == pytest.approx(price_european_dp(tree, model), abs=1e-10)
 
     def test_fully_covered_call_never_exercises_early(self):
         # strike below the tree minimum: strictly in the money everywhere
@@ -147,44 +157,45 @@ class TestPricingIdentity:
         model = MarketModel(
             spot=100.0, drift=0.02, volatility=0.2, rate=0.02, strike=10.0
         )
-        priced = price_american_rbsde(tree, model)
-        assert float(np.min(priced.stock.level(64))) > model.strike
-        assert not any(priced.exercise.flags(i).any() for i in range(64))
+        (quote,) = quote_strike_family(tree, model, [model.strike])
+        assert float(np.min(market._stock_levels(tree, model)(64))) > model.strike
+        assert quote.contact_level == 64  # no exercise flag below the last level
 
     def test_exercise_nodes_match_the_dynamic_program(self):
         tree = recomb_tree(64)
         model = MarketModel(
             **{**BASE, "drift": 0.05, "rate": 0.06, "kind": PayoffKind.PUT}
         )
-        priced = price_american_rbsde(tree, model)
-        stock = priced.stock
+        solution, exercise = full_solve(tree, model)
+        assert solution.y.root().hex() == price_american_rbsde(tree, model).hex()
+        stock = market._stock_levels(tree, model)
         q_up = (1.0 - model.premium * tree.sqrt_dt) / 2.0
         discount = 1.0 + model.rate * tree.grid.dt
-        values = model.payoff(stock.level(64))
+        values = model.payoff(stock(64))
         for i in range(63, -1, -1):
             up, down = tree.child_values(values)
             continuation = (q_up * up + (1.0 - q_up) * down) / discount
-            payoff = model.payoff(stock.level(i))
+            payoff = model.payoff(stock(i))
             values = np.maximum(payoff, continuation)
             exercises = payoff >= continuation + 1e-10
-            gap = priced.solution.y.level(i) - payoff
+            gap = solution.y.level(i) - payoff
             assert np.all(gap[exercises] <= 1e-10)
-            assert np.all(priced.exercise.flags(i)[exercises])
+            assert np.all(exercise.flags(i)[exercises])
 
     def test_american_dominates_obstacle_and_european(self):
         tree = recomb_tree(128)
         model = MarketModel(**{**BASE, "kind": PayoffKind.PUT})
         priced = price_american_rbsde(tree, model)
-        assert priced.value >= model.payoff(model.spot) - 1e-12
-        assert priced.value >= price_european_dp(tree, model) - 1e-12
+        assert priced >= model.payoff(model.spot) - 1e-12
+        assert priced >= price_european_dp(tree, model) - 1e-12
 
 
 class TestStrikeFamily:
     def test_call_prices_decrease_in_strike(self):
         tree = recomb_tree(128)
         model = MarketModel(**BASE)
-        family = price_strike_family(tree, model, [80.0, 90.0, 100.0, 110.0, 120.0])
-        prices = [p for _, p in family]
+        family = quote_strike_family(tree, model, [80.0, 90.0, 100.0, 110.0, 120.0])
+        prices = [q.price for q in family]
         assert all(a > b for a, b in zip(prices, prices[1:]))
 
     def test_zero_strike_call_prices_the_stock_claim(self):
@@ -192,8 +203,8 @@ class TestStrikeFamily:
         model = MarketModel(**{**BASE, "strike": 0.0})
         priced = price_american_rbsde(tree, model)
         dp = price_american_riskneutral_dp(tree, model)
-        assert priced.value == pytest.approx(dp, abs=1e-10)
-        assert priced.value >= model.spot - 1e-9  # the claim is worth the stock
+        assert priced == pytest.approx(dp, abs=1e-10)
+        assert priced >= model.spot - 1e-9  # the claim is worth the stock
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -219,9 +230,11 @@ class TestStrikeFamily:
         quotes = quote_strike_family(tree, model, strikes)
         assert [q.strike for q in quotes] == strikes
         for strike, quote in zip(strikes, quotes):
-            single = price_american_rbsde(tree, replace(model, strike=strike))
-            contact = next(i for i in range(steps + 1) if single.exercise.flags(i).any())
-            assert quote.price.hex() == single.value.hex()
+            single = replace(model, strike=strike)
+            solution, exercise = full_solve(tree, single)
+            contact = next(i for i in range(steps + 1) if exercise.flags(i).any())
+            assert quote.price.hex() == solution.y.root().hex()
+            assert quote.price.hex() == price_american_rbsde(tree, single).hex()
             assert quote.contact_level == contact
 
     def test_quote_sweep_builds_the_last_payoff_level_twice(self, monkeypatch):
@@ -263,7 +276,7 @@ class TestRecovery:
             rate=rate,
             strike=strikes[0],
         )
-        return price_strike_family(tree, model, strikes)
+        return [(q.strike, q.price) for q in quote_strike_family(tree, model, strikes)]
 
     def test_five_strike_recovery(self):
         tree = recomb_tree(32)

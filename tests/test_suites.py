@@ -7,10 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rbsde_lab import suites
+from rbsde_lab import market, rbsde, suites
 from rbsde_lab.bsde import TerminalCondition
 from rbsde_lab.cli import main
-from rbsde_lab.lattice import TimeGrid, TreeMode, build_tree
+from rbsde_lab.lattice import AdaptedProcess, TimeGrid, TreeMode, build_tree
+from rbsde_lab.market import MarketModel, PayoffKind, quote_strike_family
 from rbsde_lab.rbsde import reflected_value
 from rbsde_lab.suites import run_suite
 from rbsde_lab.theorems import EXACT_TOL, build_dominating_obstacle
@@ -119,6 +120,37 @@ class TestRootOnlyChecks:
         obstacle = build_dominating_obstacle(tree, xi, 1.0)
         expected = np.array([obstacle.process.level(i)[0] for i in range(41)])
         assert suites._dominating_profile(tree, xi, 1.0).tobytes() == expected.tobytes()
+
+
+def _put_quote():
+    tree = build_tree(TimeGrid(1.0, 10), TreeMode.FULL_BINARY)
+    model = MarketModel(
+        spot=100.0, drift=0.08, volatility=0.2, rate=0.02, strike=100.0, kind=PayoffKind.PUT
+    )
+    return quote_strike_family(tree, model, [90.0, 100.0, 110.0])
+
+
+class TestPricingPath:
+    """Pricing goes through the root-only quote: no lattice, no full solve."""
+
+    @pytest.mark.parametrize("price", [suites.pricing_suite, _put_quote], ids=["suite", "quote"])
+    def test_pricing_builds_no_process_and_runs_no_full_solve(self, price, monkeypatch):
+        builds, solves = [], []
+        build, solve = AdaptedProcess.__init__, rbsde.solve_rbsde
+
+        def counting_build(self, *args, **kwargs):
+            builds.append(args)
+            build(self, *args, **kwargs)
+
+        def counting_solve(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(AdaptedProcess, "__init__", counting_build)
+        for module in (rbsde, market, suites):
+            monkeypatch.setattr(module, "solve_rbsde", counting_solve)
+        assert price()
+        assert (len(builds), len(solves)) == (0, 0)
 
 
 # SHA-256 of report.json as ``verify`` writes it, with the suites' step or
