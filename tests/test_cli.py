@@ -20,6 +20,7 @@ from rbsde_lab import suites
 from rbsde_lab.generators import lipschitz_bound
 from rbsde_lab.suites import CheckResult
 from test_generators import exprs
+from test_market import RECOVER_STRIKES, _recovery_targets
 
 COUNTEREXAMPLE_CONFIG = {
     "tree": {"horizon": 1.0, "steps": 100, "mode": "recombining"},
@@ -459,6 +460,39 @@ class TestRecoverCommand:
         assert main(["recover", "--config", str(config), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (1, "541ae69eab3760d2eeaad091796f0d3a7cf159e8c2cffbecc544f806b4bc269c"),
+            (2, "32909f15527409e630647c26e48037cce2e2e616adb6f289a893f735b9068362"),
+            (3, "6f2e013a4daaf03f4ca6dad47c387fbd2b58d9900db39fb763a702c7d3f04df2"),
+        ],
+    )
+    def test_workload_theta_json_digest_is_pinned(self, tmp_path, seed, digest):
+        # the benchmark's recover workload: observed prices from the DP at a drawn premium
+        _, targets = _recovery_targets(seed)
+        (tmp_path / "observed.csv").write_text(
+            "strike,price\n"
+            + "".join(f"{k:.17g},{p:.17g}\n" for k, p in zip(RECOVER_STRIKES, targets))
+        )
+        payload = {
+            "tree": {"horizon": 1.0, "steps": 48, "mode": "recombining"},
+            "market": {
+                "spot": 100.0,
+                "drift": 0.02,
+                "volatility": 0.2,
+                "rate": 0.02,
+                "kind": "call",
+                "strikes": list(RECOVER_STRIKES),
+            },
+            "recover": {"observed": "observed.csv"},
+            "seed": seed,
+        }
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["recover", "--config", str(config), "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "theta.json").read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("rate", [1e308, -1e308])
     def test_overflowing_market_is_a_config_error(self, tmp_path, capsys, rate):

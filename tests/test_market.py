@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbsde_lab import (
+    ContractionViolated,
     MarketModel,
     NoBracket,
     PayoffKind,
@@ -304,6 +305,29 @@ class TestRecovery:
         tree = recomb_tree(8)
         with pytest.raises(NoBracket):
             recover_theta(tree, [], spot=100.0, volatility=0.2, rate=0.02)
+
+    @pytest.mark.parametrize(
+        "steps, volatility, error, message",
+        [
+            # the down factor is negative at the bracket's lower edge only
+            (
+                4, 0.9, PositivityViolated,
+                "step factors (0.78, -0.12) must stay positive; "
+                "refine the grid or lower the volatility",
+            ),
+            # the pricing constant |rate| + |premium| is largest at the edges
+            (1, 0.2, ContractionViolated, "lipschitz * dt = 3.02 >= 1; refine the grid"),
+        ],
+        ids=["step-factors", "contraction"],
+    )
+    def test_a_refused_first_candidate_names_itself(self, steps, volatility, error, message):
+        # every factor rises with the premium, so the first candidate refused
+        # is the scan's first, theta = -3
+        with pytest.raises(error) as caught:
+            recover_theta(
+                recomb_tree(steps), [(100.0, 5.0)], spot=100.0, volatility=volatility, rate=0.02
+            )
+        assert str(caught.value) == message
 
 
 def _quadratic(c, scale=1.0, floor=0.0):
