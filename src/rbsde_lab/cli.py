@@ -384,14 +384,17 @@ def cmd_recover(config: RunConfig, out_dir: Path, config_dir: Path) -> None:
     model = _model(config.block("market"))  # checks the market block as price does
     if "recover" not in config.blocks:
         raise ConfigError("recover needs a 'recover' block with an observed CSV path")
-    recovery = recover_theta(
-        tree,
-        _observed_prices(config_dir / config.blocks["recover"]["observed"]),
-        spot=model.spot,
-        volatility=model.volatility,
-        rate=model.rate,
-        kind=model.kind,
-    )
+    try:
+        recovery = recover_theta(
+            tree,
+            _observed_prices(config_dir / config.blocks["recover"]["observed"]),
+            spot=model.spot,
+            volatility=model.volatility,
+            rate=model.rate,
+            kind=model.kind,
+        )
+    except ValueError as exc:  # the market block overflows at an edge of the premium bracket
+        raise ConfigError(str(exc)) from exc
     theta = _finite_json(
         {
             "theta_hat": recovery.theta_hat,

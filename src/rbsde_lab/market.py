@@ -27,7 +27,7 @@ from .bsde import TerminalCondition
 from .errors import NoBracket, PositivityViolated, ProbabilityOutOfRange
 from .generators import Add, GeneratorSpec, Scale, YVar, ZVar
 from .lattice import AdaptedProcess, ScenarioTree
-from .rbsde import LevelData, ObstacleSpec, reflected_roots, solve_rbsde
+from .rbsde import LevelData, ObstacleSpec, SweepSummary, reflected_roots, solve_rbsde
 
 
 class PayoffKind(Enum):
@@ -37,7 +37,8 @@ class PayoffKind(Enum):
 
 @dataclass(frozen=True)
 class MarketModel:
-    """Stock and contract parameters; the premium is always derived."""
+    """Stock and contract parameters; the premium is always derived.  A drift
+    column of shape ``batch + (1, 1)`` makes one model per batch member."""
 
     spot: float
     drift: float
@@ -55,7 +56,7 @@ class MarketModel:
             )
         if self.strike < 0.0:
             raise ValueError(f"strike must be nonnegative, got {self.strike!r}")
-        if not math.isfinite(self.lipschitz):
+        if not np.isfinite(self.lipschitz).all():
             raise ValueError(
                 f"premium {self.premium!r} and pricing constant |rate| + |premium| "
                 f"= {self.lipschitz!r} must be finite"
@@ -82,18 +83,20 @@ def _payoff(kind: PayoffKind, strike, x):
     return np.maximum(strike - np.asarray(x, dtype=float), 0.0)
 
 
-def _step_factors(tree: ScenarioTree, model: MarketModel) -> tuple[float, float]:
+def _step_factors(tree: ScenarioTree, model: MarketModel):
     dt = tree.grid.dt
     up = 1.0 + model.drift * dt + model.volatility * tree.sqrt_dt
     down = 1.0 + model.drift * dt - model.volatility * tree.sqrt_dt
-    if model.volatility * tree.sqrt_dt >= 1.0 or down <= 0.0 or up <= 0.0:
-        raise PositivityViolated(
-            f"step factors ({up:.6g}, {down:.6g}) must stay positive; "
-            "refine the grid or lower the volatility"
-        )
+    for u, d in zip(np.ravel(up), np.ravel(down)):
+        if model.volatility * tree.sqrt_dt >= 1.0 or d <= 0.0 or u <= 0.0:
+            raise PositivityViolated(
+                f"step factors ({u:.6g}, {d:.6g}) must stay positive; "
+                "refine the grid or lower the volatility"
+            )
     return up, down
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _stock_levels(tree: ScenarioTree, model: MarketModel) -> Callable[[int], np.ndarray]:
     """Stock level ``i`` on demand, ``spot * up**ups * down**(i - ups)`` per node.
 
@@ -106,20 +109,19 @@ def _stock_levels(tree: ScenarioTree, model: MarketModel) -> Callable[[int], np.
     """
     up, down = _step_factors(tree, model)
     k = np.arange(tree.steps + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        spot_up, down_pow = model.spot * up**k, down**k
+    spot_up, down_pow = model.spot * up**k, down**k
 
     def level(i: int) -> np.ndarray:
         ups = tree.up_counts(i)
-        return spot_up[ups] * down_pow[i - ups]
+        return spot_up.take(ups, axis=-1) * down_pow.take(i - ups, axis=-1)
 
     return level
 
 
 def pricing_driver(model: MarketModel) -> GeneratorSpec:
-    """Affine driver ``-(rate * y + premium * z)`` with its natural constant."""
+    """Affine driver ``-(rate * y + premium * z)``, declaring the largest member's constant."""
     expr = Add((Scale(-model.rate, YVar()), Scale(-model.premium, ZVar())))
-    return GeneratorSpec(expr, model.lipschitz)
+    return GeneratorSpec(expr, float(np.max(model.lipschitz)))
 
 
 def price_american_rbsde(tree: ScenarioTree, model: MarketModel) -> float:
@@ -200,29 +202,25 @@ def quote_strike_family(
 ) -> list[StrikeQuote]:
     """Price a strike family in one root-only reflected sweep.
 
-    This is the one pricing path: the ``price`` command, premium recovery
-    and the ``pricing`` and ``recovery`` suites call it.  Each level's stock
-    and payoffs are built when the sweep reaches it, so memory stays O(N)
-    per strike instead of a full solve's O(N^2) lattices.  Every price
-    equals :func:`price_american_rbsde` for that strike alone bit for bit,
-    and every contact level is the first level at which
+    This is the one pricing path: the ``price`` command and the ``pricing``
+    and ``recovery`` suites call it, and premium recovery runs its sweep.
+    Each level's stock and payoffs are built as the sweep reaches it, so
+    memory stays O(N) per strike, not a full solve's O(N^2) lattices.  Every
+    price equals :func:`price_american_rbsde` for that strike alone bit for
+    bit, and every contact level is the first level at which
     :func:`rbsde.exercise_rule` flags a node of that full solve.
     """
+    roots = _family_roots(tree, model, strikes)
+    quotes = zip(map(float, strikes), roots.root.tolist(), roots.first_contact.tolist())
+    return [StrikeQuote(*quote) for quote in quotes]
+
+
+def _family_roots(tree: ScenarioTree, model: MarketModel, strikes: Sequence[float]) -> SweepSummary:
+    """The quote's sweep, strikes on the last batch axis and a drift column's axes before them."""
     stock_level = _stock_levels(tree, model)
-    models = [replace(model, strike=float(strike)) for strike in strikes]
-    if not models:
-        return []
-    column = np.array([[m.strike] for m in models])
-
-    def payoff_level(i: int) -> np.ndarray:
-        return _payoff(model.kind, column, stock_level(i))
-
-    payoff = LevelData(tree, payoff_level)
-    roots = reflected_roots(tree, pricing_driver(model), payoff, payoff)
-    return [
-        StrikeQuote(m.strike, float(value), int(level))
-        for m, value, level in zip(models, roots.root, roots.first_contact)
-    ]
+    column = np.array([replace(model, strike=float(k)).strike for k in strikes])[:, None]
+    payoff = LevelData(tree, lambda i: _payoff(model.kind, column, stock_level(i)))
+    return reflected_roots(tree, pricing_driver(model), payoff, payoff)
 
 
 @dataclass(frozen=True)
@@ -235,6 +233,7 @@ class ThetaRecovery:
 _THETA_BRACKET = (-3.0, 3.0)
 _SCAN_SPACING = 0.01
 _ZOOM_FACTOR = 10.0
+_ROUND = 21  # premiums priced per sweep: one zoom round, and a slice of the scan
 _TARGET_WIDTH = 1e-11
 
 # Brent's bounded minimiser (Brent 1973, ch. 5); the polish table in
@@ -331,42 +330,40 @@ def recover_theta(
     best_theta = 0.0
     best_value = math.inf
 
-    def objective(theta: float) -> float:
-        nonlocal evaluations, best_theta, best_value
-        evaluations += 1
-        model = MarketModel(
-            spot=spot,
-            drift=rate + volatility * float(theta),
-            volatility=volatility,
-            rate=rate,
-            strike=strikes[0],
-            kind=kind,
+    def model_at(theta) -> MarketModel:  # theta: a premium or a column of them
+        return MarketModel(
+            spot=spot, drift=rate + volatility * theta, volatility=volatility, rate=rate,
+            strike=strikes[0], kind=kind,
         )
-        prices = np.array([q.price for q in quote_strike_family(tree, model, strikes)])
-        value = float(np.sum((prices - targets) ** 2))
-        if value < best_value:
-            best_value = value
-            best_theta = float(theta)
-        return value
+
+    @np.errstate(over="ignore")  # an error that overflows is an infinite, never-best value
+    def objective(thetas: np.ndarray) -> np.ndarray:
+        nonlocal evaluations, best_theta, best_value
+        evaluations += thetas.size
+        prices = _family_roots(tree, model_at(thetas[:, None, None]), strikes).root
+        values = np.sum((prices - targets) ** 2, axis=-1)
+        first = int(np.argmin(values))  # the first best point, as a sequential scan keeps it
+        if values[first] < best_value:
+            best_value, best_theta = float(values[first]), float(thetas[first])
+        return values
 
     lo, hi = _THETA_BRACKET
+    model_at(lo), model_at(hi)  # fails here if an edge overflows; the drift is monotone in theta
     count = max(int(round((hi - lo) / _SCAN_SPACING)) + 1, 3)
     grid = np.linspace(lo, hi, count)
-    values = [objective(float(theta)) for theta in grid]
+    values = np.concatenate([objective(grid[j : j + _ROUND]) for j in range(0, count, _ROUND)])
     if int(np.argmin(values)) in (0, count - 1):
         raise NoBracket("objective is smallest at the bracket edge; widen the bracket")
 
     width = float(grid[1] - grid[0])
     while width > _TARGET_WIDTH:
-        center = best_theta
-        lo_z = max(lo, center - width)
-        hi_z = min(hi, center + width)
-        for theta in np.linspace(lo_z, hi_z, 21):
-            objective(float(theta))
+        objective(np.linspace(max(lo, best_theta - width), min(hi, best_theta + width), _ROUND))
         width /= _ZOOM_FACTOR
 
     polish_theta, polish_value = _bounded_brent(
-        objective, max(lo, best_theta - 1e-8), min(hi, best_theta + 1e-8)
+        lambda theta: float(objective(np.array([theta]))[0]),
+        max(lo, best_theta - 1e-8),
+        min(hi, best_theta + 1e-8),
     )
     if polish_value <= best_value:
         best_value = polish_value

@@ -516,6 +516,33 @@ class TestRecoverCommand:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (out / "theta.json").exists()
 
+    @pytest.mark.parametrize("volatility", [6e307, 1e308])
+    def test_a_market_the_premium_bracket_overflows_is_a_config_error(
+        self, tmp_path, capsys, volatility
+    ):
+        # price accepts this block; at theta = -3 the drift rate + volatility * theta is -inf
+        payload = {
+            "tree": {"horizon": 1.0, "steps": 48, "mode": "recombining"},
+            "market": {
+                "spot": 100.0,
+                "drift": 0.02,
+                "volatility": volatility,
+                "rate": 0.02,
+                "kind": "call",
+                "strikes": [80.0],
+            },
+            "recover": {"observed": "obs.csv"},
+        }
+        (tmp_path / "obs.csv").write_text("strike,price\n80,21.5\n")
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["recover", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: premium -inf and pricing constant |rate| + |premium| = inf"
+            " must be finite\n"
+        )
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["solve", "price", "recover"])
 def test_a_step_that_underflows_to_zero_is_a_config_error(tmp_path, capsys, command):
@@ -834,3 +861,42 @@ class TestPriceContract:
                 for row in rows
                 for c in ("price", "exercise_boundary_t0")
             )
+
+
+@st.composite
+def _recover_configs(draw):
+    """A `recover` config: a `price` config's market block and tree, and an
+    observed-prices file of finite rows, extreme ones among them."""
+    payload = draw(_price_configs())
+    strike = st.one_of(st.floats(0.0, 200.0), _FINITE.filter(lambda v: v >= 0.0))
+    price = st.one_of(st.floats(0.0, 100.0), _FINITE)
+    rows = draw(st.lists(st.tuples(strike, price), min_size=1, max_size=5))
+    observed = "strike,price\n" + "".join(f"{k!r},{p!r}\n" for k, p in rows)
+    return {**payload, "recover": {"observed": "observed.csv"}}, observed
+
+
+class TestRecoverContract:
+    """Every market block and observed-prices file `recover` accepts ends in a
+    finite theta.json with exit 0, or in a typed error with exit 2 (config) or
+    3 (solver) and no output; never in NaN with exit 0, an uncaught exception
+    or a printed warning."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=_recover_configs())
+    def test_recover_gives_finite_output_or_a_typed_exit(self, config):
+        payload, observed = config
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "observed.csv").write_text(observed)
+            path = write_config(Path(tmp), payload)
+            out = Path(tmp) / "out"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["recover", "--config", str(path), "--out", str(out)])
+            assert [str(w.message) for w in caught] == []
+            assert code in (0, 2, 3)
+            if code != 0:
+                assert not (out / "theta.json").exists()
+                return
+            theta = json.loads((out / "theta.json").read_text())
+            assert math.isfinite(theta["theta_hat"]) and math.isfinite(theta["objective"])
+            assert theta["iterations"] > 0

@@ -238,6 +238,36 @@ class TestStrikeFamily:
             assert quote.price.hex() == price_american_rbsde(tree, single).hex()
             assert quote.contact_level == contact
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.tuples(st.just(TreeMode.RECOMBINING), st.integers(8, 64)),
+            st.tuples(st.just(TreeMode.FULL_BINARY), st.integers(8, 12)),
+        ),
+        kind=st.sampled_from(list(PayoffKind)),
+        volatility=st.floats(0.1, 0.6),
+        rate=st.floats(0.0, 0.1),
+        premiums=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+        strikes=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=6),
+    )
+    def test_premium_column_members_match_their_own_quotes_bit_for_bit(
+        self, shape, kind, volatility, rate, premiums, strikes
+    ):
+        # recovery's round: a drift column puts the premiums in front of the strikes
+        mode, steps = shape
+        tree = build_tree(TimeGrid(1.0, steps), mode)
+        model = MarketModel(
+            spot=100.0, drift=rate + volatility * np.array(premiums)[:, None, None],
+            volatility=volatility, rate=rate, strike=strikes[0], kind=kind,
+        )
+        roots = market._family_roots(tree, model, strikes)
+        assert roots.root.shape == (len(premiums), len(strikes))
+        for theta, prices, contacts in zip(premiums, roots.root, roots.first_contact):
+            single = replace(model, drift=rate + volatility * theta)
+            solo = quote_strike_family(tree, single, strikes)
+            assert [q.price.hex() for q in solo] == [float(p).hex() for p in prices]
+            assert [q.contact_level for q in solo] == contacts.tolist()
+
     def test_quote_sweep_builds_the_last_payoff_level_twice(self, monkeypatch):
         # once as the terminal value, once as the obstacle; every other level once
         tree = recomb_tree(40)
@@ -305,6 +335,24 @@ class TestRecovery:
         tree = recomb_tree(8)
         with pytest.raises(NoBracket):
             recover_theta(tree, [], spot=100.0, volatility=0.2, rate=0.02)
+
+    def test_recovery_prices_each_round_of_premiums_in_one_sweep(self, monkeypatch):
+        # the benchmark's recover workload at seed 1
+        batches = []
+        sweep = market.reflected_roots
+
+        def counting_sweep(*args):
+            roots = sweep(*args)
+            batches.append(roots.root.shape)
+            return roots
+
+        monkeypatch.setattr(market, "reflected_roots", counting_sweep)
+        tree, targets = _recovery_targets(1)
+        observed = list(zip(RECOVER_STRIKES, targets))
+        recovery = recover_theta(tree, observed, spot=100.0, volatility=0.2, rate=0.02)
+        assert recovery.evaluations == 793
+        # 29 scan rounds (28 of 21 premiums and the last 13), 9 zoom rounds, 3 polish steps
+        assert batches == [(21, 5)] * 28 + [(13, 5)] + [(21, 5)] * 9 + [(1, 5)] * 3
 
     @pytest.mark.parametrize(
         "steps, volatility, error, message",

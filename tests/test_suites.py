@@ -162,8 +162,9 @@ class TestPricingPath:
 # zero-premium row had ended in a numpy bool that report.json wrote as
 # ``"passed": 1.0`` and now writes as ``"passed": true``, the only line
 # that moved.  The recovery digest was taken while the suite still priced
-# its observations one full solve per strike; it has one size only, so its
-# pin adds about 10 s to the test run.
+# its observations one full solve per strike; it has one size only, and
+# prices each round of candidate premiums in one sweep, so its pin takes
+# about 0.6 s.
 PINNED_REPORTS = {
     "counterexamples": (
         {"steps": 200},
@@ -236,15 +237,12 @@ class TestReportStability:
             monkeypatch.setitem(
                 suites.SUITES, name, functools.partial(suites.SUITES[name], **kwargs)
             )
-        # recovery has one size only, several seconds long; its rows are
-        # built by the same _check, which TestCheckRow covers for numpy inputs
-        monkeypatch.delitem(suites.SUITES, "recovery")
         config = tmp_path / "config.json"
         config.write_text("{}")
         out = tmp_path / "out"
         assert main(["verify", "--config", str(config), "--suite", "all", "--out", str(out)]) == 0
         checks = json.loads((out / "report.json").read_text())["checks"]
-        assert len(checks) == 38  # every suite but recovery
+        assert len(checks) == 41  # every suite
         for check in checks:
             assert isinstance(check["passed"], bool), check["name"]
             # the contact rows allow one grid step plus rounding, reported as dt
