@@ -20,9 +20,8 @@ step identity and the Skorokhod condition for their diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .lattice import (
     AdaptedProcess,
     ScenarioTree,
     StoppingRule,
+    _cells,
     _frozen_levels,
     _held_after,
     _per_member,
@@ -47,13 +47,13 @@ from .lattice import (
     constant_levels,
     martingale_coefficient,
 )
+from .records import Record
 
 FIXED_POINT_TOL = 1e-12
 FIXED_POINT_MAX_ITER = 200
 
 
-@dataclass(frozen=True, eq=False)
-class TerminalCondition:
+class TerminalCondition(Record):
     """Terminal data attached to a stopping rule (level N by default).
 
     Levels are adopted as :class:`AdaptedProcess` adopts them: frozen input
@@ -61,22 +61,18 @@ class TerminalCondition:
     leading axes are batch members.  The rule is shared by every member.
     """
 
-    tree: ScenarioTree
-    rule: StoppingRule
-    values: tuple[np.ndarray, ...]
+    _fields = ("tree", "rule", "values")  # no __slots__: ``extended`` is cached per instance
 
-    def __post_init__(self):
-        if self.rule.tree != self.tree:
+    def __init__(self, tree: ScenarioTree, rule: StoppingRule, values: Sequence[np.ndarray]):
+        if rule.tree != tree:
             raise TreeMismatch("terminal rule lives on a different tree")
-        levels = tuple(
-            _frozen_levels(self.tree, self.values, np.float64, "terminal", batched=True)
-        )
-        object.__setattr__(self, "values", levels)
-        masks, first_stop = self.rule.stop_node_masks, self.rule.first_stop_level
+        levels = tuple(_frozen_levels(tree, values, np.float64, "terminal", batched=True))
+        masks, first_stop = rule.stop_node_masks, rule.first_stop_level
         # below the rule's first stopping level no node stops, so nothing to test
-        for i in range(first_stop, self.tree.steps + 1):
+        for i in range(first_stop, tree.steps + 1):
             if not np.isfinite(levels[i][..., masks[i]]).all():
                 raise ValueError("terminal values must be finite on stopping nodes")
+        self._set(tree, rule, levels)
 
     @classmethod
     def constant(
@@ -127,7 +123,7 @@ class TerminalCondition:
         """
         stop, nan = self.rule.stop_node_masks, constant_levels(self.tree, np.nan)
         levels = [
-            np.where(mask, values, np.nan) if mask.any() else empty
+            np.where(mask, values, np.nan) if _cells(mask).any() else empty
             for mask, values, empty in zip(stop, self.values, nan)
         ]
         return tuple(_held_after(levels, self.rule))
@@ -141,8 +137,7 @@ class TerminalCondition:
         return TerminalCondition.from_leaf_values(self.tree, self.extended[self.tree.steps])
 
 
-@dataclass(frozen=True, eq=False)
-class BsdeSolution:
+class BsdeSolution(Record):
     """Adapted pair plus solver diagnostics.
 
     ``residual`` is the largest replayed defect of the one-step identity
@@ -151,10 +146,16 @@ class BsdeSolution:
     entry per batch member.
     """
 
-    y: AdaptedProcess
-    z: AdaptedProcess
-    iterations: int | np.ndarray
-    residual: float | np.ndarray
+    __slots__ = _fields = ("y", "z", "iterations", "residual")
+
+    def __init__(
+        self,
+        y: AdaptedProcess,
+        z: AdaptedProcess,
+        iterations: int | np.ndarray,
+        residual: float | np.ndarray,
+    ):
+        self._set(y, z, iterations, residual)
 
 
 def _implicit_level(
@@ -201,8 +202,7 @@ def _implicit_level(
     )
 
 
-@dataclass(frozen=True)
-class LevelData:
+class LevelData(NamedTuple):
     """Values on a tree read one level at a time.
 
     ``level(i)`` returns an array whose last axis runs over the nodes of
@@ -221,8 +221,7 @@ LevelObserver = Callable[
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class SweepSummary:
+class SweepSummary(Record):
     """What every sweep keeps for its caller, one entry per member.
 
     ``root`` is the value at the root node, ``iterations`` the largest
@@ -234,9 +233,10 @@ class SweepSummary:
     solvers replay them through the observer of :func:`_diagnostics`.
     """
 
-    root: np.ndarray
-    first_contact: np.ndarray
-    iterations: np.ndarray
+    __slots__ = _fields = ("root", "first_contact", "iterations")
+
+    def __init__(self, root: np.ndarray, first_contact: np.ndarray, iterations: np.ndarray):
+        self._set(root, first_contact, iterations)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")

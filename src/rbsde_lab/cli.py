@@ -13,10 +13,10 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +74,7 @@ def _check_seed(seed) -> int:
     return seed
 
 
-@dataclass(frozen=True)
-class _Optional:
+class _Optional(NamedTuple):
     """A field that may be absent; it then reads as ``default``, and None leaves it out."""
 
     kind: object
@@ -83,8 +82,7 @@ class _Optional:
     null_is_absent: bool = False
 
 
-@dataclass(frozen=True)
-class _Expr:
+class _Expr(NamedTuple):
     """A prefix expression over ``variables``, kept as its canonical text."""
 
     variables: frozenset
@@ -180,8 +178,7 @@ def _read(raw, where: str) -> dict:
     return block
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """A checked config: each block as read against ``_BLOCKS``, and the seed.
 
     The checked blocks are the canonical form: numbers are floats where the
@@ -331,7 +328,7 @@ def cmd_verify(
         "suite": name,
         "seed": effective_seed,
         "all_passed": all_passed,
-        "checks": [asdict(r) for r in results],
+        "checks": [r._asdict() for r in results],
     }
     report = _finite_json(payload, "report.json")
     out_dir.mkdir(parents=True, exist_ok=True)

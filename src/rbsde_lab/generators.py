@@ -23,18 +23,17 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ExpressionError, InvalidSample
 from .lattice import ScenarioTree, StoppingRule
+from .records import Record, ValueRecord
 
 
-@dataclass(frozen=True)
-class EvalContext:
+class EvalContext(NamedTuple):
     """Point(s) at which an expression is evaluated.
 
     ``level``/``tree`` give node identity and are required only by
@@ -50,8 +49,11 @@ class EvalContext:
     tree: ScenarioTree | None = None
 
 
-class Expr:
-    """Base expression node; subclasses are immutable dataclasses."""
+class Expr(ValueRecord):
+    """Base expression node: immutable, equal to a node of its type with
+    equal fields, and shown by its fields."""
+
+    __slots__ = ()
 
     def eval(self, ctx: EvalContext):
         raise NotImplementedError
@@ -98,20 +100,15 @@ def _coefficient_key(value):
     return value
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: float | np.ndarray
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        _check_coefficient(self.value)
+    def __init__(self, value: float | np.ndarray):
+        _check_coefficient(value)
+        self._set(value)
 
-    def __eq__(self, other):
-        return type(other) is Const and (_coefficient_key(self.value),) == (
-            _coefficient_key(other.value),
-        )
-
-    def __hash__(self):
-        return hash((_coefficient_key(self.value),))
+    def _key(self):
+        return (_coefficient_key(self.value),)
 
     def eval(self, ctx):
         return self.value
@@ -120,8 +117,9 @@ class Const(Expr):
         return _fmt(self.value)
 
 
-@dataclass(frozen=True)
 class TimeVar(Expr):
+    __slots__ = ()
+
     def eval(self, ctx):
         return ctx.t
 
@@ -129,8 +127,9 @@ class TimeVar(Expr):
         return "t"
 
 
-@dataclass(frozen=True)
 class YVar(Expr):
+    __slots__ = ()
+
     def eval(self, ctx):
         return ctx.y
 
@@ -141,8 +140,9 @@ class YVar(Expr):
         return "y"
 
 
-@dataclass(frozen=True)
 class ZVar(Expr):
+    __slots__ = ()
+
     def eval(self, ctx):
         return ctx.z
 
@@ -150,9 +150,10 @@ class ZVar(Expr):
         return "z"
 
 
-@dataclass(frozen=True)
 class BrownianVar(Expr):
     """Walk value; legal in obstacle/terminal expressions only."""
+
+    __slots__ = ()
 
     def eval(self, ctx):
         if ctx.b is None:
@@ -163,15 +164,23 @@ class BrownianVar(Expr):
         return "b"
 
 
-@dataclass(frozen=True)
-class Neg(Expr):
-    inner: Expr
+class _Unary(Expr):
+    """A node over one inner expression."""
 
-    def eval(self, ctx):
-        return -self.inner.eval(ctx)
+    __slots__ = _fields = ("inner",)
+
+    def __init__(self, inner: Expr):
+        self._set(inner)
 
     def children(self):
         return (self.inner,)
+
+
+class Neg(_Unary):
+    __slots__ = ()
+
+    def eval(self, ctx):
+        return -self.inner.eval(ctx)
 
     def y_affine(self, ctx):
         parts = self.inner.y_affine(ctx)
@@ -184,39 +193,33 @@ class Neg(Expr):
         return f"(neg {self.inner.to_prefix()})"
 
 
-@dataclass(frozen=True)
-class Abs(Expr):
-    inner: Expr
+class Abs(_Unary):
+    __slots__ = ()
 
     def eval(self, ctx):
         return np.abs(self.inner.eval(ctx))
-
-    def children(self):
-        return (self.inner,)
 
     def to_prefix(self):
         return f"(abs {self.inner.to_prefix()})"
 
 
-@dataclass(frozen=True)
-class NegPart(Expr):
+class NegPart(_Unary):
     """Negative part ``max(-x, 0)``."""
 
-    inner: Expr
+    __slots__ = ()
 
     def eval(self, ctx):
         return np.maximum(-np.asarray(self.inner.eval(ctx)), 0.0)
-
-    def children(self):
-        return (self.inner,)
 
     def to_prefix(self):
         return f"(npart {self.inner.to_prefix()})"
 
 
-@dataclass(frozen=True)
 class Add(Expr):
-    terms: tuple[Expr, ...]
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms: tuple[Expr, ...]):
+        self._set(terms)
 
     def eval(self, ctx):
         total = self.terms[0].eval(ctx)
@@ -241,22 +244,15 @@ class Add(Expr):
         return "(+ " + " ".join(t.to_prefix() for t in self.terms) + ")"
 
 
-@dataclass(frozen=True)
 class Scale(Expr):
-    factor: float | np.ndarray
-    inner: Expr
+    __slots__ = _fields = ("factor", "inner")
 
-    def __post_init__(self):
-        _check_coefficient(self.factor)
+    def __init__(self, factor: float | np.ndarray, inner: Expr):
+        _check_coefficient(factor)
+        self._set(factor, inner)
 
-    def __eq__(self, other):
-        return type(other) is Scale and (_coefficient_key(self.factor), self.inner) == (
-            _coefficient_key(other.factor),
-            other.inner,
-        )
-
-    def __hash__(self):
-        return hash((_coefficient_key(self.factor), self.inner))
+    def _key(self):
+        return _coefficient_key(self.factor), self.inner
 
     def eval(self, ctx):
         return self.factor * self.inner.eval(ctx)
@@ -275,10 +271,11 @@ class Scale(Expr):
         return f"(* {_fmt(self.factor)} {self.inner.to_prefix()})"
 
 
-@dataclass(frozen=True)
 class Min(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self._set(left, right)
 
     def eval(self, ctx):
         return np.minimum(self.left.eval(ctx), self.right.eval(ctx))
@@ -290,18 +287,17 @@ class Min(Expr):
         return f"(min {self.left.to_prefix()} {self.right.to_prefix()})"
 
 
-@dataclass(frozen=True)
 class PiecewiseTime(Expr):
     """Piece ``j`` applies on ``[bounds[j-1], bounds[j])``; last piece is open-ended."""
 
-    pieces: tuple[Expr, ...]
-    bounds: tuple[float, ...]
+    __slots__ = _fields = ("pieces", "bounds")
 
-    def __post_init__(self):
-        if len(self.pieces) != len(self.bounds) + 1:
+    def __init__(self, pieces: tuple[Expr, ...], bounds: tuple[float, ...]):
+        if len(pieces) != len(bounds) + 1:
             raise ExpressionError("piecewise needs one more piece than breakpoints")
-        if any(b2 <= b1 for b1, b2 in zip(self.bounds, self.bounds[1:])):
+        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ExpressionError("piecewise breakpoints must increase strictly")
+        self._set(pieces, bounds)
 
     def _select(self, t: float) -> Expr:
         return self.pieces[bisect_right(self.bounds, t)]
@@ -323,34 +319,32 @@ class PiecewiseTime(Expr):
         return "(pw " + " ".join(parts) + ")"
 
 
-@dataclass(frozen=True)
-class AtZeroState(Expr):
+class AtZeroState(_Unary):
     """Inner expression evaluated at ``y = 0, z = 0`` (time flows through)."""
 
-    inner: Expr
+    __slots__ = ()
 
     def eval(self, ctx):
-        return self.inner.eval(replace(ctx, y=0.0, z=0.0))
-
-    def children(self):
-        return (self.inner,)
+        return self.inner.eval(ctx._replace(y=0.0, z=0.0))
 
     def to_prefix(self):
         return f"(at00 {self.inner.to_prefix()})"
 
 
-@dataclass(frozen=True, eq=False)
 class ActiveBefore(Expr):
     """Inner expression gated to paths that have not yet stopped.
 
     The gate is 1 at a node whose path has not stopped at or before the
     node's level, 0 otherwise; this is the discrete reading of the step
     ``[t_i, t_{i+1})`` lying inside ``[0, tau)``, and it is what makes the
-    restriction identities exact on the lattice.
+    restriction identities exact on the lattice.  It compares by identity.
     """
 
-    rule: StoppingRule
-    inner: Expr
+    __slots__ = _fields = ("rule", "inner")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, rule: StoppingRule, inner: Expr):
+        self._set(rule, inner)
 
     def _gate(self, ctx: EvalContext):
         if ctx.level is None or ctx.tree is None:
@@ -490,16 +484,15 @@ def parse_prefix(text: str, *, variables: frozenset[str] = frozenset({"t", "y", 
 # ---------------------------------------------------------------------------
 # Generator specification
 
-@dataclass(frozen=True, eq=False)
-class GeneratorSpec:
+class GeneratorSpec(Record):
     """Evaluable driver with its declared Lipschitz constant."""
 
-    expr: Expr
-    lipschitz: float
+    _fields = ("expr", "lipschitz")  # no __slots__: ``batch_shape`` is cached per instance
 
-    def __post_init__(self):
-        if not (self.lipschitz >= 0.0 and math.isfinite(self.lipschitz)):
-            raise ValueError(f"lipschitz constant must be finite and >= 0, got {self.lipschitz!r}")
+    def __init__(self, expr: Expr, lipschitz: float):
+        if not (lipschitz >= 0.0 and math.isfinite(lipschitz)):
+            raise ValueError(f"lipschitz constant must be finite and >= 0, got {lipschitz!r}")
+        self._set(expr, lipschitz)
 
     @classmethod
     def constant(cls, value: float) -> GeneratorSpec:
@@ -547,18 +540,18 @@ def _stacked_expr(members: Sequence[Expr]) -> Expr:
     if any(type(m) is not type(first) for m in members):
         raise ExpressionError("stacked expressions must share one structure")
     parts = {}
-    for field in fields(first):
-        values = [getattr(m, field.name) for m in members]
-        if field.name in ("value", "factor"):  # Const and Scale
+    for name in first._fields:
+        values = [getattr(m, name) for m in members]
+        if name in ("value", "factor"):  # Const and Scale
             column = np.array(values, dtype=float)[:, None]
             column.flags.writeable = False
-            parts[field.name] = column
+            parts[name] = column
         elif isinstance(values[0], Expr):
-            parts[field.name] = _stacked_expr(values)
-        elif field.name in ("terms", "pieces") and len({len(v) for v in values}) == 1:
-            parts[field.name] = tuple(map(_stacked_expr, zip(*values)))
+            parts[name] = _stacked_expr(values)
+        elif name in ("terms", "pieces") and len({len(v) for v in values}) == 1:
+            parts[name] = tuple(map(_stacked_expr, zip(*values)))
         elif all(v is values[0] or v == values[0] for v in values):
-            parts[field.name] = values[0]
+            parts[name] = values[0]
         else:
             raise ExpressionError("stacked expressions must share one structure")
     return type(first)(**parts)
@@ -572,28 +565,33 @@ def restrict_generator(generator: GeneratorSpec, rule: StoppingRule) -> Generato
 # ---------------------------------------------------------------------------
 # Assumption checking
 
-@dataclass(frozen=True)
-class SampleSpec:
+class SampleSpec(ValueRecord):
     """Sampling grid for driver checks: times on [0, t_max], box in (y, z).
 
     Every sampled driver check reads ``g`` through :meth:`values`.
     """
 
-    t_max: float
-    t_count: int = 21
-    y_low: float = -5.0
-    y_high: float = 5.0
-    y_count: int = 21
-    z_low: float = -5.0
-    z_high: float = 5.0
-    z_count: int = 21
+    __slots__ = _fields = (
+        "t_max", "t_count", "y_low", "y_high", "y_count", "z_low", "z_high", "z_count"
+    )
 
-    def __post_init__(self):
-        if min(self.t_count, self.y_count, self.z_count) < 1:
+    def __init__(
+        self,
+        t_max: float,
+        t_count: int = 21,
+        y_low: float = -5.0,
+        y_high: float = 5.0,
+        y_count: int = 21,
+        z_low: float = -5.0,
+        z_high: float = 5.0,
+        z_count: int = 21,
+    ):
+        if min(t_count, y_count, z_count) < 1:
             raise InvalidSample("sample counts must be >= 1")
-        bounds = ((0.0, self.t_max), (self.y_low, self.y_high), (self.z_low, self.z_high))
+        bounds = ((0.0, t_max), (y_low, y_high), (z_low, z_high))
         if not all(math.isfinite(lo) and math.isfinite(hi) and lo <= hi for lo, hi in bounds):
             raise InvalidSample("sample bounds must be finite, with 0 <= t_max and low <= high")
+        self._set(t_max, t_count, y_low, y_high, y_count, z_low, z_high, z_count)
 
     def t_points(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.t_count)
@@ -623,8 +621,7 @@ class SampleSpec:
         return out.reshape(batch + (self.t_count, self.y_count, self.z_count))
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(NamedTuple):
     """Sampled evidence for or against the declared driver properties.
 
     ``max_time_jump`` is a change detector across adjacent sample times: a
@@ -653,8 +650,8 @@ def check_assumptions(generator: GeneratorSpec, sample: SampleSpec) -> Assumptio
     exceeded beyond 1e-9.  A box without two distinct (y, z) points has no
     difference quotient and raises :class:`InvalidSample`.
     """
-    zero_z = replace(sample, z_low=0.0, z_high=0.0, z_count=1)
-    origin = replace(zero_z, y_low=0.0, y_high=0.0, y_count=1)
+    zero_z = sample._replace(z_low=0.0, z_high=0.0, z_count=1)
+    origin = zero_z._replace(y_low=0.0, y_high=0.0, y_count=1)
     values = sample.values(generator)
 
     ys, zs = (axis.ravel() for axis in sample._box())

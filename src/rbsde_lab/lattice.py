@@ -16,7 +16,6 @@ concurrent reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -29,6 +28,7 @@ from .errors import (
     TreeMismatch,
     UnsupportedTreeMode,
 )
+from .records import ValueRecord
 
 if TYPE_CHECKING:  # fractions loads where exact probabilities are asked for
     from fractions import Fraction
@@ -47,20 +47,19 @@ class TreeMode(Enum):
     RECOMBINING = "recombining"
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(ValueRecord):
     """Uniform grid of ``steps + 1`` times on ``[0, horizon]``."""
 
-    horizon: float
-    steps: int
+    __slots__ = _fields = ("horizon", "steps")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.steps, int) or isinstance(self.steps, bool) or self.steps < 1:
-            raise InvalidGrid(f"steps must be a positive integer, got {self.steps!r}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise InvalidGrid(f"horizon must be finite and positive, got {self.horizon!r}")
-        if not self.dt > 0.0:
-            raise InvalidGrid(f"horizon / steps underflows to 0 at {self.horizon!r} / {self.steps}")
+    def __init__(self, horizon: float, steps: int) -> None:
+        if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
+            raise InvalidGrid(f"steps must be a positive integer, got {steps!r}")
+        if not (math.isfinite(horizon) and horizon > 0.0):
+            raise InvalidGrid(f"horizon must be finite and positive, got {horizon!r}")
+        if not horizon / steps > 0.0:
+            raise InvalidGrid(f"horizon / steps underflows to 0 at {horizon!r} / {steps}")
+        self._set(horizon, steps)
 
     @property
     def dt(self) -> float:
@@ -224,6 +223,15 @@ def level_constant(value, size: int, dtype=float) -> np.ndarray:
     return np.ndarray(cell.shape[:-1] + (size,), cell.dtype, cell, 0, cell.strides[:-1] + (0,))
 
 
+def _cells(level: np.ndarray) -> np.ndarray:
+    """The values a level stores: a one-cell view (stride 0) reads as its one cell.
+
+    Scans such as ``any`` and ``all`` over the result cost O(1) for a
+    level-constant level instead of O(level size).
+    """
+    return level[..., :1] if level.strides[-1] == 0 else level
+
+
 def constant_levels(tree: ScenarioTree, value, dtype=float) -> list[np.ndarray]:
     """Every level of ``tree`` holding ``value``, as slices of one constant row."""
     row = level_constant(value, tree.level_size(tree.steps), dtype)
@@ -375,7 +383,7 @@ class StoppingRule:
     @cached_property
     def _deterministic_level(self) -> int | None:
         """Level of an all-or-nothing rule, or None when flags are partial."""
-        for i, f in enumerate(self._flags):
+        for i, f in enumerate(map(_cells, self._flags)):
             if f.all():
                 return i
             if f.any():
@@ -385,7 +393,7 @@ class StoppingRule:
     @cached_property
     def first_stop_level(self) -> int:
         """Lowest level holding a stopping node; below it no path has stopped."""
-        return next(i for i, f in enumerate(self._flags) if f.any())
+        return next(i for i, f in enumerate(self._flags) if _cells(f).any())
 
     @property
     def is_terminal(self) -> bool:
@@ -505,7 +513,7 @@ def _held_after(levels: Sequence[np.ndarray], rule: StoppingRule) -> list[np.nda
                 "holding level-varying data after a stop needs a full-binary tree"
             )
         already = tree.carry(stopped[i - 1])
-        out[i] = carried if already.all() else np.where(already, carried, levels[i])
+        out[i] = carried if _cells(already).all() else np.where(already, carried, levels[i])
     for level in out:
         level.flags.writeable = False
     return out

@@ -17,7 +17,6 @@ average are algebraically the same number, which the pricing tests pin to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
@@ -28,6 +27,7 @@ from .errors import NoBracket, PositivityViolated, ProbabilityOutOfRange
 from .generators import Add, GeneratorSpec, Scale, YVar, ZVar
 from .lattice import AdaptedProcess, ScenarioTree
 from .rbsde import LevelData, ObstacleSpec, SweepSummary, reflected_roots, solve_rbsde
+from .records import ValueRecord
 
 
 class PayoffKind(Enum):
@@ -35,27 +35,28 @@ class PayoffKind(Enum):
     PUT = "put"
 
 
-@dataclass(frozen=True)
-class MarketModel:
+class MarketModel(ValueRecord):
     """Stock and contract parameters; the premium is always derived.  A drift
     column of shape ``batch + (1, 1)`` makes one model per batch member."""
 
-    spot: float
-    drift: float
-    volatility: float
-    rate: float
-    strike: float
-    kind: PayoffKind = PayoffKind.CALL
+    __slots__ = _fields = ("spot", "drift", "volatility", "rate", "strike", "kind")
 
-    def __post_init__(self):
-        if not self.spot > 0.0:
-            raise ValueError(f"spot must be positive, got {self.spot!r}")
-        if not self.volatility > 0.0:
-            raise PositivityViolated(
-                f"volatility must be positive, got {self.volatility!r}"
-            )
-        if self.strike < 0.0:
-            raise ValueError(f"strike must be nonnegative, got {self.strike!r}")
+    def __init__(
+        self,
+        spot: float,
+        drift: float,
+        volatility: float,
+        rate: float,
+        strike: float,
+        kind: PayoffKind = PayoffKind.CALL,
+    ):
+        self._set(spot, drift, volatility, rate, strike, kind)
+        if not spot > 0.0:
+            raise ValueError(f"spot must be positive, got {spot!r}")
+        if not volatility > 0.0:
+            raise PositivityViolated(f"volatility must be positive, got {volatility!r}")
+        if strike < 0.0:
+            raise ValueError(f"strike must be nonnegative, got {strike!r}")
         if not np.isfinite(self.lipschitz).all():
             raise ValueError(
                 f"premium {self.premium!r} and pricing constant |rate| + |premium| "
@@ -181,7 +182,7 @@ def price_strike_family(
     It stays only for the benchmark's tracer test, which counts those
     calls; strike families are priced by :func:`quote_strike_family`.
     """
-    return [(float(k), price_american_rbsde(tree, replace(model, strike=float(k)))) for k in strikes]
+    return [(float(k), price_american_rbsde(tree, model._replace(strike=float(k)))) for k in strikes]
 
 
 class StrikeQuote(NamedTuple):
@@ -218,13 +219,12 @@ def quote_strike_family(
 def _family_roots(tree: ScenarioTree, model: MarketModel, strikes: Sequence[float]) -> SweepSummary:
     """The quote's sweep, strikes on the last batch axis and a drift column's axes before them."""
     stock_level = _stock_levels(tree, model)
-    column = np.array([replace(model, strike=float(k)).strike for k in strikes])[:, None]
+    column = np.array([model._replace(strike=float(k)).strike for k in strikes])[:, None]
     payoff = LevelData(tree, lambda i: _payoff(model.kind, column, stock_level(i)))
     return reflected_roots(tree, pricing_driver(model), payoff, payoff)
 
 
-@dataclass(frozen=True)
-class ThetaRecovery:
+class ThetaRecovery(NamedTuple):
     theta_hat: float
     objective: float
     evaluations: int

@@ -15,8 +15,8 @@ amount, and reported as unavailable otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,22 +46,20 @@ from .lattice import (
     conditional_expectation,
     hitting_rule,
 )
+from .records import Record
 
 
-@dataclass(frozen=True, eq=False)
-class ObstacleSpec:
+class ObstacleSpec(Record):
     """Lower barrier process with an optional declared upper bound."""
 
-    process: AdaptedProcess
-    bound: float | None = None
+    _fields = ("process", "bound")  # no __slots__: ``modulus_estimate`` is cached per instance
 
-    def __post_init__(self):
-        if self.bound is not None:
-            top = max(float(np.max(self.process.level(i))) for i in range(self.process.tree.steps + 1))
-            if top > self.bound + 1e-12:
-                raise ValueError(
-                    f"obstacle exceeds its declared bound: max {top!r} > {self.bound!r}"
-                )
+    def __init__(self, process: AdaptedProcess, bound: float | None = None):
+        if bound is not None:
+            top = max(float(np.max(process.level(i))) for i in range(process.tree.steps + 1))
+            if top > bound + 1e-12:
+                raise ValueError(f"obstacle exceeds its declared bound: max {top!r} > {bound!r}")
+        self._set(process, bound)
 
     @property
     def tree(self) -> ScenarioTree:
@@ -83,8 +81,7 @@ class ObstacleSpec:
         return worst / tree.sqrt_dt
 
 
-@dataclass(frozen=True)
-class ReflectionDiagnostics:
+class ReflectionDiagnostics(NamedTuple):
     """Sweep reductions of a reflected solve, one entry per batch member."""
 
     skorokhod_residual: float | np.ndarray
@@ -95,8 +92,7 @@ class ReflectionDiagnostics:
     cumulative_available: bool | np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class RbsdeSolution:
+class RbsdeSolution(Record):
     """Reflected triple: value, coefficient, and the reflection push.
 
     ``k_increments`` holds the push applied at each node (the increment
@@ -105,11 +101,17 @@ class RbsdeSolution:
     represent it.
     """
 
-    y: AdaptedProcess
-    z: AdaptedProcess
-    k_increments: AdaptedProcess
-    k: AdaptedProcess | None
-    diagnostics: ReflectionDiagnostics
+    __slots__ = _fields = ("y", "z", "k_increments", "k", "diagnostics")
+
+    def __init__(
+        self,
+        y: AdaptedProcess,
+        z: AdaptedProcess,
+        k_increments: AdaptedProcess,
+        k: AdaptedProcess | None,
+        diagnostics: ReflectionDiagnostics,
+    ):
+        self._set(y, z, k_increments, k, diagnostics)
 
 
 def _accumulate_increments(

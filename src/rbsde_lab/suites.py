@@ -13,8 +13,7 @@ reports that compute them; tolerances are the ``theorems`` constants
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,15 +79,14 @@ from .theorems import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One named measurement with its pass verdict."""
 
     name: str
     passed: bool
     max_violation: float
     tolerance: float
-    details: dict = field(default_factory=dict)
+    details: dict = {}  # shared by the rows built without details; rows are never written
 
 
 # distance of a closed-form check's lattice solution from its continuous
@@ -778,7 +776,7 @@ def pricing_suite() -> list[CheckResult]:
                 spot=100.0, drift=0.08, volatility=volatility, rate=0.02, strike=100.0, kind=kind
             )
             for quote in quote_strike_family(tree, model, (90.0, 100.0, 110.0)):
-                rhs = price_american_riskneutral_dp(tree, replace(model, strike=quote.strike))
+                rhs = price_american_riskneutral_dp(tree, model._replace(strike=quote.strike))
                 worst = max(worst, abs(quote.price - rhs))
 
     deep_model = MarketModel(

@@ -12,9 +12,8 @@ solution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,23 +55,26 @@ from .rbsde import (
     reflected_value,
     solve_rbsde,
 )
+from .records import Record
 
 COMPARISON_TOL = 1e-10  # solution orderings: values, pushes, conditional values, drivers
 EQUALITY_TOL = 1e-9  # two solutions count as equal at a node (strict witness)
 EXACT_TOL = 1e-12  # orderings that hold exactly on the lattice, up to rounding
 
 
-@dataclass(frozen=True, eq=False)
-class RbsdeProblem:
+class RbsdeProblem(Record):
     """One reflected data set: driver, terminal condition, obstacle.
 
     Data with leading batch axes, and a driver with coefficient columns,
     make a batch of problems; the comparison checks take such a batch.
     """
 
-    generator: GeneratorSpec
-    terminal: TerminalCondition
-    obstacle: ObstacleSpec
+    __slots__ = _fields = ("generator", "terminal", "obstacle")
+
+    def __init__(
+        self, generator: GeneratorSpec, terminal: TerminalCondition, obstacle: ObstacleSpec
+    ):
+        self._set(generator, terminal, obstacle)
 
     @property
     def tree(self) -> ScenarioTree:
@@ -96,8 +98,7 @@ def _nonnegative(values):
     return _per_member(_running_max((values, 0.0)))
 
 
-@dataclass(frozen=True)
-class OrderingCertificate:
+class OrderingCertificate(NamedTuple):
     """How each input ordering was verified, with its worst violation."""
 
     terminal_gap: float | np.ndarray
@@ -108,13 +109,12 @@ class OrderingCertificate:
     @property
     def established(self) -> bool | np.ndarray:
         ok = True
-        for gap in vars(self).values():
+        for gap in self:
             ok = ok & (np.asarray(gap) <= EXACT_TOL)
         return _per_member(ok)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Ordering measurements of a problem pair, one entry per batch member.
 
     Without a batch every field is a Python scalar; :meth:`members` splits
@@ -145,13 +145,13 @@ def _member(report, k: int):
     """Member ``k`` of a batched report; nested reports are split alike."""
 
     def pick(value):
-        if is_dataclass(value):
+        if hasattr(value, "_fields"):
             return _member(value, k)
         if isinstance(value, np.ndarray):
             return (value[k] if value.ndim else value).item()
         return value
 
-    return replace(report, **{f.name: pick(getattr(report, f.name)) for f in fields(report)})
+    return type(report)(*map(pick, report))
 
 
 def _max_level_gap(a: AdaptedProcess, b: AdaptedProcess) -> float | np.ndarray:
@@ -266,8 +266,7 @@ def check_k_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonRepor
 # ---------------------------------------------------------------------------
 # Local strict separation witness
 
-@dataclass(frozen=True, eq=False)
-class StrictWitness:
+class StrictWitness(Record):
     """Stopping rule before the horizon separating the two solutions.
 
     ``iterates`` holds, per terminal path (row), the iterated equality-search
@@ -278,11 +277,17 @@ class StrictWitness:
     strictly below the higher one from the rule onward.
     """
 
-    rule: StoppingRule
-    probability: float
-    iterates: np.ndarray
-    k_index: int
-    stop_levels: np.ndarray
+    __slots__ = _fields = ("rule", "probability", "iterates", "k_index", "stop_levels")
+
+    def __init__(
+        self,
+        rule: StoppingRule,
+        probability: float,
+        iterates: np.ndarray,
+        k_index: int,
+        stop_levels: np.ndarray,
+    ):
+        self._set(rule, probability, iterates, k_index, stop_levels)
 
 
 def local_strict_witness(low: RbsdeProblem, high: RbsdeProblem) -> StrictWitness:
@@ -364,8 +369,7 @@ class ClosedFormCase(Enum):
     ZERO_DRIVER_HIGH_TERMINAL = "zero-driver-high"
 
 
-@dataclass(frozen=True)
-class ClosedFormSolution:
+class ClosedFormSolution(NamedTuple):
     """Piecewise closed form on [0, 1]: value, push, contact (the coefficient is 0)."""
 
     driver_value: float
@@ -521,16 +525,14 @@ def build_floor_obstacle(
 # ---------------------------------------------------------------------------
 # Boundary examples for the converse theorems
 
-@dataclass(frozen=True)
-class DriverOrderingSite:
+class DriverOrderingSite(NamedTuple):
     t: float
     y: float
     z: float
     gap: float
 
 
-@dataclass(frozen=True)
-class IncomparableDriverReport:
+class IncomparableDriverReport(NamedTuple):
     """Ordered reflected values from drivers that are not pointwise ordered."""
 
     root_low: float
@@ -608,8 +610,7 @@ def masked_driver(slope: float, threshold: float) -> GeneratorSpec:
     return GeneratorSpec(expr, max(slope, 1.0))
 
 
-@dataclass(frozen=True)
-class MaskedDriverReport:
+class MaskedDriverReport(NamedTuple):
     """Equality of reflected solutions for drivers masked by the obstacle."""
 
     max_value_gap: float
@@ -655,7 +656,7 @@ def masked_driver_probe(
         return np.abs(sample.values(g_low_cut) - sample.values(g_high_cut))
 
     above = SampleSpec(tree.grid.horizon, 5, cut_high, cut_high + 4.0, 9, -3.0, 3.0, 9)
-    below = replace(above, y_low=cut_high - 3.0, y_high=cut_high - 1e-3)
+    below = above._replace(y_low=cut_high - 3.0, y_high=cut_high - 1e-3)
     # per (t, z), the value below the cut where the drivers differ most
     below_gap = driver_gap(below)
     worst_y = np.argmax(below_gap, axis=1)
@@ -675,13 +676,18 @@ def masked_driver_probe(
 # ---------------------------------------------------------------------------
 # Converse probe: solution order against driver order
 
-@dataclass(frozen=True, eq=False)
-class ProbeFamily:
+class ProbeFamily(Record):
     """Stopping rules, terminal builders, and the driver sample box."""
 
-    rules: tuple[StoppingRule, ...]
-    terminal_builders: tuple[Callable[[StoppingRule], TerminalCondition], ...]
-    sample: SampleSpec
+    __slots__ = _fields = ("rules", "terminal_builders", "sample")
+
+    def __init__(
+        self,
+        rules: tuple[StoppingRule, ...],
+        terminal_builders: tuple[Callable[[StoppingRule], TerminalCondition], ...],
+        sample: SampleSpec,
+    ):
+        self._set(rules, terminal_builders, sample)
 
     @classmethod
     def default(cls, tree: ScenarioTree, bound: float) -> ProbeFamily:
@@ -719,8 +725,7 @@ class ProbeFamily:
         return cls(rules=rules, terminal_builders=tuple(builders), sample=sample)
 
 
-@dataclass(frozen=True)
-class ConverseProbeReport:
+class ConverseProbeReport(NamedTuple):
     """Verdicts for solution ordering (A) and driver ordering (B).
 
     The falsification flag is raised only when the solution ordering holds
@@ -774,7 +779,7 @@ def converse_probe(
 
     sample = family.sample
     if g_upper.is_y_free and g_lower.is_y_free:
-        sample = replace(sample, y_low=-5.0, y_high=5.0)
+        sample = sample._replace(y_low=-5.0, y_high=5.0)
     gaps = sample.values(g_lower) - sample.values(g_upper)
     ys, zs = sample.y_points(), sample.z_points()
     # a site per sample time that raises the running largest gap

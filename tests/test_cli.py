@@ -727,6 +727,35 @@ def test_cli_import_does_not_load_scipy():
     )
 
 
+def test_cli_import_does_not_load_dataclasses():
+    # building a dataclass generates its methods at import, about 1 ms a class
+    src = str(Path(rbsde_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", "import rbsde_lab.cli, sys; assert 'dataclasses' not in sys.modules"],
+        env=env,
+        check=True,
+    )
+
+
+def test_source_names_no_dataclass():
+    package = Path(rbsde_lab.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else node.module if isinstance(node, ast.ImportFrom)
+                else None
+            )
+            if name and "dataclass" in name:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
 def test_source_imports_only_the_standard_library_and_numpy():
     package = Path(rbsde_lab.__file__).resolve().parent
     allowed = set(sys.stdlib_module_names) | {"numpy", "rbsde_lab"}

@@ -263,6 +263,50 @@ class TestStoppingRules:
             for earlier in range(level):
                 assert not rule.flags(earlier)[leaf >> (5 - earlier)]
 
+    @pytest.mark.parametrize("mode", list(TreeMode))
+    @pytest.mark.parametrize("level", [0, 3, 6])
+    def test_level_rules_scan_their_one_cell_levels_as_hitting_rules_scan_full_ones(
+        self, mode, level
+    ):
+        # a level rule's flags are one-cell views; a hitting rule that stops
+        # on the same whole levels holds full arrays, scanned value by value
+        tree = build_tree(TimeGrid(1.0, 6), mode)
+        at_level = StoppingRule.at_level(tree, level)
+        assert all(at_level.flags(i).strides == (0,) for i in range(7))
+        barrier = AdaptedProcess.from_time_function(
+            tree, lambda t: 1.0 if t >= tree.grid.time(level) - 1e-12 else -1.0
+        )
+        hitting = hitting_rule(AdaptedProcess.constant(tree, 0.0), barrier)
+        assert all(hitting.flags(i).strides != (0,) for i in range(6))
+        for rule in (at_level, hitting):
+            assert rule.first_stop_level == level
+            assert rule.is_terminal is (level == 6)
+            for masks in (rule.stopped_by_level, rule.stop_node_masks):
+                assert len(masks) == 7
+            for i in range(7):
+                size = tree.level_size(i)
+                np.testing.assert_array_equal(rule.stopped_by_level[i], np.full(size, i >= level))
+                np.testing.assert_array_equal(rule.stop_node_masks[i], np.full(size, i == level))
+            np.testing.assert_array_equal(rule.leaf_stop_levels, level)
+
+    @pytest.mark.parametrize("mode", list(TreeMode))
+    def test_partial_hitting_rules_keep_their_scans(self, mode):
+        tree = build_tree(TimeGrid(1.0, 6), mode)
+        rule = hitting_rule(AdaptedProcess.constant(tree, 0.9), tree.brownian())
+        # the walk is at most 2 * sqrt(1/6) = 0.82 up to level 2 and first
+        # reaches 0.9 at level 3, on its top node only (the last of the level)
+        first = next(i for i in range(7) if np.asarray(rule.flags(i)).copy().any())
+        assert not rule.flags(first)[:-1].any()
+        assert rule.first_stop_level == first == 3
+        assert not rule.is_terminal
+        if mode is TreeMode.RECOMBINING:
+            with pytest.raises(UnsupportedTreeMode):
+                rule.stopped_by_level
+        else:
+            stopped = rule.stopped_by_level
+            assert not stopped[first - 1].any() and stopped[first].any()
+            np.testing.assert_array_equal(rule.stop_node_masks[first], rule.flags(first))
+
 
 class TestEventProbability:
     def test_always_true(self):

@@ -1,6 +1,5 @@
 import functools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,7 +230,7 @@ class TestStrikeFamily:
         quotes = quote_strike_family(tree, model, strikes)
         assert [q.strike for q in quotes] == strikes
         for strike, quote in zip(strikes, quotes):
-            single = replace(model, strike=strike)
+            single = model._replace(strike=strike)
             solution, exercise = full_solve(tree, single)
             contact = next(i for i in range(steps + 1) if exercise.flags(i).any())
             assert quote.price.hex() == solution.y.root().hex()
@@ -263,7 +262,7 @@ class TestStrikeFamily:
         roots = market._family_roots(tree, model, strikes)
         assert roots.root.shape == (len(premiums), len(strikes))
         for theta, prices, contacts in zip(premiums, roots.root, roots.first_contact):
-            single = replace(model, drift=rate + volatility * theta)
+            single = model._replace(drift=rate + volatility * theta)
             solo = quote_strike_family(tree, single, strikes)
             assert [q.price.hex() for q in solo] == [float(p).hex() for p in prices]
             assert [q.contact_level for q in solo] == contacts.tolist()
@@ -421,7 +420,7 @@ def _recovery_targets(seed):
     tree = recomb_tree(48)
     model = MarketModel(**{**BASE, "drift": 0.02 + 0.2 * theta})
     targets = [
-        price_american_riskneutral_dp(tree, replace(model, strike=k)) for k in RECOVER_STRIKES
+        price_american_riskneutral_dp(tree, model._replace(strike=k)) for k in RECOVER_STRIKES
     ]
     return tree, np.array(targets)
 

@@ -6,6 +6,9 @@ value compare equal when rebuilt from the same fields; the others compare
 by identity.
 """
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -174,6 +177,22 @@ def test_fields_are_read_only_and_equality_keeps_its_kind(kind, build, field, by
     assert record == record
     if by_value and kind not in (cli.RunConfig, CheckResult):  # these hold a dict
         assert hash(record) == hash(again)
+
+
+@pytest.mark.parametrize(
+    "kind, build, field, by_value", RECORDS, ids=[kind.__name__ for kind, *_ in RECORDS]
+)
+def test_copies_keep_type_and_fields(kind, build, field, by_value):
+    record = build()
+    clone = copy.copy(record)
+    assert type(clone) is kind and repr(clone) == repr(record)
+    assert (clone == record) is by_value
+    assert type(copy.deepcopy(record)) is kind
+
+
+def test_checked_records_pickle():
+    for record in (TimeGrid(1.0, 4), SampleSpec(2.0), DRIVER, parse_prefix("(+ y (abs z))")):
+        assert repr(pickle.loads(pickle.dumps(record))) == repr(record)
 
 
 def test_record_reprs_are_pinned():

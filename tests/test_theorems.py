@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,7 +156,7 @@ class TestComparison:
     def test_push_comparison_rejects_two_obstacles_on_one_tree(self):
         tree = recomb_tree(20)
         low, high = counterexample_pair(tree)
-        lowered = replace(low, obstacle=ObstacleSpec(AdaptedProcess.constant(tree, -1.0)))
+        lowered = low._replace(obstacle=ObstacleSpec(AdaptedProcess.constant(tree, -1.0)))
         with pytest.raises(ValueError, match="common obstacle"):
             check_k_comparison(lowered, high)
 
@@ -402,18 +401,18 @@ class TestStrictWitness:
         with pytest.raises(TreeMismatch):
             local_strict_witness(low, counterexample_pair(full_tree(7))[1])
         with pytest.raises(ValueError, match="shared driver"):
-            local_strict_witness(low, replace(high, generator=GeneratorSpec.constant(0.0)))
+            local_strict_witness(low, high._replace(generator=GeneratorSpec.constant(0.0)))
         columns = [
             GeneratorSpec.stack([GeneratorSpec.constant(c) for c in constants])
             for constants in ((0.0, 1.0), (0.0, 2.0))
         ]
         with pytest.raises(ValueError, match="assumes a shared driver"):
             local_strict_witness(
-                replace(low, generator=columns[0]), replace(high, generator=columns[1])
+                low._replace(generator=columns[0]), high._replace(generator=columns[1])
             )
         lowered = ObstacleSpec(AdaptedProcess.constant(tree, -1.0))
         with pytest.raises(ValueError, match="common obstacle"):
-            local_strict_witness(low, replace(high, obstacle=lowered))
+            local_strict_witness(low, high._replace(obstacle=lowered))
         with pytest.raises(ValueError, match="not ordered"):
             local_strict_witness(high, low)
 
@@ -654,9 +653,9 @@ class TestConverseProbe:
 def report_bits(report):
     """Every field of a comparison report, floats as hex: equal bits, not just equal values."""
     out = {}
-    for name, value in vars(report).items():
+    for name, value in report._asdict().items():
         if isinstance(value, theorems.OrderingCertificate):
-            out.update({f"certificate.{k}": v.hex() for k, v in vars(value).items()})
+            out.update({f"certificate.{k}": v.hex() for k, v in value._asdict().items()})
         else:
             out[name] = value.hex() if isinstance(value, float) else value
     return out
@@ -775,7 +774,7 @@ class TestBatchedSolve:
                     level = getattr(batch, field).level(i)
                     expected = getattr(alone, field).level(i)
                     assert np.broadcast_to(level, (3, expected.size))[k].tobytes() == expected.tobytes()
-            for name, value in vars(alone.diagnostics).items():
+            for name, value in alone.diagnostics._asdict().items():
                 assert getattr(batch.diagnostics, name)[k].item() == value, name
             counts.append(alone.diagnostics.iterations)
         assert len(set(counts)) == len(slopes)
