@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from rbsde_lab import cli
+from rbsde_lab.errors import ExpressionError, InvalidGrid, InvalidSample
 from rbsde_lab.bsde import (
     BsdeSolution,
     LevelData,
@@ -188,6 +189,23 @@ def test_copies_keep_type_and_fields(kind, build, field, by_value):
     assert type(clone) is kind and repr(clone) == repr(record)
     assert (clone == record) is by_value
     assert type(copy.deepcopy(record)) is kind
+
+
+def test_copies_with_a_field_changed_run_the_constructor_checks():
+    model = MarketModel(100.0, 0.08, 0.2, 0.02, 90.0, PayoffKind.PUT)
+    assert model._replace(strike=80.0) == MarketModel(100.0, 0.08, 0.2, 0.02, 80.0, PayoffKind.PUT)
+    with pytest.raises(ValueError, match="strike must be nonnegative"):
+        model._replace(strike=-1.0)
+    with pytest.raises(InvalidGrid, match="steps must be a positive integer"):
+        TimeGrid(1.0, 4)._replace(steps=0)
+    with pytest.raises(InvalidSample, match="sample counts"):
+        SampleSpec(1.0)._replace(t_count=0)
+    with pytest.raises(ExpressionError, match="one more piece"):
+        PiecewiseTime((Const(0.0), TimeVar()), (0.5,))._replace(bounds=())
+    with pytest.raises(ValueError, match="lipschitz constant"):
+        DRIVER._replace(lipschitz=-1.0)
+    with pytest.raises(AttributeError):
+        del TimeGrid(1.0, 4).steps
 
 
 def test_checked_records_pickle():
