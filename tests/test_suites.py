@@ -221,6 +221,23 @@ PINNED_REPORTS = {
 }
 
 
+class TestMaskedDriverSuite:
+    def test_report_is_pinned_at_twenty_instances(self, monkeypatch):
+        reports = []
+        real_probe = suites.masked_driver_probe
+        monkeypatch.setattr(
+            suites,
+            "masked_driver_probe",
+            lambda *args: reports.append(real_probe(*args)) or reports[-1],
+        )
+        suites.masked_driver_suite()
+        (report,) = reports
+        assert type(report.max_value_gap) is float
+        assert report.max_value_gap.hex() == "0x0.0p+0"
+        assert report.equal_above_threshold_gap.hex() == "0x0.0p+0"
+        assert len(report.disagreement_sites) == 40
+
+
 class TestReportStability:
     @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
     def test_report_digest_is_pinned(self, name, tmp_path, monkeypatch):
@@ -231,6 +248,9 @@ class TestReportStability:
         out = tmp_path / "out"
         assert main(["verify", "--config", str(config), "--suite", name, "--out", str(out)]) == 0
         assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == expected
+
+    def test_every_suite_is_pinned(self):
+        assert set(PINNED_REPORTS) == set(suites.SUITES)
 
     def test_every_row_of_the_all_report_follows_the_row_rule(self, tmp_path, monkeypatch):
         for name, (kwargs, _) in PINNED_REPORTS.items():

@@ -617,6 +617,56 @@ class TestConverseProbe:
             lo = float(np.asarray(g_lower.evaluate(site.t, site.y, site.z)))
             assert lo - hi == pytest.approx(site.gap, abs=1e-12)
 
+    def test_suite_pairs_pin_their_value_violation(self, monkeypatch):
+        reports = []
+        real_probe = suites.converse_probe
+        monkeypatch.setattr(
+            suites, "converse_probe", lambda *args: reports.append(real_probe(*args)) or reports[-1]
+        )
+        suites.converse_suite()
+        # identical, y-free-ordered, masked-equal, unordered
+        assert [r.max_value_violation.hex() for r in reports] == [
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"
+        ]
+
+    @pytest.mark.parametrize(
+        "g_upper, g_lower, binds, expected",
+        [
+            # negative drifts: the obstacle at the bound pushes
+            (
+                GeneratorSpec(Add((Const(-1.0), Scale(0.3, ZVar()), Scale(0.2, YVar()))), 0.5),
+                GeneratorSpec(Add((Const(-0.8), Scale(-0.7, ZVar()))), 0.7),
+                True,
+                "0x1.0a5aca1677a8fp-1",
+            ),
+            # nonnegative drivers over data above the bound: the obstacle never binds
+            (
+                GeneratorSpec(Scale(0.5, Abs(ZVar())), 0.5),
+                GeneratorSpec(Add((Abs(ZVar()), Scale(0.25, YVar()))), 1.25),
+                False,
+                "0x1.bedbb0aa6cb14p-1",
+            ),
+        ],
+        ids=["binding", "not-binding"],
+    )
+    def test_unordered_pairs_pin_their_value_violation(self, g_upper, g_lower, binds, expected):
+        tree = full_tree(6)
+        obstacle = ObstacleSpec(AdaptedProcess.constant(tree, 0.0), bound=0.0)
+        # the family's lowest member is the bound itself
+        terminal = TerminalCondition.constant(tree, 0.0)
+        pushes = [solve_rbsde(tree, g, terminal, obstacle).k for g in (g_upper, g_lower)]
+        assert any(k.level(tree.steps).max() > 0.0 for k in pushes) == binds
+        report = converse_probe(tree, g_upper, g_lower, obstacle)
+        assert type(report.max_value_violation) is float
+        assert report.max_value_violation.hex() == expected
+
+    def test_obstacle_without_bound_is_rejected(self):
+        tree = full_tree(4)
+        g = GeneratorSpec(Abs(ZVar()), 1.0)
+        obstacle = ObstacleSpec(AdaptedProcess.constant(tree, 0.0))
+        with pytest.raises(ValueError, match="^default probe family needs an obstacle bound$"):
+            converse_probe(tree, g, g, obstacle)
+
     def test_value_violation_matches_full_solves_without_one(self, monkeypatch):
         # the probe reads its conditional values from root-only sweeps; the
         # reference here solves in full and reads every stopping node itself
