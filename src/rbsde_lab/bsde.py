@@ -439,15 +439,16 @@ def _full_sweep(
 
 def _stop_node_values(
     *rules: StoppingRule,
-) -> tuple[LevelObserver, dict[tuple[int, int], float]]:
-    """Observer gathering y on the stopping nodes of the rules, and the dict it fills."""
+) -> tuple[LevelObserver, dict[tuple[int, int], float | np.ndarray]]:
+    """Observer gathering y on the stopping nodes of the rules, and the dict it
+    fills: one entry per batch member, a Python float without a batch."""
     masks = [rule.stop_node_masks for rule in rules]
-    picked: dict[tuple[int, int], float] = {}
+    picked: dict[tuple[int, int], float | np.ndarray] = {}
 
     def observe(i, y, *_):
         for rule_masks in masks:
             for node in np.nonzero(rule_masks[i])[0]:
-                picked[(i, int(node))] = float(y[node])
+                picked[(i, int(node))] = _per_member(y[..., node])
 
     return observe, picked
 
@@ -491,7 +492,7 @@ def conditional_g_expectation(
     generator: GeneratorSpec,
     terminal: TerminalCondition,
     at: StoppingRule,
-) -> dict[tuple[int, int], float]:
+) -> dict[tuple[int, int], float | np.ndarray]:
     """Solution values on the stopping nodes of ``at``.
 
     ``at`` must stop no later than the terminal rule on every path.

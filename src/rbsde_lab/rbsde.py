@@ -220,7 +220,7 @@ def reflected_conditional(
     terminal: TerminalCondition,
     obstacle: ObstacleSpec,
     at: StoppingRule,
-) -> dict[tuple[int, int], float]:
+) -> dict[tuple[int, int], float | np.ndarray]:
     """Reflected solution values on the stopping nodes of ``at``."""
     if not at.precedes(terminal.rule):
         raise RuleOrderViolated("evaluation rule must precede the terminal rule")

@@ -654,11 +654,8 @@ def masked_driver_suite(seed: int = 29, instances: int = 20) -> list[CheckResult
     """Drivers masked by the obstacle: equal values, unequal drivers below."""
     tree = build_tree(TimeGrid(1.0, 8), TreeMode.FULL_BINARY)
     cut_high = 1.0
-    rng = _rng(seed, 0)
-    family = []
-    for _ in range(instances):
-        leaves = cut_high + rng.uniform(0.0, 2.0, size=tree.level_size(tree.steps))
-        family.append(TerminalCondition.from_leaf_values(tree, leaves))
+    leaves = _rng(seed, 0).uniform(0.0, 2.0, size=(instances, tree.level_size(tree.steps)))
+    family = TerminalCondition.from_leaf_values(tree, cut_high + leaves)  # a row per instance
     report = masked_driver_probe(tree, 2.0, 0.0, 1.0, cut_high, family)
     return [
         _check(

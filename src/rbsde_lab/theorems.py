@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -632,11 +632,14 @@ def masked_driver_probe(
     cut_low: float,
     slope_high_cut: float,
     cut_high: float,
-    terminal_family: Sequence[TerminalCondition],
+    terminal_family: TerminalCondition,
 ) -> MaskedDriverReport:
     """With the obstacle pinned at the higher cut, both masked drivers
     vanish along their solutions, so every reflected solution pair agrees at
     every node even though the drivers differ below the cut.
+
+    ``terminal_family`` is one terminal condition whose leading axis runs
+    over the family's members; each driver solves it in one batch.
     """
     if not (cut_low < cut_high):
         raise ValueError("the first cut must sit strictly below the second")
@@ -646,11 +649,9 @@ def masked_driver_probe(
     g_high_cut = masked_driver(slope_high_cut, cut_high)
     obstacle = ObstacleSpec(AdaptedProcess.constant(tree, cut_high), bound=cut_high)
 
-    worst = 0.0
-    for terminal in terminal_family:
-        sol_a = solve_rbsde(tree, g_low_cut, terminal, obstacle)
-        sol_b = solve_rbsde(tree, g_high_cut, terminal, obstacle)
-        worst = max(worst, _max_level_gap(sol_a.y, sol_b.y), _max_level_gap(sol_b.y, sol_a.y))
+    y_a = _reflected_solution(tree, g_low_cut, terminal_family, obstacle).y
+    y_b = _reflected_solution(tree, g_high_cut, terminal_family, obstacle).y
+    worst = max(0.0, float(np.max((_max_level_gap(y_a, y_b), _max_level_gap(y_b, y_a)))))
 
     def driver_gap(sample: SampleSpec) -> np.ndarray:
         return np.abs(sample.values(g_low_cut) - sample.values(g_high_cut))
@@ -675,55 +676,6 @@ def masked_driver_probe(
 
 # ---------------------------------------------------------------------------
 # Converse probe: solution order against driver order
-
-class ProbeFamily(Record):
-    """Stopping rules, terminal builders, and the driver sample box."""
-
-    __slots__ = _fields = ("rules", "terminal_builders", "sample")
-
-    def __init__(
-        self,
-        rules: tuple[StoppingRule, ...],
-        terminal_builders: tuple[Callable[[StoppingRule], TerminalCondition], ...],
-        sample: SampleSpec,
-    ):
-        self._set(rules, terminal_builders, sample)
-
-    @classmethod
-    def default(cls, tree: ScenarioTree, bound: float) -> ProbeFamily:
-        """Constants above the bound plus walk lifts, at root / mid / horizon rules."""
-        mid = StoppingRule(
-            tree,
-            [np.abs(tree.brownian_level(i)) >= 1.0 for i in range(tree.steps + 1)],
-        )
-        rules = (StoppingRule.root(tree), mid, StoppingRule.terminal(tree))
-        builders: list[Callable[[StoppingRule], TerminalCondition]] = []
-        for c in np.arange(bound, bound + 3.0 + 1e-9, 0.5):
-            builders.append(
-                lambda rule, c=float(c): TerminalCondition.constant(tree, c, rule=rule)
-            )
-        builders.append(
-            lambda rule: TerminalCondition.at_rule(
-                tree, rule, lambda i, b: bound + np.abs(b)
-            )
-        )
-        # one lift favouring each walk direction, so coefficient-sensitive
-        # drivers cannot slip through with one-sided data
-        builders.append(
-            lambda rule: TerminalCondition.at_rule(
-                tree, rule, lambda i, b: bound + np.maximum(b, 0.0)
-            )
-        )
-        builders.append(
-            lambda rule: TerminalCondition.at_rule(
-                tree, rule, lambda i, b: bound + np.maximum(-b, 0.0)
-            )
-        )
-        sample = SampleSpec(
-            tree.grid.horizon, t_count=11, y_low=bound, y_high=bound + 5.0, y_count=11, z_count=11
-        )
-        return cls(rules=rules, terminal_builders=tuple(builders), sample=sample)
-
 
 class ConverseProbeReport(NamedTuple):
     """Verdicts for solution ordering (A) and driver ordering (B).
@@ -751,33 +703,49 @@ def converse_probe(
 ) -> ConverseProbeReport:
     """Check that ordered conditional reflected values imply ordered drivers.
 
-    The data are ``ProbeFamily.default`` at the obstacle's bound.  Verdict A
-    holds when the first driver's conditional values dominate the second's
-    for every family member and every ordered rule pair.  Verdict B holds
-    when the first driver dominates the second on the sample region: values
-    above the obstacle bound, or every value when both drivers ignore the
-    value variable.
+    The terminal family, one batch above the obstacle's bound, is swept at
+    the root, mid-walk and horizon rules.  Verdict A holds when the first
+    driver's conditional values dominate the second's for every family
+    member and every ordered rule pair.  Verdict B holds when the first
+    driver dominates the second on the sample region: values above the
+    obstacle bound, or every value when both drivers ignore the value
+    variable.
     """
     if obstacle.bound is None:
         raise ValueError("default probe family needs an obstacle bound")
-    family = ProbeFamily.default(tree, obstacle.bound)
+    bound = obstacle.bound
+    mid = StoppingRule(
+        tree, [np.abs(tree.brownian_level(i)) >= 1.0 for i in range(tree.steps + 1)]
+    )
+    rules = (StoppingRule.root(tree), mid, StoppingRule.terminal(tree))
+    # constants from the bound up, then the bound plus |b| and plus each
+    # one-sided part of the walk b, so coefficient-sensitive drivers cannot
+    # slip through with one-sided data
+    constants = np.arange(bound, bound + 3.0 + 1e-9, 0.5)[:, None]
+    levels = []
+    for i in range(tree.steps + 1):
+        b = tree.brownian_level(i)
+        lifts = bound + np.stack([np.abs(b), np.maximum(b, 0.0), np.maximum(-b, 0.0)])
+        rows = np.broadcast_to(constants, (len(constants), b.size))
+        levels.append(np.concatenate([rows, lifts]))
 
     value_violation = 0.0
-    for builder in family.terminal_builders:
-        for sigma in family.rules:
-            terminal = builder(sigma)
-            taus = [tau for tau in family.rules if tau.precedes(sigma)]
-            # one root-only sweep per driver, gathering y wherever one of the taus stops
-            gathered = []
-            for generator in (g_upper, g_lower):
-                observe, picked = _stop_node_values(*taus)
-                reflected_value(tree, generator, terminal, obstacle, observe=observe)
-                gathered.append(picked)
-            upper, lower = gathered
-            for key, hi in upper.items():
-                value_violation = max(value_violation, lower[key] - hi)
+    for sigma in rules:
+        terminal = TerminalCondition(tree, sigma, levels)
+        taus = [tau for tau in rules if tau.precedes(sigma)]
+        # one root-only sweep of the family per driver, gathering y wherever one of the taus stops
+        gathered = []
+        for generator in (g_upper, g_lower):
+            observe, picked = _stop_node_values(*taus)
+            reflected_value(tree, generator, terminal, obstacle, observe=observe)
+            gathered.append(picked)
+        upper, lower = gathered
+        for key, hi in upper.items():
+            value_violation = max(value_violation, float(np.max(lower[key] - hi)))
 
-    sample = family.sample
+    sample = SampleSpec(
+        tree.grid.horizon, t_count=11, y_low=bound, y_high=bound + 5.0, y_count=11, z_count=11
+    )
     if g_upper.is_y_free and g_lower.is_y_free:
         sample = sample._replace(y_low=-5.0, y_high=5.0)
     gaps = sample.values(g_lower) - sample.values(g_upper)

@@ -627,6 +627,103 @@ ROUND_TRIP_PAYLOADS = [
 ]
 
 
+MARKET_BLOCK = {
+    "spot": 100.0, "drift": 0.08, "volatility": 0.2, "rate": 0.02, "strikes": [100.0],
+}
+SMALL_TREE = {"horizon": 1.0, "steps": 8, "mode": "recombining"}
+
+
+@pytest.mark.parametrize(
+    "command, payload, observed, message",
+    [
+        (
+            "solve",
+            {**COUNTEREXAMPLE_CONFIG, "tree": {"horizon": 1.0, "mode": "recombining"}},
+            None, "missing field 'steps' in tree",
+        ),
+        (
+            "price",
+            {"tree": SMALL_TREE, "market": {**MARKET_BLOCK, "strikes": []}},
+            None, "market needs a nonempty 'strikes' list",
+        ),
+        (
+            "solve",
+            {**COUNTEREXAMPLE_CONFIG, "tree": {**SMALL_TREE, "mode": "ternary"}},
+            None, "tree mode must be one of ['full-binary', 'recombining']",
+        ),
+        (
+            "solve",
+            {**COUNTEREXAMPLE_CONFIG, "generator": {"expr": "y", "lipschitz": -1}},
+            None, "generator lipschitz constant must be >= 0",
+        ),
+        (
+            "verify",
+            {"suite": {"name": "masked-drivers", "instances": 0}},
+            None, "suite instances must be >= 1",
+        ),
+        (
+            "solve",
+            {**COUNTEREXAMPLE_CONFIG, "terminal": {"kind": "linear"}},
+            None, "terminal kind must be 'constant' or 'state'",
+        ),
+        ("solve", [COUNTEREXAMPLE_CONFIG], None, "config must be a JSON object"),
+        (
+            "solve",
+            {**COUNTEREXAMPLE_CONFIG, "obstacle": {"kind": "constant", "value": 1.0, "bound": 0.5}},
+            None, "obstacle exceeds its declared bound: max 1.0 > 0.5",
+        ),
+        (
+            "verify", {"seed": 3}, None,
+            "verify needs a suite name (config suite block or --suite)",
+        ),
+        (
+            "recover", {"tree": SMALL_TREE, "market": MARKET_BLOCK}, None,
+            "recover needs a 'recover' block with an observed CSV path",
+        ),
+        (
+            "recover",
+            {"tree": SMALL_TREE, "market": MARKET_BLOCK, "recover": {"observed": "obs.csv"}},
+            "strike,price\n", "observed prices file is empty",
+        ),
+    ],
+    ids=[
+        "tree-without-steps",
+        "empty-strikes",
+        "ternary-tree",
+        "negative-lipschitz",
+        "zero-instances",
+        "linear-terminal",
+        "config-list",
+        "obstacle-above-bound",
+        "verify-without-suite",
+        "recover-without-block",
+        "header-only-prices",
+    ],
+)
+def test_config_error_exits_two_without_output(
+    tmp_path, capsys, command, payload, observed, message
+):
+    if observed is not None:
+        (tmp_path / "obs.csv").write_text(observed)
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_failing_suite_row_exits_three_with_its_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(
+        suites.SUITES, "counterexamples", lambda: [CheckResult("broken", False, 1.0, 0.0)]
+    )
+    config = write_config(tmp_path, {})
+    out = tmp_path / "o"
+    args = ["verify", "--config", str(config), "--out", str(out), "--suite", "counterexamples"]
+    assert main(args) == 3
+    assert capsys.readouterr().err == "verification found violations; see report.json\n"
+    assert json.loads((out / "report.json").read_text())["all_passed"] is False
+
+
 class TestConfigRoundTrip:
     @pytest.mark.parametrize("payload", ROUND_TRIP_PAYLOADS)
     def test_emit_parse_is_idempotent(self, payload):

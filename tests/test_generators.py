@@ -23,6 +23,7 @@ from rbsde_lab.generators import (
     BrownianVar,
     Const,
     EvalContext,
+    Expr,
     Min,
     Neg,
     NegPart,
@@ -137,6 +138,19 @@ class TestLipschitzBound:
         assert lipschitz_bound(Scale(-3.0, Abs(ZVar()))) == 3.0
         assert lipschitz_bound(Min(Scale(2.0, YVar()), Abs(ZVar()))) == 2.0
         assert lipschitz_bound(AtZeroState(YVar())) == 0.0
+
+    def test_a_restricted_driver_keeps_its_inner_bound(self):
+        tree = build_tree(TimeGrid(1.0, 4), TreeMode.RECOMBINING)
+        inner = Add((Scale(-1.5, YVar()), Abs(ZVar())))
+        gated = restrict_generator(GeneratorSpec(inner, 2.5), StoppingRule.root(tree))
+        assert lipschitz_bound(gated.expr) == lipschitz_bound(inner) == 2.5
+
+    def test_a_node_outside_the_grammar_is_an_expression_error(self):
+        class Foreign(Expr):
+            __slots__ = ()
+
+        with pytest.raises(ExpressionError, match="^unknown expression node Foreign$"):
+            lipschitz_bound(Add((YVar(), Foreign())))
 
 
 def exprs(variables=("t", "y", "z")):

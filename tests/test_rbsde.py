@@ -19,6 +19,7 @@ from rbsde_lab import (
     UnsupportedTreeMode,
     build_tree,
     closed_form_example,
+    conditional_g_expectation,
     counterexample_problem,
     enumerate_stopping_oracle,
     exercise_rule,
@@ -31,7 +32,7 @@ from rbsde_lab import (
     solve_bsde,
     solve_rbsde,
 )
-from rbsde_lab.generators import Add, Const, Scale, YVar, ZVar, parse_prefix
+from rbsde_lab.generators import Abs, Add, Const, Scale, YVar, ZVar, parse_prefix
 from rbsde_lab.market import MarketModel, quote_strike_family
 from rbsde_lab.rbsde import LevelData, reflected_roots
 
@@ -633,6 +634,30 @@ class TestConditionalAndRestriction:
         at_end = reflected_conditional(tree, g, xi, obstacle, StoppingRule.terminal(tree))
         for (level, node), value in at_end.items():
             assert value == leaves[node]
+
+    @pytest.mark.parametrize("reflected", [False, True], ids=["plain", "reflected"])
+    def test_batched_terminal_gathers_one_entry_per_member(self, reflected):
+        tree = full_tree(6)
+        rng = np.random.default_rng(53)
+        flags = [rng.random(tree.level_size(i)) < 0.3 for i in range(7)]
+        flags[0][0] = False  # stop past the root on every path
+        at = StoppingRule(tree, flags)
+        leaves = rng.uniform(-0.3, 0.5, size=(3, 64))
+        g = GeneratorSpec(Add((Scale(0.4, Abs(ZVar())), Scale(-0.3, YVar()))), 0.7)
+        obstacle = ObstacleSpec(AdaptedProcess.from_time_function(tree, lambda t: 0.2 - 0.5 * t))
+
+        def conditional(terminal):
+            if reflected:
+                return reflected_conditional(tree, g, terminal, obstacle, at)
+            return conditional_g_expectation(tree, g, terminal, at)
+
+        batched = conditional(TerminalCondition.from_leaf_values(tree, leaves))
+        solo = [conditional(TerminalCondition.from_leaf_values(tree, row)) for row in leaves]
+        assert len(batched) > 1 and all(alone.keys() == batched.keys() for alone in solo)
+        assert all(type(value) is float for alone in solo for value in alone.values())
+        for key, members in batched.items():
+            assert members.shape == (3,)
+            assert [v.hex() for v in members.tolist()] == [alone[key].hex() for alone in solo]
 
     def test_frozen_obstacle_identity(self):
         # solving up to a rule equals the full-horizon solve with the gated

@@ -54,7 +54,6 @@ from rbsde_lab.theorems import (
     IncomparableDriverReport,
     MaskedDriverReport,
     OrderingCertificate,
-    ProbeFamily,
     RbsdeProblem,
     StrictWitness,
 )
@@ -151,7 +150,6 @@ RECORDS = [
         True,
     ),
     (MaskedDriverReport, lambda: MaskedDriverReport(0.0, 0.0, (SITE,)), "max_value_gap", True),
-    (ProbeFamily, lambda: ProbeFamily((RULE,), (), SampleSpec(1.0)), "rules", False),
     (
         ConverseProbeReport,
         lambda: ConverseProbeReport(True, 0.0, True, 0.0, (), 0.1, False),
@@ -162,8 +160,8 @@ RECORDS = [
 
 
 def test_every_record_type_is_listed_once():
-    assert len(RECORDS) == 42
-    assert len({kind for kind, *_ in RECORDS}) == 42
+    assert len(RECORDS) == 41
+    assert len({kind for kind, *_ in RECORDS}) == 41
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from rbsde_lab import (
     GeneratorSpec,
     NoStrictGap,
     ObstacleSpec,
-    ProbeFamily,
     RbsdeProblem,
     SampleSpec,
     StoppingRule,
@@ -545,12 +544,7 @@ class TestMaskedDrivers:
     def test_probe_reports_equality_and_disagreement(self):
         tree = full_tree(8)
         rng = np.random.default_rng(81)
-        family = [
-            TerminalCondition.from_leaf_values(
-                tree, 1.0 + rng.uniform(0, 2, size=256)
-            )
-            for _ in range(5)
-        ]
+        family = TerminalCondition.from_leaf_values(tree, 1.0 + rng.uniform(0, 2, size=(5, 256)))
         report = masked_driver_probe(tree, 2.0, 0.0, 1.0, 1.0, family)
         assert report.values_agree
         assert report.max_value_gap <= 1e-12
@@ -571,6 +565,22 @@ class TestMaskedDrivers:
         tree = full_tree(4)
         with pytest.raises(ValueError):
             masked_driver_probe(tree, 1.0, 1.0, 2.0, 0.0, [])
+
+    def test_suite_solves_its_family_in_two_batches(self, monkeypatch):
+        batches, solo = [], []
+        real_solution = theorems._reflected_solution
+
+        def batched_solution(tree, generator, terminal, obstacle):
+            batches.append(np.broadcast_shapes(*(v.shape[:-1] for v in terminal.values)))
+            return real_solution(tree, generator, terminal, obstacle)
+
+        monkeypatch.setattr(theorems, "_reflected_solution", batched_solution)
+        real_solve = theorems.solve_rbsde
+        monkeypatch.setattr(
+            theorems, "solve_rbsde", lambda *args: solo.append(args) or real_solve(*args)
+        )
+        assert all(row.passed for row in suites.masked_driver_suite())
+        assert (batches, len(solo)) == ([(20,), (20,)], 0)
 
 
 class TestConverseProbe:
@@ -668,36 +678,57 @@ class TestConverseProbe:
             converse_probe(tree, g, g, obstacle)
 
     def test_value_violation_matches_full_solves_without_one(self, monkeypatch):
-        # the probe reads its conditional values from root-only sweeps; the
-        # reference here solves in full and reads every stopping node itself
+        # the probe reads its conditional values from batched root-only
+        # sweeps; the reference here builds each of the ten terminals itself,
+        # solves it in full and reads every stopping node
         tree = full_tree(6)
         g_upper = GeneratorSpec(ZVar(), 1.0)
         g_lower = GeneratorSpec(Scale(-1.0, ZVar()), 1.0)
         obstacle = ObstacleSpec(AdaptedProcess.constant(tree, 0.0), bound=0.0)
-        family = ProbeFamily.default(tree, 0.0)
+        mid = StoppingRule(tree, [np.abs(tree.brownian_level(i)) >= 1.0 for i in range(7)])
+        rules = (StoppingRule.root(tree), mid, StoppingRule.terminal(tree))
+        lifts = (
+            lambda i, b: 0.0 + np.abs(b),
+            lambda i, b: 0.0 + np.maximum(b, 0.0),
+            lambda i, b: 0.0 + np.maximum(-b, 0.0),
+        )
+        builders = [
+            lambda rule, c=float(c): TerminalCondition.constant(tree, c, rule=rule)
+            for c in np.arange(0.0, 3.0 + 1e-9, 0.5)
+        ] + [lambda rule, lift=lift: TerminalCondition.at_rule(tree, rule, lift) for lift in lifts]
         expected = 0.0
-        for builder in family.terminal_builders:
-            for sigma in family.rules:
+        for builder in builders:
+            for sigma in rules:
                 terminal = builder(sigma)
                 upper = solve_rbsde(tree, g_upper, terminal, obstacle).y
                 lower = solve_rbsde(tree, g_lower, terminal, obstacle).y
-                for tau in family.rules:
+                for tau in rules:
                     if tau.precedes(sigma):
                         for i, mask in enumerate(tau.stop_node_masks):
                             gap = lower.level(i)[mask] - upper.level(i)[mask]
                             expected = max([expected, *gap.tolist()])
-        sweeps = []
-        real_value = theorems.reflected_value
         monkeypatch.setattr(theorems, "solve_rbsde", None)
-        monkeypatch.setattr(
-            theorems,
-            "reflected_value",
-            lambda *args, **kwargs: sweeps.append(args) or real_value(*args, **kwargs),
-        )
+        monkeypatch.setattr(theorems, "_reflected_solution", None)
         report = converse_probe(tree, g_upper, g_lower, obstacle)
+        assert len(builders) == 10
         assert expected > 0.0
         assert report.max_value_violation == expected
-        assert len(sweeps) == 2 * len(family.terminal_builders) * len(family.rules)
+
+    def test_family_is_swept_once_per_driver_and_rule(self, monkeypatch):
+        tree = full_tree(6)
+        g_upper = GeneratorSpec(Abs(ZVar()), 1.0)
+        g_lower = GeneratorSpec(Scale(0.5, Abs(ZVar())), 0.5)
+        obstacle = ObstacleSpec(AdaptedProcess.constant(tree, 0.0), bound=0.0)
+        sweeps = []
+        real_value = theorems.reflected_value
+
+        def batched_value(tree, generator, terminal, *args, **kwargs):
+            sweeps.append(np.broadcast_shapes(*(v.shape[:-1] for v in terminal.values)))
+            return real_value(tree, generator, terminal, *args, **kwargs)
+
+        monkeypatch.setattr(theorems, "reflected_value", batched_value)
+        assert converse_probe(tree, g_upper, g_lower, obstacle).value_ordering_holds
+        assert sweeps == [(10,)] * 6
 
 
 def report_bits(report):
