@@ -216,7 +216,13 @@ def _tree(block: dict) -> ScenarioTree:
 
 def _state_function(text: str):
     node = parse_prefix(text, variables=_STATE.variables)
-    return lambda t, b: np.asarray(node.eval(EvalContext(t=t, b=b)), dtype=float)
+
+    # an overflow surfaces as a non-finite value, which the lift or the sweep rejects
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def f(t, b):
+        return np.asarray(node.eval(EvalContext(t=t, b=b)), dtype=float)
+
+    return f
 
 
 def _terminal(block: dict, tree: ScenarioTree) -> TerminalCondition:
@@ -224,7 +230,10 @@ def _terminal(block: dict, tree: ScenarioTree) -> TerminalCondition:
         return TerminalCondition.constant(tree, block["value"])
     leaf = _state_function(block["expr"])
     horizon = tree.grid.horizon
-    return TerminalCondition.from_leaf_function(tree, lambda b: leaf(horizon, b))
+    try:
+        return TerminalCondition.from_leaf_function(tree, lambda b: leaf(horizon, b))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _obstacle(block: dict, tree: ScenarioTree) -> ObstacleSpec:

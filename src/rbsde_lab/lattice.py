@@ -119,12 +119,17 @@ class ScenarioTree:
     def sqrt_dt(self) -> float:
         return math.sqrt(self.grid.dt)
 
+    @cached_property
+    def _level_sizes(self) -> tuple[int, ...]:
+        """Node count of every level, read by the per-level lifts without a call each."""
+        if self.mode is TreeMode.FULL_BINARY:
+            return tuple(1 << i for i in range(self.steps + 1))
+        return tuple(range(1, self.steps + 2))
+
     def level_size(self, level: int) -> int:
         if not 0 <= level <= self.steps:
             raise IndexError(f"level {level} outside 0..{self.steps}")
-        if self.mode is TreeMode.FULL_BINARY:
-            return 1 << level
-        return level + 1
+        return self._level_sizes[level]
 
     def up_counts(self, level: int) -> np.ndarray:
         """Number of up moves leading to each node of ``level``."""
@@ -234,8 +239,9 @@ def _cells(level: np.ndarray) -> np.ndarray:
 
 def constant_levels(tree: ScenarioTree, value, dtype=float) -> list[np.ndarray]:
     """Every level of ``tree`` holding ``value``, as slices of one constant row."""
-    row = level_constant(value, tree.level_size(tree.steps), dtype)
-    return [row[..., : tree.level_size(i)] for i in range(tree.steps + 1)]
+    sizes = tree._level_sizes
+    row = level_constant(value, sizes[-1], dtype)
+    return [row[..., :size] for size in sizes]
 
 
 def _per_member(values):
@@ -264,15 +270,13 @@ def _frozen_levels(
     if len(levels) != tree.steps + 1:
         raise TreeMismatch(f"{what} needs {tree.steps + 1} levels, got {len(levels)}")
     stored = []
-    for i, level in enumerate(levels):
+    for i, (level, size) in enumerate(zip(levels, tree._level_sizes)):
         owner = level
         while isinstance(owner, np.ndarray) and not owner.flags.writeable:
             owner = owner.base
         arr = level if owner is None and level.dtype == dtype else np.array(level, dtype=dtype)
-        if arr.shape[-1:] != (tree.level_size(i),) or (arr.ndim > 1 and not batched):
-            raise TreeMismatch(
-                f"{what} level {i} must hold {tree.level_size(i)} values, got shape {arr.shape}"
-            )
+        if arr.shape[-1:] != (size,) or (arr.ndim > 1 and not batched):
+            raise TreeMismatch(f"{what} level {i} must hold {size} values, got shape {arr.shape}")
         arr.flags.writeable = False
         stored.append(arr)
     try:

@@ -501,7 +501,8 @@ def _restriction_instance(seed: int, index: int) -> tuple[float, float]:
     xi_rule = TerminalCondition.at_rule(tree, rule, raw)
     direct = solve_bsde(tree, generator, xi_rule)
     gated = solve_bsde(tree, restrict_generator(generator, rule), xi_rule.as_full_horizon())
-    bsde_gap = max(_max_level_gap(direct.y, gated.y), _max_level_gap(gated.y, direct.y))
+    direct_y, gated_y = direct.y.levels(), gated.y.levels()
+    bsde_gap = max(_max_level_gap(direct_y, gated_y), _max_level_gap(gated_y, direct_y))
 
     # reflected variant with the obstacle frozen at the rule
     obstacle = _random_obstacle(rng, tree)
@@ -515,7 +516,8 @@ def _restriction_instance(seed: int, index: int) -> tuple[float, float]:
     gated_r = solve_rbsde(
         tree, restrict_generator(generator, rule), xi_refl.as_full_horizon(), frozen
     )
-    rbsde_gap = max(_max_level_gap(direct_r.y, gated_r.y), _max_level_gap(gated_r.y, direct_r.y))
+    direct_y, gated_y = direct_r.y.levels(), gated_r.y.levels()
+    rbsde_gap = max(_max_level_gap(direct_y, gated_y), _max_level_gap(gated_y, direct_y))
     return bsde_gap, rbsde_gap
 
 

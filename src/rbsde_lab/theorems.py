@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bsde import TerminalCondition, _stop_node_values, solve_bsde
+from .bsde import TerminalCondition, _kept_levels, _stop_node_values, solve_bsde
 from .errors import (
     NoStrictGap,
     RuleOrderViolated,
@@ -48,13 +48,7 @@ from .lattice import (
     _per_member,
     event_probability,
 )
-from .rbsde import (
-    ObstacleSpec,
-    RbsdeSolution,
-    _reflected_solution,
-    reflected_value,
-    solve_rbsde,
-)
+from .rbsde import ObstacleSpec, _accumulate_increments, reflected_value, solve_rbsde
 from .records import Record
 
 COMPARISON_TOL = 1e-10  # solution orderings: values, pushes, conditional values, drivers
@@ -154,21 +148,18 @@ def _member(report, k: int):
     return type(report)(*map(pick, report))
 
 
-def _max_level_gap(a: AdaptedProcess, b: AdaptedProcess) -> float | np.ndarray:
+def _max_level_gap(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float | np.ndarray:
     """Largest ``a - b`` over every node of every level, one entry per member."""
-    gaps = (np.max(a.level(i) - b.level(i), axis=-1) for i in range(a.tree.steps + 1))
-    return _per_member(_running_max(gaps))
+    return _per_member(_running_max(np.max(x - y, axis=-1) for x, y in zip(a, b)))
 
 
 def _driver_gap_on_solution(
-    g_low: GeneratorSpec, g_high: GeneratorSpec, sol: RbsdeSolution
+    g_low: GeneratorSpec, g_high: GeneratorSpec, tree: ScenarioTree, ys: Sequence, zs: Sequence
 ) -> np.ndarray:
-    """Largest ``g_low - g_high`` along the solution, and at least 0, per member."""
-    tree = sol.y.tree
+    """Largest ``g_low - g_high`` along the solution levels, and at least 0, per member."""
     gaps = [0.0]
-    for i in range(tree.steps + 1):
+    for i, (y, z) in enumerate(zip(ys, zs)):
         t = tree.grid.time(i)
-        y, z = sol.y.level(i), sol.z.level(i)
         low = np.asarray(g_low.evaluate(t, y, z, level=i, tree=tree), dtype=float)
         high = np.asarray(g_high.evaluate(t, y, z, level=i, tree=tree), dtype=float)
         gaps.append(np.max(np.broadcast_to(low - high, y.shape), axis=-1))
@@ -187,13 +178,19 @@ def check_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonReport:
     return _compare_values(low, high, *_solve_pair(low, high))
 
 
-def _solve_pair(low: RbsdeProblem, high: RbsdeProblem) -> tuple[RbsdeSolution, RbsdeSolution]:
+def _swept_levels(problem: RbsdeProblem) -> list[list[np.ndarray]]:
+    """The y, z and push levels of the problem's root-only reflected sweep."""
+    observe, kept = _kept_levels(problem.tree)
+    reflected_value(
+        problem.tree, problem.generator, problem.terminal, problem.obstacle, observe=observe
+    )
+    return kept
+
+
+def _solve_pair(low: RbsdeProblem, high: RbsdeProblem) -> tuple[list, list]:
     if low.tree != high.tree:
         raise TreeMismatch("comparison needs a common tree")
-    return (
-        _reflected_solution(low.tree, low.generator, low.terminal, low.obstacle),
-        _reflected_solution(high.tree, high.generator, high.terminal, high.obstacle),
-    )
+    return _swept_levels(low), _swept_levels(high)
 
 
 def _require_shared_obstacle(low: RbsdeProblem, high: RbsdeProblem, what: str) -> None:
@@ -207,18 +204,18 @@ def _require_shared_obstacle(low: RbsdeProblem, high: RbsdeProblem, what: str) -
 def _compare_values(
     low: RbsdeProblem,
     high: RbsdeProblem,
-    sol_low: RbsdeSolution,
-    sol_high: RbsdeSolution,
+    kept_low: list[list[np.ndarray]],
+    kept_high: list[list[np.ndarray]],
 ) -> ComparisonReport:
-    """Certify the input orderings and measure the value ordering of two solutions."""
+    """Certify the input orderings and measure the value ordering of two kept sweeps."""
     # The leaf extension is constant along post-stop paths, so ordering at
     # the last level is ordering of the terminal data themselves.
     last = low.tree.steps
     xi_gap = np.max(low.terminal.extended[last] - high.terminal.extended[last], axis=-1)
-    s_gap = _max_level_gap(low.obstacle.process, high.obstacle.process)
+    s_gap = _max_level_gap(low.obstacle.process.levels(), high.obstacle.process.levels())
     g_sol_gap = _running_max(
-        _driver_gap_on_solution(low.generator, high.generator, sol)
-        for sol in (sol_low, sol_high)
+        _driver_gap_on_solution(low.generator, high.generator, low.tree, y, z)
+        for y, z, _ in (kept_low, kept_high)
     )
     sample = SampleSpec(low.tree.grid.horizon, t_count=11, y_count=11, z_count=11)
     g_grid_gap = np.max(
@@ -233,7 +230,7 @@ def _compare_values(
 
     return ComparisonReport(
         certificate=certificate,
-        max_value_violation=_nonnegative(_max_level_gap(sol_low.y, sol_high.y)),
+        max_value_violation=_nonnegative(_max_level_gap(kept_low[0], kept_high[0])),
         max_push_violation=None,
         push_difference_monotone=None,
         vacuous=_per_member(np.logical_not(certificate.established)),
@@ -249,15 +246,16 @@ def check_k_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonRepor
     path difference is the running sum of increment differences.
     """
     _require_shared_obstacle(low, high, "push comparison")
-    sol_low, sol_high = _solve_pair(low, high)
-    base = _compare_values(low, high, sol_low, sol_high)
-    if sol_low.k is None or sol_high.k is None:
+    kept_low, kept_high = _solve_pair(low, high)
+    base = _compare_values(low, high, kept_low, kept_high)
+    k_low, k_high = (_accumulate_increments(low.tree, kept[2]) for kept in (kept_low, kept_high))
+    if k_low is None or k_high is None:
         raise UnsupportedTreeMode("cumulative pushes are not representable on this tree")
-    increment_drop = _max_level_gap(sol_high.k_increments, sol_low.k_increments)
+    increment_drop = _max_level_gap(kept_high[2], kept_low[2])
     return ComparisonReport(
         certificate=base.certificate,
         max_value_violation=base.max_value_violation,
-        max_push_violation=_nonnegative(_max_level_gap(sol_high.k, sol_low.k)),
+        max_push_violation=_nonnegative(_max_level_gap(k_high, k_low)),
         push_difference_monotone=_per_member(np.asarray(increment_drop) <= COMPARISON_TOL),
         vacuous=base.vacuous,
     )
@@ -649,8 +647,8 @@ def masked_driver_probe(
     g_high_cut = masked_driver(slope_high_cut, cut_high)
     obstacle = ObstacleSpec(AdaptedProcess.constant(tree, cut_high), bound=cut_high)
 
-    y_a = _reflected_solution(tree, g_low_cut, terminal_family, obstacle).y
-    y_b = _reflected_solution(tree, g_high_cut, terminal_family, obstacle).y
+    y_a = _swept_levels(RbsdeProblem(g_low_cut, terminal_family, obstacle))[0]
+    y_b = _swept_levels(RbsdeProblem(g_high_cut, terminal_family, obstacle))[0]
     worst = max(0.0, float(np.max((_max_level_gap(y_a, y_b), _max_level_gap(y_b, y_a)))))
 
     def driver_gap(sample: SampleSpec) -> np.ndarray:

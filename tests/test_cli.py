@@ -1,6 +1,8 @@
 import ast
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import math
@@ -11,7 +13,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rbsde_lab
 from rbsde_lab import cli
@@ -21,6 +23,9 @@ from rbsde_lab.generators import lipschitz_bound
 from rbsde_lab.suites import CheckResult
 from test_generators import exprs
 from test_market import RECOVER_STRIKES, _recovery_targets
+
+# (1e308)^2 b - (1e308)^2 b: 0 at the root, inf - inf = NaN wherever b != 0
+OVERFLOW_DIFFERENCE = "(+ (* 1e308 (* 1e308 b)) (* -1e308 (* 1e308 b)))"
 
 COUNTEREXAMPLE_CONFIG = {
     "tree": {"horizon": 1.0, "steps": 100, "mode": "recombining"},
@@ -673,6 +678,14 @@ SMALL_TREE = {"horizon": 1.0, "steps": 8, "mode": "recombining"}
             None, "obstacle exceeds its declared bound: max 1.0 > 0.5",
         ),
         (
+            "solve",
+            {
+                **COUNTEREXAMPLE_CONFIG,
+                "obstacle": {"kind": "state", "expr": OVERFLOW_DIFFERENCE, "bound": 0.0},
+            },
+            None, "obstacle exceeds its declared bound: max nan > 0.0",
+        ),
+        (
             "verify", {"seed": 3}, None,
             "verify needs a suite name (config suite block or --suite)",
         ),
@@ -695,6 +708,7 @@ SMALL_TREE = {"horizon": 1.0, "steps": 8, "mode": "recombining"}
         "linear-terminal",
         "config-list",
         "obstacle-above-bound",
+        "nan-obstacle-under-bound",
         "verify-without-suite",
         "recover-without-block",
         "header-only-prices",
@@ -908,20 +922,52 @@ def _solve_configs(draw):
     }
 
 
+def _overflow_config(terminal, obstacle, steps=4):
+    return {
+        "tree": {"horizon": 1.0, "steps": steps, "mode": "recombining"},
+        "generator": {"expr": "0", "lipschitz": 0.0},
+        "terminal": terminal,
+        "obstacle": obstacle,
+    }
+
+
 class TestSolveContract:
     """Every config `solve` accepts ends in finite output with exit 0, or in a
-    typed error with exit 2 (config) or 3 (solver); never in NaN with exit 0
-    or an uncaught exception."""
+    typed error with exit 2 (config) or 3 (solver) and no output; never in
+    NaN with exit 0, an uncaught exception or a printed warning."""
 
     @settings(max_examples=40, deadline=None)
     @given(payload=_solve_configs())
+    @example(
+        payload=_overflow_config(
+            {"kind": "state", "expr": "(* 1e308 (* 1e308 b))"}, {"kind": "constant", "value": -1.0}
+        )
+    )
+    @example(
+        payload=_overflow_config(
+            {"kind": "constant", "value": 1.0}, {"kind": "state", "expr": OVERFLOW_DIFFERENCE}
+        )
+    )
+    @example(  # one step from 1.7e308 to -1.7e308: the obstacle's modulus overflows
+        payload=_overflow_config(
+            {"kind": "constant", "value": 0.0},
+            {"kind": "state", "expr": "(* 1e308 (+ 1.7 (* -3.4 t)))"},
+            steps=1,
+        )
+    )
     def test_solve_gives_finite_output_or_a_typed_exit(self, payload):
         with tempfile.TemporaryDirectory() as tmp:
             config = write_config(Path(tmp), payload)
             out = Path(tmp) / "out"
-            code = main(["solve", "--config", str(config), "--out", str(out)])
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(["solve", "--config", str(config), "--out", str(out)])
+            assert [str(w.message) for w in caught] == []
             assert code in (0, 2, 3)
             if code != 0:
+                assert err.getvalue().count("\n") == 1
+                assert not (out / "solution.csv").exists()
                 return
             rows = read_rows(out / "solution.csv")
             assert all(math.isfinite(float(row[c])) for row in rows for c in ("Y", "Z", "S"))

@@ -114,6 +114,15 @@ class TestSolutionStructure:
             np.testing.assert_array_equal(sol.y.level(i), 0.7)
             np.testing.assert_array_equal(sol.z.level(i), 0.0)
 
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_declared_bound_rejects_a_nan_obstacle(self, level):
+        # a NaN compares false with any bound, whichever level holds it
+        tree = recomb_tree(3)
+        levels = [np.zeros(tree.level_size(i)) for i in range(4)]
+        levels[level][-1] = np.nan
+        with pytest.raises(ValueError, match=r"declared bound: max nan > 0\.0"):
+            ObstacleSpec(AdaptedProcess(tree, levels), bound=0.0)
+
     def test_vanishing_driver_preserves_constants_under_reflection(self):
         from rbsde_lab import masked_driver
 

@@ -138,16 +138,17 @@ class TestComparison:
         tree = recomb_tree(50)
         low, high = counterexample_pair(tree)
         expected = check_comparison(low, high)
-        calls = []
+        sweeps = []
+        real_value = theorems.reflected_value
 
-        def counting_solve(*args):
-            calls.append(args)
-            return solve_rbsde(*args)
+        def counting_value(*args, **kwargs):
+            sweeps.append(args)
+            return real_value(*args, **kwargs)
 
-        # the checks solve through the body of solve_rbsde (see rbsde._reflected_solution)
-        monkeypatch.setattr(theorems, "_reflected_solution", counting_solve)
+        # the checks read each problem's levels off one root-only sweep
+        monkeypatch.setattr(theorems, "reflected_value", counting_value)
         report = check_k_comparison(low, high)
-        assert len(calls) == 2
+        assert len(sweeps) == 2
         assert report.certificate == expected.certificate
         assert report.max_value_violation == expected.max_value_violation
         assert report.vacuous == expected.vacuous
@@ -568,13 +569,13 @@ class TestMaskedDrivers:
 
     def test_suite_solves_its_family_in_two_batches(self, monkeypatch):
         batches, solo = [], []
-        real_solution = theorems._reflected_solution
+        real_value = theorems.reflected_value
 
-        def batched_solution(tree, generator, terminal, obstacle):
+        def batched_value(tree, generator, terminal, *args, **kwargs):
             batches.append(np.broadcast_shapes(*(v.shape[:-1] for v in terminal.values)))
-            return real_solution(tree, generator, terminal, obstacle)
+            return real_value(tree, generator, terminal, *args, **kwargs)
 
-        monkeypatch.setattr(theorems, "_reflected_solution", batched_solution)
+        monkeypatch.setattr(theorems, "reflected_value", batched_value)
         real_solve = theorems.solve_rbsde
         monkeypatch.setattr(
             theorems, "solve_rbsde", lambda *args: solo.append(args) or real_solve(*args)
@@ -708,7 +709,6 @@ class TestConverseProbe:
                             gap = lower.level(i)[mask] - upper.level(i)[mask]
                             expected = max([expected, *gap.tolist()])
         monkeypatch.setattr(theorems, "solve_rbsde", None)
-        monkeypatch.setattr(theorems, "_reflected_solution", None)
         report = converse_probe(tree, g_upper, g_lower, obstacle)
         assert len(builders) == 10
         assert expected > 0.0
