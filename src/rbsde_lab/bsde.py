@@ -121,11 +121,10 @@ class TerminalCondition(Record):
         This is the stopped data ``xi`` read at ``min(t, tau)``: the obstacle
         freeze of :func:`lattice.freeze_after` run on the stop-node values.
         """
-        stop, nan = self.rule.stop_node_masks, constant_levels(self.tree, np.nan)
-        levels = [
-            np.where(mask, values, np.nan) if _cells(mask).any() else empty
-            for mask, values, empty in zip(stop, self.values, nan)
-        ]
+        stop, levels = self.rule.stop_node_masks, constant_levels(self.tree, np.nan)
+        for i in range(self.rule.first_stop_level, self.tree.steps + 1):
+            if _cells(stop[i]).any():
+                levels[i] = np.where(stop[i], self.values[i], np.nan)
         return tuple(_held_after(levels, self.rule))
 
     def level(self, i: int) -> np.ndarray:
@@ -147,15 +146,6 @@ class BsdeSolution(Record):
     """
 
     __slots__ = _fields = ("y", "z", "iterations", "residual")
-
-    def __init__(
-        self,
-        y: AdaptedProcess,
-        z: AdaptedProcess,
-        iterations: int | np.ndarray,
-        residual: float | np.ndarray,
-    ):
-        self._set(y, z, iterations, residual)
 
 
 def _implicit_level(
@@ -234,9 +224,6 @@ class SweepSummary(Record):
     """
 
     __slots__ = _fields = ("root", "first_contact", "iterations")
-
-    def __init__(self, root: np.ndarray, first_contact: np.ndarray, iterations: np.ndarray):
-        self._set(root, first_contact, iterations)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")

@@ -169,9 +169,6 @@ class _Unary(Expr):
 
     __slots__ = _fields = ("inner",)
 
-    def __init__(self, inner: Expr):
-        self._set(inner)
-
     def children(self):
         return (self.inner,)
 
@@ -217,9 +214,6 @@ class NegPart(_Unary):
 
 class Add(Expr):
     __slots__ = _fields = ("terms",)
-
-    def __init__(self, terms: tuple[Expr, ...]):
-        self._set(terms)
 
     def eval(self, ctx):
         total = self.terms[0].eval(ctx)
@@ -273,9 +267,6 @@ class Scale(Expr):
 
 class Min(Expr):
     __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        self._set(left, right)
 
     def eval(self, ctx):
         return np.minimum(self.left.eval(ctx), self.right.eval(ctx))
@@ -342,9 +333,6 @@ class ActiveBefore(Expr):
 
     __slots__ = _fields = ("rule", "inner")
     __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def __init__(self, rule: StoppingRule, inner: Expr):
-        self._set(rule, inner)
 
     def _gate(self, ctx: EvalContext):
         if ctx.level is None or ctx.tree is None:

@@ -387,12 +387,8 @@ class StoppingRule:
     @cached_property
     def _deterministic_level(self) -> int | None:
         """Level of an all-or-nothing rule, or None when flags are partial."""
-        for i, f in enumerate(map(_cells, self._flags)):
-            if f.all():
-                return i
-            if f.any():
-                return None
-        return self.tree.steps
+        level = self.first_stop_level
+        return level if _cells(self._flags[level]).all() else None
 
     @cached_property
     def first_stop_level(self) -> int:

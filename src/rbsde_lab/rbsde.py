@@ -105,16 +105,6 @@ class RbsdeSolution(Record):
 
     __slots__ = _fields = ("y", "z", "k_increments", "k", "diagnostics")
 
-    def __init__(
-        self,
-        y: AdaptedProcess,
-        z: AdaptedProcess,
-        k_increments: AdaptedProcess,
-        k: AdaptedProcess | None,
-        diagnostics: ReflectionDiagnostics,
-    ):
-        self._set(y, z, k_increments, k, diagnostics)
-
 
 def _accumulate_increments(
     tree: ScenarioTree, increments: list[np.ndarray]

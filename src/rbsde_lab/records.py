@@ -2,8 +2,9 @@
 
 Records that only hold results are ``typing.NamedTuple``s.  Records that
 check their fields when built, keep cached properties, or compare by
-identity are plain classes over :class:`Record`, each with a written
-``__init__``.  Both kinds answer ``_fields``, ``_replace`` and ``_asdict``,
+identity are plain classes over :class:`Record`, which builds any of them
+from ``_fields`` alone; a type writes its own ``__init__`` only to check
+its fields.  Both kinds answer ``_fields``, ``_replace`` and ``_asdict``,
 which is all the package reads of a record generically.  A ``_replace``
 copy of a :class:`Record` goes through its class's ``__init__``, so it
 passes the same checks as any other construction.
@@ -15,14 +16,27 @@ from __future__ import annotations
 class Record:
     """Fields named by ``_fields``, set once by ``__init__`` through :meth:`_set`.
 
-    Assigning or deleting an attribute raises ``AttributeError``, the repr
-    lists the fields by name, and equality is identity (see
-    :class:`ValueRecord`).  A subclass declares ``__slots__`` as its own
-    fields, or none at all when a ``cached_property`` needs an instance dict.
+    ``__init__`` takes the fields by position, then by name, and like a
+    NamedTuple raises ``TypeError`` for an extra, unknown, repeated or
+    missing one; a subclass that checks its fields writes its own, ending
+    in ``self._set(...)``.  Assigning or deleting an attribute raises
+    ``AttributeError``, the repr lists the fields by name, and equality is
+    identity (see :class:`ValueRecord`).  A subclass declares ``__slots__``
+    as its own fields, or none at all when a ``cached_property`` needs an
+    instance dict.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values, **named) -> None:
+        rest = self._fields[len(values):]
+        if len(values) > len(self._fields) or named.keys() != set(rest):
+            raise TypeError(
+                f"{type(self).__qualname__}() takes the fields {self._fields}; got "
+                f"{len(values)} by position and {sorted(named)} by name"
+            )
+        self._set(*values, *(named[name] for name in rest))
 
     def _set(self, *values) -> None:
         for name, value in zip(self._fields, values, strict=True):

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from functools import reduce
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,11 +66,6 @@ class RbsdeProblem(Record):
 
     __slots__ = _fields = ("generator", "terminal", "obstacle")
 
-    def __init__(
-        self, generator: GeneratorSpec, terminal: TerminalCondition, obstacle: ObstacleSpec
-    ):
-        self._set(generator, terminal, obstacle)
-
     @property
     def tree(self) -> ScenarioTree:
         return self.terminal.tree
@@ -78,18 +74,9 @@ class RbsdeProblem(Record):
 # ---------------------------------------------------------------------------
 # Comparison of values and reflection pushes under ordered data
 
-def _running_max(values: Iterable) -> np.ndarray:
-    """Per member, what Python's ``max`` gives: the first value no later one exceeds."""
-    values = iter(values)
-    worst = np.asarray(next(values))
-    for value in values:
-        worst = np.where(value > worst, value, worst)
-    return worst
-
-
 def _nonnegative(values):
-    """Per member, Python's ``max(value, 0.0)``."""
-    return _per_member(_running_max((values, 0.0)))
+    """Per member, the value or 0 if it is smaller; a NaN stays NaN."""
+    return _per_member(np.maximum(values, 0.0))
 
 
 class OrderingCertificate(NamedTuple):
@@ -149,8 +136,10 @@ def _member(report, k: int):
 
 
 def _max_level_gap(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float | np.ndarray:
-    """Largest ``a - b`` over every node of every level, one entry per member."""
-    return _per_member(_running_max(np.max(x - y, axis=-1) for x, y in zip(a, b)))
+    """Largest ``a - b`` over every node of every level, one entry per member;
+    a NaN at any node reaches it.  Levels may differ in batch axes (level 0
+    of a cumulative push has none), so their maxima are reduced pairwise."""
+    return _per_member(reduce(np.maximum, (np.max(x - y, axis=-1) for x, y in zip(a, b))))
 
 
 def _driver_gap_on_solution(
@@ -163,7 +152,7 @@ def _driver_gap_on_solution(
         low = np.asarray(g_low.evaluate(t, y, z, level=i, tree=tree), dtype=float)
         high = np.asarray(g_high.evaluate(t, y, z, level=i, tree=tree), dtype=float)
         gaps.append(np.max(np.broadcast_to(low - high, y.shape), axis=-1))
-    return _running_max(gaps)
+    return reduce(np.maximum, gaps)
 
 
 def check_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonReport:
@@ -175,7 +164,7 @@ def check_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonReport:
     rule-gated driver raises :class:`ExpressionError`.  Batched problems
     are checked member by member in one pair of solves.
     """
-    return _compare_values(low, high, *_solve_pair(low, high))
+    return _compared(low, high)[0]
 
 
 def _swept_levels(problem: RbsdeProblem) -> list[list[np.ndarray]]:
@@ -187,12 +176,6 @@ def _swept_levels(problem: RbsdeProblem) -> list[list[np.ndarray]]:
     return kept
 
 
-def _solve_pair(low: RbsdeProblem, high: RbsdeProblem) -> tuple[list, list]:
-    if low.tree != high.tree:
-        raise TreeMismatch("comparison needs a common tree")
-    return _swept_levels(low), _swept_levels(high)
-
-
 def _require_shared_obstacle(low: RbsdeProblem, high: RbsdeProblem, what: str) -> None:
     """Raise unless both problems live on one tree and share their obstacle values."""
     if low.tree != high.tree:
@@ -201,22 +184,21 @@ def _require_shared_obstacle(low: RbsdeProblem, high: RbsdeProblem, what: str) -
         raise ValueError(f"{what} needs a common obstacle")
 
 
-def _compare_values(
-    low: RbsdeProblem,
-    high: RbsdeProblem,
-    kept_low: list[list[np.ndarray]],
-    kept_high: list[list[np.ndarray]],
-) -> ComparisonReport:
-    """Certify the input orderings and measure the value ordering of two kept sweeps."""
+def _compared(low: RbsdeProblem, high: RbsdeProblem) -> tuple[ComparisonReport, list, list]:
+    """Sweep both problems, certify the input orderings and measure the value
+    ordering; returns the report and the two sweeps' kept levels."""
+    if low.tree != high.tree:
+        raise TreeMismatch("comparison needs a common tree")
+    kept_low, kept_high = _swept_levels(low), _swept_levels(high)
     # The leaf extension is constant along post-stop paths, so ordering at
     # the last level is ordering of the terminal data themselves.
     last = low.tree.steps
     xi_gap = np.max(low.terminal.extended[last] - high.terminal.extended[last], axis=-1)
     s_gap = _max_level_gap(low.obstacle.process.levels(), high.obstacle.process.levels())
-    g_sol_gap = _running_max(
+    g_sol_gaps = [
         _driver_gap_on_solution(low.generator, high.generator, low.tree, y, z)
         for y, z, _ in (kept_low, kept_high)
-    )
+    ]
     sample = SampleSpec(low.tree.grid.horizon, t_count=11, y_count=11, z_count=11)
     g_grid_gap = np.max(
         sample.values(low.generator) - sample.values(high.generator), axis=(-3, -2, -1)
@@ -224,17 +206,18 @@ def _compare_values(
     certificate = OrderingCertificate(
         terminal_gap=_nonnegative(xi_gap),
         obstacle_gap=_nonnegative(s_gap),
-        driver_gap_on_solutions=_nonnegative(g_sol_gap),
+        driver_gap_on_solutions=_nonnegative(np.maximum(*g_sol_gaps)),
         driver_gap_on_grid=_nonnegative(g_grid_gap),
     )
 
-    return ComparisonReport(
+    report = ComparisonReport(
         certificate=certificate,
         max_value_violation=_nonnegative(_max_level_gap(kept_low[0], kept_high[0])),
         max_push_violation=None,
         push_difference_monotone=None,
         vacuous=_per_member(np.logical_not(certificate.established)),
     )
+    return report, kept_low, kept_high
 
 
 def check_k_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonReport:
@@ -246,18 +229,14 @@ def check_k_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonRepor
     path difference is the running sum of increment differences.
     """
     _require_shared_obstacle(low, high, "push comparison")
-    kept_low, kept_high = _solve_pair(low, high)
-    base = _compare_values(low, high, kept_low, kept_high)
+    base, kept_low, kept_high = _compared(low, high)
     k_low, k_high = (_accumulate_increments(low.tree, kept[2]) for kept in (kept_low, kept_high))
     if k_low is None or k_high is None:
         raise UnsupportedTreeMode("cumulative pushes are not representable on this tree")
     increment_drop = _max_level_gap(kept_high[2], kept_low[2])
-    return ComparisonReport(
-        certificate=base.certificate,
-        max_value_violation=base.max_value_violation,
+    return base._replace(
         max_push_violation=_nonnegative(_max_level_gap(k_high, k_low)),
         push_difference_monotone=_per_member(np.asarray(increment_drop) <= COMPARISON_TOL),
-        vacuous=base.vacuous,
     )
 
 
@@ -276,16 +255,6 @@ class StrictWitness(Record):
     """
 
     __slots__ = _fields = ("rule", "probability", "iterates", "k_index", "stop_levels")
-
-    def __init__(
-        self,
-        rule: StoppingRule,
-        probability: float,
-        iterates: np.ndarray,
-        k_index: int,
-        stop_levels: np.ndarray,
-    ):
-        self._set(rule, probability, iterates, k_index, stop_levels)
 
 
 def local_strict_witness(low: RbsdeProblem, high: RbsdeProblem) -> StrictWitness:
@@ -649,7 +618,7 @@ def masked_driver_probe(
 
     y_a = _swept_levels(RbsdeProblem(g_low_cut, terminal_family, obstacle))[0]
     y_b = _swept_levels(RbsdeProblem(g_high_cut, terminal_family, obstacle))[0]
-    worst = max(0.0, float(np.max((_max_level_gap(y_a, y_b), _max_level_gap(y_b, y_a)))))
+    worst = _nonnegative(np.max((_max_level_gap(y_a, y_b), _max_level_gap(y_b, y_a))))
 
     def driver_gap(sample: SampleSpec) -> np.ndarray:
         return np.abs(sample.values(g_low_cut) - sample.values(g_high_cut))

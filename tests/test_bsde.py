@@ -543,3 +543,34 @@ class TestOneBackwardKernel:
                 and node.func.value.id in {"np", "numpy"}
             }
             assert not called & wrappers, (name, called & wrappers)
+
+
+def test_record_types_state_their_fields_once():
+    # records.Record builds a record from its _fields alone, so an __init__
+    # whose only statement is self._set(...) restates them; only the types
+    # that check their fields write one
+    def sets_fields(node):
+        return (
+            isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr == "_set"
+            and isinstance(node.value.func.value, ast.Name)
+            and node.value.func.value.id == "self"
+        )
+
+    setters = _users(sets_fields)
+    doing_more = _users(lambda node: isinstance(node, ast.stmt) and not sets_fields(node))
+    assert setters - doing_more == set()
+    assert setters == {
+        "bsde.TerminalCondition.__init__",
+        "generators.Const.__init__",
+        "generators.GeneratorSpec.__init__",
+        "generators.PiecewiseTime.__init__",
+        "generators.SampleSpec.__init__",
+        "generators.Scale.__init__",
+        "lattice.TimeGrid.__init__",
+        "market.MarketModel.__init__",
+        "rbsde.ObstacleSpec.__init__",
+        "records.Record.__init__",
+    }

@@ -8,6 +8,7 @@ by identity.
 
 import copy
 import pickle
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from rbsde_lab.generators import (
     BrownianVar,
     Const,
     EvalContext,
+    Expr,
     GeneratorSpec,
     Min,
     Neg,
@@ -187,6 +189,33 @@ def test_copies_keep_type_and_fields(kind, build, field, by_value):
     assert type(clone) is kind and repr(clone) == repr(record)
     assert (clone == record) is by_value
     assert type(copy.deepcopy(record)) is kind
+
+
+@pytest.mark.parametrize(
+    "kind, build, field, by_value", RECORDS, ids=[kind.__name__ for kind, *_ in RECORDS]
+)
+def test_building_by_keyword_gives_the_same_record(kind, build, field, by_value):
+    record = build()
+    assert repr(kind(**record._asdict())) == repr(record)
+
+
+@pytest.mark.parametrize(
+    "values, named",
+    [
+        ((YVar(), ZVar(), YVar()), {}),
+        ((YVar(),), {"right": ZVar(), "middle": ZVar()}),
+        ((YVar(),), {"left": ZVar(), "right": ZVar()}),
+        ((YVar(),), {}),
+    ],
+    ids=["extra", "unknown", "repeated", "missing"],
+)
+def test_the_shared_constructor_rejects_what_a_namedtuple_rejects(values, named):
+    pair = NamedTuple("Pair", [("left", Expr), ("right", Expr)])
+    with pytest.raises(TypeError):
+        pair(*values, **named)
+    with pytest.raises(TypeError, match=r"Min\(\) takes the fields \('left', 'right'\)"):
+        Min(*values, **named)
+    assert Min(YVar(), right=ZVar()) == Min(left=YVar(), right=ZVar()) == Min(YVar(), ZVar())
 
 
 def test_copies_with_a_field_changed_run_the_constructor_checks():

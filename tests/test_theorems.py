@@ -832,6 +832,16 @@ class TestBatchedComparison:
         assert report.members() == [report]
         assert type(report.passed) is bool and type(report.push_difference_monotone) is bool
 
+    def test_level_gaps_keep_a_nan_past_the_first_level(self):
+        # a NaN gap at a later level reaches the result instead of dropping out
+        a = [np.zeros(1), np.array([np.nan, 1.0])]
+        b = [np.zeros(1), np.zeros(2)]
+        assert math.isnan(theorems._max_level_gap(a, b))
+        batched = [np.zeros((2, 1)), np.array([[np.nan, 1.0], [0.5, 1.0]])]
+        gap = theorems._max_level_gap(batched, [np.zeros(1), np.zeros(2)])
+        assert math.isnan(gap[0]) and gap[1] == 1.0
+        assert math.isnan(theorems._nonnegative(math.nan))
+
 
 class TestBatchedSolve:
     def test_non_affine_members_keep_their_own_fixed_point_counts(self):
