@@ -138,6 +138,12 @@ class TestLipschitzBound:
         assert lipschitz_bound(Scale(-3.0, Abs(ZVar()))) == 3.0
         assert lipschitz_bound(Min(Scale(2.0, YVar()), Abs(ZVar()))) == 2.0
         assert lipschitz_bound(AtZeroState(YVar())) == 0.0
+        assert lipschitz_bound(Neg(Scale(-1.5, YVar()))) == 1.5
+        assert lipschitz_bound(NegPart(Add((YVar(), ZVar(), Abs(YVar()))))) == 3.0
+        pieces = (Scale(0.5, ZVar()), Add((YVar(), Scale(-2.0, ZVar()))), TimeVar())
+        assert lipschitz_bound(PiecewiseTime(pieces, (0.25, 0.75))) == 3.0
+        assert lipschitz_bound(TimeVar()) == 0.0
+        assert lipschitz_bound(BrownianVar()) == 0.0
 
     def test_a_restricted_driver_keeps_its_inner_bound(self):
         tree = build_tree(TimeGrid(1.0, 4), TreeMode.RECOMBINING)
@@ -218,6 +224,31 @@ class TestPrefixForm:
     def test_rejects_malformed_text(self, bad):
         with pytest.raises(ExpressionError):
             parse_prefix(bad)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("neg", "expected a number, got 'neg'"),
+            ("(neg)", "unexpected ')'"),
+            ("(min y)", "unexpected ')'"),
+            ("b", "variable 'b' is not allowed here"),
+            ("(foo y)", "unknown operator 'foo'"),
+            ("(at00 y z)", "missing ')' after 'at00' form"),
+            ("(min y z w)", "missing ')' after 'min' form"),
+            ("(+ y)", "'+' needs at least two terms"),
+            ("(* y z)", "expected a number, got 'y'"),
+            ("(pw y 0.5)", "unexpected ')'"),
+            ("min", "expected a number, got 'min'"),
+        ],
+    )
+    def test_error_messages_are_pinned(self, text, message):
+        with pytest.raises(ExpressionError) as raised:
+            parse_prefix(text)
+        assert str(raised.value) == message
+
+    def test_a_one_piece_piecewise_and_a_bare_variable_parse(self):
+        assert parse_prefix("(pw y)") == PiecewiseTime((YVar(),), ())
+        assert parse_prefix("t") == TimeVar()
 
     @pytest.mark.parametrize(
         "bad", ["nan", "inf", "-inf", "1e309", "(* inf y)", "(+ y NaN)", "(pw t -1e400 1.0)"]
