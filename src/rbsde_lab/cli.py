@@ -22,7 +22,7 @@ import numpy as np
 
 from .bsde import TerminalCondition
 from .errors import ConfigError, InvalidGrid, LatticeLabError, NumericalBreakdown
-from .generators import EvalContext, GeneratorSpec, parse_prefix
+from .generators import DRIVER_VARIABLES, STATE_VARIABLES, EvalContext, GeneratorSpec, parse_prefix
 from .lattice import AdaptedProcess, ScenarioTree, TimeGrid, TreeMode, build_tree
 from .market import MarketModel, PayoffKind, quote_strike_family, recover_theta
 from .rbsde import ObstacleSpec, solve_rbsde
@@ -88,13 +88,13 @@ class _Expr(NamedTuple):
     variables: frozenset
 
 
-_STATE = _Expr(frozenset({"t", "b"}))
+_STATE = _Expr(STATE_VARIABLES)
 
 # Each block's fields and their types.  A ``kind`` given as a dict picks
 # the rest of the block's fields by the block's kind.
 _BLOCKS = {
     "tree": {"horizon": float, "steps": int, "mode": str},
-    "generator": {"expr": _Expr(frozenset({"t", "y", "z"})), "lipschitz": float},
+    "generator": {"expr": _Expr(DRIVER_VARIABLES), "lipschitz": float},
     "terminal": {"kind": {"constant": {"value": float}, "state": {"expr": _STATE}}},
     "obstacle": {
         "kind": {

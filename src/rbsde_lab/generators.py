@@ -51,9 +51,11 @@ class EvalContext(NamedTuple):
 
 class Expr(ValueRecord):
     """Base expression node: immutable, equal to a node of its type with
-    equal fields, and shown by its fields."""
+    equal fields, and shown by its fields.  ``op`` is its prefix token, which
+    printing, parsing and :func:`lipschitz_bound` read."""
 
     __slots__ = ()
+    op: str | None = None
 
     def eval(self, ctx: EvalContext):
         raise NotImplementedError
@@ -72,7 +74,7 @@ class Expr(ValueRecord):
         return None
 
     def to_prefix(self) -> str:
-        raise NotImplementedError
+        return "(" + " ".join([self.op, *(c.to_prefix() for c in self.children())]) + ")"
 
     def uses(self, kind: type) -> bool:
         if isinstance(self, kind):
@@ -117,51 +119,51 @@ class Const(Expr):
         return _fmt(self.value)
 
 
-class TimeVar(Expr):
+class Variable(Expr):
+    """A variable: its token is both its text and the context field it reads."""
+
     __slots__ = ()
 
     def eval(self, ctx):
-        return ctx.t
+        return getattr(ctx, self.op)
 
     def to_prefix(self):
-        return "t"
+        return self.op
 
 
-class YVar(Expr):
+class TimeVar(Variable):
     __slots__ = ()
+    op = "t"
 
-    def eval(self, ctx):
-        return ctx.y
+
+class YVar(Variable):
+    __slots__ = ()
+    op = "y"
 
     def y_affine(self, ctx):
         return 0.0, 1.0
 
-    def to_prefix(self):
-        return "y"
 
-
-class ZVar(Expr):
+class ZVar(Variable):
     __slots__ = ()
-
-    def eval(self, ctx):
-        return ctx.z
-
-    def to_prefix(self):
-        return "z"
+    op = "z"
 
 
-class BrownianVar(Expr):
+class BrownianVar(Variable):
     """Walk value; legal in obstacle/terminal expressions only."""
 
     __slots__ = ()
+    op = "b"
 
     def eval(self, ctx):
         if ctx.b is None:
             raise ExpressionError("expression uses 'b' outside a state context")
         return ctx.b
 
-    def to_prefix(self):
-        return "b"
+
+# The variables a driver reads, and those obstacle and terminal data read.
+DRIVER_VARIABLES = frozenset({"t", "y", "z"})
+STATE_VARIABLES = frozenset({"t", "b"})
 
 
 class _Unary(Expr):
@@ -175,45 +177,37 @@ class _Unary(Expr):
 
 class Neg(_Unary):
     __slots__ = ()
+    op = "neg"
 
     def eval(self, ctx):
         return -self.inner.eval(ctx)
 
     def y_affine(self, ctx):
         parts = self.inner.y_affine(ctx)
-        if parts is None:
-            return None
-        h, a = parts
-        return -h, -a
-
-    def to_prefix(self):
-        return f"(neg {self.inner.to_prefix()})"
+        return None if parts is None else (-parts[0], -parts[1])
 
 
 class Abs(_Unary):
     __slots__ = ()
+    op = "abs"
 
     def eval(self, ctx):
         return np.abs(self.inner.eval(ctx))
-
-    def to_prefix(self):
-        return f"(abs {self.inner.to_prefix()})"
 
 
 class NegPart(_Unary):
     """Negative part ``max(-x, 0)``."""
 
     __slots__ = ()
+    op = "npart"
 
     def eval(self, ctx):
         return np.maximum(-np.asarray(self.inner.eval(ctx)), 0.0)
 
-    def to_prefix(self):
-        return f"(npart {self.inner.to_prefix()})"
-
 
 class Add(Expr):
     __slots__ = _fields = ("terms",)
+    op = "+"
 
     def eval(self, ctx):
         total = self.terms[0].eval(ctx)
@@ -234,12 +228,10 @@ class Add(Expr):
             a_total = a_total + parts[1]
         return h_total, a_total
 
-    def to_prefix(self):
-        return "(+ " + " ".join(t.to_prefix() for t in self.terms) + ")"
-
 
 class Scale(Expr):
     __slots__ = _fields = ("factor", "inner")
+    op = "*"
 
     def __init__(self, factor: float | np.ndarray, inner: Expr):
         _check_coefficient(factor)
@@ -256,17 +248,15 @@ class Scale(Expr):
 
     def y_affine(self, ctx):
         parts = self.inner.y_affine(ctx)
-        if parts is None:
-            return None
-        h, a = parts
-        return self.factor * h, self.factor * a
+        return None if parts is None else (self.factor * parts[0], self.factor * parts[1])
 
     def to_prefix(self):
-        return f"(* {_fmt(self.factor)} {self.inner.to_prefix()})"
+        return f"({self.op} {_fmt(self.factor)} {self.inner.to_prefix()})"
 
 
 class Min(Expr):
     __slots__ = _fields = ("left", "right")
+    op = "min"
 
     def eval(self, ctx):
         return np.minimum(self.left.eval(ctx), self.right.eval(ctx))
@@ -274,14 +264,12 @@ class Min(Expr):
     def children(self):
         return (self.left, self.right)
 
-    def to_prefix(self):
-        return f"(min {self.left.to_prefix()} {self.right.to_prefix()})"
-
 
 class PiecewiseTime(Expr):
     """Piece ``j`` applies on ``[bounds[j-1], bounds[j])``; last piece is open-ended."""
 
     __slots__ = _fields = ("pieces", "bounds")
+    op = "pw"
 
     def __init__(self, pieces: tuple[Expr, ...], bounds: tuple[float, ...]):
         if len(pieces) != len(bounds) + 1:
@@ -303,23 +291,18 @@ class PiecewiseTime(Expr):
         return self._select(ctx.t).y_affine(ctx)
 
     def to_prefix(self):
-        parts = [self.pieces[0].to_prefix()]
-        for bound, piece in zip(self.bounds, self.pieces[1:]):
-            parts.append(_fmt(bound))
-            parts.append(piece.to_prefix())
-        return "(pw " + " ".join(parts) + ")"
+        rest = "".join(f" {_fmt(b)} {p.to_prefix()}" for b, p in zip(self.bounds, self.pieces[1:]))
+        return f"({self.op} {self.pieces[0].to_prefix()}{rest})"
 
 
 class AtZeroState(_Unary):
     """Inner expression evaluated at ``y = 0, z = 0`` (time flows through)."""
 
     __slots__ = ()
+    op = "at00"
 
     def eval(self, ctx):
         return self.inner.eval(ctx._replace(y=0.0, z=0.0))
-
-    def to_prefix(self):
-        return f"(at00 {self.inner.to_prefix()})"
 
 
 class ActiveBefore(Expr):
@@ -358,30 +341,30 @@ class ActiveBefore(Expr):
         raise ExpressionError("rule-restricted expressions have no text form")
 
 
+# The grammar's node classes by token; Const and ActiveBefore have none.
+_GRAMMAR = {node.op: node for node in (TimeVar, YVar, ZVar, BrownianVar, Neg, Abs, NegPart,
+                                       AtZeroState, Add, Scale, Min, PiecewiseTime)}
+_NODES = frozenset({Const, ActiveBefore, *_GRAMMAR.values()})
+
+
 def lipschitz_bound(expr: Expr) -> float:
     """Structural upper bound for the Lipschitz constant in ``(y, z)``.
 
-    A column of scale factors counts with its largest ``|c|``.
+    ``y`` and ``z`` count 1, ``at00`` 0, a sum its terms' total and a scale
+    its largest ``|c|`` times its inner's; any other node its children's largest.
     """
-    if isinstance(expr, (Const, TimeVar, BrownianVar)):
-        return 0.0
-    if isinstance(expr, (YVar, ZVar)):
+    if type(expr) not in _NODES:
+        raise ExpressionError(f"unknown expression node {type(expr).__name__}")
+    if expr.op in ("y", "z"):
         return 1.0
-    if isinstance(expr, (Neg, Abs, NegPart)):
-        return lipschitz_bound(expr.inner)
-    if isinstance(expr, Scale):
-        return float(np.max(np.abs(expr.factor))) * lipschitz_bound(expr.inner)
-    if isinstance(expr, Add):
-        return sum(lipschitz_bound(t) for t in expr.terms)
-    if isinstance(expr, Min):
-        return max(lipschitz_bound(expr.left), lipschitz_bound(expr.right))
-    if isinstance(expr, PiecewiseTime):
-        return max(lipschitz_bound(p) for p in expr.pieces)
-    if isinstance(expr, AtZeroState):
+    if expr.op == "at00":
         return 0.0
-    if isinstance(expr, ActiveBefore):
-        return lipschitz_bound(expr.inner)
-    raise ExpressionError(f"unknown expression node {type(expr).__name__}")
+    bounds = [lipschitz_bound(child) for child in expr.children()]
+    if expr.op == "+":
+        return sum(bounds)
+    if expr.op == "*":
+        return float(np.max(np.abs(expr.factor))) * bounds[0]
+    return max(bounds, default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +373,7 @@ def lipschitz_bound(expr: Expr) -> float:
 _TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
-def parse_prefix(text: str, *, variables: frozenset[str] = frozenset({"t", "y", "z"})) -> Expr:
+def parse_prefix(text: str, *, variables: frozenset[str] = DRIVER_VARIABLES) -> Expr:
     """Parse the canonical prefix form; inverse of ``Expr.to_prefix``."""
     tokens = _TOKEN.findall(text)
     if not tokens:
@@ -427,21 +410,14 @@ def parse_prefix(text: str, *, variables: frozenset[str] = frozenset({"t", "y", 
             return node
         if tok == ")":
             raise ExpressionError("unexpected ')'")
-        if tok in variables:
-            return {"t": TimeVar(), "y": YVar(), "z": ZVar(), "b": BrownianVar()}[tok]
-        if tok in {"t", "y", "z", "b"}:
+        node = _GRAMMAR.get(tok)
+        if node is None or not issubclass(node, Variable):
+            return Const(number(tok))
+        if tok not in variables:
             raise ExpressionError(f"variable {tok!r} is not allowed here")
-        return Const(number(tok))
+        return node()
 
     def form(op: str) -> Expr:
-        if op == "neg":
-            return Neg(expr())
-        if op == "abs":
-            return Abs(expr())
-        if op == "npart":
-            return NegPart(expr())
-        if op == "at00":
-            return AtZeroState(expr())
         if op == "+":
             terms = []
             while peek() != ")":
@@ -452,8 +428,6 @@ def parse_prefix(text: str, *, variables: frozenset[str] = frozenset({"t", "y", 
         if op == "*":
             factor = number(take())
             return Scale(factor, expr())
-        if op == "min":
-            return Min(expr(), expr())
         if op == "pw":
             pieces = [expr()]
             bounds = []
@@ -461,7 +435,11 @@ def parse_prefix(text: str, *, variables: frozenset[str] = frozenset({"t", "y", 
                 bounds.append(number(take()))
                 pieces.append(expr())
             return PiecewiseTime(tuple(pieces), tuple(bounds))
-        raise ExpressionError(f"unknown operator {op!r}")
+        node = _GRAMMAR.get(op)
+        if node is None or issubclass(node, Variable):
+            raise ExpressionError(f"unknown operator {op!r}")
+        # a fixed-arity form: one expression per field
+        return node(*[expr() for _ in node._fields])
 
     result = expr()
     if pos != len(tokens):

@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import rbsde_lab.generators
 from rbsde_lab import (
     ExpressionError,
     GeneratorSpec,
@@ -256,6 +260,21 @@ class TestPrefixForm:
     def test_rejects_non_finite_literals(self, bad):
         with pytest.raises(ExpressionError, match="non-finite"):
             parse_prefix(bad)
+
+    def test_only_nodes_that_print_more_than_their_token_write_to_prefix(self):
+        # Expr.to_prefix prints "(op child ...)" from each node's token and
+        # children; a node writes its own only to print numbers (Const,
+        # Scale, PiecewiseTime), as a bare token (the variables' base), or
+        # to refuse (ActiveBefore)
+        module = ast.parse(Path(rbsde_lab.generators.__file__).read_text())
+        writers = {
+            node.name
+            for node in module.body
+            if isinstance(node, ast.ClassDef)
+            and issubclass(getattr(rbsde_lab.generators, node.name), Expr)
+            and any(isinstance(f, ast.FunctionDef) and f.name == "to_prefix" for f in node.body)
+        }
+        assert writers == {"Expr", "Const", "Variable", "Scale", "PiecewiseTime", "ActiveBefore"}
 
     def test_rule_gated_expressions_have_no_text_form(self):
         tree = build_tree(TimeGrid(1.0, 3), TreeMode.FULL_BINARY)
