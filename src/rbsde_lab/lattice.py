@@ -382,7 +382,11 @@ class StoppingRule:
 
     @classmethod
     def at_level(cls, tree: ScenarioTree, level: int) -> StoppingRule:
-        return cls(tree, _level_rule_masks(tree, level, tree.steps + 1))
+        if not 0 <= level <= tree.steps:
+            raise IndexError(f"level {level} outside 0..{tree.steps}")
+        rule = cls(tree, _level_rule_masks(tree, level, tree.steps + 1))
+        vars(rule)["first_stop_level"] = level  # known when built, so never scanned for
+        return rule
 
     @cached_property
     def _deterministic_level(self) -> int | None:
@@ -392,7 +396,10 @@ class StoppingRule:
 
     @cached_property
     def first_stop_level(self) -> int:
-        """Lowest level holding a stopping node; below it no path has stopped."""
+        """Lowest level holding a stopping node; below it no path has stopped.
+
+        A rule built by :meth:`at_level` knows it; one built from flags scans.
+        """
         return next(i for i, f in enumerate(self._flags) if _cells(f).any())
 
     @property

@@ -20,6 +20,7 @@ from rbsde_lab import (
     hitting_rule,
     martingale_coefficient,
 )
+from rbsde_lab import lattice
 from rbsde_lab.lattice import constant_levels
 
 
@@ -288,6 +289,23 @@ class TestStoppingRules:
                 np.testing.assert_array_equal(rule.stopped_by_level[i], np.full(size, i >= level))
                 np.testing.assert_array_equal(rule.stop_node_masks[i], np.full(size, i == level))
             np.testing.assert_array_equal(rule.leaf_stop_levels, level)
+
+    def test_level_rules_know_their_level_without_a_scan(self, monkeypatch):
+        # a rule built at a level scans no level for its first stop; the one
+        # call left is the check that the whole level is flagged
+        cells, calls = lattice._cells, []
+        monkeypatch.setattr(lattice, "_cells", lambda level: calls.append(1) or cells(level))
+        tree = recomb_tree(1000)
+        rule = StoppingRule.terminal(tree)
+        assert rule.first_stop_level == 1000 and rule.is_terminal
+        assert len(rule.stopped_by_level) == len(rule.stop_node_masks) == 1001
+        assert len(calls) == 1
+        assert StoppingRule.root(tree).first_stop_level == 0
+
+    @pytest.mark.parametrize("level", [-1, 7])
+    def test_a_level_rule_off_the_tree_is_refused(self, level):
+        with pytest.raises(IndexError, match="outside 0..6"):
+            StoppingRule.at_level(full_tree(6), level)
 
     @pytest.mark.parametrize("mode", list(TreeMode))
     def test_partial_hitting_rules_keep_their_scans(self, mode):
