@@ -76,7 +76,7 @@ def _popcount(values: np.ndarray) -> np.ndarray:
     return np.bitwise_count(values.astype(np.uint64)).astype(np.int64)
 
 
-class ScenarioTree:
+class ScenarioTree(ValueRecord):
     """Binary scenario tree over a :class:`TimeGrid`.
 
     FULL_BINARY indexes the ``2**i`` nodes of level ``i`` by the path
@@ -89,24 +89,15 @@ class ScenarioTree:
     must guarantee that themselves.
     """
 
+    _fields = ("grid", "mode")  # no __slots__: ``sqrt_dt`` and the level sizes are cached
+
     def __init__(self, grid: TimeGrid, mode: TreeMode):
         if mode is TreeMode.FULL_BINARY and grid.steps > FULL_BINARY_MAX_STEPS:
             raise DepthExceeded(
                 f"full-binary trees support at most {FULL_BINARY_MAX_STEPS} steps, "
                 f"got {grid.steps}"
             )
-        self.grid = grid
-        self.mode = mode
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ScenarioTree)
-            and self.grid == other.grid
-            and self.mode is other.mode
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.grid, self.mode))
+        self._set(grid, mode)
 
     def __repr__(self) -> str:
         return f"ScenarioTree(T={self.grid.horizon}, N={self.grid.steps}, {self.mode.value})"

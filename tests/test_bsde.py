@@ -569,6 +569,7 @@ def test_record_types_state_their_fields_once():
         "generators.PiecewiseTime.__init__",
         "generators.SampleSpec.__init__",
         "generators.Scale.__init__",
+        "lattice.ScenarioTree.__init__",
         "lattice.TimeGrid.__init__",
         "market.MarketModel.__init__",
         "rbsde.ObstacleSpec.__init__",

@@ -46,6 +46,15 @@ class TestBuildTree:
         )
         assert tree.exact_level_probabilities(2) == [0.25, 0.5, 0.25]
 
+    @pytest.mark.parametrize("field", ["grid", "mode"])
+    def test_a_tree_is_immutable(self, field):
+        # the cached sizes and sqrt_dt are only sound if the grid never changes
+        tree = recomb_tree(4)
+        with pytest.raises(AttributeError):
+            setattr(tree, field, {"grid": TimeGrid(1.0, 8), "mode": TreeMode.FULL_BINARY}[field])
+        assert tree == recomb_tree(4) and tree.steps == 4 and tree.sqrt_dt == 0.5
+        assert repr(tree) == "ScenarioTree(T=1.0, N=4, recombining)"
+
     def test_full_binary_depth_guard(self):
         with pytest.raises(DepthExceeded):
             full_tree(30)

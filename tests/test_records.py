@@ -44,7 +44,14 @@ from rbsde_lab.generators import (
     check_assumptions,
     parse_prefix,
 )
-from rbsde_lab.lattice import AdaptedProcess, StoppingRule, TimeGrid, TreeMode, build_tree
+from rbsde_lab.lattice import (
+    AdaptedProcess,
+    ScenarioTree,
+    StoppingRule,
+    TimeGrid,
+    TreeMode,
+    build_tree,
+)
 from rbsde_lab.market import MarketModel, PayoffKind, ThetaRecovery
 from rbsde_lab.rbsde import ObstacleSpec, RbsdeSolution, ReflectionDiagnostics, solve_rbsde
 from rbsde_lab.suites import CheckResult
@@ -113,6 +120,7 @@ RECORDS = [
     ),
     # lattice
     (TimeGrid, lambda: TimeGrid(1.0, 4), "steps", True),
+    (ScenarioTree, lambda: ScenarioTree(TimeGrid(1.0, 4), TreeMode.RECOMBINING), "grid", True),
     # market
     (
         MarketModel,
@@ -162,8 +170,8 @@ RECORDS = [
 
 
 def test_every_record_type_is_listed_once():
-    assert len(RECORDS) == 41
-    assert len({kind for kind, *_ in RECORDS}) == 41
+    assert len(RECORDS) == 42
+    assert len({kind for kind, *_ in RECORDS}) == 42
 
 
 @pytest.mark.parametrize(
