@@ -34,8 +34,22 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_level(level: np.ndarray) -> list[str]:
-    """``_fmt`` of every value of a level, formatted in one pass."""
+    """``_fmt`` of every value of a level; a one-cell (stride-0) level is formatted once."""
+    if level.strides[-1] == 0:
+        return [_fmt(level.item(0))] * level.size
     return [f"{x:.17g}" for x in level.tolist()]
+
+
+def _solution_rows(i: int, t: float, y, z, k, s) -> str:
+    """Level ``i`` of ``solution.csv``, as ``csv.writer`` writes it.
+
+    No field needs quoting: ``_fmt`` writes only digits, signs, '.', 'e',
+    'nan' and 'inf'.  Without ``k`` its column reads 'nan'.
+    """
+    t = _fmt(t)
+    k = repeat("nan") if k is None else _fmt_level(k)
+    cells = zip(range(len(y)), _fmt_level(y), _fmt_level(z), k, _fmt_level(s))
+    return "".join([f"{i},{node},{t},{yv},{zv},{kv},{sv}\r\n" for node, yv, zv, kv, sv in cells])
 
 
 def _require(mapping: dict, key: str, kind, where: str):
@@ -299,21 +313,11 @@ def cmd_solve(config: RunConfig, out_dir: Path) -> None:
     barrier = obstacle.process
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "solution.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["level", "node", "t", "Y", "Z", "K", "S"])
+        handle.write("level,node,t,Y,Z,K,S\r\n")
         for i in range(tree.steps + 1):
-            k = repeat("nan") if solution.k is None else _fmt_level(solution.k.level(i))
-            writer.writerows(
-                zip(
-                    repeat(i),
-                    range(tree.level_size(i)),
-                    repeat(_fmt(tree.grid.time(i))),
-                    _fmt_level(solution.y.level(i)),
-                    _fmt_level(solution.z.level(i)),
-                    k,
-                    _fmt_level(barrier.level(i)),
-                )
-            )
+            k = None if solution.k is None else solution.k.level(i)
+            y, z, s = solution.y.level(i), solution.z.level(i), barrier.level(i)
+            handle.write(_solution_rows(i, tree.grid.time(i), y, z, k, s))
     (out_dir / "diagnostics.json").write_text(diagnostics)
 
 

@@ -12,6 +12,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -20,6 +21,7 @@ from rbsde_lab import cli
 from rbsde_lab.cli import RunConfig, main
 from rbsde_lab import suites
 from rbsde_lab.generators import lipschitz_bound
+from rbsde_lab.lattice import level_constant
 from rbsde_lab.suites import CheckResult
 from test_generators import exprs
 from test_market import RECOVER_STRIKES, _recovery_targets
@@ -117,6 +119,33 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
         data = (out / "solution.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 3000),
+        st.floats(0.0, 1e3),
+        st.lists(st.tuples(st.floats(), st.floats(), st.floats()), min_size=1, max_size=12),
+        st.one_of(st.none(), st.floats()),
+        st.floats(),
+    )
+    @example(7, 0.5, [(-0.0, 5e-324, 1.7976931348623157e308)], None, -2.2250738585072014e-308)
+    @example(0, 0.0, [(float("nan"), -float("inf"), 1e-310), (0.1, -0.0, 1e22)], 0.0, 1e300)
+    def test_solution_rows_match_csv_writer(self, i, t, values, k_cell, s_cell):
+        # K is either absent ('nan' in every row) or a one-cell level, as
+        # cumulative pushes are; S is a one-cell level, as constant obstacles are
+        y, z, k = (np.array(column, dtype=float) for column in zip(*values))
+        size = len(y)
+        k = None if k_cell is None else level_constant(k_cell, size)
+        s = level_constant(s_cell, size)
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer)
+        for node in range(size):
+            k_text = "nan" if k is None else f"{k[node]:.17g}"
+            cells = (t, y[node], z[node])
+            writer.writerow([i, node, *(f"{x:.17g}" for x in cells), k_text, f"{s[node]:.17g}"])
+        assert cli._solution_rows(i, t, y, z, k, s) == buffer.getvalue()
+        full_k = None if k is None else np.array(k)  # a full level is formatted value by value
+        assert cli._solution_rows(i, t, y, z, full_k, np.array(s)) == buffer.getvalue()
 
     def test_zero_steps_is_a_config_error(self, tmp_path):
         payload = dict(COUNTEREXAMPLE_CONFIG)
