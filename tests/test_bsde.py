@@ -459,8 +459,10 @@ class TestOneBackwardKernel:
         assert {user.split(".")[0] for user in users} == {"market", "__init__"}
 
     def test_batched_checks_do_not_route_through_the_full_solver(self):
-        # the ordering checks keep levels off a root-only sweep; the full
-        # solver, which the benchmark tracer hooks, has a pinned set of callers
+        # every check keeps its levels off a root-only sweep (bsde._swept_levels);
+        # the full solvers, which the benchmark tracer hooks, serve the CLI
+        # solve and the per-strike pricing reference.  theorems and suites only
+        # import solve_rbsde, for the tracer's rebinding test
         assert _name_users({"_reflected_solution"}) == set()
         assert _name_users({"solve_rbsde"}) == {
             "__init__",
@@ -469,13 +471,9 @@ class TestOneBackwardKernel:
             "market",
             "market.price_american_rbsde",
             "suites",
-            "suites._dominating_instance",
-            "suites._oracle_instance",
-            "suites._restriction_instance",
-            "suites.dominating_obstacle_suite",
             "theorems",
-            "theorems.local_strict_witness",
         }
+        assert _name_users({"solve_bsde"}) == {"__init__"}
 
     def test_path_layout_is_decided_in_lattice(self):
         # path-carried data move forward through ScenarioTree.carry; only the
@@ -569,7 +567,9 @@ def test_record_types_state_their_fields_once():
         "generators.PiecewiseTime.__init__",
         "generators.SampleSpec.__init__",
         "generators.Scale.__init__",
+        "lattice.AdaptedProcess.__init__",
         "lattice.ScenarioTree.__init__",
+        "lattice.StoppingRule.__init__",
         "lattice.TimeGrid.__init__",
         "market.MarketModel.__init__",
         "rbsde.ObstacleSpec.__init__",

@@ -55,6 +55,24 @@ class TestBuildTree:
         assert tree == recomb_tree(4) and tree.steps == 4 and tree.sqrt_dt == 0.5
         assert repr(tree) == "ScenarioTree(T=1.0, N=4, recombining)"
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda tree: AdaptedProcess.constant(tree, 1.0), "tree"),
+            (lambda tree: AdaptedProcess.constant(tree, 1.0), "_levels"),
+            (StoppingRule.terminal, "tree"),
+            (StoppingRule.terminal, "_flags"),
+        ],
+        ids=["process-tree", "process-levels", "rule-tree", "rule-flags"],
+    )
+    def test_lattice_data_are_immutable(self, build, field):
+        # a rule or process re-pointed at another tree would read its levels wrong
+        data = build(recomb_tree(4))
+        stored = getattr(data, field)
+        with pytest.raises(AttributeError):
+            setattr(data, field, {"tree": recomb_tree(8), "_levels": (), "_flags": ()}[field])
+        assert getattr(data, field) is stored
+
     def test_full_binary_depth_guard(self):
         with pytest.raises(DepthExceeded):
             full_tree(30)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rbsde_lab import market, rbsde, suites
+from rbsde_lab import bsde, market, rbsde, suites
 from rbsde_lab.bsde import TerminalCondition
 from rbsde_lab.cli import main
 from rbsde_lab.lattice import AdaptedProcess, TimeGrid, TreeMode, build_tree
@@ -300,3 +300,37 @@ class TestReportStability:
         assert main(["price", "--config", str(config), "--out", str(out_a)]) == 0
         assert main(["price", "--config", str(config), "--out", str(out_b)]) == 0
         assert (out_a / "prices.csv").read_bytes() == (out_b / "prices.csv").read_bytes()
+
+
+class TestChecksSweepOnly:
+    """The suites that once built full solutions read every level they need
+    off root-only sweeps, and at their pinned arguments make as many sweeps
+    as they made solves."""
+
+    @pytest.mark.parametrize(
+        "name, sweeps",
+        [
+            ("witness", 22),
+            ("restriction-identity", 20),
+            ("oracle-equivalence", 5),
+            ("dominating-obstacle", 44),
+        ],
+    )
+    def test_suite_makes_its_sweeps_and_no_full_solve(self, name, sweeps, monkeypatch):
+        calls = []
+        real_sweep = bsde._sweep
+
+        def counting_sweep(*args, **kwargs):
+            calls.append(args)
+            return real_sweep(*args, **kwargs)
+
+        def full_sweep(*args, **kwargs):
+            raise AssertionError("a check made a full solve")
+
+        # rbsde holds its own references to both kernels
+        for module in (bsde, rbsde):
+            monkeypatch.setattr(module, "_sweep", counting_sweep)
+            monkeypatch.setattr(module, "_full_sweep", full_sweep)
+        kwargs, _ = PINNED_REPORTS[name]
+        assert all(row.passed for row in suites.SUITES[name](**kwargs))
+        assert len(calls) == sweeps

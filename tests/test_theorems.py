@@ -139,14 +139,14 @@ class TestComparison:
         low, high = counterexample_pair(tree)
         expected = check_comparison(low, high)
         sweeps = []
-        real_value = theorems.reflected_value
+        real_swept = theorems._swept_levels
 
-        def counting_value(*args, **kwargs):
+        def counting_swept(*args, **kwargs):
             sweeps.append(args)
-            return real_value(*args, **kwargs)
+            return real_swept(*args, **kwargs)
 
         # the checks read each problem's levels off one root-only sweep
-        monkeypatch.setattr(theorems, "reflected_value", counting_value)
+        monkeypatch.setattr(theorems, "_swept_levels", counting_swept)
         report = check_k_comparison(low, high)
         assert len(sweeps) == 2
         assert report.certificate == expected.certificate
@@ -569,13 +569,13 @@ class TestMaskedDrivers:
 
     def test_suite_solves_its_family_in_two_batches(self, monkeypatch):
         batches, solo = [], []
-        real_value = theorems.reflected_value
+        real_swept = theorems._swept_levels
 
-        def batched_value(tree, generator, terminal, *args, **kwargs):
+        def batched_swept(generator, terminal, *args, **kwargs):
             batches.append(np.broadcast_shapes(*(v.shape[:-1] for v in terminal.values)))
-            return real_value(tree, generator, terminal, *args, **kwargs)
+            return real_swept(generator, terminal, *args, **kwargs)
 
-        monkeypatch.setattr(theorems, "reflected_value", batched_value)
+        monkeypatch.setattr(theorems, "_swept_levels", batched_swept)
         real_solve = theorems.solve_rbsde
         monkeypatch.setattr(
             theorems, "solve_rbsde", lambda *args: solo.append(args) or real_solve(*args)
