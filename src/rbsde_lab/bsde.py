@@ -341,6 +341,15 @@ def _kept_levels(tree: ScenarioTree) -> tuple[LevelObserver, list[list[np.ndarra
     return observe, kept
 
 
+def _swept_levels(
+    generator: GeneratorSpec, terminal: TerminalCondition, obstacle: LevelData | None = None
+) -> list[list[np.ndarray | None]]:
+    """The y, z and push levels of one root-only sweep; every push is None without an obstacle."""
+    observe, kept = _kept_levels(terminal.tree)
+    _sweep(terminal.tree, generator, terminal.rule, terminal, obstacle, observe)
+    return kept
+
+
 def _diagnostics(
     tree: ScenarioTree,
     generator: GeneratorSpec,

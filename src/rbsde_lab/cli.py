@@ -355,12 +355,11 @@ def cmd_price(config: RunConfig, out_dir: Path) -> None:
     quotes = quote_strike_family(tree, _model(market), market["strikes"])
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "prices.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["strike", "price", "exercise_boundary_t0"])
+        # rows as _solution_rows writes them: no _fmt field needs quoting
+        handle.write("strike,price,exercise_boundary_t0\r\n")
         for quote in quotes:
-            writer.writerow(
-                [_fmt(quote.strike), _fmt(quote.price), _fmt(tree.grid.time(quote.contact_level))]
-            )
+            boundary = tree.grid.time(quote.contact_level)
+            handle.write(f"{_fmt(quote.strike)},{_fmt(quote.price)},{_fmt(boundary)}\r\n")
 
 
 def _observed_prices(path: Path) -> list[tuple[float, float]]:

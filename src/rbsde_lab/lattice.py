@@ -28,7 +28,7 @@ from .errors import (
     TreeMismatch,
     UnsupportedTreeMode,
 )
-from .records import ValueRecord
+from .records import Record, ValueRecord
 
 if TYPE_CHECKING:  # fractions loads where exact probabilities are asked for
     from fractions import Fraction
@@ -277,7 +277,7 @@ def _frozen_levels(
     return stored
 
 
-class AdaptedProcess:
+class AdaptedProcess(Record):
     """One real value per tree node; immutable after construction.
 
     Levels are stored as :func:`_frozen_levels` adopts them, so no caller
@@ -286,11 +286,12 @@ class AdaptedProcess:
     member, and a Python float without a batch.
     """
 
-    __slots__ = ("tree", "_levels")
+    __slots__ = _fields = ("tree", "_levels")
+    __repr__ = object.__repr__  # too many levels to print
 
     def __init__(self, tree: ScenarioTree, levels: Sequence[np.ndarray]):
-        self.tree = tree
-        self._levels = tuple(_frozen_levels(tree, levels, np.float64, "process", batched=True))
+        levels = _frozen_levels(tree, levels, np.float64, "process", batched=True)
+        self._set(tree, tuple(levels))
 
     def level(self, i: int) -> np.ndarray:
         return self._levels[i]
@@ -345,7 +346,7 @@ def backward_expectation(tree: ScenarioTree, leaf_values: np.ndarray) -> Adapted
     return AdaptedProcess(tree, levels)
 
 
-class StoppingRule:
+class StoppingRule(Record):
     """First-hit stopping rule stored as a flag per node.
 
     Along every path the rule stops at the first flagged node; the terminal
@@ -354,11 +355,13 @@ class StoppingRule:
     by construction.
     """
 
+    _fields = ("tree", "_flags")  # no __slots__: the masks are cached per instance
+    __repr__ = object.__repr__
+
     def __init__(self, tree: ScenarioTree, flags: Sequence[np.ndarray]):
         stored = _frozen_levels(tree, flags, np.bool_, "rule")
         stored[tree.steps] = level_constant(True, tree.level_size(tree.steps), bool)
-        self.tree = tree
-        self._flags = tuple(stored)
+        self._set(tree, tuple(stored))
 
     def flags(self, level: int) -> np.ndarray:
         return self._flags[level]

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bsde import TerminalCondition, g_expectation, solve_bsde
+from .bsde import TerminalCondition, _swept_levels, g_expectation
 from .generators import (
     Abs,
     Add,
@@ -51,11 +51,13 @@ from .market import (
 )
 from .rbsde import (
     ObstacleSpec,
+    _accumulate_increments,
     enumerate_stopping_oracle,
     reflected_value,
     snell_oracle,
-    solve_rbsde,
 )
+# unused: perfbench's test_install_rebinds_every_copy_and_uninstall_restores_all (ROADMAP item 1)
+from .rbsde import solve_rbsde
 from .theorems import (
     COMPARISON_TOL,
     EXACT_TOL,
@@ -499,9 +501,8 @@ def _restriction_instance(seed: int, index: int) -> tuple[float, float]:
     # plain backward data: values on the rule's stopping nodes
     raw = [rng.uniform(-1.0, 1.0, size=tree.level_size(i)) for i in range(tree.steps + 1)]
     xi_rule = TerminalCondition.at_rule(tree, rule, raw)
-    direct = solve_bsde(tree, generator, xi_rule)
-    gated = solve_bsde(tree, restrict_generator(generator, rule), xi_rule.as_full_horizon())
-    direct_y, gated_y = direct.y.levels(), gated.y.levels()
+    direct_y = _swept_levels(generator, xi_rule)[0]
+    gated_y = _swept_levels(restrict_generator(generator, rule), xi_rule.as_full_horizon())[0]
     bsde_gap = max(_max_level_gap(direct_y, gated_y), _max_level_gap(gated_y, direct_y))
 
     # reflected variant with the obstacle frozen at the rule
@@ -511,12 +512,11 @@ def _restriction_instance(seed: int, index: int) -> tuple[float, float]:
         for i in range(tree.steps + 1)
     ]
     xi_refl = TerminalCondition.at_rule(tree, rule, above)
-    direct_r = solve_rbsde(tree, generator, xi_refl, obstacle)
-    frozen = ObstacleSpec(freeze_after(obstacle.process, rule))
-    gated_r = solve_rbsde(
-        tree, restrict_generator(generator, rule), xi_refl.as_full_horizon(), frozen
-    )
-    direct_y, gated_y = direct_r.y.levels(), gated_r.y.levels()
+    direct_y = _swept_levels(generator, xi_refl, obstacle.process)[0]
+    frozen = freeze_after(obstacle.process, rule)
+    gated_y = _swept_levels(
+        restrict_generator(generator, rule), xi_refl.as_full_horizon(), frozen
+    )[0]
     rbsde_gap = max(_max_level_gap(direct_y, gated_y), _max_level_gap(gated_y, direct_y))
     return bsde_gap, rbsde_gap
 
@@ -550,13 +550,13 @@ def _oracle_instance(seed: int, index: int) -> float:
     )
     xi = _terminal_above(rng, obstacle.process.level(tree.steps))
     terminal = TerminalCondition.from_leaf_values(tree, xi)
-    reflected = solve_rbsde(tree, GeneratorSpec.constant(0.0), terminal, obstacle)
+    reflected = reflected_value(tree, GeneratorSpec.constant(0.0), terminal, obstacle)
     snell = snell_oracle(tree, terminal, obstacle)
     enumerated = enumerate_stopping_oracle(tree, terminal, obstacle)
     return max(
-        abs(reflected.y.root() - snell.root()),
+        abs(reflected - snell.root()),
         abs(snell.root() - enumerated),
-        abs(reflected.y.root() - enumerated),
+        abs(reflected - enumerated),
     )
 
 
@@ -571,6 +571,15 @@ def oracle_suite(seed: int = 19, instances: int = 25) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # Obstacles that keep the reflection off
 
+def _largest_push(
+    generator: GeneratorSpec, terminal: TerminalCondition, obstacle: ObstacleSpec
+) -> float:
+    """Largest cumulative push of the reflected sweep on a full-binary tree,
+    summed from the kept increments as ``solve_rbsde`` sums its ``k``."""
+    pushes = _swept_levels(generator, terminal, obstacle.process)[2]
+    return max(float(np.max(k)) for k in _accumulate_increments(terminal.tree, pushes))
+
+
 def _dominating_instance(seed: int, index: int, lipschitz: float) -> float:
     rng = _rng(seed, index)
     tree = build_tree(TimeGrid(1.0, 8), TreeMode.FULL_BINARY)
@@ -578,11 +587,7 @@ def _dominating_instance(seed: int, index: int, lipschitz: float) -> float:
     xi = TerminalCondition.from_leaf_values(
         tree, rng.uniform(-1.0, 1.0, size=tree.level_size(tree.steps))
     )
-    obstacle = build_dominating_obstacle(tree, xi, lipschitz)
-    solution = solve_rbsde(tree, generator, xi, obstacle)
-    return max(
-        float(np.max(solution.k.level(i))) for i in range(tree.steps + 1)
-    )
+    return _largest_push(generator, xi, build_dominating_obstacle(tree, xi, lipschitz))
 
 
 def _dominating_profile(
@@ -634,12 +639,7 @@ def dominating_obstacle_suite(
     floor = build_floor_obstacle(
         tree8, xi0, StoppingRule.terminal(tree8), g_one, g_two, 1.0
     )
-    push_one = solve_rbsde(tree8, g_one, xi0, floor)
-    push_two = solve_rbsde(tree8, g_two, xi0, floor)
-    floor_push = max(
-        max(float(np.max(push_one.k.level(i))) for i in range(9)),
-        max(float(np.max(push_two.k.level(i))) for i in range(9)),
-    )
+    floor_push = max(_largest_push(g, xi0, floor) for g in (g_one, g_two))
     root = floor.process.root()
     return results + [
         _check(

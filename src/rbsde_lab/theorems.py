@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bsde import TerminalCondition, _kept_levels, _stop_node_values, solve_bsde
+from .bsde import TerminalCondition, _stop_node_values, _swept_levels
 from .errors import (
     NoStrictGap,
     RuleOrderViolated,
@@ -49,7 +49,9 @@ from .lattice import (
     _per_member,
     event_probability,
 )
-from .rbsde import ObstacleSpec, _accumulate_increments, reflected_value, solve_rbsde
+from .rbsde import ObstacleSpec, _accumulate_increments, reflected_value
+# unused: perfbench's test_install_rebinds_every_copy_and_uninstall_restores_all (ROADMAP item 1)
+from .rbsde import solve_rbsde
 from .records import Record
 
 COMPARISON_TOL = 1e-10  # solution orderings: values, pushes, conditional values, drivers
@@ -167,15 +169,6 @@ def check_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonReport:
     return _compared(low, high)[0]
 
 
-def _swept_levels(problem: RbsdeProblem) -> list[list[np.ndarray]]:
-    """The y, z and push levels of the problem's root-only reflected sweep."""
-    observe, kept = _kept_levels(problem.tree)
-    reflected_value(
-        problem.tree, problem.generator, problem.terminal, problem.obstacle, observe=observe
-    )
-    return kept
-
-
 def _require_shared_obstacle(low: RbsdeProblem, high: RbsdeProblem, what: str) -> None:
     """Raise unless both problems live on one tree and share their obstacle values."""
     if low.tree != high.tree:
@@ -189,7 +182,9 @@ def _compared(low: RbsdeProblem, high: RbsdeProblem) -> tuple[ComparisonReport, 
     ordering; returns the report and the two sweeps' kept levels."""
     if low.tree != high.tree:
         raise TreeMismatch("comparison needs a common tree")
-    kept_low, kept_high = _swept_levels(low), _swept_levels(high)
+    kept_low, kept_high = (
+        _swept_levels(p.generator, p.terminal, p.obstacle.process) for p in (low, high)
+    )
     # The leaf extension is constant along post-stop paths, so ordering at
     # the last level is ordering of the terminal data themselves.
     last = low.tree.steps
@@ -282,9 +277,10 @@ def local_strict_witness(low: RbsdeProblem, high: RbsdeProblem) -> StrictWitness
     if not bool(np.any(xi_high - xi_low > EQUALITY_TOL)):
         raise NoStrictGap("terminal values agree everywhere; no strict gap to separate")
 
-    sol_low = solve_rbsde(tree, low.generator, low.terminal, low.obstacle)
-    sol_high = solve_rbsde(tree, high.generator, high.terminal, high.obstacle)
-    strict = [sol_high.y.level(i) - sol_low.y.level(i) > EQUALITY_TOL for i in range(n + 1)]
+    y_low, y_high = (
+        _swept_levels(p.generator, p.terminal, p.obstacle.process)[0] for p in (low, high)
+    )
+    strict = [above - below > EQUALITY_TOL for above, below in zip(y_high, y_low)]
     # next_equal[leaf, j]: first level >= j where the solutions agree on the
     # leaf's path, n when none; int8 holds every level (n <= 25 on full-binary trees)
     next_equal = np.empty((1 << n, n + 1), dtype=np.int8)
@@ -449,8 +445,10 @@ def build_dominating_obstacle(
     any such driver against it leaves the push identically zero, which is
     what reduces reflected comparisons to plain ones.
     """
-    aux = solve_bsde(tree, dominating_driver(lipschitz), terminal)
-    return ObstacleSpec(aux.y)
+    if terminal.tree != tree:
+        raise TreeMismatch("terminal condition and obstacle must share the tree")
+    aux = _swept_levels(dominating_driver(lipschitz), terminal)[0]
+    return ObstacleSpec(AdaptedProcess(tree, aux))
 
 
 def floor_driver(
@@ -485,8 +483,10 @@ def build_floor_obstacle(
         terminal.rule.precedes(rule) and rule.precedes(terminal.rule)
     ):
         raise RuleOrderViolated("terminal data must be measurable at the freezing rule")
-    aux = solve_bsde(tree, floor_driver(g_first, g_second, lipschitz), terminal)
-    return ObstacleSpec(aux.y)
+    if terminal.tree != tree:
+        raise TreeMismatch("terminal condition and obstacle must share the tree")
+    aux = _swept_levels(floor_driver(g_first, g_second, lipschitz), terminal)[0]
+    return ObstacleSpec(AdaptedProcess(tree, aux))
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +616,9 @@ def masked_driver_probe(
     g_high_cut = masked_driver(slope_high_cut, cut_high)
     obstacle = ObstacleSpec(AdaptedProcess.constant(tree, cut_high), bound=cut_high)
 
-    y_a = _swept_levels(RbsdeProblem(g_low_cut, terminal_family, obstacle))[0]
-    y_b = _swept_levels(RbsdeProblem(g_high_cut, terminal_family, obstacle))[0]
+    y_a, y_b = (
+        _swept_levels(g, terminal_family, obstacle.process)[0] for g in (g_low_cut, g_high_cut)
+    )
     worst = _nonnegative(np.max((_max_level_gap(y_a, y_b), _max_level_gap(y_b, y_a))))
 
     def driver_gap(sample: SampleSpec) -> np.ndarray:

@@ -518,6 +518,17 @@ class TestFloorObstacle:
         for i in range(6):
             np.testing.assert_array_equal(floor.process.level(i), 0.6)
 
+    def test_builders_refuse_terminal_data_on_another_tree(self):
+        # same steps and layout, another horizon: the level sizes alone cannot tell
+        tree, other = full_tree(4), full_tree(4, horizon=2.0)
+        xi = TerminalCondition.constant(other, 0.5)
+        zero = GeneratorSpec.constant(0.0)
+        message = "^terminal condition and obstacle must share the tree$"
+        with pytest.raises(TreeMismatch, match=message):
+            build_dominating_obstacle(tree, xi, 1.0)
+        with pytest.raises(TreeMismatch, match=message):
+            build_floor_obstacle(tree, xi, xi.rule, zero, zero, 1.0)
+
 
 class TestIncomparableDrivers:
     def test_drivers_cross_but_roots_stay_ordered(self):
