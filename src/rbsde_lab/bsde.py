@@ -13,9 +13,9 @@ plain solve runs it without an obstacle, and the reflected solver of
 :mod:`rbsde_lab.rbsde` runs it with one, so a reflected equation whose
 obstacle never binds is the plain equation by construction.  The loop does
 the step, the clamp and the safety checks and nothing else.  What a caller
-reads besides the root it reads from an observer that sees each level pass;
-the full solvers install two, one keeping every level and one replaying the
-step identity and the Skorokhod condition for their diagnostics.
+reads besides the root it reads from an observer that sees each level pass.
+A check keeps every level (``_swept_levels``); the full solvers also replay
+the step identity and the Skorokhod condition for their diagnostics.
 """
 
 from __future__ import annotations

@@ -55,9 +55,8 @@ from .rbsde import (
     enumerate_stopping_oracle,
     reflected_value,
     snell_oracle,
+    solve_rbsde,  # ROADMAP item 1: test_install_rebinds_every_copy_and_uninstall_restores_all
 )
-# unused: perfbench's test_install_rebinds_every_copy_and_uninstall_restores_all (ROADMAP item 1)
-from .rbsde import solve_rbsde
 from .theorems import (
     COMPARISON_TOL,
     EXACT_TOL,
@@ -468,8 +467,7 @@ def _witness_instance(seed: int, index: int) -> float:
     xi_high = _bumped(rng, xi_low)
     low = RbsdeProblem(generator, TerminalCondition.from_leaf_values(tree, xi_low), obstacle)
     high = RbsdeProblem(generator, TerminalCondition.from_leaf_values(tree, xi_high), obstacle)
-    witness = local_strict_witness(low, high)
-    return witness.probability
+    return local_strict_witness(low, high).probability
 
 
 def witness_suite(seed: int = 13, instances: int = 50) -> list[CheckResult]:
@@ -501,8 +499,9 @@ def _restriction_instance(seed: int, index: int) -> tuple[float, float]:
     # plain backward data: values on the rule's stopping nodes
     raw = [rng.uniform(-1.0, 1.0, size=tree.level_size(i)) for i in range(tree.steps + 1)]
     xi_rule = TerminalCondition.at_rule(tree, rule, raw)
+    gated = restrict_generator(generator, rule)
     direct_y = _swept_levels(generator, xi_rule)[0]
-    gated_y = _swept_levels(restrict_generator(generator, rule), xi_rule.as_full_horizon())[0]
+    gated_y = _swept_levels(gated, xi_rule.as_full_horizon())[0]
     bsde_gap = max(_max_level_gap(direct_y, gated_y), _max_level_gap(gated_y, direct_y))
 
     # reflected variant with the obstacle frozen at the rule
@@ -514,9 +513,7 @@ def _restriction_instance(seed: int, index: int) -> tuple[float, float]:
     xi_refl = TerminalCondition.at_rule(tree, rule, above)
     direct_y = _swept_levels(generator, xi_refl, obstacle.process)[0]
     frozen = freeze_after(obstacle.process, rule)
-    gated_y = _swept_levels(
-        restrict_generator(generator, rule), xi_refl.as_full_horizon(), frozen
-    )[0]
+    gated_y = _swept_levels(gated, xi_refl.as_full_horizon(), frozen)[0]
     rbsde_gap = max(_max_level_gap(direct_y, gated_y), _max_level_gap(gated_y, direct_y))
     return bsde_gap, rbsde_gap
 
@@ -543,21 +540,14 @@ def _oracle_instance(seed: int, index: int) -> float:
     rng = _rng(seed, index)
     tree = build_tree(TimeGrid(1.0, 3), TreeMode.FULL_BINARY)
     base = float(rng.uniform(-1.0, 0.5))
-    obstacle = ObstacleSpec(
-        AdaptedProcess.from_state_function(
-            tree, lambda t, b: base + 0.5 * np.abs(b) - t
-        )
-    )
+    lift = AdaptedProcess.from_state_function(tree, lambda t, b: base + 0.5 * np.abs(b) - t)
+    obstacle = ObstacleSpec(lift)
     xi = _terminal_above(rng, obstacle.process.level(tree.steps))
     terminal = TerminalCondition.from_leaf_values(tree, xi)
     reflected = reflected_value(tree, GeneratorSpec.constant(0.0), terminal, obstacle)
-    snell = snell_oracle(tree, terminal, obstacle)
+    snell = snell_oracle(tree, terminal, obstacle).root()
     enumerated = enumerate_stopping_oracle(tree, terminal, obstacle)
-    return max(
-        abs(reflected - snell.root()),
-        abs(snell.root() - enumerated),
-        abs(reflected - enumerated),
-    )
+    return max(abs(reflected - snell), abs(snell - enumerated), abs(reflected - enumerated))
 
 
 def oracle_suite(seed: int = 19, instances: int = 25) -> list[CheckResult]:
@@ -636,9 +626,7 @@ def dominating_obstacle_suite(
     xi0 = TerminalCondition.constant(tree8, 0.0)
     g_one = GeneratorSpec.constant(1.0)
     g_two = GeneratorSpec.constant(2.0)
-    floor = build_floor_obstacle(
-        tree8, xi0, StoppingRule.terminal(tree8), g_one, g_two, 1.0
-    )
+    floor = build_floor_obstacle(tree8, xi0, StoppingRule.terminal(tree8), g_one, g_two, 1.0)
     floor_push = max(_largest_push(g, xi0, floor) for g in (g_one, g_two))
     root = floor.process.root()
     return results + [

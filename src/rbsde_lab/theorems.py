@@ -49,9 +49,8 @@ from .lattice import (
     _per_member,
     event_probability,
 )
-from .rbsde import ObstacleSpec, _accumulate_increments, reflected_value
-# unused: perfbench's test_install_rebinds_every_copy_and_uninstall_restores_all (ROADMAP item 1)
-from .rbsde import solve_rbsde
+# solve_rbsde: ROADMAP item 1, test_install_rebinds_every_copy_and_uninstall_restores_all
+from .rbsde import ObstacleSpec, _accumulate_increments, reflected_value, solve_rbsde
 from .records import Record
 
 COMPARISON_TOL = 1e-10  # solution orderings: values, pushes, conditional values, drivers
