@@ -324,13 +324,23 @@ class TestChecksSweepOnly:
             calls.append(args)
             return real_sweep(*args, **kwargs)
 
-        def full_sweep(*args, **kwargs):
-            raise AssertionError("a check made a full solve")
-
         # rbsde holds its own references to both kernels
         for module in (bsde, rbsde):
             monkeypatch.setattr(module, "_sweep", counting_sweep)
-            monkeypatch.setattr(module, "_full_sweep", full_sweep)
+        _refuse_full_solves(monkeypatch)
         kwargs, _ = PINNED_REPORTS[name]
         assert all(row.passed for row in suites.SUITES[name](**kwargs))
         assert len(calls) == sweeps
+
+    def test_no_suite_makes_a_full_solve(self, monkeypatch):
+        _refuse_full_solves(monkeypatch)
+        for name, (kwargs, _) in PINNED_REPORTS.items():
+            assert all(row.passed for row in suites.SUITES[name](**kwargs)), name
+
+
+def _refuse_full_solves(monkeypatch):
+    def full_sweep(*args, **kwargs):
+        raise AssertionError("a check made a full solve")
+
+    for module in (bsde, rbsde):
+        monkeypatch.setattr(module, "_full_sweep", full_sweep)
