@@ -399,14 +399,13 @@ def closed_form_example(case: ClosedFormCase) -> ClosedFormSolution:
     return _CLOSED_FORMS[case]
 
 
-def _closed_form_data(tree: ScenarioTree, driver, terminal) -> RbsdeProblem:
+def _closed_form_data(tree: ScenarioTree, driver, terminal_value) -> RbsdeProblem:
     """Constant driver and terminal value (numbers or columns) over the obstacle ``1 - 2t``."""
     if not math.isclose(tree.grid.horizon, 1.0):
         raise ValueError("counterexample data lives on the unit horizon")
     obstacle = ObstacleSpec(AdaptedProcess.from_time_function(tree, lambda t: 1.0 - 2.0 * t))
-    return RbsdeProblem(
-        GeneratorSpec(Const(driver), 0.0), TerminalCondition.constant(tree, terminal), obstacle
-    )
+    terminal = TerminalCondition.constant(tree, terminal_value)
+    return RbsdeProblem(GeneratorSpec(Const(driver), 0.0), terminal, obstacle)
 
 
 def counterexample_problem(tree: ScenarioTree, case: ClosedFormCase) -> RbsdeProblem:

@@ -575,3 +575,43 @@ def test_record_types_state_their_fields_once():
         "rbsde.ObstacleSpec.__init__",
         "records.Record.__init__",
     }
+
+
+def _tree_and_data_parameters() -> set[str]:
+    """Module-level ``src/`` functions taking ``tree`` beside data that carry one."""
+    carriers = {"terminal", "obstacle", "terminal_family", "rule", "solution"}
+    found = set()
+    for path in sorted(Path(rbsde_lab.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if "tree" in names and names & carriers:
+                    found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_solvers_read_the_tree_off_their_data():
+    # terminal data, obstacles, rules and solutions each carry their tree, so
+    # a function taking one of them reads the tree there; only functions that
+    # build from a tree take it
+    assert _tree_and_data_parameters() == {
+        "bsde._sweep",
+        "bsde._diagnostics",
+        "bsde._full_sweep",
+        "bsde.solve_bsde",
+        "bsde.g_expectation",
+        "bsde.conditional_g_expectation",
+        "rbsde.solve_rbsde",
+        "rbsde.reflected_roots",
+        "rbsde.reflected_value",
+        "rbsde.reflected_conditional",
+        "rbsde.snell_oracle",
+        "rbsde.enumerate_stopping_oracle",
+        "suites._dominating_profile",
+        "theorems.build_dominating_obstacle",
+        "theorems.build_floor_obstacle",
+        "theorems.incomparable_driver_probe",
+        "theorems.masked_driver_probe",
+        "theorems.converse_probe",
+    }

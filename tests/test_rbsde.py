@@ -15,6 +15,7 @@ from rbsde_lab import (
     TerminalBelowObstacle,
     TerminalCondition,
     TimeGrid,
+    TreeMismatch,
     TreeMode,
     UnsupportedTreeMode,
     build_tree,
@@ -612,6 +613,33 @@ class TestOracles:
         stopped = TerminalCondition.constant(tree, 1.0, StoppingRule.at_level(tree, 2))
         with pytest.raises(UnsupportedTreeMode, match="plain terminal data"):
             enumerate_stopping_oracle(tree, stopped, low_obstacle(tree))
+
+
+class TestTreeMismatch:
+    """Terminal data, obstacle and terminal rule must live on one tree."""
+
+    def _data_on_two_trees(self):
+        # same steps and mode, another horizon: a different tree
+        tree, other = full_tree(3, horizon=1.0), full_tree(3, horizon=2.0)
+        return tree, TerminalCondition.constant(tree, 0.5), low_obstacle(other)
+
+    def test_solvers_and_oracle_refuse_an_obstacle_on_another_tree(self):
+        tree, terminal, obstacle = self._data_on_two_trees()
+        zero = GeneratorSpec.constant(0.0)
+        calls = (
+            lambda: solve_rbsde(tree, zero, terminal, obstacle),
+            lambda: reflected_value(tree, zero, terminal, obstacle),
+            lambda: snell_oracle(tree, terminal, obstacle),
+        )
+        for call in calls:
+            with pytest.raises(TreeMismatch, match="terminal condition and obstacle must share"):
+                call()
+
+    def test_terminal_rule_must_live_on_the_data_tree(self):
+        tree, other = full_tree(3, horizon=1.0), full_tree(3, horizon=2.0)
+        levels = [np.full(tree.level_size(i), 0.5) for i in range(tree.steps + 1)]
+        with pytest.raises(TreeMismatch, match="terminal rule lives on a different tree"):
+            TerminalCondition(tree, StoppingRule.terminal(other), levels)
 
 
 class TestExerciseRule:
