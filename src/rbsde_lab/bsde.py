@@ -200,10 +200,14 @@ class LevelData(NamedTuple):
     :class:`AdaptedProcess` fits the same shape, so does a
     :class:`TerminalCondition` (its extended values), and so does data
     computed on demand, which is how root-only sweeps avoid storing a lattice.
+    As terminal data of a sweep, level data stop at the last level: their
+    ``rule`` is ``None`` (a class attribute, not a field), where a
+    :class:`TerminalCondition` gives its stopping rule.
     """
 
     tree: ScenarioTree
     level: Callable[[int], np.ndarray]
+    rule = None
 
 
 LevelObserver = Callable[
@@ -228,39 +232,40 @@ class SweepSummary(Record):
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _sweep(
-    tree: ScenarioTree,
     generator: GeneratorSpec,
-    rule: StoppingRule | None,
-    terminal: LevelData,
-    obstacle: LevelData | None,
+    terminal: TerminalCondition | LevelData,
+    obstacle: LevelData | None = None,
     observe: LevelObserver | None = None,
 ) -> SweepSummary:
     """The backward recursion shared by every solve, plain or reflected.
 
     Walks from the last level to the root holding one level at a time, and
-    per level does only the step, the clamp and the safety checks.
-    ``observe``, if given, sees every level once it is final: it is called
-    with ``(i, y, z, dk, mean, step)``, the arrays frozen.  ``dk`` is the
-    push increments (``None`` without an obstacle), ``mean`` the conditional
-    mean of the children and ``step`` the implicit step's value before the
-    clamp and the stop override; both are ``None`` at the last level, and
-    ``step`` also at a level where every node has stopped.  The observer
-    only reads; nothing it does feeds back into the sweep.  With
-    ``obstacle=None`` the step is the plain implicit one: no clamp, no push,
-    no contact.  The batch axes are those of the terminal data and the
+    per level does only the step, the clamp and the safety checks.  The tree
+    and the stopping rule are the terminal data's: a
+    :class:`TerminalCondition` stops at its rule, :class:`LevelData` at the
+    last level.  ``observe``, if given, sees every level once it is final:
+    it is called with ``(i, y, z, dk, mean, step)``, the arrays frozen.
+    ``dk`` is the push increments (``None`` without an obstacle), ``mean``
+    the conditional mean of the children and ``step`` the implicit step's
+    value before the clamp and the stop override; both are ``None`` at the
+    last level, and ``step`` also at a level where every node has stopped.
+    The observer only reads; nothing it does feeds back into the sweep.
+    With ``obstacle=None`` the step is the plain implicit one: no clamp, no
+    push, no contact.  The batch axes are those of the terminal data and the
     driver's coefficient columns, and the obstacle broadcasts against them.
     Batch members only meet in elementwise operations, so each one is
-    bit-identical to a solve of its own data.  ``rule=None`` is the level-N
-    rule; levels below the rule's first stopping level skip all mask work.
-    On stopping nodes ``y`` is the terminal value, so terminal data below
-    the obstacle are caught there, and the error names the first such level
-    met going down.  Each level tests ``(y - S) + z`` (``y + z`` without an
-    obstacle) for finiteness once and checks obstacle, value and coefficient
-    apart only when that fails, so finite data whose sum overflows pass; the
-    largest push of a level must be finite too.  With warnings silenced,
-    non-finite data surface only as :class:`NumericalBreakdown`.
+    bit-identical to a solve of its own data.  Levels below the rule's first
+    stopping level skip all mask work.  On stopping nodes ``y`` is the
+    terminal value, so terminal data below the obstacle are caught there,
+    and the error names the first such level met going down.  Each level
+    tests ``(y - S) + z`` (``y + z`` without an obstacle) for finiteness
+    once and checks obstacle, value and coefficient apart only when that
+    fails, so finite data whose sum overflows pass; the largest push of a
+    level must be finite too.  With warnings silenced, non-finite data
+    surface only as :class:`NumericalBreakdown`.
     """
-    if any(data is not None and data.tree != tree for data in (terminal, rule, obstacle)):
+    tree, rule = terminal.tree, terminal.rule
+    if obstacle is not None and obstacle.tree != tree:
         raise TreeMismatch("terminal condition and obstacle must share the tree")
     if generator.lipschitz * tree.grid.dt >= 1.0:
         raise ContractionViolated(
@@ -346,15 +351,12 @@ def _swept_levels(
 ) -> list[list[np.ndarray | None]]:
     """The y, z and push levels of one root-only sweep; every push is None without an obstacle."""
     observe, kept = _kept_levels(terminal.tree)
-    _sweep(terminal.tree, generator, terminal.rule, terminal, obstacle, observe)
+    _sweep(generator, terminal, obstacle, observe)
     return kept
 
 
 def _diagnostics(
-    tree: ScenarioTree,
-    generator: GeneratorSpec,
-    rule: StoppingRule,
-    obstacle: LevelData | None,
+    generator: GeneratorSpec, rule: StoppingRule, obstacle: LevelData | None
 ) -> tuple[LevelObserver, dict[str, np.ndarray]]:
     """Observer replaying the sweep's identities, and the dict of reductions it fills.
 
@@ -366,6 +368,7 @@ def _diagnostics(
     ``y - S`` over active and stopping nodes, and ``max_increment``, the
     largest push.  Each holds one entry per batch member.
     """
+    tree = rule.tree
     dt = tree.grid.dt
     stopped, stop_nodes = rule.stopped_by_level, rule.stop_node_masks
     first_stop = rule.first_stop_level
@@ -412,24 +415,21 @@ def _diagnostics(
 
 
 def _full_sweep(
-    tree: ScenarioTree,
-    generator: GeneratorSpec,
-    terminal: TerminalCondition,
-    obstacle: LevelData | None,
+    generator: GeneratorSpec, terminal: TerminalCondition, obstacle: LevelData | None
 ) -> tuple[SweepSummary, list[list[np.ndarray]], dict[str, float | np.ndarray]]:
     """The sweep of the full solvers: every level kept and the diagnostics replayed.
 
     Returns the summary, the y, z and push level lists, and the reductions
     of :func:`_diagnostics` per member (Python scalars without a batch).
     """
-    keep, kept = _kept_levels(tree)
-    diagnose, found = _diagnostics(tree, generator, terminal.rule, obstacle)
+    keep, kept = _kept_levels(terminal.tree)
+    diagnose, found = _diagnostics(generator, terminal.rule, obstacle)
 
     def observe(*level):
         keep(*level)
         diagnose(*level)
 
-    summary = _sweep(tree, generator, terminal.rule, terminal, obstacle, observe)
+    summary = _sweep(generator, terminal, obstacle, observe)
     return summary, kept, {name: _per_member(value) for name, value in found.items()}
 
 
@@ -449,9 +449,7 @@ def _stop_node_values(
     return observe, picked
 
 
-def solve_bsde(
-    tree: ScenarioTree, generator: GeneratorSpec, terminal: TerminalCondition
-) -> BsdeSolution:
+def solve_bsde(generator: GeneratorSpec, terminal: TerminalCondition) -> BsdeSolution:
     """Backward recursion from the terminal rule to the root.
 
     This is the shared sweep with no obstacle, keeping every level of y and z.
@@ -459,7 +457,8 @@ def solve_bsde(
     through: the levels keep them in front of the node axis and the
     diagnostics hold one entry per member (Python scalars without a batch).
     """
-    summary, (y_levels, z_levels, _), diagnostics = _full_sweep(tree, generator, terminal, None)
+    summary, (y_levels, z_levels, _), diagnostics = _full_sweep(generator, terminal, None)
+    tree = terminal.tree
     return BsdeSolution(
         y=AdaptedProcess(tree, y_levels),
         z=AdaptedProcess(tree, z_levels),
@@ -469,7 +468,6 @@ def solve_bsde(
 
 
 def g_expectation(
-    tree: ScenarioTree,
     generator: GeneratorSpec,
     terminal: TerminalCondition,
     *,
@@ -480,11 +478,10 @@ def g_expectation(
     A root-only sweep, equal to ``solve_bsde(...).y.root()`` bit for bit;
     ``observe`` sees each level on the way down (see ``_sweep``).
     """
-    return _per_member(_sweep(tree, generator, terminal.rule, terminal, None, observe).root)
+    return _per_member(_sweep(generator, terminal, observe=observe).root)
 
 
 def conditional_g_expectation(
-    tree: ScenarioTree,
     generator: GeneratorSpec,
     terminal: TerminalCondition,
     at: StoppingRule,
@@ -496,5 +493,5 @@ def conditional_g_expectation(
     if not at.precedes(terminal.rule):
         raise RuleOrderViolated("evaluation rule must precede the terminal rule")
     observe, picked = _stop_node_values(at)
-    g_expectation(tree, generator, terminal, observe=observe)
+    g_expectation(generator, terminal, observe=observe)
     return dict(sorted(picked.items()))

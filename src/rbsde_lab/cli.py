@@ -296,7 +296,7 @@ def cmd_solve(config: RunConfig, out_dir: Path) -> None:
     generator = GeneratorSpec(parse_prefix(driver["expr"]), driver["lipschitz"])
     terminal = _terminal(config.block("terminal"), tree)
     obstacle = _obstacle(config.block("obstacle"), tree)
-    solution = solve_rbsde(tree, generator, terminal, obstacle)
+    solution = solve_rbsde(generator, terminal, obstacle)
     diag = solution.diagnostics
     diagnostics = _finite_json(
         {

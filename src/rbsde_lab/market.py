@@ -22,11 +22,11 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bsde import TerminalCondition
+from .bsde import LevelData, SweepSummary, TerminalCondition, _sweep
 from .errors import NoBracket, PositivityViolated, ProbabilityOutOfRange
 from .generators import Add, GeneratorSpec, Scale, YVar, ZVar
 from .lattice import AdaptedProcess, ScenarioTree
-from .rbsde import LevelData, ObstacleSpec, SweepSummary, reflected_roots, solve_rbsde
+from .rbsde import ObstacleSpec, solve_rbsde
 from .records import ValueRecord
 
 
@@ -137,7 +137,7 @@ def price_american_rbsde(tree: ScenarioTree, model: MarketModel) -> float:
         tree, [model.payoff(stock_level(i)) for i in range(tree.steps + 1)]
     )
     terminal = TerminalCondition.from_leaf_values(tree, payoff.level(tree.steps))
-    return solve_rbsde(tree, pricing_driver(model), terminal, ObstacleSpec(payoff)).y.root()
+    return solve_rbsde(pricing_driver(model), terminal, ObstacleSpec(payoff)).y.root()
 
 
 def _riskneutral_dp(tree: ScenarioTree, model: MarketModel, *, early_exercise: bool) -> float:
@@ -221,7 +221,7 @@ def _family_roots(tree: ScenarioTree, model: MarketModel, strikes: Sequence[floa
     stock_level = _stock_levels(tree, model)
     column = np.array([model._replace(strike=float(k)).strike for k in strikes])[:, None]
     payoff = LevelData(tree, lambda i: _payoff(model.kind, column, stock_level(i)))
-    return reflected_roots(tree, pricing_driver(model), payoff, payoff)
+    return _sweep(pricing_driver(model), payoff, payoff)
 
 
 class ThetaRecovery(NamedTuple):

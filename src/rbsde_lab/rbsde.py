@@ -20,15 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bsde import (
-    LevelData,
-    LevelObserver,
-    SweepSummary,
-    TerminalCondition,
-    _full_sweep,
-    _stop_node_values,
-    _sweep,
-)
+from .bsde import LevelObserver, TerminalCondition, _full_sweep, _stop_node_values, _sweep
 from .errors import (
     DepthExceeded,
     RuleOrderViolated,
@@ -120,10 +112,7 @@ def _accumulate_increments(
 
 
 def solve_rbsde(
-    tree: ScenarioTree,
-    generator: GeneratorSpec,
-    terminal: TerminalCondition,
-    obstacle: ObstacleSpec,
+    generator: GeneratorSpec, terminal: TerminalCondition, obstacle: ObstacleSpec
 ) -> RbsdeSolution:
     """Backward reflected recursion from the terminal rule to the root.
 
@@ -135,8 +124,9 @@ def solve_rbsde(
     carried.
     """
     summary, (y_levels, z_levels, dk_levels), found = _full_sweep(
-        tree, generator, terminal, obstacle.process
+        generator, terminal, obstacle.process
     )
+    tree = terminal.tree
     cumulative = _accumulate_increments(tree, dk_levels)
     for fresh in cumulative or []:
         fresh.flags.writeable = False
@@ -154,28 +144,7 @@ def solve_rbsde(
     )
 
 
-def reflected_roots(
-    tree: ScenarioTree,
-    generator: GeneratorSpec,
-    terminal: LevelData,
-    obstacle: LevelData,
-) -> SweepSummary:
-    """Root-only reflected sweep over a batch of data sharing one tree.
-
-    ``terminal`` and ``obstacle`` give each level as an array with the
-    batch axes in front of the node axis; terminal values are read only at
-    the last level.  Only the running level is held, so memory is
-    O(batch * N) on a recombining tree.  Each member's root, first contact
-    level and iteration count equal those of its own :func:`solve_rbsde`
-    bit for bit.  The sweep pays only for the step, the clamp and the safety
-    checks: the residual, Skorokhod, gap and push diagnostics come from a
-    full solve, batched the same way.
-    """
-    return _sweep(tree, generator, None, terminal, obstacle)
-
-
 def reflected_value(
-    tree: ScenarioTree,
     generator: GeneratorSpec,
     terminal: TerminalCondition,
     obstacle: ObstacleSpec,
@@ -188,13 +157,10 @@ def reflected_value(
     one per batch member; ``observe`` sees each level on the way down (see
     ``bsde._sweep``).
     """
-    return _per_member(
-        _sweep(tree, generator, terminal.rule, terminal, obstacle.process, observe).root
-    )
+    return _per_member(_sweep(generator, terminal, obstacle.process, observe).root)
 
 
 def reflected_conditional(
-    tree: ScenarioTree,
     generator: GeneratorSpec,
     terminal: TerminalCondition,
     obstacle: ObstacleSpec,
@@ -204,19 +170,18 @@ def reflected_conditional(
     if not at.precedes(terminal.rule):
         raise RuleOrderViolated("evaluation rule must precede the terminal rule")
     observe, picked = _stop_node_values(at)
-    reflected_value(tree, generator, terminal, obstacle, observe=observe)
+    reflected_value(generator, terminal, obstacle, observe=observe)
     return dict(sorted(picked.items()))
 
 
-def snell_oracle(
-    tree: ScenarioTree, terminal: TerminalCondition, obstacle: ObstacleSpec
-) -> AdaptedProcess:
+def snell_oracle(terminal: TerminalCondition, obstacle: ObstacleSpec) -> AdaptedProcess:
     """Driverless dynamic program: smallest dominating backward recursion.
 
     Coincides with the reflected solver's value exactly when the driver is
     zero, which makes it an independent check of the reflection step.
     """
-    if terminal.tree != tree or obstacle.tree != tree:
+    tree = terminal.tree
+    if obstacle.tree != tree:
         raise TreeMismatch("terminal condition and obstacle must share the tree")
     stopped = terminal.rule.stopped_by_level
     stop_nodes = terminal.rule.stop_node_masks
@@ -240,9 +205,7 @@ def snell_oracle(
 ENUMERATION_MAX_STEPS = 4
 
 
-def enumerate_stopping_oracle(
-    tree: ScenarioTree, terminal: TerminalCondition, obstacle: ObstacleSpec
-) -> float:
+def enumerate_stopping_oracle(terminal: TerminalCondition, obstacle: ObstacleSpec) -> float:
     """Optimal-stopping value by brute force over every first-hit rule.
 
     Ground truth for the reflected value with zero driver: the supremum over
@@ -250,6 +213,9 @@ def enumerate_stopping_oracle(
     obstacle before the horizon and the terminal values at it.  Flag
     patterns over interior nodes enumerate every adapted rule.
     """
+    tree = terminal.tree
+    if obstacle.tree != tree:
+        raise TreeMismatch("terminal condition and obstacle must share the tree")
     if tree.mode is not TreeMode.FULL_BINARY:
         raise UnsupportedTreeMode("rule enumeration needs a full-binary tree")
     if tree.steps > ENUMERATION_MAX_STEPS:

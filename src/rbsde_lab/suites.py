@@ -235,9 +235,7 @@ def _unit_tree(steps: int) -> ScenarioTree:
 def _traced(problem: RbsdeProblem) -> tuple[_RootTrace, float | np.ndarray]:
     """Root-only sweep of closed-form data: the trace and the root value(s)."""
     trace = _RootTrace(problem.tree.steps)
-    root = reflected_value(
-        problem.tree, problem.generator, problem.terminal, problem.obstacle, observe=trace
-    )
+    root = reflected_value(problem.generator, problem.terminal, problem.obstacle, observe=trace)
     return trace, root
 
 
@@ -544,9 +542,9 @@ def _oracle_instance(seed: int, index: int) -> float:
     obstacle = ObstacleSpec(lift)
     xi = _terminal_above(rng, obstacle.process.level(tree.steps))
     terminal = TerminalCondition.from_leaf_values(tree, xi)
-    reflected = reflected_value(tree, GeneratorSpec.constant(0.0), terminal, obstacle)
-    snell = snell_oracle(tree, terminal, obstacle).root()
-    enumerated = enumerate_stopping_oracle(tree, terminal, obstacle)
+    reflected = reflected_value(GeneratorSpec.constant(0.0), terminal, obstacle)
+    snell = snell_oracle(terminal, obstacle).root()
+    enumerated = enumerate_stopping_oracle(terminal, obstacle)
     return max(abs(reflected - snell), abs(snell - enumerated), abs(reflected - enumerated))
 
 
@@ -577,20 +575,18 @@ def _dominating_instance(seed: int, index: int, lipschitz: float) -> float:
     xi = TerminalCondition.from_leaf_values(
         tree, rng.uniform(-1.0, 1.0, size=tree.level_size(tree.steps))
     )
-    return _largest_push(generator, xi, build_dominating_obstacle(tree, xi, lipschitz))
+    return _largest_push(generator, xi, build_dominating_obstacle(xi, lipschitz))
 
 
-def _dominating_profile(
-    tree: ScenarioTree, terminal: TerminalCondition, decay: float
-) -> np.ndarray:
+def _dominating_profile(terminal: TerminalCondition, decay: float) -> np.ndarray:
     """Root node of every level of ``build_dominating_obstacle``'s process,
     read from a root-only sweep of the same plain equation."""
-    profile = np.empty(tree.steps + 1)
+    profile = np.empty(terminal.tree.steps + 1)
 
     def observe(i, y, *_):
         profile[i] = y[0]
 
-    g_expectation(tree, dominating_driver(decay), terminal, observe=observe)
+    g_expectation(dominating_driver(decay), terminal, observe=observe)
     return profile
 
 
@@ -599,7 +595,7 @@ def _exponential_profile_check(steps: int) -> CheckResult:
     tree = build_tree(TimeGrid(1.0, steps), TreeMode.RECOMBINING)
     level = 1.0
     decay = 1.0
-    profile = _dominating_profile(tree, TerminalCondition.constant(tree, level), decay)
+    profile = _dominating_profile(TerminalCondition.constant(tree, level), decay)
     expected = level * np.exp(-decay * (1.0 - tree.grid.times()))
     det_err = float(np.max(np.abs(profile - expected)))
     name = "dominating-obstacle/exponential-profile"
@@ -626,7 +622,7 @@ def dominating_obstacle_suite(
     xi0 = TerminalCondition.constant(tree8, 0.0)
     g_one = GeneratorSpec.constant(1.0)
     g_two = GeneratorSpec.constant(2.0)
-    floor = build_floor_obstacle(tree8, xi0, StoppingRule.terminal(tree8), g_one, g_two, 1.0)
+    floor = build_floor_obstacle(xi0, g_one, g_two, 1.0)
     floor_push = max(_largest_push(g, xi0, floor) for g in (g_one, g_two))
     root = floor.process.root()
     return results + [
@@ -646,7 +642,7 @@ def masked_driver_suite(seed: int = 29, instances: int = 20) -> list[CheckResult
     cut_high = 1.0
     leaves = _rng(seed, 0).uniform(0.0, 2.0, size=(instances, tree.level_size(tree.steps)))
     family = TerminalCondition.from_leaf_values(tree, cut_high + leaves)  # a row per instance
-    report = masked_driver_probe(tree, 2.0, 0.0, 1.0, cut_high, family)
+    report = masked_driver_probe(2.0, 0.0, 1.0, cut_high, family)
     return [
         _check(
             "masked-drivers/values-agree-everywhere", report.max_value_gap, EXACT_TOL,
@@ -666,7 +662,7 @@ def incomparable_driver_suite(steps: int = 400, seed: int = 31) -> list[CheckRes
     tree = build_tree(TimeGrid(1.0, steps), TreeMode.RECOMBINING)
     terminal = TerminalCondition.constant(tree, 0.0)
     obstacle = ObstacleSpec(AdaptedProcess.constant(tree, -10.0))
-    report = incomparable_driver_probe(tree, terminal, obstacle)
+    report = incomparable_driver_probe(terminal, obstacle)
     integral = 3.0 / 8.0
     near = max(abs(report.root_low - integral), abs(report.root_high - integral))
     deterministic = _check(
@@ -686,9 +682,7 @@ def incomparable_driver_suite(steps: int = 400, seed: int = 31) -> list[CheckRes
             else ObstacleSpec(AdaptedProcess.constant(tree8, -10.0))
         )
         xi = _terminal_above(rng, obstacle8.process.level(tree8.steps))
-        rep = incomparable_driver_probe(
-            tree8, TerminalCondition.from_leaf_values(tree8, xi), obstacle8
-        )
+        rep = incomparable_driver_probe(TerminalCondition.from_leaf_values(tree8, xi), obstacle8)
         ordering = ordering and rep.ordering_holds
         worst = max(worst, rep.root_low - rep.root_high)
     return [
@@ -730,7 +724,7 @@ def converse_suite(seed: int = 37) -> list[CheckResult]:
     }
     results = []
     for label, (g_upper, g_lower, obs) in pairs.items():
-        report = converse_probe(tree, g_upper, g_lower, obs)
+        report = converse_probe(g_upper, g_lower, obs)
         expected_a = label in {"identical", "y-free-ordered", "masked-equal"}
         details = {
             "value_ordering": report.value_ordering_holds,

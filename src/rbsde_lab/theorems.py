@@ -21,7 +21,6 @@ import numpy as np
 from .bsde import TerminalCondition, _stop_node_values, _swept_levels
 from .errors import (
     NoStrictGap,
-    RuleOrderViolated,
     TreeMismatch,
     UnsupportedTreeMode,
     WitnessConstructionFailed,
@@ -433,9 +432,7 @@ def dominating_driver(lipschitz: float) -> GeneratorSpec:
     return GeneratorSpec(expr, lipschitz)
 
 
-def build_dominating_obstacle(
-    tree: ScenarioTree, terminal: TerminalCondition, lipschitz: float
-) -> ObstacleSpec:
+def build_dominating_obstacle(terminal: TerminalCondition, lipschitz: float) -> ObstacleSpec:
     """Obstacle dominated by every plain solution with an L-bounded driver
     that vanishes at zero coefficient, for the same terminal data.
 
@@ -443,10 +440,8 @@ def build_dominating_obstacle(
     any such driver against it leaves the push identically zero, which is
     what reduces reflected comparisons to plain ones.
     """
-    if terminal.tree != tree:
-        raise TreeMismatch("terminal condition and obstacle must share the tree")
     aux = _swept_levels(dominating_driver(lipschitz), terminal)[0]
-    return ObstacleSpec(AdaptedProcess(tree, aux))
+    return ObstacleSpec(AdaptedProcess(terminal.tree, aux))
 
 
 def floor_driver(
@@ -464,27 +459,16 @@ def floor_driver(
 
 
 def build_floor_obstacle(
-    tree: ScenarioTree,
-    terminal: TerminalCondition,
-    rule: StoppingRule,
-    g_first: GeneratorSpec,
-    g_second: GeneratorSpec,
-    lipschitz: float,
+    terminal: TerminalCondition, g_first: GeneratorSpec, g_second: GeneratorSpec, lipschitz: float
 ) -> ObstacleSpec:
-    """Floor obstacle for two integrable drivers up to a stopping rule.
+    """Floor obstacle for two integrable drivers up to the terminal data's rule.
 
-    Equal to the terminal data beyond the rule (frozen along each path) and
-    to the plain solution with the floor driver before it; both plain
-    solutions dominate it, so reflecting against it adds no push.
+    Equal to the terminal data beyond ``terminal.rule`` (frozen along each
+    path) and to the plain solution with the floor driver before it; both
+    plain solutions dominate it, so reflecting against it adds no push.
     """
-    if terminal.rule is not rule and not (
-        terminal.rule.precedes(rule) and rule.precedes(terminal.rule)
-    ):
-        raise RuleOrderViolated("terminal data must be measurable at the freezing rule")
-    if terminal.tree != tree:
-        raise TreeMismatch("terminal condition and obstacle must share the tree")
     aux = _swept_levels(floor_driver(g_first, g_second, lipschitz), terminal)[0]
-    return ObstacleSpec(AdaptedProcess(tree, aux))
+    return ObstacleSpec(AdaptedProcess(terminal.tree, aux))
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +511,7 @@ def plateau_ramp_driver(horizon: float) -> GeneratorSpec:
 
 
 def incomparable_driver_probe(
-    tree: ScenarioTree,
-    terminal: TerminalCondition,
-    obstacle: ObstacleSpec,
+    terminal: TerminalCondition, obstacle: ObstacleSpec
 ) -> IncomparableDriverReport:
     """Reflected values stay ordered for the ramp/plateau driver pair even
     though neither driver dominates the other pointwise.
@@ -538,12 +520,13 @@ def incomparable_driver_probe(
     Riemann sum orders the lattice values, so the root ordering holds with a
     strict margin of order dt.
     """
-    g_low = ramp_plateau_driver(tree.grid.horizon)
-    g_high = plateau_ramp_driver(tree.grid.horizon)
-    root_low = reflected_value(tree, g_low, terminal, obstacle)
-    root_high = reflected_value(tree, g_high, terminal, obstacle)
+    horizon = terminal.tree.grid.horizon
+    g_low = ramp_plateau_driver(horizon)
+    g_high = plateau_ramp_driver(horizon)
+    root_low = reflected_value(g_low, terminal, obstacle)
+    root_high = reflected_value(g_high, terminal, obstacle)
 
-    origin = SampleSpec(tree.grid.horizon, 41, 0.0, 0.0, 1, 0.0, 0.0, 1)  # 41 times at y = z = 0
+    origin = SampleSpec(horizon, 41, 0.0, 0.0, 1, 0.0, 0.0, 1)  # 41 times at y = z = 0
     lows, highs = origin.values(g_low).ravel().tolist(), origin.values(g_high).ravel().tolist()
     sites_low: list[DriverOrderingSite] = []
     sites_high: list[DriverOrderingSite] = []
@@ -592,7 +575,6 @@ class MaskedDriverReport(NamedTuple):
 
 
 def masked_driver_probe(
-    tree: ScenarioTree,
     slope_low_cut: float,
     cut_low: float,
     slope_high_cut: float,
@@ -612,6 +594,7 @@ def masked_driver_probe(
         raise ValueError("slopes must be positive and strictly ordered")
     g_low_cut = masked_driver(slope_low_cut, cut_low)
     g_high_cut = masked_driver(slope_high_cut, cut_high)
+    tree = terminal_family.tree
     obstacle = ObstacleSpec(AdaptedProcess.constant(tree, cut_high), bound=cut_high)
 
     y_a, y_b = (
@@ -662,10 +645,7 @@ class ConverseProbeReport(NamedTuple):
 
 
 def converse_probe(
-    tree: ScenarioTree,
-    g_upper: GeneratorSpec,
-    g_lower: GeneratorSpec,
-    obstacle: ObstacleSpec,
+    g_upper: GeneratorSpec, g_lower: GeneratorSpec, obstacle: ObstacleSpec
 ) -> ConverseProbeReport:
     """Check that ordered conditional reflected values imply ordered drivers.
 
@@ -679,7 +659,7 @@ def converse_probe(
     """
     if obstacle.bound is None:
         raise ValueError("default probe family needs an obstacle bound")
-    bound = obstacle.bound
+    tree, bound = obstacle.tree, obstacle.bound
     mid = StoppingRule(
         tree, [np.abs(tree.brownian_level(i)) >= 1.0 for i in range(tree.steps + 1)]
     )
@@ -703,7 +683,7 @@ def converse_probe(
         gathered = []
         for generator in (g_upper, g_lower):
             observe, picked = _stop_node_values(*taus)
-            reflected_value(tree, generator, terminal, obstacle, observe=observe)
+            reflected_value(generator, terminal, obstacle, observe=observe)
             gathered.append(picked)
         upper, lower = gathered
         for key, hi in upper.items():

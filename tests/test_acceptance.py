@@ -140,7 +140,7 @@ def test_contact_levels_match_closed_forms_within_one_step():
     for case in ClosedFormCase:
         tree = build_tree(TimeGrid(1.0, 400), TreeMode.RECOMBINING)
         problem = counterexample_problem(tree, case)
-        sol = solve_rbsde(tree, problem.generator, problem.terminal, problem.obstacle)
+        sol = solve_rbsde(problem.generator, problem.terminal, problem.obstacle)
         gaps = np.array(
             [
                 sol.y.level(i)[0] - problem.obstacle.process.level(i)[0]

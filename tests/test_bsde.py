@@ -41,7 +41,7 @@ class TestSolveBsde:
         tree = full_tree(7)
         rng = np.random.default_rng(0)
         leaves = rng.normal(size=128)
-        sol = solve_bsde(tree, zero_driver(), TerminalCondition.from_leaf_values(tree, leaves))
+        sol = solve_bsde(zero_driver(), TerminalCondition.from_leaf_values(tree, leaves))
         martingale = backward_expectation(tree, leaves)
         for i in range(8):
             np.testing.assert_array_equal(sol.y.level(i), martingale.level(i))
@@ -49,9 +49,7 @@ class TestSolveBsde:
     def test_constant_driver_closed_form(self):
         # driver 1/3 with terminal 1/3 integrates to 2/3 - t/3 on every node
         tree = build_tree(TimeGrid(1.0, 50), TreeMode.RECOMBINING)
-        sol = solve_bsde(
-            tree, GeneratorSpec.constant(1 / 3), TerminalCondition.constant(tree, 1 / 3)
-        )
+        sol = solve_bsde(GeneratorSpec.constant(1 / 3), TerminalCondition.constant(tree, 1 / 3))
         for i in range(51):
             t = tree.grid.time(i)
             np.testing.assert_allclose(sol.y.level(i), 2 / 3 - t / 3, atol=1e-13)
@@ -64,7 +62,7 @@ class TestSolveBsde:
         tree = build_tree(TimeGrid(1.0, 1000), TreeMode.RECOMBINING)
         g = GeneratorSpec(Scale(theta, ZVar()), theta)
         xi = TerminalCondition.from_leaf_function(tree, lambda b: b)
-        assert g_expectation(tree, g, xi) == pytest.approx(theta, abs=5e-3)
+        assert g_expectation(g, xi) == pytest.approx(theta, abs=5e-3)
 
     def test_one_step_residual_within_tolerance(self):
         tree = full_tree(8)
@@ -73,7 +71,7 @@ class TestSolveBsde:
             Add((Scale(0.4, Abs(YVar())), Scale(0.5, Abs(ZVar())), Const(0.1))), 0.9
         )
         xi = TerminalCondition.from_leaf_values(tree, rng.uniform(-1, 1, size=256))
-        sol = solve_bsde(tree, g, xi)
+        sol = solve_bsde(g, xi)
         assert sol.residual <= 1e-12
         assert sol.iterations <= 200
 
@@ -81,28 +79,28 @@ class TestSolveBsde:
         tree = full_tree(5)
         rng = np.random.default_rng(6)
         leaves = rng.uniform(-3, 3, size=32)
-        sol = solve_bsde(tree, GeneratorSpec.constant(0.2), TerminalCondition.from_leaf_values(tree, leaves))
+        sol = solve_bsde(GeneratorSpec.constant(0.2), TerminalCondition.from_leaf_values(tree, leaves))
         np.testing.assert_array_equal(sol.y.level(5), leaves)
 
     def test_contraction_guard(self):
         tree = build_tree(TimeGrid(4.0, 2), TreeMode.FULL_BINARY)  # dt = 2
         g = GeneratorSpec(Scale(0.6, YVar()), 0.6)  # L*dt = 1.2
         with pytest.raises(ContractionViolated):
-            solve_bsde(tree, g, TerminalCondition.constant(tree, 1.0))
+            solve_bsde(g, TerminalCondition.constant(tree, 1.0))
 
     def test_underdeclared_constant_hits_iteration_cap(self):
         # declared constant passes the precondition, true slope diverges
         tree = build_tree(TimeGrid(2.0, 2), TreeMode.FULL_BINARY)  # dt = 1
         g = GeneratorSpec(Scale(1.5, Abs(YVar())), 0.1)
         with pytest.raises(NonConvergence):
-            solve_bsde(tree, g, TerminalCondition.constant(tree, 1.0))
+            solve_bsde(g, TerminalCondition.constant(tree, 1.0))
 
     def test_overflowing_driver_is_a_numerical_breakdown(self):
         tree = build_tree(TimeGrid(1.0, 4), TreeMode.RECOMBINING)
         g = GeneratorSpec(parse_prefix("(* 1e308 (* 1e308 (abs z)))"), 0.0)
         xi = TerminalCondition.from_leaf_function(tree, lambda b: b)
         with pytest.raises(NumericalBreakdown, match="non-finite value at level 3"):
-            solve_bsde(tree, g, xi)
+            solve_bsde(g, xi)
 
 
 class TestLevelStorage:
@@ -124,7 +122,7 @@ class TestLevelStorage:
     def test_solution_levels_are_read_only(self):
         tree = full_tree(4)
         xi = TerminalCondition.from_leaf_values(tree, np.linspace(-1.0, 1.0, 16))
-        sol = solve_bsde(tree, GeneratorSpec(Abs(ZVar()), 1.0), xi)
+        sol = solve_bsde(GeneratorSpec(Abs(ZVar()), 1.0), xi)
         for level in sol.y.levels() + sol.z.levels():
             assert not level.flags.writeable
 
@@ -137,11 +135,11 @@ class TestLevelStorage:
             xi = TerminalCondition.at_rule(tree, StoppingRule.terminal(tree), levels)
         else:
             xi = TerminalCondition.from_leaf_values(tree, leaves)
-        assert g_expectation(tree, zero_driver(), xi) == 2.0
+        assert g_expectation(zero_driver(), xi) == 2.0
         leaves[:] = 100.0
         np.testing.assert_array_equal(xi.values[2], [1.0, 2.0, 3.0])
         assert not any(level.flags.writeable for level in xi.values)
-        assert g_expectation(tree, zero_driver(), xi) == 2.0
+        assert g_expectation(zero_driver(), xi) == 2.0
 
 
 
@@ -188,13 +186,13 @@ class TestExtension:
         if mode is TreeMode.FULL_BINARY:
             rule = StoppingRule(tree, [tree.brownian_level(i) >= 0.5 for i in range(4)])
             cases.append(TerminalCondition.at_rule(tree, rule, lambda i, b: b + i))
-        root = g_expectation(tree, GeneratorSpec.constant(0.0), leaves)
+        root = g_expectation(GeneratorSpec.constant(0.0), leaves)
         for xi in cases:
             for level in xi.extended:
                 assert not level.flags.writeable
                 with pytest.raises(ValueError):
                     level[:] = 100.0
-        assert g_expectation(tree, GeneratorSpec.constant(0.0), leaves) == root
+        assert g_expectation(GeneratorSpec.constant(0.0), leaves) == root
 
     def test_recombining_level_varying_stop_values_are_refused(self):
         tree = build_tree(TimeGrid(1.0, 4), TreeMode.RECOMBINING)
@@ -265,17 +263,17 @@ class TestGExpectation:
             Min(Scale(2.0, NegPart(Add((YVar(), Const(-0.5))))), Abs(ZVar())), 2.0
         )
         for c in (-1.0, 0.25, 3.5):
-            assert g_expectation(tree, g, TerminalCondition.constant(tree, c)) == c
+            assert g_expectation(g, TerminalCondition.constant(tree, c)) == c
 
     def test_driverless_walk_has_zero_expectation(self):
         tree = full_tree(9)
         xi = TerminalCondition.from_leaf_function(tree, lambda b: b)
-        assert abs(g_expectation(tree, zero_driver(), xi)) <= 1e-14
+        assert abs(g_expectation(zero_driver(), xi)) <= 1e-14
 
     def test_constant_driver_example(self):
         tree = build_tree(TimeGrid(1.0, 40), TreeMode.RECOMBINING)
         value = g_expectation(
-            tree, GeneratorSpec.constant(1 / 3), TerminalCondition.constant(tree, 1 / 3)
+            GeneratorSpec.constant(1 / 3), TerminalCondition.constant(tree, 1 / 3)
         )
         assert value == pytest.approx(2 / 3, abs=1e-13)
 
@@ -286,9 +284,9 @@ class TestConditional:
         rng = np.random.default_rng(8)
         g = GeneratorSpec(Scale(0.3, ZVar()), 0.3)
         xi = TerminalCondition.from_leaf_values(tree, rng.uniform(0, 1, size=64))
-        values = conditional_g_expectation(tree, g, xi, StoppingRule.root(tree))
+        values = conditional_g_expectation(g, xi, StoppingRule.root(tree))
         assert set(values) == {(0, 0)}
-        assert values[(0, 0)] == g_expectation(tree, g, xi)
+        assert values[(0, 0)] == g_expectation(g, xi)
 
     def test_terminal_rule_returns_terminal_data(self):
         tree = full_tree(5)
@@ -296,7 +294,7 @@ class TestConditional:
         leaves = rng.uniform(-1, 1, size=32)
         xi = TerminalCondition.from_leaf_values(tree, leaves)
         values = conditional_g_expectation(
-            tree, GeneratorSpec.constant(0.1), xi, StoppingRule.terminal(tree)
+            GeneratorSpec.constant(0.1), xi, StoppingRule.terminal(tree)
         )
         for (level, node), value in values.items():
             assert level == 5
@@ -306,9 +304,7 @@ class TestConditional:
         tree = full_tree(4)
         xi = TerminalCondition.constant(tree, 1.0, rule=StoppingRule.root(tree))
         with pytest.raises(RuleOrderViolated):
-            conditional_g_expectation(
-                tree, zero_driver(), xi, StoppingRule.terminal(tree)
-            )
+            conditional_g_expectation(zero_driver(), xi, StoppingRule.terminal(tree))
 
     def test_tower_identity_for_nested_rules(self):
         # evaluating at an early rule and re-solving reproduces the root value
@@ -322,13 +318,13 @@ class TestConditional:
             tree, [np.abs(tree.brownian_level(i)) >= 0.8 for i in range(9)]
         )
         xi = TerminalCondition.from_leaf_values(tree, rng.uniform(-1, 1, size=256))
-        inner = conditional_g_expectation(tree, g, xi, tau)
+        inner = conditional_g_expectation(g, xi, tau)
         inner_levels = [np.zeros(tree.level_size(i)) for i in range(9)]
         for (level, node), value in inner.items():
             inner_levels[level][node] = value
         restarted = TerminalCondition.at_rule(tree, tau, inner_levels)
-        outer = g_expectation(tree, g, restarted)
-        direct = g_expectation(tree, g, xi)
+        outer = g_expectation(g, restarted)
+        direct = g_expectation(g, xi)
         assert abs(outer - direct) <= 1e-12
 
 
@@ -347,8 +343,8 @@ class TestMonotonicity:
             )
             lo = rng.uniform(-1, 1, size=256)
             hi = lo + rng.uniform(0, 1, size=256)
-            sol_low = solve_bsde(tree, g_low, TerminalCondition.from_leaf_values(tree, lo))
-            sol_high = solve_bsde(tree, g_high, TerminalCondition.from_leaf_values(tree, hi))
+            sol_low = solve_bsde(g_low, TerminalCondition.from_leaf_values(tree, lo))
+            sol_high = solve_bsde(g_high, TerminalCondition.from_leaf_values(tree, hi))
             for i in range(9):
                 assert np.all(sol_low.y.level(i) <= sol_high.y.level(i) + 1e-10)
 
@@ -358,8 +354,8 @@ class TestMonotonicity:
         lo = np.zeros(256)
         hi = np.zeros(256)
         hi[100] = 0.5  # one positive-probability leaf
-        root_low = g_expectation(tree, g, TerminalCondition.from_leaf_values(tree, lo))
-        root_high = g_expectation(tree, g, TerminalCondition.from_leaf_values(tree, hi))
+        root_low = g_expectation(g, TerminalCondition.from_leaf_values(tree, lo))
+        root_high = g_expectation(g, TerminalCondition.from_leaf_values(tree, hi))
         assert root_high - root_low > 1e-12
 
 
@@ -382,8 +378,8 @@ class TestRestrictionIdentity:
             )
             data = [rng.uniform(-1, 1, size=tree.level_size(i)) for i in range(11)]
             xi = TerminalCondition.at_rule(tree, rule, data)
-            direct = solve_bsde(tree, g, xi)
-            gated = solve_bsde(tree, restrict_generator(g, rule), xi.as_full_horizon())
+            direct = solve_bsde(g, xi)
+            gated = solve_bsde(restrict_generator(g, rule), xi.as_full_horizon())
             for i in range(11):
                 np.testing.assert_array_equal(direct.y.level(i), gated.y.level(i))
 
@@ -392,17 +388,15 @@ class TestRestrictionIdentity:
         rng = np.random.default_rng(15)
         g = GeneratorSpec(Scale(0.5, YVar()), 0.5)
         xi = TerminalCondition.from_leaf_values(tree, rng.uniform(-1, 1, size=64))
-        plain = solve_bsde(tree, g, xi)
-        gated = solve_bsde(
-            tree, restrict_generator(g, StoppingRule.terminal(tree)), xi
-        )
+        plain = solve_bsde(g, xi)
+        gated = solve_bsde(restrict_generator(g, StoppingRule.terminal(tree)), xi)
         for i in range(7):
             np.testing.assert_array_equal(plain.y.level(i), gated.y.level(i))
 
     def test_root_gating_gives_plain_expectation(self):
         tree = full_tree(6)
         xi = TerminalCondition.constant(tree, 0.4, rule=StoppingRule.root(tree))
-        value = g_expectation(tree, GeneratorSpec.constant(5.0), xi)
+        value = g_expectation(GeneratorSpec.constant(5.0), xi)
         assert value == 0.4
 
 
@@ -595,23 +589,4 @@ def test_solvers_read_the_tree_off_their_data():
     # terminal data, obstacles, rules and solutions each carry their tree, so
     # a function taking one of them reads the tree there; only functions that
     # build from a tree take it
-    assert _tree_and_data_parameters() == {
-        "bsde._sweep",
-        "bsde._diagnostics",
-        "bsde._full_sweep",
-        "bsde.solve_bsde",
-        "bsde.g_expectation",
-        "bsde.conditional_g_expectation",
-        "rbsde.solve_rbsde",
-        "rbsde.reflected_roots",
-        "rbsde.reflected_value",
-        "rbsde.reflected_conditional",
-        "rbsde.snell_oracle",
-        "rbsde.enumerate_stopping_oracle",
-        "suites._dominating_profile",
-        "theorems.build_dominating_obstacle",
-        "theorems.build_floor_obstacle",
-        "theorems.incomparable_driver_probe",
-        "theorems.masked_driver_probe",
-        "theorems.converse_probe",
-    }
+    assert _tree_and_data_parameters() == set()

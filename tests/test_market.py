@@ -39,7 +39,7 @@ def full_solve(tree, model):
     payoff = AdaptedProcess(tree, [model.payoff(stock(i)) for i in range(tree.steps + 1)])
     obstacle = ObstacleSpec(payoff)
     terminal = TerminalCondition.from_leaf_values(tree, payoff.level(tree.steps))
-    solution = solve_rbsde(tree, market.pricing_driver(model), terminal, obstacle)
+    solution = solve_rbsde(market.pricing_driver(model), terminal, obstacle)
     return solution, exercise_rule(solution, obstacle)
 
 
@@ -271,19 +271,19 @@ class TestStrikeFamily:
         # once as the terminal value, once as the obstacle; every other level once
         tree = recomb_tree(40)
         reads = []
-        sweep = market.reflected_roots
+        sweep = market._sweep
 
-        def counting_sweep(tree, generator, terminal, obstacle):
+        def counting_sweep(generator, terminal, obstacle):
             assert terminal is obstacle
 
             def level(i):
                 reads.append(i)
                 return terminal.level(i)
 
-            data = LevelData(tree, level)
-            return sweep(tree, generator, data, data)
+            data = LevelData(terminal.tree, level)
+            return sweep(generator, data, data)
 
-        monkeypatch.setattr(market, "reflected_roots", counting_sweep)
+        monkeypatch.setattr(market, "_sweep", counting_sweep)
         quotes = quote_strike_family(tree, MarketModel(**BASE), [90.0, 110.0])
         assert len(quotes) == 2
         assert reads.count(tree.steps) == 2
@@ -338,14 +338,14 @@ class TestRecovery:
     def test_recovery_prices_each_round_of_premiums_in_one_sweep(self, monkeypatch):
         # the benchmark's recover workload at seed 1
         batches = []
-        sweep = market.reflected_roots
+        sweep = market._sweep
 
         def counting_sweep(*args):
             roots = sweep(*args)
             batches.append(roots.root.shape)
             return roots
 
-        monkeypatch.setattr(market, "reflected_roots", counting_sweep)
+        monkeypatch.setattr(market, "_sweep", counting_sweep)
         tree, targets = _recovery_targets(1)
         observed = list(zip(RECOVER_STRIKES, targets))
         recovery = recover_theta(tree, observed, spot=100.0, volatility=0.2, rate=0.02)

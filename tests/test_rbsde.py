@@ -35,7 +35,7 @@ from rbsde_lab import (
 )
 from rbsde_lab.generators import Abs, Add, Const, Scale, YVar, ZVar, parse_prefix
 from rbsde_lab.market import MarketModel, quote_strike_family
-from rbsde_lab.rbsde import LevelData, reflected_roots
+from rbsde_lab.bsde import LevelData, _sweep
 
 
 def full_tree(steps, horizon=1.0):
@@ -53,9 +53,7 @@ def low_obstacle(tree, level=-10.0):
 def solve_case(case, steps):
     tree = recomb_tree(steps)
     problem = counterexample_problem(tree, case)
-    return tree, problem, solve_rbsde(
-        tree, problem.generator, problem.terminal, problem.obstacle
-    )
+    return tree, problem, solve_rbsde(problem.generator, problem.terminal, problem.obstacle)
 
 
 class TestClosedFormReproduction:
@@ -95,8 +93,8 @@ class TestSolutionStructure:
             Add((Scale(0.4, YVar()), Scale(-0.3, ZVar()), Const(0.1))), 0.7
         )
         xi = TerminalCondition.from_leaf_values(tree, rng.uniform(-1, 1, size=128))
-        plain = solve_bsde(tree, g, xi)
-        reflected = solve_rbsde(tree, g, xi, low_obstacle(tree))
+        plain = solve_bsde(g, xi)
+        reflected = solve_rbsde(g, xi, low_obstacle(tree))
         for i in range(8):
             np.testing.assert_array_equal(plain.y.level(i), reflected.y.level(i))
             np.testing.assert_array_equal(plain.z.level(i), reflected.z.level(i))
@@ -106,7 +104,6 @@ class TestSolutionStructure:
     def test_constant_data_with_low_obstacle(self):
         tree = full_tree(5)
         sol = solve_rbsde(
-            tree,
             GeneratorSpec.constant(0.0),
             TerminalCondition.constant(tree, 0.7),
             low_obstacle(tree),
@@ -130,9 +127,7 @@ class TestSolutionStructure:
         tree = full_tree(6)
         g = masked_driver(2.0, 0.5)
         for c in (0.7, 2.0, -0.25):
-            value = reflected_value(
-                tree, g, TerminalCondition.constant(tree, c), low_obstacle(tree)
-            )
+            value = reflected_value(g, TerminalCondition.constant(tree, c), low_obstacle(tree))
             assert value == c
 
     def test_domination_and_complementarity_hold_exactly(self):
@@ -146,7 +141,7 @@ class TestSolutionStructure:
             tree,
             np.maximum(rng.uniform(-1, 1, size=256), obstacle.process.level(8)),
         )
-        sol = solve_rbsde(tree, g, xi, obstacle)
+        sol = solve_rbsde(g, xi, obstacle)
         assert sol.diagnostics.min_gap >= 0.0
         assert sol.diagnostics.skorokhod_residual == 0.0
         assert sol.diagnostics.residual <= 1e-12
@@ -161,7 +156,7 @@ class TestSolutionStructure:
         xi = TerminalCondition.from_leaf_values(
             tree, np.maximum(rng.uniform(-1, 1, size=64), obstacle.process.level(6))
         )
-        sol = solve_rbsde(tree, GeneratorSpec.constant(0.0), xi, obstacle)
+        sol = solve_rbsde(GeneratorSpec.constant(0.0), xi, obstacle)
         k = sol.k
         for i in range(6):
             inc = sol.k_increments.level(i)
@@ -175,7 +170,6 @@ class TestSolutionStructure:
         obstacle = ObstacleSpec(AdaptedProcess.constant(tree, 1.0))
         with pytest.raises(TerminalBelowObstacle):
             solve_rbsde(
-                tree,
                 GeneratorSpec.constant(0.0),
                 TerminalCondition.constant(tree, 0.5),
                 obstacle,
@@ -191,7 +185,6 @@ class TestSolutionStructure:
         xi = TerminalCondition.at_rule(tree, StoppingRule(tree, flags), levels)
         with pytest.raises(TerminalBelowObstacle, match="at level 2"):
             solve_rbsde(
-                tree,
                 GeneratorSpec.constant(0.0),
                 xi,
                 ObstacleSpec(AdaptedProcess.constant(tree, 1.0)),
@@ -204,7 +197,6 @@ class TestSolutionStructure:
         levels[2][1] = np.nan
         with pytest.raises(NumericalBreakdown, match="level 2"):
             solve_rbsde(
-                tree,
                 GeneratorSpec.constant(0.0),
                 TerminalCondition.constant(tree, 0.0),
                 ObstacleSpec(AdaptedProcess(tree, levels)),
@@ -237,7 +229,6 @@ class TestSolutionStructure:
         )
         with pytest.raises(NumericalBreakdown, match=match):
             solve_rbsde(
-                tree,
                 GeneratorSpec(parse_prefix(generator), 0.0),
                 terminal,
                 ObstacleSpec(AdaptedProcess(tree, levels)),
@@ -248,7 +239,6 @@ class TestSolutionStructure:
         tree = build_tree(TimeGrid(1.0, 1), TreeMode.RECOMBINING)
         obstacle = AdaptedProcess(tree, [np.array([-0.5e308]), np.zeros(2)])
         sol = solve_rbsde(
-            tree,
             GeneratorSpec.constant(0.0),
             TerminalCondition.from_leaf_values(tree, [0.0, 1.6e308]),
             ObstacleSpec(obstacle),
@@ -263,7 +253,6 @@ class TestSolutionStructure:
         tree = build_tree(TimeGrid(10.0, 2), TreeMode.RECOMBINING)
         with pytest.raises(NumericalBreakdown, match="non-finite push increment at level 1"):
             solve_rbsde(
-                tree,
                 GeneratorSpec.constant(-1.7e308),
                 TerminalCondition.constant(tree, 1.0),
                 ObstacleSpec(AdaptedProcess.constant(tree, 0.0)),
@@ -273,7 +262,6 @@ class TestSolutionStructure:
         # y - S = 8e307 + 1.7e308 overflows, but no node is pushed
         tree = recomb_tree(4)
         sol = solve_rbsde(
-            tree,
             GeneratorSpec.constant(0.0),
             TerminalCondition.constant(tree, 8e307),
             ObstacleSpec(AdaptedProcess.constant(tree, -1.7e308)),
@@ -287,7 +275,7 @@ class TestSolutionStorage:
     def test_solution_levels_are_read_only(self, mode):
         tree = build_tree(TimeGrid(1.0, 6), mode)
         problem = counterexample_problem(tree, ClosedFormCase.CONST_DRIVER_LOW_TERMINAL)
-        sol = solve_rbsde(tree, problem.generator, problem.terminal, problem.obstacle)
+        sol = solve_rbsde(problem.generator, problem.terminal, problem.obstacle)
         for process in (sol.y, sol.z, sol.k_increments, sol.k):
             for level in process.levels():
                 assert not level.flags.writeable
@@ -302,7 +290,7 @@ class TestSolutionStorage:
         tracemalloc.start()
         try:
             problem = counterexample_problem(tree, ClosedFormCase.CONST_DRIVER_LOW_TERMINAL)
-            solve_rbsde(tree, problem.generator, problem.terminal, problem.obstacle)
+            solve_rbsde(problem.generator, problem.terminal, problem.obstacle)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -328,7 +316,7 @@ def _partial_rule_full_binary_problem():
     generator = GeneratorSpec(parse_prefix("(+ (min y z) (* -1.5 (abs y)))"), 2.5)
     terminal = TerminalCondition.at_rule(tree, rule, lambda i, b: 1.2 + np.abs(b) - 0.1 * i)
     obstacle = AdaptedProcess.from_state_function(tree, lambda t, b: 0.9 + 0.3 * b - t)
-    return tree, generator, terminal, ObstacleSpec(obstacle)
+    return generator, terminal, ObstacleSpec(obstacle)
 
 
 def _plain_solution_sha256(sol):
@@ -344,7 +332,7 @@ def _affine_recombining_problem():
     tree = recomb_tree(60)
     generator = GeneratorSpec(parse_prefix("(+ 0.1 (* 0.3 y) (* -0.5 z))"), 0.8)
     terminal = TerminalCondition.from_leaf_function(tree, lambda b: 1.0 + np.abs(b))
-    return tree, generator, terminal
+    return generator, terminal
 
 
 def _level_rule_recombining_problem():
@@ -355,7 +343,7 @@ def _level_rule_recombining_problem():
     obstacle = AdaptedProcess.from_state_function(
         tree, lambda t, b: 1.2 - 0.5 * np.abs(b) - 0.3 * t
     )
-    return tree, generator, terminal, ObstacleSpec(obstacle)
+    return generator, terminal, ObstacleSpec(obstacle)
 
 
 class TestPinnedSolutions:
@@ -385,7 +373,7 @@ class TestPinnedSolutions:
         "problem, expected",
         [
             (
-                lambda: _partial_rule_full_binary_problem()[:3],
+                lambda: _partial_rule_full_binary_problem()[:2],
                 "1f7200161b7b4716c545a2e748627d7106ac50bf97e3ddb32ccbb353b8770920",
             ),
             (
@@ -403,8 +391,8 @@ class TestPinnedSolutions:
         problem = _partial_rule_full_binary_problem()
         reflected = solve_rbsde(*problem).y.root()
         assert reflected_value(*problem).hex() == reflected.hex()
-        plain = solve_bsde(*problem[:3]).y.root()
-        assert g_expectation(*problem[:3]).hex() == plain.hex()
+        plain = solve_bsde(*problem[:2]).y.root()
+        assert g_expectation(*problem[:2]).hex() == plain.hex()
         assert plain != reflected
 
 
@@ -438,9 +426,9 @@ class TestLevelObserver:
         assert any(dk.any() for _, _, _, dk, _, _ in seen)
 
     def test_reflected_sweep_hands_over_the_step_before_the_clamp(self):
-        tree, generator, terminal, obstacle = _partial_rule_full_binary_problem()
+        generator, terminal, obstacle = _partial_rule_full_binary_problem()
         seen = []
-        reflected_value(tree, generator, terminal, obstacle, observe=self._recording(seen))
+        reflected_value(generator, terminal, obstacle, observe=self._recording(seen))
         assert seen[0][4:] == (None, None)  # the last level takes no step
         for i, y, _, dk, mean, step in seen[1:]:
             active = ~terminal.rule.stopped_by_level[i]
@@ -453,10 +441,11 @@ class TestLevelObserver:
             np.testing.assert_array_equal(dk[active], (clamped - step)[active])
 
     def test_plain_sweep_has_no_push(self):
-        tree, generator, terminal = _affine_recombining_problem()
-        sol = solve_bsde(tree, generator, terminal)
+        generator, terminal = _affine_recombining_problem()
+        tree = terminal.tree
+        sol = solve_bsde(generator, terminal)
         seen = []
-        root = g_expectation(tree, generator, terminal, observe=self._recording(seen))
+        root = g_expectation(generator, terminal, observe=self._recording(seen))
         assert [i for i, *_ in seen] == list(range(60, -1, -1))
         for i, y, z, dk, _, step in seen:
             assert dk is None
@@ -484,22 +473,20 @@ class TestBatchedSweep:
         levels = range(tree.steps + 1)
         stacked_terminal = [np.stack([tc.extended[i] for tc in terminals]) for i in levels]
         stacked_obstacle = [np.stack([s.level(i) for s in obstacles]) for i in levels]
-        batch = reflected_roots(
-            tree,
+        batch = _sweep(
             generator,
             LevelData(tree, stacked_terminal.__getitem__),
             LevelData(tree, stacked_obstacle.__getitem__),
         )
         # the root-only sweep keeps no diagnostics; a batched full solve has them
         batch_diag = solve_rbsde(
-            tree,
             generator,
             TerminalCondition.from_leaf_values(tree, stacked_terminal[-1]),
             ObstacleSpec(AdaptedProcess(tree, stacked_obstacle)),
         ).diagnostics
         for k, (terminal, process) in enumerate(zip(terminals, obstacles)):
             obstacle = ObstacleSpec(process)
-            sol = solve_rbsde(tree, generator, terminal, obstacle)
+            sol = solve_rbsde(generator, terminal, obstacle)
             diag = sol.diagnostics
             contact = exercise_rule(sol, obstacle)
             assert float(batch.root[k]).hex() == sol.y.root().hex()
@@ -531,27 +518,29 @@ class TestDiagnosticsCost:
         return calls
 
     def test_root_only_sweeps_make_no_driver_evaluation(self, monkeypatch):
-        tree, generator, terminal = _affine_recombining_problem()
+        generator, terminal = _affine_recombining_problem()
+        tree = terminal.tree
         obstacle = low_obstacle(tree, 1.0)
         model = MarketModel(spot=100.0, drift=0.08, volatility=0.2, rate=0.02, strike=100.0)
         calls = self._counting(monkeypatch)
         quote_strike_family(tree, model, [90.0, 100.0, 110.0])
-        reflected_value(tree, generator, terminal, obstacle)
-        g_expectation(tree, generator, terminal)
+        reflected_value(generator, terminal, obstacle)
+        g_expectation(generator, terminal)
         assert calls == []
 
     def test_full_solves_replay_one_evaluation_per_active_level(self, monkeypatch):
-        tree, generator, terminal = _affine_recombining_problem()
+        generator, terminal = _affine_recombining_problem()
+        tree = terminal.tree
         calls = self._counting(monkeypatch)
-        solve_rbsde(tree, generator, terminal, low_obstacle(tree, 1.0))
+        solve_rbsde(generator, terminal, low_obstacle(tree, 1.0))
         assert calls == list(range(tree.steps - 1, -1, -1))
         calls.clear()
-        solve_bsde(tree, generator, terminal)
+        solve_bsde(generator, terminal)
         assert calls == list(range(tree.steps - 1, -1, -1))
         # from level 45 on every node has stopped: no step, so no replay
         stopped = TerminalCondition.at_rule(tree, StoppingRule.at_level(tree, 45), lambda i, b: 1.0)
         calls.clear()
-        solve_rbsde(tree, generator, stopped, low_obstacle(tree, 1.0))
+        solve_rbsde(generator, stopped, low_obstacle(tree, 1.0))
         assert calls == list(range(44, -1, -1))
 
 
@@ -565,8 +554,8 @@ class TestOracles:
         xi = TerminalCondition.from_leaf_values(
             tree, np.maximum(rng.normal(size=256), obstacle.process.level(8))
         )
-        sol = solve_rbsde(tree, GeneratorSpec.constant(0.0), xi, obstacle)
-        snell = snell_oracle(tree, xi, obstacle)
+        sol = solve_rbsde(GeneratorSpec.constant(0.0), xi, obstacle)
+        snell = snell_oracle(xi, obstacle)
         for i in range(9):
             np.testing.assert_array_equal(sol.y.level(i), snell.level(i))
 
@@ -575,7 +564,7 @@ class TestOracles:
         rng = np.random.default_rng(32)
         leaves = rng.normal(size=64)
         xi = TerminalCondition.from_leaf_values(tree, leaves)
-        snell = snell_oracle(tree, xi, low_obstacle(tree))
+        snell = snell_oracle(xi, low_obstacle(tree))
         assert snell.root() == pytest.approx(tree.expectation(leaves, 6), abs=1e-13)
 
     def test_enumeration_includes_trivial_rules(self):
@@ -586,50 +575,49 @@ class TestOracles:
         xi = TerminalCondition.from_leaf_function(
             tree, lambda b: np.maximum(np.maximum(b, 0.0), 0.5 * np.abs(b))
         )
-        best = enumerate_stopping_oracle(tree, xi, obstacle)
+        best = enumerate_stopping_oracle(xi, obstacle)
         assert best >= obstacle.process.root()  # stop-at-root rule
         assert best >= tree.expectation(xi.extended[3], 3) - 1e-13  # never-stop rule
-        snell = snell_oracle(tree, xi, obstacle)
+        snell = snell_oracle(xi, obstacle)
         assert best == pytest.approx(snell.root(), abs=1e-12)
 
     def test_enumeration_depth_guard(self):
         tree = full_tree(5)
         xi = TerminalCondition.constant(tree, 1.0)
         with pytest.raises(DepthExceeded):
-            enumerate_stopping_oracle(tree, xi, low_obstacle(tree))
+            enumerate_stopping_oracle(xi, low_obstacle(tree))
 
     def test_snell_rejects_a_terminal_below_the_obstacle(self):
         tree = full_tree(3)
         obstacle = ObstacleSpec(AdaptedProcess.constant(tree, 1.0))
         with pytest.raises(TerminalBelowObstacle):
-            snell_oracle(tree, TerminalCondition.constant(tree, 0.0), obstacle)
+            snell_oracle(TerminalCondition.constant(tree, 0.0), obstacle)
 
     def test_enumeration_needs_a_full_binary_tree_and_plain_terminal_data(self):
         tree = recomb_tree(3)
         plain = TerminalCondition.constant(tree, 1.0)
         with pytest.raises(UnsupportedTreeMode, match="full-binary"):
-            enumerate_stopping_oracle(tree, plain, low_obstacle(tree))
+            enumerate_stopping_oracle(plain, low_obstacle(tree))
         tree = full_tree(3)
         stopped = TerminalCondition.constant(tree, 1.0, StoppingRule.at_level(tree, 2))
         with pytest.raises(UnsupportedTreeMode, match="plain terminal data"):
-            enumerate_stopping_oracle(tree, stopped, low_obstacle(tree))
+            enumerate_stopping_oracle(stopped, low_obstacle(tree))
 
 
 class TestTreeMismatch:
     """Terminal data, obstacle and terminal rule must live on one tree."""
 
-    def _data_on_two_trees(self):
+    def test_solvers_and_oracles_refuse_an_obstacle_on_another_tree(self):
         # same steps and mode, another horizon: a different tree
         tree, other = full_tree(3, horizon=1.0), full_tree(3, horizon=2.0)
-        return tree, TerminalCondition.constant(tree, 0.5), low_obstacle(other)
-
-    def test_solvers_and_oracle_refuse_an_obstacle_on_another_tree(self):
-        tree, terminal, obstacle = self._data_on_two_trees()
+        terminal = TerminalCondition.constant(tree, 0.5)
+        obstacle = ObstacleSpec(AdaptedProcess.constant(other, 0.2))
         zero = GeneratorSpec.constant(0.0)
         calls = (
-            lambda: solve_rbsde(tree, zero, terminal, obstacle),
-            lambda: reflected_value(tree, zero, terminal, obstacle),
-            lambda: snell_oracle(tree, terminal, obstacle),
+            lambda: solve_rbsde(zero, terminal, obstacle),
+            lambda: reflected_value(zero, terminal, obstacle),
+            lambda: snell_oracle(terminal, obstacle),
+            lambda: enumerate_stopping_oracle(terminal, obstacle),
         )
         for call in calls:
             with pytest.raises(TreeMismatch, match="terminal condition and obstacle must share"):
@@ -653,7 +641,7 @@ class TestExerciseRule:
         rng = np.random.default_rng(41)
         obstacle = low_obstacle(tree)
         xi = TerminalCondition.from_leaf_values(tree, rng.uniform(0, 1, size=64))
-        sol = solve_rbsde(tree, GeneratorSpec.constant(0.0), xi, obstacle)
+        sol = solve_rbsde(GeneratorSpec.constant(0.0), xi, obstacle)
         rule = exercise_rule(sol, obstacle)
         assert np.all(rule.leaf_stop_levels == 6)
 
@@ -666,9 +654,9 @@ class TestConditionalAndRestriction:
         leaves = rng.uniform(-0.5, 0.5, size=64)
         xi = TerminalCondition.from_leaf_values(tree, leaves)
         g = GeneratorSpec(Scale(0.4, ZVar()), 0.4)
-        at_root = reflected_conditional(tree, g, xi, obstacle, StoppingRule.root(tree))
-        assert at_root[(0, 0)] == reflected_value(tree, g, xi, obstacle)
-        at_end = reflected_conditional(tree, g, xi, obstacle, StoppingRule.terminal(tree))
+        at_root = reflected_conditional(g, xi, obstacle, StoppingRule.root(tree))
+        assert at_root[(0, 0)] == reflected_value(g, xi, obstacle)
+        at_end = reflected_conditional(g, xi, obstacle, StoppingRule.terminal(tree))
         for (level, node), value in at_end.items():
             assert value == leaves[node]
 
@@ -685,8 +673,8 @@ class TestConditionalAndRestriction:
 
         def conditional(terminal):
             if reflected:
-                return reflected_conditional(tree, g, terminal, obstacle, at)
-            return conditional_g_expectation(tree, g, terminal, at)
+                return reflected_conditional(g, terminal, obstacle, at)
+            return conditional_g_expectation(g, terminal, at)
 
         batched = conditional(TerminalCondition.from_leaf_values(tree, leaves))
         solo = [conditional(TerminalCondition.from_leaf_values(tree, row)) for row in leaves]
@@ -717,11 +705,9 @@ class TestConditionalAndRestriction:
                 for i in range(11)
             ]
             xi = TerminalCondition.at_rule(tree, rule, data)
-            direct = solve_rbsde(tree, g, xi, obstacle)
+            direct = solve_rbsde(g, xi, obstacle)
             frozen = ObstacleSpec(freeze_after(obstacle.process, rule))
-            gated = solve_rbsde(
-                tree, restrict_generator(g, rule), xi.as_full_horizon(), frozen
-            )
+            gated = solve_rbsde(restrict_generator(g, rule), xi.as_full_horizon(), frozen)
             for i in range(11):
                 np.testing.assert_array_equal(direct.y.level(i), gated.y.level(i))
                 np.testing.assert_array_equal(

@@ -273,7 +273,7 @@ def test_record_reprs_are_pinned():
 
 
 def test_solver_records_repr_their_fields():
-    sol = solve_rbsde(TREE, DRIVER, TERMINAL, OBSTACLE)
+    sol = solve_rbsde(DRIVER, TERMINAL, OBSTACLE)
     assert repr(sol.diagnostics).startswith("ReflectionDiagnostics(skorokhod_residual=")
     assert repr(sol).startswith("RbsdeSolution(y=<rbsde_lab.lattice.AdaptedProcess object")
     assert repr(TimeGrid(1.0, 4)) == "TimeGrid(horizon=1.0, steps=4)"

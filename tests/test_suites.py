@@ -63,7 +63,7 @@ class TestRunSuite:
         monkeypatch.setattr(suites, "solve_rbsde", None)
         results = suites.counterexample_suite(steps=40)
         assert len(calls) == 1
-        tree, generator, terminal, obstacle = calls[0]
+        generator, terminal, obstacle = calls[0]
         assert generator.expr.value.ravel().tolist() == [1 / 3, 1 / 3, 0.0, 0.0]
         assert terminal.level(40).shape == (4, 41)
         assert obstacle.process.level(40).shape == (41,)  # shared, not stacked
@@ -117,9 +117,9 @@ class TestRootOnlyChecks:
     def test_profile_is_the_dominating_obstacle_at_the_root_node(self, leaf):
         tree = build_tree(TimeGrid(1.0, 40), TreeMode.RECOMBINING)
         xi = TerminalCondition.from_leaf_function(tree, leaf)
-        obstacle = build_dominating_obstacle(tree, xi, 1.0)
+        obstacle = build_dominating_obstacle(xi, 1.0)
         expected = np.array([obstacle.process.level(i)[0] for i in range(41)])
-        assert suites._dominating_profile(tree, xi, 1.0).tobytes() == expected.tobytes()
+        assert suites._dominating_profile(xi, 1.0).tobytes() == expected.tobytes()
 
 
 def _put_quote():

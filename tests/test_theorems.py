@@ -119,8 +119,8 @@ class TestComparison:
         assert report.max_push_violation == 0.0
         assert report.push_difference_monotone
 
-        sol_low = solve_rbsde(tree, low.generator, low.terminal, low.obstacle)
-        sol_high = solve_rbsde(tree, high.generator, high.terminal, high.obstacle)
+        sol_low = solve_rbsde(low.generator, low.terminal, low.obstacle)
+        sol_high = solve_rbsde(high.generator, high.terminal, high.obstacle)
         diff = np.array(
             [sol_low.k.level(i)[0] - sol_high.k.level(i)[0] for i in range(201)]
         )
@@ -184,8 +184,8 @@ class TestComparison:
         high = counterexample_problem(tree, ClosedFormCase.ZERO_DRIVER_HIGH_TERMINAL)
         report = check_k_comparison(low, high)
         assert report.passed
-        sol_low = solve_rbsde(tree, low.generator, low.terminal, low.obstacle)
-        sol_high = solve_rbsde(tree, high.generator, high.terminal, high.obstacle)
+        sol_low = solve_rbsde(low.generator, low.terminal, low.obstacle)
+        sol_high = solve_rbsde(high.generator, high.terminal, high.obstacle)
         gap = sol_low.k.level(200)[0] - sol_high.k.level(200)[0]
         assert gap == pytest.approx(2 / 3 - 1 / 2, abs=2e-3)
 
@@ -254,7 +254,7 @@ class TestComparisonOverTheGrammar:
 def per_leaf_witness(low, high):
     """The equality search walked one leaf at a time: the reference for the level arrays."""
     tree, n = low.tree, low.tree.steps
-    y_low, y_high = (solve_rbsde(tree, p.generator, p.terminal, p.obstacle).y for p in (low, high))
+    y_low, y_high = (solve_rbsde(p.generator, p.terminal, p.obstacle).y for p in (low, high))
     strict = [y_high.level(i) - y_low.level(i) > theorems.EQUALITY_TOL for i in range(n + 1)]
     traces = []
     for leaf in range(1 << n):
@@ -431,8 +431,8 @@ class TestStrictComparisonRevives:
         hi[rng.random(256) < 0.3] += 0.4
         low = RbsdeProblem(g, TerminalCondition.from_leaf_values(tree, lo), obstacle)
         high = RbsdeProblem(g, TerminalCondition.from_leaf_values(tree, hi), obstacle)
-        sol_low = solve_rbsde(tree, low.generator, low.terminal, low.obstacle)
-        sol_high = solve_rbsde(tree, high.generator, high.terminal, high.obstacle)
+        sol_low = solve_rbsde(low.generator, low.terminal, low.obstacle)
+        sol_high = solve_rbsde(high.generator, high.terminal, high.obstacle)
         for sol in (sol_low, sol_high):
             assert max(float(np.max(sol.k.level(i))) for i in range(9)) == 0.0
             assert min(float(np.min(sol.y.level(i))) for i in range(9)) >= -0.5
@@ -443,16 +443,14 @@ class TestDominatingObstacle:
     def test_deterministic_profile_decays_exponentially(self):
         tree = recomb_tree(2000)
         xi = TerminalCondition.constant(tree, 1.0)
-        obstacle = build_dominating_obstacle(tree, xi, 1.0)
+        obstacle = build_dominating_obstacle(xi, 1.0)
         times = tree.grid.times()
         profile = np.array([obstacle.process.level(i)[0] for i in range(2001)])
         np.testing.assert_allclose(profile, np.exp(-(1.0 - times)), atol=2e-3)
 
     def test_zero_terminal_gives_zero_obstacle(self):
         tree = full_tree(6)
-        obstacle = build_dominating_obstacle(
-            tree, TerminalCondition.constant(tree, 0.0), 1.2
-        )
+        obstacle = build_dominating_obstacle(TerminalCondition.constant(tree, 0.0), 1.2)
         for i in range(7):
             np.testing.assert_array_equal(obstacle.process.level(i), 0.0)
 
@@ -460,13 +458,13 @@ class TestDominatingObstacle:
         tree = full_tree(8)
         rng = np.random.default_rng(71)
         xi = TerminalCondition.from_leaf_values(tree, rng.uniform(-1, 1, size=256))
-        obstacle = build_dominating_obstacle(tree, xi, 1.5)
+        obstacle = build_dominating_obstacle(xi, 1.5)
         g = GeneratorSpec(
             Add((Scale(0.7, Abs(ZVar())), Scale(-0.8, ZVar()))), 1.5
         )
-        sol = solve_rbsde(tree, g, xi, obstacle)
+        sol = solve_rbsde(g, xi, obstacle)
         assert max(float(np.max(sol.k.level(i))) for i in range(9)) <= 1e-10
-        plain = solve_bsde(tree, g, xi)
+        plain = solve_bsde(g, xi)
         for i in range(9):
             np.testing.assert_array_equal(plain.y.level(i), sol.y.level(i))
 
@@ -490,8 +488,8 @@ class TestFloorObstacle:
         tree = full_tree(6)
         xi = TerminalCondition.constant(tree, 0.8)
         zero = GeneratorSpec.constant(0.0)
-        floor = build_floor_obstacle(tree, xi, StoppingRule.terminal(tree), zero, zero, 1.0)
-        plain = build_dominating_obstacle(tree, xi, 1.0)
+        floor = build_floor_obstacle(xi, zero, zero, 1.0)
+        plain = build_dominating_obstacle(xi, 1.0)
         for i in range(7):
             np.testing.assert_array_equal(floor.process.level(i), plain.process.level(i))
 
@@ -500,12 +498,10 @@ class TestFloorObstacle:
         xi = TerminalCondition.constant(tree, 0.0)
         g_one = GeneratorSpec.constant(1.0)
         g_two = GeneratorSpec.constant(2.0)
-        floor = build_floor_obstacle(
-            tree, xi, StoppingRule.terminal(tree), g_one, g_two, 1.0
-        )
+        floor = build_floor_obstacle(xi, g_one, g_two, 1.0)
         assert floor.process.root() > 0.0
         for g in (g_one, g_two):
-            sol = solve_rbsde(tree, g, xi, floor)
+            sol = solve_rbsde(g, xi, floor)
             assert max(float(np.max(sol.k.level(i))) for i in range(9)) <= 1e-10
 
     def test_root_rule_freezes_the_terminal_value(self):
@@ -513,21 +509,10 @@ class TestFloorObstacle:
         rule = StoppingRule.root(tree)
         xi = TerminalCondition.constant(tree, 0.6, rule=rule)
         floor = build_floor_obstacle(
-            tree, xi, rule, GeneratorSpec.constant(0.0), GeneratorSpec.constant(0.0), 1.0
+            xi, GeneratorSpec.constant(0.0), GeneratorSpec.constant(0.0), 1.0
         )
         for i in range(6):
             np.testing.assert_array_equal(floor.process.level(i), 0.6)
-
-    def test_builders_refuse_terminal_data_on_another_tree(self):
-        # same steps and layout, another horizon: the level sizes alone cannot tell
-        tree, other = full_tree(4), full_tree(4, horizon=2.0)
-        xi = TerminalCondition.constant(other, 0.5)
-        zero = GeneratorSpec.constant(0.0)
-        message = "^terminal condition and obstacle must share the tree$"
-        with pytest.raises(TreeMismatch, match=message):
-            build_dominating_obstacle(tree, xi, 1.0)
-        with pytest.raises(TreeMismatch, match=message):
-            build_floor_obstacle(tree, xi, xi.rule, zero, zero, 1.0)
 
 
 class TestIncomparableDrivers:
@@ -535,7 +520,7 @@ class TestIncomparableDrivers:
         tree = recomb_tree(400)
         terminal = TerminalCondition.constant(tree, 0.0)
         obstacle = ObstacleSpec(AdaptedProcess.constant(tree, -10.0))
-        report = incomparable_driver_probe(tree, terminal, obstacle)
+        report = incomparable_driver_probe(terminal, obstacle)
         assert report.ordering_holds
         assert report.incomparable
         # both root values approach the common driver integral 3/8
@@ -557,7 +542,7 @@ class TestMaskedDrivers:
         tree = full_tree(8)
         rng = np.random.default_rng(81)
         family = TerminalCondition.from_leaf_values(tree, 1.0 + rng.uniform(0, 2, size=(5, 256)))
-        report = masked_driver_probe(tree, 2.0, 0.0, 1.0, 1.0, family)
+        report = masked_driver_probe(2.0, 0.0, 1.0, 1.0, family)
         assert report.values_agree
         assert report.max_value_gap <= 1e-12
         assert report.equal_above_threshold_gap <= 1e-12
@@ -574,9 +559,8 @@ class TestMaskedDrivers:
         assert float(np.asarray(g_high.evaluate(0.0, 1.2, 1.0))) == 0.0
 
     def test_parameter_validation(self):
-        tree = full_tree(4)
         with pytest.raises(ValueError):
-            masked_driver_probe(tree, 1.0, 1.0, 2.0, 0.0, [])
+            masked_driver_probe(1.0, 1.0, 2.0, 0.0, [])
 
     def test_suite_solves_its_family_in_two_batches(self, monkeypatch):
         batches, solo = [], []
@@ -600,7 +584,7 @@ class TestConverseProbe:
         tree = full_tree(6)
         g = GeneratorSpec(Scale(0.5, Abs(ZVar())), 0.5)
         obstacle = ObstacleSpec(AdaptedProcess.constant(tree, -1.0), bound=-1.0)
-        report = converse_probe(tree, g, g, obstacle)
+        report = converse_probe(g, g, obstacle)
         assert report.value_ordering_holds
         assert report.driver_ordering_holds
         assert report.max_driver_gap == 0.0
@@ -611,7 +595,7 @@ class TestConverseProbe:
         g_upper = GeneratorSpec(Abs(ZVar()), 1.0)
         g_lower = GeneratorSpec(Scale(0.5, Abs(ZVar())), 0.5)
         obstacle = ObstacleSpec(AdaptedProcess.constant(tree, 0.0), bound=0.0)
-        report = converse_probe(tree, g_upper, g_lower, obstacle)
+        report = converse_probe(g_upper, g_lower, obstacle)
         assert report.value_ordering_holds
         assert report.driver_ordering_holds
         assert not report.falsification_flag
@@ -619,9 +603,7 @@ class TestConverseProbe:
     def test_masked_pair_is_consistent_on_the_upper_region(self):
         tree = full_tree(6)
         obstacle = ObstacleSpec(AdaptedProcess.constant(tree, 1.0), bound=1.0)
-        report = converse_probe(
-            tree, masked_driver(2.0, 0.0), masked_driver(1.0, 1.0), obstacle
-        )
+        report = converse_probe(masked_driver(2.0, 0.0), masked_driver(1.0, 1.0), obstacle)
         assert report.value_ordering_holds
         assert report.driver_ordering_holds  # equality on values above the cut
         assert not report.falsification_flag
@@ -631,7 +613,7 @@ class TestConverseProbe:
         g_upper = GeneratorSpec(ZVar(), 1.0)
         g_lower = GeneratorSpec(Scale(-1.0, ZVar()), 1.0)
         obstacle = ObstacleSpec(AdaptedProcess.constant(tree, 0.0), bound=0.0)
-        report = converse_probe(tree, g_upper, g_lower, obstacle)
+        report = converse_probe(g_upper, g_lower, obstacle)
         assert not report.value_ordering_holds
         assert not report.falsification_flag
         for site in report.violation_sites:
@@ -676,9 +658,9 @@ class TestConverseProbe:
         obstacle = ObstacleSpec(AdaptedProcess.constant(tree, 0.0), bound=0.0)
         # the family's lowest member is the bound itself
         terminal = TerminalCondition.constant(tree, 0.0)
-        pushes = [solve_rbsde(tree, g, terminal, obstacle).k for g in (g_upper, g_lower)]
+        pushes = [solve_rbsde(g, terminal, obstacle).k for g in (g_upper, g_lower)]
         assert any(k.level(tree.steps).max() > 0.0 for k in pushes) == binds
-        report = converse_probe(tree, g_upper, g_lower, obstacle)
+        report = converse_probe(g_upper, g_lower, obstacle)
         assert type(report.max_value_violation) is float
         assert report.max_value_violation.hex() == expected
 
@@ -687,7 +669,7 @@ class TestConverseProbe:
         g = GeneratorSpec(Abs(ZVar()), 1.0)
         obstacle = ObstacleSpec(AdaptedProcess.constant(tree, 0.0))
         with pytest.raises(ValueError, match="^default probe family needs an obstacle bound$"):
-            converse_probe(tree, g, g, obstacle)
+            converse_probe(g, g, obstacle)
 
     def test_value_violation_matches_full_solves_without_one(self, monkeypatch):
         # the probe reads its conditional values from batched root-only
@@ -712,15 +694,15 @@ class TestConverseProbe:
         for builder in builders:
             for sigma in rules:
                 terminal = builder(sigma)
-                upper = solve_rbsde(tree, g_upper, terminal, obstacle).y
-                lower = solve_rbsde(tree, g_lower, terminal, obstacle).y
+                upper = solve_rbsde(g_upper, terminal, obstacle).y
+                lower = solve_rbsde(g_lower, terminal, obstacle).y
                 for tau in rules:
                     if tau.precedes(sigma):
                         for i, mask in enumerate(tau.stop_node_masks):
                             gap = lower.level(i)[mask] - upper.level(i)[mask]
                             expected = max([expected, *gap.tolist()])
         monkeypatch.setattr(theorems, "solve_rbsde", None)
-        report = converse_probe(tree, g_upper, g_lower, obstacle)
+        report = converse_probe(g_upper, g_lower, obstacle)
         assert len(builders) == 10
         assert expected > 0.0
         assert report.max_value_violation == expected
@@ -733,12 +715,12 @@ class TestConverseProbe:
         sweeps = []
         real_value = theorems.reflected_value
 
-        def batched_value(tree, generator, terminal, *args, **kwargs):
+        def batched_value(generator, terminal, *args, **kwargs):
             sweeps.append(np.broadcast_shapes(*(v.shape[:-1] for v in terminal.values)))
-            return real_value(tree, generator, terminal, *args, **kwargs)
+            return real_value(generator, terminal, *args, **kwargs)
 
         monkeypatch.setattr(theorems, "reflected_value", batched_value)
-        assert converse_probe(tree, g_upper, g_lower, obstacle).value_ordering_holds
+        assert converse_probe(g_upper, g_lower, obstacle).value_ordering_holds
         assert sweeps == [(10,)] * 6
 
 
@@ -867,10 +849,10 @@ class TestBatchedSolve:
         obstacle = ObstacleSpec(
             AdaptedProcess.from_state_function(tree, lambda t, b: 0.5 + 0.5 * b - t)
         )
-        batch = solve_rbsde(tree, GeneratorSpec.stack(members), terminal, obstacle)
+        batch = solve_rbsde(GeneratorSpec.stack(members), terminal, obstacle)
         counts = []
         for k, member in enumerate(members):
-            alone = solve_rbsde(tree, member, terminal, obstacle)
+            alone = solve_rbsde(member, terminal, obstacle)
             for field in ("y", "z", "k_increments", "k"):
                 for i in range(tree.steps + 1):
                     level = getattr(batch, field).level(i)
@@ -886,9 +868,9 @@ class TestBatchedSolve:
         tree = recomb_tree(6)
         members = [GeneratorSpec(Add((Scale(a, YVar()), Const(1.0 - a))), abs(a)) for a in (0.5, -1.0)]
         terminal = TerminalCondition.from_leaf_function(tree, np.cos)
-        batch = solve_bsde(tree, GeneratorSpec.stack(members), terminal)
+        batch = solve_bsde(GeneratorSpec.stack(members), terminal)
         assert batch.iterations.tolist() == [1, 1] and batch.residual.shape == (2,)
         for k, member in enumerate(members):
-            alone = solve_bsde(tree, member, terminal)
+            alone = solve_bsde(member, terminal)
             assert batch.y.root()[k].item() == alone.y.root()
             assert batch.residual[k].item() == alone.residual
