@@ -140,17 +140,23 @@ def price_american_rbsde(tree: ScenarioTree, model: MarketModel) -> float:
     return solve_rbsde(pricing_driver(model), terminal, ObstacleSpec(payoff)).y.root()
 
 
+def _premium_step(tree: ScenarioTree, model: MarketModel) -> float:
+    """``premium * sqrt(dt)``, checked to keep both one-step weights ``(1 -+ it) / 2`` positive."""
+    theta_step = model.premium * tree.sqrt_dt
+    if not -1.0 < theta_step < 1.0:
+        raise ProbabilityOutOfRange(
+            f"premium * sqrt(dt) = {theta_step:.6g} leaves (-1, 1); refine the grid"
+        )
+    return theta_step
+
+
 def _riskneutral_dp(tree: ScenarioTree, model: MarketModel, *, early_exercise: bool) -> float:
     """Binomial dynamic program under the reweighted step measure.
 
     Kept apart from the backward kernel, as a check on it; each stock level
     is built when the recursion reaches it.
     """
-    theta_step = model.premium * tree.sqrt_dt
-    if not -1.0 < theta_step < 1.0:
-        raise ProbabilityOutOfRange(
-            f"premium * sqrt(dt) = {theta_step:.6g} leaves (-1, 1); refine the grid"
-        )
+    theta_step = _premium_step(tree, model)
     q_up = (1.0 - theta_step) / 2.0
     q_down = (1.0 + theta_step) / 2.0
     discount = 1.0 + model.rate * tree.grid.dt
@@ -209,8 +215,11 @@ def quote_strike_family(
     memory stays O(N) per strike, not a full solve's O(N^2) lattices.  Every
     price equals :func:`price_american_rbsde` for that strike alone bit for
     bit, and every contact level is the first level at which
-    :func:`rbsde.exercise_rule` flags a node of that full solve.
+    :func:`rbsde.exercise_rule` flags a node of that full solve.  A model
+    whose one-step weights leave (0, 1) is refused, as the dynamic program
+    refuses it: the scheme would price on negative weights.
     """
+    _premium_step(tree, model)
     roots = _family_roots(tree, model, strikes)
     quotes = zip(map(float, strikes), roots.root.tolist(), roots.first_contact.tolist())
     return [StrikeQuote(*quote) for quote in quotes]
@@ -352,6 +361,12 @@ def recover_theta(
     count = max(int(round((hi - lo) / _SCAN_SPACING)) + 1, 3)
     grid = np.linspace(lo, hi, count)
     values = np.concatenate([objective(grid[j : j + _ROUND]) for j in range(0, count, _ROUND)])
+    if np.isfinite(values[0]) and (values == values[0]).all():
+        names = ", ".join(f"{k:g}" for k in strikes)
+        raise NoBracket(
+            f"objective is flat over the premium bracket: the prices at strikes {names} "
+            "do not depend on the premium, so the observed prices cannot identify it"
+        )
     if int(np.argmin(values)) in (0, count - 1):
         raise NoBracket("objective is smallest at the bracket edge; widen the bracket")
 

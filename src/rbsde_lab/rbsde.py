@@ -7,10 +7,10 @@ solution dominates the obstacle, increments are nonnegative, and an
 increment is only ever applied where the clamped value sits on the
 obstacle, so ``(value - obstacle) * increment = 0`` without tolerance.
 
-Cumulative reflection is a path functional.  On full-binary trees it is
-stored per node (nodes are path prefixes); on recombining trees it is
-reconstructed only when every path into a node accumulates the identical
-amount, and reported as unavailable otherwise.
+Cumulative reflection is a path functional, stored per node on full-binary
+trees and on recombining trees only when every path into a node accumulates
+the same amount.  Its largest value over the paths, which is what the checks
+read, is taken backward on both layouts from the increments alone.
 """
 
 from __future__ import annotations
@@ -98,17 +98,14 @@ class RbsdeSolution(Record):
     __slots__ = _fields = ("y", "z", "k_increments", "k", "diagnostics")
 
 
-def _accumulate_increments(
-    tree: ScenarioTree, increments: list[np.ndarray]
-) -> list[np.ndarray] | None:
-    """Pushes summed along each path from 0 at the root; None if the tree cannot carry them."""
-    levels = [np.zeros(1)]
-    for i in range(tree.steps):
-        carried = tree.carry(levels[i] + increments[i])
-        if carried is None:
-            return None
-        levels.append(carried)
-    return levels
+def _path_maximum(tree: ScenarioTree, increments: list[np.ndarray]) -> float | np.ndarray:
+    """Largest sum of ``increments`` over the path prefixes from the root, at least
+    0 (the empty prefix), one entry per member, a NaN kept: the max-plus recursion
+    ``B = max(0, d + max over the children of B)`` from ``B = 0`` at the last level."""
+    best = np.zeros(tree.level_size(tree.steps))
+    for i in range(tree.steps - 1, -1, -1):
+        best = np.maximum(0.0, increments[i] + np.maximum(*tree.child_values(best)))
+    return _per_member(best[..., 0])
 
 
 def solve_rbsde(
@@ -127,7 +124,12 @@ def solve_rbsde(
         generator, terminal, obstacle.process
     )
     tree = terminal.tree
-    cumulative = _accumulate_increments(tree, dk_levels)
+    cumulative = [np.zeros(1)]  # the push summed along each path from 0 at the root
+    for i in range(tree.steps):
+        cumulative.append(tree.carry(cumulative[i] + dk_levels[i]))
+        if cumulative[-1] is None:  # paths into a recombining node summed differently
+            cumulative = None
+            break
     for fresh in cumulative or []:
         fresh.flags.writeable = False
     diagnostics = ReflectionDiagnostics(

@@ -51,7 +51,7 @@ from .market import (
 )
 from .rbsde import (
     ObstacleSpec,
-    _accumulate_increments,
+    _path_maximum,
     enumerate_stopping_oracle,
     reflected_value,
     snell_oracle,
@@ -222,8 +222,7 @@ class _RootTrace:
         self.z_max[..., i] = np.max(np.abs(z), axis=-1)
 
     def push(self) -> np.ndarray:
-        """Cumulative push at the root node of each level, summed forward
-        from zero as ``rbsde._accumulate_increments`` sums it."""
+        """Cumulative push at the root node of each level, summed forward from 0."""
         start = np.zeros(self.dk.shape[:-1] + (1,))
         return np.cumsum(np.concatenate((start, self.dk[..., :-1]), axis=-1), axis=-1)
 
@@ -562,10 +561,9 @@ def oracle_suite(seed: int = 19, instances: int = 25) -> list[CheckResult]:
 def _largest_push(
     generator: GeneratorSpec, terminal: TerminalCondition, obstacle: ObstacleSpec
 ) -> float:
-    """Largest cumulative push of the reflected sweep on a full-binary tree,
-    summed from the kept increments as ``solve_rbsde`` sums its ``k``."""
+    """Largest cumulative push of the sweep (pushes are >= 0, so the floor at 0 is idle)."""
     pushes = _swept_levels(generator, terminal, obstacle.process)[2]
-    return max(float(np.max(k)) for k in _accumulate_increments(terminal.tree, pushes))
+    return _path_maximum(terminal.tree, pushes)
 
 
 def _dominating_instance(seed: int, index: int, lipschitz: float) -> float:

@@ -49,7 +49,7 @@ from .lattice import (
     event_probability,
 )
 # solve_rbsde: ROADMAP item 1, test_install_rebinds_every_copy_and_uninstall_restores_all
-from .rbsde import ObstacleSpec, _accumulate_increments, reflected_value, solve_rbsde
+from .rbsde import ObstacleSpec, _path_maximum, reflected_value, solve_rbsde
 from .records import Record
 
 COMPARISON_TOL = 1e-10  # solution orderings: values, pushes, conditional values, drivers
@@ -137,8 +137,8 @@ def _member(report, k: int):
 
 def _max_level_gap(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float | np.ndarray:
     """Largest ``a - b`` over every node of every level, one entry per member;
-    a NaN at any node reaches it.  Levels may differ in batch axes (level 0
-    of a cumulative push has none), so their maxima are reduced pairwise."""
+    a NaN at any node reaches it.  Levels may differ in batch axes (a batch
+    may share an unbatched obstacle level), so their maxima are reduced pairwise."""
     return _per_member(reduce(np.maximum, (np.max(x - y, axis=-1) for x, y in zip(a, b))))
 
 
@@ -218,17 +218,17 @@ def check_k_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonRepor
 
     Under ordered terminals and drivers the lower data pushes harder:
     cumulative pushes dominate nodewise and their difference grows along
-    every path.  The per-node increments certify path monotonicity, since a
-    path difference is the running sum of increment differences.
+    every path.  The worst ``K_high - K_low`` is the backward path maximum
+    of the increment differences, so neither tree layout needs carried sums;
+    the increments certify path monotonicity, since a path difference is the
+    running sum of increment differences.
     """
     _require_shared_obstacle(low, high, "push comparison")
     base, kept_low, kept_high = _compared(low, high)
-    k_low, k_high = (_accumulate_increments(low.tree, kept[2]) for kept in (kept_low, kept_high))
-    if k_low is None or k_high is None:
-        raise UnsupportedTreeMode("cumulative pushes are not representable on this tree")
+    drops = list(map(np.subtract, kept_high[2], kept_low[2]))
     increment_drop = _max_level_gap(kept_high[2], kept_low[2])
     return base._replace(
-        max_push_violation=_nonnegative(_max_level_gap(k_high, k_low)),
+        max_push_violation=_path_maximum(low.tree, drops),
         push_difference_monotone=_per_member(np.asarray(increment_drop) <= COMPARISON_TOL),
     )
 

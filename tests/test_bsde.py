@@ -440,10 +440,19 @@ class TestOneBackwardKernel:
             "market._riskneutral_dp",
             "lattice.backward_expectation",
             "rbsde.ObstacleSpec.modulus_estimate",
+            # a max-plus recursion over pushes: it reads no driver and solves nothing
+            "rbsde._path_maximum",
         }
         users = _child_values_users()
         assert kernel <= users
         assert users <= kernel | references
+
+    def test_only_solve_rbsde_sums_pushes_forward(self):
+        # a forward path sum moves through ScenarioTree.carry; besides holding
+        # data past a stop, only the cumulative push of the full solve takes it,
+        # and every other path statement about pushes runs backward
+        carried = _users(lambda node: isinstance(node, ast.Attribute) and node.attr == "carry")
+        assert carried == {"lattice._held_after", "rbsde.solve_rbsde"}
 
     def test_full_solve_prices_have_no_pricing_caller(self):
         # price_american_rbsde and price_strike_family are the per-strike

@@ -391,6 +391,19 @@ class TestPriceCommand:
         config = write_config(tmp_path, payload)
         assert main(["price", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
 
+    def test_negative_one_step_weights_exit_three(self, tmp_path, capsys):
+        # premium 6 on 16 steps: premium * sqrt(dt) = 1.5, so one weight (1 - 1.5) / 2 < 0
+        payload = self.market_config()
+        payload["tree"]["steps"] = 16
+        payload["market"].update(drift=1.22, kind="put", strikes=[100.0, 95.8, 91.3])
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["price", "--config", str(config), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "solver error: premium * sqrt(dt) = 1.5 leaves (-1, 1); refine the grid\n"
+        )
+        assert not out.exists()
+
 
 class TestRecoverCommand:
     def test_round_trip_recovery(self, tmp_path, monkeypatch):
@@ -443,6 +456,29 @@ class TestRecoverCommand:
         }
         config = write_config(tmp_path, payload)
         assert main(["recover", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+
+    def test_flat_objective_exits_three(self, tmp_path, capsys):
+        # deep in-the-money puts price at K - spot whatever the premium
+        payload = {
+            "tree": {"horizon": 1.0, "steps": 48, "mode": "recombining"},
+            "market": {
+                "spot": 100.0,
+                "drift": 0.08,
+                "volatility": 0.2,
+                "rate": 0.02,
+                "kind": "put",
+                "strikes": [300.0, 400.0],
+            },
+            "recover": {"observed": "obs.csv"},
+        }
+        (tmp_path / "obs.csv").write_text("strike,price\n300,200\n400,300\n")
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["recover", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: objective is flat over the premium bracket")
+        assert "strikes 300, 400 do not depend on the premium" in err
+        assert not out.exists()
 
     def test_bad_header_exits_two(self, tmp_path):
         payload = {

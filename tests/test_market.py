@@ -139,6 +139,8 @@ class TestPricingIdentity:
         )  # premium 2.25, sqrt(dt) = 1
         with pytest.raises(ProbabilityOutOfRange):
             price_american_riskneutral_dp(tree, model)
+        with pytest.raises(ProbabilityOutOfRange, match="premium \\* sqrt\\(dt\\) = 2.25 leaves"):
+            quote_strike_family(tree, model, [model.strike])
 
     def test_zero_premium_call_equals_plain_expectation(self):
         tree = recomb_tree(128)
@@ -263,9 +265,10 @@ class TestStrikeFamily:
         assert roots.root.shape == (len(premiums), len(strikes))
         for theta, prices, contacts in zip(premiums, roots.root, roots.first_contact):
             single = model._replace(drift=rate + volatility * theta)
-            solo = quote_strike_family(tree, single, strikes)
-            assert [q.price.hex() for q in solo] == [float(p).hex() for p in prices]
-            assert [q.contact_level for q in solo] == contacts.tolist()
+            # the sweep alone: the quote refuses premiums with |premium| sqrt(dt) >= 1
+            solo = market._family_roots(tree, single, strikes)
+            assert [float(p).hex() for p in solo.root] == [float(p).hex() for p in prices]
+            assert solo.first_contact.tolist() == contacts.tolist()
 
     def test_quote_sweep_builds_the_last_payoff_level_twice(self, monkeypatch):
         # once as the terminal value, once as the obstacle; every other level once
@@ -334,6 +337,14 @@ class TestRecovery:
         tree = recomb_tree(8)
         with pytest.raises(NoBracket):
             recover_theta(tree, [], spot=100.0, volatility=0.2, rate=0.02)
+
+    def test_a_flat_objective_says_the_prices_ignore_the_premium(self):
+        # puts this deep in the money are exercised at once, at K - spot for every premium
+        tree = recomb_tree(48)
+        observed = [(300.0, 200.0), (400.0, 300.0)]
+        message = "prices at strikes 300, 400 do not depend on the premium"
+        with pytest.raises(NoBracket, match=message):
+            recover_theta(tree, observed, spot=100.0, volatility=0.2, rate=0.02, kind=PayoffKind.PUT)
 
     def test_recovery_prices_each_round_of_premiums_in_one_sweep(self, monkeypatch):
         # the benchmark's recover workload at seed 1

@@ -166,17 +166,30 @@ class TestComparison:
         with pytest.raises(TreeMismatch, match="comparison needs a common tree"):
             check_comparison(low, high)
 
-    def test_push_comparison_needs_representable_pushes(self):
-        # the pushes summed along two paths into one node differ, so the tree cannot carry them
-        tree = recomb_tree(4)
-        obstacle = ObstacleSpec(AdaptedProcess.from_state_function(tree, lambda t, b: 1 + b - t))
-
-        def problem(bump):
+    def test_push_comparison_on_a_recombining_tree_matches_the_full_binary_one(self):
+        # the pushes summed along two paths into one recombining node differ, so
+        # that tree cannot carry them; the backward path maximum needs no carry
+        def problem(tree, bump):
+            obstacle = ObstacleSpec(AdaptedProcess.from_state_function(tree, lambda t, b: 1 + b - t))
             terminal = TerminalCondition.from_leaf_function(tree, lambda b: np.maximum(b, 0.0) + bump)
             return RbsdeProblem(GeneratorSpec.constant(0.0), terminal, obstacle)
 
-        with pytest.raises(UnsupportedTreeMode, match="cumulative pushes"):
-            check_k_comparison(problem(0.0), problem(0.1))
+        low = problem(recomb_tree(4), 0.0)
+        assert solve_rbsde(low.generator, low.terminal, low.obstacle).k is None
+        # in the reversed order the higher data push harder, so the violation is positive
+        for bumps, passed in (((0.0, 0.1), True), ((0.1, 0.0), False)):
+            recombining, full = (
+                check_k_comparison(*(problem(tree, bump) for bump in bumps))
+                for tree in (recomb_tree(4), full_tree(4))
+            )
+            assert recombining == full and recombining.passed is passed
+            k_low, k_high = (
+                solve_rbsde(p.generator, p.terminal, p.obstacle).k
+                for p in (problem(full_tree(4), bump) for bump in bumps)
+            )
+            gaps = [float(np.max(d)) for d in map(np.subtract, k_high.levels(), k_low.levels())]
+            assert recombining.max_push_violation == pytest.approx(max(gaps), abs=1e-12)
+            assert (recombining.max_push_violation > 0.0) is not passed
 
     def test_zero_driver_pair_plateau_difference(self):
         tree = recomb_tree(200)
@@ -246,7 +259,7 @@ class TestComparisonOverTheGrammar:
 
         report = check_comparison(low, high)
         assert report.passed, report  # a vacuous report never passes
-        if shared and mode is TreeMode.FULL_BINARY:
+        if shared:
             pushes = check_k_comparison(low, high)
             assert pushes.passed, pushes
 
@@ -805,19 +818,19 @@ class TestBatchedComparison:
         assert solo[3].max_value_violation > 0.0
         assert sum(r.passed for r in solo) == 9
 
-    def test_one_member_without_carried_pushes_refuses_the_batch(self):
-        # the first member's obstacle never binds; the second's pushes differ
-        # along the two paths into a node, as in the unbatched refusal above
+    def test_members_without_carried_pushes_get_their_solo_reports(self):
+        # the first member's obstacle never binds; the other two members' pushes
+        # differ along the two paths into a node, as in the recombining check above
         tree = recomb_tree(4)
         zero = GeneratorSpec.constant(0.0)
         leaves = np.maximum(tree.brownian_level(4), 0.0)
         never = [np.full(i + 1, -10.0) for i in range(5)]
         binding = [1.0 + tree.brownian_level(i) - tree.grid.time(i) for i in range(5)]
-        lows = [(zero, never, leaves), (zero, binding, leaves)]
-        highs = [(zero, never, leaves + 0.1), (zero, binding, leaves + 0.1)]
-        check_k_comparison(side_problem(tree, lows[0]), side_problem(tree, highs[0]))
-        with pytest.raises(UnsupportedTreeMode, match="cumulative pushes"):
-            check_k_comparison(suites._batched(tree, lows), suites._batched(tree, highs))
+        lows = [(zero, never, leaves), (zero, binding, leaves), (zero, binding, leaves + 0.1)]
+        highs = [(zero, never, leaves + 0.1), (zero, binding, leaves + 0.1), (zero, binding, leaves)]
+        solo = assert_batch_matches_solo(check_k_comparison, lows, highs, tree)
+        assert [r.passed for r in solo] == [True, True, False]
+        assert solo[2].max_push_violation > 0.0
 
     def test_unbatched_reports_are_their_own_only_member(self):
         low, high = counterexample_pair(recomb_tree(20))
