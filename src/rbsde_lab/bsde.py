@@ -267,10 +267,9 @@ def _sweep(
     tree, rule = terminal.tree, terminal.rule
     if obstacle is not None and obstacle.tree != tree:
         raise TreeMismatch("terminal condition and obstacle must share the tree")
-    if generator.lipschitz * tree.grid.dt >= 1.0:
-        raise ContractionViolated(
-            f"lipschitz * dt = {generator.lipschitz * tree.grid.dt:.6g} >= 1; refine the grid"
-        )
+    contraction = np.ravel(generator.lipschitz[0]).max() * tree.grid.dt  # the largest member's
+    if contraction >= 1.0:
+        raise ContractionViolated(f"lipschitz * dt = {contraction:.6g} >= 1; refine the grid")
     dt = tree.grid.dt
     n = tree.steps
     if rule is None:

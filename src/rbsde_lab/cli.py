@@ -108,7 +108,7 @@ _STATE = _Expr(STATE_VARIABLES)
 # the rest of the block's fields by the block's kind.
 _BLOCKS = {
     "tree": {"horizon": float, "steps": int, "mode": str},
-    "generator": {"expr": _Expr(DRIVER_VARIABLES), "lipschitz": float},
+    "generator": {"expr": _Expr(DRIVER_VARIABLES)},
     "terminal": {"kind": {"constant": {"value": float}, "state": {"expr": _STATE}}},
     "obstacle": {
         "kind": {
@@ -166,8 +166,6 @@ def _check(name: str, block: dict) -> None:
             TimeGrid(block["horizon"], block["steps"])
         except InvalidGrid as exc:
             raise ConfigError(f"tree: {exc}") from exc
-    elif name == "generator" and block["lipschitz"] < 0.0:
-        raise ConfigError("generator lipschitz constant must be >= 0")
     elif name == "market" and (block["spot"] <= 0.0 or block["volatility"] <= 0.0):
         raise ConfigError("market needs spot > 0 and volatility > 0")
     elif name == "suite" and block.get("instances", 1) < 1:
@@ -292,8 +290,7 @@ def _finite_json(payload: dict, name: str) -> str:
 
 def cmd_solve(config: RunConfig, out_dir: Path) -> None:
     tree = _tree(config.block("tree"))
-    driver = config.block("generator")
-    generator = GeneratorSpec(parse_prefix(driver["expr"]), driver["lipschitz"])
+    generator = GeneratorSpec(parse_prefix(config.block("generator")["expr"]))
     terminal = _terminal(config.block("terminal"), tree)
     obstacle = _obstacle(config.block("obstacle"), tree)
     solution = solve_rbsde(generator, terminal, obstacle)

@@ -26,7 +26,7 @@ class UnsupportedTreeMode(LatticeLabError):
 
 
 class ContractionViolated(LatticeLabError):
-    """Implicit driver step is not a contraction (lipschitz * dt >= 1)."""
+    """Implicit driver step is not a contraction (L_y * dt >= 1)."""
 
 
 class NonConvergence(LatticeLabError):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -347,24 +347,31 @@ _GRAMMAR = {node.op: node for node in (TimeVar, YVar, ZVar, BrownianVar, Neg, Ab
 _NODES = frozenset({Const, ActiveBefore, *_GRAMMAR.values()})
 
 
-def lipschitz_bound(expr: Expr) -> float:
-    """Structural upper bound for the Lipschitz constant in ``(y, z)``.
+def lipschitz_bound(expr: Expr) -> tuple:
+    """Structural upper bounds ``(L_y, L_z)`` for the Lipschitz constants in ``y`` and ``z``.
 
-    ``y`` and ``z`` count 1, ``at00`` 0, a sum its terms' total and a scale
-    its largest ``|c|`` times its inner's; any other node its children's largest.
+    ``y`` gives (1, 0), ``z`` (0, 1), and ``at00``, ``t``, ``b`` and numbers
+    (0, 0); a sum adds its terms' bounds, a scale multiplies its inner's by
+    ``|c|``, and any other node takes its children's largest.  A coefficient
+    column gives a column of bounds, one per batch member; else each is a float.
     """
     if type(expr) not in _NODES:
         raise ExpressionError(f"unknown expression node {type(expr).__name__}")
     if expr.op in ("y", "z"):
-        return 1.0
+        return (1.0, 0.0) if expr.op == "y" else (0.0, 1.0)
     if expr.op == "at00":
-        return 0.0
+        return 0.0, 0.0
     bounds = [lipschitz_bound(child) for child in expr.children()]
-    if expr.op == "+":
-        return sum(bounds)
     if expr.op == "*":
-        return float(np.max(np.abs(expr.factor))) * bounds[0]
-    return max(bounds, default=0.0)
+        return tuple(abs(expr.factor) * bound for bound in bounds[0])
+    if expr.op == "+":
+        return tuple(sum(parts) for parts in zip(*bounds))
+    return tuple(reduce(_larger, parts) for parts in zip(*bounds)) or (0.0, 0.0)
+
+
+def _larger(a, b):
+    """The larger bound, member by member; a float when both are floats."""
+    return np.maximum(a, b) if np.ndim(a) or np.ndim(b) else max(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -451,29 +458,24 @@ def parse_prefix(text: str, *, variables: frozenset[str] = DRIVER_VARIABLES) -> 
 # Generator specification
 
 class GeneratorSpec(Record):
-    """Evaluable driver with its declared Lipschitz constant."""
+    """Evaluable driver; its Lipschitz bounds are read off the expression."""
 
-    _fields = ("expr", "lipschitz")  # no __slots__: ``batch_shape`` is cached per instance
-
-    def __init__(self, expr: Expr, lipschitz: float):
-        if not (lipschitz >= 0.0 and math.isfinite(lipschitz)):
-            raise ValueError(f"lipschitz constant must be finite and >= 0, got {lipschitz!r}")
-        self._set(expr, lipschitz)
+    _fields = ("expr",)  # no __slots__: ``batch_shape`` and ``lipschitz`` are cached per instance
 
     @classmethod
     def constant(cls, value: float) -> GeneratorSpec:
-        return cls(Const(float(value)), 0.0)
+        return cls(Const(float(value)))
 
     @classmethod
     def stack(cls, members: Sequence[GeneratorSpec]) -> GeneratorSpec:
         """One driver whose batch axis runs over ``members``.
 
         The members' expressions must share one structure; their constants
-        and scale factors become columns of shape ``(len(members), 1)``, and
-        the declared constant is the largest member's, so the contraction
-        guard refuses the batch exactly when it refuses some member.
+        and scale factors become columns of shape ``(len(members), 1)``, so
+        each member keeps its own bounds and the contraction guard refuses
+        the batch exactly when it refuses some member.
         """
-        return cls(_stacked_expr([m.expr for m in members]), max(m.lipschitz for m in members))
+        return cls(_stacked_expr([m.expr for m in members]))
 
     def to_prefix(self) -> str:
         return self.expr.to_prefix()
@@ -482,6 +484,12 @@ class GeneratorSpec(Record):
     def batch_shape(self) -> tuple[int, ...]:
         """Batch shape of the coefficient columns; ``()`` for a driver of numbers."""
         return _batch_shape(self.expr)
+
+    @cached_property
+    def lipschitz(self) -> tuple:
+        """``(L_y, L_z)`` of :func:`lipschitz_bound`: the implicit step contracts when
+        ``L_y * dt < 1``, and the one-step weights are nonnegative when ``L_z * sqrt(dt) <= 1``."""
+        return lipschitz_bound(self.expr)
 
     @property
     def is_y_free(self) -> bool:
@@ -524,8 +532,8 @@ def _stacked_expr(members: Sequence[Expr]) -> Expr:
 
 
 def restrict_generator(generator: GeneratorSpec, rule: StoppingRule) -> GeneratorSpec:
-    """Gate the driver to vanish once the rule has stopped; keeps the constant."""
-    return GeneratorSpec(ActiveBefore(rule, generator.expr), generator.lipschitz)
+    """Gate the driver to vanish once the rule has stopped; keeps the bounds."""
+    return GeneratorSpec(ActiveBefore(rule, generator.expr))
 
 
 # ---------------------------------------------------------------------------
@@ -588,14 +596,14 @@ class SampleSpec(ValueRecord):
 
 
 class AssumptionReport(NamedTuple):
-    """Sampled evidence for or against the declared driver properties.
+    """Sampled evidence for or against the driver's properties.
 
     ``max_time_jump`` is a change detector across adjacent sample times: a
     driver that genuinely varies in t will exceed the threshold even though
     it is continuous, so treat that flag as 'not constant between samples'.
     """
 
-    declared_lipschitz: float
+    derived_lipschitz: tuple[float, float]
     max_lipschitz_quotient: float
     max_abs_at_zero_z: float
     max_time_jump: float
@@ -608,13 +616,14 @@ class AssumptionReport(NamedTuple):
 
 
 def check_assumptions(generator: GeneratorSpec, sample: SampleSpec) -> AssumptionReport:
-    """Sample the driver and compare against its declared properties.
+    """Sample the driver and compare against the properties it should have.
 
-    Reports (a) the largest difference quotient against the declared
-    Lipschitz constant, (b) the largest ``|g(t, y, 0)|``, and (c) the largest
-    jump of ``t -> g`` across adjacent sample times.  A bound counts as
-    exceeded beyond 1e-9.  A box without two distinct (y, z) points has no
-    difference quotient and raises :class:`InvalidSample`.
+    Reports (a) the largest difference quotient over ``|dy| + |dz|`` against
+    ``max(L_y, L_z)``, exceeded only if the derived bounds are wrong, (b) the
+    largest ``|g(t, y, 0)|``, and (c) the largest jump of ``t -> g`` across
+    adjacent sample times.  A bound counts as exceeded beyond 1e-9.  A box
+    without two distinct (y, z) points has no difference quotient and raises
+    :class:`InvalidSample`.
     """
     zero_z = sample._replace(z_low=0.0, z_high=0.0, z_count=1)
     origin = zero_z._replace(y_low=0.0, y_high=0.0, y_count=1)
@@ -635,12 +644,12 @@ def check_assumptions(generator: GeneratorSpec, sample: SampleSpec) -> Assumptio
 
     thr = AssumptionReport._THRESHOLD
     return AssumptionReport(
-        declared_lipschitz=generator.lipschitz,
+        derived_lipschitz=generator.lipschitz,
         max_lipschitz_quotient=quot_max,
         max_abs_at_zero_z=zero_z_max,
         max_time_jump=jump_max,
         max_abs_at_origin=origin_max,
-        lipschitz_exceeded=quot_max > generator.lipschitz + thr,
+        lipschitz_exceeded=quot_max > max(generator.lipschitz) + thr,
         zero_z_exceeded=zero_z_max > thr,
         time_jump_exceeded=jump_max > thr,
     )

@@ -57,21 +57,13 @@ class MarketModel(ValueRecord):
             raise PositivityViolated(f"volatility must be positive, got {volatility!r}")
         if strike < 0.0:
             raise ValueError(f"strike must be nonnegative, got {strike!r}")
-        if not np.isfinite(self.lipschitz).all():
-            raise ValueError(
-                f"premium {self.premium!r} and pricing constant |rate| + |premium| "
-                f"= {self.lipschitz!r} must be finite"
-            )
+        if not np.isfinite(self.premium).all():
+            raise ValueError(f"premium {self.premium!r} must be finite")
 
     @property
     def premium(self) -> float:
         """Market price of risk: excess drift per unit of volatility."""
         return (self.drift - self.rate) / self.volatility
-
-    @property
-    def lipschitz(self) -> float:
-        """Lipschitz constant of the pricing driver ``-(rate * y + premium * z)``."""
-        return abs(self.rate) + abs(self.premium)
 
     def payoff(self, x):
         return _payoff(self.kind, self.strike, x)
@@ -120,9 +112,8 @@ def _stock_levels(tree: ScenarioTree, model: MarketModel) -> Callable[[int], np.
 
 
 def pricing_driver(model: MarketModel) -> GeneratorSpec:
-    """Affine driver ``-(rate * y + premium * z)``, declaring the largest member's constant."""
-    expr = Add((Scale(-model.rate, YVar()), Scale(-model.premium, ZVar())))
-    return GeneratorSpec(expr, float(np.max(model.lipschitz)))
+    """Affine driver ``-(rate * y + premium * z)``, with bounds ``(|rate|, |premium|)``."""
+    return GeneratorSpec(Add((Scale(-model.rate, YVar()), Scale(-model.premium, ZVar()))))
 
 
 def price_american_rbsde(tree: ScenarioTree, model: MarketModel) -> float:
@@ -327,9 +318,11 @@ def recover_theta(
     invariant under the premium (the step reweighting undoes the drift up to
     O(dt)), so the objective is small and rippled by payoff kinks crossing
     nodes; a single coarse bracketing would stall in a ripple.  The search
-    therefore scans the premium bracket ``_THETA_BRACKET`` finely, zooms
-    deterministically on the best point seen, and finishes with a bounded
-    Brent polish (:func:`_bounded_brent`), keeping the best evaluation overall.
+    therefore scans the premium bracket finely, zooms deterministically on
+    the best point seen, and finishes with a bounded Brent polish
+    (:func:`_bounded_brent`), keeping the best evaluation overall.  The
+    bracket is ``_THETA_BRACKET`` cut one scan spacing inside
+    ``|premium| * sqrt(dt) < 1``, where both one-step weights are positive.
     """
     if not observed:
         raise NoBracket("need at least one observed price")
@@ -356,7 +349,8 @@ def recover_theta(
             best_value, best_theta = float(values[first]), float(thetas[first])
         return values
 
-    lo, hi = _THETA_BRACKET
+    edge = 1.0 / tree.sqrt_dt - _SCAN_SPACING
+    lo, hi = max(_THETA_BRACKET[0], -edge), min(_THETA_BRACKET[1], edge)
     model_at(lo), model_at(hi)  # fails here if an edge overflows; the drift is monotone in theta
     count = max(int(round((hi - lo) / _SCAN_SPACING)) + 1, 3)
     grid = np.linspace(lo, hi, count)

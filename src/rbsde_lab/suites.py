@@ -120,19 +120,18 @@ def _random_affine_generator(rng, max_coeff: float = 1.0) -> GeneratorSpec:
     a = rng.uniform(-max_coeff, max_coeff)
     b = rng.uniform(-max_coeff, max_coeff)
     c = rng.uniform(-0.5, 0.5)
-    expr = Add((Scale(float(a), YVar()), Scale(float(b), ZVar()), Const(float(c))))
-    return GeneratorSpec(expr, abs(float(a)) + abs(float(b)))
+    return GeneratorSpec(Add((Scale(float(a), YVar()), Scale(float(b), ZVar()), Const(float(c)))))
 
 
 def _ordered_generator_pair(rng) -> tuple[GeneratorSpec, GeneratorSpec]:
     low = _random_affine_generator(rng)
     gap = float(rng.uniform(0.0, 0.6))
-    high = GeneratorSpec(Add((low.expr, Const(gap))), low.lipschitz)
+    high = GeneratorSpec(Add((low.expr, Const(gap))))
     return low, high
 
 
 def _random_vanishing_generator(rng, budget: float = 1.5) -> GeneratorSpec:
-    """Driver vanishing at zero coefficient, structural bound <= budget."""
+    """Driver vanishing at zero coefficient, with structural bounds <= budget."""
     n_terms = int(rng.integers(1, 4))
     shares = rng.dirichlet(np.ones(n_terms)) * budget * float(rng.uniform(0.5, 1.0))
     terms = []
@@ -152,7 +151,7 @@ def _random_vanishing_generator(rng, budget: float = 1.5) -> GeneratorSpec:
             cap = float(rng.uniform(0.2, 2.0))
             terms.append(Scale(c, Min(Abs(ZVar()), Const(cap))))
     expr = terms[0] if len(terms) == 1 else Add(tuple(terms))
-    return GeneratorSpec(expr, budget)
+    return GeneratorSpec(expr)
 
 
 def _random_obstacle_levels(rng, tree: ScenarioTree, *, slope: float = 3.0) -> list[np.ndarray]:
@@ -705,8 +704,8 @@ def converse_suite(seed: int = 37) -> list[CheckResult]:
     pairs = {
         "identical": (shared, shared, obstacle),
         "y-free-ordered": (
-            GeneratorSpec(Abs(ZVar()), 1.0),
-            GeneratorSpec(Scale(0.5, Abs(ZVar())), 0.5),
+            GeneratorSpec(Abs(ZVar())),
+            GeneratorSpec(Scale(0.5, Abs(ZVar()))),
             obstacle,
         ),
         "masked-equal": (
@@ -715,8 +714,8 @@ def converse_suite(seed: int = 37) -> list[CheckResult]:
             ObstacleSpec(AdaptedProcess.constant(tree, 1.0), bound=1.0),
         ),
         "unordered": (
-            GeneratorSpec(ZVar(), 1.0),
-            GeneratorSpec(Scale(-1.0, ZVar()), 1.0),
+            GeneratorSpec(ZVar()),
+            GeneratorSpec(Scale(-1.0, ZVar())),
             obstacle,
         ),
     }

@@ -404,7 +404,7 @@ def _closed_form_data(tree: ScenarioTree, driver, terminal_value) -> RbsdeProble
         raise ValueError("counterexample data lives on the unit horizon")
     obstacle = ObstacleSpec(AdaptedProcess.from_time_function(tree, lambda t: 1.0 - 2.0 * t))
     terminal = TerminalCondition.constant(tree, terminal_value)
-    return RbsdeProblem(GeneratorSpec(Const(driver), 0.0), terminal, obstacle)
+    return RbsdeProblem(GeneratorSpec(Const(driver)), terminal, obstacle)
 
 
 def counterexample_problem(tree: ScenarioTree, case: ClosedFormCase) -> RbsdeProblem:
@@ -428,8 +428,7 @@ def counterexample_batch(tree: ScenarioTree, cases: Sequence[ClosedFormCase]) ->
 def dominating_driver(lipschitz: float) -> GeneratorSpec:
     """Driver ``-L|y| - L|z|``, the least value any L-driver vanishing at
     zero coefficient can produce."""
-    expr = Add((Scale(-lipschitz, Abs(YVar())), Scale(-lipschitz, Abs(ZVar()))))
-    return GeneratorSpec(expr, lipschitz)
+    return GeneratorSpec(Add((Scale(-lipschitz, Abs(YVar())), Scale(-lipschitz, Abs(ZVar())))))
 
 
 def build_dominating_obstacle(terminal: TerminalCondition, lipschitz: float) -> ObstacleSpec:
@@ -455,7 +454,7 @@ def floor_driver(
             Scale(-lipschitz, Abs(ZVar())),
         )
     )
-    return GeneratorSpec(expr, lipschitz)
+    return GeneratorSpec(expr)
 
 
 def build_floor_obstacle(
@@ -498,7 +497,7 @@ class IncomparableDriverReport(NamedTuple):
 def ramp_plateau_driver(horizon: float) -> GeneratorSpec:
     """Time-only driver: ramps to T/2 over the first half, then holds."""
     half = horizon / 2.0
-    return GeneratorSpec(PiecewiseTime((TimeVar(), Const(half)), (half,)), 0.0)
+    return GeneratorSpec(PiecewiseTime((TimeVar(), Const(half)), (half,)))
 
 
 def plateau_ramp_driver(horizon: float) -> GeneratorSpec:
@@ -507,7 +506,7 @@ def plateau_ramp_driver(horizon: float) -> GeneratorSpec:
     expr = PiecewiseTime(
         (Const(half), Add((Const(horizon), Scale(-1.0, TimeVar())))), (half,)
     )
-    return GeneratorSpec(expr, 0.0)
+    return GeneratorSpec(expr)
 
 
 def incomparable_driver_probe(
@@ -548,14 +547,13 @@ def masked_driver(slope: float, threshold: float) -> GeneratorSpec:
     """Driver ``min(slope * (y - threshold)^-, |z|)``.
 
     Vanishes once the value stays at or above the threshold, which is what
-    an obstacle at the threshold forces; the declared constant is
-    ``max(slope, 1)``.
+    an obstacle at the threshold forces; its bounds are ``(|slope|, 1)``.
     """
     expr = Min(
         Scale(slope, NegPart(Add((YVar(), Const(-threshold))))),
         Abs(ZVar()),
     )
-    return GeneratorSpec(expr, max(slope, 1.0))
+    return GeneratorSpec(expr)
 
 
 class MaskedDriverReport(NamedTuple):
@@ -706,7 +704,7 @@ def converse_probe(
             if driver_gap > COMPARISON_TOL:
                 sites.append(DriverOrderingSite(float(t), float(ys[j]), float(zs[k]), driver_gap))
 
-    allowance = 10.0 * tree.grid.dt * max(g_upper.lipschitz, g_lower.lipschitz)
+    allowance = 10.0 * tree.grid.dt * float(max(map(np.max, g_upper.lipschitz + g_lower.lipschitz)))
     a_holds = value_violation <= COMPARISON_TOL
     b_holds = driver_gap <= COMPARISON_TOL
     return ConverseProbeReport(

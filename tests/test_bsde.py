@@ -60,7 +60,7 @@ class TestSolveBsde:
         # driver theta * z prices the walk itself at theta * T
         theta = 0.3
         tree = build_tree(TimeGrid(1.0, 1000), TreeMode.RECOMBINING)
-        g = GeneratorSpec(Scale(theta, ZVar()), theta)
+        g = GeneratorSpec(Scale(theta, ZVar()))
         xi = TerminalCondition.from_leaf_function(tree, lambda b: b)
         assert g_expectation(g, xi) == pytest.approx(theta, abs=5e-3)
 
@@ -68,7 +68,7 @@ class TestSolveBsde:
         tree = full_tree(8)
         rng = np.random.default_rng(5)
         g = GeneratorSpec(
-            Add((Scale(0.4, Abs(YVar())), Scale(0.5, Abs(ZVar())), Const(0.1))), 0.9
+            Add((Scale(0.4, Abs(YVar())), Scale(0.5, Abs(ZVar())), Const(0.1)))
         )
         xi = TerminalCondition.from_leaf_values(tree, rng.uniform(-1, 1, size=256))
         sol = solve_bsde(g, xi)
@@ -84,20 +84,47 @@ class TestSolveBsde:
 
     def test_contraction_guard(self):
         tree = build_tree(TimeGrid(4.0, 2), TreeMode.FULL_BINARY)  # dt = 2
-        g = GeneratorSpec(Scale(0.6, YVar()), 0.6)  # L*dt = 1.2
+        g = GeneratorSpec(Scale(0.6, YVar()))  # L*dt = 1.2
         with pytest.raises(ContractionViolated):
             solve_bsde(g, TerminalCondition.constant(tree, 1.0))
 
-    def test_underdeclared_constant_hits_iteration_cap(self):
-        # declared constant passes the precondition, true slope diverges
+    def test_a_slope_read_off_the_driver_is_guarded(self):
+        # the slope 1.5 of 1.5|y| is read off the expression, so dt = 1 is
+        # refused before the fixed-point iteration could diverge
         tree = build_tree(TimeGrid(2.0, 2), TreeMode.FULL_BINARY)  # dt = 1
-        g = GeneratorSpec(Scale(1.5, Abs(YVar())), 0.1)
-        with pytest.raises(NonConvergence):
+        g = GeneratorSpec(Scale(1.5, Abs(YVar())))
+        with pytest.raises(ContractionViolated, match=r"^lipschitz \* dt = 1.5 >= 1; refine"):
+            solve_bsde(g, TerminalCondition.constant(tree, 1.0))
+
+    @pytest.mark.parametrize("slopes", [(0.5, 0.9), (0.5, 1.5), (1.5, 0.5)])
+    def test_a_batch_is_refused_exactly_when_a_member_is(self, slopes):
+        # dt = 1: each member's own slope in y decides, not the column's sum or order
+        tree = build_tree(TimeGrid(2.0, 2), TreeMode.FULL_BINARY)
+        terminal = TerminalCondition.constant(tree, 1.0)
+        members = [GeneratorSpec(Add((Scale(c, YVar()), Scale(0.5, ZVar())))) for c in slopes]
+        refused = []
+        for member in members:
+            try:
+                solve_bsde(member, terminal)
+            except ContractionViolated as exc:
+                refused.append(str(exc))
+        if refused:
+            with pytest.raises(ContractionViolated) as caught:
+                solve_bsde(GeneratorSpec.stack(members), terminal)
+            assert str(caught.value) == refused[0] == "lipschitz * dt = 1.5 >= 1; refine the grid"
+        else:
+            solve_bsde(GeneratorSpec.stack(members), terminal)
+
+    def test_a_slow_contraction_hits_iteration_cap(self):
+        # 0.99|y| passes the guard at dt = 1 but contracts too slowly for the cap
+        tree = build_tree(TimeGrid(2.0, 2), TreeMode.FULL_BINARY)
+        g = GeneratorSpec(Scale(0.99, Abs(YVar())))
+        with pytest.raises(NonConvergence, match="did not reach 1e-12 in 200 iterations"):
             solve_bsde(g, TerminalCondition.constant(tree, 1.0))
 
     def test_overflowing_driver_is_a_numerical_breakdown(self):
         tree = build_tree(TimeGrid(1.0, 4), TreeMode.RECOMBINING)
-        g = GeneratorSpec(parse_prefix("(* 1e308 (* 1e308 (abs z)))"), 0.0)
+        g = GeneratorSpec(parse_prefix("(* 1e308 (* 1e308 (abs z)))"))
         xi = TerminalCondition.from_leaf_function(tree, lambda b: b)
         with pytest.raises(NumericalBreakdown, match="non-finite value at level 3"):
             solve_bsde(g, xi)
@@ -122,7 +149,7 @@ class TestLevelStorage:
     def test_solution_levels_are_read_only(self):
         tree = full_tree(4)
         xi = TerminalCondition.from_leaf_values(tree, np.linspace(-1.0, 1.0, 16))
-        sol = solve_bsde(GeneratorSpec(Abs(ZVar()), 1.0), xi)
+        sol = solve_bsde(GeneratorSpec(Abs(ZVar())), xi)
         for level in sol.y.levels() + sol.z.levels():
             assert not level.flags.writeable
 
@@ -260,7 +287,7 @@ class TestGExpectation:
     def test_constant_preserving_driver_returns_the_constant(self):
         tree = full_tree(6)
         g = GeneratorSpec(
-            Min(Scale(2.0, NegPart(Add((YVar(), Const(-0.5))))), Abs(ZVar())), 2.0
+            Min(Scale(2.0, NegPart(Add((YVar(), Const(-0.5))))), Abs(ZVar()))
         )
         for c in (-1.0, 0.25, 3.5):
             assert g_expectation(g, TerminalCondition.constant(tree, c)) == c
@@ -282,7 +309,7 @@ class TestConditional:
     def test_root_rule_matches_scalar_expectation(self):
         tree = full_tree(6)
         rng = np.random.default_rng(8)
-        g = GeneratorSpec(Scale(0.3, ZVar()), 0.3)
+        g = GeneratorSpec(Scale(0.3, ZVar()))
         xi = TerminalCondition.from_leaf_values(tree, rng.uniform(0, 1, size=64))
         values = conditional_g_expectation(g, xi, StoppingRule.root(tree))
         assert set(values) == {(0, 0)}
@@ -311,7 +338,7 @@ class TestConditional:
         tree = full_tree(8)
         rng = np.random.default_rng(10)
         g = GeneratorSpec(
-            Add((Scale(-0.25, YVar()), Scale(0.5, ZVar()), Const(0.2))), 0.75
+            Add((Scale(-0.25, YVar()), Scale(0.5, ZVar()), Const(0.2)))
         )
         sigma = StoppingRule.terminal(tree)
         tau = StoppingRule(
@@ -336,10 +363,10 @@ class TestMonotonicity:
             a = rng.uniform(-1, 1)
             b = rng.uniform(-1, 1)
             g_low = GeneratorSpec(
-                Add((Scale(a, YVar()), Scale(b, ZVar()))), abs(a) + abs(b)
+                Add((Scale(a, YVar()), Scale(b, ZVar())))
             )
             g_high = GeneratorSpec(
-                Add((g_low.expr, Const(rng.uniform(0, 0.5)))), g_low.lipschitz
+                Add((g_low.expr, Const(rng.uniform(0, 0.5))))
             )
             lo = rng.uniform(-1, 1, size=256)
             hi = lo + rng.uniform(0, 1, size=256)
@@ -350,7 +377,7 @@ class TestMonotonicity:
 
     def test_strict_gap_survives_to_the_root(self):
         tree = full_tree(8)
-        g = GeneratorSpec(Add((Scale(0.3, YVar()), Scale(-0.4, ZVar()))), 0.7)
+        g = GeneratorSpec(Add((Scale(0.3, YVar()), Scale(-0.4, ZVar()))))
         lo = np.zeros(256)
         hi = np.zeros(256)
         hi[100] = 0.5  # one positive-probability leaf
@@ -374,7 +401,6 @@ class TestRestrictionIdentity:
                         Const(rng.uniform(-0.3, 0.3)),
                     )
                 ),
-                1.4,
             )
             data = [rng.uniform(-1, 1, size=tree.level_size(i)) for i in range(11)]
             xi = TerminalCondition.at_rule(tree, rule, data)
@@ -386,7 +412,7 @@ class TestRestrictionIdentity:
     def test_terminal_gating_is_identity(self):
         tree = full_tree(6)
         rng = np.random.default_rng(15)
-        g = GeneratorSpec(Scale(0.5, YVar()), 0.5)
+        g = GeneratorSpec(Scale(0.5, YVar()))
         xi = TerminalCondition.from_leaf_values(tree, rng.uniform(-1, 1, size=64))
         plain = solve_bsde(g, xi)
         gated = solve_bsde(restrict_generator(g, StoppingRule.terminal(tree)), xi)
@@ -429,6 +455,25 @@ def _name_users(names: set[str]) -> set[str]:
 
 def _child_values_users() -> set[str]:
     return _users(lambda node: isinstance(node, ast.Attribute) and node.attr == "child_values")
+
+
+class TestNoDeclaredConstant:
+    """The Lipschitz bounds are read off the driver; no config or record declares one."""
+
+    def test_drivers_and_configs_hold_only_an_expression(self):
+        from rbsde_lab import cli
+
+        assert GeneratorSpec._fields == ("expr",)
+        assert set(cli._BLOCKS["generator"]) == {"expr"}
+        assert not hasattr(rbsde_lab.MarketModel, "lipschitz")
+
+    def test_only_the_hypothesis_checks_read_the_bounds(self):
+        # the sweep's contraction guard, the converse probe's allowance and the
+        # sampled check of the bounds; everything else passes drivers through
+        readers = _users(lambda node: isinstance(node, ast.Attribute) and node.attr == "lipschitz")
+        assert readers == {
+            "bsde._sweep", "theorems.converse_probe", "generators.check_assumptions"
+        }
 
 
 class TestOneBackwardKernel:
@@ -566,7 +611,6 @@ def test_record_types_state_their_fields_once():
     assert setters == {
         "bsde.TerminalCondition.__init__",
         "generators.Const.__init__",
-        "generators.GeneratorSpec.__init__",
         "generators.PiecewiseTime.__init__",
         "generators.SampleSpec.__init__",
         "generators.Scale.__init__",

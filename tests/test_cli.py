@@ -20,7 +20,6 @@ import rbsde_lab
 from rbsde_lab import cli
 from rbsde_lab.cli import RunConfig, main
 from rbsde_lab import suites
-from rbsde_lab.generators import lipschitz_bound
 from rbsde_lab.lattice import level_constant
 from rbsde_lab.suites import CheckResult
 from test_generators import exprs
@@ -31,7 +30,7 @@ OVERFLOW_DIFFERENCE = "(+ (* 1e308 (* 1e308 b)) (* -1e308 (* 1e308 b)))"
 
 COUNTEREXAMPLE_CONFIG = {
     "tree": {"horizon": 1.0, "steps": 100, "mode": "recombining"},
-    "generator": {"expr": "0.3333333333333333", "lipschitz": 0.0},
+    "generator": {"expr": "0.3333333333333333"},
     "terminal": {"kind": "constant", "value": 0.3333333333333333},
     "obstacle": {"kind": "affine", "slope": -2.0, "intercept": 1.0},
     "seed": 1,
@@ -111,7 +110,7 @@ class TestSolveCommand:
         payload = dict(COUNTEREXAMPLE_CONFIG)
         payload["tree"] = {"horizon": 1.0, "steps": steps, "mode": mode}
         if expr is not None:
-            payload["generator"] = {"expr": expr, "lipschitz": 3.0}
+            payload["generator"] = {"expr": expr}
             payload["terminal"] = {"kind": "state", "expr": "(+ 2 (abs b))"}
             payload["obstacle"] = {"kind": "state", "expr": "(+ 2 (neg (abs b)))"}
         config = write_config(tmp_path, payload)
@@ -162,7 +161,7 @@ class TestSolveCommand:
     def test_overflowing_driver_exits_three_without_output(self, tmp_path):
         payload = dict(COUNTEREXAMPLE_CONFIG)
         payload["tree"] = {"horizon": 1.0, "steps": 10, "mode": "recombining"}
-        payload["generator"] = {"expr": "(* 1e308 (* 1e308 (abs z)))", "lipschitz": 0}
+        payload["generator"] = {"expr": "(* 1e308 (* 1e308 (abs z)))"}
         payload["terminal"] = {"kind": "state", "expr": "(abs b)"}
         config = write_config(tmp_path, payload)
         out = tmp_path / "o"
@@ -176,7 +175,7 @@ class TestSolveCommand:
         # every value is finite, but y - S overflows, so the Skorokhod residual is nan
         payload = dict(COUNTEREXAMPLE_CONFIG)
         payload["tree"] = {"horizon": 1.0, "steps": 4, "mode": "recombining"}
-        payload["generator"] = {"expr": "0.0", "lipschitz": 0.0}
+        payload["generator"] = {"expr": "0.0"}
         payload["terminal"] = {"kind": "constant", "value": 8e307}
         payload["obstacle"] = {"kind": "constant", "value": -1.7e308}
         config = write_config(tmp_path, payload)
@@ -187,7 +186,7 @@ class TestSolveCommand:
     def test_non_finite_push_increment_exits_three_without_output(self, tmp_path, capsys):
         payload = dict(COUNTEREXAMPLE_CONFIG)
         payload["tree"] = {"horizon": 10.0, "steps": 2, "mode": "recombining"}
-        payload["generator"] = {"expr": "-1.7e308", "lipschitz": 0.0}
+        payload["generator"] = {"expr": "-1.7e308"}
         payload["terminal"] = {"kind": "constant", "value": 1.0}
         payload["obstacle"] = {"kind": "constant", "value": 0.0}
         config = write_config(tmp_path, payload)
@@ -199,7 +198,7 @@ class TestSolveCommand:
     def test_solver_failures_exit_three(self, tmp_path):
         payload = dict(COUNTEREXAMPLE_CONFIG)
         payload["tree"] = {"horizon": 4.0, "steps": 2, "mode": "recombining"}
-        payload["generator"] = {"expr": "(* 0.6 y)", "lipschitz": 0.6}
+        payload["generator"] = {"expr": "(* 0.6 y)"}
         payload["terminal"] = {"kind": "constant", "value": 5.0}
         payload["obstacle"] = {"kind": "constant", "value": -50.0}
         config = write_config(tmp_path, payload)
@@ -207,7 +206,7 @@ class TestSolveCommand:
 
     def test_non_finite_driver_literal_exits_two_without_output(self, tmp_path, capsys):
         payload = dict(COUNTEREXAMPLE_CONFIG)
-        payload["generator"] = {"expr": "nan", "lipschitz": 0.0}
+        payload["generator"] = {"expr": "nan"}
         config = write_config(tmp_path, payload)
         out = tmp_path / "o"
         assert main(["solve", "--config", str(config), "--out", str(out)]) == 2
@@ -373,8 +372,8 @@ class TestPriceCommand:
 
     @pytest.mark.parametrize(
         "fields",
-        [{"drift": 1e308}, {"rate": -1e308}, {"drift": 1.3e308, "rate": 1.5e308}],
-        ids=["premium-overflows", "premium-overflows-negative", "pricing-constant-overflows"],
+        [{"drift": 1e308}, {"rate": -1e308}],
+        ids=["premium-overflows", "premium-overflows-negative"],
     )
     def test_overflowing_premium_is_a_config_error(self, tmp_path, fields, capsys):
         payload = self.market_config()
@@ -383,6 +382,19 @@ class TestPriceCommand:
         out = tmp_path / "o"
         assert main(["price", "--config", str(config), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    def test_a_large_finite_premium_exits_three(self, tmp_path, capsys):
+        # premium (1.3e308 - 1.5e308) / 0.2 = -1e308 is finite; its one-step weights are not
+        payload = self.market_config()
+        payload["tree"]["steps"] = 8
+        payload["market"].update(drift=1.3e308, rate=1.5e308)
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["price", "--config", str(config), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "solver error: premium * sqrt(dt) = -3.53553e+307 leaves (-1, 1); refine the grid\n"
+        )
         assert not out.exists()
 
     def test_missing_market_block_exits_two(self, tmp_path):
@@ -608,8 +620,7 @@ class TestRecoverCommand:
         out = tmp_path / "o"
         assert main(["recover", "--config", str(config), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "config error: premium -inf and pricing constant |rate| + |premium| = inf"
-            " must be finite\n"
+            "config error: premium -inf must be finite\n"
         )
         assert not out.exists()
 
@@ -674,10 +685,7 @@ ROUND_TRIP_PAYLOADS = [
     COUNTEREXAMPLE_CONFIG,
     {
         "tree": {"horizon": 2.0, "steps": 8, "mode": "full-binary"},
-        "generator": {
-            "expr": "(min (* 2.0 (npart (+ y -1.0))) (abs z))",
-            "lipschitz": 2.0,
-        },
+        "generator": {"expr": "(min (* 2.0 (npart (+ y -1.0))) (abs z))"},
         "terminal": {"kind": "state", "expr": "(abs b)"},
         "obstacle": {"kind": "state", "expr": "(+ (npart b) -3.0)", "bound": 5.0},
         "seed": 42,
@@ -723,8 +731,9 @@ SMALL_TREE = {"horizon": 1.0, "steps": 8, "mode": "recombining"}
         ),
         (
             "solve",
+            # the bounds are read off the expression; no constant is declared
             {**COUNTEREXAMPLE_CONFIG, "generator": {"expr": "y", "lipschitz": -1}},
-            None, "generator lipschitz constant must be >= 0",
+            None, "unknown fields ['lipschitz'] in generator",
         ),
         (
             "verify",
@@ -815,8 +824,8 @@ class TestConfigRoundTrip:
         zip(
             ROUND_TRIP_PAYLOADS,
             [
-                "6e10ac17a8a5a812ff2a2bfd52ab6f1c3cd092cfa0f20ebc86ac45634e753dcd",
-                "2cf728f41ea7cd4a8f41fcfeb88cbda67fd269d1ae5b3edfb56e8e522a2e2faf",
+                "ef022b58d6b6cf5811509295b322b287c41f3794bc6ddf383bfecc45869fbd73",
+                "854b14c690b05fafc011b7f1c5526dc1605d53cd99378766d140222b81efb05c",
                 "a4af694d7bb8f003ce9dc102da533a3245083c6629a2e13d5347887b7df0dfdb",
             ],
         ),
@@ -829,7 +838,7 @@ class TestConfigRoundTrip:
         # integers in float fields, spaced expressions, a null bound, a defaulted kind
         payload = {
             "tree": {"horizon": 1, "steps": 4, "mode": "recombining"},
-            "generator": {"expr": "(+   y (abs  z))", "lipschitz": 2},
+            "generator": {"expr": "(+   y (abs  z))"},
             "terminal": {"kind": "state", "expr": " (abs b) "},
             "obstacle": {"kind": "affine", "slope": -2, "intercept": 1, "bound": None},
             "market": {"spot": 100, "drift": 0, "volatility": 1, "rate": 0, "strikes": [90]},
@@ -837,7 +846,7 @@ class TestConfigRoundTrip:
         config = RunConfig.parse(json.dumps(payload))
         assert RunConfig.parse(config.to_canonical()) == config
         assert json.loads(config.to_canonical()) == {"seed": 0, **config.blocks}
-        assert config.blocks["generator"] == {"expr": "(+ y (abs z))", "lipschitz": 2.0}
+        assert config.blocks["generator"] == {"expr": "(+ y (abs z))"}
         assert "bound" not in config.blocks["obstacle"]
         assert config.blocks["market"]["kind"] == "call"
 
@@ -981,7 +990,7 @@ def _solve_configs(draw):
     )
     return {
         "tree": {"horizon": draw(st.floats(0.05, 2.0)), "steps": steps, "mode": mode},
-        "generator": {"expr": driver.to_prefix(), "lipschitz": lipschitz_bound(driver)},
+        "generator": {"expr": driver.to_prefix()},
         "terminal": terminal,
         "obstacle": obstacle,
     }
@@ -990,7 +999,7 @@ def _solve_configs(draw):
 def _overflow_config(terminal, obstacle, steps=4):
     return {
         "tree": {"horizon": 1.0, "steps": steps, "mode": "recombining"},
-        "generator": {"expr": "0", "lipschitz": 0.0},
+        "generator": {"expr": "0"},
         "terminal": terminal,
         "obstacle": obstacle,
     }

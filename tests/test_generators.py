@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import rbsde_lab.generators
 from rbsde_lab import (
@@ -34,6 +34,7 @@ from rbsde_lab.generators import (
     PiecewiseTime,
     Scale,
     TimeVar,
+    Variable,
     YVar,
     ZVar,
 )
@@ -51,10 +52,10 @@ class TestEvaluation:
     def test_masked_driver_values_below_cut(self):
         # min(2 * (y - 0)^-, |z|) against min(1 * (y - 1)^-, |z|)
         g1 = GeneratorSpec(
-            Min(Scale(2.0, NegPart(YVar())), Abs(ZVar())), 2.0
+            Min(Scale(2.0, NegPart(YVar())), Abs(ZVar()))
         )
         g2 = GeneratorSpec(
-            Min(Scale(1.0, NegPart(Add((YVar(), Const(-1.0))))), Abs(ZVar())), 1.0
+            Min(Scale(1.0, NegPart(Add((YVar(), Const(-1.0))))), Abs(ZVar()))
         )
         # between the cuts the first driver is flat zero, the second is not
         assert g1.evaluate(0.0, 0.5, 1.0) == 0.0
@@ -78,7 +79,7 @@ class TestEvaluation:
         assert evaluate(expr, t=0.25, y=9.0, z=-3.0) == 0.25
 
     def test_broadcasting_over_levels(self):
-        g = GeneratorSpec(Add((Scale(2.0, YVar()), Abs(ZVar()))), 2.0)
+        g = GeneratorSpec(Add((Scale(2.0, YVar()), Abs(ZVar()))))
         y = np.array([1.0, -1.0, 0.5])
         z = np.array([0.0, 2.0, -2.0])
         np.testing.assert_allclose(g.evaluate(0.0, y, z), [2.0, 0.0, 3.0])
@@ -87,18 +88,18 @@ class TestEvaluation:
 class TestAffineDetection:
     def test_affine_driver_decomposes(self):
         g = GeneratorSpec(
-            Add((Scale(-0.02, YVar()), Scale(-0.3, ZVar()))), 0.32
+            Add((Scale(-0.02, YVar()), Scale(-0.3, ZVar())))
         )
         h, a = g.y_affine(0.0, np.array([1.0, 2.0]))
         np.testing.assert_allclose(np.broadcast_to(h, (2,)), [-0.3, -0.6])
         assert float(np.asarray(a)) == -0.02
 
     def test_nonlinear_driver_returns_none(self):
-        g = GeneratorSpec(Abs(YVar()), 1.0)
+        g = GeneratorSpec(Abs(YVar()))
         assert g.y_affine(0.0, 0.0) is None
 
     def test_y_free_nonlinearities_stay_affine(self):
-        g = GeneratorSpec(Min(Abs(ZVar()), Const(2.0)), 1.0)
+        g = GeneratorSpec(Min(Abs(ZVar()), Const(2.0)))
         h, a = g.y_affine(0.0, np.array([-3.0, 1.0]))
         np.testing.assert_allclose(np.broadcast_to(h, (2,)), [2.0, 1.0])
         assert float(np.asarray(a)) == 0.0
@@ -137,23 +138,31 @@ class TestYFreeRule:
 
 class TestLipschitzBound:
     def test_structural_bounds(self):
-        assert lipschitz_bound(Const(5.0)) == 0.0
-        assert lipschitz_bound(Add((YVar(), ZVar()))) == 2.0
-        assert lipschitz_bound(Scale(-3.0, Abs(ZVar()))) == 3.0
-        assert lipschitz_bound(Min(Scale(2.0, YVar()), Abs(ZVar()))) == 2.0
-        assert lipschitz_bound(AtZeroState(YVar())) == 0.0
-        assert lipschitz_bound(Neg(Scale(-1.5, YVar()))) == 1.5
-        assert lipschitz_bound(NegPart(Add((YVar(), ZVar(), Abs(YVar()))))) == 3.0
+        assert lipschitz_bound(Const(5.0)) == (0.0, 0.0)
+        assert lipschitz_bound(YVar()) == (1.0, 0.0)
+        assert lipschitz_bound(ZVar()) == (0.0, 1.0)
+        assert lipschitz_bound(Add((YVar(), ZVar()))) == (1.0, 1.0)
+        assert lipschitz_bound(Scale(-3.0, Abs(ZVar()))) == (0.0, 3.0)
+        assert lipschitz_bound(Min(Scale(2.0, YVar()), Abs(ZVar()))) == (2.0, 1.0)
+        assert lipschitz_bound(AtZeroState(YVar())) == (0.0, 0.0)
+        assert lipschitz_bound(Neg(Scale(-1.5, YVar()))) == (1.5, 0.0)
+        assert lipschitz_bound(NegPart(Add((YVar(), ZVar(), Abs(YVar()))))) == (2.0, 1.0)
         pieces = (Scale(0.5, ZVar()), Add((YVar(), Scale(-2.0, ZVar()))), TimeVar())
-        assert lipschitz_bound(PiecewiseTime(pieces, (0.25, 0.75))) == 3.0
-        assert lipschitz_bound(TimeVar()) == 0.0
-        assert lipschitz_bound(BrownianVar()) == 0.0
+        assert lipschitz_bound(PiecewiseTime(pieces, (0.25, 0.75))) == (1.0, 2.0)
+        assert lipschitz_bound(TimeVar()) == (0.0, 0.0)
+        assert lipschitz_bound(BrownianVar()) == (0.0, 0.0)
+        assert all(type(bound) is float for bound in lipschitz_bound(Min(YVar(), ZVar())))
+
+    def test_a_driver_reads_its_bounds_off_its_expression(self):
+        g = GeneratorSpec(Add((Scale(-0.02, YVar()), Scale(0.3, Abs(ZVar())))))
+        assert g.lipschitz == lipschitz_bound(g.expr) == (0.02, 0.3)
+        assert g.lipschitz is g.lipschitz  # cached, as batch_shape is
 
     def test_a_restricted_driver_keeps_its_inner_bound(self):
         tree = build_tree(TimeGrid(1.0, 4), TreeMode.RECOMBINING)
         inner = Add((Scale(-1.5, YVar()), Abs(ZVar())))
-        gated = restrict_generator(GeneratorSpec(inner, 2.5), StoppingRule.root(tree))
-        assert lipschitz_bound(gated.expr) == lipschitz_bound(inner) == 2.5
+        gated = restrict_generator(GeneratorSpec(inner), StoppingRule.root(tree))
+        assert gated.lipschitz == lipschitz_bound(inner) == (1.5, 1.0)
 
     def test_a_node_outside_the_grammar_is_an_expression_error(self):
         class Foreign(Expr):
@@ -194,6 +203,64 @@ def exprs(variables=("t", "y", "z")):
         )
 
     return st.recursive(base, extend, max_leaves=12)
+
+
+_COEFFICIENTS = st.floats(-3, 3, allow_nan=False, allow_infinity=False).map(float)
+_POINTS = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+
+
+def _magnitude(expr, t, y, z) -> float:
+    """A bound on every value met while evaluating ``expr`` at ``(t, y, z)``,
+    the scale against which its rounding errors are measured."""
+    if isinstance(expr, Const):
+        return abs(expr.value)
+    if isinstance(expr, Variable):
+        return abs(getattr(EvalContext(t, y, z), expr.op))
+    if isinstance(expr, AtZeroState):
+        return _magnitude(expr.inner, t, 0.0, 0.0)
+    if isinstance(expr, PiecewiseTime):
+        return _magnitude(expr._select(t), t, y, z)
+    total = sum(_magnitude(child, t, y, z) for child in expr.children())
+    return max(1.0, abs(expr.factor)) * total if isinstance(expr, Scale) else total
+
+
+def _recoefficient(expr, draw):
+    """``expr`` with every constant and scale factor drawn anew: one structure."""
+    if isinstance(expr, Const):
+        return Const(draw(_COEFFICIENTS))
+    if isinstance(expr, Scale):
+        return Scale(draw(_COEFFICIENTS), _recoefficient(expr.inner, draw))
+    fields = {}
+    for name, value in expr._asdict().items():
+        if isinstance(value, Expr):
+            value = _recoefficient(value, draw)
+        elif name in ("terms", "pieces"):
+            value = tuple(_recoefficient(v, draw) for v in value)
+        fields[name] = value
+    return type(expr)(**fields)
+
+
+class TestLipschitzBoundHolds:
+    @settings(max_examples=300, deadline=None)
+    @given(exprs(), st.floats(0.0, 1.0), _POINTS, _POINTS, _POINTS, _POINTS)
+    def test_bounds_hold_between_any_two_points(self, expr, t, y1, z1, y2, z2):
+        l_y, l_z = lipschitz_bound(expr)
+        g = GeneratorSpec(expr)
+        gap = abs(float(g.evaluate(t, y1, z1)) - float(g.evaluate(t, y2, z2)))
+        # a few ulps of the largest values met in the two evaluations
+        scale = _magnitude(expr, t, y1, z1) + _magnitude(expr, t, y2, z2)
+        slack = 64 * np.finfo(float).eps * scale
+        assert gap <= l_y * abs(y1 - y2) + l_z * abs(z1 - z2) + slack
+
+    @settings(max_examples=100, deadline=None)
+    @given(exprs(), st.integers(1, 4), st.data())
+    def test_a_stacked_driver_bounds_each_member_as_alone(self, expr, extra, data):
+        members = [GeneratorSpec(expr)]
+        members += [GeneratorSpec(_recoefficient(expr, data.draw)) for _ in range(extra)]
+        stacked = GeneratorSpec.stack(members)
+        for bound, own in zip(stacked.lipschitz, zip(*(m.lipschitz for m in members))):
+            column = np.broadcast_to(bound, (len(members), 1))[:, 0]
+            assert column.tolist() == list(own)
 
 
 class TestPrefixForm:
@@ -326,7 +393,7 @@ class TestCheckAssumptions:
 
     def test_values_evaluate_each_time_on_the_box(self):
         sample = SampleSpec(t_max=1.0, t_count=5, y_low=-1.0, y_high=2.0, y_count=4, z_count=3)
-        g = GeneratorSpec(PiecewiseTime((Add((YVar(), ZVar())), TimeVar()), (0.5,)), 1.0)
+        g = GeneratorSpec(PiecewiseTime((Add((YVar(), ZVar())), TimeVar()), (0.5,)))
         values = sample.values(g)
         assert values.shape == (5, 4, 3)
         for i, t in enumerate(sample.t_points()):
@@ -345,21 +412,25 @@ class TestCheckAssumptions:
     def test_masked_driver_vanishes_at_zero_coefficient(self):
         g = GeneratorSpec(
             Min(Scale(1.5, NegPart(Add((YVar(), Const(-1.0))))), Abs(ZVar())),
-            1.5,
         )
         report = check_assumptions(g, self.sample())
         assert not report.zero_z_exceeded
 
-    def test_underdeclared_slope_is_flagged(self):
-        g = GeneratorSpec(Scale(2.0, YVar()), 1.0)
+    def test_underdeclared_slope_is_flagged(self, monkeypatch):
+        g = GeneratorSpec(Scale(2.0, YVar()))
         report = check_assumptions(g, self.sample())
+        assert report.derived_lipschitz == (2.0, 0.0)
+        assert not report.lipschitz_exceeded
+        # a structural rule that forgot the scale would understate the slope
+        monkeypatch.setattr(rbsde_lab.generators, "lipschitz_bound", lambda expr: (1.0, 0.0))
+        report = check_assumptions(GeneratorSpec(Scale(2.0, YVar())), self.sample())
+        assert report.derived_lipschitz == (1.0, 0.0)
         assert report.lipschitz_exceeded
         assert report.max_lipschitz_quotient == pytest.approx(2.0)
 
     def test_honest_declaration_passes(self):
         g = GeneratorSpec(
             Add((Scale(0.5, YVar()), Scale(0.25, ZVar()))),
-            0.75,
         )
         report = check_assumptions(g, self.sample())
         assert not report.lipschitz_exceeded
@@ -367,7 +438,7 @@ class TestCheckAssumptions:
     def test_time_jump_detector(self):
         still = check_assumptions(GeneratorSpec.constant(2.0), self.sample())
         assert not still.time_jump_exceeded
-        moving = check_assumptions(GeneratorSpec(TimeVar(), 0.0), self.sample())
+        moving = check_assumptions(GeneratorSpec(TimeVar()), self.sample())
         assert moving.time_jump_exceeded  # change detector, not continuity
 
     @pytest.mark.parametrize(
@@ -394,7 +465,7 @@ class TestCheckAssumptions:
     def test_box_without_two_distinct_points_is_a_typed_error(self, fields):
         # no difference quotient exists, so no Lipschitz evidence can be reported
         with pytest.raises(InvalidSample):
-            check_assumptions(GeneratorSpec(Scale(2.0, YVar()), 1.0), SampleSpec(1.0, **fields))
+            check_assumptions(GeneratorSpec(Scale(2.0, YVar())), SampleSpec(1.0, **fields))
 
 
 def _affine_members():
@@ -402,7 +473,7 @@ def _affine_members():
     coefficients = [(0.5, -1.0, 0.25), (-0.75, 2.0, 0.0), (0.0, 0.5, -1.5), (1.25, -0.25, 3.0),
                     (-2.0, 0.0, -0.5)]
     return [
-        GeneratorSpec(Add((Scale(a, YVar()), Scale(b, Abs(ZVar())), Const(c))), abs(a) + abs(b))
+        GeneratorSpec(Add((Scale(a, YVar()), Scale(b, Abs(ZVar())), Const(c))))
         for a, b, c in coefficients
     ]
 
@@ -412,7 +483,8 @@ class TestCoefficientColumns:
         members = _affine_members()
         stacked = GeneratorSpec.stack(members)
         assert stacked.expr.terms[0].factor.shape == (5, 1)
-        assert stacked.lipschitz == max(m.lipschitz for m in members)
+        for bound, own in zip(stacked.lipschitz, zip(*(m.lipschitz for m in members))):
+            assert bound.shape == (5, 1) and bound[:, 0].tolist() == list(own)
         rng = np.random.default_rng(3)
         y, z = rng.normal(size=(2, 5, 7))
         values = stacked.evaluate(0.3, y, z)
@@ -427,7 +499,7 @@ class TestCoefficientColumns:
         # 11 members on an 11 x 11 box: a column broadcast against the box's
         # own axes would give the right shape and the wrong numbers
         members = [
-            GeneratorSpec(Add((Scale(0.1 * k, YVar()), Scale(-0.05 * k, ZVar()), Const(k))), 1.0)
+            GeneratorSpec(Add((Scale(0.1 * k, YVar()), Scale(-0.05 * k, ZVar()), Const(k))))
             for k in range(11)
         ]
         sample = SampleSpec(t_max=1.0, t_count=3, y_count=11, z_count=11)
@@ -436,12 +508,17 @@ class TestCoefficientColumns:
         for k, member in enumerate(members):
             assert values[k].tobytes() == sample.values(member).tobytes()
 
-    def test_columns_have_no_text_and_bound_with_their_largest_factor(self):
+    def test_columns_have_no_text_and_bound_each_member_apart(self):
         stacked = GeneratorSpec.stack(_affine_members())
         with pytest.raises(ExpressionError, match="no text form"):
             stacked.to_prefix()
-        assert lipschitz_bound(stacked.expr) == 2.0 + 2.0
-        assert isinstance(lipschitz_bound(stacked.expr), float)
+        l_y, l_z = lipschitz_bound(stacked.expr)
+        assert l_y[:, 0].tolist() == [0.5, 0.75, 0.0, 1.25, 2.0]
+        assert l_z[:, 0].tolist() == [1.0, 2.0, 0.5, 0.25, 0.0]
+        # two terms in y: a column-wide largest |c| would read 2 for both members
+        a, b = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+        l_y, l_z = lipschitz_bound(Add((Scale(a, YVar()), Scale(b, Abs(YVar())))))
+        assert l_y[:, 0].tolist() == [1.0, 1.0] and l_z[:, 0].tolist() == [0.0, 0.0]
 
     def test_a_column_needs_a_trailing_axis_of_one(self):
         with pytest.raises(ExpressionError, match="batch"):
@@ -451,10 +528,10 @@ class TestCoefficientColumns:
 
     def test_stacking_needs_one_structure(self):
         with pytest.raises(ExpressionError, match="one structure"):
-            GeneratorSpec.stack([GeneratorSpec(YVar(), 1.0), GeneratorSpec(ZVar(), 1.0)])
+            GeneratorSpec.stack([GeneratorSpec(YVar()), GeneratorSpec(ZVar())])
         with pytest.raises(ExpressionError, match="one structure"):
             GeneratorSpec.stack(
-                [GeneratorSpec(PiecewiseTime((YVar(), ZVar()), (cut,)), 1.0) for cut in (0.2, 0.5)]
+                [GeneratorSpec(PiecewiseTime((YVar(), ZVar()), (cut,))) for cut in (0.2, 0.5)]
             )
 
     def test_equal_columns_compare_equal_and_hash_alike(self):

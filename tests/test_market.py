@@ -365,27 +365,63 @@ class TestRecovery:
         assert batches == [(21, 5)] * 28 + [(13, 5)] + [(21, 5)] * 9 + [(1, 5)] * 3
 
     @pytest.mark.parametrize(
-        "steps, volatility, error, message",
+        "steps, volatility, rate, error, message",
         [
-            # the down factor is negative at the bracket's lower edge only
+            # the down factor is negative at the bracket's lower edge only,
+            # theta = -1.99 on 4 steps
             (
-                4, 0.9, PositivityViolated,
-                "step factors (0.78, -0.12) must stay positive; "
+                4, 1.2, 0.02, PositivityViolated,
+                "step factors (1.008, -0.192) must stay positive; "
                 "refine the grid or lower the volatility",
             ),
-            # the pricing constant |rate| + |premium| is largest at the edges
-            (1, 0.2, ContractionViolated, "lipschitz * dt = 3.02 >= 1; refine the grid"),
+            # the pricing driver's slope in y is |rate|, whatever the premium
+            (1, 0.2, 1.5, ContractionViolated, "lipschitz * dt = 1.5 >= 1; refine the grid"),
         ],
         ids=["step-factors", "contraction"],
     )
-    def test_a_refused_first_candidate_names_itself(self, steps, volatility, error, message):
+    def test_a_refused_first_candidate_names_itself(
+        self, steps, volatility, rate, error, message
+    ):
         # every factor rises with the premium, so the first candidate refused
-        # is the scan's first, theta = -3
+        # is the scan's first, at the bracket's lower edge
         with pytest.raises(error) as caught:
             recover_theta(
-                recomb_tree(steps), [(100.0, 5.0)], spot=100.0, volatility=volatility, rate=0.02
+                recomb_tree(steps), [(100.0, 5.0)], spot=100.0, volatility=volatility, rate=rate
             )
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("steps, edge", [(1, 0.99), (4, 1.99), (9, 2.99), (48, 3.0)])
+    def test_the_scan_keeps_to_premiums_with_positive_weights(self, monkeypatch, steps, edge):
+        # the bracket [-3, 3] is cut one scan spacing inside |premium| * sqrt(dt) < 1
+        premiums = []
+        roots = market._family_roots
+
+        def recording_roots(tree, model, strikes):
+            premiums.extend(np.ravel(model.premium).tolist())
+            return roots(tree, model, strikes)
+
+        monkeypatch.setattr(market, "_family_roots", recording_roots)
+        tree = recomb_tree(steps)
+        observed = self.synthetic(tree, 0.3, [100.0])
+        recovery = recover_theta(tree, observed, spot=100.0, volatility=0.2, rate=0.02)
+        assert min(premiums) == pytest.approx(-edge, abs=1e-12)
+        assert max(premiums) == pytest.approx(edge, abs=1e-12)
+        assert max(abs(p) for p in premiums) * tree.sqrt_dt < 1.0
+        assert abs(recovery.theta_hat - 0.3) <= 1e-5
+
+    def test_a_premium_only_negative_weights_fit_is_not_returned(self):
+        # a call at 100 priced 1 on 4 steps fits only theta = -2.05, where
+        # |theta| * sqrt(dt) = 1.03; the scan stops at -1.99 and returns a
+        # premium the quotes accept
+        tree = recomb_tree(4)
+        recovery = recover_theta(tree, [(100.0, 1.0)], spot=100.0, volatility=0.2, rate=0.02)
+        assert abs(recovery.theta_hat) * tree.sqrt_dt < 1.0
+        model = MarketModel(
+            spot=100.0, drift=0.02 + 0.2 * recovery.theta_hat, volatility=0.2, rate=0.02,
+            strike=100.0,
+        )
+        (quote,) = quote_strike_family(tree, model, [100.0])
+        assert abs(quote.price - 1.0) ** 2 == pytest.approx(recovery.objective)
 
 
 def _quadratic(c, scale=1.0, floor=0.0):

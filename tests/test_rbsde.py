@@ -90,7 +90,7 @@ class TestSolutionStructure:
         tree = full_tree(7)
         rng = np.random.default_rng(21)
         g = GeneratorSpec(
-            Add((Scale(0.4, YVar()), Scale(-0.3, ZVar()), Const(0.1))), 0.7
+            Add((Scale(0.4, YVar()), Scale(-0.3, ZVar()), Const(0.1)))
         )
         xi = TerminalCondition.from_leaf_values(tree, rng.uniform(-1, 1, size=128))
         plain = solve_bsde(g, xi)
@@ -133,7 +133,7 @@ class TestSolutionStructure:
     def test_domination_and_complementarity_hold_exactly(self):
         tree = full_tree(8)
         rng = np.random.default_rng(22)
-        g = GeneratorSpec(Add((Scale(-0.5, YVar()), Scale(0.5, ZVar()))), 1.0)
+        g = GeneratorSpec(Add((Scale(-0.5, YVar()), Scale(0.5, ZVar()))))
         obstacle = ObstacleSpec(
             AdaptedProcess.from_state_function(tree, lambda t, b: 0.3 - 2.0 * t + 0.1 * b)
         )
@@ -229,7 +229,7 @@ class TestSolutionStructure:
         )
         with pytest.raises(NumericalBreakdown, match=match):
             solve_rbsde(
-                GeneratorSpec(parse_prefix(generator), 0.0),
+                GeneratorSpec(parse_prefix(generator)),
                 terminal,
                 ObstacleSpec(AdaptedProcess(tree, levels)),
             )
@@ -313,7 +313,7 @@ def _partial_rule_full_binary_problem():
         tree,
         [rng.random(tree.level_size(i)) < (0.15 if i >= 3 else 0.0) for i in range(tree.steps + 1)],
     )
-    generator = GeneratorSpec(parse_prefix("(+ (min y z) (* -1.5 (abs y)))"), 2.5)
+    generator = GeneratorSpec(parse_prefix("(+ (min y z) (* -1.5 (abs y)))"))
     terminal = TerminalCondition.at_rule(tree, rule, lambda i, b: 1.2 + np.abs(b) - 0.1 * i)
     obstacle = AdaptedProcess.from_state_function(tree, lambda t, b: 0.9 + 0.3 * b - t)
     return generator, terminal, ObstacleSpec(obstacle)
@@ -330,7 +330,7 @@ def _plain_solution_sha256(sol):
 
 def _affine_recombining_problem():
     tree = recomb_tree(60)
-    generator = GeneratorSpec(parse_prefix("(+ 0.1 (* 0.3 y) (* -0.5 z))"), 0.8)
+    generator = GeneratorSpec(parse_prefix("(+ 0.1 (* 0.3 y) (* -0.5 z))"))
     terminal = TerminalCondition.from_leaf_function(tree, lambda b: 1.0 + np.abs(b))
     return generator, terminal
 
@@ -338,7 +338,7 @@ def _affine_recombining_problem():
 def _level_rule_recombining_problem():
     tree = recomb_tree(60)
     rule = StoppingRule.at_level(tree, 45)
-    generator = GeneratorSpec(parse_prefix("(+ (min y z) (* -1.5 (abs y)))"), 2.5)
+    generator = GeneratorSpec(parse_prefix("(+ (min y z) (* -1.5 (abs y)))"))
     terminal = TerminalCondition.at_rule(tree, rule, lambda i, b: 1.0)
     obstacle = AdaptedProcess.from_state_function(
         tree, lambda t, b: 1.2 - 0.5 * np.abs(b) - 0.3 * t
@@ -460,7 +460,7 @@ class TestBatchedSweep:
     def test_members_match_their_own_solves_bit_for_bit(self):
         tree = full_tree(6)
         # not affine in y, so every level runs the fixed-point iteration
-        generator = GeneratorSpec(parse_prefix("(+ (min y z) (* 0.5 (abs y)))"), 2.0)
+        generator = GeneratorSpec(parse_prefix("(+ (min y z) (* 0.5 (abs y)))"))
         shifts = (0.0, 0.4, -0.3)
         terminals = [
             TerminalCondition.from_leaf_function(tree, lambda b, c=c: c + np.abs(b))
@@ -653,7 +653,7 @@ class TestConditionalAndRestriction:
         obstacle = ObstacleSpec(AdaptedProcess.from_time_function(tree, lambda t: -1.0 - t))
         leaves = rng.uniform(-0.5, 0.5, size=64)
         xi = TerminalCondition.from_leaf_values(tree, leaves)
-        g = GeneratorSpec(Scale(0.4, ZVar()), 0.4)
+        g = GeneratorSpec(Scale(0.4, ZVar()))
         at_root = reflected_conditional(g, xi, obstacle, StoppingRule.root(tree))
         assert at_root[(0, 0)] == reflected_value(g, xi, obstacle)
         at_end = reflected_conditional(g, xi, obstacle, StoppingRule.terminal(tree))
@@ -668,7 +668,7 @@ class TestConditionalAndRestriction:
         flags[0][0] = False  # stop past the root on every path
         at = StoppingRule(tree, flags)
         leaves = rng.uniform(-0.3, 0.5, size=(3, 64))
-        g = GeneratorSpec(Add((Scale(0.4, Abs(ZVar())), Scale(-0.3, YVar()))), 0.7)
+        g = GeneratorSpec(Add((Scale(0.4, Abs(ZVar())), Scale(-0.3, YVar()))))
         obstacle = ObstacleSpec(AdaptedProcess.from_time_function(tree, lambda t: 0.2 - 0.5 * t))
 
         def conditional(terminal):
@@ -693,7 +693,7 @@ class TestConditionalAndRestriction:
             flags = [rng.random(tree.level_size(i)) < 0.2 for i in range(11)]
             rule = StoppingRule(tree, flags)
             g = GeneratorSpec(
-                Add((Scale(0.5, YVar()), Scale(-0.5, ZVar()), Const(0.2))), 1.0
+                Add((Scale(0.5, YVar()), Scale(-0.5, ZVar()), Const(0.2)))
             )
             obstacle = ObstacleSpec(
                 AdaptedProcess.from_state_function(

@@ -72,7 +72,7 @@ ONES = AdaptedProcess.constant(TREE, 1.0)
 RULE = StoppingRule.terminal(TREE)
 TERMINAL = TerminalCondition.constant(TREE, 1.0)
 OBSTACLE = ObstacleSpec(AdaptedProcess.constant(TREE, 0.0), bound=0.0)
-DRIVER = GeneratorSpec(YVar(), 1.0)
+DRIVER = GeneratorSpec(YVar())
 SITE = DriverOrderingSite(0.0, 1.0, 2.0, 0.5)
 CERTIFICATE = OrderingCertificate(0.0, 0.0, 0.0, 0.0)
 DIAGNOSTICS = ReflectionDiagnostics(0.0, 0.5, 0.25, 1, 0.0, True)
@@ -110,12 +110,12 @@ RECORDS = [
     (PiecewiseTime, lambda: PiecewiseTime((Const(0.0), TimeVar()), (0.5,)), "bounds", True),
     (AtZeroState, lambda: AtZeroState(YVar()), "inner", True),
     (ActiveBefore, lambda: ActiveBefore(RULE, YVar()), "rule", False),
-    (GeneratorSpec, lambda: GeneratorSpec(YVar(), 1.0), "lipschitz", False),
+    (GeneratorSpec, lambda: GeneratorSpec(YVar()), "expr", False),
     (SampleSpec, lambda: SampleSpec(1.0, 3, y_count=3, z_count=3), "t_max", True),
     (
         AssumptionReport,
         lambda: check_assumptions(DRIVER, SampleSpec(1.0, 3, y_count=3, z_count=3)),
-        "declared_lipschitz",
+        "derived_lipschitz",
         True,
     ),
     # lattice
@@ -237,8 +237,8 @@ def test_copies_with_a_field_changed_run_the_constructor_checks():
         SampleSpec(1.0)._replace(t_count=0)
     with pytest.raises(ExpressionError, match="one more piece"):
         PiecewiseTime((Const(0.0), TimeVar()), (0.5,))._replace(bounds=())
-    with pytest.raises(ValueError, match="lipschitz constant"):
-        DRIVER._replace(lipschitz=-1.0)
+    with pytest.raises(TypeError, match=r"takes the fields \('expr',\)"):
+        DRIVER._replace(lipschitz=1.0)  # the bounds are read off the expression
     with pytest.raises(AttributeError):
         del TimeGrid(1.0, 4).steps
 
@@ -285,6 +285,6 @@ def test_solver_records_repr_their_fields():
         "SampleSpec(t_max=1.0, t_count=21, y_low=-5.0, y_high=5.0, y_count=21, "
         "z_low=-5.0, z_high=5.0, z_count=21)"
     )
-    assert repr(GeneratorSpec(Const(0.5), 0.0)) == (
-        "GeneratorSpec(expr=Const(value=0.5), lipschitz=0.0)"
+    assert repr(GeneratorSpec(Const(0.5))) == (
+        "GeneratorSpec(expr=Const(value=0.5))"
     )

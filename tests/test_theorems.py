@@ -219,10 +219,11 @@ class TestComparisonOverTheGrammar:
 
     ``g_high = g_low + q`` with ``q >= 0``, so drivers not affine in y take
     the fixed-point branch of the implicit step.  The lattice scheme is
-    monotone when ``lipschitz * sqrt(dt) <= 1``; the contraction guard's
-    ``lipschitz * dt < 1`` is not enough (``g = 3z`` on 8 steps, where
-    ``3 * sqrt(dt)`` is 1.06, breaks comparison by about 0.1 on such data),
-    so each pair is scaled down to meet it.
+    monotone when its one-step weights are nonnegative, ``L_z * sqrt(dt) <= 1``;
+    the contraction guard's ``L_y * dt < 1`` is not enough (``g = 3z`` on 8
+    steps, where ``3 * sqrt(dt)`` is 1.06, breaks comparison by about 0.1 on
+    such data), so each pair is scaled down until both bounds times
+    ``sqrt(dt)`` are at most 1.
     """
 
     @settings(max_examples=100, deadline=None)
@@ -236,11 +237,11 @@ class TestComparisonOverTheGrammar:
     )
     def test_ordered_data_give_ordered_solutions(self, g_low, q, mode, steps, seed, shared):
         tree = build_tree(TimeGrid(1.0, steps), mode)
-        bound = lipschitz_bound(Add((g_low, q))) * tree.sqrt_dt
+        bound = max(lipschitz_bound(Add((g_low, q)))) * tree.sqrt_dt
         factor = 1.0 if bound <= 1.0 else 1.0 / bound
         low_expr, high_expr = Scale(factor, g_low), Scale(factor, Add((g_low, q)))
-        g_lo = GeneratorSpec(low_expr, lipschitz_bound(low_expr))
-        g_hi = GeneratorSpec(high_expr, lipschitz_bound(high_expr))
+        g_lo = GeneratorSpec(low_expr)
+        g_hi = GeneratorSpec(high_expr)
 
         rng = np.random.default_rng(seed)
         sizes = [tree.level_size(i) for i in range(steps + 1)]
@@ -375,7 +376,7 @@ class TestStrictWitness:
         obstacle = ObstacleSpec(
             AdaptedProcess.from_state_function(tree, lambda t, b: 0.3 - 3.0 * t + 0.1 * b)
         )
-        g = GeneratorSpec(Add((Scale(0.3, YVar()), Scale(-0.2, ZVar()))), 0.5)
+        g = GeneratorSpec(Add((Scale(0.3, YVar()), Scale(-0.2, ZVar()))))
         base = np.maximum(rng.uniform(0, 1, size=256), obstacle.process.level(8))
         mask = rng.random(256) < 0.3
         mask[0] = True
@@ -473,7 +474,7 @@ class TestDominatingObstacle:
         xi = TerminalCondition.from_leaf_values(tree, rng.uniform(-1, 1, size=256))
         obstacle = build_dominating_obstacle(xi, 1.5)
         g = GeneratorSpec(
-            Add((Scale(0.7, Abs(ZVar())), Scale(-0.8, ZVar()))), 1.5
+            Add((Scale(0.7, Abs(ZVar())), Scale(-0.8, ZVar())))
         )
         sol = solve_rbsde(g, xi, obstacle)
         assert max(float(np.max(sol.k.level(i))) for i in range(9)) <= 1e-10
@@ -481,18 +482,17 @@ class TestDominatingObstacle:
         for i in range(9):
             np.testing.assert_array_equal(plain.y.level(i), sol.y.level(i))
 
-    def test_structural_bound_is_not_a_floor_for_the_declared_constant(self):
-        # lipschitz_bound sums the bounds of an Add's terms, so it overstates
-        # drivers whose terms read different variables; rejecting a declared
-        # constant below it would reject these honest declarations
+    def test_structural_bounds_are_per_variable_and_tight(self):
+        # one bound per variable: -L|y| - L|z| reads (L, L), which the sampled
+        # l1 difference quotient meets, where one summed bound would read 2L
         g = dominating_driver(1.5)
         report = check_assumptions(g, SampleSpec(1.0))
-        assert lipschitz_bound(g.expr) == 3.0
+        assert g.lipschitz == report.derived_lipschitz == (1.5, 1.5)
         assert report.max_lipschitz_quotient == pytest.approx(1.5)
         assert not report.lipschitz_exceeded
         zero = GeneratorSpec.constant(0.0)
         floor = floor_driver(zero, zero, 1.5)
-        assert lipschitz_bound(floor.expr) == 3.0 > floor.lipschitz
+        assert floor.lipschitz == (1.5, 1.5)
         assert not check_assumptions(floor, SampleSpec(1.0)).lipschitz_exceeded
 
 
@@ -595,7 +595,7 @@ class TestMaskedDrivers:
 class TestConverseProbe:
     def test_identical_drivers(self):
         tree = full_tree(6)
-        g = GeneratorSpec(Scale(0.5, Abs(ZVar())), 0.5)
+        g = GeneratorSpec(Scale(0.5, Abs(ZVar())))
         obstacle = ObstacleSpec(AdaptedProcess.constant(tree, -1.0), bound=-1.0)
         report = converse_probe(g, g, obstacle)
         assert report.value_ordering_holds
@@ -605,8 +605,8 @@ class TestConverseProbe:
 
     def test_ordered_coefficient_drivers(self):
         tree = full_tree(6)
-        g_upper = GeneratorSpec(Abs(ZVar()), 1.0)
-        g_lower = GeneratorSpec(Scale(0.5, Abs(ZVar())), 0.5)
+        g_upper = GeneratorSpec(Abs(ZVar()))
+        g_lower = GeneratorSpec(Scale(0.5, Abs(ZVar())))
         obstacle = ObstacleSpec(AdaptedProcess.constant(tree, 0.0), bound=0.0)
         report = converse_probe(g_upper, g_lower, obstacle)
         assert report.value_ordering_holds
@@ -623,8 +623,8 @@ class TestConverseProbe:
 
     def test_sites_reproduce_their_gaps(self):
         tree = full_tree(6)
-        g_upper = GeneratorSpec(ZVar(), 1.0)
-        g_lower = GeneratorSpec(Scale(-1.0, ZVar()), 1.0)
+        g_upper = GeneratorSpec(ZVar())
+        g_lower = GeneratorSpec(Scale(-1.0, ZVar()))
         obstacle = ObstacleSpec(AdaptedProcess.constant(tree, 0.0), bound=0.0)
         report = converse_probe(g_upper, g_lower, obstacle)
         assert not report.value_ordering_holds
@@ -651,15 +651,15 @@ class TestConverseProbe:
         [
             # negative drifts: the obstacle at the bound pushes
             (
-                GeneratorSpec(Add((Const(-1.0), Scale(0.3, ZVar()), Scale(0.2, YVar()))), 0.5),
-                GeneratorSpec(Add((Const(-0.8), Scale(-0.7, ZVar()))), 0.7),
+                GeneratorSpec(Add((Const(-1.0), Scale(0.3, ZVar()), Scale(0.2, YVar())))),
+                GeneratorSpec(Add((Const(-0.8), Scale(-0.7, ZVar())))),
                 True,
                 "0x1.0a5aca1677a8fp-1",
             ),
             # nonnegative drivers over data above the bound: the obstacle never binds
             (
-                GeneratorSpec(Scale(0.5, Abs(ZVar())), 0.5),
-                GeneratorSpec(Add((Abs(ZVar()), Scale(0.25, YVar()))), 1.25),
+                GeneratorSpec(Scale(0.5, Abs(ZVar()))),
+                GeneratorSpec(Add((Abs(ZVar()), Scale(0.25, YVar())))),
                 False,
                 "0x1.bedbb0aa6cb14p-1",
             ),
@@ -679,7 +679,7 @@ class TestConverseProbe:
 
     def test_obstacle_without_bound_is_rejected(self):
         tree = full_tree(4)
-        g = GeneratorSpec(Abs(ZVar()), 1.0)
+        g = GeneratorSpec(Abs(ZVar()))
         obstacle = ObstacleSpec(AdaptedProcess.constant(tree, 0.0))
         with pytest.raises(ValueError, match="^default probe family needs an obstacle bound$"):
             converse_probe(g, g, obstacle)
@@ -689,8 +689,8 @@ class TestConverseProbe:
         # sweeps; the reference here builds each of the ten terminals itself,
         # solves it in full and reads every stopping node
         tree = full_tree(6)
-        g_upper = GeneratorSpec(ZVar(), 1.0)
-        g_lower = GeneratorSpec(Scale(-1.0, ZVar()), 1.0)
+        g_upper = GeneratorSpec(ZVar())
+        g_lower = GeneratorSpec(Scale(-1.0, ZVar()))
         obstacle = ObstacleSpec(AdaptedProcess.constant(tree, 0.0), bound=0.0)
         mid = StoppingRule(tree, [np.abs(tree.brownian_level(i)) >= 1.0 for i in range(7)])
         rules = (StoppingRule.root(tree), mid, StoppingRule.terminal(tree))
@@ -722,8 +722,8 @@ class TestConverseProbe:
 
     def test_family_is_swept_once_per_driver_and_rule(self, monkeypatch):
         tree = full_tree(6)
-        g_upper = GeneratorSpec(Abs(ZVar()), 1.0)
-        g_lower = GeneratorSpec(Scale(0.5, Abs(ZVar())), 0.5)
+        g_upper = GeneratorSpec(Abs(ZVar()))
+        g_lower = GeneratorSpec(Scale(0.5, Abs(ZVar())))
         obstacle = ObstacleSpec(AdaptedProcess.constant(tree, 0.0), bound=0.0)
         sweeps = []
         real_value = theorems.reflected_value
@@ -773,7 +773,7 @@ def sabotaged(pairs, misordered=3, vacuous=7):
     (g_lo, s_lo, _), high = pairs[misordered]
     pairs[misordered] = (g_lo, s_lo, high[2] + 0.25), high
     (g_lo, s_lo, xi_lo), (g_hi, s_hi, xi_hi) = pairs[vacuous]
-    reversed_gap = GeneratorSpec(Add((g_lo.expr, Const(-0.5))), g_lo.lipschitz)
+    reversed_gap = GeneratorSpec(Add((g_lo.expr, Const(-0.5))))
     pairs[vacuous] = (g_lo, s_lo, xi_lo), (reversed_gap, s_hi, xi_hi)
     return pairs
 
@@ -855,7 +855,7 @@ class TestBatchedSolve:
         tree = full_tree(5)
         slopes = (0.0, 0.5, 1.5)
         members = [
-            GeneratorSpec(Add((Scale(c, Abs(YVar())), Scale(0.5, Abs(ZVar())), Const(1.0))), c + 0.5)
+            GeneratorSpec(Add((Scale(c, Abs(YVar())), Scale(0.5, Abs(ZVar())), Const(1.0))))
             for c in slopes
         ]
         terminal = TerminalCondition.from_leaf_function(tree, lambda b: 1.5 + np.sin(3.0 * b))
@@ -879,7 +879,7 @@ class TestBatchedSolve:
 
     def test_a_batch_from_the_driver_alone_reports_every_member(self):
         tree = recomb_tree(6)
-        members = [GeneratorSpec(Add((Scale(a, YVar()), Const(1.0 - a))), abs(a)) for a in (0.5, -1.0)]
+        members = [GeneratorSpec(Add((Scale(a, YVar()), Const(1.0 - a)))) for a in (0.5, -1.0)]
         terminal = TerminalCondition.from_leaf_function(tree, np.cos)
         batch = solve_bsde(GeneratorSpec.stack(members), terminal)
         assert batch.iterations.tolist() == [1, 1] and batch.residual.shape == (2,)
