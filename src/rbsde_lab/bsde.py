@@ -12,16 +12,18 @@ The level loop (``_sweep``) is the one backward kernel of the package: a
 plain solve runs it without an obstacle, and the reflected solver of
 :mod:`rbsde_lab.rbsde` runs it with one, so a reflected equation whose
 obstacle never binds is the plain equation by construction.  The loop does
-the step, the clamp and the safety checks and nothing else.  What a caller
-reads besides the root it reads from an observer that sees each level pass.
-A check keeps every level (``_swept_levels``); the full solvers also replay
-the step identity and the Skorokhod condition for their diagnostics.
+the step, the clamp and the safety checks and nothing else.  It is a
+generator that yields each level once it is final, from the last level down
+to the root, and every caller reads it with a ``for`` loop: root-only values
+read the last record, the full solvers keep every level and replay the step
+identity and the Skorokhod condition for their diagnostics, and a check that
+compares two solutions zips two sweeps and keeps only its reductions.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -210,170 +212,167 @@ class LevelData(NamedTuple):
     rule = None
 
 
-LevelObserver = Callable[
-    [int, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None], None
-]
+class SweptLevel(NamedTuple):
+    """One final level of a sweep, as :func:`_sweep` yields it.
 
-
-class SweepSummary(Record):
-    """What every sweep keeps for its caller, one entry per member.
-
-    ``root`` is the value at the root node, ``iterations`` the largest
-    fixed-point count of any level.  ``first_contact`` is the first level at
-    which the value sits within ``DEFAULT_CONTACT_TOL`` of the obstacle at
-    some node (the last level when it never does, and always without an
-    obstacle), the level at which ``rbsde.exercise_rule`` first flags a node.
-    The residual, Skorokhod, gap and push reductions are not here: the full
-    solvers replay them through the observer of :func:`_diagnostics`.
+    ``y``, ``z`` and ``dk`` are the level's solution and push increments
+    (``dk`` is ``None`` without an obstacle); ``mean`` is the conditional
+    mean of the children and ``step`` the implicit step's value before the
+    clamp and the stop override, both ``None`` at the last level, and
+    ``step`` also at a level where every node has stopped.  ``first_contact``
+    and ``iterations`` run over the levels swept so far, one entry per
+    member: the first level at which the value sits within
+    ``DEFAULT_CONTACT_TOL`` of the obstacle at some node (the last level when
+    it never does, and always without an obstacle), which on the root record
+    is the level at which ``rbsde.exercise_rule`` first flags a node, and the
+    largest fixed-point count.  Every array is read-only.
     """
 
-    __slots__ = _fields = ("root", "first_contact", "iterations")
+    i: int
+    y: np.ndarray
+    z: np.ndarray
+    dk: np.ndarray | None
+    mean: np.ndarray | None
+    step: np.ndarray | None
+    first_contact: np.ndarray
+    iterations: np.ndarray
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+# warnings off for one stretch of sweep work; a stretch never holds a ``yield``
+_silenced = partial(np.errstate, over="ignore", invalid="ignore", divide="ignore")
+
+
 def _sweep(
     generator: GeneratorSpec,
     terminal: TerminalCondition | LevelData,
     obstacle: LevelData | None = None,
-    observe: LevelObserver | None = None,
-) -> SweepSummary:
+) -> Iterator[SweptLevel]:
     """The backward recursion shared by every solve, plain or reflected.
 
-    Walks from the last level to the root holding one level at a time, and
-    per level does only the step, the clamp and the safety checks.  The tree
+    A generator: it walks from the last level to the root holding one level
+    at a time, and yields each level once it is final, as a
+    :class:`SweptLevel`; the last record yielded is the root's.  Per level
+    it does only the step, the clamp and the safety checks, and nothing a
+    consumer does with a record feeds back into the sweep.  It runs nothing
+    before its first ``next()``, so a caller iterates it at once.  The tree
     and the stopping rule are the terminal data's: a
     :class:`TerminalCondition` stops at its rule, :class:`LevelData` at the
-    last level.  ``observe``, if given, sees every level once it is final:
-    it is called with ``(i, y, z, dk, mean, step)``, the arrays frozen.
-    ``dk`` is the push increments (``None`` without an obstacle), ``mean``
-    the conditional mean of the children and ``step`` the implicit step's
-    value before the clamp and the stop override; both are ``None`` at the
-    last level, and ``step`` also at a level where every node has stopped.
-    The observer only reads; nothing it does feeds back into the sweep.
-    With ``obstacle=None`` the step is the plain implicit one: no clamp, no
-    push, no contact.  The batch axes are those of the terminal data and the
-    driver's coefficient columns, and the obstacle broadcasts against them.
-    Batch members only meet in elementwise operations, so each one is
-    bit-identical to a solve of its own data.  Levels below the rule's first
-    stopping level skip all mask work.  On stopping nodes ``y`` is the
-    terminal value, so terminal data below the obstacle are caught there,
-    and the error names the first such level met going down.  Each level
-    tests ``(y - S) + z`` (``y + z`` without an obstacle) for finiteness
-    once and checks obstacle, value and coefficient apart only when that
-    fails, so finite data whose sum overflows pass; the largest push of a
-    level must be finite too.  With warnings silenced, non-finite data
-    surface only as :class:`NumericalBreakdown`.
+    last level.  With ``obstacle=None`` the step is the plain implicit one:
+    no clamp, no push, no contact.  The batch axes are those of the
+    terminal data and the driver's coefficient columns, and the obstacle
+    broadcasts against them.  Batch members only meet in elementwise
+    operations, so each one is bit-identical to a solve of its own data.
+    Levels below the rule's first stopping level skip all mask work.  On
+    stopping nodes ``y`` is the terminal value, so terminal data below the
+    obstacle are caught there, and the error names the first such level met
+    going down.  Each level tests ``(y - S) + z`` (``y + z`` without an
+    obstacle) for finiteness once and checks obstacle, value and
+    coefficient apart only when that fails, so finite data whose sum
+    overflows pass; the largest push of a level must be finite too.
+    Warnings are silenced level by level, never across a ``yield``, so the
+    consumer runs under its own setting and non-finite data surface only as
+    :class:`NumericalBreakdown`.
     """
     tree, rule = terminal.tree, terminal.rule
     if obstacle is not None and obstacle.tree != tree:
         raise TreeMismatch("terminal condition and obstacle must share the tree")
-    contraction = np.ravel(generator.lipschitz[0]).max() * tree.grid.dt  # the largest member's
-    if contraction >= 1.0:
-        raise ContractionViolated(f"lipschitz * dt = {contraction:.6g} >= 1; refine the grid")
     dt = tree.grid.dt
     n = tree.steps
-    if rule is None:
-        # masks are read only from the first stopping level on, here just level N
-        stopped = stop_nodes = {n: np.ones(tree.level_size(n), dtype=bool)}
-        first_stop = n
-    else:
-        stopped, stop_nodes = rule.stopped_by_level, rule.stop_node_masks
-        first_stop = rule.first_stop_level
-
-    leaves = np.asarray(terminal.level(n), dtype=float)
-    batch = np.broadcast_shapes(leaves.shape[:-1], generator.batch_shape)
-    y = np.array(np.broadcast_to(leaves, batch + leaves.shape[-1:]))
-    z = np.zeros_like(y)
-    dk = None if obstacle is None else z
-    first_contact = np.full(batch, n)
-    iterations = np.zeros(batch, dtype=np.int64)
+    with _silenced():  # a driver's bounds and the leaf lift may overflow
+        contraction = np.ravel(generator.lipschitz[0]).max() * dt  # the largest member's
+        if contraction >= 1.0:
+            raise ContractionViolated(f"lipschitz * dt = {contraction:.6g} >= 1; refine the grid")
+        if rule is None:
+            # masks are read only from the first stopping level on, here just level N
+            stopped = stop_nodes = {n: np.ones(tree.level_size(n), dtype=bool)}
+            first_stop = n
+        else:
+            stopped, stop_nodes = rule.stopped_by_level, rule.stop_node_masks
+            first_stop = rule.first_stop_level
+        leaves = np.asarray(terminal.level(n), dtype=float)
+        batch = np.broadcast_shapes(leaves.shape[:-1], generator.batch_shape)
+        y = np.array(np.broadcast_to(leaves, batch + leaves.shape[-1:]))
+        z = np.zeros_like(y)
+        dk = None if obstacle is None else z
+        first_contact = np.full(batch, n)
+        iterations = np.zeros(batch, dtype=np.int64)
 
     for i in range(n, -1, -1):
-        barrier = None if obstacle is None else obstacle.level(i)
-        masked = i >= first_stop
-        mean = step = None
-        if i < n:
-            up, down = tree.child_values(y)
-            mean = conditional_expectation(up, down)
-            z = martingale_coefficient(up, down, dt)
-            y = mean
-            if not masked or not stopped[i].all():
-                y, iters = _implicit_level(generator, tree.grid.time(i), mean, z, dt, tree, i)
-                iterations = np.maximum(iterations, iters)
-                step = y
-            if barrier is not None:
-                unreflected, y = y, np.maximum(y, barrier)
-                dk = y - unreflected
-            if masked and stopped[i].any():
-                y = np.where(stopped[i], terminal.level(i), y)
-                z = np.where(stopped[i], 0.0, z)
+        with _silenced():
+            barrier = None if obstacle is None else obstacle.level(i)
+            masked = i >= first_stop
+            mean = step = None
+            if i < n:
+                up, down = tree.child_values(y)
+                mean = conditional_expectation(up, down)
+                z = martingale_coefficient(up, down, dt)
+                y = mean
+                if not masked or not stopped[i].all():
+                    y, iters = _implicit_level(generator, tree.grid.time(i), mean, z, dt, tree, i)
+                    iterations = np.maximum(iterations, iters)
+                    step = y
                 if barrier is not None:
-                    dk = np.where(stopped[i], 0.0, dk)
-        gap = y if barrier is None else y - barrier
-        if not np.isfinite(gap + z).all():
-            for name, values in (("obstacle", barrier), ("value", y), ("coefficient", z)):
-                if values is not None and not np.isfinite(values).all():
-                    raise NumericalBreakdown(f"non-finite {name} at level {i}")
-        if barrier is not None:
-            if not np.isfinite(np.maximum.reduce(dk, axis=-1)).all():
-                raise NumericalBreakdown(f"non-finite push increment at level {i}")
-            # on stopping nodes y is the terminal value
-            if masked and stop_nodes[i].any():
-                if np.logical_or.reduce(gap[..., stop_nodes[i]] < 0.0, axis=None):
-                    raise TerminalBelowObstacle(
-                        f"terminal values fall below the obstacle at level {i}"
-                    )
-            touching = np.logical_or.reduce(y <= barrier + DEFAULT_CONTACT_TOL, axis=-1)
-            first_contact = np.where(touching, i, first_contact)
-        if observe is not None:
-            for fresh in (y, z, dk, mean, step):
-                if fresh is not None:
-                    fresh.flags.writeable = False
-            observe(i, y, z, dk, mean, step)
-
-    return SweepSummary(root=y[..., 0], first_contact=first_contact, iterations=iterations)
-
-
-def _kept_levels(tree: ScenarioTree) -> tuple[LevelObserver, list[list[np.ndarray | None]]]:
-    """Observer storing every level it sees, and its y, z and push lists."""
-    kept = [[None] * (tree.steps + 1) for _ in range(3)]
-
-    def observe(i, *fresh):
-        for levels, level in zip(kept, fresh):
-            levels[i] = level
-
-    return observe, kept
+                    unreflected, y = y, np.maximum(y, barrier)
+                    dk = y - unreflected
+                if masked and stopped[i].any():
+                    y = np.where(stopped[i], terminal.level(i), y)
+                    z = np.where(stopped[i], 0.0, z)
+                    if barrier is not None:
+                        dk = np.where(stopped[i], 0.0, dk)
+            gap = y if barrier is None else y - barrier
+            if not np.isfinite(gap + z).all():
+                for name, values in (("obstacle", barrier), ("value", y), ("coefficient", z)):
+                    if values is not None and not np.isfinite(values).all():
+                        raise NumericalBreakdown(f"non-finite {name} at level {i}")
+            if barrier is not None:
+                if not np.isfinite(np.maximum.reduce(dk, axis=-1)).all():
+                    raise NumericalBreakdown(f"non-finite push increment at level {i}")
+                # on stopping nodes y is the terminal value
+                if masked and stop_nodes[i].any():
+                    if np.logical_or.reduce(gap[..., stop_nodes[i]] < 0.0, axis=None):
+                        raise TerminalBelowObstacle(
+                            f"terminal values fall below the obstacle at level {i}"
+                        )
+                touching = np.logical_or.reduce(y <= barrier + DEFAULT_CONTACT_TOL, axis=-1)
+                first_contact = np.where(touching, i, first_contact)
+        for fresh in (y, z, dk, mean, step, first_contact, iterations):
+            if isinstance(fresh, np.ndarray):  # not None, nor a numpy scalar of no batch
+                fresh.setflags(write=False)
+        yield SweptLevel(i, y, z, dk, mean, step, first_contact, iterations)
 
 
-def _swept_levels(
-    generator: GeneratorSpec, terminal: TerminalCondition, obstacle: LevelData | None = None
-) -> list[list[np.ndarray | None]]:
-    """The y, z and push levels of one root-only sweep; every push is None without an obstacle."""
-    observe, kept = _kept_levels(terminal.tree)
-    _sweep(generator, terminal, obstacle, observe)
-    return kept
+def _root(*sweep) -> SweptLevel:
+    """The root record of ``_sweep(*sweep)``, read to the end."""
+    for level in _sweep(*sweep):
+        pass
+    return level
 
 
+@_silenced()
 def _diagnostics(
-    generator: GeneratorSpec, rule: StoppingRule, obstacle: LevelData | None
-) -> tuple[LevelObserver, dict[str, np.ndarray]]:
-    """Observer replaying the sweep's identities, and the dict of reductions it fills.
+    generator: GeneratorSpec,
+    rule: StoppingRule,
+    obstacle: LevelData | None,
+    levels: Iterable[SweptLevel],
+) -> dict[str, float | np.ndarray]:
+    """Replay the sweep's identities over its levels; the reductions per member.
 
     ``residual`` is the largest defect of the step identity
     ``step = mean + g(t, step, z) * dt`` over the active nodes of the levels
     that took a step; the identity lives on the pre-clamp value, which is why
-    the sweep hands it over.  With an obstacle the observer also keeps the
+    the sweep hands it over.  With an obstacle the replay also keeps the
     Skorokhod residual ``max |(y - S) * dk|``, ``min_gap``, the smallest
     ``y - S`` over active and stopping nodes, and ``max_increment``, the
-    largest push.  Each holds one entry per batch member.
+    largest push.  ``iterations`` is the root record's.  Each holds one
+    entry per batch member (a Python scalar without a batch).  The replay
+    runs silenced, as the sweep does: a gap may overflow.
     """
     tree = rule.tree
     dt = tree.grid.dt
     stopped, stop_nodes = rule.stopped_by_level, rule.stop_node_masks
     first_stop = rule.first_stop_level
     found: dict[str, np.ndarray] = {}
-
-    def observe(i, y, z, dk, mean, step):
+    for i, y, z, dk, mean, step, _, iterations in levels:
         if i == tree.steps:  # the sweep starts at the last level, which fixes the batch shape
             batch = y.shape[:-1]
             found["residual"] = np.zeros(batch)
@@ -392,7 +391,7 @@ def _diagnostics(
                 defect = defect[..., active]
             found["residual"] = np.maximum(found["residual"], np.maximum.reduce(defect, axis=-1))
         if obstacle is None:
-            return
+            continue
         gap = y - obstacle.level(i)
         if masked:
             for nodes in (active, stop):
@@ -409,43 +408,41 @@ def _diagnostics(
             worst = np.maximum.reduce(np.abs(np.where(dk == 0.0, 0.0, product)), axis=-1)
         found["skorokhod_residual"] = np.maximum(found["skorokhod_residual"], worst)
         found["max_increment"] = np.maximum(found["max_increment"], np.maximum.reduce(dk, axis=-1))
-
-    return observe, found
+    found["iterations"] = iterations
+    return {name: _per_member(value) for name, value in found.items()}
 
 
 def _full_sweep(
     generator: GeneratorSpec, terminal: TerminalCondition, obstacle: LevelData | None
-) -> tuple[SweepSummary, list[list[np.ndarray]], dict[str, float | np.ndarray]]:
-    """The sweep of the full solvers: every level kept and the diagnostics replayed.
+) -> tuple[tuple, tuple, tuple, dict]:
+    """The sweep of the full solvers: the y, z and push levels, root first,
+    and the reductions of :func:`_diagnostics`."""
+    kept = []  # (y, z, dk) per level, root last
 
-    Returns the summary, the y, z and push level lists, and the reductions
-    of :func:`_diagnostics` per member (Python scalars without a batch).
-    """
-    keep, kept = _kept_levels(terminal.tree)
-    diagnose, found = _diagnostics(generator, terminal.rule, obstacle)
+    def keeping(levels):
+        for level in levels:
+            kept.append((level.y, level.z, level.dk))
+            yield level
 
-    def observe(*level):
-        keep(*level)
-        diagnose(*level)
-
-    summary = _sweep(generator, terminal, obstacle, observe)
-    return summary, kept, {name: _per_member(value) for name, value in found.items()}
+    found = _diagnostics(
+        generator, terminal.rule, obstacle, keeping(_sweep(generator, terminal, obstacle))
+    )
+    y_levels, z_levels, dk_levels = (levels[::-1] for levels in zip(*kept))
+    return y_levels, z_levels, dk_levels, found
 
 
 def _stop_node_values(
-    *rules: StoppingRule,
-) -> tuple[LevelObserver, dict[tuple[int, int], float | np.ndarray]]:
-    """Observer gathering y on the stopping nodes of the rules, and the dict it
-    fills: one entry per batch member, a Python float without a batch."""
+    levels: Iterable[SweptLevel], *rules: StoppingRule
+) -> dict[tuple[int, int], float | np.ndarray]:
+    """y on the stopping nodes of the rules, read off a stream of levels: one
+    entry per batch member, a Python float without a batch, in node order."""
     masks = [rule.stop_node_masks for rule in rules]
     picked: dict[tuple[int, int], float | np.ndarray] = {}
-
-    def observe(i, y, *_):
+    for level in levels:
         for rule_masks in masks:
-            for node in np.nonzero(rule_masks[i])[0]:
-                picked[(i, int(node))] = _per_member(y[..., node])
-
-    return observe, picked
+            for node in np.nonzero(rule_masks[level.i])[0]:
+                picked[(level.i, int(node))] = _per_member(level.y[..., node])
+    return dict(sorted(picked.items()))
 
 
 def solve_bsde(generator: GeneratorSpec, terminal: TerminalCondition) -> BsdeSolution:
@@ -456,28 +453,19 @@ def solve_bsde(generator: GeneratorSpec, terminal: TerminalCondition) -> BsdeSol
     through: the levels keep them in front of the node axis and the
     diagnostics hold one entry per member (Python scalars without a batch).
     """
-    summary, (y_levels, z_levels, _), diagnostics = _full_sweep(generator, terminal, None)
+    y_levels, z_levels, _, diagnostics = _full_sweep(generator, terminal, None)
     tree = terminal.tree
     return BsdeSolution(
-        y=AdaptedProcess(tree, y_levels),
-        z=AdaptedProcess(tree, z_levels),
-        iterations=_per_member(summary.iterations),
-        **diagnostics,
+        y=AdaptedProcess(tree, y_levels), z=AdaptedProcess(tree, z_levels), **diagnostics
     )
 
 
-def g_expectation(
-    generator: GeneratorSpec,
-    terminal: TerminalCondition,
-    *,
-    observe: LevelObserver | None = None,
-) -> float | np.ndarray:
+def g_expectation(generator: GeneratorSpec, terminal: TerminalCondition) -> float | np.ndarray:
     """Initial value of the solution: the nonlinear expectation of the data.
 
-    A root-only sweep, equal to ``solve_bsde(...).y.root()`` bit for bit;
-    ``observe`` sees each level on the way down (see ``_sweep``).
+    A root-only sweep, equal to ``solve_bsde(...).y.root()`` bit for bit.
     """
-    return _per_member(_sweep(generator, terminal, observe=observe).root)
+    return _per_member(_root(generator, terminal).y[..., 0])
 
 
 def conditional_g_expectation(
@@ -491,6 +479,4 @@ def conditional_g_expectation(
     """
     if not at.precedes(terminal.rule):
         raise RuleOrderViolated("evaluation rule must precede the terminal rule")
-    observe, picked = _stop_node_values(at)
-    g_expectation(generator, terminal, observe=observe)
-    return dict(sorted(picked.items()))
+    return _stop_node_values(_sweep(generator, terminal), at)

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bsde import LevelData, SweepSummary, TerminalCondition, _sweep
+from .bsde import LevelData, SweptLevel, TerminalCondition, _root
 from .errors import NoBracket, PositivityViolated, ProbabilityOutOfRange
 from .generators import Add, GeneratorSpec, Scale, YVar, ZVar
 from .lattice import AdaptedProcess, ScenarioTree
@@ -211,17 +211,17 @@ def quote_strike_family(
     refuses it: the scheme would price on negative weights.
     """
     _premium_step(tree, model)
-    roots = _family_roots(tree, model, strikes)
-    quotes = zip(map(float, strikes), roots.root.tolist(), roots.first_contact.tolist())
+    root = _family_roots(tree, model, strikes)
+    quotes = zip(map(float, strikes), root.y[..., 0].tolist(), root.first_contact.tolist())
     return [StrikeQuote(*quote) for quote in quotes]
 
 
-def _family_roots(tree: ScenarioTree, model: MarketModel, strikes: Sequence[float]) -> SweepSummary:
-    """The quote's sweep, strikes on the last batch axis and a drift column's axes before them."""
+def _family_roots(tree: ScenarioTree, model: MarketModel, strikes: Sequence[float]) -> SweptLevel:
+    """The quote sweep's root record: strikes on the last batch axis, drift column axes before."""
     stock_level = _stock_levels(tree, model)
     column = np.array([model._replace(strike=float(k)).strike for k in strikes])[:, None]
     payoff = LevelData(tree, lambda i: _payoff(model.kind, column, stock_level(i)))
-    return _sweep(pricing_driver(model), payoff, payoff)
+    return _root(pricing_driver(model), payoff, payoff)
 
 
 class ThetaRecovery(NamedTuple):
@@ -342,7 +342,7 @@ def recover_theta(
     def objective(thetas: np.ndarray) -> np.ndarray:
         nonlocal evaluations, best_theta, best_value
         evaluations += thetas.size
-        prices = _family_roots(tree, model_at(thetas[:, None, None]), strikes).root
+        prices = _family_roots(tree, model_at(thetas[:, None, None]), strikes).y[..., 0]
         values = np.sum((prices - targets) ** 2, axis=-1)
         first = int(np.argmin(values))  # the first best point, as a sequential scan keeps it
         if values[first] < best_value:

@@ -16,11 +16,11 @@ read, is taken backward on both layouts from the increments alone.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .bsde import LevelObserver, TerminalCondition, _full_sweep, _stop_node_values, _sweep
+from .bsde import TerminalCondition, _full_sweep, _root, _stop_node_values, _sweep
 from .errors import (
     DepthExceeded,
     RuleOrderViolated,
@@ -98,13 +98,19 @@ class RbsdeSolution(Record):
     __slots__ = _fields = ("y", "z", "k_increments", "k", "diagnostics")
 
 
-def _path_maximum(tree: ScenarioTree, increments: list[np.ndarray]) -> float | np.ndarray:
+def _path_maximum(tree: ScenarioTree, increments: Iterable[np.ndarray]) -> float | np.ndarray:
     """Largest sum of ``increments`` over the path prefixes from the root, at least
     0 (the empty prefix), one entry per member, a NaN kept: the max-plus recursion
-    ``B = max(0, d + max over the children of B)`` from ``B = 0`` at the last level."""
+    ``B = max(0, d + max over the children of B)`` from ``B = 0`` at the last level.
+
+    The increments come in sweep order, one level at a time from the last
+    level down; the last level's are read past, since no step follows them.
+    """
+    levels = iter(increments)
+    next(levels)
     best = np.zeros(tree.level_size(tree.steps))
-    for i in range(tree.steps - 1, -1, -1):
-        best = np.maximum(0.0, increments[i] + np.maximum(*tree.child_values(best)))
+    for increment in levels:
+        best = np.maximum(0.0, increment + np.maximum(*tree.child_values(best)))
     return _per_member(best[..., 0])
 
 
@@ -120,9 +126,7 @@ def solve_rbsde(
     batch carries its cumulative push only when every member's can be
     carried.
     """
-    summary, (y_levels, z_levels, dk_levels), found = _full_sweep(
-        generator, terminal, obstacle.process
-    )
+    y_levels, z_levels, dk_levels, found = _full_sweep(generator, terminal, obstacle.process)
     tree = terminal.tree
     cumulative = [np.zeros(1)]  # the push summed along each path from 0 at the root
     for i in range(tree.steps):
@@ -132,10 +136,9 @@ def solve_rbsde(
             break
     for fresh in cumulative or []:
         fresh.flags.writeable = False
+    batch = np.shape(found["iterations"])
     diagnostics = ReflectionDiagnostics(
-        **found,
-        iterations=_per_member(summary.iterations),
-        cumulative_available=_per_member(np.full(summary.root.shape, cumulative is not None)),
+        **found, cumulative_available=_per_member(np.full(batch, cumulative is not None))
     )
     return RbsdeSolution(
         y=AdaptedProcess(tree, y_levels),
@@ -147,19 +150,14 @@ def solve_rbsde(
 
 
 def reflected_value(
-    generator: GeneratorSpec,
-    terminal: TerminalCondition,
-    obstacle: ObstacleSpec,
-    *,
-    observe: LevelObserver | None = None,
+    generator: GeneratorSpec, terminal: TerminalCondition, obstacle: ObstacleSpec
 ) -> float | np.ndarray:
     """Root value of the reflected solution.
 
     A root-only sweep, equal to ``solve_rbsde(...).y.root()`` bit for bit,
-    one per batch member; ``observe`` sees each level on the way down (see
-    ``bsde._sweep``).
+    one per batch member.
     """
-    return _per_member(_sweep(generator, terminal, obstacle.process, observe).root)
+    return _per_member(_root(generator, terminal, obstacle.process).y[..., 0])
 
 
 def reflected_conditional(
@@ -171,9 +169,7 @@ def reflected_conditional(
     """Reflected solution values on the stopping nodes of ``at``."""
     if not at.precedes(terminal.rule):
         raise RuleOrderViolated("evaluation rule must precede the terminal rule")
-    observe, picked = _stop_node_values(at)
-    reflected_value(generator, terminal, obstacle, observe=observe)
-    return dict(sorted(picked.items()))
+    return _stop_node_values(_sweep(generator, terminal, obstacle.process), at)
 
 
 def snell_oracle(terminal: TerminalCondition, obstacle: ObstacleSpec) -> AdaptedProcess:

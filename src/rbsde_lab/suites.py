@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bsde import TerminalCondition, _swept_levels, g_expectation
+from .bsde import TerminalCondition, _sweep
 from .generators import (
     Abs,
     Add,
@@ -37,6 +37,7 @@ from .lattice import (
     StoppingRule,
     TimeGrid,
     TreeMode,
+    _per_member,
     build_tree,
     freeze_after,
 )
@@ -76,7 +77,7 @@ from .theorems import (
     local_strict_witness,
     masked_driver,
     masked_driver_probe,
-    _max_level_gap,
+    _one_sided_gaps,
 )
 
 
@@ -94,10 +95,11 @@ class CheckResult(NamedTuple):
 # closed form: values, pushes, plateaus and the dominating-obstacle profile
 CLOSED_FORM_TOL = 2e-3
 
-# instances a comparison suite checks in one batch.  Each member holds about
-# 90 kB of solutions and driver samples while its batch is checked; at 10 the
-# `comparison` process peaks below the other suites', while 25 raised its
-# peak from 37.3 to 39.1 MB for no time saved beyond process-start noise
+# instances a comparison suite checks in one batch.  The two sweeps of a batch
+# are reduced level by level, so a member holds no solution, only about 36 kB
+# of driver samples (three 11^3 boxes) while its batch is checked.  At 10 the
+# `comparison` process peaks at 37.0-37.1 MB; 25 raised that to 37.9-38.0 MB
+# and saved some 40-80 ms in process, within the process-start noise
 CHECK_CHUNK = 10
 
 
@@ -202,23 +204,17 @@ def _random_rule(rng, tree: ScenarioTree) -> StoppingRule:
 # ---------------------------------------------------------------------------
 # Counterexample reproduction and convergence order
 
-class _RootTrace:
-    """Sweep observer keeping, per level, ``y`` and ``dk`` at the root node and ``max|z|``.
+class _RootTrace(NamedTuple):
+    """Per level, ``y`` and ``dk`` at the root node and ``max|z|``.
 
     Levels run along the last axis, behind the sweep's batch axes.  That is
     all the closed-form checks read, so they run root-only sweeps and never
     hold a lattice.
     """
 
-    def __init__(self, steps: int):
-        self.steps = steps
-
-    def __call__(self, i, y, z, dk, *_):
-        if i == self.steps:  # the sweep starts at the last level, which fixes the batch shape
-            self.y, self.dk, self.z_max = (np.empty(y.shape[:-1] + (i + 1,)) for _ in range(3))
-        self.y[..., i] = y[..., 0]
-        self.dk[..., i] = dk[..., 0]
-        self.z_max[..., i] = np.max(np.abs(z), axis=-1)
+    y: np.ndarray
+    dk: np.ndarray
+    z_max: np.ndarray
 
     def push(self) -> np.ndarray:
         """Cumulative push at the root node of each level, summed forward from 0."""
@@ -232,9 +228,14 @@ def _unit_tree(steps: int) -> ScenarioTree:
 
 def _traced(problem: RbsdeProblem) -> tuple[_RootTrace, float | np.ndarray]:
     """Root-only sweep of closed-form data: the trace and the root value(s)."""
-    trace = _RootTrace(problem.tree.steps)
-    root = reflected_value(problem.generator, problem.terminal, problem.obstacle, observe=trace)
-    return trace, root
+    for level in _sweep(problem.generator, problem.terminal, problem.obstacle.process):
+        if level.i == problem.tree.steps:  # the first level fixes the batch shape
+            trace = _RootTrace(*(np.empty(level.y.shape[:-1] + (level.i + 1,)) for _ in range(3)))
+        # copied cells, never views: a view would keep its whole level alive
+        trace.y[..., level.i] = level.y[..., 0]
+        trace.dk[..., level.i] = level.dk[..., 0]
+        trace.z_max[..., level.i] = np.max(np.abs(level.z), axis=-1)
+    return trace, _per_member(level.y[..., 0])
 
 
 def _case_errors(
@@ -496,9 +497,8 @@ def _restriction_instance(seed: int, index: int) -> tuple[float, float]:
     raw = [rng.uniform(-1.0, 1.0, size=tree.level_size(i)) for i in range(tree.steps + 1)]
     xi_rule = TerminalCondition.at_rule(tree, rule, raw)
     gated = restrict_generator(generator, rule)
-    direct_y = _swept_levels(generator, xi_rule)[0]
-    gated_y = _swept_levels(gated, xi_rule.as_full_horizon())[0]
-    bsde_gap = max(_max_level_gap(direct_y, gated_y), _max_level_gap(gated_y, direct_y))
+    gaps = _one_sided_gaps(_sweep(generator, xi_rule), _sweep(gated, xi_rule.as_full_horizon()))
+    bsde_gap = max(map(_per_member, gaps))
 
     # reflected variant with the obstacle frozen at the rule
     obstacle = _random_obstacle(rng, tree)
@@ -507,10 +507,12 @@ def _restriction_instance(seed: int, index: int) -> tuple[float, float]:
         for i in range(tree.steps + 1)
     ]
     xi_refl = TerminalCondition.at_rule(tree, rule, above)
-    direct_y = _swept_levels(generator, xi_refl, obstacle.process)[0]
     frozen = freeze_after(obstacle.process, rule)
-    gated_y = _swept_levels(gated, xi_refl.as_full_horizon(), frozen)[0]
-    rbsde_gap = max(_max_level_gap(direct_y, gated_y), _max_level_gap(gated_y, direct_y))
+    gaps = _one_sided_gaps(
+        _sweep(generator, xi_refl, obstacle.process),
+        _sweep(gated, xi_refl.as_full_horizon(), frozen),
+    )
+    rbsde_gap = max(map(_per_member, gaps))
     return bsde_gap, rbsde_gap
 
 
@@ -561,8 +563,8 @@ def _largest_push(
     generator: GeneratorSpec, terminal: TerminalCondition, obstacle: ObstacleSpec
 ) -> float:
     """Largest cumulative push of the sweep (pushes are >= 0, so the floor at 0 is idle)."""
-    pushes = _swept_levels(generator, terminal, obstacle.process)[2]
-    return _path_maximum(terminal.tree, pushes)
+    levels = _sweep(generator, terminal, obstacle.process)
+    return _path_maximum(terminal.tree, (level.dk for level in levels))
 
 
 def _dominating_instance(seed: int, index: int, lipschitz: float) -> float:
@@ -579,11 +581,8 @@ def _dominating_profile(terminal: TerminalCondition, decay: float) -> np.ndarray
     """Root node of every level of ``build_dominating_obstacle``'s process,
     read from a root-only sweep of the same plain equation."""
     profile = np.empty(terminal.tree.steps + 1)
-
-    def observe(i, y, *_):
-        profile[i] = y[0]
-
-    g_expectation(dominating_driver(decay), terminal, observe=observe)
+    for level in _sweep(dominating_driver(decay), terminal):
+        profile[level.i] = level.y[0]
     return profile
 
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import reduce
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bsde import TerminalCondition, _stop_node_values, _swept_levels
+from .bsde import SweptLevel, TerminalCondition, _stop_node_values, _sweep
 from .errors import (
     NoStrictGap,
     TreeMismatch,
@@ -135,24 +134,32 @@ def _member(report, k: int):
     return type(report)(*map(pick, report))
 
 
-def _max_level_gap(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float | np.ndarray:
-    """Largest ``a - b`` over every node of every level, one entry per member;
-    a NaN at any node reaches it.  Levels may differ in batch axes (a batch
-    may share an unbatched obstacle level), so their maxima are reduced pairwise."""
-    return _per_member(reduce(np.maximum, (np.max(x - y, axis=-1) for x, y in zip(a, b))))
+def _folded(running: np.ndarray | None, level: np.ndarray) -> np.ndarray:
+    """``running`` with one more level's maximum folded in, the later level
+    first: ``np.maximum`` keeps its first operand on a tie, so ties between
+    +0 and -0 resolve as a fold from level 0 up would, though sweeps run down."""
+    return level if running is None else np.maximum(level, running)
 
 
-def _driver_gap_on_solution(
-    g_low: GeneratorSpec, g_high: GeneratorSpec, tree: ScenarioTree, ys: Sequence, zs: Sequence
+def _one_sided_gaps(first: Iterable[SweptLevel], second: Iterable[SweptLevel]) -> tuple:
+    """Largest ``y_first - y_second`` and ``y_second - y_first`` over every node
+    of two zipped sweeps, one entry per member; a NaN at any node reaches both."""
+    forward = backward = None
+    for a, b in zip(first, second):
+        forward = _folded(forward, np.max(a.y - b.y, axis=-1))
+        backward = _folded(backward, np.max(b.y - a.y, axis=-1))
+    return forward, backward
+
+
+def _driver_gap(
+    g_low: GeneratorSpec, g_high: GeneratorSpec, tree: ScenarioTree, level: SweptLevel
 ) -> np.ndarray:
-    """Largest ``g_low - g_high`` along the solution levels, and at least 0, per member."""
-    gaps = [0.0]
-    for i, (y, z) in enumerate(zip(ys, zs)):
-        t = tree.grid.time(i)
-        low = np.asarray(g_low.evaluate(t, y, z, level=i, tree=tree), dtype=float)
-        high = np.asarray(g_high.evaluate(t, y, z, level=i, tree=tree), dtype=float)
-        gaps.append(np.max(np.broadcast_to(low - high, y.shape), axis=-1))
-    return reduce(np.maximum, gaps)
+    """Largest ``g_low - g_high`` over the nodes of one solution level, per member."""
+    at = (tree.grid.time(level.i), level.y, level.z)
+    low, high = (
+        np.asarray(g.evaluate(*at, level=level.i, tree=tree), dtype=float) for g in (g_low, g_high)
+    )
+    return np.max(np.broadcast_to(low - high, level.y.shape), axis=-1)
 
 
 def check_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonReport:
@@ -162,9 +169,9 @@ def check_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonReport:
     sampling; when any of them fails the report is produced anyway but
     marked vacuous.  Drivers are also sampled off the tree, so a
     rule-gated driver raises :class:`ExpressionError`.  Batched problems
-    are checked member by member in one pair of solves.
+    are checked member by member in one pair of zipped root-only sweeps.
     """
-    return _compared(low, high)[0]
+    return _compared(low, high)
 
 
 def _require_shared_obstacle(low: RbsdeProblem, high: RbsdeProblem, what: str) -> None:
@@ -175,42 +182,59 @@ def _require_shared_obstacle(low: RbsdeProblem, high: RbsdeProblem, what: str) -
         raise ValueError(f"{what} needs a common obstacle")
 
 
-def _compared(low: RbsdeProblem, high: RbsdeProblem) -> tuple[ComparisonReport, list, list]:
-    """Sweep both problems, certify the input orderings and measure the value
-    ordering; returns the report and the two sweeps' kept levels."""
+def _compared(low: RbsdeProblem, high: RbsdeProblem, *, pushes: bool = False) -> ComparisonReport:
+    """Sweep both problems side by side, certify the input orderings and
+    measure the value ordering, and the push ordering too with ``pushes``.
+
+    The two sweeps are zipped and each pair of levels is reduced as it
+    passes, so neither solution is kept: memory is O(N) at any depth.
+    """
     if low.tree != high.tree:
         raise TreeMismatch("comparison needs a common tree")
-    kept_low, kept_high = (
-        _swept_levels(p.generator, p.terminal, p.obstacle.process) for p in (low, high)
-    )
+    tree = low.tree
+    sweeps = (_sweep(p.generator, p.terminal, p.obstacle.process) for p in (low, high))
+    value_gap = driver_gap = increment_drop = s_gap = None  # maxima over the levels so far
+
+    def increment_drops():
+        nonlocal value_gap, driver_gap, increment_drop, s_gap
+        for lo, hi in zip(*sweeps):
+            drop = hi.dk - lo.dk
+            s_low, s_high = (p.obstacle.process.level(lo.i) for p in (low, high))
+            s_gap = _folded(s_gap, np.max(s_low - s_high, axis=-1))
+            value_gap = _folded(value_gap, np.max(lo.y - hi.y, axis=-1))
+            on_both = (_driver_gap(low.generator, high.generator, tree, s) for s in (lo, hi))
+            driver_gap = _folded(driver_gap, np.maximum(*on_both))
+            increment_drop = _folded(increment_drop, np.max(drop, axis=-1))
+            yield drop
+
+    drops = increment_drops()
+    push_violation = _path_maximum(tree, drops) if pushes else None
+    for _ in drops:  # without pushes nothing has run the sweeps yet
+        pass
+
     # The leaf extension is constant along post-stop paths, so ordering at
     # the last level is ordering of the terminal data themselves.
-    last = low.tree.steps
+    last = tree.steps
     xi_gap = np.max(low.terminal.extended[last] - high.terminal.extended[last], axis=-1)
-    s_gap = _max_level_gap(low.obstacle.process.levels(), high.obstacle.process.levels())
-    g_sol_gaps = [
-        _driver_gap_on_solution(low.generator, high.generator, low.tree, y, z)
-        for y, z, _ in (kept_low, kept_high)
-    ]
-    sample = SampleSpec(low.tree.grid.horizon, t_count=11, y_count=11, z_count=11)
+    sample = SampleSpec(tree.grid.horizon, t_count=11, y_count=11, z_count=11)
     g_grid_gap = np.max(
         sample.values(low.generator) - sample.values(high.generator), axis=(-3, -2, -1)
     )
     certificate = OrderingCertificate(
         terminal_gap=_nonnegative(xi_gap),
         obstacle_gap=_nonnegative(s_gap),
-        driver_gap_on_solutions=_nonnegative(np.maximum(*g_sol_gaps)),
+        # +0 first: a largest driver gap of -0 reads +0, as a fold that starts at 0 gives
+        driver_gap_on_solutions=_nonnegative(np.maximum(0.0, driver_gap)),
         driver_gap_on_grid=_nonnegative(g_grid_gap),
     )
-
-    report = ComparisonReport(
+    monotone = _per_member(np.asarray(increment_drop) <= COMPARISON_TOL)
+    return ComparisonReport(
         certificate=certificate,
-        max_value_violation=_nonnegative(_max_level_gap(kept_low[0], kept_high[0])),
-        max_push_violation=None,
-        push_difference_monotone=None,
+        max_value_violation=_nonnegative(value_gap),
+        max_push_violation=push_violation,
+        push_difference_monotone=monotone if pushes else None,
         vacuous=_per_member(np.logical_not(certificate.established)),
     )
-    return report, kept_low, kept_high
 
 
 def check_k_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonReport:
@@ -224,13 +248,7 @@ def check_k_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonRepor
     running sum of increment differences.
     """
     _require_shared_obstacle(low, high, "push comparison")
-    base, kept_low, kept_high = _compared(low, high)
-    drops = list(map(np.subtract, kept_high[2], kept_low[2]))
-    increment_drop = _max_level_gap(kept_high[2], kept_low[2])
-    return base._replace(
-        max_push_violation=_path_maximum(low.tree, drops),
-        push_difference_monotone=_per_member(np.asarray(increment_drop) <= COMPARISON_TOL),
-    )
+    return _compared(low, high, pushes=True)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +293,10 @@ def local_strict_witness(low: RbsdeProblem, high: RbsdeProblem) -> StrictWitness
     if not bool(np.any(xi_high - xi_low > EQUALITY_TOL)):
         raise NoStrictGap("terminal values agree everywhere; no strict gap to separate")
 
-    y_low, y_high = (
-        _swept_levels(p.generator, p.terminal, p.obstacle.process)[0] for p in (low, high)
-    )
-    strict = [above - below > EQUALITY_TOL for above, below in zip(y_high, y_low)]
+    strict = [None] * (n + 1)  # where the higher solution sits strictly above, per level
+    sweeps = (_sweep(p.generator, p.terminal, p.obstacle.process) for p in (low, high))
+    for below, above in zip(*sweeps):
+        strict[below.i] = above.y - below.y > EQUALITY_TOL
     # next_equal[leaf, j]: first level >= j where the solutions agree on the
     # leaf's path, n when none; int8 holds every level (n <= 25 on full-binary trees)
     next_equal = np.empty((1 << n, n + 1), dtype=np.int8)
@@ -439,8 +457,8 @@ def build_dominating_obstacle(terminal: TerminalCondition, lipschitz: float) -> 
     any such driver against it leaves the push identically zero, which is
     what reduces reflected comparisons to plain ones.
     """
-    aux = _swept_levels(dominating_driver(lipschitz), terminal)[0]
-    return ObstacleSpec(AdaptedProcess(terminal.tree, aux))
+    aux = [level.y for level in _sweep(dominating_driver(lipschitz), terminal)]
+    return ObstacleSpec(AdaptedProcess(terminal.tree, aux[::-1]))
 
 
 def floor_driver(
@@ -466,8 +484,8 @@ def build_floor_obstacle(
     path) and to the plain solution with the floor driver before it; both
     plain solutions dominate it, so reflecting against it adds no push.
     """
-    aux = _swept_levels(floor_driver(g_first, g_second, lipschitz), terminal)[0]
-    return ObstacleSpec(AdaptedProcess(terminal.tree, aux))
+    aux = [level.y for level in _sweep(floor_driver(g_first, g_second, lipschitz), terminal)]
+    return ObstacleSpec(AdaptedProcess(terminal.tree, aux[::-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +613,8 @@ def masked_driver_probe(
     tree = terminal_family.tree
     obstacle = ObstacleSpec(AdaptedProcess.constant(tree, cut_high), bound=cut_high)
 
-    y_a, y_b = (
-        _swept_levels(g, terminal_family, obstacle.process)[0] for g in (g_low_cut, g_high_cut)
-    )
-    worst = _nonnegative(np.max((_max_level_gap(y_a, y_b), _max_level_gap(y_b, y_a))))
+    sweeps = (_sweep(g, terminal_family, obstacle.process) for g in (g_low_cut, g_high_cut))
+    worst = _nonnegative(np.max(_one_sided_gaps(*sweeps)))
 
     def driver_gap(sample: SampleSpec) -> np.ndarray:
         return np.abs(sample.values(g_low_cut) - sample.values(g_high_cut))
@@ -678,12 +694,10 @@ def converse_probe(
         terminal = TerminalCondition(tree, sigma, levels)
         taus = [tau for tau in rules if tau.precedes(sigma)]
         # one root-only sweep of the family per driver, gathering y wherever one of the taus stops
-        gathered = []
-        for generator in (g_upper, g_lower):
-            observe, picked = _stop_node_values(*taus)
-            reflected_value(generator, terminal, obstacle, observe=observe)
-            gathered.append(picked)
-        upper, lower = gathered
+        upper, lower = (
+            _stop_node_values(_sweep(generator, terminal, obstacle.process), *taus)
+            for generator in (g_upper, g_lower)
+        )
         for key, hi in upper.items():
             value_violation = max(value_violation, float(np.max(lower[key] - hi)))
 

@@ -492,6 +492,13 @@ class TestOneBackwardKernel:
         assert kernel <= users
         assert users <= kernel | references
 
+    def test_sweeps_are_read_as_streams_with_no_observer(self):
+        # the kernel yields its levels; no function takes a per-level callback
+        # and nothing is left of the callback's types and level-keeping helpers
+        assert _users(lambda node: isinstance(node, ast.arg) and node.arg == "observe") == set()
+        gone = {"LevelObserver", "SweepSummary", "_kept_levels", "_swept_levels"}
+        assert _name_users(gone) == set()
+
     def test_only_solve_rbsde_sums_pushes_forward(self):
         # a forward path sum moves through ScenarioTree.carry; besides holding
         # data past a stop, only the cumulative push of the full solve takes it,
@@ -507,7 +514,7 @@ class TestOneBackwardKernel:
         assert {user.split(".")[0] for user in users} == {"market", "__init__"}
 
     def test_batched_checks_do_not_route_through_the_full_solver(self):
-        # every check keeps its levels off a root-only sweep (bsde._swept_levels);
+        # every check reads its levels off root-only sweeps (bsde._sweep);
         # the full solvers, which the benchmark tracer hooks, serve the CLI
         # solve and the per-strike pricing reference.  theorems and suites only
         # import solve_rbsde, for the tracer's rebinding test

@@ -21,7 +21,7 @@ from rbsde_lab import (
     quote_strike_family,
     recover_theta,
 )
-from rbsde_lab import market
+from rbsde_lab import bsde, market
 from rbsde_lab.bsde import LevelData, TerminalCondition
 from rbsde_lab.lattice import AdaptedProcess
 from rbsde_lab.rbsde import ObstacleSpec, exercise_rule, solve_rbsde
@@ -262,19 +262,19 @@ class TestStrikeFamily:
             volatility=volatility, rate=rate, strike=strikes[0], kind=kind,
         )
         roots = market._family_roots(tree, model, strikes)
-        assert roots.root.shape == (len(premiums), len(strikes))
-        for theta, prices, contacts in zip(premiums, roots.root, roots.first_contact):
+        assert roots.y.shape == (len(premiums), len(strikes), 1)
+        for theta, prices, contacts in zip(premiums, roots.y[..., 0], roots.first_contact):
             single = model._replace(drift=rate + volatility * theta)
             # the sweep alone: the quote refuses premiums with |premium| sqrt(dt) >= 1
             solo = market._family_roots(tree, single, strikes)
-            assert [float(p).hex() for p in solo.root] == [float(p).hex() for p in prices]
+            assert [float(p).hex() for p in solo.y[..., 0]] == [float(p).hex() for p in prices]
             assert solo.first_contact.tolist() == contacts.tolist()
 
     def test_quote_sweep_builds_the_last_payoff_level_twice(self, monkeypatch):
         # once as the terminal value, once as the obstacle; every other level once
         tree = recomb_tree(40)
         reads = []
-        sweep = market._sweep
+        sweep = bsde._sweep
 
         def counting_sweep(generator, terminal, obstacle):
             assert terminal is obstacle
@@ -286,7 +286,7 @@ class TestStrikeFamily:
             data = LevelData(terminal.tree, level)
             return sweep(generator, data, data)
 
-        monkeypatch.setattr(market, "_sweep", counting_sweep)
+        monkeypatch.setattr(bsde, "_sweep", counting_sweep)
         quotes = quote_strike_family(tree, MarketModel(**BASE), [90.0, 110.0])
         assert len(quotes) == 2
         assert reads.count(tree.steps) == 2
@@ -349,14 +349,14 @@ class TestRecovery:
     def test_recovery_prices_each_round_of_premiums_in_one_sweep(self, monkeypatch):
         # the benchmark's recover workload at seed 1
         batches = []
-        sweep = market._sweep
+        sweep = bsde._sweep
 
         def counting_sweep(*args):
-            roots = sweep(*args)
-            batches.append(roots.root.shape)
-            return roots
+            for level in sweep(*args):
+                yield level
+            batches.append(level.y.shape[:-1])
 
-        monkeypatch.setattr(market, "_sweep", counting_sweep)
+        monkeypatch.setattr(bsde, "_sweep", counting_sweep)
         tree, targets = _recovery_targets(1)
         observed = list(zip(RECOVER_STRIKES, targets))
         recovery = recover_theta(tree, observed, spot=100.0, volatility=0.2, rate=0.02)

@@ -34,8 +34,9 @@ from rbsde_lab import (
     solve_rbsde,
 )
 from rbsde_lab.generators import Abs, Add, Const, Scale, YVar, ZVar, parse_prefix
-from rbsde_lab.market import MarketModel, quote_strike_family
+from rbsde_lab.market import MarketModel, PayoffKind, quote_strike_family
 from rbsde_lab.bsde import LevelData, _sweep
+from rbsde_lab.lattice import DEFAULT_CONTACT_TOL
 
 
 def full_tree(steps, horizon=1.0):
@@ -396,64 +397,156 @@ class TestPinnedSolutions:
         assert plain != reflected
 
 
-class TestLevelObserver:
-    """An observer sees each final level once, frozen, and changes nothing."""
+class TestLevelStream:
+    """A sweep yields each final level once, from the last level down to the
+    root, frozen; nothing a consumer does feeds back into it."""
 
     @staticmethod
-    def _recording(seen):
-        def observe(i, y, z, dk, mean, step):
-            for level in (y, z, dk, mean, step):
-                if level is None:
-                    continue
-                assert not level.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    level[0] = 0.0
-            seen.append((i, y, z, dk, mean, step))
-
-        return observe
+    def _levels(sweep):
+        levels = []
+        for level in sweep:
+            for array in level[1:]:
+                if isinstance(array, np.ndarray):
+                    assert not array.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[...] = 0
+            with pytest.raises(AttributeError):
+                level.y = None
+            levels.append(level)
+        return levels
 
     def test_reflected_sweep_hands_over_the_full_solution(self):
-        problem = _partial_rule_full_binary_problem()
+        generator, terminal, obstacle = problem = _partial_rule_full_binary_problem()
         sol = solve_rbsde(*problem)
-        seen = []
-        root = reflected_value(*problem, observe=self._recording(seen))
-        assert [i for i, *_ in seen] == list(range(8, -1, -1))
-        for i, y, z, dk, _, _ in seen:
-            np.testing.assert_array_equal(y, sol.y.level(i))
-            np.testing.assert_array_equal(z, sol.z.level(i))
-            np.testing.assert_array_equal(dk, sol.k_increments.level(i))
-        assert root.hex() == sol.y.root().hex()
-        assert any(dk.any() for _, _, _, dk, _, _ in seen)
+        seen = self._levels(_sweep(generator, terminal, obstacle.process))
+        assert [level.i for level in seen] == list(range(8, -1, -1))
+        for level in seen:
+            np.testing.assert_array_equal(level.y, sol.y.level(level.i))
+            np.testing.assert_array_equal(level.z, sol.z.level(level.i))
+            np.testing.assert_array_equal(level.dk, sol.k_increments.level(level.i))
+        root = seen[-1]
+        assert float(root.y[0]).hex() == sol.y.root().hex()
+        assert any(level.dk.any() for level in seen)
+        # the root record holds what the sweep once returned beside the root value
+        contact = exercise_rule(sol, obstacle)
+        assert root.first_contact == next(i for i in range(9) if contact.flags(i).any())
+        assert root.iterations == sol.diagnostics.iterations > 1
+
+    def test_contact_and_iterations_run_over_the_levels_swept_so_far(self):
+        generator, terminal, obstacle = _partial_rule_full_binary_problem()
+        seen = self._levels(_sweep(generator, terminal, obstacle.process))
+        first_contact = terminal.tree.steps
+        for level in seen:
+            if (level.y <= obstacle.process.level(level.i) + DEFAULT_CONTACT_TOL).any():
+                first_contact = level.i
+            assert level.first_contact == first_contact
+        assert first_contact < terminal.tree.steps
+        counts = [int(level.iterations) for level in seen]
+        assert counts == sorted(counts) and counts[0] == 0 and counts[-1] > 1
 
     def test_reflected_sweep_hands_over_the_step_before_the_clamp(self):
         generator, terminal, obstacle = _partial_rule_full_binary_problem()
-        seen = []
-        reflected_value(generator, terminal, obstacle, observe=self._recording(seen))
-        assert seen[0][4:] == (None, None)  # the last level takes no step
-        for i, y, _, dk, mean, step in seen[1:]:
-            active = ~terminal.rule.stopped_by_level[i]
-            assert mean.shape == y.shape
-            if step is None:
+        seen = self._levels(_sweep(generator, terminal, obstacle.process))
+        assert (seen[0].mean, seen[0].step) == (None, None)  # the last level takes no step
+        for level in seen[1:]:
+            active = ~terminal.rule.stopped_by_level[level.i]
+            assert level.mean.shape == level.y.shape
+            if level.step is None:
                 assert not active.any()
                 continue
-            clamped = np.maximum(step, obstacle.process.level(i))
-            np.testing.assert_array_equal(y[active], clamped[active])
-            np.testing.assert_array_equal(dk[active], (clamped - step)[active])
+            clamped = np.maximum(level.step, obstacle.process.level(level.i))
+            np.testing.assert_array_equal(level.y[active], clamped[active])
+            np.testing.assert_array_equal(level.dk[active], (clamped - level.step)[active])
 
     def test_plain_sweep_has_no_push(self):
         generator, terminal = _affine_recombining_problem()
         tree = terminal.tree
         sol = solve_bsde(generator, terminal)
-        seen = []
-        root = g_expectation(generator, terminal, observe=self._recording(seen))
-        assert [i for i, *_ in seen] == list(range(60, -1, -1))
-        for i, y, z, dk, _, step in seen:
-            assert dk is None
-            np.testing.assert_array_equal(y, sol.y.level(i))
-            np.testing.assert_array_equal(z, sol.z.level(i))
-            if i < tree.steps:  # no clamp and no stop: the step is the value
-                np.testing.assert_array_equal(step, y)
-        assert root.hex() == sol.y.root().hex()
+        seen = self._levels(_sweep(generator, terminal))
+        assert [level.i for level in seen] == list(range(60, -1, -1))
+        for level in seen:
+            assert level.dk is None and level.first_contact == tree.steps
+            np.testing.assert_array_equal(level.y, sol.y.level(level.i))
+            np.testing.assert_array_equal(level.z, sol.z.level(level.i))
+            if level.i < tree.steps:  # no clamp and no stop: the step is the value
+                np.testing.assert_array_equal(level.step, level.y)
+        assert float(seen[-1].y[0]).hex() == sol.y.root().hex()
+        assert seen[-1].iterations == sol.iterations == 1
+
+    def test_a_sweep_runs_nothing_until_it_is_read(self):
+        tree = recomb_tree(4)
+        elsewhere = AdaptedProcess.constant(recomb_tree(5), 0.0)
+        sweep = _sweep(GeneratorSpec.constant(0.0), TerminalCondition.constant(tree, 1.0), elsewhere)
+        with pytest.raises(TreeMismatch):
+            next(sweep)
+
+
+class TestWarningState:
+    """The sweep silences its own arithmetic one level at a time, so the
+    caller's warning setting holds between levels and after the sweep, however
+    the sweep ends.  The caller here raises on every floating-point fault, so
+    a silence that failed inside the sweep would raise as well."""
+
+    CALLER = {"divide": "raise", "over": "raise", "under": "ignore", "invalid": "raise"}
+
+    @staticmethod
+    def _overflowing(tree):
+        # y - S = 8e307 + 1.7e308 overflows on every level; the sweep still ends
+        return (
+            GeneratorSpec.constant(0.0),
+            TerminalCondition.constant(tree, 8e307),
+            AdaptedProcess.constant(tree, -1.7e308),
+        )
+
+    def test_a_sweep_run_to_the_end(self):
+        with np.errstate(**self.CALLER):
+            for level in _sweep(*self._overflowing(recomb_tree(4))):
+                assert np.geterr() == self.CALLER
+            assert level.i == 0 and np.geterr() == self.CALLER
+
+    def test_a_sweep_abandoned_midway(self):
+        with np.errstate(**self.CALLER):
+            sweep = _sweep(*self._overflowing(recomb_tree(6)))
+            for level in sweep:
+                if level.i == 3:
+                    break
+            assert np.geterr() == self.CALLER
+            sweep.close()
+            assert np.geterr() == self.CALLER
+
+    def test_two_zipped_sweeps(self):
+        tree = recomb_tree(5)
+        generator, terminal, obstacle = self._overflowing(tree)
+        other = TerminalCondition.constant(tree, 1e307)
+        with np.errstate(**self.CALLER):
+            sweeps = (_sweep(generator, data, obstacle) for data in (terminal, other))
+            for a, b in zip(*sweeps):
+                assert a.i == b.i and np.geterr() == self.CALLER
+            assert np.geterr() == self.CALLER
+
+    def test_a_leaf_lift_that_overflows(self):
+        # the stock at level 1300 multiplies inf by 0 at some nodes; the lift
+        # before the first level is silenced too, so that is a typed error
+        model = MarketModel(
+            spot=100.0, drift=0.0, volatility=35.3, rate=0.0, strike=100.0, kind=PayoffKind.PUT
+        )
+        with np.errstate(**self.CALLER):
+            with pytest.raises(NumericalBreakdown, match="non-finite obstacle at level 1300"):
+                quote_strike_family(recomb_tree(1300), model, [100.0])
+            assert np.geterr() == self.CALLER
+
+    def test_a_sweep_that_breaks_down(self):
+        tree = build_tree(TimeGrid(10.0, 2), TreeMode.RECOMBINING)
+        sweep = _sweep(
+            GeneratorSpec.constant(-1.7e308),
+            TerminalCondition.constant(tree, 1.0),
+            AdaptedProcess.constant(tree, 0.0),
+        )
+        with np.errstate(**self.CALLER):
+            with pytest.raises(NumericalBreakdown, match="non-finite push increment at level 1"):
+                for _ in sweep:
+                    assert np.geterr() == self.CALLER
+            assert np.geterr() == self.CALLER
 
 
 class TestBatchedSweep:
@@ -473,7 +566,7 @@ class TestBatchedSweep:
         levels = range(tree.steps + 1)
         stacked_terminal = [np.stack([tc.extended[i] for tc in terminals]) for i in levels]
         stacked_obstacle = [np.stack([s.level(i) for s in obstacles]) for i in levels]
-        batch = _sweep(
+        *_, batch = _sweep(
             generator,
             LevelData(tree, stacked_terminal.__getitem__),
             LevelData(tree, stacked_obstacle.__getitem__),
@@ -489,7 +582,7 @@ class TestBatchedSweep:
             sol = solve_rbsde(generator, terminal, obstacle)
             diag = sol.diagnostics
             contact = exercise_rule(sol, obstacle)
-            assert float(batch.root[k]).hex() == sol.y.root().hex()
+            assert float(batch.y[k, 0]).hex() == sol.y.root().hex()
             assert batch.first_contact[k] == next(
                 i for i in range(tree.steps + 1) if contact.flags(i).any()
             )

@@ -18,7 +18,7 @@ from rbsde_lab.errors import ExpressionError, InvalidGrid, InvalidSample
 from rbsde_lab.bsde import (
     BsdeSolution,
     LevelData,
-    SweepSummary,
+    SweptLevel,
     TerminalCondition,
 )
 from rbsde_lab.generators import (
@@ -89,7 +89,8 @@ RECORDS = [
     (TerminalCondition, lambda: TerminalCondition(TREE, RULE, TERMINAL.values), "rule", False),
     (BsdeSolution, lambda: BsdeSolution(ONES, ONES, 1, 0.0), "y", False),
     (LevelData, lambda: LevelData(TREE, _level), "level", True),
-    (SweepSummary, lambda: SweepSummary(ROOT, ROOT, ROOT), "root", False),
+    # a level record holds arrays; scalars stand in for them so that it hashes
+    (SweptLevel, lambda: SweptLevel(0, 1.0, 0.0, None, None, None, 4, 1), "y", True),
     # cli
     (cli._Optional, lambda: cli._Optional(float, 1.0), "default", True),
     (cli._Expr, lambda: cli._Expr(frozenset({"t"})), "variables", True),

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import inspect
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -52,21 +53,22 @@ class TestRunSuite:
         assert len(results) == 2 and all(r.passed for r in results)
 
     def test_counterexample_suite_solves_each_case_once(self, monkeypatch):
-        # one root-only sweep over the four cases, its levels read by an observer
+        # one root-only sweep over the four cases, read level by level
         calls = []
+        real_sweep = suites._sweep
 
-        def counting_sweep(*args, observe):
+        def counting_sweep(*args):
             calls.append(args)
-            return reflected_value(*args, observe=observe)
+            return real_sweep(*args)
 
-        monkeypatch.setattr(suites, "reflected_value", counting_sweep)
+        monkeypatch.setattr(suites, "_sweep", counting_sweep)
         monkeypatch.setattr(suites, "solve_rbsde", None)
         results = suites.counterexample_suite(steps=40)
         assert len(calls) == 1
         generator, terminal, obstacle = calls[0]
         assert generator.expr.value.ravel().tolist() == [1 / 3, 1 / 3, 0.0, 0.0]
         assert terminal.level(40).shape == (4, 41)
-        assert obstacle.process.level(40).shape == (41,)  # shared, not stacked
+        assert obstacle.level(40).shape == (41,)  # shared, not stacked
         root = results[-1]
         assert root.name == "counterexample/strict-comparison-fails-at-root"
         assert root.passed and root.details["root_low"] == 1.0
@@ -320,12 +322,12 @@ class TestChecksSweepOnly:
         calls = []
         real_sweep = bsde._sweep
 
-        def counting_sweep(*args, **kwargs):
+        def counting_sweep(*args):
             calls.append(args)
-            return real_sweep(*args, **kwargs)
+            return real_sweep(*args)
 
-        # rbsde holds its own references to both kernels
-        for module in (bsde, rbsde):
+        # every module that binds the kernel holds its own reference to it
+        for module in _binding(real_sweep):
             monkeypatch.setattr(module, "_sweep", counting_sweep)
         _refuse_full_solves(monkeypatch)
         kwargs, _ = PINNED_REPORTS[name]
@@ -336,6 +338,12 @@ class TestChecksSweepOnly:
         _refuse_full_solves(monkeypatch)
         for name, (kwargs, _) in PINNED_REPORTS.items():
             assert all(row.passed for row in suites.SUITES[name](**kwargs)), name
+
+
+def _binding(kernel) -> list:
+    """The package's modules that bind ``kernel`` as ``_sweep``."""
+    names = sorted(name for name in sys.modules if name.startswith("rbsde_lab."))
+    return [sys.modules[name] for name in names if getattr(sys.modules[name], "_sweep", None) is kernel]
 
 
 def _refuse_full_solves(monkeypatch):

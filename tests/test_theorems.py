@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -139,19 +141,44 @@ class TestComparison:
         low, high = counterexample_pair(tree)
         expected = check_comparison(low, high)
         sweeps = []
-        real_swept = theorems._swept_levels
+        real_sweep = theorems._sweep
 
-        def counting_swept(*args, **kwargs):
+        def counting_sweep(*args):
             sweeps.append(args)
-            return real_swept(*args, **kwargs)
+            return real_sweep(*args)
 
         # the checks read each problem's levels off one root-only sweep
-        monkeypatch.setattr(theorems, "_swept_levels", counting_swept)
+        monkeypatch.setattr(theorems, "_sweep", counting_sweep)
         report = check_k_comparison(low, high)
         assert len(sweeps) == 2
         assert report.certificate == expected.certificate
         assert report.max_value_violation == expected.max_value_violation
         assert report.vacuous == expected.vacuous
+
+    @pytest.mark.parametrize("check", [check_comparison, check_k_comparison])
+    def test_checks_at_n1000_keep_no_level(self, check):
+        # the two sweeps are zipped and reduced level by level; the y levels of
+        # one solution alone would take 8 * 1001 * 1002 / 2 bytes, 4.0 MB
+        tree = recomb_tree(1000)
+        obstacle = ObstacleSpec(
+            AdaptedProcess.from_state_function(tree, lambda t, b: 0.5 - np.abs(b) - t)
+        )
+        low, high = (
+            RbsdeProblem(
+                GeneratorSpec.constant(driver),
+                TerminalCondition.from_leaf_function(tree, lambda b, c=lift: 0.1 * np.abs(b) + c),
+                obstacle,
+            )
+            for driver, lift in ((0.0, 0.0), (0.1, 0.05))
+        )
+        tracemalloc.start()
+        try:
+            report = check(low, high)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed and not report.vacuous
+        assert peak <= 2_000_000
 
     def test_push_comparison_rejects_two_obstacles_on_one_tree(self):
         tree = recomb_tree(20)
@@ -577,13 +604,13 @@ class TestMaskedDrivers:
 
     def test_suite_solves_its_family_in_two_batches(self, monkeypatch):
         batches, solo = [], []
-        real_swept = theorems._swept_levels
+        real_sweep = theorems._sweep
 
-        def batched_swept(generator, terminal, *args, **kwargs):
+        def batched_sweep(generator, terminal, *args):
             batches.append(np.broadcast_shapes(*(v.shape[:-1] for v in terminal.values)))
-            return real_swept(generator, terminal, *args, **kwargs)
+            return real_sweep(generator, terminal, *args)
 
-        monkeypatch.setattr(theorems, "_swept_levels", batched_swept)
+        monkeypatch.setattr(theorems, "_sweep", batched_sweep)
         real_solve = theorems.solve_rbsde
         monkeypatch.setattr(
             theorems, "solve_rbsde", lambda *args: solo.append(args) or real_solve(*args)
@@ -726,13 +753,13 @@ class TestConverseProbe:
         g_lower = GeneratorSpec(Scale(0.5, Abs(ZVar())))
         obstacle = ObstacleSpec(AdaptedProcess.constant(tree, 0.0), bound=0.0)
         sweeps = []
-        real_value = theorems.reflected_value
+        real_sweep = theorems._sweep
 
-        def batched_value(generator, terminal, *args, **kwargs):
+        def batched_sweep(generator, terminal, *args):
             sweeps.append(np.broadcast_shapes(*(v.shape[:-1] for v in terminal.values)))
-            return real_value(generator, terminal, *args, **kwargs)
+            return real_sweep(generator, terminal, *args)
 
-        monkeypatch.setattr(theorems, "reflected_value", batched_value)
+        monkeypatch.setattr(theorems, "_sweep", batched_sweep)
         assert converse_probe(g_upper, g_lower, obstacle).value_ordering_holds
         assert sweeps == [(10,)] * 6
 
@@ -839,12 +866,16 @@ class TestBatchedComparison:
         assert type(report.passed) is bool and type(report.push_difference_monotone) is bool
 
     def test_level_gaps_keep_a_nan_past_the_first_level(self):
-        # a NaN gap at a later level reaches the result instead of dropping out
-        a = [np.zeros(1), np.array([np.nan, 1.0])]
-        b = [np.zeros(1), np.zeros(2)]
-        assert math.isnan(theorems._max_level_gap(a, b))
-        batched = [np.zeros((2, 1)), np.array([[np.nan, 1.0], [0.5, 1.0]])]
-        gap = theorems._max_level_gap(batched, [np.zeros(1), np.zeros(2)])
+        # a NaN gap reaches the result instead of dropping out, whether the
+        # sweep (last level first) meets it first or last
+        def stream(*levels):
+            return [SimpleNamespace(y=np.asarray(y, dtype=float)) for y in levels]
+
+        zeros = stream([0.0, 0.0], [0.0])
+        for a in (stream([np.nan, 1.0], [0.0]), stream([0.0, 1.0], [np.nan])):
+            assert all(map(math.isnan, theorems._one_sided_gaps(a, zeros)))
+        batched = stream([[np.nan, 1.0], [0.5, 1.0]], [[0.0], [0.0]])
+        gap, _ = theorems._one_sided_gaps(batched, zeros)
         assert math.isnan(gap[0]) and gap[1] == 1.0
         assert math.isnan(theorems._nonnegative(math.nan))
 
