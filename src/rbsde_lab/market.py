@@ -236,70 +236,6 @@ _ZOOM_FACTOR = 10.0
 _ROUND = 21  # premiums priced per sweep: one zoom round, and a slice of the scan
 _TARGET_WIDTH = 1e-11
 
-# Brent's bounded minimiser (Brent 1973, ch. 5); the polish table in
-# tests/test_market.py pins every step, so recovery's results cannot move.
-_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
-_POLISH_XATOL = 1e-12
-_POLISH_MAX_EVALUATIONS = 200
-
-
-def _bounded_brent(func: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Minimise ``func`` on ``[lo, hi]``; returns the best point and its value.
-
-    ``x`` is the best point so far, ``w`` the second best and ``v`` the one
-    before.  A parabola through them gives the step when it stays in the
-    bracket and shrinks, a golden-section step is taken otherwise, and a
-    point that ties ``x`` replaces it.
-    """
-    a, b = lo, hi
-    x = w = v = a + _GOLDEN_MEAN * (b - a)
-    fx = fw = fv = func(x)
-    d = e = 0.0
-    for _ in range(_POLISH_MAX_EVALUATIONS - 1):
-        middle = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + _POLISH_XATOL / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - middle) <= tol2 - 0.5 * (b - a):
-            break
-        parabolic = False
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x)
-        if parabolic:
-            d = p / q
-            if x + d - a < tol2 or b - (x + d) < tol2:
-                d = tol1 if middle >= x else -tol1
-        else:
-            e = (a if x >= middle else b) - x
-            d = _GOLDEN_MEAN * e
-        step = max(abs(d), tol1)
-        u = x + step if d >= 0.0 else x - step
-        fu = func(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx
-
 
 def recover_theta(
     tree: ScenarioTree,
@@ -318,11 +254,11 @@ def recover_theta(
     invariant under the premium (the step reweighting undoes the drift up to
     O(dt)), so the objective is small and rippled by payoff kinks crossing
     nodes; a single coarse bracketing would stall in a ripple.  The search
-    therefore scans the premium bracket finely, zooms deterministically on
-    the best point seen, and finishes with a bounded Brent polish
-    (:func:`_bounded_brent`), keeping the best evaluation overall.  The
-    bracket is ``_THETA_BRACKET`` cut one scan spacing inside
-    ``|premium| * sqrt(dt) < 1``, where both one-step weights are positive.
+    therefore scans the premium bracket finely and zooms deterministically
+    on the best point seen, down to a spacing of ``_TARGET_WIDTH``; the
+    first best evaluation is the answer.  The bracket is ``_THETA_BRACKET``
+    cut one scan spacing inside ``|premium| * sqrt(dt) < 1``, where both
+    one-step weights are positive; it is fixed, not a parameter.
     """
     if not observed:
         raise NoBracket("need at least one observed price")
@@ -361,22 +297,19 @@ def recover_theta(
             f"objective is flat over the premium bracket: the prices at strikes {names} "
             "do not depend on the premium, so the observed prices cannot identify it"
         )
-    if int(np.argmin(values)) in (0, count - 1):
-        raise NoBracket("objective is smallest at the bracket edge; widen the bracket")
+    first = int(np.argmin(values))
+    if first in (0, count - 1):
+        raise NoBracket(
+            f"objective is smallest at premium {grid[first]:g}, an edge of the admissible "
+            f"range [{lo:g}, {hi:g}]; the range is fixed: [{_THETA_BRACKET[0]:g}, "
+            f"{_THETA_BRACKET[1]:g}] cut one scan spacing inside |premium| * sqrt(dt) < 1"
+        )
 
     width = float(grid[1] - grid[0])
     while width > _TARGET_WIDTH:
         objective(np.linspace(max(lo, best_theta - width), min(hi, best_theta + width), _ROUND))
         width /= _ZOOM_FACTOR
 
-    polish_theta, polish_value = _bounded_brent(
-        lambda theta: float(objective(np.array([theta]))[0]),
-        max(lo, best_theta - 1e-8),
-        min(hi, best_theta + 1e-8),
-    )
-    if polish_value <= best_value:
-        best_value = polish_value
-        best_theta = polish_theta
     return ThetaRecovery(
         theta_hat=best_theta,
         objective=best_value,

@@ -546,9 +546,9 @@ class TestRecoverCommand:
     @pytest.mark.parametrize(
         "seed, digest",
         [
-            (1, "541ae69eab3760d2eeaad091796f0d3a7cf159e8c2cffbecc544f806b4bc269c"),
-            (2, "32909f15527409e630647c26e48037cce2e2e616adb6f289a893f735b9068362"),
-            (3, "6f2e013a4daaf03f4ca6dad47c387fbd2b58d9900db39fb763a702c7d3f04df2"),
+            (1, "6707034f8d8ed2a45abe5917105bd45a2e9f33f5516191686d2fb9b89e690e5f"),
+            (2, "38ff47d72dc2c4511d73e79b68c79ea574ed234bce5ef5f6e587da5eefcfe575"),
+            (3, "31aab10a6fc48a185fa819de0bce13c173bcadd1470cd9a25f53f25be6368164"),
         ],
     )
     def test_workload_theta_json_digest_is_pinned(self, tmp_path, seed, digest):
