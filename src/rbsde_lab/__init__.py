@@ -30,7 +30,6 @@ from .errors import (
 from .generators import (
     GeneratorSpec,
     SampleSpec,
-    check_assumptions,
     lipschitz_bound,
     parse_prefix,
     restrict_generator,

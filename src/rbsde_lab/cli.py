@@ -1,7 +1,8 @@
 """Batch front door: JSON config in, CSV/JSON artifacts out.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical or
-solver errors (including verification suites that find violations).
+solver errors (including verification suites that find violations and
+running out of memory).
 Outputs are byte-stable for a fixed config and seed: floats are printed
 with 17 significant digits and JSON keys are sorted.
 """
@@ -450,6 +451,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except LatticeLabError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"solver error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
     return 0
 

@@ -10,7 +10,7 @@ class InvalidGrid(LatticeLabError):
 
 
 class InvalidSample(LatticeLabError):
-    """Driver sample box is empty, unordered or non-finite, or too small for its check."""
+    """Driver sample box has a count below 1 or a non-finite or unordered bound."""
 
 
 class DepthExceeded(LatticeLabError):

@@ -537,7 +537,7 @@ def restrict_generator(generator: GeneratorSpec, rule: StoppingRule) -> Generato
 
 
 # ---------------------------------------------------------------------------
-# Assumption checking
+# Driver sampling
 
 class SampleSpec(ValueRecord):
     """Sampling grid for driver checks: times on [0, t_max], box in (y, z).
@@ -576,9 +576,6 @@ class SampleSpec(ValueRecord):
     def z_points(self) -> np.ndarray:
         return np.linspace(self.z_low, self.z_high, self.z_count)
 
-    def _box(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.meshgrid(self.y_points(), self.z_points(), indexing="ij")
-
     def values(self, generator: GeneratorSpec) -> np.ndarray:
         """``g`` on the sample box as a ``batch + (t_count, y_count, z_count)`` array.
 
@@ -587,69 +584,10 @@ class SampleSpec(ValueRecord):
         a driver's coefficient columns (``batch + (1,)``) broadcast against
         the points and never against the box's own axes.
         """
-        ys, zs = (axis.ravel() for axis in self._box())
+        box = np.meshgrid(self.y_points(), self.z_points(), indexing="ij")
+        ys, zs = (axis.ravel() for axis in box)
         batch = generator.batch_shape
         out = np.empty(batch + (self.t_count, ys.size))
         for k, t in enumerate(self.t_points()):
             out[..., k, :] = generator.evaluate(float(t), ys, zs)
         return out.reshape(batch + (self.t_count, self.y_count, self.z_count))
-
-
-class AssumptionReport(NamedTuple):
-    """Sampled evidence for or against the driver's properties.
-
-    ``max_time_jump`` is a change detector across adjacent sample times: a
-    driver that genuinely varies in t will exceed the threshold even though
-    it is continuous, so treat that flag as 'not constant between samples'.
-    """
-
-    derived_lipschitz: tuple[float, float]
-    max_lipschitz_quotient: float
-    max_abs_at_zero_z: float
-    max_time_jump: float
-    max_abs_at_origin: float
-    lipschitz_exceeded: bool
-    zero_z_exceeded: bool
-    time_jump_exceeded: bool
-
-    _THRESHOLD = 1e-9
-
-
-def check_assumptions(generator: GeneratorSpec, sample: SampleSpec) -> AssumptionReport:
-    """Sample the driver and compare against the properties it should have.
-
-    Reports (a) the largest difference quotient over ``|dy| + |dz|`` against
-    ``max(L_y, L_z)``, exceeded only if the derived bounds are wrong, (b) the
-    largest ``|g(t, y, 0)|``, and (c) the largest jump of ``t -> g`` across
-    adjacent sample times.  A bound counts as exceeded beyond 1e-9.  A box
-    without two distinct (y, z) points has no difference quotient and raises
-    :class:`InvalidSample`.
-    """
-    zero_z = sample._replace(z_low=0.0, z_high=0.0, z_count=1)
-    origin = zero_z._replace(y_low=0.0, y_high=0.0, y_count=1)
-    values = sample.values(generator)
-
-    ys, zs = (axis.ravel() for axis in sample._box())
-    den = np.abs(ys[:, None] - ys[None, :]) + np.abs(zs[:, None] - zs[None, :])
-    off_diag = den > 0.0
-    if not off_diag.any():
-        raise InvalidSample("a difference quotient needs two distinct (y, z) points")
-    quot_max = 0.0
-    for g in values.reshape(sample.t_count, sample.y_count * sample.z_count):
-        num = np.abs(g[:, None] - g[None, :])
-        quot_max = max(quot_max, float(np.max(num[off_diag] / den[off_diag])))
-    zero_z_max = float(np.max(np.abs(zero_z.values(generator)), initial=0.0))
-    origin_max = float(np.max(np.abs(origin.values(generator)), initial=0.0))
-    jump_max = float(np.max(np.abs(np.diff(values, axis=0)), initial=0.0))
-
-    thr = AssumptionReport._THRESHOLD
-    return AssumptionReport(
-        derived_lipschitz=generator.lipschitz,
-        max_lipschitz_quotient=quot_max,
-        max_abs_at_zero_z=zero_z_max,
-        max_time_jump=jump_max,
-        max_abs_at_origin=origin_max,
-        lipschitz_exceeded=quot_max > max(generator.lipschitz) + thr,
-        zero_z_exceeded=zero_z_max > thr,
-        time_jump_exceeded=jump_max > thr,
-    )

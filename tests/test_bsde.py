@@ -468,12 +468,15 @@ class TestNoDeclaredConstant:
         assert not hasattr(rbsde_lab.MarketModel, "lipschitz")
 
     def test_only_the_hypothesis_checks_read_the_bounds(self):
-        # the sweep's contraction guard, the converse probe's allowance and the
-        # sampled check of the bounds; everything else passes drivers through
+        # the sweep's contraction guard and the converse probe's allowance;
+        # everything else passes drivers through
         readers = _users(lambda node: isinstance(node, ast.Attribute) and node.attr == "lipschitz")
-        assert readers == {
-            "bsde._sweep", "theorems.converse_probe", "generators.check_assumptions"
-        }
+        assert readers == {"bsde._sweep", "theorems.converse_probe"}
+
+    def test_no_sampled_check_of_the_bounds_is_left(self):
+        # the bounds are read off the expression and checked by property
+        # (TestLipschitzBoundHolds); nothing samples a driver to re-check them
+        assert _name_users({"check_assumptions", "AssumptionReport"}) == set()
 
 
 class TestOneBackwardKernel:

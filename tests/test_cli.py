@@ -812,6 +812,36 @@ def test_failing_suite_row_exits_three_with_its_report(tmp_path, capsys, monkeyp
     assert json.loads((out / "report.json").read_text())["all_passed"] is False
 
 
+def test_running_out_of_memory_exits_three_with_one_line(tmp_path):
+    # a recombining N=12000 solve keeps every level; under a 512 MiB address
+    # space (set on the child only) numpy's allocation fails inside the sweep
+    import resource
+
+    payload = {
+        "tree": {"horizon": 1.0, "steps": 12000, "mode": "recombining"},
+        "generator": {"expr": "(* 0.5 (abs z))"},
+        "terminal": {"kind": "state", "expr": "(abs b)"},
+        "obstacle": {"kind": "constant", "value": 0.0},
+    }
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    src = str(Path(rbsde_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    limit = 512 * 1024 * 1024
+    done = subprocess.run(
+        [sys.executable, "-m", "rbsde_lab.cli", "solve", "--config", str(config), "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 3, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver error: out of memory: ")
+    assert not (out / "solution.csv").exists()
+
+
 class TestConfigRoundTrip:
     @pytest.mark.parametrize("payload", ROUND_TRIP_PAYLOADS)
     def test_emit_parse_is_idempotent(self, payload):

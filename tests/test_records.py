@@ -23,7 +23,6 @@ from rbsde_lab.bsde import (
 )
 from rbsde_lab.generators import (
     Abs,
-    AssumptionReport,
     ActiveBefore,
     Add,
     AtZeroState,
@@ -41,7 +40,6 @@ from rbsde_lab.generators import (
     TimeVar,
     YVar,
     ZVar,
-    check_assumptions,
     parse_prefix,
 )
 from rbsde_lab.lattice import (
@@ -113,12 +111,6 @@ RECORDS = [
     (ActiveBefore, lambda: ActiveBefore(RULE, YVar()), "rule", False),
     (GeneratorSpec, lambda: GeneratorSpec(YVar()), "expr", False),
     (SampleSpec, lambda: SampleSpec(1.0, 3, y_count=3, z_count=3), "t_max", True),
-    (
-        AssumptionReport,
-        lambda: check_assumptions(DRIVER, SampleSpec(1.0, 3, y_count=3, z_count=3)),
-        "derived_lipschitz",
-        True,
-    ),
     # lattice
     (TimeGrid, lambda: TimeGrid(1.0, 4), "steps", True),
     (ScenarioTree, lambda: ScenarioTree(TimeGrid(1.0, 4), TreeMode.RECOMBINING), "grid", True),
@@ -171,8 +163,8 @@ RECORDS = [
 
 
 def test_every_record_type_is_listed_once():
-    assert len(RECORDS) == 42
-    assert len({kind for kind, *_ in RECORDS}) == 42
+    assert len(RECORDS) == 41
+    assert len({kind for kind, *_ in RECORDS}) == 41
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from rbsde_lab import (
     NoStrictGap,
     ObstacleSpec,
     RbsdeProblem,
-    SampleSpec,
     StoppingRule,
     TerminalCondition,
     TimeGrid,
@@ -25,7 +24,6 @@ from rbsde_lab import (
     build_dominating_obstacle,
     build_floor_obstacle,
     build_tree,
-    check_assumptions,
     check_comparison,
     check_k_comparison,
     closed_form_example,
@@ -510,17 +508,16 @@ class TestDominatingObstacle:
             np.testing.assert_array_equal(plain.y.level(i), sol.y.level(i))
 
     def test_structural_bounds_are_per_variable_and_tight(self):
-        # one bound per variable: -L|y| - L|z| reads (L, L), which the sampled
-        # l1 difference quotient meets, where one summed bound would read 2L
-        g = dominating_driver(1.5)
-        report = check_assumptions(g, SampleSpec(1.0))
-        assert g.lipschitz == report.derived_lipschitz == (1.5, 1.5)
-        assert report.max_lipschitz_quotient == pytest.approx(1.5)
-        assert not report.lipschitz_exceeded
+        # one bound per variable: -L|y| - L|z| reads (L, L), and a unit step in
+        # either variable alone moves g by exactly L, where one summed bound
+        # would read 2L
         zero = GeneratorSpec.constant(0.0)
-        floor = floor_driver(zero, zero, 1.5)
-        assert floor.lipschitz == (1.5, 1.5)
-        assert not check_assumptions(floor, SampleSpec(1.0)).lipschitz_exceeded
+        for g in (dominating_driver(1.5), floor_driver(zero, zero, 1.5)):
+            assert g.lipschitz == (1.5, 1.5)
+            for t in (0.0, 0.5, 1.0):
+                points = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+                g00, g10, g01 = (float(np.asarray(g.evaluate(t, y, z))) for y, z in points)
+                assert abs(g10 - g00) == 1.5 and abs(g01 - g00) == 1.5
 
 
 class TestFloorObstacle:
