@@ -491,10 +491,6 @@ class GeneratorSpec(Record):
         ``L_y * dt < 1``, and the one-step weights are nonnegative when ``L_z * sqrt(dt) <= 1``."""
         return lipschitz_bound(self.expr)
 
-    @property
-    def is_y_free(self) -> bool:
-        return not self.expr.uses(YVar)
-
     def evaluate(self, t: float, y, z, *, level: int | None = None, tree: ScenarioTree | None = None):
         return self.expr.eval(EvalContext(t=t, y=y, z=z, level=level, tree=tree))
 

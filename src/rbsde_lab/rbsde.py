@@ -34,6 +34,7 @@ from .lattice import (
     ScenarioTree,
     StoppingRule,
     TreeMode,
+    _cells,
     _per_member,
     conditional_expectation,
     hitting_rule,
@@ -42,7 +43,7 @@ from .records import Record
 
 
 class ObstacleSpec(Record):
-    """Lower barrier process with an optional declared upper bound."""
+    """Lower barrier process, finite at every node, with an optional declared upper bound."""
 
     _fields = ("process", "bound")  # no __slots__: ``modulus_estimate`` is cached per instance
 
@@ -52,6 +53,9 @@ class ObstacleSpec(Record):
             top = float(np.max([np.max(level) for level in process.levels()]))
             if not top <= bound + 1e-12:
                 raise ValueError(f"obstacle exceeds its declared bound: max {top!r} > {bound!r}")
+        for i, level in enumerate(process.levels()):
+            if not np.isfinite(_cells(level)).all():
+                raise ValueError(f"non-finite obstacle at level {i}")
         self._set(process, bound)
 
     @property

@@ -96,10 +96,10 @@ class CheckResult(NamedTuple):
 CLOSED_FORM_TOL = 2e-3
 
 # instances a comparison suite checks in one batch.  The two sweeps of a batch
-# are reduced level by level, so a member holds no solution, only about 36 kB
-# of driver samples (three 11^3 boxes) while its batch is checked.  At 10 the
-# `comparison` process peaks at 37.0-37.1 MB; 25 raised that to 37.9-38.0 MB
-# and saved some 40-80 ms in process, within the process-start noise
+# are reduced level by level, so a member holds no solution and no driver
+# sample while its batch is checked.  At 10 the `comparison` process peaks at
+# 36.2-36.4 MB; 25 raised that to 37.3-37.4 MB and saved no time in process
+# beyond the run-to-run noise (2 cores, Python 3.11, numpy 2.4)
 CHECK_CHUNK = 10
 
 
@@ -647,7 +647,7 @@ def masked_driver_suite(seed: int = 29, instances: int = 20) -> list[CheckResult
         _check(
             "masked-drivers/disagreement-below-cut-certified",
             report.equal_above_threshold_gap, EXACT_TOL,
-            {"sites": len(report.disagreement_sites)}, holds=report.drivers_disagree_below,
+            {"sites": report.disagreement_cells}, holds=report.drivers_disagree_below,
         ),
     ]
 

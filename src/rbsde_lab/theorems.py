@@ -84,7 +84,6 @@ class OrderingCertificate(NamedTuple):
     terminal_gap: float | np.ndarray
     obstacle_gap: float | np.ndarray
     driver_gap_on_solutions: float | np.ndarray
-    driver_gap_on_grid: float | np.ndarray
 
     @property
     def established(self) -> bool | np.ndarray:
@@ -165,11 +164,11 @@ def _driver_gap(
 def check_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonReport:
     """Solve both problems and measure the ordering of their values.
 
-    The input orderings (terminal, driver, obstacle) are certified by
-    sampling; when any of them fails the report is produced anyway but
-    marked vacuous.  Drivers are also sampled off the tree, so a
-    rule-gated driver raises :class:`ExpressionError`.  Batched problems
-    are checked member by member in one pair of zipped root-only sweeps.
+    The input orderings (terminal, driver, obstacle) are certified on the
+    lattice, the driver order at the nodes of both solutions; when any of
+    them fails the report is produced anyway but marked vacuous.  Batched
+    problems are checked member by member in one pair of zipped root-only
+    sweeps.
     """
     return _compared(low, high)
 
@@ -216,16 +215,11 @@ def _compared(low: RbsdeProblem, high: RbsdeProblem, *, pushes: bool = False) ->
     # the last level is ordering of the terminal data themselves.
     last = tree.steps
     xi_gap = np.max(low.terminal.extended[last] - high.terminal.extended[last], axis=-1)
-    sample = SampleSpec(tree.grid.horizon, t_count=11, y_count=11, z_count=11)
-    g_grid_gap = np.max(
-        sample.values(low.generator) - sample.values(high.generator), axis=(-3, -2, -1)
-    )
     certificate = OrderingCertificate(
         terminal_gap=_nonnegative(xi_gap),
         obstacle_gap=_nonnegative(s_gap),
         # +0 first: a largest driver gap of -0 reads +0, as a fold that starts at 0 gives
         driver_gap_on_solutions=_nonnegative(np.maximum(0.0, driver_gap)),
-        driver_gap_on_grid=_nonnegative(g_grid_gap),
     )
     monotone = _per_member(np.asarray(increment_drop) <= COMPARISON_TOL)
     return ComparisonReport(
@@ -491,25 +485,20 @@ def build_floor_obstacle(
 # ---------------------------------------------------------------------------
 # Boundary examples for the converse theorems
 
-class DriverOrderingSite(NamedTuple):
-    t: float
-    y: float
-    z: float
-    gap: float
-
-
 class IncomparableDriverReport(NamedTuple):
-    """Ordered reflected values from drivers that are not pointwise ordered."""
+    """Ordered reflected values from drivers that are not pointwise ordered;
+    ``low_above_high`` and ``high_above_low`` are the largest one-sided driver
+    gaps over the sampled times."""
 
     root_low: float
     root_high: float
     ordering_holds: bool
-    sites_low_above_high: tuple[DriverOrderingSite, ...]
-    sites_high_above_low: tuple[DriverOrderingSite, ...]
+    low_above_high: float
+    high_above_low: float
 
     @property
     def incomparable(self) -> bool:
-        return bool(self.sites_low_above_high) and bool(self.sites_high_above_low)
+        return self.low_above_high > EXACT_TOL and self.high_above_low > EXACT_TOL
 
 
 def ramp_plateau_driver(horizon: float) -> GeneratorSpec:
@@ -544,20 +533,13 @@ def incomparable_driver_probe(
     root_high = reflected_value(g_high, terminal, obstacle)
 
     origin = SampleSpec(horizon, 41, 0.0, 0.0, 1, 0.0, 0.0, 1)  # 41 times at y = z = 0
-    lows, highs = origin.values(g_low).ravel().tolist(), origin.values(g_high).ravel().tolist()
-    sites_low: list[DriverOrderingSite] = []
-    sites_high: list[DriverOrderingSite] = []
-    for t, lo, hi in zip(origin.t_points().tolist(), lows, highs):
-        if lo > hi + EXACT_TOL:
-            sites_low.append(DriverOrderingSite(t, 0.0, 0.0, lo - hi))
-        elif hi > lo + EXACT_TOL:
-            sites_high.append(DriverOrderingSite(t, 0.0, 0.0, hi - lo))
+    gap = origin.values(g_low) - origin.values(g_high)
     return IncomparableDriverReport(
         root_low=root_low,
         root_high=root_high,
         ordering_holds=root_low <= root_high + EXACT_TOL,
-        sites_low_above_high=tuple(sites_low),
-        sites_high_above_low=tuple(sites_high),
+        low_above_high=float(np.max(gap)),
+        high_above_low=float(np.max(-gap)),
     )
 
 
@@ -575,11 +557,13 @@ def masked_driver(slope: float, threshold: float) -> GeneratorSpec:
 
 
 class MaskedDriverReport(NamedTuple):
-    """Equality of reflected solutions for drivers masked by the obstacle."""
+    """Equality of reflected solutions for drivers masked by the obstacle;
+    ``disagreement_cells`` counts the sampled ``(t, z)`` cells where the
+    drivers differ below the cut."""
 
     max_value_gap: float
     equal_above_threshold_gap: float
-    disagreement_sites: tuple[DriverOrderingSite, ...]
+    disagreement_cells: int
 
     @property
     def values_agree(self) -> bool:
@@ -587,7 +571,7 @@ class MaskedDriverReport(NamedTuple):
 
     @property
     def drivers_disagree_below(self) -> bool:
-        return bool(self.disagreement_sites)
+        return self.disagreement_cells > 0
 
 
 def masked_driver_probe(
@@ -621,19 +605,12 @@ def masked_driver_probe(
 
     above = SampleSpec(tree.grid.horizon, 5, cut_high, cut_high + 4.0, 9, -3.0, 3.0, 9)
     below = above._replace(y_low=cut_high - 3.0, y_high=cut_high - 1e-3)
-    # per (t, z), the value below the cut where the drivers differ most
-    below_gap = driver_gap(below)
-    worst_y = np.argmax(below_gap, axis=1)
-    ts, ys, zs = below.t_points(), below.y_points(), below.z_points()
-    sites = [
-        DriverOrderingSite(float(ts[i]), float(ys[worst_y[i, k]]), float(zs[k]), float(gap))
-        for (i, k), gap in np.ndenumerate(np.max(below_gap, axis=1))
-        if gap > EXACT_TOL
-    ]
+    # per (t, z), the largest driver gap over the values below the cut
+    below_gap = np.max(driver_gap(below), axis=1)
     return MaskedDriverReport(
         max_value_gap=worst,
         equal_above_threshold_gap=float(np.max(driver_gap(above))),
-        disagreement_sites=tuple(sites),
+        disagreement_cells=int(np.count_nonzero(below_gap > EXACT_TOL)),
     )
 
 
@@ -653,7 +630,6 @@ class ConverseProbeReport(NamedTuple):
     max_value_violation: float
     driver_ordering_holds: bool
     max_driver_gap: float
-    violation_sites: tuple[DriverOrderingSite, ...]
     allowance: float
     falsification_flag: bool
 
@@ -667,9 +643,8 @@ def converse_probe(
     the root, mid-walk and horizon rules.  Verdict A holds when the first
     driver's conditional values dominate the second's for every family
     member and every ordered rule pair.  Verdict B holds when the first
-    driver dominates the second on the sample region: values above the
-    obstacle bound, or every value when both drivers ignore the value
-    variable.
+    driver dominates the second on the sample region, values above the
+    obstacle bound; a NaN gap anywhere there fails it.
     """
     if obstacle.bound is None:
         raise ValueError("default probe family needs an obstacle bound")
@@ -704,19 +679,9 @@ def converse_probe(
     sample = SampleSpec(
         tree.grid.horizon, t_count=11, y_low=bound, y_high=bound + 5.0, y_count=11, z_count=11
     )
-    if g_upper.is_y_free and g_lower.is_y_free:
-        sample = sample._replace(y_low=-5.0, y_high=5.0)
     gaps = sample.values(g_lower) - sample.values(g_upper)
-    ys, zs = sample.y_points(), sample.z_points()
-    # a site per sample time that raises the running largest gap
-    driver_gap = 0.0
-    sites: list[DriverOrderingSite] = []
-    for t, gap in zip(sample.t_points(), gaps):
-        j, k = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        if float(gap[j, k]) > driver_gap:
-            driver_gap = float(gap[j, k])
-            if driver_gap > COMPARISON_TOL:
-                sites.append(DriverOrderingSite(float(t), float(ys[j]), float(zs[k]), driver_gap))
+    # +0 first, so an all-negative sample reads +0; np.max keeps a NaN
+    driver_gap = float(np.maximum(0.0, np.max(gaps)))
 
     allowance = 10.0 * tree.grid.dt * float(max(map(np.max, g_upper.lipschitz + g_lower.lipschitz)))
     a_holds = value_violation <= COMPARISON_TOL
@@ -726,7 +691,6 @@ def converse_probe(
         max_value_violation=value_violation,
         driver_ordering_holds=b_holds,
         max_driver_gap=driver_gap,
-        violation_sites=tuple(sites),
         allowance=allowance,
         falsification_flag=a_holds and not b_holds and driver_gap > allowance,
     )

@@ -479,6 +479,37 @@ class TestNoDeclaredConstant:
         assert _name_users({"check_assumptions", "AssumptionReport"}) == set()
 
 
+class TestReportsKeepWhatTheirVerdictsRead:
+    def test_only_the_driver_probes_sample_in_theorems(self):
+        # the comparison certificate reads driver order at the solutions'
+        # nodes; a sample is the check only for claims about the drivers
+        users = {
+            ".".join(user.split(".")[:2])  # a helper nested in a probe counts as the probe
+            for user in _name_users({"SampleSpec"})
+            if user.split(".")[0] == "theorems"
+        }
+        assert users == {
+            "theorems",  # the import
+            "theorems.converse_probe",
+            "theorems.incomparable_driver_probe",
+            "theorems.masked_driver_probe",
+        }
+
+    def test_no_site_list_or_second_driver_sample_is_left(self):
+        gone = (
+            "DriverOrderingSite",
+            "driver_gap_on_grid",
+            "violation_sites",
+            "sites_low_above_high",
+            "sites_high_above_low",
+            "disagreement_sites",
+            "is_y_free",
+        )
+        texts = [path.read_text() for path in Path(rbsde_lab.__file__).parent.glob("*.py")]
+        texts.append((Path(__file__).resolve().parents[1] / "README.md").read_text())
+        assert [name for name in gone if any(name in text for text in texts)] == []
+
+
 class TestOneBackwardKernel:
     def test_only_the_kernel_and_its_references_step_down_the_tree(self):
         # a second backward loop would read children somewhere else

@@ -760,6 +760,11 @@ SMALL_TREE = {"horizon": 1.0, "steps": 8, "mode": "recombining"}
             None, "obstacle exceeds its declared bound: max nan > 0.0",
         ),
         (
+            "solve",
+            {**COUNTEREXAMPLE_CONFIG, "obstacle": {"kind": "state", "expr": OVERFLOW_DIFFERENCE}},
+            None, "non-finite obstacle at level 1",
+        ),
+        (
             "verify", {"seed": 3}, None,
             "verify needs a suite name (config suite block or --suite)",
         ),
@@ -783,6 +788,7 @@ SMALL_TREE = {"horizon": 1.0, "steps": 8, "mode": "recombining"}
         "config-list",
         "obstacle-above-bound",
         "nan-obstacle-under-bound",
+        "nan-obstacle-without-bound",
         "verify-without-suite",
         "recover-without-block",
         "header-only-prices",

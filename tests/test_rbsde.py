@@ -193,15 +193,26 @@ class TestSolutionStructure:
 
 
     def test_nan_obstacle_is_a_numerical_breakdown(self):
+        # ObstacleSpec refuses such a process, so it goes to the kernel directly
         tree = recomb_tree(4)
         levels = [np.full(tree.level_size(i), -1.0) for i in range(tree.steps + 1)]
         levels[2][1] = np.nan
+        process = AdaptedProcess(tree, levels)
+        with pytest.raises(ValueError, match="non-finite obstacle at level 2"):
+            ObstacleSpec(process)
+        sweep = _sweep(GeneratorSpec.constant(0.0), TerminalCondition.constant(tree, 0.0), process)
         with pytest.raises(NumericalBreakdown, match="level 2"):
-            solve_rbsde(
-                GeneratorSpec.constant(0.0),
-                TerminalCondition.constant(tree, 0.0),
-                ObstacleSpec(AdaptedProcess(tree, levels)),
-            )
+            for _ in sweep:
+                pass
+
+    @pytest.mark.parametrize("value, bound", [(np.inf, None), (-np.inf, None), (-np.inf, 1.0)])
+    def test_obstacle_spec_refuses_non_finite_values(self, value, bound):
+        # -inf stays below any bound, so only the finiteness check refuses it there
+        tree = recomb_tree(3)
+        levels = [np.full(tree.level_size(i), -1.0) for i in range(tree.steps + 1)]
+        levels[1][0] = value
+        with pytest.raises(ValueError, match="non-finite obstacle at level 1"):
+            ObstacleSpec(AdaptedProcess(tree, levels), bound=bound)
 
 
     @pytest.mark.parametrize(
@@ -218,6 +229,7 @@ class TestSolutionStructure:
     def test_each_non_finite_kind_is_named_with_its_level(
         self, generator, leaves, floor, level_two, match
     ):
+        # the obstacle goes to the kernel as a process: ObstacleSpec refuses an -inf level
         tree = recomb_tree(4)
         levels = [
             np.full(tree.level_size(i), level_two if i == 2 else floor)
@@ -228,12 +240,10 @@ class TestSolutionStructure:
             if leaves is None
             else TerminalCondition.from_leaf_values(tree, leaves)
         )
+        sweep = _sweep(GeneratorSpec(parse_prefix(generator)), terminal, AdaptedProcess(tree, levels))
         with pytest.raises(NumericalBreakdown, match=match):
-            solve_rbsde(
-                GeneratorSpec(parse_prefix(generator)),
-                terminal,
-                ObstacleSpec(AdaptedProcess(tree, levels)),
-            )
+            for _ in sweep:
+                pass
 
     def test_finite_data_whose_gap_plus_coefficient_overflows_solves(self):
         # at the root y - S = 1.3e308 and z = 0.8e308: each finite, their sum not

@@ -57,7 +57,6 @@ from rbsde_lab.theorems import (
     ClosedFormSolution,
     ComparisonReport,
     ConverseProbeReport,
-    DriverOrderingSite,
     IncomparableDriverReport,
     MaskedDriverReport,
     OrderingCertificate,
@@ -71,8 +70,7 @@ RULE = StoppingRule.terminal(TREE)
 TERMINAL = TerminalCondition.constant(TREE, 1.0)
 OBSTACLE = ObstacleSpec(AdaptedProcess.constant(TREE, 0.0), bound=0.0)
 DRIVER = GeneratorSpec(YVar())
-SITE = DriverOrderingSite(0.0, 1.0, 2.0, 0.5)
-CERTIFICATE = OrderingCertificate(0.0, 0.0, 0.0, 0.0)
+CERTIFICATE = OrderingCertificate(0.0, 0.0, 0.0)
 DIAGNOSTICS = ReflectionDiagnostics(0.0, 0.5, 0.25, 1, 0.0, True)
 ROOT = np.zeros(1)
 
@@ -131,7 +129,7 @@ RECORDS = [
     (CheckResult, lambda: CheckResult("x", True, 0.0, 1.0, {"n": 1}), "passed", True),
     # theorems
     (RbsdeProblem, lambda: RbsdeProblem(DRIVER, TERMINAL, OBSTACLE), "generator", False),
-    (OrderingCertificate, lambda: OrderingCertificate(0.0, 0.0, 0.0, 0.0), "terminal_gap", True),
+    (OrderingCertificate, lambda: OrderingCertificate(0.0, 0.0, 0.0), "terminal_gap", True),
     (
         ComparisonReport,
         lambda: ComparisonReport(CERTIFICATE, 0.0, None, None, False),
@@ -145,17 +143,16 @@ RECORDS = [
         "push_rate",
         True,
     ),
-    (DriverOrderingSite, lambda: DriverOrderingSite(0.0, 1.0, 2.0, 0.5), "gap", True),
     (
         IncomparableDriverReport,
-        lambda: IncomparableDriverReport(0.0, 1.0, True, (SITE,), ()),
+        lambda: IncomparableDriverReport(0.0, 1.0, True, 0.5, 0.5),
         "root_low",
         True,
     ),
-    (MaskedDriverReport, lambda: MaskedDriverReport(0.0, 0.0, (SITE,)), "max_value_gap", True),
+    (MaskedDriverReport, lambda: MaskedDriverReport(0.0, 0.0, 40), "max_value_gap", True),
     (
         ConverseProbeReport,
-        lambda: ConverseProbeReport(True, 0.0, True, 0.0, (), 0.1, False),
+        lambda: ConverseProbeReport(True, 0.0, True, 0.0, 0.1, False),
         "allowance",
         True,
     ),
@@ -163,8 +160,8 @@ RECORDS = [
 
 
 def test_every_record_type_is_listed_once():
-    assert len(RECORDS) == 41
-    assert len({kind for kind, *_ in RECORDS}) == 41
+    assert len(RECORDS) == 40
+    assert len({kind for kind, *_ in RECORDS}) == 40
 
 
 @pytest.mark.parametrize(

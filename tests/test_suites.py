@@ -237,7 +237,7 @@ class TestMaskedDriverSuite:
         assert type(report.max_value_gap) is float
         assert report.max_value_gap.hex() == "0x0.0p+0"
         assert report.equal_above_threshold_gap.hex() == "0x0.0p+0"
-        assert len(report.disagreement_sites) == 40
+        assert report.disagreement_cells == 40
 
 
 class TestReportStability:

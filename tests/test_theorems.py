@@ -35,6 +35,8 @@ from rbsde_lab import (
     local_strict_witness,
     masked_driver,
     masked_driver_probe,
+    parse_prefix,
+    restrict_generator,
     solve_bsde,
     solve_rbsde,
 )
@@ -110,6 +112,29 @@ class TestComparison:
         )
         assert report.vacuous
         assert not report.passed
+
+    @pytest.mark.parametrize("check", [check_comparison, check_k_comparison])
+    def test_rule_gated_drivers_are_certified_on_the_solutions(self, check):
+        # a driver gated by a stopping rule has values only at tree nodes
+        tree = full_tree(6)
+        rule = StoppingRule(
+            tree, [np.abs(tree.brownian_level(i)) >= 0.8 for i in range(tree.steps + 1)]
+        )
+        obstacle = ObstacleSpec(
+            AdaptedProcess.from_state_function(tree, lambda t, b: -0.5 - t + 0.1 * b)
+        )
+        low, high = (
+            RbsdeProblem(
+                restrict_generator(GeneratorSpec(parse_prefix(expr)), rule),
+                TerminalCondition.from_leaf_function(tree, lambda b, c=c: np.abs(b) + c),
+                obstacle,
+            )
+            for expr, c in (("(+ (* 0.3 y) (* 0.5 z))", 0.0), ("(+ (* 0.3 y) (* 0.5 z) 0.2)", 0.1))
+        )
+        report = check(low, high)
+        assert not report.vacuous
+        assert report.passed
+        assert report.certificate.driver_gap_on_solutions == 0.0
 
     def test_push_comparison_on_counterexample_pair(self):
         tree = recomb_tree(200)
@@ -645,7 +670,7 @@ class TestConverseProbe:
         assert report.driver_ordering_holds  # equality on values above the cut
         assert not report.falsification_flag
 
-    def test_sites_reproduce_their_gaps(self):
+    def test_unordered_pair_reports_its_largest_sampled_gap(self):
         tree = full_tree(6)
         g_upper = GeneratorSpec(ZVar())
         g_lower = GeneratorSpec(Scale(-1.0, ZVar()))
@@ -653,10 +678,24 @@ class TestConverseProbe:
         report = converse_probe(g_upper, g_lower, obstacle)
         assert not report.value_ordering_holds
         assert not report.falsification_flag
-        for site in report.violation_sites:
-            hi = float(np.asarray(g_upper.evaluate(site.t, site.y, site.z)))
-            lo = float(np.asarray(g_lower.evaluate(site.t, site.y, site.z)))
-            assert lo - hi == pytest.approx(site.gap, abs=1e-12)
+        # -z - z is largest at the sample's lowest z, -5
+        assert report.max_driver_gap == 10.0
+        assert not report.driver_ordering_holds
+
+    def test_a_nan_driver_gap_fails_verdict_b(self):
+        # the gap is NaN only for t in [0.38, 0.42): sample time 0.4 reads it,
+        # no lattice time of six steps does
+        nan_between = parse_prefix(
+            "(pw 0.0 0.38 (+ (* 1e308 (* 1e308 (abs z))) (* -1e308 (* 1e308 (abs z))))"
+            " 0.42 0.0)"
+        )
+        g = GeneratorSpec(nan_between)
+        obstacle = ObstacleSpec(AdaptedProcess.constant(full_tree(6), 0.0), bound=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = converse_probe(g, g, obstacle)
+        assert report.value_ordering_holds
+        assert math.isnan(report.max_driver_gap)
+        assert not report.driver_ordering_holds
 
     def test_suite_pairs_pin_their_value_violation(self, monkeypatch):
         reports = []
@@ -805,9 +844,8 @@ def sabotaged(pairs, misordered=3, vacuous=7):
 class TestBatchedComparison:
     """The batch contract: a batched check is the solo checks, member by member, bit for bit.
 
-    Eleven members run against the 11 x 11 x 11 driver sample of the
-    certificate, and one misordered and one vacuous pair keep the compared
-    numbers away from all zeros.
+    Eleven members, one misordered and one vacuous pair among them, keep the
+    compared numbers away from all zeros.
     """
 
     @pytest.mark.parametrize("mode", list(TreeMode))
@@ -816,7 +854,7 @@ class TestBatchedComparison:
         pairs = sabotaged(suites._comparison_instance(5, i, tree) for i in range(11))
         solo = assert_batch_matches_solo(check_comparison, *zip(*pairs), tree)
         assert solo[3].max_value_violation > 0.0 and solo[3].vacuous
-        assert solo[7].vacuous and solo[7].certificate.driver_gap_on_grid == pytest.approx(0.5)
+        assert solo[7].vacuous and solo[7].certificate.driver_gap_on_solutions == pytest.approx(0.5)
         assert sum(r.passed for r in solo) == 9
 
     def test_push_comparison_on_a_full_binary_tree(self):
