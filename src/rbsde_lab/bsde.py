@@ -37,7 +37,6 @@ from .errors import (
 )
 from .generators import GeneratorSpec
 from .lattice import (
-    DEFAULT_CONTACT_TOL,
     AdaptedProcess,
     ScenarioTree,
     StoppingRule,
@@ -215,27 +214,25 @@ class LevelData(NamedTuple):
 class SweptLevel(NamedTuple):
     """One final level of a sweep, as :func:`_sweep` yields it.
 
-    ``y``, ``z`` and ``dk`` are the level's solution and push increments
-    (``dk`` is ``None`` without an obstacle); ``mean`` is the conditional
-    mean of the children and ``step`` the implicit step's value before the
-    clamp and the stop override, both ``None`` at the last level, and
-    ``step`` also at a level where every node has stopped.  ``first_contact``
-    and ``iterations`` run over the levels swept so far, one entry per
-    member: the first level at which the value sits within
-    ``DEFAULT_CONTACT_TOL`` of the obstacle at some node (the last level when
-    it never does, and always without an obstacle), which on the root record
-    is the level at which ``rbsde.exercise_rule`` first flags a node, and the
-    largest fixed-point count.  Every array is read-only.
+    ``y``, ``z`` and ``dk`` are the level's solution and push increments,
+    and ``s`` the obstacle level the clamp read (``dk`` and ``s`` are
+    ``None`` without an obstacle); ``mean`` is the conditional mean of the
+    children and ``step`` the implicit step's value before the clamp and the
+    stop override, both ``None`` at the last level, and ``step`` also at a
+    level where every node has stopped.  ``iterations`` is the level's own
+    fixed-point count per member, a plain 0 where it took no step and 1 for
+    a step in closed form.  A record describes its own level: a reduction
+    over the levels is the caller's to fold.  Every array is read-only.
     """
 
     i: int
     y: np.ndarray
     z: np.ndarray
     dk: np.ndarray | None
+    s: np.ndarray | None
     mean: np.ndarray | None
     step: np.ndarray | None
-    first_contact: np.ndarray
-    iterations: np.ndarray
+    iterations: np.ndarray | int
 
 
 # warnings off for one stretch of sweep work; a stretch never holds a ``yield``
@@ -258,9 +255,9 @@ def _sweep(
     and the stopping rule are the terminal data's: a
     :class:`TerminalCondition` stops at its rule, :class:`LevelData` at the
     last level.  With ``obstacle=None`` the step is the plain implicit one:
-    no clamp, no push, no contact.  The batch axes are those of the
-    terminal data and the driver's coefficient columns, and the obstacle
-    broadcasts against them.  Batch members only meet in elementwise
+    no clamp, no push.  Between levels it carries only the solution.  The
+    batch axes are those of the terminal data and the driver's coefficient
+    columns, and the obstacle broadcasts against them.  Batch members only meet in elementwise
     operations, so each one is bit-identical to a solve of its own data.
     Levels below the rule's first stopping level skip all mask work.  On
     stopping nodes ``y`` is the terminal value, so terminal data below the
@@ -294,14 +291,13 @@ def _sweep(
         y = np.array(np.broadcast_to(leaves, batch + leaves.shape[-1:]))
         z = np.zeros_like(y)
         dk = None if obstacle is None else z
-        first_contact = np.full(batch, n)
-        iterations = np.zeros(batch, dtype=np.int64)
 
     for i in range(n, -1, -1):
         with _silenced():
             barrier = None if obstacle is None else obstacle.level(i)
             masked = i >= first_stop
             mean = step = None
+            iters = 0
             if i < n:
                 up, down = tree.child_values(y)
                 mean = conditional_expectation(up, down)
@@ -309,7 +305,6 @@ def _sweep(
                 y = mean
                 if not masked or not stopped[i].all():
                     y, iters = _implicit_level(generator, tree.grid.time(i), mean, z, dt, tree, i)
-                    iterations = np.maximum(iterations, iters)
                     step = y
                 if barrier is not None:
                     unreflected, y = y, np.maximum(y, barrier)
@@ -333,12 +328,10 @@ def _sweep(
                         raise TerminalBelowObstacle(
                             f"terminal values fall below the obstacle at level {i}"
                         )
-                touching = np.logical_or.reduce(y <= barrier + DEFAULT_CONTACT_TOL, axis=-1)
-                first_contact = np.where(touching, i, first_contact)
-        for fresh in (y, z, dk, mean, step, first_contact, iterations):
-            if isinstance(fresh, np.ndarray):  # not None, nor a numpy scalar of no batch
+        for fresh in (y, z, dk, barrier, mean, step, iters):
+            if isinstance(fresh, np.ndarray):  # not None, nor a plain count
                 fresh.setflags(write=False)
-        yield SweptLevel(i, y, z, dk, mean, step, first_contact, iterations)
+        yield SweptLevel(i, y, z, dk, barrier, mean, step, iters)
 
 
 def _root(*sweep) -> SweptLevel:
@@ -350,10 +343,7 @@ def _root(*sweep) -> SweptLevel:
 
 @_silenced()
 def _diagnostics(
-    generator: GeneratorSpec,
-    rule: StoppingRule,
-    obstacle: LevelData | None,
-    levels: Iterable[SweptLevel],
+    generator: GeneratorSpec, rule: StoppingRule, levels: Iterable[SweptLevel]
 ) -> dict[str, float | np.ndarray]:
     """Replay the sweep's identities over its levels; the reductions per member.
 
@@ -363,23 +353,25 @@ def _diagnostics(
     the sweep hands it over.  With an obstacle the replay also keeps the
     Skorokhod residual ``max |(y - S) * dk|``, ``min_gap``, the smallest
     ``y - S`` over active and stopping nodes, and ``max_increment``, the
-    largest push.  ``iterations`` is the root record's.  Each holds one
-    entry per batch member (a Python scalar without a batch).  The replay
-    runs silenced, as the sweep does: a gap may overflow.
+    largest push.  ``iterations`` is the largest fixed-point count of any
+    level.  Each holds one entry per batch member (a Python scalar without a
+    batch).  The replay runs silenced, as the sweep does: a gap may overflow.
     """
     tree = rule.tree
     dt = tree.grid.dt
     stopped, stop_nodes = rule.stopped_by_level, rule.stop_node_masks
     first_stop = rule.first_stop_level
     found: dict[str, np.ndarray] = {}
-    for i, y, z, dk, mean, step, _, iterations in levels:
+    for i, y, z, dk, s, mean, step, iterations in levels:
         if i == tree.steps:  # the sweep starts at the last level, which fixes the batch shape
             batch = y.shape[:-1]
             found["residual"] = np.zeros(batch)
-            if obstacle is not None:
+            found["iterations"] = np.zeros(batch, dtype=np.int64)
+            if s is not None:
                 found["skorokhod_residual"] = np.zeros(batch)
                 found["min_gap"] = np.full(batch, np.inf)
                 found["max_increment"] = np.full(batch, -np.inf)
+        found["iterations"] = np.maximum(found["iterations"], iterations)
         masked = i >= first_stop
         if masked:
             active, stop = ~stopped[i], stop_nodes[i]
@@ -390,9 +382,9 @@ def _diagnostics(
             if masked:
                 defect = defect[..., active]
             found["residual"] = np.maximum(found["residual"], np.maximum.reduce(defect, axis=-1))
-        if obstacle is None:
+        if s is None:
             continue
-        gap = y - obstacle.level(i)
+        gap = y - s
         if masked:
             for nodes in (active, stop):
                 if nodes.any():
@@ -408,7 +400,6 @@ def _diagnostics(
             worst = np.maximum.reduce(np.abs(np.where(dk == 0.0, 0.0, product)), axis=-1)
         found["skorokhod_residual"] = np.maximum(found["skorokhod_residual"], worst)
         found["max_increment"] = np.maximum(found["max_increment"], np.maximum.reduce(dk, axis=-1))
-    found["iterations"] = iterations
     return {name: _per_member(value) for name, value in found.items()}
 
 
@@ -424,9 +415,7 @@ def _full_sweep(
             kept.append((level.y, level.z, level.dk))
             yield level
 
-    found = _diagnostics(
-        generator, terminal.rule, obstacle, keeping(_sweep(generator, terminal, obstacle))
-    )
+    found = _diagnostics(generator, terminal.rule, keeping(_sweep(generator, terminal, obstacle)))
     y_levels, z_levels, dk_levels = (levels[::-1] for levels in zip(*kept))
     return y_levels, z_levels, dk_levels, found
 

@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # fractions loads where exact probabilities are asked for
 FULL_BINARY_MAX_STEPS = 25
 
 # A value within this distance above an obstacle is in contact with it: the
-# hitting rules and the sweep's first-contact level both read it.
+# hitting rules and the strike quote's first-contact level both read it.
 DEFAULT_CONTACT_TOL = 1e-9
 
 

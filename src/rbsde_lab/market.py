@@ -22,10 +22,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bsde import LevelData, SweptLevel, TerminalCondition, _root
+from .bsde import LevelData, TerminalCondition, _root, _sweep
 from .errors import NoBracket, PositivityViolated, ProbabilityOutOfRange
 from .generators import Add, GeneratorSpec, Scale, YVar, ZVar
-from .lattice import AdaptedProcess, ScenarioTree
+from .lattice import DEFAULT_CONTACT_TOL, AdaptedProcess, ScenarioTree
 from .rbsde import ObstacleSpec, solve_rbsde
 from .records import ValueRecord
 
@@ -133,6 +133,8 @@ def price_american_rbsde(tree: ScenarioTree, model: MarketModel) -> float:
 
 def _premium_step(tree: ScenarioTree, model: MarketModel) -> float:
     """``premium * sqrt(dt)``, checked to keep both one-step weights ``(1 -+ it) / 2`` positive."""
+    if np.ndim(model.premium) != 0:
+        raise ValueError(f"premium must be a scalar to price, got shape {np.shape(model.premium)}")
     theta_step = model.premium * tree.sqrt_dt
     if not -1.0 < theta_step < 1.0:
         raise ProbabilityOutOfRange(
@@ -211,17 +213,19 @@ def quote_strike_family(
     refuses it: the scheme would price on negative weights.
     """
     _premium_step(tree, model)
-    root = _family_roots(tree, model, strikes)
-    quotes = zip(map(float, strikes), root.y[..., 0].tolist(), root.first_contact.tolist())
+    contact = np.full(len(strikes), tree.steps)
+    for level in _sweep(*_family_sweep(tree, model, strikes)):
+        contact[np.logical_or.reduce(level.y <= level.s + DEFAULT_CONTACT_TOL, axis=-1)] = level.i
+    quotes = zip(map(float, strikes), level.y[..., 0].tolist(), contact.tolist())
     return [StrikeQuote(*quote) for quote in quotes]
 
 
-def _family_roots(tree: ScenarioTree, model: MarketModel, strikes: Sequence[float]) -> SweptLevel:
-    """The quote sweep's root record: strikes on the last batch axis, drift column axes before."""
+def _family_sweep(tree: ScenarioTree, model: MarketModel, strikes: Sequence[float]) -> tuple:
+    """The quote sweep's driver, payoff and payoff: strikes on the last batch axis, drift before."""
     stock_level = _stock_levels(tree, model)
     column = np.array([model._replace(strike=float(k)).strike for k in strikes])[:, None]
     payoff = LevelData(tree, lambda i: _payoff(model.kind, column, stock_level(i)))
-    return _root(pricing_driver(model), payoff, payoff)
+    return pricing_driver(model), payoff, payoff
 
 
 class ThetaRecovery(NamedTuple):
@@ -278,7 +282,7 @@ def recover_theta(
     def objective(thetas: np.ndarray) -> np.ndarray:
         nonlocal evaluations, best_theta, best_value
         evaluations += thetas.size
-        prices = _family_roots(tree, model_at(thetas[:, None, None]), strikes).y[..., 0]
+        prices = _root(*_family_sweep(tree, model_at(thetas[:, None, None]), strikes)).y[..., 0]
         values = np.sum((prices - targets) ** 2, axis=-1)
         first = int(np.argmin(values))  # the first best point, as a sequential scan keeps it
         if values[first] < best_value:

@@ -205,7 +205,7 @@ def _random_rule(rng, tree: ScenarioTree) -> StoppingRule:
 # Counterexample reproduction and convergence order
 
 class _RootTrace(NamedTuple):
-    """Per level, ``y`` and ``dk`` at the root node and ``max|z|``.
+    """Per level, ``y``, ``dk`` and the obstacle ``s`` at the root node and ``max|z|``.
 
     Levels run along the last axis, behind the sweep's batch axes.  That is
     all the closed-form checks read, so they run root-only sweeps and never
@@ -214,6 +214,7 @@ class _RootTrace(NamedTuple):
 
     y: np.ndarray
     dk: np.ndarray
+    s: np.ndarray
     z_max: np.ndarray
 
     def push(self) -> np.ndarray:
@@ -230,10 +231,11 @@ def _traced(problem: RbsdeProblem) -> tuple[_RootTrace, float | np.ndarray]:
     """Root-only sweep of closed-form data: the trace and the root value(s)."""
     for level in _sweep(problem.generator, problem.terminal, problem.obstacle.process):
         if level.i == problem.tree.steps:  # the first level fixes the batch shape
-            trace = _RootTrace(*(np.empty(level.y.shape[:-1] + (level.i + 1,)) for _ in range(3)))
+            trace = _RootTrace(*(np.empty(level.y.shape[:-1] + (level.i + 1,)) for _ in range(4)))
         # copied cells, never views: a view would keep its whole level alive
         trace.y[..., level.i] = level.y[..., 0]
         trace.dk[..., level.i] = level.dk[..., 0]
+        trace.s[..., level.i] = level.s[..., 0]
         trace.z_max[..., level.i] = np.max(np.abs(level.z), axis=-1)
     return trace, _per_member(level.y[..., 0])
 
@@ -272,11 +274,10 @@ def counterexample_suite(steps: int = 2000) -> list[CheckResult]:
     problem = counterexample_batch(tree, cases)
     trace, root_values = _traced(problem)
     pushes = trace.push()
-    barrier = np.array([problem.obstacle.process.level(i)[0] for i in range(steps + 1)])
     results = []
     roots = dict(zip(cases, root_values.tolist()))
     for k, case in enumerate(cases):
-        err = _case_errors(case, tree, trace.y[k], pushes[k], trace.z_max[k], barrier)
+        err = _case_errors(case, tree, trace.y[k], pushes[k], trace.z_max[k], trace.s[k])
         name = f"counterexample/{case.value}"
         contact = {"detected": err["contact_detected"], "expected": err["contact_expected"]}
         gap, dt = err["contact_gap"], err["dt"]

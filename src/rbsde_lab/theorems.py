@@ -198,8 +198,7 @@ def _compared(low: RbsdeProblem, high: RbsdeProblem, *, pushes: bool = False) ->
         nonlocal value_gap, driver_gap, increment_drop, s_gap
         for lo, hi in zip(*sweeps):
             drop = hi.dk - lo.dk
-            s_low, s_high = (p.obstacle.process.level(lo.i) for p in (low, high))
-            s_gap = _folded(s_gap, np.max(s_low - s_high, axis=-1))
+            s_gap = _folded(s_gap, np.max(lo.s - hi.s, axis=-1))
             value_gap = _folded(value_gap, np.max(lo.y - hi.y, axis=-1))
             on_both = (_driver_gap(low.generator, high.generator, tree, s) for s in (lo, hi))
             driver_gap = _folded(driver_gap, np.maximum(*on_both))

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -532,6 +533,26 @@ class TestOneBackwardKernel:
         assert _users(lambda node: isinstance(node, ast.arg) and node.arg == "observe") == set()
         gone = {"LevelObserver", "SweepSummary", "_kept_levels", "_swept_levels"}
         assert _name_users(gone) == set()
+
+    def test_each_level_record_describes_its_own_level(self):
+        # the kernel carries only the solution between levels; the contact
+        # level and the largest iteration count are folded by their one reader
+        assert rbsde_lab.bsde.SweptLevel._fields == (
+            "i", "y", "z", "dk", "s", "mean", "step", "iterations"
+        )
+        assert _name_users({"first_contact"}) == set()
+        assert "obstacle" not in inspect.signature(rbsde_lab.bsde._diagnostics).parameters
+
+    def test_only_the_contact_readers_name_the_contact_tolerance(self):
+        # module scopes define or import it; the functions that read it are
+        # the hitting rule, the quote's contact fold and the closed-form checks
+        users = _name_users({"DEFAULT_CONTACT_TOL"})
+        assert not {user for user in users if user.split(".")[0] == "bsde"}
+        assert {user for user in users if "." in user} == {
+            "lattice.hitting_rule",
+            "market.quote_strike_family",
+            "suites._case_errors",
+        }
 
     def test_only_solve_rbsde_sums_pushes_forward(self):
         # a forward path sum moves through ScenarioTree.carry; besides holding

@@ -48,6 +48,23 @@ class TestModel:
         assert model.premium == pytest.approx((0.08 - 0.02) / 0.2)
         assert model.premium == pytest.approx(0.3)
 
+    @pytest.mark.parametrize(
+        "price",
+        [
+            lambda tree, model: quote_strike_family(tree, model, [90.0, 110.0]),
+            price_american_riskneutral_dp,
+            price_european_dp,
+        ],
+        ids=["quote", "american-dp", "european-dp"],
+    )
+    def test_public_pricing_refuses_a_drift_column(self, price):
+        # a drift column makes one model per member, which only recovery's
+        # sweep reads; a price is quoted for one model
+        model = MarketModel(**{**BASE, "drift": np.array([0.05, 0.08])[:, None, None]})
+        message = r"premium must be a scalar to price, got shape \(2, 1, 1\)"
+        with pytest.raises(ValueError, match=message):
+            price(recomb_tree(8), model)
+
     def test_zero_volatility_rejected(self):
         with pytest.raises(PositivityViolated):
             MarketModel(spot=100.0, drift=0.0, volatility=0.0, rate=0.0, strike=100.0)
@@ -260,14 +277,13 @@ class TestStrikeFamily:
             spot=100.0, drift=rate + volatility * np.array(premiums)[:, None, None],
             volatility=volatility, rate=rate, strike=strikes[0], kind=kind,
         )
-        roots = market._family_roots(tree, model, strikes)
+        roots = bsde._root(*market._family_sweep(tree, model, strikes))
         assert roots.y.shape == (len(premiums), len(strikes), 1)
-        for theta, prices, contacts in zip(premiums, roots.y[..., 0], roots.first_contact):
+        for theta, prices in zip(premiums, roots.y[..., 0]):
             single = model._replace(drift=rate + volatility * theta)
             # the sweep alone: the quote refuses premiums with |premium| sqrt(dt) >= 1
-            solo = market._family_roots(tree, single, strikes)
+            solo = bsde._root(*market._family_sweep(tree, single, strikes))
             assert [float(p).hex() for p in solo.y[..., 0]] == [float(p).hex() for p in prices]
-            assert solo.first_contact.tolist() == contacts.tolist()
 
     def test_quote_sweep_builds_the_last_payoff_level_twice(self, monkeypatch):
         # once as the terminal value, once as the obstacle; every other level once
@@ -285,7 +301,7 @@ class TestStrikeFamily:
             data = LevelData(terminal.tree, level)
             return sweep(generator, data, data)
 
-        monkeypatch.setattr(bsde, "_sweep", counting_sweep)
+        monkeypatch.setattr(market, "_sweep", counting_sweep)
         quotes = quote_strike_family(tree, MarketModel(**BASE), [90.0, 110.0])
         assert len(quotes) == 2
         assert reads.count(tree.steps) == 2
@@ -417,13 +433,13 @@ class TestRecovery:
     def test_the_scan_keeps_to_premiums_with_positive_weights(self, monkeypatch, steps, edge):
         # the bracket [-3, 3] is cut one scan spacing inside |premium| * sqrt(dt) < 1
         premiums = []
-        roots = market._family_roots
+        family_sweep = market._family_sweep
 
-        def recording_roots(tree, model, strikes):
+        def recording_sweep(tree, model, strikes):
             premiums.extend(np.ravel(model.premium).tolist())
-            return roots(tree, model, strikes)
+            return family_sweep(tree, model, strikes)
 
-        monkeypatch.setattr(market, "_family_roots", recording_roots)
+        monkeypatch.setattr(market, "_family_sweep", recording_sweep)
         tree = recomb_tree(steps)
         observed = self.synthetic(tree, 0.3, [100.0])
         recovery = recover_theta(tree, observed, spot=100.0, volatility=0.2, rate=0.02)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import tracemalloc
 
@@ -35,8 +36,7 @@ from rbsde_lab import (
 )
 from rbsde_lab.generators import Abs, Add, Const, Scale, YVar, ZVar, parse_prefix
 from rbsde_lab.market import MarketModel, PayoffKind, quote_strike_family
-from rbsde_lab.bsde import LevelData, _sweep
-from rbsde_lab.lattice import DEFAULT_CONTACT_TOL
+from rbsde_lab.bsde import LevelData, _implicit_level, _sweep
 
 
 def full_tree(steps, horizon=1.0):
@@ -434,25 +434,28 @@ class TestLevelStream:
             np.testing.assert_array_equal(level.y, sol.y.level(level.i))
             np.testing.assert_array_equal(level.z, sol.z.level(level.i))
             np.testing.assert_array_equal(level.dk, sol.k_increments.level(level.i))
+            np.testing.assert_array_equal(level.s, obstacle.process.level(level.i))
         root = seen[-1]
         assert float(root.y[0]).hex() == sol.y.root().hex()
         assert any(level.dk.any() for level in seen)
-        # the root record holds what the sweep once returned beside the root value
-        contact = exercise_rule(sol, obstacle)
-        assert root.first_contact == next(i for i in range(9) if contact.flags(i).any())
-        assert root.iterations == sol.diagnostics.iterations > 1
+        assert max(level.iterations for level in seen) == sol.diagnostics.iterations > 1
 
-    def test_contact_and_iterations_run_over_the_levels_swept_so_far(self):
+    def test_iterations_are_each_levels_own_count(self):
         generator, terminal, obstacle = _partial_rule_full_binary_problem()
+        tree = terminal.tree
         seen = self._levels(_sweep(generator, terminal, obstacle.process))
-        first_contact = terminal.tree.steps
+        assert seen[0].iterations == 0  # the last level takes no step
         for level in seen:
-            if (level.y <= obstacle.process.level(level.i) + DEFAULT_CONTACT_TOL).any():
-                first_contact = level.i
-            assert level.first_contact == first_contact
-        assert first_contact < terminal.tree.steps
+            if level.i < terminal.rule.first_stop_level:  # no stop overrides z
+                t = tree.grid.time(level.i)
+                step, count = _implicit_level(
+                    generator, t, level.mean, level.z, tree.grid.dt, tree, level.i
+                )
+                np.testing.assert_array_equal(step, level.step)
+                assert count == level.iterations
         counts = [int(level.iterations) for level in seen]
-        assert counts == sorted(counts) and counts[0] == 0 and counts[-1] > 1
+        # not a running maximum: a later level may need fewer iterations
+        assert counts != sorted(counts) and counts[-1] > 1
 
     def test_reflected_sweep_hands_over_the_step_before_the_clamp(self):
         generator, terminal, obstacle = _partial_rule_full_binary_problem()
@@ -475,13 +478,14 @@ class TestLevelStream:
         seen = self._levels(_sweep(generator, terminal))
         assert [level.i for level in seen] == list(range(60, -1, -1))
         for level in seen:
-            assert level.dk is None and level.first_contact == tree.steps
+            assert level.dk is None and level.s is None
+            assert level.iterations == (0 if level.i == tree.steps else 1)
             np.testing.assert_array_equal(level.y, sol.y.level(level.i))
             np.testing.assert_array_equal(level.z, sol.z.level(level.i))
             if level.i < tree.steps:  # no clamp and no stop: the step is the value
                 np.testing.assert_array_equal(level.step, level.y)
         assert float(seen[-1].y[0]).hex() == sol.y.root().hex()
-        assert seen[-1].iterations == sol.iterations == 1
+        assert sol.iterations == 1
 
     def test_a_sweep_runs_nothing_until_it_is_read(self):
         tree = recomb_tree(4)
@@ -576,11 +580,14 @@ class TestBatchedSweep:
         levels = range(tree.steps + 1)
         stacked_terminal = [np.stack([tc.extended[i] for tc in terminals]) for i in levels]
         stacked_obstacle = [np.stack([s.level(i) for s in obstacles]) for i in levels]
-        *_, batch = _sweep(
-            generator,
-            LevelData(tree, stacked_terminal.__getitem__),
-            LevelData(tree, stacked_obstacle.__getitem__),
+        *_, batch = seen = list(
+            _sweep(
+                generator,
+                LevelData(tree, stacked_terminal.__getitem__),
+                LevelData(tree, stacked_obstacle.__getitem__),
+            )
         )
+        counts = functools.reduce(np.maximum, (level.iterations for level in seen))
         # the root-only sweep keeps no diagnostics; a batched full solve has them
         batch_diag = solve_rbsde(
             generator,
@@ -591,16 +598,14 @@ class TestBatchedSweep:
             obstacle = ObstacleSpec(process)
             sol = solve_rbsde(generator, terminal, obstacle)
             diag = sol.diagnostics
-            contact = exercise_rule(sol, obstacle)
             assert float(batch.y[k, 0]).hex() == sol.y.root().hex()
-            assert batch.first_contact[k] == next(
-                i for i in range(tree.steps + 1) if contact.flags(i).any()
-            )
-            assert batch.iterations[k] == diag.iterations == batch_diag.iterations[k]
+            for level in seen:
+                np.testing.assert_array_equal(level.s[k], process.level(level.i))
+            assert counts[k] == diag.iterations == batch_diag.iterations[k]
             for name in ("residual", "min_gap", "max_increment", "skorokhod_residual"):
                 assert float(getattr(batch_diag, name)[k]).hex() == getattr(diag, name).hex(), name
             assert diag.skorokhod_residual == 0.0
-        assert len(set(batch.iterations.tolist())) > 1
+        assert len(set(counts.tolist())) > 1
 
 
 class TestDiagnosticsCost:

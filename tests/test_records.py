@@ -86,7 +86,7 @@ RECORDS = [
     (BsdeSolution, lambda: BsdeSolution(ONES, ONES, 1, 0.0), "y", False),
     (LevelData, lambda: LevelData(TREE, _level), "level", True),
     # a level record holds arrays; scalars stand in for them so that it hashes
-    (SweptLevel, lambda: SweptLevel(0, 1.0, 0.0, None, None, None, 4, 1), "y", True),
+    (SweptLevel, lambda: SweptLevel(0, 1.0, 0.0, 0.0, 0.5, None, None, 1), "y", True),
     # cli
     (cli._Optional, lambda: cli._Optional(float, 1.0), "default", True),
     (cli._Expr, lambda: cli._Expr(frozenset({"t"})), "variables", True),
