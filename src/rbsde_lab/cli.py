@@ -250,14 +250,14 @@ def _terminal(block: dict, tree: ScenarioTree) -> TerminalCondition:
 
 
 def _obstacle(block: dict, tree: ScenarioTree) -> ObstacleSpec:
-    if block["kind"] == "constant":
-        process = AdaptedProcess.constant(tree, block["value"])
-    elif block["kind"] == "affine":
-        slope, intercept = block["slope"], block["intercept"]
-        process = AdaptedProcess.from_time_function(tree, lambda t: intercept + slope * t)
-    else:
-        process = AdaptedProcess.from_state_function(tree, _state_function(block["expr"]))
-    try:
+    try:  # a lift that overflows is refused by the process it would build
+        if block["kind"] == "constant":
+            process = AdaptedProcess.constant(tree, block["value"])
+        elif block["kind"] == "affine":
+            slope, intercept = block["slope"], block["intercept"]
+            process = AdaptedProcess.from_time_function(tree, lambda t: intercept + slope * t)
+        else:
+            process = AdaptedProcess.from_state_function(tree, _state_function(block["expr"]))
         return ObstacleSpec(process, bound=block.get("bound"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

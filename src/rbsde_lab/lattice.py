@@ -241,12 +241,6 @@ def _per_member(values):
     return values.item() if values.ndim == 0 else values
 
 
-def _level_rule_masks(tree: ScenarioTree, start: int, stop: int) -> tuple[np.ndarray, ...]:
-    """Masks true on every node of the levels ``start <= i < stop`` only."""
-    off, on = constant_levels(tree, False, bool), constant_levels(tree, True, bool)
-    return tuple(off[:start] + on[start:stop] + off[stop:])
-
-
 def _frozen_levels(
     tree: ScenarioTree, levels: Sequence, dtype, what: str, *, batched: bool = False
 ) -> list[np.ndarray]:
@@ -291,6 +285,9 @@ class AdaptedProcess(Record):
 
     def __init__(self, tree: ScenarioTree, levels: Sequence[np.ndarray]):
         levels = _frozen_levels(tree, levels, np.float64, "process", batched=True)
+        for i, level in enumerate(levels):
+            if not np.isfinite(_cells(level)).all():
+                raise ValueError(f"non-finite process at level {i}")
         self._set(tree, tuple(levels))
 
     def level(self, i: int) -> np.ndarray:
@@ -378,15 +375,12 @@ class StoppingRule(Record):
     def at_level(cls, tree: ScenarioTree, level: int) -> StoppingRule:
         if not 0 <= level <= tree.steps:
             raise IndexError(f"level {level} outside 0..{tree.steps}")
-        rule = cls(tree, _level_rule_masks(tree, level, tree.steps + 1))
-        vars(rule)["first_stop_level"] = level  # known when built, so never scanned for
+        off, on = constant_levels(tree, False, bool), constant_levels(tree, True, bool)
+        rule = cls(tree, off[:level] + on[level:])
+        # known when built, so never scanned for: the flags are the stopped masks
+        stops = tuple(off[:level] + on[level : level + 1] + off[level + 1 :])
+        vars(rule).update(first_stop_level=level, _masks=(rule._flags, stops))
         return rule
-
-    @cached_property
-    def _deterministic_level(self) -> int | None:
-        """Level of an all-or-nothing rule, or None when flags are partial."""
-        level = self.first_stop_level
-        return level if _cells(self._flags[level]).all() else None
 
     @cached_property
     def first_stop_level(self) -> int:
@@ -399,68 +393,51 @@ class StoppingRule(Record):
     @property
     def is_terminal(self) -> bool:
         """True when every path runs to the last level before stopping."""
-        return self._deterministic_level == self.tree.steps
+        return self.first_stop_level == self.tree.steps
 
     @cached_property
-    def stopped_by_level(self) -> tuple[np.ndarray, ...]:
-        """Mask per level: has this path stopped at or before the level?
+    def _masks(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """The stopped and the stop-node masks, from one forward pass.
 
-        Needs path-prefix resolution, so partial flags are only supported on
-        full-binary trees; on recombining trees only level rules (whole
-        levels flagged) resolve.
+        Below the first stopping level both are the (all-false) flags.  From
+        there a node has stopped when the paths into it had, as
+        :meth:`ScenarioTree.carry` hands their mask on, or when it is
+        flagged; it is a stop node when it is flagged and they had not.  A
+        recombining node joins paths that may disagree, so there only rules
+        whose stopped masks fill whole levels resolve.
         """
-        tree = self.tree
-        if tree.mode is TreeMode.FULL_BINARY:
-            masks = [self._flags[0].copy()]
-            for i in range(1, tree.steps + 1):
-                masks.append(np.repeat(masks[i - 1], 2) | self._flags[i])
-            for m in masks:
-                m.flags.writeable = False
-            return tuple(masks)
-        level = self._deterministic_level
-        if level is None:
-            raise UnsupportedTreeMode(
-                "partially flagged stopping rules need a full-binary tree"
-            )
-        return _level_rule_masks(tree, level, tree.steps + 1)
+        tree, flags = self.tree, self._flags
+        first = self.first_stop_level
+        stopped, stops = list(flags[: first + 1]), list(flags[: first + 1])
+        for i in range(first + 1, tree.steps + 1):
+            held = tree.carry(stopped[i - 1])
+            if held is None:
+                raise UnsupportedTreeMode("partially flagged stopping rules need a full-binary tree")
+            stopped.append(held | flags[i])
+            stops.append(flags[i] & ~held)
+        for mask in stopped + stops:
+            mask.flags.writeable = False
+        return tuple(stopped), tuple(stops)
 
-    @cached_property
+    @property
+    def stopped_by_level(self) -> tuple[np.ndarray, ...]:
+        """Mask per level: has this path stopped at or before the level?"""
+        return self._masks[0]
+
+    @property
     def stop_node_masks(self) -> tuple[np.ndarray, ...]:
         """Mask per level: nodes where some path stops for the first time."""
-        tree = self.tree
-        stopped = self.stopped_by_level
-        if tree.mode is not TreeMode.FULL_BINARY:
-            # stopped_by_level resolved, so this is a level rule
-            level = self._deterministic_level
-            return _level_rule_masks(tree, level, level + 1)
-        masks = [stopped[0].copy()]
-        for i in range(1, tree.steps + 1):
-            masks.append(stopped[i] & ~np.repeat(stopped[i - 1], 2))
-        for m in masks:
-            m.flags.writeable = False
-        return tuple(masks)
-
-    @cached_property
-    def leaf_stop_levels(self) -> np.ndarray:
-        """Stopping level of every terminal path (full-binary trees only)."""
-        tree = self.tree
-        if tree.mode is not TreeMode.FULL_BINARY:
-            level = self._deterministic_level
-            if level is None:
-                raise UnsupportedTreeMode("per-path stop levels need a full-binary tree")
-            return np.full(tree.level_size(tree.steps), level, dtype=np.int64)
-        n = tree.steps
-        out = np.full(1 << n, -1, dtype=np.int64)
-        for i, mask in enumerate(self.stop_node_masks):
-            hit = np.repeat(mask, 1 << (n - i))
-            out = np.where((out < 0) & hit, i, out)
-        return out
+        return self._masks[1]
 
     def precedes(self, other: StoppingRule) -> bool:
-        """True when this rule stops no later than ``other`` on every path."""
+        """True when this rule stops no later than ``other`` on every path:
+        wherever ``other`` stops, this rule has already stopped."""
         if self.tree != other.tree:
             raise TreeMismatch("stopping rules live on different trees")
-        return bool(np.all(self.leaf_stop_levels <= other.leaf_stop_levels))
+        return not any(
+            (_cells(stops) & ~_cells(stopped)).any()
+            for stopped, stops in zip(self.stopped_by_level, other.stop_node_masks)
+        )
 
 
 def hitting_rule(a: AdaptedProcess, b: AdaptedProcess) -> StoppingRule:
@@ -472,27 +449,27 @@ def hitting_rule(a: AdaptedProcess, b: AdaptedProcess) -> StoppingRule:
 
 
 def event_probability(rule: StoppingRule, predicate: Sequence[np.ndarray]) -> float:
-    """Exact probability that the predicate holds at and after stopping.
+    """Probability that the predicate holds at and after stopping.
 
     A path counts when the level mask ``predicate[i]`` is true at its
-    stopping node and at every later node along the path.  Computed as an
-    exact dyadic count over paths, so it needs the full-binary layout.
+    stopping node and at every later node along the path.  This is the
+    backward product ``q = good * mean(q at the children)`` from the last
+    level, where ``good`` is ``predicate`` on stopped nodes and true
+    elsewhere.  On a full-binary tree each ``q`` is a dyadic rational of at
+    most ``steps`` bits, so the float result is exact; on a recombining
+    tree the rule's masks must resolve.
     """
     tree = rule.tree
-    if tree.mode is not TreeMode.FULL_BINARY:
-        raise UnsupportedTreeMode("exact path events need a full-binary tree")
     stopped = rule.stopped_by_level
-    good_path: np.ndarray | None = None
-    for i in range(tree.steps + 1):
+    q = 1.0
+    for i in range(tree.steps, -1, -1):
         pred = np.asarray(predicate[i], dtype=bool)
         if pred.shape != (tree.level_size(i),):
             raise TreeMismatch(f"predicate level {i} has wrong shape {pred.shape}")
-        good = ~stopped[i] | pred
-        good_path = good if good_path is None else np.repeat(good_path, 2) & good
-    from fractions import Fraction
-
-    count = int(good_path.sum())
-    return float(Fraction(count, 1 << tree.steps))
+        if i < tree.steps:
+            q = conditional_expectation(*tree.child_values(q))
+        q = np.where(~stopped[i] | pred, q, 0.0)
+    return float(q[0])
 
 
 def _held_after(levels: Sequence[np.ndarray], rule: StoppingRule) -> list[np.ndarray]:

@@ -20,9 +20,10 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .bsde import TerminalCondition, _full_sweep, _root, _stop_node_values, _sweep
+from .bsde import TerminalCondition, _full_sweep, _root, _silenced, _stop_node_values, _sweep
 from .errors import (
     DepthExceeded,
+    NumericalBreakdown,
     RuleOrderViolated,
     TerminalBelowObstacle,
     TreeMismatch,
@@ -49,13 +50,9 @@ class ObstacleSpec(Record):
 
     def __init__(self, process: AdaptedProcess, bound: float | None = None):
         if bound is not None:
-            # np.max keeps a NaN, which then fails the test below
             top = float(np.max([np.max(level) for level in process.levels()]))
             if not top <= bound + 1e-12:
                 raise ValueError(f"obstacle exceeds its declared bound: max {top!r} > {bound!r}")
-        for i, level in enumerate(process.levels()):
-            if not np.isfinite(_cells(level)).all():
-                raise ValueError(f"non-finite obstacle at level {i}")
         self._set(process, bound)
 
     @property
@@ -134,10 +131,13 @@ def solve_rbsde(
     tree = terminal.tree
     cumulative = [np.zeros(1)]  # the push summed along each path from 0 at the root
     for i in range(tree.steps):
-        cumulative.append(tree.carry(cumulative[i] + dk_levels[i]))
+        with _silenced():  # a sum past the float range reads as inf, refused below
+            cumulative.append(tree.carry(cumulative[i] + dk_levels[i]))
         if cumulative[-1] is None:  # paths into a recombining node summed differently
             cumulative = None
             break
+        if not np.isfinite(_cells(cumulative[-1])).all():
+            raise NumericalBreakdown(f"non-finite cumulative push at level {i + 1}")
     for fresh in cumulative or []:
         fresh.flags.writeable = False
     batch = np.shape(found["iterations"])

@@ -314,7 +314,8 @@ def local_strict_witness(low: RbsdeProblem, high: RbsdeProblem) -> StrictWitness
     for i in range(n + 1):
         flags[i][(leaves >> (n - i))[stop_levels == i]] = True
     rule = StoppingRule(tree, flags)
-    if not np.array_equal(rule.leaf_stop_levels, stop_levels):
+    # every stop is below n, so each path stops at its own level when each flag is a first stop
+    if not all(np.array_equal(rule.stop_node_masks[i], flags[i]) for i in range(n)):
         raise WitnessConstructionFailed("separating rule is not first-hit consistent")
 
     probability = event_probability(rule, strict)

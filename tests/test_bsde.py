@@ -522,6 +522,8 @@ class TestOneBackwardKernel:
             "rbsde.ObstacleSpec.modulus_estimate",
             # a max-plus recursion over pushes: it reads no driver and solves nothing
             "rbsde._path_maximum",
+            # a backward product of 0/1 gates: it reads no driver and solves nothing
+            "lattice.event_probability",
         }
         users = _child_values_users()
         assert kernel <= users
@@ -557,9 +559,14 @@ class TestOneBackwardKernel:
     def test_only_solve_rbsde_sums_pushes_forward(self):
         # a forward path sum moves through ScenarioTree.carry; besides holding
         # data past a stop, only the cumulative push of the full solve takes it,
-        # and every other path statement about pushes runs backward
+        # and every other path statement about pushes runs backward.  A rule's
+        # stopped mask is data held past a stop too, so its recursion carries
         carried = _users(lambda node: isinstance(node, ast.Attribute) and node.attr == "carry")
-        assert carried == {"lattice._held_after", "rbsde.solve_rbsde"}
+        assert carried == {
+            "lattice._held_after",
+            "lattice.StoppingRule._masks",
+            "rbsde.solve_rbsde",
+        }
 
     def test_full_solve_prices_have_no_pricing_caller(self):
         # price_american_rbsde and price_strike_family are the per-strike
@@ -587,15 +594,31 @@ class TestOneBackwardKernel:
 
     def test_path_layout_is_decided_in_lattice(self):
         # path-carried data move forward through ScenarioTree.carry; only the
-        # witness, which walks whole paths, repeats values itself
+        # witness, which walks whole paths, repeats values itself.  The layout
+        # is read by the tree's own methods and by the two constructions that
+        # need full-binary paths
         repeats = _users(
             lambda node: isinstance(node, ast.Attribute)
             and node.attr == "repeat"
             and isinstance(node.value, ast.Name)
             and node.value.id in {"np", "numpy"}
         )
-        assert {user for user in repeats if not user.startswith("lattice")} <= {
-            "theorems.local_strict_witness"
+        assert repeats == {"lattice.ScenarioTree.carry", "theorems.local_strict_witness"}
+        modes = _users(lambda node: isinstance(node, ast.Attribute) and node.attr == "mode")
+        tree_methods = {
+            f"lattice.ScenarioTree.{name}"
+            for name in (
+                "__repr__",
+                "_level_sizes",
+                "up_counts",
+                "exact_level_probabilities",
+                "child_values",
+                "carry",
+            )
+        }
+        assert modes == tree_methods | {
+            "rbsde.enumerate_stopping_oracle",
+            "theorems.local_strict_witness",
         }
         layout = _users(
             lambda node: (isinstance(node, ast.Name) and node.id == "TreeMode")

@@ -195,6 +195,22 @@ class TestSolveCommand:
         assert "non-finite push increment at level 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cumulative_push_past_the_float_range_exits_three_without_output(
+        self, tmp_path, capsys
+    ):
+        # each level pushes 8.5e307, a finite increment; the path sum leaves
+        # the float range at level 3, where a K column would read inf
+        payload = dict(COUNTEREXAMPLE_CONFIG)
+        payload["tree"] = {"horizon": 2.0, "steps": 4, "mode": "recombining"}
+        payload["generator"] = {"expr": "-1.7e308"}
+        payload["terminal"] = {"kind": "constant", "value": 0.0}
+        payload["obstacle"] = {"kind": "constant", "value": 0.0}
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 3
+        assert "non-finite cumulative push at level 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_failures_exit_three(self, tmp_path):
         payload = dict(COUNTEREXAMPLE_CONFIG)
         payload["tree"] = {"horizon": 4.0, "steps": 2, "mode": "recombining"}
@@ -757,12 +773,13 @@ SMALL_TREE = {"horizon": 1.0, "steps": 8, "mode": "recombining"}
                 **COUNTEREXAMPLE_CONFIG,
                 "obstacle": {"kind": "state", "expr": OVERFLOW_DIFFERENCE, "bound": 0.0},
             },
-            None, "obstacle exceeds its declared bound: max nan > 0.0",
+            # the lifted process refuses its non-finite level before the bound is compared
+            None, "non-finite process at level 1",
         ),
         (
             "solve",
             {**COUNTEREXAMPLE_CONFIG, "obstacle": {"kind": "state", "expr": OVERFLOW_DIFFERENCE}},
-            None, "non-finite obstacle at level 1",
+            None, "non-finite process at level 1",
         ),
         (
             "verify", {"seed": 3}, None,

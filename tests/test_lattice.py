@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rbsde_lab import (
     AdaptedProcess,
@@ -30,6 +32,16 @@ def full_tree(steps, horizon=1.0):
 
 def recomb_tree(steps, horizon=1.0):
     return build_tree(TimeGrid(horizon, steps), TreeMode.RECOMBINING)
+
+
+def leaf_stop_levels(rule):
+    """First stop level of every path of a full-binary rule, read off its flags leaf by leaf."""
+    n = rule.tree.steps
+    leaves = np.arange(1 << n)
+    levels = np.full(1 << n, n)
+    for i in range(n - 1, -1, -1):
+        levels = np.where(rule.flags(i)[leaves >> (n - i)], i, levels)
+    return levels
 
 
 class TestBuildTree:
@@ -173,6 +185,26 @@ class TestAdaptedProcess:
         with pytest.raises(TreeMismatch):
             AdaptedProcess(tree, [np.zeros(1), np.zeros(3), np.zeros(4)])
 
+    @pytest.mark.parametrize("mode", list(TreeMode))
+    @pytest.mark.parametrize("level, value", [(0, np.nan), (2, np.inf), (3, -np.inf)])
+    def test_a_non_finite_level_is_refused_with_its_level(self, mode, level, value):
+        tree = build_tree(TimeGrid(1.0, 3), mode)
+        levels = [np.zeros(tree.level_size(i)) for i in range(4)]
+        levels[level][-1] = value
+        with pytest.raises(ValueError, match=f"non-finite process at level {level}$"):
+            AdaptedProcess(tree, levels)
+        with pytest.raises(ValueError, match="non-finite process at level 0$"):
+            AdaptedProcess.constant(tree, value)
+
+    def test_a_one_cell_level_is_checked_as_its_one_cell(self, monkeypatch):
+        checked = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(
+            np, "isfinite", lambda values: checked.append(values.size) or isfinite(values)
+        )
+        AdaptedProcess.constant(recomb_tree(1000), 1.0)
+        assert checked == [1] * 1001
+
     def test_backward_martingale_one_step_identity(self):
         tree = full_tree(6)
         rng = np.random.default_rng(3)
@@ -252,10 +284,10 @@ class TestStoppingRules:
         a = AdaptedProcess.constant(tree, 1.0)
         b = AdaptedProcess.constant(tree, 0.0)
         rule = hitting_rule(a, b)
-        assert np.all(rule.leaf_stop_levels == 3)
+        assert np.all(leaf_stop_levels(rule) == 3)
 
         rule_eq = hitting_rule(a, AdaptedProcess.constant(tree, 1.0))
-        assert np.all(rule_eq.leaf_stop_levels == 0)
+        assert np.all(leaf_stop_levels(rule_eq) == 0)
 
     def test_hitting_rule_tree_mismatch(self):
         a = AdaptedProcess.constant(full_tree(3), 1.0)
@@ -271,7 +303,8 @@ class TestStoppingRules:
         b = AdaptedProcess.from_time_function(tree, lambda t: -0.5 + t)
         rule = hitting_rule(a, b)
         again = hitting_rule(freeze_after(a, rule), freeze_after(b, rule))
-        np.testing.assert_array_equal(rule.leaf_stop_levels, again.leaf_stop_levels)
+        for mask, again_mask in zip(rule.stop_node_masks, again.stop_node_masks):
+            np.testing.assert_array_equal(mask, again_mask)
 
     def test_precedes(self):
         tree = full_tree(4)
@@ -284,7 +317,7 @@ class TestStoppingRules:
         flags = [rng.random(tree.level_size(i)) < 0.3 for i in range(6)]
         rule = StoppingRule(tree, flags)
         # every leaf has exactly one stopping ancestor
-        levels = rule.leaf_stop_levels
+        levels = leaf_stop_levels(rule)
         for leaf in range(32):
             level = levels[leaf]
             assert rule.stop_node_masks[level][leaf >> (5 - level)]
@@ -315,18 +348,18 @@ class TestStoppingRules:
                 size = tree.level_size(i)
                 np.testing.assert_array_equal(rule.stopped_by_level[i], np.full(size, i >= level))
                 np.testing.assert_array_equal(rule.stop_node_masks[i], np.full(size, i == level))
-            np.testing.assert_array_equal(rule.leaf_stop_levels, level)
+        assert at_level.precedes(hitting) and hitting.precedes(at_level)
 
     def test_level_rules_know_their_level_without_a_scan(self, monkeypatch):
-        # a rule built at a level scans no level for its first stop; the one
-        # call left is the check that the whole level is flagged
+        # a rule built at a level scans no level for its first stop, and its
+        # masks are set when it is built
         cells, calls = lattice._cells, []
         monkeypatch.setattr(lattice, "_cells", lambda level: calls.append(1) or cells(level))
         tree = recomb_tree(1000)
         rule = StoppingRule.terminal(tree)
         assert rule.first_stop_level == 1000 and rule.is_terminal
         assert len(rule.stopped_by_level) == len(rule.stop_node_masks) == 1001
-        assert len(calls) == 1
+        assert len(calls) == 0
         assert StoppingRule.root(tree).first_stop_level == 0
 
     @pytest.mark.parametrize("level", [-1, 7])
@@ -345,8 +378,15 @@ class TestStoppingRules:
         assert rule.first_stop_level == first == 3
         assert not rule.is_terminal
         if mode is TreeMode.RECOMBINING:
-            with pytest.raises(UnsupportedTreeMode):
-                rule.stopped_by_level
+            pred = [np.ones(tree.level_size(i), dtype=bool) for i in range(7)]
+            for resolve in (
+                lambda: rule.stopped_by_level,
+                lambda: rule.precedes(StoppingRule.terminal(tree)),
+                lambda: StoppingRule.root(tree).precedes(rule),
+                lambda: event_probability(rule, pred),
+            ):
+                with pytest.raises(UnsupportedTreeMode):
+                    resolve()
         else:
             stopped = rule.stopped_by_level
             assert not stopped[first - 1].any() and stopped[first].any()
@@ -381,6 +421,60 @@ class TestEventProbability:
         pred = [np.ones(tree.level_size(i), dtype=bool) for i in range(3)]
         pred[0][:] = False
         assert event_probability(rule, pred) == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.floats(0.0, 0.5),
+        truth=st.floats(0.5, 1.0),
+    )
+    def test_full_binary_rules_match_their_per_leaf_references(self, n, seed, density, truth):
+        # the masks' answers against the path-by-path count: a path counts when
+        # the predicate holds from its stop on, and one rule precedes another
+        # when it stops no later on every leaf
+        tree = full_tree(n)
+        rng = np.random.default_rng(seed)
+        flags = [rng.random(tree.level_size(i)) < density for i in range(n + 1)]
+        extra = [rng.random(tree.level_size(i)) < density for i in range(n + 1)]
+        rule = StoppingRule(tree, flags)
+        earlier = StoppingRule(tree, [f | e for f, e in zip(flags, extra)])
+        other = StoppingRule(tree, extra)
+        pred = [rng.random(tree.level_size(i)) < truth for i in range(n + 1)]
+
+        stops = leaf_stop_levels(rule)
+        leaves = np.arange(1 << n)
+        good = np.ones(1 << n, dtype=bool)
+        for i in range(n + 1):
+            good &= (i < stops) | pred[i][leaves >> (n - i)]
+        assert event_probability(rule, pred) == Fraction(int(good.sum()), 1 << n)
+        for first, second in ((rule, earlier), (earlier, rule), (rule, other), (other, rule)):
+            expected = bool(np.all(leaf_stop_levels(first) <= leaf_stop_levels(second)))
+            assert first.precedes(second) is expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 12), data=st.data())
+    def test_recombining_level_rules_match_the_full_binary_tree(self, n, data):
+        # a level rule and a Markov predicate are node functions on both
+        # layouts, so the backward product gives one probability; a hitting
+        # rule that stops on whole levels resolves through ScenarioTree.carry
+        level = data.draw(st.integers(0, n))
+        barriers = data.draw(st.lists(st.floats(-1.5, 1.5), min_size=n + 1, max_size=n + 1))
+        found = []
+        for mode in TreeMode:
+            tree = build_tree(TimeGrid(1.0, n), mode)
+            pred = [tree.brownian_level(i) >= barriers[i] for i in range(n + 1)]
+            timed = AdaptedProcess.from_time_function(
+                tree, lambda t: 1.0 if t >= tree.grid.time(level) - 1e-12 else -1.0
+            )
+            rules = (
+                StoppingRule.at_level(tree, level),
+                hitting_rule(AdaptedProcess.constant(tree, 0.0), timed),
+            )
+            found.append([event_probability(rule, pred) for rule in rules])
+        (level_full, hit_full), (level_recomb, hit_recomb) = found
+        assert level_full == hit_full and level_recomb == hit_recomb
+        assert abs(level_recomb - level_full) <= 1e-15
 
 
 class TestFreezing:

@@ -115,11 +115,11 @@ class TestSolutionStructure:
 
     @pytest.mark.parametrize("level", [0, 2])
     def test_declared_bound_rejects_a_nan_obstacle(self, level):
-        # a NaN compares false with any bound, whichever level holds it
+        # the process refuses the NaN and names its level, before any bound is compared
         tree = recomb_tree(3)
         levels = [np.zeros(tree.level_size(i)) for i in range(4)]
         levels[level][-1] = np.nan
-        with pytest.raises(ValueError, match=r"declared bound: max nan > 0\.0"):
+        with pytest.raises(ValueError, match=f"non-finite process at level {level}$"):
             ObstacleSpec(AdaptedProcess(tree, levels), bound=0.0)
 
     def test_vanishing_driver_preserves_constants_under_reflection(self):
@@ -193,14 +193,14 @@ class TestSolutionStructure:
 
 
     def test_nan_obstacle_is_a_numerical_breakdown(self):
-        # ObstacleSpec refuses such a process, so it goes to the kernel directly
+        # a process refuses the NaN, so the level goes to the kernel as level data
         tree = recomb_tree(4)
         levels = [np.full(tree.level_size(i), -1.0) for i in range(tree.steps + 1)]
         levels[2][1] = np.nan
-        process = AdaptedProcess(tree, levels)
-        with pytest.raises(ValueError, match="non-finite obstacle at level 2"):
-            ObstacleSpec(process)
-        sweep = _sweep(GeneratorSpec.constant(0.0), TerminalCondition.constant(tree, 0.0), process)
+        with pytest.raises(ValueError, match="non-finite process at level 2"):
+            AdaptedProcess(tree, levels)
+        obstacle = LevelData(tree, levels.__getitem__)
+        sweep = _sweep(GeneratorSpec.constant(0.0), TerminalCondition.constant(tree, 0.0), obstacle)
         with pytest.raises(NumericalBreakdown, match="level 2"):
             for _ in sweep:
                 pass
@@ -211,7 +211,7 @@ class TestSolutionStructure:
         tree = recomb_tree(3)
         levels = [np.full(tree.level_size(i), -1.0) for i in range(tree.steps + 1)]
         levels[1][0] = value
-        with pytest.raises(ValueError, match="non-finite obstacle at level 1"):
+        with pytest.raises(ValueError, match="non-finite process at level 1"):
             ObstacleSpec(AdaptedProcess(tree, levels), bound=bound)
 
 
@@ -229,7 +229,7 @@ class TestSolutionStructure:
     def test_each_non_finite_kind_is_named_with_its_level(
         self, generator, leaves, floor, level_two, match
     ):
-        # the obstacle goes to the kernel as a process: ObstacleSpec refuses an -inf level
+        # the obstacle goes to the kernel as level data: a process refuses an -inf level
         tree = recomb_tree(4)
         levels = [
             np.full(tree.level_size(i), level_two if i == 2 else floor)
@@ -240,7 +240,8 @@ class TestSolutionStructure:
             if leaves is None
             else TerminalCondition.from_leaf_values(tree, leaves)
         )
-        sweep = _sweep(GeneratorSpec(parse_prefix(generator)), terminal, AdaptedProcess(tree, levels))
+        obstacle = LevelData(tree, levels.__getitem__)
+        sweep = _sweep(GeneratorSpec(parse_prefix(generator)), terminal, obstacle)
         with pytest.raises(NumericalBreakdown, match=match):
             for _ in sweep:
                 pass
@@ -751,7 +752,7 @@ class TestExerciseRule:
         xi = TerminalCondition.from_leaf_values(tree, rng.uniform(0, 1, size=64))
         sol = solve_rbsde(GeneratorSpec.constant(0.0), xi, obstacle)
         rule = exercise_rule(sol, obstacle)
-        assert np.all(rule.leaf_stop_levels == 6)
+        assert rule.is_terminal
 
 
 class TestConditionalAndRestriction:
