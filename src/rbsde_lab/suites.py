@@ -441,13 +441,8 @@ def _witness_closed_form_check(steps: int = 10) -> CheckResult:
     low = counterexample_problem(tree, ClosedFormCase.CONST_DRIVER_LOW_TERMINAL)
     high = counterexample_problem(tree, ClosedFormCase.CONST_DRIVER_HIGH_TERMINAL)
     witness = local_strict_witness(low, high)
-    levels = {int(l) for l in witness.stop_levels}
-    ok = (
-        levels == {steps // 2}
-        and witness.probability == 1.0
-        and witness.k_index == 2
-        and bool(np.all(witness.stop_levels < steps))
-    )
+    levels = {i for i, stops in enumerate(witness.rule.stop_node_masks) if stops.any()}
+    ok = levels == {steps // 2} and witness.probability == 1.0 and witness.k_index == 2
     details = {
         "stop_times": sorted(tree.grid.time(l) for l in levels),
         "probability": witness.probability,

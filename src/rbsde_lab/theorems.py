@@ -43,7 +43,6 @@ from .lattice import (
     AdaptedProcess,
     ScenarioTree,
     StoppingRule,
-    TreeMode,
     _per_member,
     event_probability,
 )
@@ -247,18 +246,35 @@ def check_k_comparison(low: RbsdeProblem, high: RbsdeProblem) -> ComparisonRepor
 # ---------------------------------------------------------------------------
 # Local strict separation witness
 
-class StrictWitness(Record):
+class StrictWitness(NamedTuple):
     """Stopping rule before the horizon separating the two solutions.
 
-    ``iterates`` holds, per terminal path (row), the iterated equality-search
-    levels, padded with the horizon once the path reaches it; ``k_index`` is
-    the first iterate that reaches the horizon with positive probability;
-    ``stop_levels`` are the per-path levels of the returned rule;
+    ``k_index`` is the first iterate that reaches the horizon with positive
+    probability, and the rule stops at the midpoint after its predecessor;
     ``probability`` is the exact probability that the lower solution stays
     strictly below the higher one from the rule onward.
     """
 
-    __slots__ = _fields = ("rule", "probability", "iterates", "k_index", "stop_levels")
+    rule: StoppingRule
+    probability: float
+    k_index: int
+
+
+def _iterate_chain(tree: ScenarioTree, strict: Sequence[np.ndarray], cap: int):
+    """Yield, per level below the horizon, each node's ``(count, last)``: how
+    many equality iterates its path has found, at most ``cap``, and the latest
+    (0 before the first).  A node finds one where the solutions agree, half the
+    time left after the latest (rounded up) or more past it.  The pair is path
+    state, handed on by :meth:`ScenarioTree.carry`."""
+    n = tree.steps
+    state = np.zeros((2, 1), dtype=np.int64)
+    for i in range(n):
+        if i and (state := tree.carry(state)) is None:
+            raise UnsupportedTreeMode("iterate chain varies along paths; use a full-binary tree")
+        count, last = state
+        found = ~strict[i] & (i >= last + (n - last + 1) // 2) & (count < cap)
+        state = np.stack((count + found, np.where(found, i, last)))
+        yield state
 
 
 def local_strict_witness(low: RbsdeProblem, high: RbsdeProblem) -> StrictWitness:
@@ -268,15 +284,18 @@ def local_strict_witness(low: RbsdeProblem, high: RbsdeProblem) -> StrictWitness
     forward (rounded up to the grid so it strictly advances) and looks for
     the next equality of the two solutions; reaching the horizon with
     positive probability pins the iterate whose predecessor midpoint
-    (rounded down to the grid) is the witness.  Every path is searched at
-    once, on level arrays.
+    (rounded down to the grid) is the witness.  The search runs forward
+    over levels: a first pass finds ``k``, the fewest iterates any path
+    finds before the horizon, and a second, stopped at ``k`` iterates,
+    flags the midpoint after each path's ``k``-th (``k_index = k + 2``).
     """
     _require_shared_obstacle(low, high, "witness construction")
     tree = low.tree
-    if tree.mode is not TreeMode.FULL_BINARY:
-        raise UnsupportedTreeMode("witness construction walks paths; use a full-binary tree")
     if low.generator.expr != high.generator.expr:
         raise ValueError("witness construction assumes a shared driver")
+    levels = (*low.terminal.values, *high.terminal.values, *low.obstacle.process.levels())
+    if batch := np.broadcast_shapes(low.generator.batch_shape, *(x.shape[:-1] for x in levels)):
+        raise ValueError(f"witness construction takes one pair, got a batch of shape {batch}")
 
     n = tree.steps
     xi_low = low.terminal.extended[n]
@@ -290,30 +309,16 @@ def local_strict_witness(low: RbsdeProblem, high: RbsdeProblem) -> StrictWitness
     sweeps = (_sweep(p.generator, p.terminal, p.obstacle.process) for p in (low, high))
     for below, above in zip(*sweeps):
         strict[below.i] = above.y - below.y > EQUALITY_TOL
-    # next_equal[leaf, j]: first level >= j where the solutions agree on the
-    # leaf's path, n when none; int8 holds every level (n <= 25 on full-binary trees)
-    next_equal = np.empty((1 << n, n + 1), dtype=np.int8)
-    for i, mask in enumerate(strict):
-        next_equal[:, i] = np.repeat(np.where(mask, n, i).astype(np.int8), 1 << (n - i))
-    next_equal = np.minimum.accumulate(next_equal[:, ::-1], axis=1)[:, ::-1]
 
-    leaves = np.arange(1 << n)
-    current = np.zeros(1 << n, dtype=np.int8)
-    rounds = [current]
-    while not bool(np.all(current == n)):
-        current = next_equal[leaves, current + (n - current + 1) // 2]
-        rounds.append(current)
-    iterates = np.stack(rounds, axis=1)
-
-    # column 0 holds no n, so k_index >= 2, column k_index - 2 holds no n, and every stop is < n
-    k_index = int(np.argmax(np.any(iterates == n, axis=0))) + 1
-    base_levels = iterates[:, k_index - 2]
-    stop_levels = base_levels + (n - base_levels) // 2
-
-    flags = [np.zeros(tree.level_size(i), dtype=bool) for i in range(n + 1)]
-    for i in range(n + 1):
-        flags[i][(leaves >> (n - i))[stop_levels == i]] = True
-    rule = StoppingRule(tree, flags)
+    # no path finds an iterate at every level, so a cap of n stops none
+    *_, (counts, _) = _iterate_chain(tree, strict, n)
+    k = int(np.min(counts))
+    # the k-th iterate lies below n, and so does the midpoint after it
+    flags = [
+        (count == k) & (i == last + (n - last) // 2)
+        for i, (count, last) in enumerate(_iterate_chain(tree, strict, k))
+    ]
+    rule = StoppingRule(tree, flags + [np.ones_like(strict[n])])  # the horizon always stops
     # every stop is below n, so each path stops at its own level when each flag is a first stop
     if not all(np.array_equal(rule.stop_node_masks[i], flags[i]) for i in range(n)):
         raise WitnessConstructionFailed("separating rule is not first-hit consistent")
@@ -321,13 +326,7 @@ def local_strict_witness(low: RbsdeProblem, high: RbsdeProblem) -> StrictWitness
     probability = event_probability(rule, strict)
     if probability <= 0.0:
         raise WitnessConstructionFailed("separation event has zero probability")
-    return StrictWitness(
-        rule=rule,
-        probability=probability,
-        iterates=iterates,
-        k_index=k_index,
-        stop_levels=stop_levels,
-    )
+    return StrictWitness(rule=rule, probability=probability, k_index=k + 2)
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,8 @@ def test_witness_details_match_the_stated_construction():
     high = counterexample_problem(tree, ClosedFormCase.CONST_DRIVER_HIGH_TERMINAL)
     witness = local_strict_witness(low, high)
     assert witness.k_index == 2
-    assert set(witness.stop_levels.tolist()) == {5}
+    masks = witness.rule.stop_node_masks
+    assert {i for i, stops in enumerate(masks) if stops.any()} == {5}
     assert witness.probability == 1.0
 
 

@@ -560,12 +560,15 @@ class TestOneBackwardKernel:
         # a forward path sum moves through ScenarioTree.carry; besides holding
         # data past a stop, only the cumulative push of the full solve takes it,
         # and every other path statement about pushes runs backward.  A rule's
-        # stopped mask is data held past a stop too, so its recursion carries
+        # stopped mask is data held past a stop too, so its recursion carries;
+        # the strict witness's iterate count and latest iterate are path state
+        # built forward, level by level, so its chain carries them too
         carried = _users(lambda node: isinstance(node, ast.Attribute) and node.attr == "carry")
         assert carried == {
             "lattice._held_after",
             "lattice.StoppingRule._masks",
             "rbsde.solve_rbsde",
+            "theorems._iterate_chain",
         }
 
     def test_full_solve_prices_have_no_pricing_caller(self):
@@ -593,17 +596,16 @@ class TestOneBackwardKernel:
         assert _name_users({"solve_bsde"}) == {"__init__"}
 
     def test_path_layout_is_decided_in_lattice(self):
-        # path-carried data move forward through ScenarioTree.carry; only the
-        # witness, which walks whole paths, repeats values itself.  The layout
-        # is read by the tree's own methods and by the two constructions that
-        # need full-binary paths
+        # path-carried data move forward through ScenarioTree.carry, the only
+        # scope that repeats values.  The layout is read by the tree's own
+        # methods and by the stopping oracle, which enumerates full-binary paths
         repeats = _users(
             lambda node: isinstance(node, ast.Attribute)
             and node.attr == "repeat"
             and isinstance(node.value, ast.Name)
             and node.value.id in {"np", "numpy"}
         )
-        assert repeats == {"lattice.ScenarioTree.carry", "theorems.local_strict_witness"}
+        assert repeats == {"lattice.ScenarioTree.carry"}
         modes = _users(lambda node: isinstance(node, ast.Attribute) and node.attr == "mode")
         tree_methods = {
             f"lattice.ScenarioTree.{name}"
@@ -616,15 +618,12 @@ class TestOneBackwardKernel:
                 "carry",
             )
         }
-        assert modes == tree_methods | {
-            "rbsde.enumerate_stopping_oracle",
-            "theorems.local_strict_witness",
-        }
+        assert modes == tree_methods | {"rbsde.enumerate_stopping_oracle"}
         layout = _users(
             lambda node: (isinstance(node, ast.Name) and node.id == "TreeMode")
             or (isinstance(node, ast.alias) and node.name == "TreeMode")
         )
-        assert not {user for user in layout if user.split(".")[0] == "bsde"}
+        assert not {user for user in layout if user.split(".")[0] in {"bsde", "theorems"}}
 
     def test_no_python_loop_over_leaves(self):
         # per-path work runs on level arrays; a Python for over range(1 << n)

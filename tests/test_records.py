@@ -10,7 +10,6 @@ import copy
 import pickle
 from typing import NamedTuple
 
-import numpy as np
 import pytest
 
 from rbsde_lab import cli
@@ -72,7 +71,6 @@ OBSTACLE = ObstacleSpec(AdaptedProcess.constant(TREE, 0.0), bound=0.0)
 DRIVER = GeneratorSpec(YVar())
 CERTIFICATE = OrderingCertificate(0.0, 0.0, 0.0)
 DIAGNOSTICS = ReflectionDiagnostics(0.0, 0.5, 0.25, 1, 0.0, True)
-ROOT = np.zeros(1)
 
 
 def _level(i):
@@ -136,7 +134,7 @@ RECORDS = [
         "vacuous",
         True,
     ),
-    (StrictWitness, lambda: StrictWitness(RULE, 1.0, ROOT, 2, ROOT), "k_index", False),
+    (StrictWitness, lambda: StrictWitness(RULE, 1.0, 2), "k_index", True),
     (
         ClosedFormSolution,
         lambda: ClosedFormSolution(0.0, 1.0, 0.5, 0.0, 1.0, 2.0),

@@ -28,6 +28,7 @@ from rbsde_lab import (
     check_k_comparison,
     closed_form_example,
     converse_probe,
+    counterexample_batch,
     counterexample_problem,
     event_probability,
     incomparable_driver_probe,
@@ -336,7 +337,7 @@ def per_leaf_witness(low, high):
     for leaf, level in enumerate(stops):
         flags[level][leaf >> (n - level)] = True
     rule = StoppingRule(tree, flags)
-    return traces, k_index, stops, rule, event_probability(rule, strict)
+    return k_index, rule, event_probability(rule, strict)
 
 
 def shared_pair(tree, generator, obstacle, xi_low, xi_high):
@@ -367,27 +368,51 @@ def spike_pair(level, seed, steps=8):
     return shared_pair(tree, GeneratorSpec.constant(0.0), obstacle, xi_low, xi_high)
 
 
+def stop_levels(witness):
+    """The levels where the witness rule stops some path."""
+    return {i for i, stops in enumerate(witness.rule.stop_node_masks) if stops.any()}
+
+
 def assert_matches_per_leaf_search(low, high):
     """Compare the witness with the reference; None when its event has zero probability."""
-    traces, k_index, stops, rule, probability = per_leaf_witness(low, high)
+    k_index, rule, probability = per_leaf_witness(low, high)
     if probability == 0.0:
         with pytest.raises(WitnessConstructionFailed, match="zero probability"):
             local_strict_witness(low, high)
         return None
     witness = local_strict_witness(low, high)
     n = low.tree.steps
-    # the invariants of the search that make the rule stop before the horizon
+    # the search pins an iterate after the first, and its rule stops before the horizon
     assert witness.k_index >= 2
-    assert not np.any(witness.iterates[:, witness.k_index - 2] == n)
-    assert np.all(witness.stop_levels < n)
+    assert max(stop_levels(witness)) < n
     assert witness.k_index == k_index
-    rows = witness.iterates.tolist()
-    assert [tuple(row[: row.index(n) + 1]) for row in rows] == traces
-    np.testing.assert_array_equal(witness.stop_levels, stops)
     for i in range(n + 1):
         np.testing.assert_array_equal(witness.rule.flags(i), rule.flags(i))
     assert witness.probability == probability
     return witness
+
+
+def markov_gap_pair(tree, spike=None, gap=lambda b: 1.0):
+    """Zero driver, terminals ``cos(b)`` and ``cos(b) + gap(b)`` over an
+    obstacle at -10 that is 10 on the whole ``spike`` level: the data are
+    functions of the walk, so the pair lives on both layouts."""
+    levels = [
+        np.full(tree.level_size(i), 10.0 if i == spike else -10.0) for i in range(tree.steps + 1)
+    ]
+    obstacle = ObstacleSpec(AdaptedProcess(tree, levels))
+    b = tree.brownian_level(tree.steps)
+    xi_low = np.cos(b)
+    xi_high = xi_low + np.broadcast_to(gap(b), b.shape)
+    return shared_pair(tree, GeneratorSpec.constant(0.0), obstacle, xi_low, xi_high)
+
+
+def witness_or_failure(low, high):
+    """The witness's ``(k_index, stop levels, probability)``, or the failure it raises."""
+    try:
+        witness = local_strict_witness(low, high)
+    except WitnessConstructionFailed as failure:
+        return str(failure)
+    return witness.k_index, stop_levels(witness), witness.probability
 
 
 class TestStrictWitness:
@@ -396,9 +421,45 @@ class TestStrictWitness:
         low, high = counterexample_pair(tree)
         witness = local_strict_witness(low, high)
         assert witness.k_index == 2
-        assert set(witness.stop_levels.tolist()) == {5}
+        assert stop_levels(witness) == {5}
         assert witness.probability == 1.0
-        np.testing.assert_array_equal(witness.iterates, np.broadcast_to([0, 10], (1 << 10, 2)))
+
+    def test_closed_form_pair_on_a_recombining_tree(self):
+        # the pair's data are level-constant, so the iterate chain carries
+        # on a recombining tree, at depths a full-binary tree cannot reach
+        full = local_strict_witness(*counterexample_pair(full_tree(10)))
+        recombining = local_strict_witness(*counterexample_pair(recomb_tree(10)))
+        assert recombining.k_index == full.k_index
+        assert stop_levels(recombining) == stop_levels(full)
+        assert recombining.probability == full.probability
+        deep = local_strict_witness(*counterexample_pair(recomb_tree(1000)))
+        assert deep.k_index == 2
+        assert stop_levels(deep) == {500}
+        assert deep.probability == 1.0
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 7, 10, 16])
+    def test_markov_gap_pair_agrees_on_both_layouts(self, steps):
+        # a spike level makes both solutions agree on it and below it, so
+        # the chain finds level-constant iterates and pins later ones
+        found = set()
+        for spike in [None, *range(steps)]:
+            full, recombining = (
+                witness_or_failure(*markov_gap_pair(tree, spike))
+                for tree in (full_tree(steps), recomb_tree(steps))
+            )
+            assert recombining == full, spike
+            found.add(full[0] if isinstance(full, tuple) else full)
+        assert 2 in found and (steps < 4 or 3 in found)
+
+    def test_a_chain_that_varies_along_paths_needs_a_full_binary_tree(self):
+        # only the all-up leaf has a gap, so below the top node of a level
+        # the solutions agree and only some paths find an iterate there
+        def top_leaf(b):
+            return (b >= b.max()).astype(float)
+
+        assert local_strict_witness(*markov_gap_pair(full_tree(6), gap=top_leaf)).k_index == 2
+        with pytest.raises(UnsupportedTreeMode, match="chain varies along paths"):
+            local_strict_witness(*markov_gap_pair(recomb_tree(6), gap=top_leaf))
 
     def test_uniform_gap_witness(self):
         tree = full_tree(8)
@@ -410,7 +471,7 @@ class TestStrictWitness:
         high = RbsdeProblem(g, TerminalCondition.from_leaf_values(tree, base + 1.0), obstacle)
         witness = local_strict_witness(low, high)
         assert witness.k_index == 2
-        assert set(witness.stop_levels.tolist()) == {4}
+        assert stop_levels(witness) == {4}
         assert witness.probability == 1.0
 
     def test_identical_terminals_raise(self):
@@ -438,19 +499,25 @@ class TestStrictWitness:
         )
         witness = local_strict_witness(low, high)
         assert witness.probability > 0.0
-        assert np.all(witness.stop_levels < 8)
+        assert max(stop_levels(witness)) < 8
 
 
-    @pytest.mark.parametrize("steps", [1, 2, 3, 5, 8, 10])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
     def test_level_arrays_match_the_per_leaf_search(self, steps):
         pairs = [suite_style_pair(steps, seed) for seed in range(4)]
         witnesses = [assert_matches_per_leaf_search(*pair) for pair in pairs]
         assert any(witness is not None for witness in witnesses)
 
+    @pytest.mark.parametrize("level", range(8))
+    def test_spike_pairs_match_the_per_leaf_search(self, level):
+        # a spike lands the search's iterates, and so its stops, on one level
+        for seed in range(3):
+            assert_matches_per_leaf_search(*spike_pair(level, seed))
+
     def test_obstacle_spike_pins_a_later_iterate(self):
         witness = assert_matches_per_leaf_search(*spike_pair(5, seed=1))
         assert witness.k_index == 3
-        assert set(witness.stop_levels.tolist()) == {6}
+        assert stop_levels(witness) == {6}
         assert witness.probability == 0.44921875
 
     def test_spike_before_the_horizon_has_zero_probability(self):
@@ -460,8 +527,6 @@ class TestStrictWitness:
     def test_preconditions(self):
         tree = full_tree(6)
         low, high = counterexample_pair(tree)
-        with pytest.raises(UnsupportedTreeMode):
-            local_strict_witness(*counterexample_pair(recomb_tree(6)))
         with pytest.raises(TreeMismatch):
             local_strict_witness(low, counterexample_pair(full_tree(7))[1])
         with pytest.raises(ValueError, match="shared driver"):
@@ -479,6 +544,13 @@ class TestStrictWitness:
             local_strict_witness(low, high._replace(obstacle=lowered))
         with pytest.raises(ValueError, match="not ordered"):
             local_strict_witness(high, low)
+        # a batch of two copies of the pair, refused before the sweeps
+        batched = [
+            counterexample_batch(tree, [ClosedFormCase.CONST_DRIVER_LOW_TERMINAL] * 2),
+            counterexample_batch(tree, [ClosedFormCase.CONST_DRIVER_HIGH_TERMINAL] * 2),
+        ]
+        with pytest.raises(ValueError, match=r"one pair, got a batch of shape \(2,\)"):
+            local_strict_witness(*batched)
 
 
 class TestStrictComparisonRevives:
