@@ -13,7 +13,6 @@ from .errors import (
     DepthExceeded,
     ExpressionError,
     InvalidGrid,
-    InvalidSample,
     LatticeLabError,
     NoBracket,
     NonConvergence,
@@ -29,10 +28,10 @@ from .errors import (
 )
 from .generators import (
     GeneratorSpec,
-    SampleSpec,
     lipschitz_bound,
     parse_prefix,
     restrict_generator,
+    sample_driver,
 )
 from .lattice import (
     AdaptedProcess,

@@ -9,10 +9,6 @@ class InvalidGrid(LatticeLabError):
     """Time grid has a non-positive horizon or fewer than one step."""
 
 
-class InvalidSample(LatticeLabError):
-    """Driver sample box has a count below 1 or a non-finite or unordered bound."""
-
-
 class DepthExceeded(LatticeLabError):
     """Requested tree depth is beyond the supported bound."""
 

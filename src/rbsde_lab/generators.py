@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ExpressionError, InvalidSample
+from .errors import ExpressionError
 from .lattice import ScenarioTree, StoppingRule
 from .records import Record, ValueRecord
 
@@ -535,55 +535,18 @@ def restrict_generator(generator: GeneratorSpec, rule: StoppingRule) -> Generato
 # ---------------------------------------------------------------------------
 # Driver sampling
 
-class SampleSpec(ValueRecord):
-    """Sampling grid for driver checks: times on [0, t_max], box in (y, z).
+def sample_driver(generator: GeneratorSpec, times, ys, zs) -> np.ndarray:
+    """``g`` at every ``(t, y, z)`` of the given points as a ``batch + (len(times),
+    len(ys), len(zs))`` array.
 
-    Every sampled driver check reads ``g`` through :meth:`values`.
+    Each time is evaluated on its own, so a time-piecewise driver picks its
+    piece per time.  The (y, z) box is evaluated as one flat point axis, so
+    a driver's coefficient columns (``batch + (1,)``) broadcast against the
+    points and never against the box's own axes.
     """
-
-    __slots__ = _fields = (
-        "t_max", "t_count", "y_low", "y_high", "y_count", "z_low", "z_high", "z_count"
-    )
-
-    def __init__(
-        self,
-        t_max: float,
-        t_count: int = 21,
-        y_low: float = -5.0,
-        y_high: float = 5.0,
-        y_count: int = 21,
-        z_low: float = -5.0,
-        z_high: float = 5.0,
-        z_count: int = 21,
-    ):
-        if min(t_count, y_count, z_count) < 1:
-            raise InvalidSample("sample counts must be >= 1")
-        bounds = ((0.0, t_max), (y_low, y_high), (z_low, z_high))
-        if not all(math.isfinite(lo) and math.isfinite(hi) and lo <= hi for lo, hi in bounds):
-            raise InvalidSample("sample bounds must be finite, with 0 <= t_max and low <= high")
-        self._set(t_max, t_count, y_low, y_high, y_count, z_low, z_high, z_count)
-
-    def t_points(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.t_count)
-
-    def y_points(self) -> np.ndarray:
-        return np.linspace(self.y_low, self.y_high, self.y_count)
-
-    def z_points(self) -> np.ndarray:
-        return np.linspace(self.z_low, self.z_high, self.z_count)
-
-    def values(self, generator: GeneratorSpec) -> np.ndarray:
-        """``g`` on the sample box as a ``batch + (t_count, y_count, z_count)`` array.
-
-        Each time is evaluated on its own, so a time-piecewise driver picks
-        its piece per time.  The box is evaluated as one flat point axis, so
-        a driver's coefficient columns (``batch + (1,)``) broadcast against
-        the points and never against the box's own axes.
-        """
-        box = np.meshgrid(self.y_points(), self.z_points(), indexing="ij")
-        ys, zs = (axis.ravel() for axis in box)
-        batch = generator.batch_shape
-        out = np.empty(batch + (self.t_count, ys.size))
-        for k, t in enumerate(self.t_points()):
-            out[..., k, :] = generator.evaluate(float(t), ys, zs)
-        return out.reshape(batch + (self.t_count, self.y_count, self.z_count))
+    box = [axis.ravel() for axis in np.meshgrid(ys, zs, indexing="ij")]
+    batch = generator.batch_shape
+    out = np.empty(batch + (len(times), box[0].size))
+    for k, t in enumerate(times):
+        out[..., k, :] = generator.evaluate(float(t), *box)
+    return out.reshape(batch + (len(times), len(ys), len(zs)))

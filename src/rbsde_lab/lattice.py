@@ -241,6 +241,13 @@ def _per_member(values):
     return values.item() if values.ndim == 0 else values
 
 
+def _refuse_batch(refusal: str, levels: Sequence[np.ndarray], *shapes: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` naming the batch shape when ``levels`` (node axis
+    last) or the further batch ``shapes`` have batch axes."""
+    if batch := np.broadcast_shapes(*(np.shape(x)[:-1] for x in levels), *shapes):
+        raise ValueError(f"{refusal}, got a batch of shape {batch}")
+
+
 def _frozen_levels(
     tree: ScenarioTree, levels: Sequence, dtype, what: str, *, batched: bool = False
 ) -> list[np.ndarray]:
@@ -444,6 +451,7 @@ def hitting_rule(a: AdaptedProcess, b: AdaptedProcess) -> StoppingRule:
     """First hit of ``a_t <= b_t + DEFAULT_CONTACT_TOL``; stops at N when never hit."""
     if a.tree != b.tree:
         raise TreeMismatch("processes live on different trees")
+    _refuse_batch("a hitting rule takes one pair of processes", a.levels() + b.levels())
     flags = [a.level(i) <= b.level(i) + DEFAULT_CONTACT_TOL for i in range(a.tree.steps + 1)]
     return StoppingRule(a.tree, flags)
 

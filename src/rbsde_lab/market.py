@@ -55,6 +55,8 @@ class MarketModel(ValueRecord):
             raise ValueError(f"spot must be positive, got {spot!r}")
         if not volatility > 0.0:
             raise PositivityViolated(f"volatility must be positive, got {volatility!r}")
+        if not math.isfinite(strike):
+            raise ValueError(f"strike must be finite, got {strike!r}")
         if strike < 0.0:
             raise ValueError(f"strike must be nonnegative, got {strike!r}")
         if not np.isfinite(self.premium).all():
@@ -268,6 +270,8 @@ def recover_theta(
         raise NoBracket("need at least one observed price")
     strikes = [k for k, _ in observed]
     targets = np.array([p for _, p in observed], dtype=float)
+    if not np.isfinite(targets).all():
+        raise ValueError(f"observed prices must be finite, got {targets.tolist()!r}")
     evaluations = 0
     best_theta = 0.0
     best_value = math.inf

@@ -37,6 +37,7 @@ from .lattice import (
     TreeMode,
     _cells,
     _per_member,
+    _refuse_batch,
     conditional_expectation,
     hitting_rule,
 )
@@ -44,12 +45,14 @@ from .records import Record
 
 
 class ObstacleSpec(Record):
-    """Lower barrier process, finite at every node, with an optional declared upper bound."""
+    """Lower barrier process, finite at every node, with an optional finite declared upper bound."""
 
     _fields = ("process", "bound")  # no __slots__: ``modulus_estimate`` is cached per instance
 
     def __init__(self, process: AdaptedProcess, bound: float | None = None):
         if bound is not None:
+            if not np.isfinite(bound):
+                raise ValueError(f"obstacle bound must be finite, got {bound!r}")
             top = float(np.max([np.max(level) for level in process.levels()]))
             if not top <= bound + 1e-12:
                 raise ValueError(f"obstacle exceeds its declared bound: max {top!r} > {bound!r}")
@@ -185,6 +188,7 @@ def snell_oracle(terminal: TerminalCondition, obstacle: ObstacleSpec) -> Adapted
     tree = terminal.tree
     if obstacle.tree != tree:
         raise TreeMismatch("terminal condition and obstacle must share the tree")
+    _refuse_batch("the Snell oracle takes one problem", terminal.values + obstacle.process.levels())
     stopped = terminal.rule.stopped_by_level
     stop_nodes = terminal.rule.stop_node_masks
     ext = terminal.extended
@@ -218,6 +222,7 @@ def enumerate_stopping_oracle(terminal: TerminalCondition, obstacle: ObstacleSpe
     tree = terminal.tree
     if obstacle.tree != tree:
         raise TreeMismatch("terminal condition and obstacle must share the tree")
+    _refuse_batch("rule enumeration takes one problem", terminal.values + obstacle.process.levels())
     if tree.mode is not TreeMode.FULL_BINARY:
         raise UnsupportedTreeMode("rule enumeration needs a full-binary tree")
     if tree.steps > ENUMERATION_MAX_STEPS:

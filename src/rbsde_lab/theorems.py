@@ -33,17 +33,18 @@ from .generators import (
     Min,
     NegPart,
     PiecewiseTime,
-    SampleSpec,
     Scale,
     TimeVar,
     YVar,
     ZVar,
+    sample_driver,
 )
 from .lattice import (
     AdaptedProcess,
     ScenarioTree,
     StoppingRule,
     _per_member,
+    _refuse_batch,
     event_probability,
 )
 # solve_rbsde: ROADMAP item 1, test_install_rebinds_every_copy_and_uninstall_restores_all
@@ -294,8 +295,7 @@ def local_strict_witness(low: RbsdeProblem, high: RbsdeProblem) -> StrictWitness
     if low.generator.expr != high.generator.expr:
         raise ValueError("witness construction assumes a shared driver")
     levels = (*low.terminal.values, *high.terminal.values, *low.obstacle.process.levels())
-    if batch := np.broadcast_shapes(low.generator.batch_shape, *(x.shape[:-1] for x in levels)):
-        raise ValueError(f"witness construction takes one pair, got a batch of shape {batch}")
+    _refuse_batch("witness construction takes one pair", levels, low.generator.batch_shape)
 
     n = tree.steps
     xi_low = low.terminal.extended[n]
@@ -531,8 +531,8 @@ def incomparable_driver_probe(
     root_low = reflected_value(g_low, terminal, obstacle)
     root_high = reflected_value(g_high, terminal, obstacle)
 
-    origin = SampleSpec(horizon, 41, 0.0, 0.0, 1, 0.0, 0.0, 1)  # 41 times at y = z = 0
-    gap = origin.values(g_low) - origin.values(g_high)
+    origin = (np.linspace(0.0, horizon, 41), [0.0], [0.0])  # 41 times at y = z = 0
+    gap = sample_driver(g_low, *origin) - sample_driver(g_high, *origin)
     return IncomparableDriverReport(
         root_low=root_low,
         root_high=root_high,
@@ -599,11 +599,14 @@ def masked_driver_probe(
     sweeps = (_sweep(g, terminal_family, obstacle.process) for g in (g_low_cut, g_high_cut))
     worst = _nonnegative(np.max(_one_sided_gaps(*sweeps)))
 
-    def driver_gap(sample: SampleSpec) -> np.ndarray:
-        return np.abs(sample.values(g_low_cut) - sample.values(g_high_cut))
+    times, zs = np.linspace(0.0, tree.grid.horizon, 5), np.linspace(-3.0, 3.0, 9)
 
-    above = SampleSpec(tree.grid.horizon, 5, cut_high, cut_high + 4.0, 9, -3.0, 3.0, 9)
-    below = above._replace(y_low=cut_high - 3.0, y_high=cut_high - 1e-3)
+    def driver_gap(ys: np.ndarray) -> np.ndarray:
+        low, high = (sample_driver(g, times, ys, zs) for g in (g_low_cut, g_high_cut))
+        return np.abs(low - high)
+
+    above = np.linspace(cut_high, cut_high + 4.0, 9)
+    below = np.linspace(cut_high - 3.0, cut_high - 1e-3, 9)
     # per (t, z), the largest driver gap over the values below the cut
     below_gap = np.max(driver_gap(below), axis=1)
     return MaskedDriverReport(
@@ -638,12 +641,14 @@ def converse_probe(
 ) -> ConverseProbeReport:
     """Check that ordered conditional reflected values imply ordered drivers.
 
-    The terminal family, one batch above the obstacle's bound, is swept at
-    the root, mid-walk and horizon rules.  Verdict A holds when the first
-    driver's conditional values dominate the second's for every family
-    member and every ordered rule pair.  Verdict B holds when the first
-    driver dominates the second on the sample region, values above the
-    obstacle bound; a NaN gap anywhere there fails it.
+    The terminal family, one batch above the obstacle's bound, is swept
+    ending at the mid-walk and at the horizon rule.  Verdict A holds when the
+    first driver's conditional values dominate the second's for every family
+    member and every ordered pair of the root, mid-walk and horizon rules; the
+    pair at the root needs no sweep, since both drivers read the terminal data
+    there.  Verdict B holds when the first driver dominates the second on the
+    sample region, values above the obstacle bound; a NaN gap anywhere there
+    fails it.
     """
     if obstacle.bound is None:
         raise ValueError("default probe family needs an obstacle bound")
@@ -664,7 +669,7 @@ def converse_probe(
         levels.append(np.concatenate([rows, lifts]))
 
     value_violation = 0.0
-    for sigma in rules:
+    for sigma in rules[1:]:
         terminal = TerminalCondition(tree, sigma, levels)
         taus = [tau for tau in rules if tau.precedes(sigma)]
         # one root-only sweep of the family per driver, gathering y wherever one of the taus stops
@@ -675,10 +680,12 @@ def converse_probe(
         for key, hi in upper.items():
             value_violation = max(value_violation, float(np.max(lower[key] - hi)))
 
-    sample = SampleSpec(
-        tree.grid.horizon, t_count=11, y_low=bound, y_high=bound + 5.0, y_count=11, z_count=11
+    sample = (
+        np.linspace(0.0, tree.grid.horizon, 11),
+        np.linspace(bound, bound + 5.0, 11),
+        np.linspace(-5.0, 5.0, 11),
     )
-    gaps = sample.values(g_lower) - sample.values(g_upper)
+    gaps = sample_driver(g_lower, *sample) - sample_driver(g_upper, *sample)
     # +0 first, so an all-negative sample reads +0; np.max keeps a NaN
     driver_gap = float(np.maximum(0.0, np.max(gaps)))
 

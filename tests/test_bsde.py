@@ -486,7 +486,7 @@ class TestReportsKeepWhatTheirVerdictsRead:
         # nodes; a sample is the check only for claims about the drivers
         users = {
             ".".join(user.split(".")[:2])  # a helper nested in a probe counts as the probe
-            for user in _name_users({"SampleSpec"})
+            for user in _name_users({"sample_driver"})
             if user.split(".")[0] == "theorems"
         }
         assert users == {
@@ -644,9 +644,9 @@ class TestOneBackwardKernel:
 
     def test_driver_sampling_is_decided_in_generators(self):
         # a sampled driver check reads its (t, y, z) box through
-        # generators.SampleSpec.values instead of building a grid itself
+        # generators.sample_driver instead of building a grid itself
         grids = _users(lambda node: isinstance(node, ast.Attribute) and node.attr == "meshgrid")
-        assert grids and {user.split(".")[0] for user in grids} == {"generators"}
+        assert grids == {"generators.sample_driver"}
 
     def test_level_step_reduces_with_ufunc_methods(self):
         # np.max and friends add a Python wrapper per call; the level step and
@@ -696,7 +696,6 @@ def test_record_types_state_their_fields_once():
         "bsde.TerminalCondition.__init__",
         "generators.Const.__init__",
         "generators.PiecewiseTime.__init__",
-        "generators.SampleSpec.__init__",
         "generators.Scale.__init__",
         "lattice.AdaptedProcess.__init__",
         "lattice.ScenarioTree.__init__",
@@ -706,6 +705,28 @@ def test_record_types_state_their_fields_once():
         "rbsde.ObstacleSpec.__init__",
         "records.Record.__init__",
     }
+
+
+def test_every_error_type_is_raised_somewhere():
+    # an error type that no src/ scope raises is dead: it outlives the check
+    # that raised it, and a caller catching it waits for nothing
+    errors = rbsde_lab.errors
+    kinds = {
+        name
+        for name, kind in vars(errors).items()
+        if isinstance(kind, type) and issubclass(kind, errors.LatticeLabError)
+    }
+    raised = set()
+
+    def raises(node):
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        exc = exc.func if isinstance(exc, ast.Call) else exc
+        raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+        return False
+
+    _users(raises)
+    assert len(kinds) > 10
+    assert kinds - raised == {"LatticeLabError"}
 
 
 def _tree_and_data_parameters() -> set[str]:

@@ -9,8 +9,6 @@ import rbsde_lab.generators
 from rbsde_lab import (
     ExpressionError,
     GeneratorSpec,
-    InvalidSample,
-    SampleSpec,
     StoppingRule,
     TimeGrid,
     TreeMode,
@@ -18,6 +16,7 @@ from rbsde_lab import (
     lipschitz_bound,
     parse_prefix,
     restrict_generator,
+    sample_driver,
 )
 from rbsde_lab.generators import (
     Abs,
@@ -386,17 +385,18 @@ class TestRestriction:
             gated.evaluate(0.0, 0.0, 0.0)
 
 
-class TestCheckAssumptions:
+class TestSampleDriver:
     """The driver sampler every sampled driver check reads ``g`` through."""
 
     def test_values_evaluate_each_time_on_the_box(self):
-        sample = SampleSpec(t_max=1.0, t_count=5, y_low=-1.0, y_high=2.0, y_count=4, z_count=3)
+        times, ys = np.linspace(0.0, 1.0, 5), np.linspace(-1.0, 2.0, 4)
+        zs = np.linspace(-5.0, 5.0, 3)
         g = GeneratorSpec(PiecewiseTime((Add((YVar(), ZVar())), TimeVar()), (0.5,)))
-        values = sample.values(g)
+        values = sample_driver(g, times, ys, zs)
         assert values.shape == (5, 4, 3)
-        for i, t in enumerate(sample.t_points()):
-            for j, y in enumerate(sample.y_points()):
-                for k, z in enumerate(sample.z_points()):
+        for i, t in enumerate(times):
+            for j, y in enumerate(ys):
+                for k, z in enumerate(zs):
                     assert values[i, j, k] == float(np.asarray(g.evaluate(float(t), y, z)))
         # the piece is chosen per time: y + z before 0.5, t from there on
         assert np.all(values[3] == 0.75) and np.ptp(values[1]) > 0.0
@@ -405,25 +405,9 @@ class TestCheckAssumptions:
         g = GeneratorSpec(
             Min(Scale(1.5, NegPart(Add((YVar(), Const(-1.0))))), Abs(ZVar())),
         )
-        zero_z = SampleSpec(t_max=1.0, t_count=7, y_count=9, z_low=0.0, z_high=0.0, z_count=9)
-        np.testing.assert_array_equal(zero_z.values(g), 0.0)
-
-    @pytest.mark.parametrize(
-        "fields",
-        [
-            {"t_count": 0},
-            {"y_count": 0},
-            {"z_count": -1},
-            {"y_low": 1.0, "y_high": 0.0},
-            {"z_high": float("inf")},
-            {"y_low": float("nan")},
-            {"t_max": -1.0},
-            {"t_max": float("inf")},
-        ],
-    )
-    def test_degenerate_sample_is_rejected_when_built(self, fields):
-        with pytest.raises(InvalidSample):
-            SampleSpec(**{"t_max": 1.0, **fields})
+        values = sample_driver(g, np.linspace(0.0, 1.0, 7), np.linspace(-5.0, 5.0, 9), np.zeros(9))
+        assert values.shape == (7, 9, 9)
+        np.testing.assert_array_equal(values, 0.0)
 
 
 def _affine_members():
@@ -460,11 +444,11 @@ class TestCoefficientColumns:
             GeneratorSpec(Add((Scale(0.1 * k, YVar()), Scale(-0.05 * k, ZVar()), Const(k))))
             for k in range(11)
         ]
-        sample = SampleSpec(t_max=1.0, t_count=3, y_count=11, z_count=11)
-        values = sample.values(GeneratorSpec.stack(members))
+        sample = (np.linspace(0.0, 1.0, 3), np.linspace(-5.0, 5.0, 11), np.linspace(-5.0, 5.0, 11))
+        values = sample_driver(GeneratorSpec.stack(members), *sample)
         assert values.shape == (11, 3, 11, 11)
         for k, member in enumerate(members):
-            assert values[k].tobytes() == sample.values(member).tobytes()
+            assert values[k].tobytes() == sample_driver(member, *sample).tobytes()
 
     def test_columns_have_no_text_and_bound_each_member_apart(self):
         stacked = GeneratorSpec.stack(_affine_members())

@@ -65,6 +65,17 @@ class TestModel:
         with pytest.raises(ValueError, match=message):
             price(recomb_tree(8), model)
 
+    def test_a_non_finite_strike_is_refused_where_it_enters(self):
+        # NaN < 0 is False, so a NaN strike once built and failed late, in the
+        # quote sweep, as a non-finite obstacle
+        for strike in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^strike must be finite, got"):
+                MarketModel(**{**BASE, "strike": strike})
+        with pytest.raises(ValueError, match="^strike must be finite, got nan"):
+            quote_strike_family(recomb_tree(8), MarketModel(**BASE), [np.nan])
+        with pytest.raises(ValueError, match="^strike must be nonnegative, got -1.0"):
+            MarketModel(**{**BASE, "strike": -1.0})
+
     def test_zero_volatility_rejected(self):
         with pytest.raises(PositivityViolated):
             MarketModel(spot=100.0, drift=0.0, volatility=0.0, rate=0.0, strike=100.0)
@@ -352,6 +363,15 @@ class TestRecovery:
         tree = recomb_tree(8)
         with pytest.raises(NoBracket):
             recover_theta(tree, [], spot=100.0, volatility=0.2, rate=0.02)
+
+    @pytest.mark.parametrize("price", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_observed_price_is_refused_up_front(self, price, monkeypatch):
+        # it is the observation at fault, not the bracket; nothing is priced
+        monkeypatch.setattr(market, "_family_sweep", None)
+        with pytest.raises(ValueError, match="^observed prices must be finite"):
+            recover_theta(
+                recomb_tree(8), [(100.0, 5.0), (110.0, price)], spot=100.0, volatility=0.2, rate=0.02
+            )
 
     def test_a_flat_objective_says_the_prices_ignore_the_premium(self):
         # puts this deep in the money are exercised at once, at K - spot for every premium

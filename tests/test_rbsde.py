@@ -122,6 +122,13 @@ class TestSolutionStructure:
         with pytest.raises(ValueError, match=f"non-finite process at level {level}$"):
             ObstacleSpec(AdaptedProcess(tree, levels), bound=0.0)
 
+    @pytest.mark.parametrize("bound", [np.inf, np.nan])
+    def test_declared_bound_must_be_finite(self, bound):
+        # an infinite bound holds over any obstacle, and no obstacle sits below NaN
+        tree = recomb_tree(3)
+        with pytest.raises(ValueError, match="^obstacle bound must be finite, got"):
+            ObstacleSpec(AdaptedProcess.constant(tree, 0.5), bound=bound)
+
     def test_vanishing_driver_preserves_constants_under_reflection(self):
         from rbsde_lab import masked_driver
 
@@ -653,7 +660,30 @@ class TestDiagnosticsCost:
         assert calls == list(range(44, -1, -1))
 
 
+def _batched_problems(tree):
+    """Two-member data: a batched terminal under one obstacle, and one terminal
+    under a batched obstacle."""
+    terminal, obstacle = TerminalCondition.constant(tree, 1.0), low_obstacle(tree)
+    levels = [np.array([[-1.0], [0.5]]) + np.zeros(tree.level_size(i)) for i in range(4)]
+    return [
+        (TerminalCondition.constant(tree, np.array([[1.0], [2.0]])), obstacle),
+        (terminal, ObstacleSpec(AdaptedProcess(tree, levels))),
+    ]
+
+
 class TestOracles:
+    def test_snell_refuses_a_batch(self):
+        tree = full_tree(3)
+        for terminal, obstacle in _batched_problems(tree):
+            with pytest.raises(ValueError, match=r"one problem, got a batch of shape \(2,\)"):
+                snell_oracle(terminal, obstacle)
+
+    def test_enumeration_refuses_a_batch(self):
+        tree = full_tree(3)
+        for terminal, obstacle in _batched_problems(tree):
+            with pytest.raises(ValueError, match=r"one problem, got a batch of shape \(2,\)"):
+                enumerate_stopping_oracle(terminal, obstacle)
+
     def test_snell_matches_reflected_solver_exactly(self):
         tree = full_tree(8)
         rng = np.random.default_rng(31)
@@ -744,6 +774,14 @@ class TestExerciseRule:
         tree, problem, sol = solve_case(ClosedFormCase.CONST_DRIVER_LOW_TERMINAL, 50)
         rule = exercise_rule(sol, problem.obstacle)
         assert bool(rule.flags(0)[0])
+
+    def test_a_batched_solution_is_refused(self):
+        # the rule is one per problem; a batch is named as such, not as a tree mismatch
+        tree = full_tree(3)
+        for terminal, obstacle in _batched_problems(tree):
+            sol = solve_rbsde(GeneratorSpec.constant(0.0), terminal, obstacle)
+            with pytest.raises(ValueError, match=r"pair of processes, got a batch of shape \(2,\)"):
+                exercise_rule(sol, obstacle)
 
     def test_low_obstacle_never_exercises(self):
         tree = full_tree(6)

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import pytest
 
 from rbsde_lab import cli
-from rbsde_lab.errors import ExpressionError, InvalidGrid, InvalidSample
+from rbsde_lab.errors import ExpressionError, InvalidGrid
 from rbsde_lab.bsde import (
     BsdeSolution,
     LevelData,
@@ -34,7 +34,6 @@ from rbsde_lab.generators import (
     Neg,
     NegPart,
     PiecewiseTime,
-    SampleSpec,
     Scale,
     TimeVar,
     YVar,
@@ -106,7 +105,6 @@ RECORDS = [
     (AtZeroState, lambda: AtZeroState(YVar()), "inner", True),
     (ActiveBefore, lambda: ActiveBefore(RULE, YVar()), "rule", False),
     (GeneratorSpec, lambda: GeneratorSpec(YVar()), "expr", False),
-    (SampleSpec, lambda: SampleSpec(1.0, 3, y_count=3, z_count=3), "t_max", True),
     # lattice
     (TimeGrid, lambda: TimeGrid(1.0, 4), "steps", True),
     (ScenarioTree, lambda: ScenarioTree(TimeGrid(1.0, 4), TreeMode.RECOMBINING), "grid", True),
@@ -158,8 +156,8 @@ RECORDS = [
 
 
 def test_every_record_type_is_listed_once():
-    assert len(RECORDS) == 40
-    assert len({kind for kind, *_ in RECORDS}) == 40
+    assert len(RECORDS) == 39
+    assert len({kind for kind, *_ in RECORDS}) == 39
 
 
 @pytest.mark.parametrize(
@@ -221,8 +219,6 @@ def test_copies_with_a_field_changed_run_the_constructor_checks():
         model._replace(strike=-1.0)
     with pytest.raises(InvalidGrid, match="steps must be a positive integer"):
         TimeGrid(1.0, 4)._replace(steps=0)
-    with pytest.raises(InvalidSample, match="sample counts"):
-        SampleSpec(1.0)._replace(t_count=0)
     with pytest.raises(ExpressionError, match="one more piece"):
         PiecewiseTime((Const(0.0), TimeVar()), (0.5,))._replace(bounds=())
     with pytest.raises(TypeError, match=r"takes the fields \('expr',\)"):
@@ -232,7 +228,7 @@ def test_copies_with_a_field_changed_run_the_constructor_checks():
 
 
 def test_checked_records_pickle():
-    for record in (TimeGrid(1.0, 4), SampleSpec(2.0), DRIVER, parse_prefix("(+ y (abs z))")):
+    for record in (TimeGrid(1.0, 4), DRIVER, parse_prefix("(+ y (abs z))")):
         assert repr(pickle.loads(pickle.dumps(record))) == repr(record)
 
 
@@ -268,10 +264,6 @@ def test_solver_records_repr_their_fields():
     assert repr(MarketModel(100.0, 0.08, 0.2, 0.02, 90.0, PayoffKind.PUT)) == (
         "MarketModel(spot=100.0, drift=0.08, volatility=0.2, rate=0.02, strike=90.0, "
         "kind=<PayoffKind.PUT: 'put'>)"
-    )
-    assert repr(SampleSpec(1.0)) == (
-        "SampleSpec(t_max=1.0, t_count=21, y_low=-5.0, y_high=5.0, y_count=21, "
-        "z_low=-5.0, z_high=5.0, z_count=21)"
     )
     assert repr(GeneratorSpec(Const(0.5))) == (
         "GeneratorSpec(expr=Const(value=0.5))"

@@ -158,7 +158,7 @@ class TestPricingPath:
 # SHA-256 of report.json as ``verify`` writes it, with the suites' step or
 # instance counts cut down; the first four were taken before their checks
 # became root-only sweeps, the next four before the ordering checks read
-# their driver samples through SampleSpec.values, the last four before the
+# their driver samples through one sampler, the last four before the
 # CLI config blocks were read through one field table.  The pricing digest
 # was re-pinned when every row went through suites._check: its
 # zero-premium row had ended in a numpy bool that report.json wrote as
