@@ -13,6 +13,8 @@ reports that compute them; tolerances are the ``theorems`` constants
 from __future__ import annotations
 
 import inspect
+import math
+import random
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -98,8 +100,8 @@ CLOSED_FORM_TOL = 2e-3
 # instances a comparison suite checks in one batch.  The two sweeps of a batch
 # are reduced level by level, so a member holds no solution and no driver
 # sample while its batch is checked.  At 10 the `comparison` process peaks at
-# 36.2-36.4 MB; 25 raised that to 37.3-37.4 MB and saved no time in process
-# beyond the run-to-run noise (2 cores, Python 3.11, numpy 2.4)
+# 29.9-30.2 MB and the suite takes 40 ms in process; 25 raises that to
+# 31.0-31.1 MB and takes 29 ms (2 cores, Python 3.11, numpy 2.4)
 CHECK_CHUNK = 10
 
 
@@ -111,8 +113,48 @@ def _check(
     return CheckResult(name, passed, violation, tolerance, {} if details is None else details)
 
 
-def _rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, index])
+class _Draws:
+    """The draws the suites make, from the standard library's Mersenne Twister.
+
+    No suite process loads ``numpy.random``, which would bring in PCG64, the
+    Cython runtime and OpenSSL's ``hashlib``: about 5.4 MB of RSS.  An array
+    of ``n`` floats is read from one ``randbytes(8 * n)``, that is
+    ``getrandbits(64 * n)``: 64-bit words in drawing order, each cut to its
+    top 53 bits.  So a ``(k, m)`` draw is the stream of k draws of m.
+    """
+
+    def __init__(self, source: random.Random):
+        self._random = source
+
+    def random(self, size=None):
+        """Uniform on [0, 1): a float, or an array of shape ``size``."""
+        if size is None:
+            return self._random.random()
+        shape = size if isinstance(size, tuple) else (size,)
+        words = np.frombuffer(self._random.randbytes(8 * math.prod(shape)), "<u8")
+        return (words >> 11).reshape(shape) * 2.0**-53
+
+    def uniform(self, low: float, high: float, size=None):
+        """Uniform on [low, high): a float, or an array of shape ``size``."""
+        return low + (high - low) * self.random(size)
+
+    def integers(self, low: int, high: int) -> int:
+        """An integer uniform on [low, high)."""
+        return self._random.randrange(low, high)
+
+    def dirichlet(self, alpha) -> np.ndarray:
+        """A point of the simplex with Dirichlet(``alpha``) law."""
+        gammas = np.array([self._random.gammavariate(a, 1.0) for a in alpha])
+        return gammas / gammas.sum()
+
+    def choice(self, options):
+        """One of ``options``, each equally likely."""
+        return self._random.choice(options)
+
+
+def _rng(seed: int, index: int) -> _Draws:
+    # a string seed is hashed with the interpreter's own sha512, not OpenSSL's
+    return _Draws(random.Random(f"{seed}/{index}"))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +290,7 @@ def _case_errors(
     times = tree.grid.times()
     y_closed = form.value(times)
     k_closed = form.push(times)
-    contact_levels = np.nonzero(y_num - barrier <= DEFAULT_CONTACT_TOL)[0]
+    contact_levels = np.nonzero(y_num <= barrier + DEFAULT_CONTACT_TOL)[0]
     detected = tree.grid.time(int(contact_levels.max()))
     return {
         "y_error": float(np.max(np.abs(y_num - y_closed))),

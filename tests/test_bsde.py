@@ -556,6 +556,24 @@ class TestOneBackwardKernel:
             "suites._case_errors",
         }
 
+    def test_every_contact_reader_tests_one_inequality(self):
+        # contact is `value <= obstacle + DEFAULT_CONTACT_TOL` wherever it is read;
+        # `value - obstacle <= DEFAULT_CONTACT_TOL` rounds differently near the tolerance
+        reads, rules = 0, 0
+        for path in sorted(Path(rbsde_lab.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and node.id == "DEFAULT_CONTACT_TOL":
+                    reads += isinstance(node.ctx, ast.Load)
+                elif isinstance(node, ast.Compare) and len(node.ops) == 1:
+                    bound = node.comparators[0]
+                    rules += (
+                        isinstance(node.ops[0], ast.LtE)
+                        and isinstance(bound, ast.BinOp)
+                        and isinstance(bound.op, ast.Add)
+                        and ast.unparse(bound.right) == "DEFAULT_CONTACT_TOL"
+                    )
+        assert reads == rules == 3
+
     def test_only_solve_rbsde_sums_pushes_forward(self):
         # a forward path sum moves through ScenarioTree.carry; besides holding
         # data past a stop, only the cumulative push of the full solve takes it,

@@ -977,6 +977,34 @@ def test_cli_import_does_not_load_dataclasses():
     )
 
 
+def test_commands_do_not_load_numpy_random(tmp_path):
+    # numpy.random brings PCG64, the Cython runtime and OpenSSL's hashlib,
+    # hmac and secrets, about 5.4 MB a process; the suites draw from the
+    # standard library's generator, which hashes its seed without OpenSSL
+    market = {"tree": SMALL_TREE, "market": {**MARKET_BLOCK, "kind": "call"}}
+    write_config(tmp_path, market, name="price.json")
+    write_config(tmp_path, {**market, "recover": {"observed": "observed.csv"}}, name="recover.json")
+    write_config(tmp_path, {}, name="verify.json")
+    assert main(["price", "--config", str(tmp_path / "price.json"), "--out", str(tmp_path / "p")]) == 0
+    (row,) = read_rows(tmp_path / "p" / "prices.csv")
+    (tmp_path / "observed.csv").write_text(f"strike,price\n{row['strike']},{row['price']}\n")
+    script = (
+        "import sys\n"
+        "from rbsde_lab.cli import main\n"
+        "for command, *extra in (('verify', '--suite', 'all', '--seed', '7'), ('price',), ('recover',)):\n"
+        "    assert main([command, '--config', command + '.json', '--out', command, *extra]) == 0\n"
+        "print(sorted({'numpy.random', 'hashlib', 'secrets'} & set(sys.modules)))\n"
+    )
+    src = str(Path(rbsde_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "[]"
+
+
 def test_source_names_no_dataclass():
     package = Path(rbsde_lab.__file__).resolve().parent
     found = []
@@ -991,6 +1019,28 @@ def test_source_names_no_dataclass():
             )
             if name and "dataclass" in name:
                 found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_source_reads_no_numpy_random():
+    # the suites draw through suites._Draws; see test_commands_do_not_load_numpy_random
+    package = Path(rbsde_lab.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)] if node.attr == "random" else []
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name in {"np.random", "numpy.random"} or name.startswith("numpy.random.")
+            ]
     assert found == []
 
 
