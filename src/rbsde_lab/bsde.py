@@ -166,17 +166,9 @@ def _implicit_level(
     count it would get alone; the counts come back per member.
     """
     parts = generator.y_affine(t, zco, level=level, tree=tree)
-    if parts is not None:
+    if parts is not None:  # |a| <= L_y, so the sweep's contraction guard keeps 1 - a * dt > 0
         h, a = parts
-        denom = 1.0 - a * dt
-        singular = denom <= 0.0
-        if not isinstance(a, float):  # a slope gated per node
-            singular = np.logical_or.reduce(singular, axis=None)
-        if singular:
-            raise ContractionViolated(
-                "driver slope in the value variable makes the implicit step singular"
-            )
-        return (mean + h * dt) / denom, 1
+        return (mean + h * dt) / (1.0 - a * dt), 1
     v = mean.copy()
     iterations = np.zeros(mean.shape[:-1], dtype=np.int64)
     for iteration in range(1, FIXED_POINT_MAX_ITER + 1):

@@ -8,8 +8,9 @@ form (s-expressions) used by the CLI; rule-restricted and state-frozen
 wrappers are built programmatically only.
 
 Evaluation broadcasts over numpy arrays, which is what the level-vectorised
-solvers feed in.  Expressions affine in ``y`` expose their decomposition so
-the implicit solver step can be closed in one division instead of iterating.
+solvers feed in.  A driver reads its Lipschitz bounds and, when it is affine
+in ``y``, its split ``h + a * y`` off its expression once, so the implicit
+solver step can be closed in one division instead of iterating.
 
 A constant or a scale factor may be a coefficient column of shape
 ``batch + (1,)`` instead of a number: one coefficient per batch member,
@@ -63,23 +64,8 @@ class Expr(ValueRecord):
     def children(self) -> Iterable["Expr"]:
         return ()
 
-    def y_affine(self, ctx: EvalContext):
-        """Return ``(h, a)`` with value ``h + a * y``, or None if not affine.
-
-        A node that does not read ``y`` (``at00`` pins it to 0) is its own
-        value with slope 0; nodes that pass ``y`` on affinely override this.
-        """
-        if isinstance(self, AtZeroState) or not self.uses(YVar):
-            return self.eval(ctx), 0.0
-        return None
-
     def to_prefix(self) -> str:
         return "(" + " ".join([self.op, *(c.to_prefix() for c in self.children())]) + ")"
-
-    def uses(self, kind: type) -> bool:
-        if isinstance(self, kind):
-            return True
-        return any(c.uses(kind) for c in self.children())
 
 
 def _fmt(value: float) -> str:
@@ -140,9 +126,6 @@ class YVar(Variable):
     __slots__ = ()
     op = "y"
 
-    def y_affine(self, ctx):
-        return 0.0, 1.0
-
 
 class ZVar(Variable):
     __slots__ = ()
@@ -182,10 +165,6 @@ class Neg(_Unary):
     def eval(self, ctx):
         return -self.inner.eval(ctx)
 
-    def y_affine(self, ctx):
-        parts = self.inner.y_affine(ctx)
-        return None if parts is None else (-parts[0], -parts[1])
-
 
 class Abs(_Unary):
     __slots__ = ()
@@ -218,16 +197,6 @@ class Add(Expr):
     def children(self):
         return self.terms
 
-    def y_affine(self, ctx):
-        h_total, a_total = 0.0, 0.0
-        for term in self.terms:
-            parts = term.y_affine(ctx)
-            if parts is None:
-                return None
-            h_total = h_total + parts[0]
-            a_total = a_total + parts[1]
-        return h_total, a_total
-
 
 class Scale(Expr):
     __slots__ = _fields = ("factor", "inner")
@@ -245,10 +214,6 @@ class Scale(Expr):
 
     def children(self):
         return (self.inner,)
-
-    def y_affine(self, ctx):
-        parts = self.inner.y_affine(ctx)
-        return None if parts is None else (self.factor * parts[0], self.factor * parts[1])
 
     def to_prefix(self):
         return f"({self.op} {_fmt(self.factor)} {self.inner.to_prefix()})"
@@ -287,9 +252,6 @@ class PiecewiseTime(Expr):
     def children(self):
         return self.pieces
 
-    def y_affine(self, ctx):
-        return self._select(ctx.t).y_affine(ctx)
-
     def to_prefix(self):
         rest = "".join(f" {_fmt(b)} {p.to_prefix()}" for b, p in zip(self.bounds, self.pieces[1:]))
         return f"({self.op} {self.pieces[0].to_prefix()}{rest})"
@@ -325,17 +287,11 @@ class ActiveBefore(Expr):
         return (~self.rule.stopped_by_level[ctx.level]).astype(float)
 
     def eval(self, ctx):
-        return self._gate(ctx) * np.asarray(self.inner.eval(ctx))
+        # inner first: a split's piece that does not apply answers before the gate's checks
+        return np.asarray(self.inner.eval(ctx)) * self._gate(ctx)
 
     def children(self):
         return (self.inner,)
-
-    def y_affine(self, ctx):
-        parts = self.inner.y_affine(ctx)
-        if parts is None:
-            return None
-        gate = self._gate(ctx)
-        return gate * np.asarray(parts[0]), gate * np.asarray(parts[1])
 
     def to_prefix(self):
         raise ExpressionError("rule-restricted expressions have no text form")
@@ -345,6 +301,7 @@ class ActiveBefore(Expr):
 _GRAMMAR = {node.op: node for node in (TimeVar, YVar, ZVar, BrownianVar, Neg, Abs, NegPart,
                                        AtZeroState, Add, Scale, Min, PiecewiseTime)}
 _NODES = frozenset({Const, ActiveBefore, *_GRAMMAR.values()})
+_ZERO, _ONE = Const(0.0), Const(1.0)  # shared, so a driver's split builds no constants
 
 
 def lipschitz_bound(expr: Expr) -> tuple:
@@ -372,6 +329,47 @@ def lipschitz_bound(expr: Expr) -> tuple:
 def _larger(a, b):
     """The larger bound, member by member; a float when both are floats."""
     return np.maximum(a, b) if np.ndim(a) or np.ndim(b) else max(a, b)
+
+
+class _NotAffineHere(Exception):
+    """Raised by a split's time piece that is not affine in ``y``."""
+
+
+class _NotAffine(Expr):
+    """Both parts of the split of a time piece that is not affine in ``y``."""
+
+    __slots__ = ()
+
+    def eval(self, ctx):
+        raise _NotAffineHere
+
+
+def _y_split(expr: Expr) -> tuple[Expr, Expr] | None:
+    """Expressions ``(h, a)`` with ``expr = h + a * y``, or None if affine at no time.
+
+    ``y`` splits as (0, 1); a negation, a scale and a rule gate apply to both
+    parts; a sum adds its terms' parts from 0; a time-piecewise node splits
+    piece by piece, a piece that is not affine as :class:`_NotAffine`; any
+    other node splits as (itself, 0) when no ``y`` lies beneath it, and
+    ``at00`` always does."""
+    if expr.op == "y":
+        return _ZERO, _ONE
+    if expr.op in ("neg", "*") or type(expr) is ActiveBefore:
+        parts = _y_split(expr.inner)
+        return parts and tuple(expr._replace(inner=part) for part in parts)
+    if expr.op in ("+", "pw"):
+        parts = [_y_split(child) for child in expr.children()]
+        if expr.op == "pw" and any(parts):
+            pieces = [piece or (_NotAffine(), _NotAffine()) for piece in parts]
+            return tuple(PiecewiseTime(side, expr.bounds) for side in zip(*pieces))
+        return None if None in parts else tuple(Add((_ZERO, *side)) for side in zip(*parts))
+    if expr.op == "at00" or not _reads_y(expr):
+        return expr, _ZERO
+    return None
+
+
+def _reads_y(expr: Expr) -> bool:
+    return expr.op == "y" or any(map(_reads_y, expr.children()))
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +456,9 @@ def parse_prefix(text: str, *, variables: frozenset[str] = DRIVER_VARIABLES) -> 
 # Generator specification
 
 class GeneratorSpec(Record):
-    """Evaluable driver; its Lipschitz bounds are read off the expression."""
+    """Evaluable driver; its Lipschitz bounds and its split are read off the expression."""
 
-    _fields = ("expr",)  # no __slots__: ``batch_shape`` and ``lipschitz`` are cached per instance
+    _fields = ("expr",)  # no __slots__: ``batch_shape``, the bounds and the split are cached
 
     @classmethod
     def constant(cls, value: float) -> GeneratorSpec:
@@ -491,12 +489,21 @@ class GeneratorSpec(Record):
         ``L_y * dt < 1``, and the one-step weights are nonnegative when ``L_z * sqrt(dt) <= 1``."""
         return lipschitz_bound(self.expr)
 
+    @cached_property
+    def _split(self) -> tuple[Expr, Expr] | None:
+        return _y_split(self.expr)
+
     def evaluate(self, t: float, y, z, *, level: int | None = None, tree: ScenarioTree | None = None):
         return self.expr.eval(EvalContext(t=t, y=y, z=z, level=level, tree=tree))
 
     def y_affine(self, t: float, z, *, level: int | None = None, tree: ScenarioTree | None = None):
-        """Decomposition ``g = h + a * y`` at fixed ``(t, z)``, or None."""
-        return self.expr.y_affine(EvalContext(t=t, y=0.0, z=z, level=level, tree=tree))
+        """Decomposition ``g = h + a * y`` at fixed ``(t, z)``, or None: the split,
+        evaluated.  Its slope obeys ``|a| <= L_y``, member by member."""
+        ctx, split = EvalContext(t=t, y=0.0, z=z, level=level, tree=tree), self._split
+        try:
+            return split and (split[0].eval(ctx), split[1].eval(ctx))
+        except _NotAffineHere:
+            return None
 
 
 def _batch_shape(expr: Expr) -> tuple[int, ...]:

@@ -99,10 +99,10 @@ CLOSED_FORM_TOL = 2e-3
 
 # instances a comparison suite checks in one batch.  The two sweeps of a batch
 # are reduced level by level, so a member holds no solution and no driver
-# sample while its batch is checked.  At 10 the `comparison` process peaks at
-# 29.9-30.2 MB and the suite takes 40 ms in process; 25 raises that to
-# 31.0-31.1 MB and takes 29 ms (2 cores, Python 3.11, numpy 2.4)
-CHECK_CHUNK = 10
+# sample while its batch is checked.  25 rather than 10 takes `comparison` from
+# 120 to 85 ms in process (medians of 15 alternated runs, 2 vCPUs, Python 3.11,
+# numpy 2.4); its process peak, about 31.5 MB, moves by less than its noise
+CHECK_CHUNK = 25
 
 
 def _check(

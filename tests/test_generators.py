@@ -76,6 +76,10 @@ class TestEvaluation:
         expr = AtZeroState(Add((TimeVar(), YVar(), Abs(ZVar()))))
         assert evaluate(expr, t=0.25, y=9.0, z=-3.0) == 0.25
 
+    def test_the_walk_value_needs_a_state_context(self):
+        with pytest.raises(ExpressionError, match="^expression uses 'b' outside a state context$"):
+            evaluate(Add((BrownianVar(), YVar())))
+
     def test_broadcasting_over_levels(self):
         g = GeneratorSpec(Add((Scale(2.0, YVar()), Abs(ZVar()))))
         y = np.array([1.0, -1.0, 0.5])
@@ -102,9 +106,22 @@ class TestAffineDetection:
         np.testing.assert_allclose(np.broadcast_to(h, (2,)), [2.0, 1.0])
         assert float(np.asarray(a)) == 0.0
 
+    def test_a_sum_adds_its_parts_from_zero(self):
+        # -0.0 + -0.0 alone is -0.0; from 0.0 both parts are +0.0, bit for bit
+        h, a = GeneratorSpec(Add((Neg(ZVar()), Neg(ZVar())))).y_affine(0.0, 0.0)
+        assert (float(h).hex(), float(a).hex()) == ("0x0.0p+0", "0x0.0p+0")
 
-# every node type that answers y_affine through the base rule, built around
-# an inner expression
+    def test_a_piece_that_is_not_affine_answers_none_where_it_applies(self):
+        g = GeneratorSpec(PiecewiseTime((Abs(YVar()), Add((YVar(), ZVar()))), (0.5,)))
+        assert g.y_affine(0.3, 2.0) is None
+        assert g.y_affine(0.7, 2.0) == (2.0, 1.0)
+        # a gate reads its inner first, so that answer needs no node context
+        tree = build_tree(TimeGrid(1.0, 3), TreeMode.FULL_BINARY)
+        assert restrict_generator(g, StoppingRule.root(tree)).y_affine(0.3, 2.0) is None
+
+
+# every node type that splits as (itself, 0) when no y lies beneath it, built
+# around an inner expression
 _Y_FREE_NODES = {
     "Const": lambda inner: Const(-1.25),
     "TimeVar": lambda inner: TimeVar(),
@@ -120,19 +137,20 @@ class TestYFreeRule:
     @pytest.mark.parametrize("name", sorted(_Y_FREE_NODES))
     def test_y_free_node_is_its_value_with_slope_zero(self, name):
         expr = _Y_FREE_NODES[name](Add((TimeVar(), Scale(-2.0, ZVar()))))
-        ctx = EvalContext(t=0.3, y=0.0, z=np.array([-1.5, 0.0, 2.0 / 3.0]))
-        h, a = expr.y_affine(ctx)
-        value = expr.eval(ctx)
+        z = np.array([-1.5, 0.0, 2.0 / 3.0])
+        h, a = GeneratorSpec(expr).y_affine(0.3, z)
+        value = expr.eval(EvalContext(t=0.3, y=0.0, z=z))
         assert a == 0.0 and isinstance(a, float)
         assert np.asarray(h).dtype == np.asarray(value).dtype
         assert np.asarray(h).tobytes() == np.asarray(value).tobytes()
 
     @pytest.mark.parametrize("name", ["Abs", "NegPart", "Min"])
     def test_wrapping_y_is_not_affine(self, name):
-        assert _Y_FREE_NODES[name](YVar()).y_affine(EvalContext(t=0.3, z=1.0)) is None
+        assert GeneratorSpec(_Y_FREE_NODES[name](YVar())).y_affine(0.3, 1.0) is None
 
     def test_at00_pins_a_wrapped_y(self):
-        assert AtZeroState(YVar()).y_affine(EvalContext(t=0.3, y=4.0, z=1.0)) == (0.0, 0.0)
+        assert GeneratorSpec(AtZeroState(YVar())).y_affine(0.3, 1.0) == (0.0, 0.0)
+
 
 class TestLipschitzBound:
     def test_structural_bounds(self):
@@ -261,6 +279,39 @@ class TestLipschitzBoundHolds:
             assert column.tolist() == list(own)
 
 
+class TestYSplitHolds:
+    """The closed-form implicit step divides by ``1 - a * dt`` unguarded: the
+    sweep's contraction guard ``L_y * dt < 1`` keeps it positive only while
+    ``|a| <= L_y``, member by member, for every driver the grammar builds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(exprs(), st.integers(0, 3), st.booleans(), st.floats(0.0, 1.0), st.data())
+    def test_the_split_is_the_driver_with_its_slope_within_the_bound(
+        self, expr, extra, gated, t, data
+    ):
+        members = [GeneratorSpec(expr)]
+        members += [GeneratorSpec(_recoefficient(expr, data.draw)) for _ in range(extra)]
+        g = GeneratorSpec.stack(members) if extra else members[0]
+        tree = build_tree(TimeGrid(1.0, 3), TreeMode.FULL_BINARY)
+        if gated:
+            flags = [np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+                     for size in map(tree.level_size, range(4))]
+            g = restrict_generator(g, StoppingRule(tree, flags))
+        level = data.draw(st.integers(0, 3))
+        n = tree.level_size(level)  # the node axis; the member axis comes first
+        points = st.lists(_POINTS, min_size=len(members) * n, max_size=len(members) * n)
+        y, z = (np.reshape(data.draw(points), (len(members), n)) for _ in range(2))
+        split = g.y_affine(t, z, level=level, tree=tree)
+        if split is None:
+            return
+        h, a = split
+        assert np.all(np.abs(a) <= g.lipschitz[0])
+        gap = np.abs(h + a * y - g.evaluate(t, y, z, level=level, tree=tree))
+        for k, member in enumerate(members):
+            scale = _magnitude(member.expr, t, y[k], z[k])
+            assert np.all(gap[k] <= 128 * np.finfo(float).eps * scale)
+
+
 class TestPrefixForm:
     @pytest.mark.parametrize(
         "text",
@@ -377,6 +428,12 @@ class TestRestriction:
                 tree=tree,
             )
             np.testing.assert_array_equal(vals, 0.0)
+
+    def test_a_rule_on_another_tree_is_refused(self):
+        tree, other = (build_tree(TimeGrid(t, 3), TreeMode.FULL_BINARY) for t in (1.0, 2.0))
+        gated = restrict_generator(GeneratorSpec.constant(1.0), StoppingRule.root(tree))
+        with pytest.raises(ExpressionError, match="^restriction rule lives on a different tree$"):
+            gated.evaluate(0.0, 0.0, 0.0, level=0, tree=other)
 
     def test_requires_node_context(self):
         tree = build_tree(TimeGrid(1.0, 3), TreeMode.FULL_BINARY)

@@ -504,6 +504,40 @@ class TestFreezing:
             freeze_after(tree.brownian(), StoppingRule.at_level(tree, 2))
 
 
+class TestRefusals:
+    """Arguments that do not fit their tree are refused with a typed error."""
+
+    def test_a_level_outside_the_tree_is_refused(self):
+        tree = full_tree(3)
+        for level in (-1, 4):
+            with pytest.raises(IndexError, match=f"^level {level} outside 0..3$"):
+                tree.level_size(level)
+
+    def test_an_expectation_needs_one_value_per_node(self):
+        with pytest.raises(TreeMismatch, match="^expected 2 values at level 1$"):
+            full_tree(3).expectation(np.zeros(3), 1)
+
+    def test_a_process_needs_one_level_per_time(self):
+        tree = full_tree(3)
+        levels = constant_levels(tree, 0.0)[:-1]
+        with pytest.raises(TreeMismatch, match="^process needs 4 levels, got 3$"):
+            AdaptedProcess(tree, levels)
+
+    def test_rules_and_processes_on_other_trees_are_refused(self):
+        tree, other = full_tree(3), full_tree(3, horizon=2.0)
+        with pytest.raises(TreeMismatch, match="^stopping rules live on different trees$"):
+            StoppingRule.root(tree).precedes(StoppingRule.terminal(other))
+        with pytest.raises(TreeMismatch, match="^process and rule live on different trees$"):
+            freeze_after(tree.brownian(), StoppingRule.root(other))
+
+    def test_an_event_needs_one_flag_per_node(self):
+        tree = full_tree(3)
+        predicate = [np.ones(tree.level_size(i), dtype=bool) for i in range(4)]
+        predicate[2] = np.ones(3, dtype=bool)
+        with pytest.raises(TreeMismatch, match=r"^predicate level 2 has wrong shape \(3,\)$"):
+            event_probability(StoppingRule.terminal(tree), predicate)
+
+
 class TestCarry:
     def test_full_binary_repeats_each_value(self):
         level = np.array([1.5, -2.0, 0.25, 4.0])

@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rbsde_lab import (
     ContractionViolated,
@@ -64,6 +64,11 @@ class TestModel:
         message = r"premium must be a scalar to price, got shape \(2, 1, 1\)"
         with pytest.raises(ValueError, match=message):
             price(recomb_tree(8), model)
+
+    def test_a_spot_that_is_not_positive_is_refused(self):
+        for spot in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="^spot must be positive, got"):
+                MarketModel(**{**BASE, "spot": spot})
 
     def test_a_non_finite_strike_is_refused_where_it_enters(self):
         # NaN < 0 is False, so a NaN strike once built and failed late, in the
@@ -256,6 +261,8 @@ class TestStrikeFamily:
             spot=100.0, drift=drift, volatility=volatility, rate=rate,
             strike=strikes[0], kind=kind,
         )
+        # a premium with |premium| sqrt(dt) >= 1 is refused before any quote
+        assume(abs(model.premium) * tree.sqrt_dt < 1.0)
         quotes = quote_strike_family(tree, model, strikes)
         assert [q.strike for q in quotes] == strikes
         for strike, quote in zip(strikes, quotes):

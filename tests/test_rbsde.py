@@ -12,6 +12,7 @@ from rbsde_lab import (
     GeneratorSpec,
     NumericalBreakdown,
     ObstacleSpec,
+    RuleOrderViolated,
     StoppingRule,
     TerminalBelowObstacle,
     TerminalCondition,
@@ -783,6 +784,12 @@ class TestExerciseRule:
             with pytest.raises(ValueError, match=r"pair of processes, got a batch of shape \(2,\)"):
                 exercise_rule(sol, obstacle)
 
+    def test_an_obstacle_on_another_tree_is_refused(self):
+        _, problem, sol = solve_case(ClosedFormCase.CONST_DRIVER_LOW_TERMINAL, 4)
+        other = ObstacleSpec(AdaptedProcess.constant(full_tree(4, horizon=2.0), 0.0))
+        with pytest.raises(TreeMismatch, match="^solution and obstacle live on different trees$"):
+            exercise_rule(sol, other)
+
     def test_low_obstacle_never_exercises(self):
         tree = full_tree(6)
         rng = np.random.default_rng(41)
@@ -806,6 +813,15 @@ class TestConditionalAndRestriction:
         at_end = reflected_conditional(g, xi, obstacle, StoppingRule.terminal(tree))
         for (level, node), value in at_end.items():
             assert value == leaves[node]
+
+    def test_an_evaluation_rule_past_the_terminal_rule_is_refused(self):
+        tree = full_tree(3)
+        xi = TerminalCondition.constant(tree, 0.5, StoppingRule.at_level(tree, 2))
+        obstacle = ObstacleSpec(AdaptedProcess.constant(tree, 0.0))
+        with pytest.raises(RuleOrderViolated, match="^evaluation rule must precede the terminal"):
+            reflected_conditional(
+                GeneratorSpec.constant(0.0), xi, obstacle, StoppingRule.terminal(tree)
+            )
 
     @pytest.mark.parametrize("reflected", [False, True], ids=["plain", "reflected"])
     def test_batched_terminal_gathers_one_entry_per_member(self, reflected):

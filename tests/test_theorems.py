@@ -68,6 +68,10 @@ def counterexample_pair(tree):
 
 
 class TestClosedForms:
+    def test_counterexample_data_needs_the_unit_horizon(self):
+        with pytest.raises(ValueError, match="^counterexample data lives on the unit horizon$"):
+            counterexample_problem(full_tree(4, 2.0), ClosedFormCase.CONST_DRIVER_LOW_TERMINAL)
+
     def test_const_driver_low_terminal_at_zero(self):
         form = closed_form_example(ClosedFormCase.CONST_DRIVER_LOW_TERMINAL)
         assert form.value(0.0) == 1.0
@@ -695,6 +699,9 @@ class TestMaskedDrivers:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             masked_driver_probe(1.0, 1.0, 2.0, 0.0, [])
+        for slopes in ((1.0, 2.0), (1.0, 1.0), (1.0, 0.0)):
+            with pytest.raises(ValueError, match="^slopes must be positive and strictly ordered$"):
+                masked_driver_probe(slopes[0], 0.0, slopes[1], 1.0, [])
 
     def test_suite_solves_its_family_in_two_batches(self, monkeypatch):
         batches, solo = [], []
