@@ -37,8 +37,7 @@ if TYPE_CHECKING:  # fractions loads where exact probabilities are asked for
 # bound beyond which builds are refused.
 FULL_BINARY_MAX_STEPS = 25
 
-# A value within this distance above an obstacle is in contact with it: the
-# hitting rules and the strike quote's first-contact level both read it.
+# A value within this distance above an obstacle is in contact with it (`_in_contact`).
 DEFAULT_CONTACT_TOL = 1e-9
 
 
@@ -447,12 +446,17 @@ class StoppingRule(Record):
         )
 
 
+def _in_contact(y, s):
+    """The contact rule, read only here: ``y - s <= tol`` rounds differently near ``tol``."""
+    return y <= s + DEFAULT_CONTACT_TOL
+
+
 def hitting_rule(a: AdaptedProcess, b: AdaptedProcess) -> StoppingRule:
-    """First hit of ``a_t <= b_t + DEFAULT_CONTACT_TOL``; stops at N when never hit."""
+    """First node where ``a_t`` is in contact with ``b_t``; stops at N when never hit."""
     if a.tree != b.tree:
         raise TreeMismatch("processes live on different trees")
     _refuse_batch("a hitting rule takes one pair of processes", a.levels() + b.levels())
-    flags = [a.level(i) <= b.level(i) + DEFAULT_CONTACT_TOL for i in range(a.tree.steps + 1)]
+    flags = [_in_contact(a.level(i), b.level(i)) for i in range(a.tree.steps + 1)]
     return StoppingRule(a.tree, flags)
 
 

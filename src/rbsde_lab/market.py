@@ -25,7 +25,7 @@ import numpy as np
 from .bsde import LevelData, TerminalCondition, _root, _sweep
 from .errors import NoBracket, PositivityViolated, ProbabilityOutOfRange
 from .generators import Add, GeneratorSpec, Scale, YVar, ZVar
-from .lattice import DEFAULT_CONTACT_TOL, AdaptedProcess, ScenarioTree
+from .lattice import AdaptedProcess, ScenarioTree, _in_contact
 from .rbsde import ObstacleSpec, solve_rbsde
 from .records import ValueRecord
 
@@ -189,8 +189,8 @@ def price_strike_family(
 class StrikeQuote(NamedTuple):
     """One member of a strike family: its price and first exercise contact.
 
-    ``contact_level`` is the first level at which the value sits within
-    ``DEFAULT_CONTACT_TOL`` of the payoff at some node, the level at which
+    ``contact_level`` is the first level at which the value is in contact
+    with the payoff at some node (``lattice._in_contact``), the level at which
     :func:`exercise_rule` first flags a node (``tree.steps`` at the latest).
     """
 
@@ -217,7 +217,7 @@ def quote_strike_family(
     _premium_step(tree, model)
     contact = np.full(len(strikes), tree.steps)
     for level in _sweep(*_family_sweep(tree, model, strikes)):
-        contact[np.logical_or.reduce(level.y <= level.s + DEFAULT_CONTACT_TOL, axis=-1)] = level.i
+        contact[np.logical_or.reduce(_in_contact(level.y, level.s), axis=-1)] = level.i
     quotes = zip(map(float, strikes), level.y[..., 0].tolist(), contact.tolist())
     return [StrikeQuote(*quote) for quote in quotes]
 

@@ -246,7 +246,7 @@ def enumerate_stopping_oracle(terminal: TerminalCondition, obstacle: ObstacleSpe
 
 
 def exercise_rule(solution: RbsdeSolution, obstacle: ObstacleSpec) -> StoppingRule:
-    """First time the reflected value sits on the obstacle (within ``DEFAULT_CONTACT_TOL``)."""
+    """First time the reflected value sits on the obstacle, by ``lattice._in_contact``."""
     if solution.y.tree != obstacle.tree:
         raise TreeMismatch("solution and obstacle live on different trees")
     return hitting_rule(solution.y, obstacle.process)

@@ -33,12 +33,12 @@ from .generators import (
     restrict_generator,
 )
 from .lattice import (
-    DEFAULT_CONTACT_TOL,
     AdaptedProcess,
     ScenarioTree,
     StoppingRule,
     TimeGrid,
     TreeMode,
+    _in_contact,
     _per_member,
     build_tree,
     freeze_after,
@@ -290,7 +290,7 @@ def _case_errors(
     times = tree.grid.times()
     y_closed = form.value(times)
     k_closed = form.push(times)
-    contact_levels = np.nonzero(y_num <= barrier + DEFAULT_CONTACT_TOL)[0]
+    contact_levels = np.nonzero(_in_contact(y_num, barrier))[0]
     detected = tree.grid.time(int(contact_levels.max()))
     return {
         "y_error": float(np.max(np.abs(y_num - y_closed))),

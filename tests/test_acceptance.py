@@ -17,6 +17,7 @@ from rbsde_lab import (
     local_strict_witness,
     solve_rbsde,
 )
+from rbsde_lab.lattice import _in_contact
 from rbsde_lab.suites import (
     CheckResult,
     comparison_suite,
@@ -142,12 +143,8 @@ def test_contact_levels_match_closed_forms_within_one_step():
         tree = build_tree(TimeGrid(1.0, 400), TreeMode.RECOMBINING)
         problem = counterexample_problem(tree, case)
         sol = solve_rbsde(problem.generator, problem.terminal, problem.obstacle)
-        gaps = np.array(
-            [
-                sol.y.level(i)[0] - problem.obstacle.process.level(i)[0]
-                for i in range(401)
-            ]
-        )
-        detected = tree.grid.time(int(np.nonzero(gaps <= 1e-9)[0].max()))
+        obstacle = problem.obstacle.process
+        contact = [_in_contact(sol.y.level(i)[0], obstacle.level(i)[0]) for i in range(401)]
+        detected = tree.grid.time(int(np.nonzero(contact)[0].max()))
         expected = closed_form_example(case).contact_time
         assert abs(detected - expected) <= tree.grid.dt + 1e-12

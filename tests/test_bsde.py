@@ -546,18 +546,17 @@ class TestOneBackwardKernel:
         assert "obstacle" not in inspect.signature(rbsde_lab.bsde._diagnostics).parameters
 
     def test_only_the_contact_readers_name_the_contact_tolerance(self):
-        # module scopes define or import it; the functions that read it are
-        # the hitting rule, the quote's contact fold and the closed-form checks
-        users = _name_users({"DEFAULT_CONTACT_TOL"})
-        assert not {user for user in users if user.split(".")[0] == "bsde"}
-        assert {user for user in users if "." in user} == {
+        # lattice defines it and `_in_contact` alone reads it; the hitting rule,
+        # the quote's contact fold and the closed-form checks call the predicate
+        assert _name_users({"DEFAULT_CONTACT_TOL"}) == {"lattice", "lattice._in_contact"}
+        assert {user for user in _name_users({"_in_contact"}) if "." in user} == {
             "lattice.hitting_rule",
             "market.quote_strike_family",
             "suites._case_errors",
         }
 
     def test_every_contact_reader_tests_one_inequality(self):
-        # contact is `value <= obstacle + DEFAULT_CONTACT_TOL` wherever it is read;
+        # contact is `value <= obstacle + DEFAULT_CONTACT_TOL`, read once;
         # `value - obstacle <= DEFAULT_CONTACT_TOL` rounds differently near the tolerance
         reads, rules = 0, 0
         for path in sorted(Path(rbsde_lab.__file__).parent.glob("*.py")):
@@ -572,7 +571,7 @@ class TestOneBackwardKernel:
                         and isinstance(bound.op, ast.Add)
                         and ast.unparse(bound.right) == "DEFAULT_CONTACT_TOL"
                     )
-        assert reads == rules == 3
+        assert reads == rules == 1
 
     def test_only_solve_rbsde_sums_pushes_forward(self):
         # a forward path sum moves through ScenarioTree.carry; besides holding

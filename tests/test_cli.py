@@ -433,6 +433,19 @@ class TestPriceCommand:
         assert not out.exists()
 
 
+def recover_config(tmp_path, observed, steps=8, **market):
+    """A recover config on a recombining call market (``MARKET_BLOCK``), with
+    ``observed`` as obs.csv when it is text; ``market`` overrides fields."""
+    if observed is not None:
+        (tmp_path / "obs.csv").write_text(observed)
+    payload = {
+        "tree": {"horizon": 1.0, "steps": steps, "mode": "recombining"},
+        "market": {**MARKET_BLOCK, "kind": "call", **market},
+        "recover": {"observed": "obs.csv"},
+    }
+    return write_config(tmp_path, payload)
+
+
 class TestRecoverCommand:
     def test_round_trip_recovery(self, tmp_path, monkeypatch):
         # recovery runs without scipy
@@ -470,37 +483,13 @@ class TestRecoverCommand:
         assert result["iterations"] > 0
 
     def test_missing_observed_file_exits_two(self, tmp_path):
-        payload = {
-            "tree": {"horizon": 1.0, "steps": 8, "mode": "recombining"},
-            "market": {
-                "spot": 100.0,
-                "drift": 0.08,
-                "volatility": 0.2,
-                "rate": 0.02,
-                "kind": "call",
-                "strikes": [100.0],
-            },
-            "recover": {"observed": "missing.csv"},
-        }
-        config = write_config(tmp_path, payload)
+        config = recover_config(tmp_path, None)
         assert main(["recover", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
 
     def test_flat_objective_exits_three(self, tmp_path, capsys):
         # deep in-the-money puts price at K - spot whatever the premium
-        payload = {
-            "tree": {"horizon": 1.0, "steps": 48, "mode": "recombining"},
-            "market": {
-                "spot": 100.0,
-                "drift": 0.08,
-                "volatility": 0.2,
-                "rate": 0.02,
-                "kind": "put",
-                "strikes": [300.0, 400.0],
-            },
-            "recover": {"observed": "obs.csv"},
-        }
-        (tmp_path / "obs.csv").write_text("strike,price\n300,200\n400,300\n")
-        config = write_config(tmp_path, payload)
+        observed = "strike,price\n300,200\n400,300\n"
+        config = recover_config(tmp_path, observed, 48, kind="put", strikes=[300.0, 400.0])
         out = tmp_path / "o"
         assert main(["recover", "--config", str(config), "--out", str(out)]) == 3
         err = capsys.readouterr().err
@@ -509,20 +498,7 @@ class TestRecoverCommand:
         assert not out.exists()
 
     def test_bad_header_exits_two(self, tmp_path):
-        payload = {
-            "tree": {"horizon": 1.0, "steps": 8, "mode": "recombining"},
-            "market": {
-                "spot": 100.0,
-                "drift": 0.08,
-                "volatility": 0.2,
-                "rate": 0.02,
-                "kind": "call",
-                "strikes": [100.0],
-            },
-            "recover": {"observed": "obs.csv"},
-        }
-        (tmp_path / "obs.csv").write_text("k,p\n100,5\n")
-        config = write_config(tmp_path, payload)
+        config = recover_config(tmp_path, "k,p\n100,5\n")
         assert main(["recover", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize(
@@ -537,23 +513,9 @@ class TestRecoverCommand:
         ],
     )
     def test_bad_observed_file_exits_two_without_output(self, tmp_path, capsys, text):
-        payload = {
-            "tree": {"horizon": 1.0, "steps": 8, "mode": "recombining"},
-            "market": {
-                "spot": 100.0,
-                "drift": 0.08,
-                "volatility": 0.2,
-                "rate": 0.02,
-                "kind": "call",
-                "strikes": [100.0],
-            },
-            "recover": {"observed": "obs.csv"},
-        }
         if text is None:
             (tmp_path / "obs.csv").mkdir()
-        else:
-            (tmp_path / "obs.csv").write_text(text)
-        config = write_config(tmp_path, payload)
+        config = recover_config(tmp_path, text)
         out = tmp_path / "o"
         assert main(["recover", "--config", str(config), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
@@ -595,20 +557,7 @@ class TestRecoverCommand:
     @pytest.mark.parametrize("rate", [1e308, -1e308])
     def test_overflowing_market_is_a_config_error(self, tmp_path, capsys, rate):
         # the premium (drift - rate) / volatility overflows, as price rejects it
-        payload = {
-            "tree": {"horizon": 1.0, "steps": 8, "mode": "recombining"},
-            "market": {
-                "spot": 100.0,
-                "drift": 0.08,
-                "volatility": 0.2,
-                "rate": rate,
-                "kind": "call",
-                "strikes": [100.0],
-            },
-            "recover": {"observed": "obs.csv"},
-        }
-        (tmp_path / "obs.csv").write_text("strike,price\n100,5\n")
-        config = write_config(tmp_path, payload)
+        config = recover_config(tmp_path, "strike,price\n100,5\n", rate=rate)
         out = tmp_path / "o"
         assert main(["recover", "--config", str(config), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
@@ -619,20 +568,10 @@ class TestRecoverCommand:
         self, tmp_path, capsys, volatility
     ):
         # price accepts this block; at theta = -3 the drift rate + volatility * theta is -inf
-        payload = {
-            "tree": {"horizon": 1.0, "steps": 48, "mode": "recombining"},
-            "market": {
-                "spot": 100.0,
-                "drift": 0.02,
-                "volatility": volatility,
-                "rate": 0.02,
-                "kind": "call",
-                "strikes": [80.0],
-            },
-            "recover": {"observed": "obs.csv"},
-        }
-        (tmp_path / "obs.csv").write_text("strike,price\n80,21.5\n")
-        config = write_config(tmp_path, payload)
+        config = recover_config(
+            tmp_path, "strike,price\n80,21.5\n", 48, drift=0.02, volatility=volatility,
+            strikes=[80.0],
+        )
         out = tmp_path / "o"
         assert main(["recover", "--config", str(config), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
@@ -674,20 +613,8 @@ def test_a_step_that_underflows_to_zero_is_a_config_error(tmp_path, capsys, comm
 def test_overflowing_stock_table_prints_no_warning(
     tmp_path, capsys, command, market, steps, code, err
 ):
-    payload = {
-        "tree": {"horizon": 1.0, "steps": steps, "mode": "recombining"},
-        "market": {
-            "spot": 100.0,
-            "drift": 0.08,
-            "volatility": 0.2,
-            "rate": 0.02,
-            "strikes": [90.0, 100.0, 110.0],
-            **market,
-        },
-        "recover": {"observed": "obs.csv"},
-    }
-    (tmp_path / "obs.csv").write_text("strike,price\n100,5\n")
-    config = write_config(tmp_path, payload)
+    observed = "strike,price\n100,5\n"
+    config = recover_config(tmp_path, observed, steps, strikes=[90.0, 100.0, 110.0], **market)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == code

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rbsde_lab.generators
 from rbsde_lab import (
@@ -223,6 +223,7 @@ def exprs(variables=("t", "y", "z")):
 
 _COEFFICIENTS = st.floats(-3, 3, allow_nan=False, allow_infinity=False).map(float)
 _POINTS = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+_SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
 def _magnitude(expr, t, y, z) -> float:
@@ -238,6 +239,16 @@ def _magnitude(expr, t, y, z) -> float:
         return _magnitude(expr._select(t), t, y, z)
     total = sum(_magnitude(child, t, y, z) for child in expr.children())
     return max(1.0, abs(expr.factor)) * total if isinstance(expr, Scale) else total
+
+
+def _products(expr, t) -> float:
+    """The products evaluating ``expr`` at ``t`` rounds, each weighted by the
+    factors applied after it: a bound, in smallest subnormals, on the error
+    its underflows add, since each product's is at most half of one."""
+    if isinstance(expr, PiecewiseTime):
+        return _products(expr._select(t), t)
+    total = sum(_products(child, t) for child in expr.children())
+    return max(1.0, abs(expr.factor)) * (1 + total) if isinstance(expr, Scale) else total
 
 
 def _recoefficient(expr, draw):
@@ -279,37 +290,55 @@ class TestLipschitzBoundHolds:
             assert column.tolist() == list(own)
 
 
+_TREE = build_tree(TimeGrid(1.0, 3), TreeMode.FULL_BINARY)
+_HALF_AGAIN = parse_prefix("(+ y (* 0.5 y))")
+
+
+@st.composite
+def _split_cases(draw):
+    """A grammar driver, maybe stacked with recoefficients and rule-gated, its
+    members' expressions, and points at one level of ``_TREE``, members first."""
+    members = [draw(exprs())]
+    members += [_recoefficient(members[0], draw) for _ in range(draw(st.integers(0, 3)))]
+    specs = [GeneratorSpec(member) for member in members]
+    g = GeneratorSpec.stack(specs) if members[1:] else specs[0]
+    if draw(st.booleans()):
+        flags = [np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+                 for size in map(_TREE.level_size, range(4))]
+        g = restrict_generator(g, StoppingRule(_TREE, flags))
+    level = draw(st.integers(0, 3))
+    size = len(members) * _TREE.level_size(level)
+    y, z = (np.reshape(draw(st.lists(_POINTS, min_size=size, max_size=size)), (len(members), -1))
+            for _ in range(2))
+    return g, members, level, y, z
+
+
 class TestYSplitHolds:
     """The closed-form implicit step divides by ``1 - a * dt`` unguarded: the
     sweep's contraction guard ``L_y * dt < 1`` keeps it positive only while
     ``|a| <= L_y``, member by member, for every driver the grammar builds."""
 
     @settings(max_examples=300, deadline=None)
-    @given(exprs(), st.integers(0, 3), st.booleans(), st.floats(0.0, 1.0), st.data())
-    def test_the_split_is_the_driver_with_its_slope_within_the_bound(
-        self, expr, extra, gated, t, data
-    ):
-        members = [GeneratorSpec(expr)]
-        members += [GeneratorSpec(_recoefficient(expr, data.draw)) for _ in range(extra)]
-        g = GeneratorSpec.stack(members) if extra else members[0]
-        tree = build_tree(TimeGrid(1.0, 3), TreeMode.FULL_BINARY)
-        if gated:
-            flags = [np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
-                     for size in map(tree.level_size, range(4))]
-            g = restrict_generator(g, StoppingRule(tree, flags))
-        level = data.draw(st.integers(0, 3))
-        n = tree.level_size(level)  # the node axis; the member axis comes first
-        points = st.lists(_POINTS, min_size=len(members) * n, max_size=len(members) * n)
-        y, z = (np.reshape(data.draw(points), (len(members), n)) for _ in range(2))
-        split = g.y_affine(t, z, level=level, tree=tree)
+    @given(_split_cases(), st.floats(0.0, 1.0))
+    # 1.5 * 5e-324 rounds up to 1e-323 while 0.5 * 5e-324 rounds down to 0:
+    # one subnormal apart, where a bound relative to 1e-323 is 0
+    @example(
+        (GeneratorSpec(_HALF_AGAIN), [_HALF_AGAIN], 0, np.array([[5e-324]]), np.array([[0.0]])), 0.0
+    )
+    def test_the_split_is_the_driver_with_its_slope_within_the_bound(self, case, t):
+        g, members, level, y, z = case
+        split = g.y_affine(t, z, level=level, tree=_TREE)
         if split is None:
             return
         h, a = split
         assert np.all(np.abs(a) <= g.lipschitz[0])
-        gap = np.abs(h + a * y - g.evaluate(t, y, z, level=level, tree=tree))
+        gap = np.abs(h + a * y - g.evaluate(t, y, z, level=level, tree=_TREE))
         for k, member in enumerate(members):
-            scale = _magnitude(member.expr, t, y[k], z[k])
-            assert np.all(gap[k] <= 128 * np.finfo(float).eps * scale)
+            # a few ulps of the values met, plus the underflows of the products
+            # in the direct evaluation, in h, in a (times |y|) and in a * y
+            scale = _magnitude(member, t, y[k], z[k])
+            underflow = (_products(member, t) * (2 + np.abs(y[k])) + 1) * _SUBNORMAL
+            assert np.all(gap[k] <= 128 * np.finfo(float).eps * scale + underflow)
 
 
 class TestPrefixForm:

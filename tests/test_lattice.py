@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from rbsde_lab import (
     hitting_rule,
     martingale_coefficient,
 )
-from rbsde_lab import lattice
+from rbsde_lab import ClosedFormCase, lattice, market
 from rbsde_lab.lattice import constant_levels
+from rbsde_lab.market import MarketModel, PayoffKind, quote_strike_family
+from rbsde_lab.suites import _case_errors
 
 
 def full_tree(steps, horizon=1.0):
@@ -294,6 +297,29 @@ class TestStoppingRules:
         b = AdaptedProcess.constant(full_tree(4), 1.0)
         with pytest.raises(TreeMismatch):
             hitting_rule(a, b)
+
+    def test_every_contact_reader_flags_a_level_at_the_edge_of_the_tolerance(self, monkeypatch):
+        # 1.000000001 is in contact with 1.0, while its gap 1.0000000827e-09
+        # is above the tolerance: contact is read in the predicate's one form
+        edge, s = 1.000000001, 1.0
+        assert lattice._in_contact(edge, s) and not edge - s <= 1e-9
+        tree = full_tree(3)
+        y = [np.full(tree.level_size(i), edge if i == 2 else 5.0) for i in range(4)]
+        rule = hitting_rule(AdaptedProcess(tree, y), AdaptedProcess.constant(tree, s))
+        assert np.all(leaf_stop_levels(rule) == 2)
+
+        def edge_sweep(*_):  # the quote's records, its payoff level at s
+            for i in range(3, -1, -1):
+                yield SimpleNamespace(i=i, y=y[i][None, :], s=np.full((1, tree.level_size(i)), s))
+
+        monkeypatch.setattr(market, "_sweep", edge_sweep)
+        model = MarketModel(1.0, 0.02, 0.2, 0.02, 1.0, PayoffKind.PUT)
+        assert quote_strike_family(tree, model, [1.0])[0].contact_level == 2
+        flat = np.zeros(4)
+        y_root = np.array([level[0] for level in y])
+        case = ClosedFormCase.ZERO_DRIVER_LOW_TERMINAL
+        errors = _case_errors(case, tree, y_root, flat, flat, flat + s)
+        assert errors["contact_detected"] == tree.grid.time(2)
 
     def test_first_hit_idempotence(self):
         # rebuilding the rule from processes frozen at the rule changes nothing

@@ -36,6 +36,7 @@ from rbsde_lab import (
     solve_rbsde,
 )
 from rbsde_lab.generators import Abs, Add, Const, Scale, YVar, ZVar, parse_prefix
+from rbsde_lab.lattice import _in_contact
 from rbsde_lab.market import MarketModel, PayoffKind, quote_strike_family
 from rbsde_lab.bsde import LevelData, _implicit_level, _sweep
 
@@ -74,10 +75,9 @@ class TestClosedFormReproduction:
     def test_contact_region_is_exact_on_the_grid(self):
         form = closed_form_example(ClosedFormCase.CONST_DRIVER_LOW_TERMINAL)
         tree, problem, sol = solve_case(ClosedFormCase.CONST_DRIVER_LOW_TERMINAL, 200)
-        gaps = np.array(
-            [sol.y.level(i)[0] - problem.obstacle.process.level(i)[0] for i in range(201)]
-        )
-        contact = np.nonzero(gaps <= 1e-9)[0]
+        obstacle = problem.obstacle.process
+        flags = [_in_contact(sol.y.level(i)[0], obstacle.level(i)[0]) for i in range(201)]
+        contact = np.nonzero(flags)[0]
         assert tree.grid.time(contact.max()) == pytest.approx(form.contact_time, abs=tree.grid.dt)
         assert contact.min() == 0
 
